@@ -1,9 +1,9 @@
-"""Closed-loop clients for the `serve` and `network` binaries.
+"""Closed-loop client for the `serve` binary.
 
 One client, one request in flight: the next request is written only
-after the previous response's END trailer (or the process exit) has
-been read. Times are `time.perf_counter()` seconds taken in this
-process, at the moment the bytes became readable.
+after the previous response's END trailer has been read. Times are
+`time.perf_counter()` seconds taken in this process, at the moment the
+bytes became readable.
 """
 
 import hashlib
@@ -11,14 +11,15 @@ import os
 import select
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 #: Longest a single response may take before the run is failed.
 OP_TIMEOUT_S = 60.0
 
 
 class BenchError(Exception):
-    """A failure that leaves the session unusable."""
+    """A failure that leaves the session unusable: a timeout or the end
+    of the program's output."""
 
 
 class Processes:
@@ -84,11 +85,16 @@ class Response:
     ok: bool
     error: str
     latency: float
-    begin: float  # request written -> BEGIN line read
-    first_row: float  # request written -> first payload byte
-    drain: float  # last payload byte -> END line read
-    payload_sha: str
-    fields: dict  # END trailer fields
+    begin: float = 0.0  # request written -> BEGIN line read
+    first_row: float = 0.0  # request written -> first payload byte
+    drain: float = 0.0  # last payload byte -> END line read
+    payload_sha: str = ""
+    head: dict = field(default_factory=dict)  # BEGIN line fields
+    fields: dict = field(default_factory=dict)  # END trailer fields
+
+
+def _fields(line):
+    return dict(word.split("=", 1) for word in line.split()[1:] if "=" in word)
 
 
 class ServeSession:
@@ -108,32 +114,36 @@ class ServeSession:
         r = self.reader
         while (eol := r.buf.find(b"\n")) < 0:
             r.fill()
-        first_line = bytes(r.buf[:eol])
-        if not first_line.startswith(b"BEGIN "):
+        first_line = bytes(r.buf[:eol]).decode(errors="replace")
+        if not first_line.startswith("BEGIN "):
             r.consume(eol + 1)
-            return Response(False, first_line.decode(errors="replace"),
-                            r.time_at(eol) - sent, 0.0, 0.0, 0.0, "", {})
+            return Response(False, first_line, r.time_at(eol) - sent)
         begin, start = r.time_at(eol) - sent, eol + 1
         scan = start - 1
         while True:
-            if (bad := r.buf.find(b"\nERROR ", scan)) >= 0:
-                raise BenchError(bytes(r.buf[bad + 1:bad + 200]).decode(errors="replace"))
+            # an ERROR line instead of the END trailer voids the stream
+            bad = r.buf.find(b"\nERROR ", scan)
             at = r.buf.find(b"\nEND rows=", scan)
-            if at >= 0:
-                if (eol := r.buf.find(b"\n", at + 1)) >= 0:
+            mark = bad if bad >= 0 and (at < 0 or bad < at) else at
+            if mark >= 0:
+                if (eol := r.buf.find(b"\n", mark + 1)) >= 0:
                     break
-                scan = at  # the trailer is still arriving
+                scan = mark  # the last line is still arriving
             else:
                 scan = max(start - 1, len(r.buf) - 16)
             r.fill()
+        last_line = bytes(r.buf[mark + 1:eol]).decode(errors="replace")
+        end = r.time_at(eol)
+        if mark == bad:
+            r.consume(eol + 1)
+            return Response(False, last_line, end - sent, begin)
         payload = bytes(r.buf[start:at + 1])
-        trailer = bytes(r.buf[at + 1:eol]).decode()
         first_row = r.time_at(start) - sent
-        last_byte, end = r.time_at(at), r.time_at(eol)
+        drain = end - r.time_at(at)
         r.consume(eol + 1)
-        fields = dict(word.split("=", 1) for word in trailer.split()[1:])
         sha = hashlib.sha256(payload).hexdigest()
-        return Response(True, "", end - sent, begin, first_row, end - last_byte, sha, fields)
+        return Response(True, "", end - sent, begin, first_row, drain, sha,
+                        _fields(first_line), _fields(last_line))
 
     def peak_rss_mib(self):
         with open(f"/proc/{self.proc.pid}/status") as status:
@@ -147,36 +157,6 @@ class ServeSession:
         code = self.procs.reap(self.proc)
         self.proc.stdout.close()
         return code
-
-
-@dataclass
-class Invocation:
-    code: int
-    latency: float  # launch -> exit
-    first_byte: float  # launch -> first stdout byte
-    peak_rss_mib: float
-    stdout: bytes
-
-
-def invoke(procs, argv, log):
-    """Runs one process to completion, timing its first output byte and
-    exit, and reading its peak RSS from the kernel's rusage."""
-    launched = time.perf_counter()
-    proc = procs.start(argv, stdout=subprocess.PIPE, stderr=log)
-    reader = Reader(proc.stdout.fileno())
-    try:
-        while True:
-            reader.fill()
-    except BenchError:
-        pass  # end of output
-    first = reader.marks[0][1] if reader.marks else time.perf_counter()
-    _, status, usage = os.wait4(proc.pid, 0)
-    exited = time.perf_counter()
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    procs.live.remove(proc)
-    proc.stdout.close()
-    return Invocation(proc.returncode, exited - launched, first - launched,
-                      usage.ru_maxrss / 1024.0, bytes(reader.buf))
 
 
 def worker_spawn(procs, serve_bin, log):

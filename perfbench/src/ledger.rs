@@ -806,7 +806,7 @@ fn emit_layer(ledger: &mut Ledger) -> Result<(), String> {
     Ok(())
 }
 
-/// `network.*` on the `network-day` invocations, at one worker.
+/// `network.*` on the seeded network requests, at one worker.
 fn network_layer(ledger: &mut Ledger, requests: &[Request]) -> Result<(), String> {
     let space = network_search_space();
     let (mut day_s, mut edge_days, mut search_s, mut floor_s, mut sleeps) =

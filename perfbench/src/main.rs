@@ -8,7 +8,7 @@
 //!
 //! `digest` prints, for every request line on stdin, the SHA-256 of the
 //! bytes the library's in-process `stream` writes for it: the reference
-//! every `serve` payload and `network --csv` output is checked against.
+//! every `serve` payload is checked against.
 //! `ledger` is the traced per-layer run (see `ledger.rs`).
 
 mod ledger;
@@ -20,8 +20,8 @@ use std::process::ExitCode;
 use corridor_core::sink::{DigestSink, RowFormat, RowSink};
 use corridor_core::units::Meters;
 use corridor_sim::{
-    CorridorNetwork, DeploymentOptimizer, McEngine, NetworkDayEngine, ReplicationPlan,
-    ScenarioGrid, SearchSpace, StreamSummary, SweepEngine,
+    CorridorNetwork, DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace,
+    StreamSummary, SweepEngine,
 };
 
 /// One request in the `serve` line protocol (`sweep|mc|optimize`), or a
@@ -98,7 +98,8 @@ impl Request {
             .ok_or_else(|| format!("unknown topology {:?}", self.topology))
     }
 
-    /// Streams the response in-process at the request's worker count.
+    /// Streams a `serve` request's response in-process at the request's
+    /// worker count.
     pub fn stream(&self, sink: &mut dyn RowSink) -> Result<StreamSummary, String> {
         let err = |e: &dyn std::fmt::Display| e.to_string();
         match self.engine.as_str() {
@@ -114,12 +115,7 @@ impl Request {
                 .workers(self.workers)
                 .stream(&self.grid()?, &serve_search_space(), self.format, sink)
                 .map_err(|e| err(&e)),
-            _ => NetworkDayEngine::new()
-                .workers(self.workers)
-                .reps(self.reps)
-                .seed(self.seed)
-                .stream(&self.network()?, &network_search_space(), self.format, sink)
-                .map_err(|e| err(&e)),
+            other => Err(format!("{other} requests are not served")),
         }
     }
 }

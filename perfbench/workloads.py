@@ -1,40 +1,33 @@
 """The benchmark's workloads: seeded request generators.
 
 Each workload turns the workload seed into an endless, deterministic
-sequence of operations (serve request lines or network invocations).
-The seed changes the generated inputs (MC master seeds, network day
-seeds, request order, formats) but never the cost mix: every seed sends
-the same grids, replication counts and shard pattern, so runs on
-different seeds measure the same amount of work.
+sequence of `serve` request lines. The seed changes the generated
+inputs (MC master seeds, request order, formats) but never the cost mix:
+every seed sends the same grids, replication counts and shard pattern,
+so runs on different seeds measure the same amount of work.
 
-One operation in four is sent at one shard (one worker) instead of
-nproc; those feed ``scaling_eff`` only.
+One request in four (one in five for cache-replay) is sent at one shard
+instead of nproc; those feed ``scaling_eff`` only.
 """
 
 import itertools
 import random
-import shutil
 from dataclasses import dataclass
 
 SCALING_EVERY = 4
 
-#: The warm-up request whose END marks the end of set-up (serve
-#: workloads), and the launch that does the same for network-day.
+#: The warm-up request whose END marks the end of set-up.
 SETUP_BODY = "sweep grid=paper format=csv"
-NETWORK_SETUP_ARGS = ["--topology", "line1", "--simulate", "--reps", "1"]
 
 NETWORK_REPS = 100
 NETWORK_TOPOLOGIES = ("wye3", "star4", "cycle4")
-GRID_CELLS = {"mixed-8": 8, "screening-200": 200}
-NETWORK_EDGES = {"wye3": 3, "star4": 4, "cycle4": 4}
 
 
 @dataclass(frozen=True)
 class Op:
     body: str  # the request without shards/cache: the reference-digest key
-    shards: int  # serve shards or network --workers
+    shards: int
     klass: str  # operations of one class cost the same (scaling pairs)
-    work: int  # cell-days, cells or edge-days the response carries
     cache_dir: str = ""  # cache-replay only
     expect: str = ""  # "miss" | "hit" for cache-replay responses
     scaling: bool = False  # the one-shard op of a scaling pair
@@ -45,11 +38,9 @@ class Op:
             line += f" cache={self.cache_dir}"
         return line
 
-    def network_args(self):
-        fields = dict(word.split("=", 1) for word in self.body.split()[1:])
-        return ["--topology", fields["topology"], "--simulate",
-                "--reps", fields["reps"], "--seed", fields["seed"],
-                "--workers", str(self.shards), "--csv"]
+    def reps(self):
+        """Replications per cell (1 for sweep and optimize)."""
+        return int(dict(w.split("=", 1) for w in self.body.split()[1:]).get("reps", 1))
 
 
 def _seed_values(rng, count):
@@ -75,34 +66,20 @@ def sweep_bodies(seed):
 
 
 def network_bodies(seed):
-    rng = random.Random(f"network-day:{seed}")
-    seeds = _seed_values(rng, 2)
-    return [f"network topology={t} reps={NETWORK_REPS} seed={s} format=csv"
-            for s in seeds for t in NETWORK_TOPOLOGIES]
-
-
-#: The cache-replay key stored once per run, during set-up: storing its
-#: 200 entries costs ~100 ms of small-file I/O whose speed varies from
-#: run to run far more than any other step, so the timed session only
-#: reads it back.
-CACHE_WARM_KEY = "optimize grid=screening-200"
+    """The network days the traced run's ledger simulates: one seed, each
+    topology."""
+    [day_seed] = _seed_values(random.Random(f"network-day:{seed}"), 1)
+    return [f"network topology={t} reps={NETWORK_REPS} seed={day_seed} format=csv"
+            for t in NETWORK_TOPOLOGIES]
 
 
 def cache_keys(seed):
-    """The cache-replay keys stored in every epoch."""
+    """The cache-replay keys."""
     rng = random.Random(f"cache-replay:{seed}")
     a, b = _seed_values(rng, 2)
     return ["sweep grid=mixed-8", "optimize grid=mixed-8",
-            f"mc grid=mixed-8 reps=5 seed={a}", f"mc grid=mixed-8 reps=5 seed={b}"]
-
-
-def work_of(body):
-    fields = dict(word.split("=", 1) for word in body.split()[1:])
-    engine = body.split()[0]
-    if engine == "network":
-        return NETWORK_EDGES[fields["topology"]] * int(fields["reps"])
-    cells = GRID_CELLS[fields["grid"]]
-    return cells * int(fields.get("reps", 1)) if engine == "mc" else cells
+            f"mc grid=mixed-8 reps=5 seed={a}", f"mc grid=mixed-8 reps=5 seed={b}",
+            "optimize grid=screening-200"]
 
 
 def _alternating(bodies, nproc):
@@ -112,63 +89,46 @@ def _alternating(bodies, nproc):
     for k in itertools.count():
         one = k % SCALING_EVERY == SCALING_EVERY - 1
         body = next(at_1 if one else at_n)
-        klass = body.split(" seed=")[0] if body.startswith("network") else body
-        yield Op(body, 1 if one else nproc, klass, work_of(body), scaling=one)
+        yield Op(body, 1 if one else nproc, body, scaling=one)
 
 
-def _cache_warm_setup(seed, nproc, work_dir):
-    fmt = random.Random(f"cache-replay-warm:{seed}").choice(["csv", "json"])
-    return [Op(f"{CACHE_WARM_KEY} format={fmt}", nproc, "", work_of(CACHE_WARM_KEY),
-               f"{work_dir}/cache-warm", "miss")]
-
-
-def _cache_epochs(seed, nproc, work_dir):
-    """Epochs against a fresh cache directory each: every epoch key once
-    (a miss that stores), then five hits per key, one of them at one
-    shard, plus five hits on the key stored during set-up. Formats
-    alternate per key. Starting an epoch deletes the previous epoch's
-    directory (between requests, outside any timing)."""
+def _cache_replay(seed, nproc, work_dir):
+    """Requests against one fresh cache directory: every key once (a miss
+    that stores), then rounds of hits, five per key, one of them at one
+    shard. Formats alternate per key. Each key is stored once per run:
+    storing the keys again every few hundred milliseconds made the disk
+    set the pace, and it slowed down from run to run as the writes piled
+    up."""
     rng = random.Random(f"cache-replay-order:{seed}")
     keys = cache_keys(seed)
-    warm = f"{work_dir}/cache-warm"
-    for epoch in itertools.count():
-        if epoch:
-            shutil.rmtree(f"{work_dir}/cache-{epoch - 1}", ignore_errors=True)
-        cache = f"{work_dir}/cache-{epoch}"
-        first = {key: rng.choice(["csv", "json"]) for key in keys + [CACHE_WARM_KEY]}
-        other = {key: "json" if fmt == "csv" else "csv" for key, fmt in first.items()}
-        misses = [Op(f"{k} format={first[k]}", nproc, f"{k}|miss", work_of(k), cache, "miss")
-                  for k in keys]
+    cache = f"{work_dir}/cache-replay"
+    first = {key: rng.choice(["csv", "json"]) for key in keys}
+    other = {key: "json" if fmt == "csv" else "csv" for key, fmt in first.items()}
+    misses = [Op(f"{k} format={first[k]}", nproc, f"{k}|miss", cache, "miss") for k in keys]
+    rng.shuffle(misses)
+    yield from misses
+    while True:
         hits = []
-        for k in keys + [CACHE_WARM_KEY]:
-            at = warm if k == CACHE_WARM_KEY else cache
-            hits += [Op(f"{k} format={fmt}", nproc, f"{k}|hit", work_of(k), at, "hit")
+        for k in keys:
+            hits += [Op(f"{k} format={fmt}", nproc, f"{k}|hit", cache, "hit")
                      for fmt in (other[k], first[k], other[k], first[k])]
-            hits.append(Op(f"{k} format={other[k]}", 1, f"{k}|hit", work_of(k), at, "hit",
+            hits.append(Op(f"{k} format={other[k]}", 1, f"{k}|hit", cache, "hit",
                            scaling=True))
-        rng.shuffle(misses)
         rng.shuffle(hits)
-        yield from misses + hits
+        yield from hits
 
 
 @dataclass(frozen=True)
 class Workload:
     name: str
-    kind: str  # "serve" | "network"
-    unit_name: str  # the workload's name for its throughput metric
+    work: str  # the unit a response's work is counted in
 
     def ops(self, seed, nproc, work_dir):
         if self.name == "mc-poisson":
             return _alternating(mc_bodies(seed), nproc)
         if self.name == "sweep-pv":
             return _alternating(sweep_bodies(seed), nproc)
-        if self.name == "network-day":
-            return _alternating(network_bodies(seed), nproc)
-        return _cache_epochs(seed, nproc, work_dir)
-
-    def setup_ops(self, seed, nproc, work_dir):
-        """Verified but untimed operations sent before the session."""
-        return _cache_warm_setup(seed, nproc, work_dir) if self.name == "cache-replay" else []
+        return _cache_replay(seed, nproc, work_dir)
 
     def bodies(self, seed):
         """Every distinct body the workload sends (for reference digests)."""
@@ -176,27 +136,19 @@ class Workload:
             return mc_bodies(seed)
         if self.name == "sweep-pv":
             return sweep_bodies(seed)
-        if self.name == "network-day":
-            return network_bodies(seed)
-        return [f"{k} format={f}" for k in cache_keys(seed) + [CACHE_WARM_KEY]
-                for f in ("csv", "json")]
+        return [f"{k} format={f}" for k in cache_keys(seed) for f in ("csv", "json")]
 
     def probe_bodies(self, seed):
         """Uncached serve requests the traced run times from the client
-        and in-process. network-day sends no serve request, so its probe
-        is a fixed small sweep."""
-        if self.name == "network-day":
-            return ["sweep grid=mixed-8 format=csv", "sweep grid=mixed-8 format=json"]
+        and in-process."""
         if self.name == "cache-replay":
             rng = random.Random(f"cache-replay-probe:{seed}")
-            return [f"{k} format={rng.choice(['csv', 'json'])}"
-                    for k in cache_keys(seed) + [CACHE_WARM_KEY]]
+            return [f"{k} format={rng.choice(['csv', 'json'])}" for k in cache_keys(seed)]
         return self.bodies(seed)
 
 
 WORKLOADS = {w.name: w for w in [
-    Workload("mc-poisson", "serve", "cell_days_per_s"),
-    Workload("sweep-pv", "serve", "cells_per_s"),
-    Workload("cache-replay", "serve", "cells_per_s"),
-    Workload("network-day", "network", "edge_days_per_s"),
+    Workload("mc-poisson", "cell_days"),
+    Workload("sweep-pv", "cells"),
+    Workload("cache-replay", "cells"),
 ]}
