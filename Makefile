@@ -2,9 +2,9 @@
 
 RUSTDOCFLAGS_STRICT := -D missing_docs -D warnings
 
-.PHONY: ci fmt-check clippy lint build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart bench-build bench-sweep bench-mc bench-optimize bench-snapshot results
+.PHONY: ci fmt-check clippy lint build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build bench-snapshot results
 
-ci: fmt-check clippy lint build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart bench-build bench-sweep bench-mc bench-optimize
+ci: fmt-check clippy lint build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build
 
 fmt-check:
 	cargo fmt --all --check
@@ -91,21 +91,11 @@ doc:
 quickstart:
 	cargo run --release --example quickstart
 
-bench-build:
-	cargo bench -p corridor_bench --no-run
-
-# Smoke-run the serial-vs-parallel sweep bench (prints the speedup line).
-bench-sweep:
-	cargo bench -q -p corridor_bench --bench sweep_parallel
-
-# Smoke-run the Monte-Carlo bench (prints cell-days/s and the speedup).
-bench-mc:
-	cargo bench -q -p corridor_bench --bench mc
-
-# Smoke-run the optimizer bench (prints configs/s and the cache hit rate,
-# and asserts the >= 2x profile saving over the naive per-step sweep).
-bench-optimize:
-	cargo bench -q -p corridor_bench --bench optimize
+# The benchmark helper (perfbench/) links the library crates from its own
+# locked manifest: building it guards the public API it calls and its
+# committed lockfile.
+perfbench-build:
+	CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Regenerate the committed BENCH_*.json throughput snapshots at the repo
 # root, then re-verify this machine against them (>20 % drop fails).

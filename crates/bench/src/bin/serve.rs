@@ -157,7 +157,12 @@ impl Request {
                         return Err("shards must be at least 1".into());
                     }
                 }
-                "reps" => request.replications = value.parse().map_err(|e| format!("reps: {e}"))?,
+                "reps" => {
+                    request.replications = value.parse().map_err(|e| format!("reps: {e}"))?;
+                    if request.replications == 0 {
+                        return Err("reps must be at least 1".into());
+                    }
+                }
                 "seed" => request.master_seed = value.parse().map_err(|e| format!("seed: {e}"))?,
                 "cache" => request.cache = Some(value.to_owned()),
                 other => return Err(format!("unknown field {other:?}")),

@@ -9,8 +9,8 @@
 //!
 //! The default grid is the 200-cell screening sweep (5 conventional ISDs
 //! × 5 timetable densities × 4 train speeds × 2 climates); `--demo` runs
-//! an 8-cell variant for a quick look. The parallel path produces results
-//! identical to `--serial` — only faster.
+//! an 8-cell variant for a quick look. Every `--workers` count produces
+//! identical results; only the speed changes.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -25,8 +25,7 @@ const USAGE: &str = "\
 usage: sweep [options]
 
 options:
-  --workers N     worker threads (default: machine parallelism; 1 = serial path)
-  --serial        run on the calling thread (reference path)
+  --workers N     worker threads (default: machine parallelism; 1 = calling thread)
   --nodes N       repeaters per segment, 0-10 (default 10)
   --no-pv         skip the per-cell PV sizing (the expensive step)
   --demo          8-cell demo grid instead of the 200-cell screening grid
@@ -41,7 +40,6 @@ options:
 
 struct Options {
     workers: usize,
-    serial: bool,
     nodes: usize,
     pv: bool,
     demo: bool,
@@ -55,7 +53,6 @@ struct Options {
 fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
     let mut opts = Options {
         workers: 0,
-        serial: false,
         nodes: 10,
         pv: true,
         demo: false,
@@ -74,7 +71,6 @@ fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
             }
-            "--serial" => opts.serial = true,
             "--nodes" => {
                 opts.nodes = value("--nodes")?
                     .parse()
@@ -133,9 +129,7 @@ fn main() -> ExitCode {
 
     // resolve the worker count once and hand it to the engine, so the
     // banner below always matches the pool that actually runs
-    let workers = if opts.serial {
-        1
-    } else if opts.workers == 0 {
+    let workers = if opts.workers == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         opts.workers
@@ -200,12 +194,7 @@ fn main() -> ExitCode {
     }
 
     let started = Instant::now();
-    let run = if opts.serial {
-        engine.run_serial(&grid)
-    } else {
-        engine.run(&grid)
-    };
-    let report = match run {
+    let report = match engine.run(&grid) {
         Ok(report) => report,
         Err(error) => {
             eprintln!("sweep: invalid grid: {error}");

@@ -1,9 +1,8 @@
-//! Shared helpers for the reproduction binaries and benches.
+//! Shared helpers for the reproduction binaries.
 //!
 //! The binaries (`fig3`, `fig4`, `isd_sweep`, `table1`–`table4`,
 //! `headline`, `sweep`) regenerate, as text, every table and figure of
-//! the paper plus the batch scenario sweeps; the criterion benches
-//! measure the hot paths and run the ablations called out in DESIGN.md.
+//! the paper plus the batch scenario sweeps.
 //! The [`render`] module holds the exact text each reproduction binary
 //! prints, so the golden-file regression test can assert it against the
 //! committed outputs under `docs/results/`.

@@ -157,11 +157,9 @@ pub fn measure_mc() -> Snapshot {
     let engine = McEngine::new().workers(1);
 
     let warmup = ScenarioGrid::new().trains_per_hour(vec![4.0]);
-    let _ = engine.run_serial(&warmup, &plan);
+    let _ = engine.run(&warmup, &plan);
     let started = Instant::now();
-    let report = engine
-        .run_serial(&grid, &plan)
-        .expect("screening grid is valid");
+    let report = engine.run(&grid, &plan).expect("screening grid is valid");
     Snapshot {
         name: "mc".into(),
         metric: "cell_days_per_second".into(),
@@ -177,9 +175,9 @@ pub fn measure_sweep() -> Snapshot {
     let grid = ScenarioGrid::screening_200();
     let engine = SweepEngine::new().workers(1).pv_sizing(true);
 
-    let _ = engine.run_serial(&grid);
+    let _ = engine.run(&grid);
     let started = Instant::now();
-    let report = engine.run_serial(&grid).expect("screening grid is valid");
+    let report = engine.run(&grid).expect("screening grid is valid");
     Snapshot {
         name: "sweep".into(),
         metric: "cells_per_second".into(),

@@ -189,3 +189,32 @@ fn bad_requests_get_error_lines_not_crashes() {
     let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("ERROR ")).collect();
     assert_eq!(errors.len(), 2, "one ERROR line per bad request: {stdout}");
 }
+
+#[test]
+fn zero_replications_are_a_bad_request_not_a_worker_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"mc grid=paper reps=0 shards=1\n")
+        .unwrap();
+    let output = child.wait_with_output().unwrap();
+    assert!(!output.status.success(), "a bad request must fail the run");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        !stdout.contains("BEGIN"),
+        "rejected before any payload: {stdout}"
+    );
+    assert!(stdout.starts_with("ERROR bad request: "), "{stdout}");
+    assert!(
+        !stderr.contains("panicked"),
+        "no worker may panic: {stderr}"
+    );
+}

@@ -156,9 +156,7 @@ pub fn average_power_per_km(
 /// This is the entire split computation downstream of the timeline:
 /// `hp_active` is the daily occupancy of the ISD-long section (driving
 /// masts and donors), `service_active` that of the spacing-wide section
-/// around the mid-segment service node. The scalar path and the
-/// struct-of-arrays batch evaluator both call this one function, so
-/// their results are bit-identical by construction.
+/// around the mid-segment service node.
 pub fn split_from_active_hours(
     params: &ScenarioParams,
     n: usize,
@@ -483,5 +481,28 @@ mod tests {
         // the sane direction still works
         assert!(deployed.savings_vs(&deployed).abs() < 1e-12);
         assert!(zero.savings_vs(&deployed) > 0.99);
+    }
+
+    #[test]
+    fn memoized_active_hours_match_a_fresh_timeline() {
+        // the memo is exact: a cached value is bit-identical to a fresh
+        // timeline scan, on first use and on every repeat
+        let p = params();
+        for isd_m in [500.0, 1250.0, 2650.0, 3062.5] {
+            for section in [
+                TrackSection::new(Meters::ZERO, Meters::new(isd_m)),
+                TrackSection::around(Meters::new(isd_m / 2.0), p.lp_spacing()),
+            ] {
+                let fresh = ActivityTimeline::for_section(&section, &p.timetable().passes())
+                    .total_active_hours();
+                for round in 0..2 {
+                    assert_eq!(
+                        active_hours(&p, section).value().to_bits(),
+                        fresh.value().to_bits(),
+                        "isd {isd_m}, round {round}"
+                    );
+                }
+            }
+        }
     }
 }

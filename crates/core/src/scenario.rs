@@ -201,11 +201,9 @@ pub enum ScenarioError {
     /// An ISD table has no entry for the requested repeater node count
     /// (the paper's table covers 0–10 nodes).
     NoIsdForNodeCount(usize),
-    /// The worker thread pool could not be built. The offline `rayon`
-    /// shim never fails here, but the real crate can (resource
-    /// exhaustion), and engines must surface that instead of panicking
-    /// mid-sweep.
-    WorkerPoolBuild,
+    /// A Monte-Carlo engine was configured with zero replications
+    /// (statistics over no simulated days).
+    ZeroReplications,
     /// An internal bookkeeping invariant failed (e.g. a scheduler slot
     /// referencing an edge without a committed pick). The payload names
     /// the violated invariant. Reaching this variant is a bug in the
@@ -241,7 +239,9 @@ impl fmt::Display for ScenarioError {
             ScenarioError::NoIsdForNodeCount(n) => {
                 write!(f, "ISD table has no entry for {n} repeater nodes")
             }
-            ScenarioError::WorkerPoolBuild => f.write_str("worker thread pool could not be built"),
+            ScenarioError::ZeroReplications => {
+                f.write_str("replication count must be strictly positive")
+            }
             ScenarioError::Invariant(what) => {
                 write!(f, "internal invariant violated: {what}")
             }
@@ -588,6 +588,8 @@ mod tests {
         assert!(ScenarioError::NoIsdForNodeCount(11)
             .to_string()
             .contains("11 repeater nodes"));
-        assert!(ScenarioError::WorkerPoolBuild.to_string().contains("pool"));
+        assert!(ScenarioError::ZeroReplications
+            .to_string()
+            .contains("replication count"));
     }
 }

@@ -94,7 +94,7 @@ pub enum Scope {
     Library,
     /// The bench/CLI harness and the offline dependency shims: the
     /// determinism rules apply, but panics are acceptable in binaries
-    /// and the criterion shim *is* the sanctioned timing code.
+    /// and wall-clock timing is what the harness binaries are for.
     Harness,
 }
 

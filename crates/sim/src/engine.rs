@@ -1,24 +1,19 @@
-//! Serial and parallel sweep execution over pluggable energy backends.
+//! Sweep execution over pluggable energy backends.
 
 use core::ops::Range;
 
 use corridor_core::energy::SegmentEnergy;
-use corridor_core::sink::{RowEmitter, RowFormat, RowSink};
+use corridor_core::sink::{RowFormat, RowSink};
 use corridor_core::{AnalyticEvaluator, EnergyStrategy, ScenarioError, SegmentEvaluator};
 use corridor_events::{EventDrivenEvaluator, WakePolicy};
 use corridor_solar::{sizing, DailyLoadProfile};
 use corridor_traffic::TrackSection;
 use corridor_units::Watts;
-use rayon::prelude::*;
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{render_sweep_row, CSV_HEADER};
-use crate::stream::{self, ChunkRows, RowPair, StreamError, StreamSummary};
-use crate::{batch, CellResult, PvOutcome, ScenarioCell, ScenarioGrid, SweepReport};
-
-/// Cells per streaming work item — a whole number of SoA blocks, coarse
-/// enough to amortize scheduling, small enough to bound buffered rows.
-const STREAM_CHUNK: usize = 8 * batch::BLOCK;
+use crate::stream::{self, CellJob, StreamError, StreamSummary};
+use crate::{CellResult, PvOutcome, ScenarioCell, ScenarioGrid, SweepReport};
 
 /// Which energy backend evaluates the cells.
 ///
@@ -111,14 +106,14 @@ impl Evaluator {
     }
 }
 
-/// Executes a [`ScenarioGrid`], cell by cell, serially or on a worker
-/// pool.
+/// Executes a [`ScenarioGrid`], cell by cell, on one or more worker
+/// threads.
 ///
 /// Each cell is evaluated independently (energy split for the three
 /// strategies through the selected [`Evaluator`], savings versus the
 /// cell's conventional baseline, and — unless disabled — the off-grid PV
-/// sizing for the cell's climate), so the parallel path produces results
-/// identical to the serial one, in the same deterministic grid order.
+/// sizing for the cell's climate), so every worker count produces
+/// identical results, in the same deterministic grid order.
 ///
 /// # Examples
 ///
@@ -183,51 +178,18 @@ impl SweepEngine {
         self
     }
 
-    /// Expands the grid and evaluates every cell on the worker pool.
+    /// Evaluates every cell of the grid on the worker threads.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::ZeroWorkers`] if an explicit worker
-    /// count of zero was configured,
-    /// [`ScenarioError::WorkerPoolBuild`] if the pool cannot be built,
-    /// or the [`ScenarioError`] of the first cell whose parameters fail
-    /// validation.
+    /// count of zero was configured, or the [`ScenarioError`] of the
+    /// first cell whose parameters fail validation.
     pub fn run(&self, grid: &ScenarioGrid) -> Result<SweepReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let cells = grid.expand()?;
-        let pool = build_pool(self.workers)?;
-        let chunks: Vec<&[ScenarioCell]> = cells.chunks(batch::BLOCK).collect();
-        let blocks: Vec<Vec<CellResult>> = pool.install(|| {
-            chunks
-                .par_iter()
-                .map(|chunk| self.evaluate_block(chunk))
-                .collect()
-        });
-        Ok(SweepReport::new(blocks.into_iter().flatten().collect()))
-    }
-
-    /// Expands the grid and evaluates every cell on the calling thread —
-    /// the reference path the parallel results are checked against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::ZeroWorkers`] if an explicit worker
-    /// count of zero was configured (the serial path needs no pool, but
-    /// the configuration is just as wrong), or the [`ScenarioError`] of
-    /// the first cell whose parameters fail validation.
-    pub fn run_serial(&self, grid: &ScenarioGrid) -> Result<SweepReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let cells = grid.expand()?;
-        Ok(SweepReport::new(
-            cells
-                .chunks(batch::BLOCK)
-                .flat_map(|chunk| self.evaluate_block(chunk))
-                .collect(),
-        ))
+        Ok(SweepReport::new(stream::collect(
+            &self.job(grid),
+            self.workers,
+        )?))
     }
 
     /// Streams the whole grid into `sink` in grid order without ever
@@ -263,12 +225,7 @@ impl SweepEngine {
         sink: &mut dyn RowSink,
         cache: Option<&ResultCache>,
     ) -> Result<StreamSummary, StreamError> {
-        let mut rows = RowEmitter::begin(sink, format, CSV_HEADER).map_err(StreamError::Sink)?;
-        let summary = self.stream_rows(grid, 0..grid.len(), format, cache, |row| {
-            rows.row(row).map_err(StreamError::Sink)
-        })?;
-        rows.finish().map_err(StreamError::Sink)?;
-        Ok(summary)
+        stream::stream(&self.job(grid), self.workers, format, sink, cache)
     }
 
     /// Streams the raw rows of a cell range to `emit`, without header or
@@ -290,79 +247,14 @@ impl SweepEngine {
         range: Range<usize>,
         format: RowFormat,
         cache: Option<&ResultCache>,
-        mut emit: impl FnMut(&str) -> Result<(), StreamError>,
+        emit: impl FnMut(&str) -> Result<(), StreamError>,
     ) -> Result<StreamSummary, StreamError> {
-        let workers = stream::resolve_workers(self.workers)?;
-        let chunks = stream::chunked_ranges(range, STREAM_CHUNK);
-        stream::drive(
-            workers,
-            chunks,
-            format,
-            |chunk| self.stream_chunk(grid, chunk, cache),
-            &mut emit,
-        )
+        stream::stream_rows(&self.job(grid), self.workers, range, format, cache, emit)
     }
 
-    /// Evaluates one chunk of cells for the streaming path: probe the
-    /// cache per cell, evaluate the misses in SoA blocks (bit-identical
-    /// to the in-memory path's blocking), render and store their rows.
-    fn stream_chunk(
-        &self,
-        grid: &ScenarioGrid,
-        range: Range<usize>,
-        cache: Option<&ResultCache>,
-    ) -> Result<ChunkRows, ScenarioError> {
-        let mut rows: Vec<Option<RowPair>> = Vec::with_capacity(range.len());
-        let mut pending_cells: Vec<ScenarioCell> = Vec::new();
-        let mut pending_slots: Vec<(usize, String)> = Vec::new();
-        let mut cache_hits = 0u64;
-        for index in range {
-            let cell = grid.cell_at(index)?;
-            let key = match cache {
-                Some(store) => {
-                    let key = self.cache_key(&cell);
-                    if let Some(pair) = store.load(&key) {
-                        rows.push(Some(pair));
-                        cache_hits += 1;
-                        continue;
-                    }
-                    key
-                }
-                None => String::new(),
-            };
-            pending_slots.push((rows.len(), key));
-            pending_cells.push(cell);
-            rows.push(None);
-        }
-        let cache_misses = if cache.is_some() {
-            pending_cells.len() as u64
-        } else {
-            0
-        };
-        for (cells, slots) in pending_cells
-            .chunks(batch::BLOCK)
-            .zip(pending_slots.chunks(batch::BLOCK))
-        {
-            for ((slot, key), result) in slots.iter().zip(self.evaluate_block(cells)) {
-                let pair = RowPair {
-                    csv: render_sweep_row(&result, RowFormat::Csv),
-                    json: render_sweep_row(&result, RowFormat::Json),
-                };
-                if let Some(store) = cache {
-                    store.store(key, &pair);
-                }
-                rows[*slot] = Some(pair);
-            }
-        }
-        Ok(ChunkRows {
-            rows: rows
-                .into_iter()
-                // corridor-lint: allow(no-panic, reason = "the loop above writes every slot exactly once before this collect")
-                .map(|r| r.expect("every chunk slot is filled"))
-                .collect(),
-            cache_hits,
-            cache_misses,
-        })
+    /// The engine's per-cell work over `grid`.
+    fn job<'a>(&'a self, grid: &'a ScenarioGrid) -> SweepJob<'a> {
+        SweepJob { engine: self, grid }
     }
 
     /// The scenario hash of one cell under this engine's configuration.
@@ -379,38 +271,13 @@ impl SweepEngine {
         key.finish()
     }
 
-    /// Evaluates one cell.
+    /// Evaluates one cell: the energy splits through the selected
+    /// backend and, unless disabled, the PV sizing of one service
+    /// repeater at the cell's deployment ISD.
     pub fn evaluate(&self, cell: &ScenarioCell) -> CellResult {
         let [baseline, continuous, sleep, solar] = self.evaluator.splits(cell);
-        self.finish(cell, [baseline, continuous, sleep, solar])
-    }
-
-    /// Evaluates one block of cells.
-    ///
-    /// The analytic backend goes through the struct-of-arrays
-    /// [`batch::CellBlock`]: gather every activity column for the block
-    /// (each lookup memoized process-wide), then emit the splits per
-    /// cell from the columns. Batched and scalar evaluation share the
-    /// same split function, so their results are bit-identical.
-    fn evaluate_block(&self, cells: &[ScenarioCell]) -> Vec<CellResult> {
-        match self.evaluator {
-            Evaluator::Analytic => {
-                let block = batch::CellBlock::gather(cells);
-                cells
-                    .iter()
-                    .enumerate()
-                    .map(|(i, cell)| self.finish(cell, block.splits(i, cell)))
-                    .collect()
-            }
-            Evaluator::EventDriven(_) => cells.iter().map(|cell| self.evaluate(cell)).collect(),
-        }
-    }
-
-    /// Attaches PV sizing and wraps the splits into a [`CellResult`].
-    fn finish(&self, cell: &ScenarioCell, splits: [SegmentEnergy; 4]) -> CellResult {
-        let [baseline, continuous, sleep, solar] = splits;
         let pv = if self.pv_sizing {
-            self.size_pv(cell)
+            size_repeater_pv(cell.params(), cell.location(), cell.isd())
         } else {
             PvOutcome::Skipped
         };
@@ -424,35 +291,13 @@ impl SweepEngine {
             pv,
         )
     }
-
-    /// Sizes the off-grid PV system of one service repeater in this cell
-    /// at the cell's deployment ISD.
-    fn size_pv(&self, cell: &ScenarioCell) -> PvOutcome {
-        size_repeater_pv(cell.params(), cell.location(), cell.isd())
-    }
-}
-
-/// Builds the worker pool for an explicit worker count (`None` = auto).
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::WorkerPoolBuild`] if the pool cannot be
-/// built (never with the offline shim, but real `rayon` can fail on
-/// resource exhaustion — a sweep must surface that, not panic).
-pub(crate) fn build_pool(workers: Option<usize>) -> Result<rayon::ThreadPool, ScenarioError> {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(workers.unwrap_or(0))
-        .build()
-        .map_err(|_| ScenarioError::WorkerPoolBuild)
 }
 
 /// Sizes the off-grid PV system of one service repeater at `isd`: the
 /// node sleeps through the night pause and serves train bursts during
 /// the service window (the paper's Table IV methodology, generalized to
-/// the given timetable, equipment and deployment geometry). Shared by
-/// the sweep engine (at the cell's fixed ISD) and the deployment
-/// optimizer (at each candidate ISD).
-pub(crate) fn size_repeater_pv(
+/// the given timetable, equipment and deployment geometry).
+fn size_repeater_pv(
     params: &corridor_core::ScenarioParams,
     location: &corridor_solar::Location,
     isd: corridor_units::Meters,
@@ -503,9 +348,45 @@ impl Default for SweepEngine {
     }
 }
 
+/// The sweep's per-cell work for the shared drivers.
+struct SweepJob<'a> {
+    engine: &'a SweepEngine,
+    grid: &'a ScenarioGrid,
+}
+
+impl CellJob for SweepJob<'_> {
+    type Cell = ScenarioCell;
+    type Output = CellResult;
+    /// An analytic cell is cheap; 64 of them make a work item worth the
+    /// hand-off to a worker.
+    const CHUNK: usize = 64;
+    const HEADER: &'static str = CSV_HEADER;
+
+    fn cells(&self) -> usize {
+        self.grid.len()
+    }
+
+    fn cell(&self, index: usize) -> Result<ScenarioCell, ScenarioError> {
+        self.grid.cell_at(index)
+    }
+
+    fn cache_key(&self, cell: &ScenarioCell) -> Option<String> {
+        Some(self.engine.cache_key(cell))
+    }
+
+    fn evaluate(&self, cell: ScenarioCell) -> CellResult {
+        self.engine.evaluate(&cell)
+    }
+
+    fn render(&self, result: &CellResult, format: RowFormat) -> String {
+        render_sweep_row(result, format)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corridor_core::sink::StringSink;
     use corridor_core::{experiments, ScenarioParams};
     use corridor_solar::climate;
 
@@ -565,7 +446,7 @@ mod tests {
             .train_speeds_kmh(vec![160.0, 200.0])
             .locations(vec![climate::madrid(), climate::berlin()]);
         let engine = SweepEngine::new().pv_sizing(false);
-        let serial = engine.run_serial(&grid).unwrap();
+        let serial = engine.workers(1).run(&grid).unwrap();
         let parallel = engine.workers(4).run(&grid).unwrap();
         assert_eq!(serial.results(), parallel.results());
     }
@@ -591,9 +472,15 @@ mod tests {
         let engine = SweepEngine::new().workers(0).pv_sizing(false);
         let err = engine.run(&ScenarioGrid::new()).unwrap_err();
         assert_eq!(err, ScenarioError::ZeroWorkers);
-        // the serial path rejects the same misconfiguration
-        let err = engine.run_serial(&ScenarioGrid::new()).unwrap_err();
-        assert_eq!(err, ScenarioError::ZeroWorkers);
+        // the streaming path rejects the same misconfiguration
+        let mut sink = StringSink::new();
+        let err = engine
+            .stream(&ScenarioGrid::new(), RowFormat::Csv, &mut sink)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            StreamError::Scenario(ScenarioError::ZeroWorkers)
+        ));
         // automatic parallelism (no explicit count) still works
         assert!(SweepEngine::new()
             .pv_sizing(false)

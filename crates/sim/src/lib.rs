@@ -15,8 +15,8 @@
 //! [`ScenarioParams`](corridor_core::ScenarioParams) via the validating
 //! builder, and a [`SweepEngine`] evaluates every [`ScenarioCell`] —
 //! energy split per strategy, savings versus the cell's conventional
-//! baseline, and off-grid PV sizing — serially or on the offline `rayon`
-//! worker pool, through either energy backend ([`Evaluator::Analytic`]
+//! baseline, and off-grid PV sizing — on one or more worker threads,
+//! through either energy backend ([`Evaluator::Analytic`]
 //! closed-form math or [`Evaluator::EventDriven`] discrete-event
 //! simulation). Results land in a typed [`SweepReport`] whose CSV/JSON
 //! renderings are byte-identical no matter how many workers produced
@@ -41,8 +41,8 @@
 //! On top of the deterministic sweep sits the Monte-Carlo layer: a
 //! [`ReplicationPlan`] replicates every grid cell over seeded stochastic
 //! days (Poisson, jittered — see [`TrafficSpec`]), the [`McEngine`]
-//! evaluates the `(cell × replication)` work items on the same worker
-//! pool through the event-driven backend, and a [`McReport`] carries
+//! evaluates every cell's replications on the same worker threads
+//! through the event-driven backend, and a [`McReport`] carries
 //! per-cell mean/stddev/95 % CI/min/max for each tracked [`McMetric`].
 //!
 //! # Examples
@@ -66,7 +66,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod cache;
 mod cell;
 mod engine;

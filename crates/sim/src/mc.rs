@@ -5,11 +5,11 @@
 //! one number per cell; this module gives each cell a *distribution*. A
 //! [`ReplicationPlan`] selects a stochastic traffic pattern
 //! ([`TrafficSpec`]), a replication count and a master seed; the
-//! [`McEngine`] expands every [`ScenarioGrid`] cell into
-//! `(cell × replication)` work items with [`SeedSequence`]-derived RNG
-//! streams, replays each seeded day through the event-driven backend (one
-//! prepared [`SegmentReplicator`] per cell geometry, reused across all of
-//! the cell's seeds), and folds the daily metrics through streaming
+//! [`McEngine`] gives each replication of every [`ScenarioGrid`] cell its
+//! own [`SeedSequence`]-derived RNG stream, replays each seeded day
+//! through the event-driven backend (one prepared [`SegmentReplicator`]
+//! per cell, reused across all of the cell's seeds), and folds the daily
+//! metrics through streaming
 //! [`Welford`] accumulators into a [`McReport`] — mean, standard
 //! deviation, 95 % confidence interval, min and max per cell and metric,
 //! rendered by deterministic CSV/JSON writers that are byte-identical
@@ -21,7 +21,6 @@ use corridor_core::{EnergyStrategy, ScenarioError};
 use corridor_events::{EventDrivenEvaluator, NodeKind, SegmentReplicator, WakePolicy};
 use corridor_traffic::{DelayModel, PoissonTimetable, SeedSequence, Timetable, TrafficModel};
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use core::fmt::Write as _;
 use std::io;
@@ -29,7 +28,7 @@ use std::path::Path;
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{csv_field, json_string};
-use crate::stream::{self, ChunkRows, RowPair, StreamError, StreamSummary};
+use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{ScenarioCell, ScenarioGrid};
 
 /// Which stochastic traffic pattern every replication samples, applied
@@ -217,10 +216,6 @@ impl McCellResult {
     }
 }
 
-/// The prepared per-cell contexts plus the flat `(cell, seed)` work
-/// list, in deterministic `(cell, replication)` order.
-type ExpandedPlan = (Vec<CellContext>, Vec<(usize, u64)>);
-
 /// Everything a cell's replications need, prepared once: the cell, its
 /// traffic model, and prebuilt deployment/baseline simulators.
 struct CellContext {
@@ -290,14 +285,13 @@ impl CellContext {
     }
 }
 
-/// Executes [`ReplicationPlan`]s over [`ScenarioGrid`]s, serially or on
-/// the worker pool.
+/// Executes [`ReplicationPlan`]s over [`ScenarioGrid`]s on one or more
+/// worker threads.
 ///
-/// The expensive part — simulating seeded days — runs in parallel over
-/// the `(cell × replication)` work items; the statistical fold is serial
-/// and in fixed `(cell, replication)` order, so the resulting
+/// Cells run in parallel; one cell's replications are sampled and
+/// folded on a single worker in plan order, so the resulting
 /// [`McReport`] (and its CSV/JSON renderings) is byte-identical no
-/// matter how many workers produced the samples.
+/// matter how many workers produced it.
 ///
 /// # Examples
 ///
@@ -341,54 +335,24 @@ impl McEngine {
         self
     }
 
-    /// Expands `grid × plan` into work items and evaluates them on the
-    /// worker pool.
+    /// Evaluates every cell of `grid × plan` on the worker threads.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::ZeroWorkers`] for an explicit worker
-    /// count of zero, [`ScenarioError::WorkerPoolBuild`] if the pool
-    /// cannot be built, or the [`ScenarioError`] of the first cell
-    /// whose parameters fail validation.
+    /// count of zero, or the [`ScenarioError`] of the first cell whose
+    /// parameters fail validation.
     pub fn run(
         &self,
         grid: &ScenarioGrid,
         plan: &ReplicationPlan,
     ) -> Result<McReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let (contexts, items) = self.expand(grid, plan)?;
-        let pool = crate::engine::build_pool(self.workers)?;
-        let samples: Vec<DaySample> = pool.install(|| {
-            items
-                .par_iter()
-                .map(|&(cell, seed)| contexts[cell].sample_day(seed))
-                .collect()
-        });
-        Ok(Self::fold(contexts, samples, plan))
-    }
-
-    /// Evaluates every work item on the calling thread — the reference
-    /// path the parallel results are checked against.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`McEngine::run`].
-    pub fn run_serial(
-        &self,
-        grid: &ScenarioGrid,
-        plan: &ReplicationPlan,
-    ) -> Result<McReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let (contexts, items) = self.expand(grid, plan)?;
-        let samples: Vec<DaySample> = items
-            .iter()
-            .map(|&(cell, seed)| contexts[cell].sample_day(seed))
-            .collect();
-        Ok(Self::fold(contexts, samples, plan))
+        Ok(McReport {
+            results: stream::collect(&self.job(grid, plan), self.workers)?,
+            traffic: plan.traffic_spec().label(),
+            replications: plan.replications(),
+            master_seed: plan.seeds().master(),
+        })
     }
 
     /// Streams the whole grid into `sink` in grid order without
@@ -424,18 +388,11 @@ impl McEngine {
         sink: &mut dyn RowSink,
         cache: Option<&ResultCache>,
     ) -> Result<StreamSummary, StreamError> {
-        let mut rows = RowEmitter::begin(sink, format, MC_CSV_HEADER).map_err(StreamError::Sink)?;
-        let summary = self.stream_rows(grid, plan, 0..grid.len(), format, cache, |row| {
-            rows.row(row).map_err(StreamError::Sink)
-        })?;
-        rows.finish().map_err(StreamError::Sink)?;
-        Ok(summary)
+        stream::stream(&self.job(grid, plan), self.workers, format, sink, cache)
     }
 
     /// Streams the raw rows of a cell range to `emit`, without header or
-    /// framing (the `serve` shard primitive). One work item is one cell:
-    /// its replications are sampled in plan order on a single worker, so
-    /// the folded statistics are bit-identical to the in-memory path.
+    /// framing (the `serve` shard primitive).
     ///
     /// # Panics
     ///
@@ -452,56 +409,25 @@ impl McEngine {
         range: core::ops::Range<usize>,
         format: RowFormat,
         cache: Option<&ResultCache>,
-        mut emit: impl FnMut(&str) -> Result<(), StreamError>,
+        emit: impl FnMut(&str) -> Result<(), StreamError>,
     ) -> Result<StreamSummary, StreamError> {
-        let workers = stream::resolve_workers(self.workers)?;
-        stream::drive(
-            workers,
+        stream::stream_rows(
+            &self.job(grid, plan),
+            self.workers,
             range,
             format,
-            |index| self.stream_cell(grid, plan, index, cache),
-            &mut emit,
+            cache,
+            emit,
         )
     }
 
-    /// Evaluates (or loads) one cell for the streaming path.
-    fn stream_cell(
-        &self,
-        grid: &ScenarioGrid,
-        plan: &ReplicationPlan,
-        index: usize,
-        cache: Option<&ResultCache>,
-    ) -> Result<ChunkRows, ScenarioError> {
-        let cell = grid.cell_at(index)?;
-        let key = match cache {
-            Some(store) => {
-                let key = self.cache_key(&cell, plan);
-                if let Some(pair) = store.load(&key) {
-                    return Ok(ChunkRows {
-                        rows: vec![pair],
-                        cache_hits: 1,
-                        cache_misses: 0,
-                    });
-                }
-                key
-            }
-            None => String::new(),
-        };
-        let result = evaluate_mc_cell(cell, plan, self.policy);
-        let traffic = plan.traffic_spec().label();
-        let (reps, seed) = (plan.replications(), plan.seeds().master());
-        let pair = RowPair {
-            csv: render_mc_row(&result, traffic, reps, seed, RowFormat::Csv),
-            json: render_mc_row(&result, traffic, reps, seed, RowFormat::Json),
-        };
-        if let Some(store) = cache {
-            store.store(&key, &pair);
+    /// The engine's per-cell work over `grid × plan`.
+    fn job<'a>(&'a self, grid: &'a ScenarioGrid, plan: &'a ReplicationPlan) -> McJob<'a> {
+        McJob {
+            engine: self,
+            grid,
+            plan,
         }
-        Ok(ChunkRows {
-            rows: vec![pair],
-            cache_hits: 0,
-            cache_misses: u64::from(cache.is_some()),
-        })
     }
 
     /// The scenario hash of one cell under this engine and plan.
@@ -521,66 +447,53 @@ impl McEngine {
         key.cell(cell);
         key.finish()
     }
-
-    /// Builds the per-cell contexts and the flat `(cell, seed)` work
-    /// list, in deterministic `(cell, replication)` order.
-    fn expand(
-        &self,
-        grid: &ScenarioGrid,
-        plan: &ReplicationPlan,
-    ) -> Result<ExpandedPlan, ScenarioError> {
-        let contexts: Vec<CellContext> = grid
-            .expand()?
-            .into_iter()
-            .map(|cell| CellContext::new(cell, plan.traffic_spec(), self.policy))
-            .collect();
-        let mut items = Vec::with_capacity(contexts.len() * plan.replications());
-        for cell in 0..contexts.len() {
-            for seed in plan.seeds().cell_seeds(cell as u64, plan.replications()) {
-                items.push((cell, seed));
-            }
-        }
-        Ok((contexts, items))
-    }
-
-    /// Folds the flat sample list into per-cell statistics, serially and
-    /// in work-item order — the step that makes reports byte-identical
-    /// across worker counts.
-    fn fold(
-        contexts: Vec<CellContext>,
-        samples: Vec<DaySample>,
-        plan: &ReplicationPlan,
-    ) -> McReport {
-        let reps = plan.replications();
-        let results = contexts
-            .into_iter()
-            .enumerate()
-            .map(|(index, context)| {
-                let mut accumulators = [Welford::new(); 5];
-                for sample in &samples[index * reps..(index + 1) * reps] {
-                    for (acc, value) in accumulators.iter_mut().zip(sample.values) {
-                        acc.push(value);
-                    }
-                }
-                McCellResult {
-                    cell: context.cell,
-                    stats: accumulators.map(|acc| acc.summary()),
-                }
-            })
-            .collect();
-        McReport {
-            results,
-            traffic: plan.traffic_spec().label(),
-            replications: reps,
-            master_seed: plan.seeds().master(),
-        }
-    }
 }
 
 impl Default for McEngine {
     /// Returns [`McEngine::new`].
     fn default() -> Self {
         McEngine::new()
+    }
+}
+
+/// The Monte-Carlo engine's per-cell work: one cell with all its
+/// replications.
+struct McJob<'a> {
+    engine: &'a McEngine,
+    grid: &'a ScenarioGrid,
+    plan: &'a ReplicationPlan,
+}
+
+impl CellJob for McJob<'_> {
+    type Cell = ScenarioCell;
+    type Output = McCellResult;
+    const HEADER: &'static str = MC_CSV_HEADER;
+
+    fn cells(&self) -> usize {
+        self.grid.len()
+    }
+
+    fn cell(&self, index: usize) -> Result<ScenarioCell, ScenarioError> {
+        self.grid.cell_at(index)
+    }
+
+    fn cache_key(&self, cell: &ScenarioCell) -> Option<String> {
+        Some(self.engine.cache_key(cell, self.plan))
+    }
+
+    fn evaluate(&self, cell: ScenarioCell) -> McCellResult {
+        evaluate_mc_cell(cell, self.plan, self.engine.policy)
+    }
+
+    fn render(&self, result: &McCellResult, format: RowFormat) -> String {
+        let plan = self.plan;
+        render_mc_row(
+            result,
+            plan.traffic_spec().label(),
+            plan.replications(),
+            plan.seeds().master(),
+            format,
+        )
     }
 }
 
@@ -711,11 +624,10 @@ impl McReport {
     }
 }
 
-/// Evaluates one cell's whole replication set on the calling thread, in
-/// plan order — the same `(cell, replication)` ordering as the engine's
-/// flat work list, so the folded statistics are bit-identical to the
-/// in-memory path's for the same cell.
-pub(crate) fn evaluate_mc_cell(
+/// Evaluates one cell's whole replication set on the calling thread: the
+/// seeds are sampled and folded in plan order, so the statistics are
+/// identical whichever worker runs the cell.
+fn evaluate_mc_cell(
     cell: ScenarioCell,
     plan: &ReplicationPlan,
     policy: WakePolicy,
@@ -879,10 +791,6 @@ mod tests {
     fn explicit_zero_workers_is_rejected() {
         let engine = McEngine::new().workers(0);
         let err = engine.run(&ScenarioGrid::new(), &small_plan()).unwrap_err();
-        assert_eq!(err, ScenarioError::ZeroWorkers);
-        let err = engine
-            .run_serial(&ScenarioGrid::new(), &small_plan())
-            .unwrap_err();
         assert_eq!(err, ScenarioError::ZeroWorkers);
     }
 

@@ -24,14 +24,13 @@ use corridor_traffic::{PoissonTimetable, SeedSequence, Train};
 use corridor_units::{Hours, KilometersPerHour, Meters};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use core::fmt::Write as _;
 
-use crate::engine::build_pool;
 use crate::optimize::FrontierPoint;
 use crate::report::{csv_field, json_string};
-use crate::stream::{self, ChunkRows, RowPair, StreamError, StreamSummary};
+use crate::stream::{self, CellJob, StreamSummary};
+use crate::ScenarioCell;
 
 use super::graph::{CorridorNetwork, NetworkError};
 use super::NetworkOptimizer;
@@ -344,32 +343,22 @@ impl NetworkDayEngine {
     /// # Errors
     ///
     /// Same conditions as [`NetworkOptimizer::run`], plus
-    /// [`ScenarioError::ZeroWorkers`] for zero replications.
+    /// [`ScenarioError::ZeroReplications`] for zero replications.
     pub fn run(
         &self,
         net: &CorridorNetwork,
         space: &SearchSpace,
     ) -> Result<NetworkDayReport, NetworkError> {
-        let (routes, sim, picks) = self.prepare(net, space)?;
-        let pool = build_pool(self.workers).map_err(NetworkError::Scenario)?;
-        let per_edge: Vec<Result<EdgeDayStats, ScenarioError>> = pool.install(|| {
-            (0..net.edge_count())
-                .into_par_iter()
-                .map(|e| self.edge_stats(net, &routes, &sim, &picks, e))
-                .collect()
-        });
-        let per_edge = per_edge
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(NetworkError::Scenario)?;
+        let job = self.prepare(net, space)?;
+        let per_edge = stream::collect(&job, self.workers)?;
         let mut crossings = Welford::new();
         for rep in 0..self.reps {
-            let itineraries = sample_itineraries(net, &routes, self.seed, rep as u64);
+            let itineraries = sample_itineraries(net, &job.routes, self.seed, rep as u64);
             crossings.push(TrainItinerary::crossings(&itineraries) as f64);
         }
         Ok(NetworkDayReport {
             network: net.clone(),
-            routes,
+            routes: job.routes,
             per_edge,
             reps: self.reps,
             seed: self.seed,
@@ -391,78 +380,84 @@ impl NetworkDayEngine {
         format: RowFormat,
         sink: &mut dyn RowSink,
     ) -> Result<StreamSummary, NetworkError> {
-        let (routes, sim, picks) = self.prepare(net, space)?;
-        let workers = stream::resolve_workers(self.workers).map_err(NetworkError::Scenario)?;
-        let mut rows = RowEmitter::begin(sink, format, NETWORK_DAY_CSV_HEADER)
-            .map_err(|e| NetworkError::Stream(StreamError::Sink(e)))?;
-        let summary = stream::drive(
-            workers,
-            0..net.edge_count(),
-            format,
-            |e| {
-                let stats = self.edge_stats(net, &routes, &sim, &picks, e)?;
-                Ok(ChunkRows {
-                    rows: vec![RowPair {
-                        csv: render_day_row(net, &stats, self.reps, RowFormat::Csv),
-                        json: render_day_row(net, &stats, self.reps, RowFormat::Json),
-                    }],
-                    cache_hits: 0,
-                    cache_misses: 0,
-                })
-            },
-            &mut |row| rows.row(row).map_err(StreamError::Sink),
-        )
-        .map_err(NetworkError::Stream)?;
-        rows.finish()
-            .map_err(|e| NetworkError::Stream(StreamError::Sink(e)))?;
-        Ok(summary)
+        let job = self.prepare(net, space)?;
+        stream::stream(&job, self.workers, format, sink, None).map_err(NetworkError::Stream)
     }
 
     /// Shared front half of `run`/`stream`: validation, the per-edge
     /// deployment search (for picks), route decomposition and the day
     /// simulator.
-    #[allow(clippy::type_complexity)]
-    fn prepare(
+    fn prepare<'a>(
         &self,
-        net: &CorridorNetwork,
+        net: &'a CorridorNetwork,
         space: &SearchSpace,
-    ) -> Result<
-        (
-            Vec<TrainRoute>,
-            NetworkDaySimulator,
-            Vec<Option<FrontierPoint>>,
-        ),
-        NetworkError,
-    > {
-        if self.workers == Some(0) || self.reps == 0 {
+    ) -> Result<DayJob<'a>, NetworkError> {
+        if self.workers == Some(0) {
             return Err(ScenarioError::ZeroWorkers.into());
         }
+        if self.reps == 0 {
+            return Err(ScenarioError::ZeroReplications.into());
+        }
         net.validate()?;
-        let optimizer = match self.workers {
-            Some(w) => NetworkOptimizer::new().workers(w),
-            None => NetworkOptimizer::new(),
+        let optimizer = NetworkOptimizer {
+            workers: self.workers,
+            ..NetworkOptimizer::new()
         };
         let picks = optimizer.run(net, space)?.picks().to_vec();
-        let routes = decompose_routes(net);
-        let sim = build_day_simulator(net, &picks);
-        Ok((routes, sim, picks))
+        Ok(DayJob {
+            net,
+            routes: decompose_routes(net),
+            sim: build_day_simulator(net, &picks),
+            picks,
+            reps: self.reps,
+            seed: self.seed,
+        })
+    }
+}
+
+impl Default for NetworkDayEngine {
+    /// Returns [`NetworkDayEngine::new`].
+    fn default() -> Self {
+        NetworkDayEngine::new()
+    }
+}
+
+/// The network day's per-edge work over the searched picks.
+struct DayJob<'a> {
+    net: &'a CorridorNetwork,
+    routes: Vec<TrainRoute>,
+    sim: NetworkDaySimulator,
+    picks: Vec<Option<FrontierPoint>>,
+    reps: usize,
+    seed: u64,
+}
+
+impl CellJob for DayJob<'_> {
+    /// The edge index and the edge's scenario.
+    type Cell = (usize, ScenarioCell);
+    type Output = EdgeDayStats;
+    const HEADER: &'static str = NETWORK_DAY_CSV_HEADER;
+
+    fn cells(&self) -> usize {
+        self.net.edge_count()
+    }
+
+    fn cell(&self, e: usize) -> Result<(usize, ScenarioCell), ScenarioError> {
+        Ok((e, self.net.edge_cell(e)?))
+    }
+
+    fn render(&self, stats: &EdgeDayStats, format: RowFormat) -> String {
+        render_day_row(self.net, stats, self.reps, format)
     }
 
     /// One edge's Monte-Carlo fold: `reps` seeded days, Welford
     /// accumulation of daily energy / passes / wakes. A pure function
-    /// of `(edge, seed)` — the parallel sweeps stay byte-deterministic.
-    fn edge_stats(
-        &self,
-        net: &CorridorNetwork,
-        routes: &[TrainRoute],
-        sim: &NetworkDaySimulator,
-        picks: &[Option<FrontierPoint>],
-        e: usize,
-    ) -> Result<EdgeDayStats, ScenarioError> {
+    /// of `(edge, seed)`, so every worker count gives the same bytes.
+    fn evaluate(&self, (e, cell): (usize, ScenarioCell)) -> EdgeDayStats {
+        let (net, routes, sim) = (self.net, &self.routes, &self.sim);
         let edge = net.edge(e);
-        let cell = net.edge_cell(e)?;
         let params = cell.params();
-        let n = picks[e].as_ref().map_or(0, |p| p.nodes);
+        let n = self.picks[e].as_ref().map_or(0, |p| p.nodes);
         let isd = sim.edge_isd(e);
         let mut energy = Welford::new();
         let mut passes = Welford::new();
@@ -487,7 +482,7 @@ impl NetworkDayEngine {
                     .sum(),
             );
         }
-        Ok(EdgeDayStats {
+        EdgeDayStats {
             edge: e,
             demand_tph: edge.demand_tph(),
             routes: routes.iter().filter(|r| r.traverses(e)).count(),
@@ -497,14 +492,7 @@ impl NetworkDayEngine {
             ci95_wh_day: energy.ci95(),
             mean_passes: passes.mean(),
             mean_wakes: wakes.mean(),
-        })
-    }
-}
-
-impl Default for NetworkDayEngine {
-    /// Returns [`NetworkDayEngine::new`].
-    fn default() -> Self {
-        NetworkDayEngine::new()
+        }
     }
 }
 
@@ -694,15 +682,33 @@ mod tests {
     #[test]
     fn engine_rejects_zero_workers_and_zero_reps() {
         let net = CorridorNetwork::line(&[8.0]);
-        for engine in [
-            NetworkDayEngine::new().workers(0),
-            NetworkDayEngine::new().reps(0),
+        for (engine, expected) in [
+            (
+                NetworkDayEngine::new().workers(0),
+                ScenarioError::ZeroWorkers,
+            ),
+            (
+                NetworkDayEngine::new().reps(0),
+                ScenarioError::ZeroReplications,
+            ),
         ] {
             let err = engine.run(&net, &quick_space()).unwrap_err();
-            assert!(matches!(
-                err,
-                NetworkError::Scenario(ScenarioError::ZeroWorkers)
-            ));
+            assert!(
+                matches!(err, NetworkError::Scenario(e) if e == expected),
+                "{err}"
+            );
         }
+    }
+
+    #[test]
+    fn zero_reps_names_the_replication_count() {
+        let net = CorridorNetwork::line(&[8.0]);
+        let mut sink = StringSink::new();
+        let err = NetworkDayEngine::new()
+            .reps(0)
+            .stream(&net, &quick_space(), RowFormat::Csv, &mut sink)
+            .unwrap_err();
+        assert!(err.to_string().contains("replication count"), "{err}");
+        assert!(sink.as_str().is_empty(), "a rejected run writes nothing");
     }
 }

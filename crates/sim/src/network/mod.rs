@@ -34,19 +34,17 @@ pub use schedule::SleepDecision;
 use corridor_core::margin::MarginModel;
 
 use core::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use corridor_core::sink::{RowEmitter, RowFormat, RowSink, StringSink};
 use corridor_core::ScenarioError;
-use corridor_deploy::{CoverageCache, LinkBudget};
-use rayon::prelude::*;
+use corridor_deploy::CoverageCache;
 
-use crate::engine::build_pool;
 use crate::optimize::{
-    evaluate_cell, render_optimize_row, FrontierPoint, OptimizeCellResult, SearchSpace,
-    OPTIMIZE_CSV_HEADER,
+    render_optimize_row, shared_cache, CoverageCaches, FrontierPoint, OptimizeCellResult,
+    SearchJob, SearchSpace, OPTIMIZE_CSV_HEADER,
 };
-use crate::stream::{self, ChunkRows, RowPair, StreamError, StreamSummary};
+use crate::stream::{self, StreamSummary};
 use crate::ScenarioCell;
 
 /// The CSV header of [`NetworkReport::schedule_csv`].
@@ -55,7 +53,7 @@ pub const NETWORK_SCHEDULE_CSV_HEADER: &str =
 absorber_delta_wh_day,net_wh_day,absorbed_demand_tph";
 
 /// Runs the per-edge deployment search and the demand-aware sleep
-/// schedule over a [`CorridorNetwork`], serially or on the worker pool.
+/// schedule over a [`CorridorNetwork`] on one or more worker threads.
 ///
 /// # Examples
 ///
@@ -126,54 +124,22 @@ impl NetworkOptimizer {
         self
     }
 
-    /// Validates the network, searches every edge on the worker pool
+    /// Validates the network, searches every edge on the worker threads
     /// and builds the sleep schedule.
     ///
     /// # Errors
     ///
-    /// Returns the graph's [`NetworkError`], a wrapped
-    /// [`ScenarioError`] for an invalid edge scenario, zero workers or
-    /// a pool-build failure.
+    /// Returns the graph's [`NetworkError`], or a wrapped
+    /// [`ScenarioError`] for zero workers or an invalid edge scenario.
     pub fn run(
         &self,
         net: &CorridorNetwork,
         space: &SearchSpace,
     ) -> Result<NetworkReport, NetworkError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers.into());
-        }
         net.validate()?;
-        let work = Self::expand(net, space)?;
-        let pool = build_pool(self.workers).map_err(NetworkError::Scenario)?;
-        let results: Vec<OptimizeCellResult> = pool.install(|| {
-            work.par_iter()
-                .map(|(cell, cache)| evaluate_cell(cell, cache, space))
-                .collect()
-        });
-        self.fold(net, space, &work, results)
-    }
-
-    /// [`NetworkOptimizer::run`] on the calling thread — the reference
-    /// path the parallel results are checked against.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NetworkOptimizer::run`].
-    pub fn run_serial(
-        &self,
-        net: &CorridorNetwork,
-        space: &SearchSpace,
-    ) -> Result<NetworkReport, NetworkError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers.into());
-        }
-        net.validate()?;
-        let work = Self::expand(net, space)?;
-        let results: Vec<OptimizeCellResult> = work
-            .iter()
-            .map(|(cell, cache)| evaluate_cell(cell, cache, space))
-            .collect();
-        self.fold(net, space, &work, results)
+        let search = edge_search(net, space);
+        let results = stream::collect(&search, self.workers)?;
+        self.fold(net, space, &search.coverage, results)
     }
 
     /// Streams the per-edge frontier rows into `sink` in edge order
@@ -193,51 +159,8 @@ impl NetworkOptimizer {
         sink: &mut dyn RowSink,
     ) -> Result<StreamSummary, NetworkError> {
         net.validate()?;
-        let workers = stream::resolve_workers(self.workers).map_err(NetworkError::Scenario)?;
-        let coverage: Mutex<Vec<(LinkBudget, Arc<CoverageCache>)>> = Mutex::new(Vec::new());
-        let mut rows = RowEmitter::begin(sink, format, OPTIMIZE_CSV_HEADER)
-            .map_err(|e| NetworkError::Stream(StreamError::Sink(e)))?;
-        let label = space.isd_search_label();
-        let summary = stream::drive(
-            workers,
-            0..net.edge_count(),
-            format,
-            |index| {
-                let cell = net.edge_cell(index)?;
-                let shared = shared_cache(&coverage, &cell, space);
-                let result = evaluate_cell(&cell, &shared, space);
-                Ok(ChunkRows {
-                    rows: vec![RowPair {
-                        csv: render_optimize_row(&result, label, RowFormat::Csv),
-                        json: render_optimize_row(&result, label, RowFormat::Json),
-                    }],
-                    cache_hits: 0,
-                    cache_misses: 0,
-                })
-            },
-            &mut |row| rows.row(row).map_err(StreamError::Sink),
-        )
-        .map_err(NetworkError::Stream)?;
-        rows.finish()
-            .map_err(|e| NetworkError::Stream(StreamError::Sink(e)))?;
-        Ok(summary)
-    }
-
-    /// Builds every edge cell and pairs it with the shared coverage
-    /// cache of its link budget (one cache per distinct budget).
-    #[allow(clippy::type_complexity)]
-    fn expand(
-        net: &CorridorNetwork,
-        space: &SearchSpace,
-    ) -> Result<Vec<(ScenarioCell, Arc<CoverageCache>)>, NetworkError> {
-        let caches: Mutex<Vec<(LinkBudget, Arc<CoverageCache>)>> = Mutex::new(Vec::new());
-        (0..net.edge_count())
-            .map(|index| {
-                let cell = net.edge_cell(index).map_err(NetworkError::Scenario)?;
-                let cache = shared_cache(&caches, &cell, space);
-                Ok((cell, cache))
-            })
-            .collect()
+        stream::stream(&edge_search(net, space), self.workers, format, sink, None)
+            .map_err(NetworkError::Stream)
     }
 
     /// Picks each edge's least-energy frontier point, runs the sleep
@@ -247,7 +170,7 @@ impl NetworkOptimizer {
         &self,
         net: &CorridorNetwork,
         space: &SearchSpace,
-        work: &[(ScenarioCell, Arc<CoverageCache>)],
+        coverage: &CoverageCaches,
         results: Vec<OptimizeCellResult>,
     ) -> Result<NetworkReport, NetworkError> {
         let picks: Vec<Option<FrontierPoint>> = results
@@ -268,8 +191,10 @@ impl NetworkOptimizer {
                 // the representative day the interior prices come from,
                 // plus each edge's coverage cache from the search
                 let day = day::build_day_context(net, &picks, self.day_seed);
-                let caches: Vec<Arc<CoverageCache>> =
-                    work.iter().map(|(_, cache)| Arc::clone(cache)).collect();
+                let caches: Vec<Arc<CoverageCache>> = results
+                    .iter()
+                    .map(|r| shared_cache(coverage, r.cell(), space))
+                    .collect();
                 let trading = schedule::MarginTrading {
                     floor_db,
                     model: MarginModel::new(space.snr_threshold_value()),
@@ -299,27 +224,12 @@ impl Default for NetworkOptimizer {
     }
 }
 
-/// Finds or lazily creates the shared coverage cache for a cell's link
-/// budget — the same one-cache-per-budget policy the linear optimizer
-/// applies, so the per-edge searches share SNR profiles.
-fn shared_cache(
-    caches: &Mutex<Vec<(LinkBudget, Arc<CoverageCache>)>>,
-    cell: &ScenarioCell,
-    space: &SearchSpace,
-) -> Arc<CoverageCache> {
-    let mut caches = caches.lock().unwrap_or_else(PoisonError::into_inner);
-    let budget = cell.params().budget();
-    match caches.iter().find(|(b, _)| b == budget) {
-        Some((_, shared)) => Arc::clone(shared),
-        None => {
-            let shared = Arc::new(CoverageCache::with_sample_step(
-                budget.clone(),
-                space.sample_step_value(),
-            ));
-            caches.push((budget.clone(), Arc::clone(&shared)));
-            shared
-        }
-    }
+/// The linear optimizer's deployment search over every edge of `net`.
+fn edge_search<'a>(
+    net: &'a CorridorNetwork,
+    space: &'a SearchSpace,
+) -> SearchJob<'a, impl Fn(usize) -> Result<ScenarioCell, ScenarioError> + Sync + 'a> {
+    SearchJob::new(net.edge_count(), move |edge| net.edge_cell(edge), space)
 }
 
 /// The searched network: per-edge frontiers (in edge order), the
@@ -505,7 +415,7 @@ mod tests {
         let net = CorridorNetwork::by_name("wye3").unwrap();
         let serial = NetworkOptimizer::new()
             .workers(1)
-            .run_serial(&net, &quick_space())
+            .run(&net, &quick_space())
             .unwrap();
         let parallel = NetworkOptimizer::new()
             .workers(4)

@@ -7,7 +7,7 @@
 //! closes the loop with the energy and PV layers: a [`SearchSpace`]
 //! describes the candidate configurations, the [`DeploymentOptimizer`]
 //! evaluates every candidate of every [`ScenarioGrid`] cell on the
-//! worker pool — coverage through a shared
+//! worker threads — coverage through a shared
 //! [`CoverageCache`](corridor_deploy::CoverageCache) (each
 //! `(layout, budget)` pair profiled once across the whole search),
 //! energy through the [`SegmentEvaluator`](corridor_core::SegmentEvaluator)
@@ -35,12 +35,11 @@ use corridor_deploy::{CoverageCache, IsdTable, LinkBudget, SegmentInventory};
 use corridor_events::{EventDrivenEvaluator, NodeKind, WakePolicy};
 use corridor_traffic::TrackSection;
 use corridor_units::{Db, Meters};
-use rayon::prelude::*;
 
 use crate::cache::{KeyBuilder, ResultCache};
-use crate::engine::{build_pool, size_repeater_pv_for_load};
+use crate::engine::size_repeater_pv_for_load;
 use crate::report::{csv_field, json_string};
-use crate::stream::{self, ChunkRows, RowPair, StreamError, StreamSummary};
+use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{PvOutcome, ScenarioCell, ScenarioGrid};
 
 /// How the ISD dimension of the search is resolved per repeater count.
@@ -200,12 +199,6 @@ impl SearchSpace {
     pub(crate) fn isd_search_label(&self) -> &'static str {
         self.isd_search.label()
     }
-
-    /// The coverage-profile sampling step (shared with the network
-    /// optimizer's cache construction).
-    pub(crate) fn sample_step_value(&self) -> Meters {
-        self.sample_step
-    }
 }
 
 impl Default for SearchSpace {
@@ -312,8 +305,8 @@ impl OptimizeCellResult {
     }
 }
 
-/// Executes [`SearchSpace`]s over [`ScenarioGrid`]s, serially or on the
-/// worker pool.
+/// Executes [`SearchSpace`]s over [`ScenarioGrid`]s on one or more
+/// worker threads.
 ///
 /// Cells evaluate independently and in parallel; they share one
 /// [`CoverageCache`](corridor_deploy::CoverageCache) per distinct link
@@ -341,52 +334,33 @@ impl DeploymentOptimizer {
         self
     }
 
-    /// Expands the grid and searches every cell on the worker pool.
+    /// Expands the grid and searches every cell on the worker threads.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::ZeroWorkers`] for an explicit worker
-    /// count of zero, [`ScenarioError::WorkerPoolBuild`] if the pool
-    /// cannot be built, or the [`ScenarioError`] of the first cell
-    /// whose parameters fail validation.
+    /// count of zero, or the [`ScenarioError`] of the first cell whose
+    /// parameters fail validation.
     pub fn run(
         &self,
         grid: &ScenarioGrid,
         space: &SearchSpace,
     ) -> Result<OptimizeReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let (work, caches) = Self::expand(grid, space)?;
-        let pool = build_pool(self.workers)?;
-        let results: Vec<OptimizeCellResult> = pool.install(|| {
-            work.par_iter()
-                .map(|(cell, cache)| evaluate_cell(cell, cache, space))
-                .collect()
-        });
-        Ok(Self::fold(results, space, caches))
-    }
-
-    /// Searches every cell on the calling thread — the reference path
-    /// the parallel results are checked against.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DeploymentOptimizer::run`].
-    pub fn run_serial(
-        &self,
-        grid: &ScenarioGrid,
-        space: &SearchSpace,
-    ) -> Result<OptimizeReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let (work, caches) = Self::expand(grid, space)?;
-        let results: Vec<OptimizeCellResult> = work
-            .iter()
-            .map(|(cell, cache)| evaluate_cell(cell, cache, space))
-            .collect();
-        Ok(Self::fold(results, space, caches))
+        let search = grid_search(grid, space);
+        let results = stream::collect(&search, self.workers)?;
+        let caches = search
+            .coverage
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        Ok(OptimizeReport {
+            results,
+            isd_search: space.isd_search.label(),
+            lookups: caches.iter().map(|(_, cache)| cache.lookups()).sum(),
+            profile_evaluations: caches
+                .iter()
+                .map(|(_, cache)| cache.profile_evaluations())
+                .sum(),
+        })
     }
 
     /// Streams the whole grid into `sink` in grid order without
@@ -423,19 +397,13 @@ impl DeploymentOptimizer {
         sink: &mut dyn RowSink,
         cache: Option<&ResultCache>,
     ) -> Result<StreamSummary, StreamError> {
-        let mut rows =
-            RowEmitter::begin(sink, format, OPTIMIZE_CSV_HEADER).map_err(StreamError::Sink)?;
-        let summary = self.stream_rows(grid, space, 0..grid.len(), format, cache, |row| {
-            rows.row(row).map_err(StreamError::Sink)
-        })?;
-        rows.finish().map_err(StreamError::Sink)?;
-        Ok(summary)
+        stream::stream(&grid_search(grid, space), self.workers, format, sink, cache)
     }
 
     /// Streams the raw per-cell chunks of a cell range to `emit`,
     /// without header or framing (the `serve` shard primitive). Workers
     /// share one lazily built [`CoverageCache`] per distinct link
-    /// budget, exactly like the in-memory expansion.
+    /// budget, exactly like [`DeploymentOptimizer::run`].
     ///
     /// # Panics
     ///
@@ -452,115 +420,16 @@ impl DeploymentOptimizer {
         range: core::ops::Range<usize>,
         format: RowFormat,
         cache: Option<&ResultCache>,
-        mut emit: impl FnMut(&str) -> Result<(), StreamError>,
+        emit: impl FnMut(&str) -> Result<(), StreamError>,
     ) -> Result<StreamSummary, StreamError> {
-        let workers = stream::resolve_workers(self.workers)?;
-        let coverage: Mutex<Vec<(LinkBudget, Arc<CoverageCache>)>> = Mutex::new(Vec::new());
-        stream::drive(
-            workers,
+        stream::stream_rows(
+            &grid_search(grid, space),
+            self.workers,
             range,
             format,
-            |index| {
-                let cell = grid.cell_at(index)?;
-                let key = match cache {
-                    Some(store) => {
-                        let key = cache_key(&cell, space);
-                        if let Some(pair) = store.load(&key) {
-                            return Ok(ChunkRows {
-                                rows: vec![pair],
-                                cache_hits: 1,
-                                cache_misses: 0,
-                            });
-                        }
-                        key
-                    }
-                    None => String::new(),
-                };
-                let shared = {
-                    let mut caches = coverage.lock().unwrap_or_else(PoisonError::into_inner);
-                    let budget = cell.params().budget();
-                    match caches.iter().find(|(b, _)| b == budget) {
-                        Some((_, shared)) => Arc::clone(shared),
-                        None => {
-                            let shared = Arc::new(CoverageCache::with_sample_step(
-                                budget.clone(),
-                                space.sample_step,
-                            ));
-                            caches.push((budget.clone(), Arc::clone(&shared)));
-                            shared
-                        }
-                    }
-                };
-                let result = evaluate_cell(&cell, &shared, space);
-                let label = space.isd_search.label();
-                let pair = RowPair {
-                    csv: render_optimize_row(&result, label, RowFormat::Csv),
-                    json: render_optimize_row(&result, label, RowFormat::Json),
-                };
-                if let Some(store) = cache {
-                    store.store(&key, &pair);
-                }
-                Ok(ChunkRows {
-                    rows: vec![pair],
-                    cache_hits: 0,
-                    cache_misses: u64::from(cache.is_some()),
-                })
-            },
-            &mut emit,
+            cache,
+            emit,
         )
-    }
-
-    /// Expands the grid and pairs every cell with the shared coverage
-    /// cache of its link budget (one cache per distinct budget, usually
-    /// exactly one).
-    #[allow(clippy::type_complexity)]
-    fn expand(
-        grid: &ScenarioGrid,
-        space: &SearchSpace,
-    ) -> Result<
-        (
-            Vec<(ScenarioCell, Arc<CoverageCache>)>,
-            Vec<Arc<CoverageCache>>,
-        ),
-        ScenarioError,
-    > {
-        let cells = grid.expand()?;
-        let mut caches: Vec<(LinkBudget, Arc<CoverageCache>)> = Vec::new();
-        let work = cells
-            .into_iter()
-            .map(|cell| {
-                let budget = cell.params().budget();
-                let cache = match caches.iter().find(|(b, _)| b == budget) {
-                    Some((_, cache)) => Arc::clone(cache),
-                    None => {
-                        let cache = Arc::new(CoverageCache::with_sample_step(
-                            budget.clone(),
-                            space.sample_step,
-                        ));
-                        caches.push((budget.clone(), Arc::clone(&cache)));
-                        cache
-                    }
-                };
-                (cell, cache)
-            })
-            .collect();
-        Ok((work, caches.into_iter().map(|(_, c)| c).collect()))
-    }
-
-    /// Assembles the report and the aggregated cache counters.
-    fn fold(
-        results: Vec<OptimizeCellResult>,
-        space: &SearchSpace,
-        caches: Vec<Arc<CoverageCache>>,
-    ) -> OptimizeReport {
-        let lookups = caches.iter().map(|c| c.lookups()).sum();
-        let profile_evaluations = caches.iter().map(|c| c.profile_evaluations()).sum();
-        OptimizeReport {
-            results,
-            isd_search: space.isd_search.label(),
-            lookups,
-            profile_evaluations,
-        }
     }
 }
 
@@ -569,6 +438,94 @@ impl Default for DeploymentOptimizer {
     fn default() -> Self {
         DeploymentOptimizer::new()
     }
+}
+
+/// One shared coverage cache per distinct link budget, created lazily
+/// by whichever worker first needs it.
+pub(crate) type CoverageCaches = Mutex<Vec<(LinkBudget, Arc<CoverageCache>)>>;
+
+/// Finds or lazily creates the shared coverage cache for a cell's link
+/// budget, so every cell searched against the same budget shares SNR
+/// profiles.
+pub(crate) fn shared_cache(
+    caches: &CoverageCaches,
+    cell: &ScenarioCell,
+    space: &SearchSpace,
+) -> Arc<CoverageCache> {
+    let mut caches = caches.lock().unwrap_or_else(PoisonError::into_inner);
+    let budget = cell.params().budget();
+    match caches.iter().find(|(b, _)| b == budget) {
+        Some((_, shared)) => Arc::clone(shared),
+        None => {
+            let shared = Arc::new(CoverageCache::with_sample_step(
+                budget.clone(),
+                space.sample_step,
+            ));
+            caches.push((budget.clone(), Arc::clone(&shared)));
+            shared
+        }
+    }
+}
+
+/// The deployment search's per-cell work over any cell source: grid
+/// cells for the [`DeploymentOptimizer`], edge cells for the
+/// [`NetworkOptimizer`](crate::NetworkOptimizer).
+pub(crate) struct SearchJob<'a, F> {
+    cells: usize,
+    cell_at: F,
+    space: &'a SearchSpace,
+    /// The coverage caches the search has built so far.
+    pub(crate) coverage: CoverageCaches,
+}
+
+impl<'a, F> SearchJob<'a, F> {
+    /// A search over `cells` cells, cell `i` built by `cell_at(i)`.
+    pub(crate) fn new(cells: usize, cell_at: F, space: &'a SearchSpace) -> Self {
+        SearchJob {
+            cells,
+            cell_at,
+            space,
+            coverage: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<F> CellJob for SearchJob<'_, F>
+where
+    F: Fn(usize) -> Result<ScenarioCell, ScenarioError> + Sync,
+{
+    type Cell = ScenarioCell;
+    type Output = OptimizeCellResult;
+    const HEADER: &'static str = OPTIMIZE_CSV_HEADER;
+
+    fn cells(&self) -> usize {
+        self.cells
+    }
+
+    fn cell(&self, index: usize) -> Result<ScenarioCell, ScenarioError> {
+        (self.cell_at)(index)
+    }
+
+    fn cache_key(&self, cell: &ScenarioCell) -> Option<String> {
+        Some(cache_key(cell, self.space))
+    }
+
+    fn evaluate(&self, cell: ScenarioCell) -> OptimizeCellResult {
+        let coverage = shared_cache(&self.coverage, &cell, self.space);
+        evaluate_cell(&cell, &coverage, self.space)
+    }
+
+    fn render(&self, result: &OptimizeCellResult, format: RowFormat) -> String {
+        render_optimize_row(result, self.space.isd_search.label(), format)
+    }
+}
+
+/// The deployment search over every cell of `grid`.
+fn grid_search<'a>(
+    grid: &'a ScenarioGrid,
+    space: &'a SearchSpace,
+) -> SearchJob<'a, impl Fn(usize) -> Result<ScenarioCell, ScenarioError> + Sync + 'a> {
+    SearchJob::new(grid.len(), move |index| grid.cell_at(index), space)
 }
 
 /// The scenario hash of one cell under a whole search space. Beyond the
@@ -608,10 +565,10 @@ fn cache_key(cell: &ScenarioCell, space: &SearchSpace) -> String {
 
 /// Searches one cell: resolve the ISD per count, evaluate every
 /// feasible `(count, policy)` candidate, keep the Pareto frontier.
-/// Shared with the network optimizer, whose per-edge search is exactly
-/// this function over edge-derived cells — the sharing is what makes
-/// the degenerate-path differential test a byte-for-byte identity.
-pub(crate) fn evaluate_cell(
+/// The network optimizer runs this same search over edge-derived cells
+/// (through [`SearchJob`]) — the sharing is what makes the
+/// degenerate-path differential test a byte-for-byte identity.
+fn evaluate_cell(
     cell: &ScenarioCell,
     cache: &CoverageCache,
     space: &SearchSpace,
@@ -1089,10 +1046,6 @@ mod tests {
         let optimizer = DeploymentOptimizer::new().workers(0);
         let err = optimizer
             .run(&ScenarioGrid::new(), &quick_space())
-            .unwrap_err();
-        assert_eq!(err, ScenarioError::ZeroWorkers);
-        let err = optimizer
-            .run_serial(&ScenarioGrid::new(), &quick_space())
             .unwrap_err();
         assert_eq!(err, ScenarioError::ZeroWorkers);
     }

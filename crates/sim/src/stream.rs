@@ -1,26 +1,31 @@
-//! Streaming row plumbing shared by the three engines.
+//! The one execution path every engine runs on.
 //!
-//! The in-memory reports ([`SweepReport`](crate::SweepReport),
-//! [`McReport`](crate::McReport), [`OptimizeReport`](crate::OptimizeReport))
-//! hold every evaluated cell before rendering — fine for thousands of
-//! cells, fatal for millions. The engines' `stream` / `stream_rows`
-//! methods instead drive the grid through
-//! [`rayon::stream_ordered`]: cells are pulled lazily via
-//! [`ScenarioGrid::cell_at`](crate::ScenarioGrid::cell_at), evaluated on
-//! a bounded window of worker threads, rendered to row strings and
-//! handed to a [`RowSink`](corridor_core::sink::RowSink) in grid order.
-//! Peak memory is `O(workers × chunk)` whatever the grid size, and the
-//! emitted bytes are identical to the in-memory writers' — the contract
-//! the streaming-equivalence tests pin with SHA-256 digests.
+//! Each engine describes its per-cell work as a [`CellJob`]: how many
+//! cells there are, how to build cell `i`, the cell's optional
+//! result-cache key, how to evaluate it into a typed result and how to
+//! render that result as a row. Two drivers run any job over
+//! [`rayon::stream_ordered`]: cells are built lazily, evaluated on a
+//! bounded window of worker threads and handed on in cell order.
 //!
-//! The optional [`ResultCache`](crate::ResultCache) short-circuits the
-//! evaluation of cells whose scenario hash already has a stored row
-//! pair; this module only counts the hits and misses.
+//! * [`collect`] gathers the typed results — the engines' `run`.
+//! * [`stream_rows`] renders rows for a [`RowSink`] or callback — the
+//!   engines' `stream`, `stream_with` and `stream_rows` — probing the
+//!   optional [`ResultCache`] in one place: a hit emits the stored row
+//!   without evaluation, a miss evaluates and stores the row in both
+//!   formats.
+//!
+//! Peak memory of a streamed run is `O(workers × chunk)` whatever the
+//! grid size, and the output is identical for every worker count — the
+//! contract the determinism and streaming-equivalence tests pin with
+//! SHA-256 digests.
 
+use core::ops::Range;
 use std::thread;
 
-use corridor_core::sink::{RowFormat, SinkError};
+use corridor_core::sink::{RowEmitter, RowFormat, RowSink, SinkError};
 use corridor_core::ScenarioError;
+
+use crate::ResultCache;
 
 /// Why a streaming run stopped early.
 #[derive(Debug)]
@@ -95,25 +100,48 @@ pub(crate) struct RowPair {
 }
 
 impl RowPair {
-    pub(crate) fn get(&self, format: RowFormat) -> &str {
+    fn into_row(self, format: RowFormat) -> String {
         match format {
-            RowFormat::Csv => &self.csv,
-            RowFormat::Json => &self.json,
+            RowFormat::Csv => self.csv,
+            RowFormat::Json => self.json,
         }
     }
 }
 
-/// The evaluated output of one work item (a chunk of one or more cells).
-pub(crate) struct ChunkRows {
-    pub(crate) rows: Vec<RowPair>,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
+/// One engine's per-cell work, as the drivers see it.
+pub(crate) trait CellJob: Sync {
+    /// What [`CellJob::cell`] builds for one index.
+    type Cell;
+    /// The typed result of one cell.
+    type Output: Send;
+    /// Cells per work item: coarse enough to amortize the hand-off to a
+    /// worker, small enough to bound the rows buffered in the window.
+    const CHUNK: usize = 1;
+    /// The CSV header of the engine's framed stream.
+    const HEADER: &'static str;
+
+    /// Number of cells.
+    fn cells(&self) -> usize;
+
+    /// Builds (and validates) cell `index`.
+    fn cell(&self, index: usize) -> Result<Self::Cell, ScenarioError>;
+
+    /// The result-cache key of a cell; `None` for engines whose rows are
+    /// never cached.
+    fn cache_key(&self, _cell: &Self::Cell) -> Option<String> {
+        None
+    }
+
+    /// Evaluates one cell.
+    fn evaluate(&self, cell: Self::Cell) -> Self::Output;
+
+    /// Renders one result as a row.
+    fn render(&self, result: &Self::Output, format: RowFormat) -> String;
 }
 
-/// Resolves an engine's worker setting for the streaming path: `Some(0)`
-/// is the usual misconfiguration error, `None` means machine
-/// parallelism (mirroring the pool builder's `num_threads(0)`).
-pub(crate) fn resolve_workers(workers: Option<usize>) -> Result<usize, ScenarioError> {
+/// Resolves an engine's worker setting: `Some(0)` is the usual
+/// misconfiguration error, `None` means machine parallelism.
+fn resolve_workers(workers: Option<usize>) -> Result<usize, ScenarioError> {
     match workers {
         Some(0) => Err(ScenarioError::ZeroWorkers),
         Some(n) => Ok(n),
@@ -121,51 +149,157 @@ pub(crate) fn resolve_workers(workers: Option<usize>) -> Result<usize, ScenarioE
     }
 }
 
-/// Drives `compute` over `items` on `workers` threads with a bounded
-/// reorder window, emitting each chunk's rows in item order.
+/// Runs `compute` on every cell of `range`, `J::CHUNK` cells per work
+/// item, on `workers` threads, and feeds the per-cell outputs to
+/// `consume` in cell order.
 ///
-/// The window is `2 × workers`: enough look-ahead to keep every worker
-/// busy across chunk-cost skew, small enough that an emission stall
-/// (slow sink) back-pressures the computation instead of buffering the
-/// whole grid.
-pub(crate) fn drive<I, T>(
-    workers: usize,
-    items: I,
-    format: RowFormat,
-    compute: impl Fn(T) -> Result<ChunkRows, ScenarioError> + Sync,
-    emit: &mut impl FnMut(&str) -> Result<(), StreamError>,
-) -> Result<StreamSummary, StreamError>
+/// The reorder window is `2 × workers` items: enough look-ahead to keep
+/// every worker busy across chunk-cost skew, small enough that a slow
+/// consumer back-pressures the computation instead of buffering the
+/// whole grid. A failing cell fails its whole chunk, so nothing past
+/// the first error in cell order is consumed.
+fn drive<J, R, E>(
+    workers: Option<usize>,
+    range: Range<usize>,
+    compute: impl Fn(usize) -> Result<R, ScenarioError> + Sync,
+    mut consume: impl FnMut(R) -> Result<(), E>,
+) -> Result<(), E>
 where
-    I: Iterator<Item = T> + Send,
-    T: Send,
+    J: CellJob,
+    R: Send,
+    E: From<ScenarioError>,
 {
-    let window = workers.saturating_mul(2).max(2);
-    let mut summary = StreamSummary::default();
+    let workers = resolve_workers(workers)?;
     rayon::stream_ordered(
-        items,
+        chunked_ranges(range, J::CHUNK),
         workers,
-        window,
-        compute,
-        |chunk: Result<ChunkRows, ScenarioError>| -> Result<(), StreamError> {
-            let chunk = chunk?;
-            for pair in &chunk.rows {
-                emit(pair.get(format))?;
+        workers.saturating_mul(2).max(2),
+        |chunk| chunk.map(&compute).collect::<Result<Vec<R>, _>>(),
+        |chunk: Result<Vec<R>, ScenarioError>| -> Result<(), E> {
+            for output in chunk? {
+                consume(output)?;
             }
-            summary.cells += chunk.rows.len() as u64;
-            summary.rows += chunk.rows.len() as u64;
-            summary.cache_hits += chunk.cache_hits;
-            summary.cache_misses += chunk.cache_misses;
+            Ok(())
+        },
+    )
+}
+
+/// Evaluates every cell of `job` and returns the typed results in cell
+/// order.
+///
+/// # Errors
+///
+/// [`ScenarioError::ZeroWorkers`] for an explicit zero worker count, or
+/// the error of the first cell (in cell order) that fails validation.
+pub(crate) fn collect<J: CellJob>(
+    job: &J,
+    workers: Option<usize>,
+) -> Result<Vec<J::Output>, ScenarioError> {
+    let mut results = Vec::with_capacity(job.cells());
+    drive::<J, _, ScenarioError>(
+        workers,
+        0..job.cells(),
+        |index| Ok(job.evaluate(job.cell(index)?)),
+        |result| {
+            results.push(result);
+            Ok(())
+        },
+    )?;
+    Ok(results)
+}
+
+/// How a cell's row was obtained.
+enum Lookup {
+    Uncached,
+    Hit,
+    Miss,
+}
+
+/// Streams the raw rows of the cells in `range` to `emit`, in cell
+/// order, without header or framing.
+///
+/// With a `cache`, every cell whose job has a key is probed first: a
+/// hit emits the stored row, a miss evaluates the cell and stores its
+/// row in both formats.
+///
+/// # Panics
+///
+/// Panics if `range` reaches past the job's cell count (a caller bug,
+/// like any out-of-range index).
+///
+/// # Errors
+///
+/// Same conditions as [`collect`], wrapped in [`StreamError::Scenario`];
+/// an `Err` from `emit` cancels the remaining evaluation and is
+/// returned.
+pub(crate) fn stream_rows<J: CellJob>(
+    job: &J,
+    workers: Option<usize>,
+    range: Range<usize>,
+    format: RowFormat,
+    cache: Option<&ResultCache>,
+    mut emit: impl FnMut(&str) -> Result<(), StreamError>,
+) -> Result<StreamSummary, StreamError> {
+    let mut summary = StreamSummary::default();
+    drive::<J, _, StreamError>(
+        workers,
+        range,
+        |index| {
+            let cell = job.cell(index)?;
+            let keyed = cache.and_then(|store| job.cache_key(&cell).map(|key| (store, key)));
+            let Some((store, key)) = keyed else {
+                return Ok((job.render(&job.evaluate(cell), format), Lookup::Uncached));
+            };
+            if let Some(pair) = store.load(&key) {
+                return Ok((pair.into_row(format), Lookup::Hit));
+            }
+            let result = job.evaluate(cell);
+            let pair = RowPair {
+                csv: job.render(&result, RowFormat::Csv),
+                json: job.render(&result, RowFormat::Json),
+            };
+            store.store(&key, &pair);
+            Ok((pair.into_row(format), Lookup::Miss))
+        },
+        |(row, lookup)| {
+            emit(&row)?;
+            summary.cells += 1;
+            summary.rows += 1;
+            match lookup {
+                Lookup::Uncached => {}
+                Lookup::Hit => summary.cache_hits += 1,
+                Lookup::Miss => summary.cache_misses += 1,
+            }
             Ok(())
         },
     )?;
     Ok(summary)
 }
 
+/// Streams every cell of `job` into `sink` as one framed stream (the
+/// job's CSV header, or the JSON array brackets, around the rows).
+///
+/// # Errors
+///
+/// Same conditions as [`stream_rows`], plus [`StreamError::Sink`] if the
+/// sink refuses the framing.
+pub(crate) fn stream<J: CellJob>(
+    job: &J,
+    workers: Option<usize>,
+    format: RowFormat,
+    sink: &mut dyn RowSink,
+    cache: Option<&ResultCache>,
+) -> Result<StreamSummary, StreamError> {
+    let mut rows = RowEmitter::begin(sink, format, J::HEADER)?;
+    let summary = stream_rows(job, workers, 0..job.cells(), format, cache, |row| {
+        rows.row(row).map_err(StreamError::Sink)
+    })?;
+    rows.finish()?;
+    Ok(summary)
+}
+
 /// Splits `range` into `chunk`-sized sub-ranges, lazily.
-pub(crate) fn chunked_ranges(
-    range: core::ops::Range<usize>,
-    chunk: usize,
-) -> impl Iterator<Item = core::ops::Range<usize>> + Send {
+fn chunked_ranges(range: Range<usize>, chunk: usize) -> impl Iterator<Item = Range<usize>> + Send {
     debug_assert!(chunk > 0);
     let (start, end) = (range.start, range.end);
     (0..(end - start).div_ceil(chunk)).map(move |i| {
@@ -177,6 +311,38 @@ pub(crate) fn chunked_ranges(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Squares cell indices; cell 13 fails validation.
+    struct Squares(usize);
+
+    impl CellJob for Squares {
+        type Cell = usize;
+        type Output = usize;
+        const CHUNK: usize = 4;
+        const HEADER: &'static str = "square";
+
+        fn cells(&self) -> usize {
+            self.0
+        }
+
+        fn cell(&self, index: usize) -> Result<usize, ScenarioError> {
+            if index == 13 {
+                return Err(ScenarioError::EmptyTimetable);
+            }
+            Ok(index)
+        }
+
+        fn evaluate(&self, cell: usize) -> usize {
+            cell * cell
+        }
+
+        fn render(&self, result: &usize, format: RowFormat) -> String {
+            match format {
+                RowFormat::Csv => format!("{result}\n"),
+                RowFormat::Json => format!("  {result}"),
+            }
+        }
+    }
 
     #[test]
     fn summary_hit_rate() {
@@ -202,6 +368,64 @@ mod tests {
         );
         assert_eq!(resolve_workers(Some(3)).unwrap(), 3);
         assert!(resolve_workers(None).unwrap() >= 1);
+        assert_eq!(
+            collect(&Squares(5), Some(0)).unwrap_err(),
+            ScenarioError::ZeroWorkers
+        );
+    }
+
+    #[test]
+    fn collect_and_stream_agree_at_every_worker_count() {
+        let expected: Vec<usize> = (0..12).map(|i| i * i).collect();
+        for workers in [1usize, 2, 8] {
+            assert_eq!(collect(&Squares(12), Some(workers)).unwrap(), expected);
+            let mut rows = String::new();
+            let summary = stream_rows(
+                &Squares(12),
+                Some(workers),
+                2..12,
+                RowFormat::Csv,
+                None,
+                |row| {
+                    rows.push_str(row);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(summary.rows, 10);
+            assert_eq!(summary.cache_hits + summary.cache_misses, 0);
+            let tail: String = expected[2..].iter().map(|v| format!("{v}\n")).collect();
+            assert_eq!(rows, tail, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn first_failing_cell_in_order_is_reported() {
+        for workers in [1usize, 4] {
+            assert_eq!(
+                collect(&Squares(40), Some(workers)).unwrap_err(),
+                ScenarioError::EmptyTimetable
+            );
+            let mut emitted = 0;
+            let err = stream_rows(
+                &Squares(40),
+                Some(workers),
+                0..40,
+                RowFormat::Csv,
+                None,
+                |_| {
+                    emitted += 1;
+                    Ok(())
+                },
+            )
+            .unwrap_err();
+            assert!(matches!(
+                err,
+                StreamError::Scenario(ScenarioError::EmptyTimetable)
+            ));
+            // the chunk holding cell 13 (cells 12..16) is never emitted
+            assert_eq!(emitted, 12, "workers = {workers}");
+        }
     }
 
     #[test]

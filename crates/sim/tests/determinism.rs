@@ -1,4 +1,4 @@
-//! Determinism of the `rayon` shim execution path: the same grid must
+//! Determinism of the shared execution path: the same grid must
 //! produce byte-identical reports on 1, 2 and 8 workers — pinned by
 //! SHA-256 digests of the rendered CSV/JSON, so a regression anywhere
 //! in the pipeline (scheduling, batching, float re-ordering, rendering)

@@ -22,7 +22,7 @@ fn headline_mc(replications: usize) -> McReport {
 fn csv_is_byte_identical_across_worker_counts() {
     let grid = small_grid();
     let plan = ReplicationPlan::new(6).master_seed(13);
-    let serial = McEngine::new().workers(1).run_serial(&grid, &plan).unwrap();
+    let serial = McEngine::new().workers(1).run(&grid, &plan).unwrap();
     let reference_csv = serial.to_csv();
     let reference_json = serial.to_json();
     for workers in [1usize, 2, 8] {

@@ -172,9 +172,7 @@ fn empty_and_disconnected_networks_are_typed_errors() {
     net.add_station("atoll");
     for run in [
         NetworkOptimizer::new().workers(1).run(&net, &quick_space()),
-        NetworkOptimizer::new()
-            .workers(1)
-            .run_serial(&net, &quick_space()),
+        NetworkOptimizer::new().workers(2).run(&net, &quick_space()),
     ] {
         assert!(matches!(run.unwrap_err(), NetworkError::Disconnected(2)));
     }
@@ -218,7 +216,7 @@ proptest! {
         // a reduced space keeps the 64-case sweep quick; 0 vs 10 nodes
         // still exercises the conventional/deployed split
         let space = quick_space().node_counts(vec![0, 10]);
-        let serial = NetworkOptimizer::new().workers(1).run_serial(&net, &space).unwrap();
+        let serial = NetworkOptimizer::new().workers(1).run(&net, &space).unwrap();
         let parallel = NetworkOptimizer::new().workers(workers).run(&net, &space).unwrap();
         prop_assert_eq!(serial.results(), parallel.results());
         prop_assert_eq!(serial.plan(), parallel.plan());

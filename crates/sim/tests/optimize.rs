@@ -188,7 +188,7 @@ fn oversized_counts_are_infeasible_candidates_not_errors() {
 fn reports_are_byte_identical_across_worker_counts() {
     let serial = DeploymentOptimizer::new()
         .workers(1)
-        .run_serial(
+        .run(
             &ScenarioGrid::smoke_3(),
             &quick_space().isd_search(IsdSearch::model_paper_grid()),
         )

@@ -1,8 +1,10 @@
 //! Property-based tests for the scenario-sweep engine.
 
+use corridor_core::energy::{self, SegmentEnergy};
 use corridor_core::{experiments, EnergyStrategy, ScenarioParams};
 use corridor_sim::{PowerProfile, ScenarioGrid, SweepEngine};
 use corridor_solar::climate;
+use corridor_units::Watts;
 use proptest::prelude::*;
 
 /// Candidate pools the random grids draw their axes from.
@@ -64,7 +66,7 @@ proptest! {
             .repeater_nodes(nodes)
             .unwrap();
         let engine = SweepEngine::new().pv_sizing(false);
-        let serial = engine.run_serial(&grid).unwrap();
+        let serial = engine.workers(1).run(&grid).unwrap();
         let parallel = engine.workers(workers).run(&grid).unwrap();
         prop_assert_eq!(serial.results(), parallel.results());
         prop_assert_eq!(serial.to_csv(), parallel.to_csv());
@@ -92,6 +94,52 @@ proptest! {
             let s = report.results()[0].savings(strategy);
             prop_assert!((-1.0..1.0).contains(&s), "savings {s} for {strategy:?}");
         }
+    }
+}
+
+/// Every split of the 200-cell screening sweep equals the core energy
+/// function evaluated directly, bit for bit, and stays finite — the
+/// zero-baseline savings convention included.
+#[test]
+fn screening_sweep_splits_equal_the_core_energy_functions() {
+    let report = SweepEngine::new()
+        .workers(1)
+        .pv_sizing(false)
+        .run(&ScenarioGrid::screening_200())
+        .unwrap();
+    assert_eq!(report.len(), 200);
+    let bits = |e: &SegmentEnergy| [e.hp, e.service, e.donor].map(|w| w.value().to_bits());
+    let zero = SegmentEnergy {
+        hp: Watts::ZERO,
+        service: Watts::ZERO,
+        donor: Watts::ZERO,
+    };
+    for result in report.results() {
+        let cell = result.cell();
+        let params = cell.params();
+        let baseline = energy::average_power_per_km(
+            params,
+            0,
+            params.conventional_isd(),
+            EnergyStrategy::SleepModeRepeaters,
+        );
+        assert_eq!(bits(result.baseline()), bits(&baseline), "{cell}");
+        assert!(result.baseline().total().value().is_finite(), "{cell}");
+        for strategy in EnergyStrategy::ALL {
+            let split = result.split(strategy);
+            let expected = energy::average_power_per_km(params, cell.nodes(), cell.isd(), strategy);
+            assert_eq!(bits(split), bits(&expected), "{cell} {strategy}");
+            for w in [split.hp, split.service, split.donor] {
+                assert!(w.value().is_finite(), "{cell}: {w:?}");
+            }
+            assert!(result.savings(strategy).is_finite(), "{cell}");
+        }
+        assert_eq!(
+            result
+                .split(EnergyStrategy::SleepModeRepeaters)
+                .savings_vs(&zero),
+            0.0
+        );
     }
 }
 

@@ -1,232 +1,26 @@
-//! Minimal, dependency-free stand-in for the parts of the `rayon` crate
+//! Minimal, dependency-free stand-in for the part of the `rayon` crate
 //! this workspace uses.
 //!
-//! The build environment is offline, so the real `rayon` cannot be fetched
-//! from crates.io. This shim keeps data-parallel call sites *runnable and
-//! genuinely parallel*: the terminal operations (`collect`, `for_each`,
-//! `sum`) seed one work deque per scoped worker thread with a contiguous
-//! block of items; each worker drains its own deque LIFO and, when empty,
-//! steals the older half of another worker's deque (work stealing, like
-//! the real crate's scheduler) before reassembling the results **in input
-//! order**. Because each item is processed independently and results are
-//! re-ordered by index, a pipeline's output is byte-identical no matter
-//! how many worker threads execute it — a property the test suite pins
-//! under adversarial task-size skew.
-//!
-//! Differences from the real crate, by design:
-//!
-//! * worker threads are scoped to each terminal operation instead of being
-//!   pooled for the process lifetime — correct but slower for tiny items,
-//!   so keep per-item work coarse (the sweep engine's cells are ideal);
-//! * adapters are eager at stage boundaries: chaining two `map`s runs two
-//!   parallel passes;
-//! * only the surface the workspace uses exists: [`ThreadPoolBuilder`] /
-//!   [`ThreadPool::install`], [`current_num_threads`], `par_iter` /
-//!   `into_par_iter`, the [`ParallelIterator`] adapters `map`,
-//!   `for_each`, `collect`, `sum`, and the shim-specific
-//!   [`stream_ordered`] (a bounded-window streaming map for pipelines
-//!   that must not materialize their output).
-//!
-//! # Examples
-//!
-//! ```
-//! use rayon::prelude::*;
-//!
-//! let squares: Vec<usize> = (0..100).into_par_iter().map(|i| i * i).collect();
-//! assert_eq!(squares[7], 49);
-//!
-//! // An explicit pool pins the worker count for everything run inside it.
-//! let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-//! let doubled: Vec<i32> = pool.install(|| vec![1, 2, 3].par_iter().map(|x| x * 2).collect());
-//! assert_eq!(doubled, vec![2, 4, 6]);
-//! ```
+//! The build environment is offline, so the real `rayon` cannot be
+//! fetched from crates.io. The workspace needs one primitive,
+//! [`stream_ordered`]: a bounded-window parallel map whose results reach
+//! a consumer in input order. Every engine of `corridor_sim` runs on it,
+//! so a report's bytes are identical whatever the worker count. The real
+//! crate has no such function; the shim keeps the crate name so the
+//! dependency entries and lockfiles that name it stay valid.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
-use std::iter::Sum;
-use std::ops::Range;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
-thread_local! {
-    /// Worker count installed by [`ThreadPool::install`] on this thread.
-    static INSTALLED_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Number of worker threads terminal operations started on this thread
-/// will use: the innermost [`ThreadPool::install`] if one is active,
-/// otherwise the machine's available parallelism.
-pub fn current_num_threads() -> usize {
-    INSTALLED_THREADS
-        .with(Cell::get)
-        .unwrap_or_else(default_num_threads)
-}
-
-fn default_num_threads() -> usize {
-    thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// Error returned by [`ThreadPoolBuilder::build`].
-///
-/// The shim's build never fails; the type exists for API parity so call
-/// sites keep their `?` / `unwrap` shape when swapping the real crate in.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError(());
-
-impl fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builds a [`ThreadPool`] with a chosen worker count.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// A builder with the default (automatic) worker count.
-    pub fn new() -> Self {
-        ThreadPoolBuilder::default()
-    }
-
-    /// Sets the number of worker threads; `0` means automatic.
-    #[must_use]
-    pub fn num_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads;
-        self
-    }
-
-    /// Builds the pool (infallible in the shim).
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the `Result` mirrors the real crate's signature.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let num_threads = if self.num_threads == 0 {
-            default_num_threads()
-        } else {
-            self.num_threads
-        };
-        Ok(ThreadPool { num_threads })
-    }
-}
-
-/// A handle fixing the worker count for operations run via
-/// [`ThreadPool::install`].
-///
-/// The shim's pool holds no threads of its own; workers are spawned per
-/// terminal operation, scoped, and joined before the operation returns.
-#[derive(Debug)]
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    /// The worker count this pool runs terminal operations with.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Runs `op` with this pool's worker count installed: every parallel
-    /// terminal operation `op` starts (on this thread) uses it.
-    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        struct Restore(Option<usize>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                INSTALLED_THREADS.with(|cell| cell.set(self.0));
-            }
-        }
-        let _restore = Restore(INSTALLED_THREADS.with(|cell| cell.replace(Some(self.num_threads))));
-        op()
-    }
-}
-
 /// Locks a mutex, ignoring poisoning (a panicked worker's payload is
-/// re-raised at join time; its deque stays usable for the others).
+/// re-raised on the calling thread; the shared state stays usable).
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Maps `items` through `f` on `workers` threads with per-worker
-/// work-stealing deques; results come back in input order.
-///
-/// Each worker's deque is seeded with a contiguous block of items. A
-/// worker drains its own deque from the back (LIFO); when it runs dry it
-/// scans the other deques and steals the older half of the first
-/// non-empty one. Deques only ever shrink, so a full scan finding
-/// nothing to steal is a safe termination condition. At most one deque
-/// lock is held at any moment, so workers can never deadlock.
-fn parallel_map<T, R, F>(items: Vec<T>, f: &F, workers: usize) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers == 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let base = n / workers;
-    let extra = n % workers;
-    let mut deques: Vec<Mutex<VecDeque<(usize, T)>>> = Vec::with_capacity(workers);
-    let mut seed = items.into_iter().enumerate();
-    for w in 0..workers {
-        let block = base + usize::from(w < extra);
-        deques.push(Mutex::new(seed.by_ref().take(block).collect()));
-    }
-    let deques = &deques;
-    let mut indexed: Vec<(usize, R)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        if let Some((index, item)) = lock(&deques[w]).pop_back() {
-                            local.push((index, f(item)));
-                            continue;
-                        }
-                        // own deque dry: steal the older half of the
-                        // first non-empty victim (collect outside the
-                        // victim's lock before touching our own)
-                        let mut stolen: Vec<(usize, T)> = Vec::new();
-                        for offset in 1..workers {
-                            let victim = &deques[(w + offset) % workers];
-                            let mut guard = lock(victim);
-                            let len = guard.len();
-                            if len > 0 {
-                                stolen.extend(guard.drain(..len - len / 2));
-                                break;
-                            }
-                        }
-                        if stolen.is_empty() {
-                            break;
-                        }
-                        lock(&deques[w]).extend(stolen);
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| match handle.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    indexed.sort_unstable_by_key(|(index, _)| *index);
-    indexed.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Shared state of one [`stream_ordered`] run: the lazy item source,
@@ -252,18 +46,17 @@ struct StreamState<I: Iterator, R> {
 /// Maps `items` through `f` on `workers` threads and feeds the results
 /// to `consume` **in input order**, with at most `window` items assigned
 /// but not yet consumed — the bounded-channel backpressure primitive
-/// behind the streaming sweep engines.
+/// behind the streaming engines.
 ///
-/// Unlike [`ParallelIterator::collect`], neither the input nor the
-/// output is ever materialized: items are pulled lazily from the
-/// iterator as window slots free up, and each result is dropped (or
-/// forwarded) by `consume` before the window admits more work. Memory is
-/// O(`window`) regardless of input length. `consume` runs on the calling
-/// thread; returning `Err` cancels the remaining work and the error is
-/// handed back. A panic inside `f` cancels the stream and is re-raised
-/// on the calling thread once in-flight work has drained. With identical
-/// inputs the consumed sequence is identical for every worker count —
-/// the same order contract as the rest of the shim.
+/// Neither the input nor the output is ever materialized: items are
+/// pulled lazily from the iterator as window slots free up, and each
+/// result is dropped (or forwarded) by `consume` before the window admits
+/// more work. Memory is O(`window`) regardless of input length. `consume`
+/// runs on the calling thread; returning `Err` cancels the remaining work
+/// and the error is handed back. A panic inside `f` cancels the stream
+/// and is re-raised on the calling thread once in-flight work has
+/// drained. With identical inputs the consumed sequence is identical for
+/// every worker count.
 ///
 /// `workers == 0` or `1` runs serially on the calling thread; `window`
 /// is clamped to at least 1.
@@ -413,271 +206,10 @@ where
     }
 }
 
-/// A data-parallel pipeline over an ordered set of items.
-pub trait ParallelIterator: Sized {
-    /// The element type the pipeline yields.
-    type Item: Send;
-
-    /// Executes the pipeline on the current pool, yielding the results in
-    /// input order.
-    fn run(self) -> Vec<Self::Item>;
-
-    /// Transforms every item through `f` (in parallel at execution time).
-    fn map<R, F>(self, f: F) -> Map<Self, F>
-    where
-        R: Send,
-        F: Fn(Self::Item) -> R + Sync,
-    {
-        Map { base: self, f }
-    }
-
-    /// Runs `f` on every item in parallel.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync,
-    {
-        let _ = Map { base: self, f }.run();
-    }
-
-    /// Executes the pipeline and collects the ordered results.
-    fn collect<C>(self) -> C
-    where
-        C: FromParallelIterator<Self::Item>,
-    {
-        C::from_ordered_results(self.run())
-    }
-
-    /// Executes the pipeline and sums the results.
-    fn sum<S>(self) -> S
-    where
-        S: Sum<Self::Item>,
-    {
-        self.run().into_iter().sum()
-    }
-}
-
-/// Conversion from the ordered results of a parallel pipeline
-/// (the shim's counterpart of rayon's `FromParallelIterator`).
-pub trait FromParallelIterator<T: Send> {
-    /// Builds `Self` from results already in input order.
-    fn from_ordered_results(items: Vec<T>) -> Self;
-}
-
-impl<T: Send> FromParallelIterator<T> for Vec<T> {
-    fn from_ordered_results(items: Vec<T>) -> Self {
-        items
-    }
-}
-
-/// The base pipeline: a materialized, ordered set of items.
-#[derive(Debug, Clone)]
-pub struct IterParallel<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParallelIterator for IterParallel<T> {
-    type Item = T;
-
-    fn run(self) -> Vec<T> {
-        self.items
-    }
-}
-
-/// A pipeline stage applying a closure to every item of `I`.
-#[derive(Debug, Clone)]
-pub struct Map<I, F> {
-    base: I,
-    f: F,
-}
-
-impl<I, R, F> ParallelIterator for Map<I, F>
-where
-    I: ParallelIterator,
-    R: Send,
-    F: Fn(I::Item) -> R + Sync,
-{
-    type Item = R;
-
-    fn run(self) -> Vec<R> {
-        parallel_map(self.base.run(), &self.f, current_num_threads())
-    }
-}
-
-/// Types convertible into a parallel pipeline by value.
-pub trait IntoParallelIterator {
-    /// The element type.
-    type Item: Send;
-    /// The pipeline type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-
-    /// Converts `self` into a parallel pipeline.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = IterParallel<T>;
-
-    fn into_par_iter(self) -> IterParallel<T> {
-        IterParallel { items: self }
-    }
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Item = usize;
-    type Iter = IterParallel<usize>;
-
-    fn into_par_iter(self) -> IterParallel<usize> {
-        IterParallel {
-            items: self.collect(),
-        }
-    }
-}
-
-/// Types whose references yield a parallel pipeline (`par_iter`).
-pub trait IntoParallelRefIterator<'a> {
-    /// The element type (a reference).
-    type Item: Send + 'a;
-    /// The pipeline type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-
-    /// A parallel pipeline over references to `self`'s elements.
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    type Iter = IterParallel<&'a T>;
-
-    fn par_iter(&'a self) -> IterParallel<&'a T> {
-        IterParallel {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = IterParallel<&'a T>;
-
-    fn par_iter(&'a self) -> IterParallel<&'a T> {
-        self.as_slice().par_iter()
-    }
-}
-
-/// One-stop imports, mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use crate::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-    };
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn map_collect_preserves_input_order() {
-        let input: Vec<usize> = (0..1000).collect();
-        let out: Vec<usize> = input.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn into_par_iter_consumes_vec() {
-        let out: Vec<String> = vec![1, 2, 3]
-            .into_par_iter()
-            .map(|x| x.to_string())
-            .collect();
-        assert_eq!(out, vec!["1", "2", "3"]);
-    }
-
-    #[test]
-    fn range_pipeline_and_sum() {
-        let total: usize = (0..100).into_par_iter().map(|x| x).sum();
-        assert_eq!(total, 4950);
-    }
-
-    #[test]
-    fn for_each_visits_every_item() {
-        let visits = AtomicUsize::new(0);
-        (0..257).into_par_iter().for_each(|_| {
-            visits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(visits.load(Ordering::Relaxed), 257);
-    }
-
-    #[test]
-    fn chained_maps_compose() {
-        let out: Vec<usize> = (0..10)
-            .into_par_iter()
-            .map(|x| x + 1)
-            .map(|x| x * 10)
-            .collect();
-        assert_eq!(out[9], 100);
-    }
-
-    #[test]
-    fn install_pins_worker_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        assert_eq!(pool.current_num_threads(), 3);
-        pool.install(|| assert_eq!(current_num_threads(), 3));
-        // nesting restores the outer pool's count
-        let outer = ThreadPoolBuilder::new().num_threads(5).build().unwrap();
-        outer.install(|| {
-            assert_eq!(current_num_threads(), 5);
-            pool.install(|| assert_eq!(current_num_threads(), 3));
-            assert_eq!(current_num_threads(), 5);
-        });
-        assert!(current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn zero_threads_means_automatic() {
-        let pool = ThreadPoolBuilder::new().num_threads(0).build().unwrap();
-        assert!(pool.current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn results_identical_across_worker_counts() {
-        let input: Vec<u64> = (0..500).collect();
-        let reference: Vec<u64> = input.iter().map(|&x| x.wrapping_mul(x) ^ 0xABCD).collect();
-        for workers in [1, 2, 8] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .build()
-                .unwrap();
-            let out: Vec<u64> = pool.install(|| {
-                input
-                    .par_iter()
-                    .map(|&x| x.wrapping_mul(x) ^ 0xABCD)
-                    .collect()
-            });
-            assert_eq!(out, reference, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let empty: Vec<u32> = Vec::new();
-        let out: Vec<u32> = empty.par_iter().map(|&x| x).collect();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn more_workers_than_items_is_fine() {
-        let pool = ThreadPoolBuilder::new().num_threads(16).build().unwrap();
-        let out: Vec<u32> = pool.install(|| vec![7u32].into_par_iter().map(|x| x + 1).collect());
-        assert_eq!(out, vec![8]);
-    }
-
-    #[test]
-    fn build_error_formats() {
-        let err = ThreadPoolBuildError(());
-        assert!(err.to_string().contains("thread pool"));
-    }
 
     #[test]
     fn stream_ordered_preserves_order() {
@@ -704,7 +236,6 @@ mod tests {
 
     #[test]
     fn stream_ordered_bounds_outstanding_work() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         const WINDOW: usize = 4;
         let produced = AtomicUsize::new(0);
         let consumed = AtomicUsize::new(0);
@@ -738,7 +269,6 @@ mod tests {
 
     #[test]
     fn stream_ordered_consumer_error_cancels_remaining_work() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let computed = AtomicUsize::new(0);
         let result = stream_ordered(
             0..100_000usize,

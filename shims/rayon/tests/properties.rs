@@ -1,11 +1,8 @@
-//! Property tests for the work-stealing pool: a parallel pipeline must
-//! be observationally identical to its serial counterpart — same
-//! results, same order — for every worker count and under adversarial
-//! task-size skew that forces the stealing path.
+//! Property tests for `stream_ordered`: the consumed sequence must equal
+//! the serial map — same results, same order — for every worker count
+//! and window, including under adversarial task-size skew.
 
 use proptest::prelude::*;
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 /// Spins a deterministic amount of arithmetic, so task sizes can be
 /// skewed precisely without sleeping.
@@ -17,96 +14,9 @@ fn busy(units: u64) -> u64 {
     acc
 }
 
-fn with_workers<R>(workers: usize, op: impl FnOnce() -> R) -> R {
-    ThreadPoolBuilder::new()
-        .num_threads(workers)
-        .build()
-        .expect("shim pool build is infallible")
-        .install(op)
-}
-
 proptest! {
-    /// map/collect: ordered results are identical to the serial map for
-    /// 1, 2 and 8 workers, whatever the items.
-    #[test]
-    fn map_collect_equals_serial(items in prop::collection::vec(0u64..=u64::MAX, 0..80)) {
-        let expected: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0x5bd1_e995).collect();
-        for workers in [1usize, 2, 8] {
-            let got: Vec<u64> = with_workers(workers, || {
-                items.par_iter().map(|&x| x.wrapping_mul(x) ^ 0x5bd1_e995).collect()
-            });
-            prop_assert_eq!(&got, &expected, "workers = {}", workers);
-        }
-    }
-
-    /// sum: the parallel reduction equals the serial fold for 1, 2 and 8
-    /// workers (u128 accumulator, so the comparison is exact).
-    #[test]
-    fn sum_equals_serial(items in prop::collection::vec(0u64..=u64::MAX, 0..80)) {
-        let expected: u128 = items.iter().map(|&x| u128::from(x)).sum();
-        for workers in [1usize, 2, 8] {
-            let got: u128 = with_workers(workers, || {
-                items.par_iter().map(|&x| u128::from(x)).sum()
-            });
-            prop_assert_eq!(got, expected, "workers = {}", workers);
-        }
-    }
-
-    /// Adversarial skew: a few huge tasks randomly placed among many
-    /// tiny ones. Workers seeded with only tiny tasks drain early and
-    /// must steal from the loaded deques; the ordered results still
-    /// match the serial pass exactly.
-    #[test]
-    fn skewed_task_sizes_equal_serial(
-        sizes in prop::collection::vec(0u64..40, 8..64),
-        heavy_at in prop::collection::vec(0usize..64, 1..4),
-        heavy_units in 20_000u64..60_000,
-    ) {
-        let mut sizes = sizes;
-        for &at in &heavy_at {
-            let slot = at % sizes.len();
-            sizes[slot] = heavy_units;
-        }
-        let expected: Vec<u64> = sizes.iter().map(|&units| busy(units)).collect();
-        for workers in [2usize, 8] {
-            let got: Vec<u64> = with_workers(workers, || {
-                sizes.par_iter().map(|&units| busy(units)).collect()
-            });
-            prop_assert_eq!(&got, &expected, "workers = {}", workers);
-        }
-    }
-}
-
-/// The classic worst case for contiguous-block seeding: all the work at
-/// the front (one worker's block), nothing anywhere else — every other
-/// worker can make progress only by stealing.
-#[test]
-fn all_heavy_items_in_one_block_still_match_serial() {
-    let sizes: Vec<u64> = (0..64u64).map(|i| if i < 8 { 40_000 } else { 0 }).collect();
-    let expected: Vec<u64> = sizes.iter().map(|&units| busy(units)).collect();
-    for workers in [2usize, 4, 8] {
-        let got: Vec<u64> = with_workers(workers, || {
-            sizes.par_iter().map(|&units| busy(units)).collect()
-        });
-        assert_eq!(got, expected, "workers = {workers}");
-    }
-}
-
-/// Repeated runs with racy stealing interleavings always produce the
-/// same ordered output (determinism does not depend on the schedule).
-#[test]
-fn repeated_runs_are_identical() {
-    let items: Vec<u64> = (0..300).collect();
-    let reference: Vec<u64> = items.iter().map(|&x| busy(x % 17)).collect();
-    for _ in 0..20 {
-        let got: Vec<u64> = with_workers(8, || items.par_iter().map(|&x| busy(x % 17)).collect());
-        assert_eq!(got, reference);
-    }
-}
-
-proptest! {
-    /// stream_ordered: the consumed sequence equals the serial map for
-    /// every worker count and window size, under task-size skew.
+    /// The consumed sequence equals the serial map for every worker
+    /// count and window size, under task-size skew.
     #[test]
     fn stream_ordered_equals_serial(
         sizes in prop::collection::vec(0u64..200, 1..48),
@@ -127,9 +37,9 @@ proptest! {
     }
 }
 
-/// stream_ordered under adversarial skew (a huge task at the front
-/// blocks the emission head): later results must buffer without ever
-/// exceeding the window, then drain in order.
+/// Adversarial skew (a huge task at the front blocks the emission
+/// head): later results must buffer without ever exceeding the window,
+/// then drain in order.
 #[test]
 fn stream_ordered_skewed_head_stays_ordered() {
     let sizes: Vec<u64> = (0..64u64)
@@ -144,21 +54,5 @@ fn stream_ordered_skewed_head_stays_ordered() {
         })
         .unwrap();
         assert_eq!(seen, expected, "workers = {workers}");
-    }
-}
-
-/// for_each under skew visits every item exactly once.
-#[test]
-fn for_each_under_skew_visits_every_item_once() {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    let visits: Vec<AtomicU32> = (0..97).map(|_| AtomicU32::new(0)).collect();
-    with_workers(8, || {
-        (0..97usize).into_par_iter().for_each(|i| {
-            busy(if i == 0 { 30_000 } else { 3 });
-            visits[i].fetch_add(1, Ordering::Relaxed);
-        });
-    });
-    for (i, count) in visits.iter().enumerate() {
-        assert_eq!(count.load(Ordering::Relaxed), 1, "item {i}");
     }
 }
