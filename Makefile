@@ -2,9 +2,9 @@
 
 RUSTDOCFLAGS_STRICT := -D missing_docs -D warnings
 
-.PHONY: ci fmt-check clippy lint build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build bench-snapshot results
+.PHONY: ci fmt-check clippy lint build test golden differential sim-differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build bench-snapshot results
 
-ci: fmt-check clippy lint build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build
+ci: fmt-check clippy lint build test golden differential sim-differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build
 
 fmt-check:
 	cargo fmt --all --check
@@ -31,6 +31,12 @@ golden:
 # Analytic ↔ event-driven differential harness (< 0.1 % on paper scenarios).
 differential:
 	cargo test -q --test differential
+
+# Per-node event loop vs the global heap-queue loop it replaced (proptest
+# oracle, heap-era digests, node independence, non-finite passes), in
+# release so arithmetic runs as it does in the served binaries.
+sim-differential:
+	cargo test --release -p corridor_events --test sim_differential
 
 # Monte-Carlo smoke: 3-cell grid x 10 replications, byte-diffed against
 # the committed golden (plus the engine's own determinism/convergence suite).

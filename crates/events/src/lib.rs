@@ -5,10 +5,11 @@
 //! deterministic timetables. This crate models the corridor in the time
 //! domain:
 //!
-//! * an [`EventQueue`] of train arrivals/departures per
-//!   [`TrackSection`](corridor_traffic::TrackSection), with barrier
-//!   trips, wake completions and drain expiries interleaved
-//!   deterministically;
+//! * per-node event runs: each node's barrier trips, train entries and
+//!   exits on its [`TrackSection`](corridor_traffic::TrackSection),
+//!   sorted once and interleaved deterministically with the wake
+//!   completions and drain expiries the node schedules (nodes never
+//!   share state, so each runs on its own);
 //! * a per-node wake state machine ([`NodeState`]: asleep → waking →
 //!   active → drain) parameterized by a [`WakePolicy`] (barrier lead,
 //!   wake latency, guard interval);
@@ -60,7 +61,6 @@
 mod evaluator;
 mod network;
 mod node;
-mod queue;
 mod replicate;
 mod report;
 mod sim;
@@ -70,7 +70,6 @@ mod wake;
 pub use evaluator::EventDrivenEvaluator;
 pub use network::{Leg, NetworkDaySimulator, TrainItinerary};
 pub use node::{segment_nodes, NodeKind, NodeSpec};
-pub use queue::{Event, EventKind, EventQueue};
 pub use replicate::SegmentReplicator;
 pub use report::{NodeReport, SimReport};
 pub use sim::CorridorSimulator;

@@ -15,10 +15,9 @@
 //! Each edge is represented by one segment population at its `a`-end
 //! (the same [`segment_nodes`] geometry the per-corridor backend uses),
 //! and each edge's day runs through the unchanged [`CorridorSimulator`]
-//! — arena calendar queue, replay cache and wake state machines
-//! included — keyed per edge. Reversed legs enter from the `b`-end and
-//! reach the representative segment after crossing the rest of the
-//! edge; they are folded in through the same mirroring as
+//! and its per-node wake state machines. Reversed legs enter from the
+//! `b`-end and reach the representative segment after crossing the rest
+//! of the edge; they are folded in through the same mirroring as
 //! [`CorridorSimulator::simulate_double_track`].
 //!
 //! # Examples
@@ -230,8 +229,7 @@ impl NetworkDaySimulator {
 
     /// Simulates one edge's day: the representative segment against the
     /// itineraries' up/down passes, through the per-corridor event
-    /// engine (same arena queue and replay cache, keyed per edge by
-    /// this call's geometry).
+    /// engine.
     pub fn simulate_edge(&self, edge: usize, itineraries: &[TrainItinerary]) -> SimReport {
         let geo = &self.edges[edge];
         let (up, down) = self.edge_passes(edge, itineraries);

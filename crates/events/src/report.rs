@@ -94,8 +94,8 @@ impl SimReport {
         self.horizon
     }
 
-    /// Number of events the queue processed (the denominator of the
-    /// events/s throughput metric).
+    /// Number of events processed, summed over the nodes (the
+    /// denominator of the events/s throughput metric).
     pub fn events_processed(&self) -> usize {
         self.events
     }

@@ -1,30 +1,160 @@
 //! The discrete-event corridor simulator.
 
-use std::cell::RefCell;
+use std::collections::VecDeque;
 
 use corridor_traffic::{TrackSection, TrainPass};
 use corridor_units::{Hours, Meters, Seconds};
 
-use crate::{Event, EventKind, EventQueue, NodeSpec, SimReport, StateTrace, WakePolicy};
-use crate::{NodeReport, NodeState};
+use crate::{NodeReport, NodeSpec, NodeState, SimReport, StateTrace, WakePolicy};
 
-/// Reusable per-thread simulation arena: the event queue (staging +
-/// calendar buckets + overflow heap) and the per-node runtime vector.
+/// What fires (or is scheduled to fire) at a node.
 ///
-/// Both are cleared, never dropped, between runs — a replicated
-/// simulation ([`crate::SegmentReplicator`] replaying hundreds of seeded
-/// days, or a Monte-Carlo worker pulling cell-days off the pool) reuses
-/// one arena per worker thread and stops paying the allocator on its hot
-/// path entirely.
-#[derive(Default)]
-struct SimScratch {
-    queue: EventQueue,
-    runtimes: Vec<NodeRuntime>,
+/// At equal timestamps events process in a fixed priority order —
+/// barrier trips before wake completions before train entries before
+/// train exits before drain expiries — so zero-latency policies (an
+/// instant wake at the very second a train enters) resolve
+/// deterministically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EventKind {
+    /// The photoelectric barrier up-track of the node tripped.
+    BarrierTrip,
+    /// A wake transition completed (tagged with the wake sequence number
+    /// that scheduled it, so stale completions are ignored).
+    WakeComplete(u64),
+    /// A train head entered the node's coverage section.
+    TrainEnter,
+    /// A train tail cleared the node's coverage section.
+    TrainExit,
+    /// The guard interval after the last train expired (tagged with the
+    /// drain sequence number that scheduled it).
+    DrainExpire(u64),
 }
 
-thread_local! {
-    /// One simulation arena per thread, shared by every simulator on it.
-    static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::default());
+impl EventKind {
+    /// Processing priority at equal timestamps (lower first).
+    fn rank(self) -> u8 {
+        match self {
+            EventKind::BarrierTrip => 0,
+            EventKind::WakeComplete(_) => 1,
+            EventKind::TrainEnter => 2,
+            EventKind::TrainExit => 3,
+            EventKind::DrainExpire(_) => 4,
+        }
+    }
+}
+
+/// One event at one node.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    /// When the event fires (may lie outside the horizon; the energy
+    /// integrator clamps).
+    time: Seconds,
+    kind: EventKind,
+}
+
+impl Event {
+    /// True if `self` fires strictly before `other`: by time, then kind
+    /// priority. `-0.0` and `+0.0` tie, as under `==`. Ties keep push
+    /// order: every sort and insert below is stable.
+    fn precedes(&self, other: &Event) -> bool {
+        self.time < other.time || (self.time == other.time && self.kind.rank() < other.kind.rank())
+    }
+}
+
+/// One node's day: its staged barrier/enter/exit events sorted into
+/// firing order, merged at pop time with the small lane of wake and
+/// drain timers the state machine schedules while the day runs.
+///
+/// Nodes never touch each other's state, so each one runs on its own:
+/// the firing order within a node is what one global (time, kind
+/// priority, node, push order) queue would produce for that node.
+/// Staged events have ranks 0/2/3 and timers 1/4, so the two never tie,
+/// and within each the stable sorts keep push order.
+#[derive(Default)]
+struct NodeDay {
+    /// Staged events, sorted; `cursor` is the next one to fire.
+    run: Vec<Event>,
+    cursor: usize,
+    /// Pending timers, in firing order (see [`NodeDay::schedule`]).
+    timers: VecDeque<Event>,
+    /// Merge buffer for the second sorted run of a double-track day.
+    merged: Vec<Event>,
+}
+
+impl NodeDay {
+    fn clear(&mut self) {
+        self.run.clear();
+        self.cursor = 0;
+        self.timers.clear();
+    }
+
+    /// Sorts the events staged since `from` (passes arrive sorted by
+    /// origin, so one insertion pass moves almost nothing), then merges
+    /// them with the already sorted events before `from`.
+    fn sort_from(&mut self, from: usize) {
+        insertion_sort(&mut self.run[from..]);
+        if from == 0 {
+            return;
+        }
+        let (left, right) = self.run.split_at(from);
+        self.merged.clear();
+        let (mut i, mut j) = (0, 0);
+        while i < left.len() && j < right.len() {
+            if right[j].precedes(&left[i]) {
+                self.merged.push(right[j]);
+                j += 1;
+            } else {
+                self.merged.push(left[i]);
+                i += 1;
+            }
+        }
+        self.merged.extend_from_slice(&left[i..]);
+        self.merged.extend_from_slice(&right[j..]);
+        core::mem::swap(&mut self.run, &mut self.merged);
+    }
+
+    /// Schedules a wake or drain timer. Timers are scheduled in firing
+    /// order, so the lane is a FIFO: the clock never runs backwards and
+    /// each kind has a fixed delay; a wake is only scheduled when the
+    /// node is asleep, when no timer is pending; and a drain fires no
+    /// earlier than every drain scheduled before it.
+    fn schedule(&mut self, time: Seconds, kind: EventKind) {
+        let event = Event { time, kind };
+        debug_assert!(
+            self.timers.back().is_none_or(|last| !event.precedes(last)),
+            "timers are scheduled in firing order"
+        );
+        self.timers.push_back(event);
+    }
+
+    /// Removes and returns the next event to fire, if any.
+    fn pop(&mut self) -> Option<Event> {
+        let staged = self.run.get(self.cursor);
+        match (staged, self.timers.front()) {
+            (Some(s), Some(t)) if t.precedes(s) => self.timers.pop_front(),
+            (Some(&s), _) => {
+                self.cursor += 1;
+                Some(s)
+            }
+            (None, _) => self.timers.pop_front(),
+        }
+    }
+}
+
+/// Insertion sort in firing order, shifting a hole instead of swapping:
+/// on a nearly sorted run the common case is one compare and no writes.
+fn insertion_sort(run: &mut [Event]) {
+    for i in 1..run.len() {
+        if run[i].precedes(&run[i - 1]) {
+            let tmp = run[i];
+            let mut j = i;
+            while j > 0 && tmp.precedes(&run[j - 1]) {
+                run[j] = run[j - 1];
+                j -= 1;
+            }
+            run[j] = tmp;
+        }
+    }
 }
 
 /// Per-node runtime state of the event loop.
@@ -47,11 +177,12 @@ struct NodeRuntime {
 
 /// Replays a day of train passes through per-node wake state machines.
 ///
-/// Each node watches its [`TrackSection`]; the simulator builds an event
-/// queue of barrier trips, train entries and exits per node, runs the
-/// asleep → waking → active → drain machine under a [`WakePolicy`], and
-/// integrates per-state time into a [`StateTrace`] per node. The energy
-/// numbers then come from the same duty-cycle arithmetic as the
+/// Each node watches its [`TrackSection`]; the simulator stages the
+/// node's barrier trips, train entries and exits in firing order, runs
+/// the asleep → waking → active → drain machine under a [`WakePolicy`]
+/// over them, and integrates per-state time into a [`StateTrace`]. No
+/// node's state depends on another's, so each node runs on its own. The
+/// energy numbers then come from the same duty-cycle arithmetic as the
 /// closed-form model, so with [`WakePolicy::instant`] the two backends
 /// agree to float precision on deterministic timetables.
 ///
@@ -117,15 +248,10 @@ impl CorridorSimulator {
     /// Simulates single-track traffic: every pass sweeps the corridor in
     /// the positive direction.
     pub fn simulate(&self, nodes: &[NodeSpec], passes: &[TrainPass]) -> SimReport {
-        self.run(
-            nodes,
-            passes.len(),
-            nodes.iter().enumerate().flat_map(|(idx, spec)| {
-                passes
-                    .iter()
-                    .map(move |pass| (idx, spec.section().occupancy(pass)))
-            }),
-        )
+        self.run(nodes, passes.len(), |idx, day| {
+            let section = nodes[idx].section();
+            self.stage(day, passes.iter().map(|pass| section.occupancy(pass)));
+        })
     }
 
     /// Simulates bidirectional double-track traffic over a corridor of
@@ -156,91 +282,79 @@ impl CorridorSimulator {
                 TrackSection::new(corridor_length - s.end(), corridor_length - s.start())
             })
             .collect();
-        let up_occ = nodes.iter().enumerate().flat_map(|(idx, spec)| {
-            up.iter()
-                .map(move |pass| (idx, spec.section().occupancy(pass)))
-        });
-        let down_occ = mirrored
-            .iter()
-            .enumerate()
-            .flat_map(|(idx, section)| down.iter().map(move |pass| (idx, section.occupancy(pass))));
-        self.run(nodes, up.len() + down.len(), up_occ.chain(down_occ))
+        self.run(nodes, up.len() + down.len(), |idx, day| {
+            let section = nodes[idx].section();
+            self.stage(day, up.iter().map(|pass| section.occupancy(pass)));
+            let section = mirrored[idx];
+            self.stage(day, down.iter().map(|pass| section.occupancy(pass)));
+        })
     }
 
-    /// The core loop: schedules barrier/enter/exit events for every
-    /// `(node, occupancy)` pair, then drives the state machines — on the
-    /// calling thread's reused [`SimScratch`] arena.
+    /// The core loop: for each node in turn, `stage` fills its day with
+    /// barrier/enter/exit events, then the node's state machine runs
+    /// over them.
     fn run(
         &self,
         nodes: &[NodeSpec],
         passes: usize,
-        occupancies: impl Iterator<Item = (usize, (Seconds, Seconds))>,
+        mut stage: impl FnMut(usize, &mut NodeDay),
     ) -> SimReport {
-        SCRATCH
-            .with(|cell| self.run_with_scratch(&mut cell.borrow_mut(), nodes, passes, occupancies))
-    }
-
-    /// [`CorridorSimulator::run`] against an explicit scratch arena.
-    fn run_with_scratch(
-        &self,
-        scratch: &mut SimScratch,
-        nodes: &[NodeSpec],
-        passes: usize,
-        occupancies: impl Iterator<Item = (usize, (Seconds, Seconds))>,
-    ) -> SimReport {
-        let SimScratch { queue, runtimes } = scratch;
-        queue.clear();
-        for (node, (enter, exit)) in occupancies {
-            // intervals entirely outside the horizon never power the node
-            if exit <= Seconds::ZERO || enter >= self.horizon || exit <= enter {
-                continue;
-            }
-            queue.push(Event {
-                time: enter - self.policy.lead(),
-                node,
-                kind: EventKind::BarrierTrip,
-            });
-            queue.push(Event {
-                time: enter,
-                node,
-                kind: EventKind::TrainEnter,
-            });
-            queue.push(Event {
-                time: exit,
-                node,
-                kind: EventKind::TrainExit,
-            });
-        }
-
-        runtimes.clear();
-        runtimes.extend(nodes.iter().map(|_| NodeRuntime {
-            state: NodeState::Asleep,
-            state_since: Seconds::ZERO,
-            occupancy: 0,
-            expected: 0,
-            wake_seq: 0,
-            drain_seq: 0,
-            occupied_since: Seconds::ZERO,
-            trace: StateTrace::new(self.horizon),
-        }));
-
+        let mut day = NodeDay::default();
         let mut events = 0usize;
-        while let Some(event) = queue.pop() {
-            events += 1;
-            self.handle(&mut runtimes[event.node], event, queue);
-        }
-
-        // close every node's final state segment at the horizon
         let reports = nodes
             .iter()
-            .zip(runtimes.drain(..))
-            .map(|(spec, mut rt)| {
+            .enumerate()
+            .map(|(idx, spec)| {
+                day.clear();
+                stage(idx, &mut day);
+                let mut rt = NodeRuntime {
+                    state: NodeState::Asleep,
+                    state_since: Seconds::ZERO,
+                    occupancy: 0,
+                    expected: 0,
+                    wake_seq: 0,
+                    drain_seq: 0,
+                    occupied_since: Seconds::ZERO,
+                    trace: StateTrace::new(self.horizon),
+                };
+                while let Some(event) = day.pop() {
+                    events += 1;
+                    self.handle(&mut rt, event, &mut day);
+                }
+                // close the node's final state segment at the horizon
                 let remaining = self.horizon - rt.state_since;
                 rt.trace.add(rt.state, remaining);
                 NodeReport::new(spec.kind(), spec.section(), rt.trace)
             })
             .collect();
         SimReport::new(reports, self.horizon, events, passes)
+    }
+
+    /// Stages a barrier trip, entry and exit per occupancy interval into
+    /// `day`, in firing order.
+    fn stage(&self, day: &mut NodeDay, occupancies: impl Iterator<Item = (Seconds, Seconds)>) {
+        let from = day.run.len();
+        for (enter, exit) in occupancies {
+            // only intervals that overlap the horizon power the node;
+            // every comparison with NaN is false, so NaN intervals drop
+            if exit > enter && exit > Seconds::ZERO && enter < self.horizon {
+                day.run.extend([
+                    Event {
+                        time: enter - self.policy.lead(),
+                        kind: EventKind::BarrierTrip,
+                    },
+                    Event {
+                        time: enter,
+                        kind: EventKind::TrainEnter,
+                    },
+                    Event {
+                        time: exit,
+                        kind: EventKind::TrainExit,
+                    },
+                ]);
+            }
+        }
+        day.sort_from(from);
     }
 
     /// Transitions `rt` to `next` at clock `t`, billing the elapsed
@@ -255,7 +369,10 @@ impl CorridorSimulator {
         rt.state_since = clock;
     }
 
-    fn handle(&self, rt: &mut NodeRuntime, event: Event, queue: &mut EventQueue) {
+    /// Handles one event at one node. Inlined into the per-node loop:
+    /// measured about 1.5× faster on Poisson days than a call per event.
+    #[inline(always)]
+    fn handle(&self, rt: &mut NodeRuntime, event: Event, day: &mut NodeDay) {
         let t = event.time;
         match event.kind {
             EventKind::BarrierTrip => {
@@ -264,11 +381,10 @@ impl CorridorSimulator {
                     NodeState::Asleep => {
                         self.transition(rt, t, NodeState::Waking);
                         rt.wake_seq += 1;
-                        queue.push(Event {
-                            time: t + self.policy.wake_delay(),
-                            node: event.node,
-                            kind: EventKind::WakeComplete(rt.wake_seq),
-                        });
+                        day.schedule(
+                            t + self.policy.wake_delay(),
+                            EventKind::WakeComplete(rt.wake_seq),
+                        );
                     }
                     NodeState::Drain => {
                         // a new train is approaching: cancel the drain
@@ -292,11 +408,10 @@ impl CorridorSimulator {
                         // the train came and went while we were waking
                         rt.drain_seq += 1;
                         self.transition(rt, t, NodeState::Drain);
-                        queue.push(Event {
-                            time: t + self.policy.guard(),
-                            node: event.node,
-                            kind: EventKind::DrainExpire(rt.drain_seq),
-                        });
+                        day.schedule(
+                            t + self.policy.guard(),
+                            EventKind::DrainExpire(rt.drain_seq),
+                        );
                     }
                 }
             }
@@ -315,11 +430,10 @@ impl CorridorSimulator {
                         // but an unsensed train must still wake the node
                         self.transition(rt, t, NodeState::Waking);
                         rt.wake_seq += 1;
-                        queue.push(Event {
-                            time: t + self.policy.wake_delay(),
-                            node: event.node,
-                            kind: EventKind::WakeComplete(rt.wake_seq),
-                        });
+                        day.schedule(
+                            t + self.policy.wake_delay(),
+                            EventKind::WakeComplete(rt.wake_seq),
+                        );
                     }
                     NodeState::Waking | NodeState::Active => {}
                 }
@@ -337,11 +451,10 @@ impl CorridorSimulator {
                         NodeState::Active if rt.expected == 0 => {
                             rt.drain_seq += 1;
                             self.transition(rt, t, NodeState::Drain);
-                            queue.push(Event {
-                                time: t + self.policy.guard(),
-                                node: event.node,
-                                kind: EventKind::DrainExpire(rt.drain_seq),
-                            });
+                            day.schedule(
+                                t + self.policy.guard(),
+                                EventKind::DrainExpire(rt.drain_seq),
+                            );
                         }
                         // a tripped train is still approaching: stay powered
                         _ => {}
