@@ -1,5 +1,6 @@
 //! The discrete-event corridor simulator.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use corridor_traffic::{TrackSection, TrainPass};
@@ -54,10 +55,21 @@ struct Event {
 
 impl Event {
     /// True if `self` fires strictly before `other`: by time, then kind
-    /// priority. `-0.0` and `+0.0` tie, as under `==`. Ties keep push
-    /// order: every sort and insert below is stable.
+    /// priority. `-0.0` and `+0.0` tie, as under `==`; staging drops NaN
+    /// times.
     fn precedes(&self, other: &Event) -> bool {
         self.time < other.time || (self.time == other.time && self.kind.rank() < other.kind.rank())
+    }
+
+    /// [`Event::precedes`] as an [`Ordering`], for `sort_by`.
+    fn firing_order(&self, other: &Event) -> Ordering {
+        if self.precedes(other) {
+            Ordering::Less
+        } else if other.precedes(self) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
     }
 }
 
@@ -68,8 +80,9 @@ impl Event {
 /// Nodes never touch each other's state, so each one runs on its own:
 /// the firing order within a node is what one global (time, kind
 /// priority, node, push order) queue would produce for that node.
-/// Staged events have ranks 0/2/3 and timers 1/4, so the two never tie,
-/// and within each the stable sorts keep push order.
+/// Staged events have ranks 0/2/3 and timers 1/4, so the two never tie;
+/// staged events are sorted stably and timers fire in push order, so
+/// within each ties keep push order.
 #[derive(Default)]
 struct NodeDay {
     /// Staged events, sorted; `cursor` is the next one to fire.
@@ -77,8 +90,6 @@ struct NodeDay {
     cursor: usize,
     /// Pending timers, in firing order (see [`NodeDay::schedule`]).
     timers: VecDeque<Event>,
-    /// Merge buffer for the second sorted run of a double-track day.
-    merged: Vec<Event>,
 }
 
 impl NodeDay {
@@ -88,29 +99,28 @@ impl NodeDay {
         self.timers.clear();
     }
 
-    /// Sorts the events staged since `from` (passes arrive sorted by
-    /// origin, so one insertion pass moves almost nothing), then merges
-    /// them with the already sorted events before `from`.
-    fn sort_from(&mut self, from: usize) {
-        insertion_sort(&mut self.run[from..]);
-        if from == 0 {
-            return;
-        }
-        let (left, right) = self.run.split_at(from);
-        self.merged.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < left.len() && j < right.len() {
-            if right[j].precedes(&left[i]) {
-                self.merged.push(right[j]);
-                j += 1;
-            } else {
-                self.merged.push(left[i]);
-                i += 1;
+    /// Sorts the staged events into firing order, stably. Passes
+    /// usually arrive sorted by origin, leaving only the local disorder
+    /// of overlapping trains, which an insertion pass fixes with a move
+    /// or two per pass. Once the moves outnumber the events (passes out
+    /// of order, routes concatenated on a network edge, a double-track
+    /// day's second direction), the stable `sort_by` takes over, so no
+    /// input costs more than O(n log n).
+    fn seal(&mut self) {
+        let run = &mut self.run;
+        let mut budget = run.len();
+        for i in 1..run.len() {
+            let mut j = i;
+            while j > 0 && run[j].precedes(&run[j - 1]) {
+                if budget == 0 {
+                    run.sort_by(Event::firing_order);
+                    return;
+                }
+                budget -= 1;
+                run.swap(j - 1, j);
+                j -= 1;
             }
         }
-        self.merged.extend_from_slice(&left[i..]);
-        self.merged.extend_from_slice(&right[j..]);
-        core::mem::swap(&mut self.run, &mut self.merged);
     }
 
     /// Schedules a wake or drain timer. Timers are scheduled in firing
@@ -137,22 +147,6 @@ impl NodeDay {
                 Some(s)
             }
             (None, _) => self.timers.pop_front(),
-        }
-    }
-}
-
-/// Insertion sort in firing order, shifting a hole instead of swapping:
-/// on a nearly sorted run the common case is one compare and no writes.
-fn insertion_sort(run: &mut [Event]) {
-    for i in 1..run.len() {
-        if run[i].precedes(&run[i - 1]) {
-            let tmp = run[i];
-            let mut j = i;
-            while j > 0 && tmp.precedes(&run[j - 1]) {
-                run[j] = run[j - 1];
-                j -= 1;
-            }
-            run[j] = tmp;
         }
     }
 }
@@ -307,6 +301,7 @@ impl CorridorSimulator {
             .map(|(idx, spec)| {
                 day.clear();
                 stage(idx, &mut day);
+                day.seal();
                 let mut rt = NodeRuntime {
                     state: NodeState::Asleep,
                     state_since: Seconds::ZERO,
@@ -331,9 +326,8 @@ impl CorridorSimulator {
     }
 
     /// Stages a barrier trip, entry and exit per occupancy interval into
-    /// `day`, in firing order.
+    /// `day`, in pass order.
     fn stage(&self, day: &mut NodeDay, occupancies: impl Iterator<Item = (Seconds, Seconds)>) {
-        let from = day.run.len();
         for (enter, exit) in occupancies {
             // only intervals that overlap the horizon power the node;
             // every comparison with NaN is false, so NaN intervals drop
@@ -354,7 +348,6 @@ impl CorridorSimulator {
                 ]);
             }
         }
-        day.sort_from(from);
     }
 
     /// Transitions `rt` to `next` at clock `t`, billing the elapsed

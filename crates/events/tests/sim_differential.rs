@@ -644,6 +644,32 @@ fn colocated_zero_length_sections_match_the_global_loop() {
     );
 }
 
+#[test]
+fn days_not_sorted_by_origin_match_the_global_loop() {
+    // a network edge appends one sorted Poisson day per route, so its
+    // passes form two sorted runs end to end; a reversed day is the
+    // worst case for an insertion pass. Both reach the sort fallback.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let mut routes = PoissonTimetable::paper_rate().sample_passes(&mut rng);
+    routes.extend(PoissonTimetable::paper_rate().sample_passes(&mut rng));
+    let mut reversed = Timetable::paper_default().passes();
+    reversed.reverse();
+    let nodes = paper_segment();
+    let length = Meters::new(2650.0);
+    let sim = CorridorSimulator::new().with_policy(WakePolicy::paper_default());
+    let oracle = Oracle::of(&sim);
+    for passes in [&routes, &reversed] {
+        assert_eq!(
+            DayBits::of(&sim.simulate(&nodes, passes)),
+            oracle.simulate(&nodes, passes)
+        );
+        assert_eq!(
+            DayBits::of(&sim.simulate_double_track(&nodes, passes, &routes, length)),
+            oracle.simulate_double_track(&nodes, passes, &routes, length)
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Non-finite passes
 // ---------------------------------------------------------------------

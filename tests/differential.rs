@@ -3,7 +3,7 @@
 //!
 //! The two backends compute the same physical quantity — the corridor's
 //! per-kilometre energy split — by completely different means (merged
-//! duty-cycle hours versus a replayed event queue through per-node wake
+//! duty-cycle hours versus per-node event runs through per-node wake
 //! state machines). On every *deterministic* paper scenario they must
 //! agree to better than 0.1 %; this suite enforces that bound cell by
 //! cell, through the sweep engine under 1 and 8 workers, and on random
