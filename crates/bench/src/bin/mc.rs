@@ -5,7 +5,7 @@
 //!
 //! ```console
 //! $ cargo run --release -p corridor_bench --bin mc -- --help
-//! $ cargo run --release -p corridor_bench --bin mc -- --grid screening200 --reps 25
+//! $ cargo run --release -p corridor_bench --bin mc -- --grid screening-200 --reps 25
 //! $ cargo run --release -p corridor_bench --bin mc -- --csv > mc.csv
 //! $ cargo run --release -p corridor_bench --bin mc -- --smoke
 //! ```
@@ -27,7 +27,8 @@ const USAGE: &str = "\
 usage: mc [options]
 
 options:
-  --grid G      paper (1 cell) | smoke3 (3 cells) | screening200 (default)
+  --grid G      paper (1 cell) | smoke-3 (3 cells) | mixed-8 (8 cells) |
+                screening-200 (200 cells, default)
   --reps N      replications per cell (default: 25)
   --seed N      master seed for the SplitMix64 seed-splitting (default: 42)
   --model M     poisson | jittered | deterministic (default: poisson)
@@ -52,7 +53,7 @@ struct Options {
 fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
     let mut opts = Options {
         grid: ScenarioGrid::screening_200(),
-        grid_name: "screening200".into(),
+        grid_name: "screening-200".into(),
         reps: 25,
         seed: 42,
         traffic: TrafficSpec::Poisson,
@@ -70,12 +71,8 @@ fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
         match arg.as_str() {
             "--grid" => {
                 let name = value("--grid")?;
-                opts.grid = match name.as_str() {
-                    "paper" => ScenarioGrid::new(),
-                    "smoke3" => ScenarioGrid::smoke_3(),
-                    "screening200" => ScenarioGrid::screening_200(),
-                    other => return Err(format!("unknown grid {other}")),
-                };
+                opts.grid =
+                    ScenarioGrid::by_name(&name).ok_or_else(|| format!("unknown grid {name}"))?;
                 opts.grid_name = name;
             }
             "--reps" => {

@@ -5,7 +5,7 @@
 //!
 //! ```console
 //! $ cargo run --release -p corridor_bench --bin optimize -- --help
-//! $ cargo run --release -p corridor_bench --bin optimize -- --grid smoke3 --isd model
+//! $ cargo run --release -p corridor_bench --bin optimize -- --grid smoke-3 --isd model
 //! $ cargo run --release -p corridor_bench --bin optimize -- --policies both --pv --csv > frontier.csv
 //! $ cargo run --release -p corridor_bench --bin optimize -- --smoke
 //! ```
@@ -26,7 +26,8 @@ const USAGE: &str = "\
 usage: optimize [options]
 
 options:
-  --grid G      paper (1 cell, default) | smoke3 (3 cells) | screening200
+  --grid G      paper (1 cell, default) | smoke-3 (3 cells) | mixed-8
+                (8 cells) | screening-200 (200 cells)
   --isd M       paper (published Section V table, default) | model
                 (cached 50 m-step max-ISD search under the link budget)
   --policies P  instant (default) | paper | both
@@ -34,7 +35,7 @@ options:
   --threshold T minimum SNR along the track in dB (default: 29)
   --sample-step S
                 coverage-profile sampling step in metres (default: 5,
-                except 10 for --grid screening200 to keep it affordable;
+                except 10 for --grid screening-200 to keep it affordable;
                 boundary ISDs are insensitive at a 50 m ISD grid)
   --workers N   worker threads, 0 = auto (default: 0)
   --csv         print the full frontier CSV instead of the summary
@@ -76,12 +77,8 @@ fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
         match arg.as_str() {
             "--grid" => {
                 let name = value("--grid")?;
-                opts.grid = match name.as_str() {
-                    "paper" => ScenarioGrid::new(),
-                    "smoke3" => ScenarioGrid::smoke_3(),
-                    "screening200" => ScenarioGrid::screening_200(),
-                    other => return Err(format!("unknown grid {other}")),
-                };
+                opts.grid =
+                    ScenarioGrid::by_name(&name).ok_or_else(|| format!("unknown grid {name}"))?;
                 opts.grid_name = name;
             }
             "--isd" => {
@@ -176,7 +173,7 @@ fn main() -> ExitCode {
     // unless --sample-step overrides it
     let space = match opts.sample_step {
         Some(step) => opts.space.sample_step(Meters::new(step)),
-        None if opts.grid_name == "screening200" => opts.space.sample_step(Meters::new(10.0)),
+        None if opts.grid_name == "screening-200" => opts.space.sample_step(Meters::new(10.0)),
         None => opts.space,
     };
     let mut optimizer = DeploymentOptimizer::new();

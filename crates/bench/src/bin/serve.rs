@@ -16,8 +16,8 @@
 //! `grid` is a named grid (`paper`, `smoke-3`, `mixed-8`,
 //! `screening-200`); `shards` is the worker-process count (default 2);
 //! `reps`/`seed` configure the Monte-Carlo replication plan (defaults 5
-//! and 7); `cache` points every worker at a shared scenario-hash
-//! [`ResultCache`] directory.
+//! and 7; `reps` at most 10 000); `cache` points every worker at a
+//! shared scenario-hash [`ResultCache`] directory.
 //!
 //! # Response
 //!
@@ -35,21 +35,24 @@
 //!
 //! # Fault tolerance
 //!
-//! Cells are cut into chunks and dispatched to a pool of child processes
-//! (`serve --worker`) over a line protocol with length-prefixed row
-//! frames. A worker death mid-chunk is detected by the broken pipe /
-//! truncated frame stream; the coordinator respawns the child and
-//! re-dispatches the chunk (the rows are deterministic, so a retry
-//! reproduces them exactly). Setting `CORRIDOR_SERVE_CRASH_CELL=<index>`
-//! makes the *first* attempt at the chunk holding that cell kill its
-//! worker mid-shard — the fault-injection hook the serve tests use.
+//! Cells are cut into chunks and run on `rayon::stream_ordered`, the
+//! ordered executor every engine uses: `shards` threads (the calling
+//! thread alone for one shard), at most `2 × shards` chunks in flight,
+//! and rows emitted in chunk order. Each thread hands its chunk to a
+//! child process (`serve --worker`) borrowed from a per-request pool,
+//! over a line protocol with length-prefixed row frames; the first
+//! failed chunk in order cancels the chunks not yet dispatched and ends
+//! the response with `ERROR`. A worker death mid-chunk is detected by
+//! the broken pipe / truncated frame stream; the coordinator respawns
+//! the child and re-dispatches the chunk (the rows are deterministic, so
+//! a retry reproduces them exactly). Setting
+//! `CORRIDOR_SERVE_CRASH_CELL=<index>` makes the *first* attempt at the
+//! chunk holding that cell kill its worker mid-shard — the
+//! fault-injection hook the serve tests use.
 
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
+use std::sync::{Mutex, PoisonError};
 
 use corridor_core::hash::Sha256;
 use corridor_core::sink::{RowEmitter, RowFormat};
@@ -65,6 +68,10 @@ const CHUNK_CELLS: usize = 64;
 
 /// Attempts per chunk before the request is declared failed.
 const MAX_ATTEMPTS: u32 = 3;
+
+/// Largest `reps` a request may ask for, so no request can occupy the
+/// workers for days.
+const MAX_REPS: usize = 10_000;
 
 const USAGE: &str = "\
 usage: serve [--worker]
@@ -159,8 +166,8 @@ impl Request {
                 }
                 "reps" => {
                     request.replications = value.parse().map_err(|e| format!("reps: {e}"))?;
-                    if request.replications == 0 {
-                        return Err("reps must be at least 1".into());
+                    if !(1..=MAX_REPS).contains(&request.replications) {
+                        return Err(format!("reps must be between 1 and {MAX_REPS}"));
                     }
                 }
                 "seed" => request.master_seed = value.parse().map_err(|e| format!("seed: {e}"))?,
@@ -225,9 +232,8 @@ fn main() -> ExitCode {
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// A chunk's rows as returned by one worker, keyed for in-order release.
+/// A chunk's rows as returned by one worker.
 struct ChunkResult {
-    chunk: usize,
     rows: Vec<Vec<u8>>,
     cache_hits: u64,
     cache_misses: u64,
@@ -278,9 +284,11 @@ fn serve_request(request: &Request) -> Result<(), String> {
     // small grids still split across every shard; large grids cap the
     // chunk so a retry never re-evaluates more than CHUNK_CELLS cells
     let chunk_cells = cells.div_ceil(request.shards).clamp(1, CHUNK_CELLS);
-    let chunks: Vec<std::ops::Range<usize>> = (0..cells.div_ceil(chunk_cells))
-        .map(|i| (i * chunk_cells)..((i + 1) * chunk_cells).min(cells))
-        .collect();
+    let chunks = (0..cells)
+        .step_by(chunk_cells)
+        .map(|start| start..(start + chunk_cells).min(cells));
+    // no more threads than chunks: a one-chunk request runs on this thread
+    let shards = request.shards.min(cells.div_ceil(chunk_cells));
     let crash_cell: Option<usize> = std::env::var("CORRIDOR_SERVE_CRASH_CELL")
         .ok()
         .and_then(|v| v.parse().ok());
@@ -294,55 +302,6 @@ fn serve_request(request: &Request) -> Result<(), String> {
         request.shards,
     );
 
-    let (sender, receiver) = mpsc::channel::<Result<ChunkResult, String>>();
-    let next_chunk = AtomicUsize::new(0);
-    let workers = request.shards.min(chunks.len()).max(1);
-
-    let summary = thread::scope(|scope| {
-        for _ in 0..workers {
-            let sender = sender.clone();
-            let (next_chunk, chunks) = (&next_chunk, &chunks);
-            scope.spawn(move || {
-                let mut worker = WorkerHandle::spawn();
-                loop {
-                    let index = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    let Some(range) = chunks.get(index) else {
-                        break;
-                    };
-                    let result =
-                        run_chunk_with_retry(&mut worker, request, index, range, crash_cell);
-                    let failed = result.is_err();
-                    if sender.send(result).is_err() || failed {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(sender);
-        emit_in_order(request, chunks.len(), &receiver)
-    })?;
-
-    println!(
-        "END rows={} sha256={} cache_hits={} cache_misses={}",
-        summary.rows, summary.sha256, summary.cache_hits, summary.cache_misses,
-    );
-    Ok(())
-}
-
-struct EmitSummary {
-    rows: u64,
-    sha256: String,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
-/// Releases buffered chunk results in chunk order through a
-/// [`RowEmitter`] writing to stdout, hashing the payload as it goes.
-fn emit_in_order(
-    request: &Request,
-    total_chunks: usize,
-    receiver: &mpsc::Receiver<Result<ChunkResult, String>>,
-) -> Result<EmitSummary, String> {
     let stdout = io::stdout();
     let mut sink = HashingSink {
         out: io::BufWriter::new(stdout.lock()),
@@ -350,34 +309,43 @@ fn emit_in_order(
     };
     let mut emitter = RowEmitter::begin(&mut sink, request.format, request.engine.csv_header())
         .map_err(|e| format!("stdout: {e}"))?;
-
-    let mut pending: BTreeMap<usize, ChunkResult> = BTreeMap::new();
-    let mut next = 0usize;
     let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-    while next < total_chunks {
-        let result = receiver
-            .recv()
-            .map_err(|_| "worker pool hung up early".to_owned())?
-            .map_err(|e| format!("chunk failed: {e}"))?;
-        pending.insert(result.chunk, result);
-        while let Some(ready) = pending.remove(&next) {
-            for row in &ready.rows {
+    // idle worker processes: an executor thread borrows one per chunk
+    // (spawning it on first use); dropping the pool kills and reaps them
+    let pool: Mutex<Vec<io::Result<WorkerHandle>>> = Mutex::new(Vec::new());
+    let idle = || pool.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::stream_ordered(
+        chunks.enumerate(),
+        shards,
+        2 * shards,
+        |(index, range)| {
+            // pop in its own statement: the pool is not locked while a
+            // missing worker is spawned
+            let borrowed = idle().pop();
+            let mut worker = borrowed.unwrap_or_else(WorkerHandle::spawn);
+            let result = run_chunk_with_retry(&mut worker, request, index, &range, crash_cell);
+            idle().push(worker);
+            result
+        },
+        |result| -> Result<(), String> {
+            let chunk = result.map_err(|e| format!("chunk failed: {e}"))?;
+            for row in &chunk.rows {
                 let text = std::str::from_utf8(row).map_err(|e| format!("bad row bytes: {e}"))?;
                 emitter.row(text).map_err(|e| format!("stdout: {e}"))?;
             }
-            cache_hits += ready.cache_hits;
-            cache_misses += ready.cache_misses;
-            next += 1;
-        }
-    }
+            cache_hits += chunk.cache_hits;
+            cache_misses += chunk.cache_misses;
+            Ok(())
+        },
+    )?;
     let rows = emitter.finish().map_err(|e| format!("stdout: {e}"))?;
-    sink.out.flush().map_err(|e| format!("stdout: {e}"))?;
-    Ok(EmitSummary {
-        rows,
-        sha256: sink.digest.finalize_hex(),
-        cache_hits,
-        cache_misses,
-    })
+    let sha256 = sink.digest.finalize_hex();
+    writeln!(
+        sink.out,
+        "END rows={rows} sha256={sha256} cache_hits={cache_hits} cache_misses={cache_misses}"
+    )
+    .and_then(|()| sink.out.flush())
+    .map_err(|e| format!("stdout: {e}"))
 }
 
 /// Writes to stdout while folding every byte into a SHA-256, so the END
@@ -433,7 +401,7 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Runs one chunk on the thread's worker, respawning the child and
+/// Runs one chunk on a borrowed worker, respawning the child and
 /// re-dispatching on any mid-chunk death, up to [`MAX_ATTEMPTS`].
 fn run_chunk_with_retry(
     worker: &mut io::Result<WorkerHandle>,
@@ -455,7 +423,7 @@ fn run_chunk_with_retry(
                 continue;
             }
         };
-        match run_chunk(handle, request, index, range, crash) {
+        match run_chunk(handle, request, range, crash) {
             Ok(result) => return Ok(result),
             Err(error) => {
                 eprintln!(
@@ -477,7 +445,6 @@ fn run_chunk_with_retry(
 fn run_chunk(
     worker: &mut WorkerHandle,
     request: &Request,
-    index: usize,
     range: &std::ops::Range<usize>,
     crash: Option<usize>,
 ) -> Result<ChunkResult, String> {
@@ -518,7 +485,6 @@ fn run_chunk(
                 return Err("worker trailer does not match received frames".into());
             }
             return Ok(ChunkResult {
-                chunk: index,
                 rows,
                 cache_hits: hits,
                 cache_misses: misses,
@@ -577,27 +543,32 @@ fn run_task(line: &str) -> Result<(), String> {
     let rest = line
         .strip_prefix("task ")
         .ok_or_else(|| format!("unexpected line {line:?}"))?;
+    // a task line is a request plus the chunk's cell range (and the
+    // fault hook); every other field goes through the request grammar
     let mut range = 0..0;
     let mut crash = None;
     let mut fields = Vec::new();
-    for word in rest.split_whitespace().skip(1) {
-        match word.split_once('=') {
-            Some(("range", value)) => {
-                let (a, b) = value.split_once(':').ok_or("range needs a:b")?;
-                range = a.parse().map_err(|e| format!("range: {e}"))?
-                    ..b.parse().map_err(|e| format!("range: {e}"))?;
-            }
-            Some(("crash", value)) => {
-                crash = Some(value.parse().map_err(|e| format!("crash: {e}"))?);
-            }
-            Some(("cache", _)) | Some(("grid", _)) | Some(("format", _)) | Some(("reps", _))
-            | Some(("seed", _)) => fields.push(word),
-            _ => return Err(format!("bad task field {word:?}")),
+    for word in rest.split_whitespace() {
+        if let Some(value) = word.strip_prefix("range=") {
+            let (a, b) = value.split_once(':').ok_or("range needs a:b")?;
+            range = a.parse().map_err(|e| format!("range: {e}"))?
+                ..b.parse().map_err(|e| format!("range: {e}"))?;
+        } else if let Some(value) = word.strip_prefix("crash=") {
+            crash = Some(value.parse().map_err(|e| format!("crash: {e}"))?);
+        } else {
+            fields.push(word);
         }
     }
-    let engine = rest.split_whitespace().next().unwrap_or_default();
-    let request = Request::parse(&format!("{engine} {}", fields.join(" ")))?;
+    let request = Request::parse(&fields.join(" "))?;
     let grid = request.resolve_grid()?;
+    if range.start > range.end || range.end > grid.len() {
+        return Err(format!(
+            "range {}:{} outside the {}-cell grid",
+            range.start,
+            range.end,
+            grid.len()
+        ));
+    }
     let cache = match &request.cache {
         Some(dir) => Some(ResultCache::open(dir).map_err(|e| format!("cache {dir}: {e}"))?),
         None => None,

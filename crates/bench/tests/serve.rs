@@ -1,11 +1,13 @@
 //! End-to-end tests for the `serve` binary: protocol shape, byte
 //! equivalence with the in-memory writers, retry-on-worker-death fault
-//! injection, and cache behaviour across requests.
+//! injection, cache behaviour across requests, the worker's task-line
+//! frames, and typed errors for hostile requests and task lines.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
 
 use corridor_core::hash::sha256_hex;
+use corridor_core::sink::RowFormat;
 use corridor_sim::{
     DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, SweepEngine,
 };
@@ -36,6 +38,29 @@ fn serve(requests: &str, envs: &[(&str, &str)]) -> (String, String) {
         String::from_utf8(output.stdout).expect("utf-8 stdout"),
         String::from_utf8(output.stderr).expect("utf-8 stderr"),
     )
+}
+
+/// Runs one `serve --worker` child with `tasks` on stdin, returning its
+/// stdout after it exits cleanly.
+fn worker(tasks: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .arg("--worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve --worker");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(tasks.as_bytes())
+        .expect("write tasks");
+    let output = child.wait_with_output().expect("worker exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "worker failed: {stderr}");
+    assert!(!stderr.contains("panicked"), "worker panicked: {stderr}");
+    String::from_utf8(output.stdout).expect("utf-8 stdout")
 }
 
 /// Splits one response into `(begin_line, payload, end_line)` and checks
@@ -217,4 +242,72 @@ fn zero_replications_are_a_bad_request_not_a_worker_panic() {
         !stderr.contains("panicked"),
         "no worker may panic: {stderr}"
     );
+}
+
+#[test]
+fn reps_above_the_cap_are_a_bad_request() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        // one past the cap on a one-cell grid: without the cap the request
+        // is served (and the test fails) in seconds instead of running on
+        .write_all(b"mc grid=paper reps=10001 shards=1\n")
+        .unwrap();
+    let output = child.wait_with_output().unwrap();
+    assert!(!output.status.success(), "a bad request must fail the run");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    assert!(
+        !stdout.contains("BEGIN"),
+        "rejected before any payload: {stdout}"
+    );
+    assert!(stdout.starts_with("ERROR bad request: "), "{stdout}");
+}
+
+#[test]
+fn worker_answers_the_task_line_the_benchmark_sends() {
+    let grid = ScenarioGrid::by_name("paper").unwrap();
+    let mut rows = Vec::new();
+    SweepEngine::new()
+        .workers(1)
+        .stream_rows(&grid, 0..1, RowFormat::Csv, None, |row| {
+            rows.push(row.to_owned());
+            Ok(())
+        })
+        .unwrap();
+    let [row] = rows.as_slice() else {
+        panic!("one row expected, got {rows:?}");
+    };
+    let stdout = worker("task sweep grid=paper format=csv range=0:1 reps=5 seed=7\n");
+    assert_eq!(
+        stdout,
+        format!(
+            "row {}\n{row}\ndone rows=1 cache_hits=0 cache_misses=0 sha256={}\n",
+            row.len(),
+            sha256_hex(row.as_bytes())
+        )
+    );
+}
+
+#[test]
+fn hostile_task_ranges_get_error_lines_and_the_worker_keeps_serving() {
+    let good = "task sweep grid=paper format=csv range=0:1 reps=5 seed=7\n";
+    let stdout = worker(&format!(
+        "task sweep grid=paper format=csv range=0:5 reps=5 seed=7\n\
+         task sweep grid=paper format=csv range=3:1 reps=5 seed=7\n\
+         {good}"
+    ));
+    let parts: Vec<&str> = stdout.splitn(3, '\n').collect();
+    let [first, second, rest] = parts.as_slice() else {
+        panic!("two error lines and an answer expected: {stdout}");
+    };
+    assert!(first.starts_with("error "), "{stdout}");
+    assert!(second.starts_with("error "), "{stdout}");
+    assert_eq!(*rest, worker(good), "the worker still answers a good task");
 }

@@ -71,8 +71,6 @@ const PAYLOAD_SEP: u8 = 0x1f;
 #[derive(Debug)]
 pub struct ResultCache {
     root: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
     temp_seq: AtomicU64,
 }
 
@@ -87,8 +85,6 @@ impl ResultCache {
         fs::create_dir_all(&root)?;
         Ok(ResultCache {
             root,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             temp_seq: AtomicU64::new(0),
         })
     }
@@ -96,16 +92,6 @@ impl ResultCache {
     /// The cache's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Lookups served from disk since this handle was opened.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found no (valid) entry since this handle was opened.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {
@@ -117,15 +103,6 @@ impl ResultCache {
     /// checksum no longer matches (silent corruption must recompute,
     /// never propagate).
     pub(crate) fn load(&self, key: &str) -> Option<RowPair> {
-        let loaded = self.load_verified(key);
-        match loaded {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        loaded
-    }
-
-    fn load_verified(&self, key: &str) -> Option<RowPair> {
         let bytes = fs::read(self.entry_path(key)).ok()?;
         let (magic, rest) = split_line(&bytes)?;
         if magic != ENTRY_MAGIC.as_bytes() {
@@ -280,8 +257,6 @@ mod tests {
         assert!(cache.load(&key).is_none());
         cache.store(&key, &pair());
         assert_eq!(cache.load(&key).unwrap(), pair());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
         let _ = fs::remove_dir_all(cache.root());
     }
 

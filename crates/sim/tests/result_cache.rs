@@ -65,7 +65,6 @@ fn warm_sweep_rerun_is_byte_identical_with_full_hits() {
     assert_eq!(warm_summary.cache_hits, 4);
     assert_eq!(warm_summary.cache_misses, 0);
     assert_eq!(warm_summary.hit_rate(), 1.0);
-    assert_eq!(cache.hits(), 4);
 
     let _ = fs::remove_dir_all(&dir);
 }

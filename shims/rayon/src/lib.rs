@@ -5,7 +5,8 @@
 //! fetched from crates.io. The workspace needs one primitive,
 //! [`stream_ordered`]: a bounded-window parallel map whose results reach
 //! a consumer in input order. Every engine of `corridor_sim` runs on it,
-//! so a report's bytes are identical whatever the worker count. The real
+//! and so does the `serve` coordinator's chunk dispatch, so a report's
+//! bytes are identical whatever the worker or shard count. The real
 //! crate has no such function; the shim keeps the crate name so the
 //! dependency entries and lockfiles that name it stay valid.
 
