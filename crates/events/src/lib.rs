@@ -7,9 +7,10 @@
 //!
 //! * per-node event runs: each node's barrier trips, train entries and
 //!   exits on its [`TrackSection`](corridor_traffic::TrackSection),
-//!   sorted once and interleaved deterministically with the wake
-//!   completions and drain expiries the node schedules (nodes never
-//!   share state, so each runs on its own);
+//!   sorted once and interleaved deterministically with the one wake
+//!   or drain timer the node may have pending (nodes never share state,
+//!   so each runs on its own, and nodes watching the same section share
+//!   one run);
 //! * a per-node wake state machine ([`NodeState`]: asleep → waking →
 //!   active → drain) parameterized by a [`WakePolicy`] (barrier lead,
 //!   wake latency, guard interval);

@@ -95,7 +95,10 @@ impl SimReport {
     }
 
     /// Number of events processed, summed over the nodes (the
-    /// denominator of the events/s throughput metric).
+    /// numerator of the events/s throughput metric). A drain cancelled
+    /// by a new train still counts once, as the no-op expiry a queue
+    /// without removal would pop, and a node whose section repeats an
+    /// earlier node's counts that node's events again.
     pub fn events_processed(&self) -> usize {
         self.events
     }

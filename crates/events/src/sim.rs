@@ -1,7 +1,7 @@
 //! The discrete-event corridor simulator.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 
 use corridor_traffic::{TrackSection, TrainPass};
 use corridor_units::{Hours, Meters, Seconds};
@@ -14,34 +14,20 @@ use crate::{NodeReport, NodeSpec, NodeState, SimReport, StateTrace, WakePolicy};
 /// barrier trips before wake completions before train entries before
 /// train exits before drain expiries — so zero-latency policies (an
 /// instant wake at the very second a train enters) resolve
-/// deterministically.
+/// deterministically. The variants are declared in that order, so the
+/// discriminant is the priority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     /// The photoelectric barrier up-track of the node tripped.
     BarrierTrip,
-    /// A wake transition completed (tagged with the wake sequence number
-    /// that scheduled it, so stale completions are ignored).
-    WakeComplete(u64),
+    /// A wake transition completed.
+    WakeComplete,
     /// A train head entered the node's coverage section.
     TrainEnter,
     /// A train tail cleared the node's coverage section.
     TrainExit,
-    /// The guard interval after the last train expired (tagged with the
-    /// drain sequence number that scheduled it).
-    DrainExpire(u64),
-}
-
-impl EventKind {
-    /// Processing priority at equal timestamps (lower first).
-    fn rank(self) -> u8 {
-        match self {
-            EventKind::BarrierTrip => 0,
-            EventKind::WakeComplete(_) => 1,
-            EventKind::TrainEnter => 2,
-            EventKind::TrainExit => 3,
-            EventKind::DrainExpire(_) => 4,
-        }
-    }
+    /// The guard interval after the last train expired.
+    DrainExpire,
 }
 
 /// One event at one node.
@@ -58,7 +44,8 @@ impl Event {
     /// priority. `-0.0` and `+0.0` tie, as under `==`; staging drops NaN
     /// times.
     fn precedes(&self, other: &Event) -> bool {
-        self.time < other.time || (self.time == other.time && self.kind.rank() < other.kind.rank())
+        self.time < other.time
+            || (self.time == other.time && (self.kind as u8) < (other.kind as u8))
     }
 
     /// [`Event::precedes`] as an [`Ordering`], for `sort_by`.
@@ -74,29 +61,39 @@ impl Event {
 }
 
 /// One node's day: its staged barrier/enter/exit events sorted into
-/// firing order, merged at pop time with the small lane of wake and
-/// drain timers the state machine schedules while the day runs.
+/// firing order, merged at pop time with the one wake or drain timer
+/// the state machine may have pending.
 ///
 /// Nodes never touch each other's state, so each one runs on its own:
 /// the firing order within a node is what one global (time, kind
 /// priority, node, push order) queue would produce for that node.
-/// Staged events have ranks 0/2/3 and timers 1/4, so the two never tie;
-/// staged events are sorted stably and timers fire in push order, so
-/// within each ties keep push order.
+/// Staged events have ranks 0/2/3 and timers 1/4, so the two never tie,
+/// and staged events are sorted stably, so their ties keep push order.
+///
+/// At most one timer is live at a time: a wake is only scheduled from
+/// asleep and only its own completion leaves waking, so a wake
+/// completion is never stale; a drain is only scheduled on entering
+/// drain, and leaving drain either fires it or cancels it
+/// ([`NodeDay::cancel`]).
 #[derive(Default)]
 struct NodeDay {
     /// Staged events, sorted; `cursor` is the next one to fire.
     run: Vec<Event>,
     cursor: usize,
-    /// Pending timers, in firing order (see [`NodeDay::schedule`]).
-    timers: VecDeque<Event>,
+    /// The pending wake or drain timer.
+    timer: Option<Event>,
+    /// Drains cancelled so far. A queue that cannot remove an event pops
+    /// each of them at its expiry and ignores it; the event count keeps
+    /// counting those no-op pops.
+    stale: usize,
 }
 
 impl NodeDay {
     fn clear(&mut self) {
         self.run.clear();
         self.cursor = 0;
-        self.timers.clear();
+        self.timer = None;
+        self.stale = 0;
     }
 
     /// Sorts the staged events into firing order, stably. Passes
@@ -123,30 +120,28 @@ impl NodeDay {
         }
     }
 
-    /// Schedules a wake or drain timer. Timers are scheduled in firing
-    /// order, so the lane is a FIFO: the clock never runs backwards and
-    /// each kind has a fixed delay; a wake is only scheduled when the
-    /// node is asleep, when no timer is pending; and a drain fires no
-    /// earlier than every drain scheduled before it.
+    /// Schedules a wake or drain timer into the empty slot.
     fn schedule(&mut self, time: Seconds, kind: EventKind) {
-        let event = Event { time, kind };
-        debug_assert!(
-            self.timers.back().is_none_or(|last| !event.precedes(last)),
-            "timers are scheduled in firing order"
-        );
-        self.timers.push_back(event);
+        debug_assert!(self.timer.is_none(), "one timer per node at a time");
+        self.timer = Some(Event { time, kind });
+    }
+
+    /// Cancels the pending drain.
+    fn cancel(&mut self) {
+        debug_assert!(matches!(self.timer, Some(t) if t.kind == EventKind::DrainExpire));
+        self.timer = None;
+        self.stale += 1;
     }
 
     /// Removes and returns the next event to fire, if any.
     fn pop(&mut self) -> Option<Event> {
-        let staged = self.run.get(self.cursor);
-        match (staged, self.timers.front()) {
-            (Some(s), Some(t)) if t.precedes(s) => self.timers.pop_front(),
+        match (self.run.get(self.cursor), self.timer) {
+            (Some(s), Some(t)) if t.precedes(s) => self.timer.take(),
             (Some(&s), _) => {
                 self.cursor += 1;
                 Some(s)
             }
-            (None, _) => self.timers.pop_front(),
+            (None, _) => self.timer.take(),
         }
     }
 }
@@ -160,10 +155,6 @@ struct NodeRuntime {
     occupancy: u32,
     /// Barrier trips whose matching exit has not fired yet.
     expected: u32,
-    /// Invalidates stale wake completions.
-    wake_seq: u64,
-    /// Invalidates stale drain expiries.
-    drain_seq: u64,
     /// When occupancy last went from zero to positive.
     occupied_since: Seconds,
     trace: StateTrace,
@@ -175,8 +166,9 @@ struct NodeRuntime {
 /// node's barrier trips, train entries and exits in firing order, runs
 /// the asleep → waking → active → drain machine under a [`WakePolicy`]
 /// over them, and integrates per-state time into a [`StateTrace`]. No
-/// node's state depends on another's, so each node runs on its own. The
-/// energy numbers then come from the same duty-cycle arithmetic as the
+/// node's state depends on another's, so each node runs on its own, and
+/// nodes watching bit-identical sections share one run. The energy
+/// numbers then come from the same duty-cycle arithmetic as the
 /// closed-form model, so with [`WakePolicy::instant`] the two backends
 /// agree to float precision on deterministic timetables.
 ///
@@ -242,8 +234,7 @@ impl CorridorSimulator {
     /// Simulates single-track traffic: every pass sweeps the corridor in
     /// the positive direction.
     pub fn simulate(&self, nodes: &[NodeSpec], passes: &[TrainPass]) -> SimReport {
-        self.run(nodes, passes.len(), |idx, day| {
-            let section = nodes[idx].section();
+        self.run(nodes, passes.len(), |section, day| {
             self.stage(day, passes.iter().map(|pass| section.occupancy(pass)));
         })
     }
@@ -265,64 +256,72 @@ impl CorridorSimulator {
         down: &[TrainPass],
         corridor_length: Meters,
     ) -> SimReport {
-        let mirrored: Vec<TrackSection> = nodes
-            .iter()
-            .map(|spec| {
-                let s = spec.section();
-                assert!(
-                    s.start().value() >= 0.0 && s.end() <= corridor_length,
-                    "section {s} extends beyond the corridor"
-                );
-                TrackSection::new(corridor_length - s.end(), corridor_length - s.start())
-            })
-            .collect();
-        self.run(nodes, up.len() + down.len(), |idx, day| {
-            let section = nodes[idx].section();
-            self.stage(day, up.iter().map(|pass| section.occupancy(pass)));
-            let section = mirrored[idx];
-            self.stage(day, down.iter().map(|pass| section.occupancy(pass)));
+        self.run(nodes, up.len() + down.len(), |s, day| {
+            assert!(
+                s.start().value() >= 0.0 && s.end() <= corridor_length,
+                "section {s} extends beyond the corridor"
+            );
+            self.stage(day, up.iter().map(|pass| s.occupancy(pass)));
+            let mirrored =
+                TrackSection::new(corridor_length - s.end(), corridor_length - s.start());
+            self.stage(day, down.iter().map(|pass| mirrored.occupancy(pass)));
         })
     }
 
-    /// The core loop: for each node in turn, `stage` fills its day with
-    /// barrier/enter/exit events, then the node's state machine runs
-    /// over them.
+    /// The core loop: for each distinct section in turn, `stage` fills
+    /// its day with barrier/enter/exit events, then the node's state
+    /// machine runs over them. A node's trace and event count depend on
+    /// nothing but its section, so a node whose section matches an
+    /// earlier one's bit for bit (the mast and the donor repeaters all
+    /// watch `[0, isd]`) reuses them; `-0.0` and `+0.0` starts do not
+    /// match.
     fn run(
         &self,
         nodes: &[NodeSpec],
         passes: usize,
-        mut stage: impl FnMut(usize, &mut NodeDay),
+        mut stage: impl FnMut(TrackSection, &mut NodeDay),
     ) -> SimReport {
         let mut day = NodeDay::default();
+        let mut done: BTreeMap<[u64; 2], (StateTrace, usize)> = BTreeMap::new();
         let mut events = 0usize;
         let reports = nodes
             .iter()
-            .enumerate()
-            .map(|(idx, spec)| {
-                day.clear();
-                stage(idx, &mut day);
-                day.seal();
-                let mut rt = NodeRuntime {
-                    state: NodeState::Asleep,
-                    state_since: Seconds::ZERO,
-                    occupancy: 0,
-                    expected: 0,
-                    wake_seq: 0,
-                    drain_seq: 0,
-                    occupied_since: Seconds::ZERO,
-                    trace: StateTrace::new(self.horizon),
-                };
-                while let Some(event) = day.pop() {
-                    events += 1;
-                    self.handle(&mut rt, event, &mut day);
-                }
-                // close the node's final state segment at the horizon
-                let remaining = self.horizon - rt.state_since;
-                rt.trace.add(rt.state, remaining);
-                NodeReport::new(spec.kind(), spec.section(), rt.trace)
+            .map(|spec| {
+                let section = spec.section();
+                let key = [section.start(), section.end()].map(|m| m.value().to_bits());
+                let (trace, count) = *done.entry(key).or_insert_with(|| {
+                    day.clear();
+                    stage(section, &mut day);
+                    day.seal();
+                    self.replay(&mut day)
+                });
+                events += count;
+                NodeReport::new(spec.kind(), section, trace)
             })
             .collect();
         SimReport::new(reports, self.horizon, events, passes)
+    }
+
+    /// Runs one node's sealed day through the state machine, returning
+    /// its trace and event count.
+    fn replay(&self, day: &mut NodeDay) -> (StateTrace, usize) {
+        let mut rt = NodeRuntime {
+            state: NodeState::Asleep,
+            state_since: Seconds::ZERO,
+            occupancy: 0,
+            expected: 0,
+            occupied_since: Seconds::ZERO,
+            trace: StateTrace::new(self.horizon),
+        };
+        let mut events = 0usize;
+        while let Some(event) = day.pop() {
+            events += 1;
+            self.handle(&mut rt, event, day);
+        }
+        // close the node's final state segment at the horizon
+        let remaining = self.horizon - rt.state_since;
+        rt.trace.add(rt.state, remaining);
+        (rt.trace, events + day.stale)
     }
 
     /// Stages a barrier trip, entry and exit per occupancy interval into
@@ -373,39 +372,30 @@ impl CorridorSimulator {
                 match rt.state {
                     NodeState::Asleep => {
                         self.transition(rt, t, NodeState::Waking);
-                        rt.wake_seq += 1;
-                        day.schedule(
-                            t + self.policy.wake_delay(),
-                            EventKind::WakeComplete(rt.wake_seq),
-                        );
+                        day.schedule(t + self.policy.wake_delay(), EventKind::WakeComplete);
                     }
                     NodeState::Drain => {
                         // a new train is approaching: cancel the drain
-                        rt.drain_seq += 1;
+                        day.cancel();
                         self.transition(rt, t, NodeState::Active);
                     }
                     NodeState::Waking | NodeState::Active => {}
                 }
             }
-            EventKind::WakeComplete(seq) => {
-                if rt.state == NodeState::Waking && seq == rt.wake_seq {
-                    if rt.occupancy > 0 {
-                        // the train spent the wake transition uncovered
-                        rt.trace
-                            .add_uncovered(t.min(self.horizon) - rt.occupied_since);
-                        self.transition(rt, t, NodeState::Active);
-                    } else if rt.expected > 0 {
-                        // powered early (barrier lead): await the train
-                        self.transition(rt, t, NodeState::Active);
-                    } else {
-                        // the train came and went while we were waking
-                        rt.drain_seq += 1;
-                        self.transition(rt, t, NodeState::Drain);
-                        day.schedule(
-                            t + self.policy.guard(),
-                            EventKind::DrainExpire(rt.drain_seq),
-                        );
-                    }
+            EventKind::WakeComplete => {
+                debug_assert_eq!(rt.state, NodeState::Waking);
+                if rt.occupancy > 0 {
+                    // the train spent the wake transition uncovered
+                    rt.trace
+                        .add_uncovered(t.min(self.horizon) - rt.occupied_since);
+                    self.transition(rt, t, NodeState::Active);
+                } else if rt.expected > 0 {
+                    // powered early (barrier lead): await the train
+                    self.transition(rt, t, NodeState::Active);
+                } else {
+                    // the train came and went while we were waking
+                    self.transition(rt, t, NodeState::Drain);
+                    day.schedule(t + self.policy.guard(), EventKind::DrainExpire);
                 }
             }
             EventKind::TrainEnter => {
@@ -415,18 +405,14 @@ impl CorridorSimulator {
                 rt.occupancy += 1;
                 match rt.state {
                     NodeState::Drain => {
-                        rt.drain_seq += 1;
+                        day.cancel();
                         self.transition(rt, t, NodeState::Active);
                     }
                     NodeState::Asleep => {
                         // defensive: a barrier always trips first (lead ≥ 0),
                         // but an unsensed train must still wake the node
                         self.transition(rt, t, NodeState::Waking);
-                        rt.wake_seq += 1;
-                        day.schedule(
-                            t + self.policy.wake_delay(),
-                            EventKind::WakeComplete(rt.wake_seq),
-                        );
+                        day.schedule(t + self.policy.wake_delay(), EventKind::WakeComplete);
                     }
                     NodeState::Waking | NodeState::Active => {}
                 }
@@ -442,22 +428,17 @@ impl CorridorSimulator {
                                 .add_uncovered(t.min(self.horizon) - rt.occupied_since);
                         }
                         NodeState::Active if rt.expected == 0 => {
-                            rt.drain_seq += 1;
                             self.transition(rt, t, NodeState::Drain);
-                            day.schedule(
-                                t + self.policy.guard(),
-                                EventKind::DrainExpire(rt.drain_seq),
-                            );
+                            day.schedule(t + self.policy.guard(), EventKind::DrainExpire);
                         }
                         // a tripped train is still approaching: stay powered
                         _ => {}
                     }
                 }
             }
-            EventKind::DrainExpire(seq) => {
-                if rt.state == NodeState::Drain && seq == rt.drain_seq {
-                    self.transition(rt, t, NodeState::Asleep);
-                }
+            EventKind::DrainExpire => {
+                debug_assert_eq!(rt.state, NodeState::Drain);
+                self.transition(rt, t, NodeState::Asleep);
             }
         }
     }
@@ -634,6 +615,21 @@ mod tests {
         assert!(report.events_processed() >= 13 * 152 * 3);
         assert_eq!(report.passes(), 152);
         assert_eq!(report.horizon(), Seconds::new(86_400.0));
+    }
+
+    #[test]
+    fn each_distinct_section_is_staged_once() {
+        // the mast and both donors share [0, isd]; a -0.0 start is
+        // equal to +0.0 but not the same bits, so it is staged again
+        let mut nodes = segment_nodes(10, Meters::new(2650.0), Meters::new(200.0));
+        let twin = TrackSection::new(Meters::new(-0.0), nodes[0].section().end());
+        nodes.push(NodeSpec::new(NodeKind::DonorRepeater, twin));
+        let mut staged = Vec::new();
+        let report = CorridorSimulator::new().run(&nodes, 0, |section, _| staged.push(section));
+        assert_eq!(report.nodes().len(), 14);
+        assert_eq!(staged.len(), 12);
+        assert_eq!(staged[0].start().value().to_bits(), 0.0f64.to_bits());
+        assert_eq!(staged[11].start().value().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

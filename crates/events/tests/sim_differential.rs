@@ -9,8 +9,10 @@
 //! tests drive the simulator and the oracle through the same days —
 //! overlapping passes, equal timestamps, negative barrier times, `±0.0`
 //! origins, passes straddling the horizon, single and double track,
-//! instant/paper/custom policies — and require every node's state times,
-//! wakes and uncovered time bit for bit, plus the event count.
+//! instant/paper/custom policies, nodes repeating an earlier node's
+//! section (whose run the simulator reuses) or its `±0.0` start twin,
+//! drains cancelled by the next train — and require every node's state
+//! times, wakes and uncovered time bit for bit, plus the event count.
 //!
 //! On top of the oracle, the smoke outputs (paper policy, instant
 //! policy, Poisson day, double track) stay pinned to digests captured
@@ -501,18 +503,44 @@ fn passes_strategy() -> impl Strategy<Value = Vec<TrainPass>> {
 
 /// Sections inside `[0, CORRIDOR]`, from grids coarse enough that nodes
 /// share boundaries (and so event timestamps), including zero-length
-/// sections.
+/// sections. One node in four repeats an earlier node's section bit for
+/// bit, as the mast and the donor repeaters of a segment do, so the
+/// simulator reuses that node's day; one in eight repeats it with a
+/// `-0.0` start where the earlier one starts at `+0.0` or vice versa,
+/// which is equal but not the same bits and must be simulated afresh.
 fn nodes_strategy() -> impl Strategy<Value = Vec<NodeSpec>> {
-    prop::collection::vec((0.0..=2_900.0f64, 0.0..=600.0f64), 1..6).prop_map(|raw| {
-        raw.into_iter()
-            .map(|(start, len)| {
-                let start = (start / 100.0).floor() * 100.0;
-                let end = (start + (len / 50.0).floor() * 50.0).min(CORRIDOR);
-                NodeSpec::new(
-                    NodeKind::ServiceRepeater,
-                    TrackSection::new(Meters::new(start), Meters::new(end)),
-                )
-            })
+    let node = (0.0..=2_900.0f64, 0.0..=600.0f64, 0u8..=7, 0usize..=5);
+    prop::collection::vec(node, 1..8).prop_map(|raw| {
+        let mut sections: Vec<TrackSection> = Vec::with_capacity(raw.len());
+        for (k, (start, len, reuse, earlier)) in raw.into_iter().enumerate() {
+            let section = match reuse {
+                0 | 1 if k > 0 => sections[earlier % k],
+                2 if k > 0 => {
+                    let s = sections[earlier % k];
+                    let start = if s.start().value() == 0.0 {
+                        -s.start()
+                    } else {
+                        s.start()
+                    };
+                    TrackSection::new(start, s.end())
+                }
+                // two draws in eight start at the corridor's origin,
+                // where the twins come from
+                _ => {
+                    let start = if reuse >= 6 {
+                        0.0
+                    } else {
+                        (start / 100.0).floor() * 100.0
+                    };
+                    let end = (start + (len / 50.0).floor() * 50.0).min(CORRIDOR);
+                    TrackSection::new(Meters::new(start), Meters::new(end))
+                }
+            };
+            sections.push(section);
+        }
+        sections
+            .into_iter()
+            .map(|s| NodeSpec::new(NodeKind::ServiceRepeater, s))
             .collect()
     })
 }
@@ -668,6 +696,108 @@ fn days_not_sorted_by_origin_match_the_global_loop() {
             oracle.simulate_double_track(&nodes, passes, &routes, length)
         );
     }
+}
+
+#[test]
+fn shared_sections_of_a_paper_segment_match_the_global_loop() {
+    // the mast and the donor repeaters all watch [0, isd], so the
+    // simulator runs that section once and reuses its day
+    let nodes = paper_segment();
+    let mut keys: Vec<[u64; 2]> = nodes
+        .iter()
+        .map(|n| [n.section().start(), n.section().end()].map(|m| m.value().to_bits()))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!((nodes.len(), keys.len()), (13, 11));
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let poisson = PoissonTimetable::paper_rate().sample_passes(&mut rng);
+    let paper = Timetable::paper_default().passes();
+    let length = Meters::new(2650.0);
+    for policy in [WakePolicy::instant(), WakePolicy::paper_default()] {
+        let sim = CorridorSimulator::new().with_policy(policy);
+        let oracle = Oracle::of(&sim);
+        for passes in [&poisson, &paper] {
+            assert_eq!(
+                DayBits::of(&sim.simulate(&nodes, passes)),
+                oracle.simulate(&nodes, passes)
+            );
+            assert_eq!(
+                DayBits::of(&sim.simulate_double_track(&nodes, passes, &poisson, length)),
+                oracle.simulate_double_track(&nodes, passes, &poisson, length)
+            );
+        }
+    }
+}
+
+#[test]
+fn signed_zero_start_twins_match_the_global_loop() {
+    // `-0.0 == +0.0`, but the twins are different bits, so each is
+    // simulated on its own; passes with both signed-zero origins make
+    // the entry times differ in sign too
+    let train = Train::paper_default();
+    let passes: Vec<TrainPass> = [-0.0, 0.0, 600.0, 600.0]
+        .into_iter()
+        .map(|t| TrainPass::new(train, Seconds::new(t)))
+        .collect();
+    let end = Meters::new(500.0);
+    let nodes = [
+        TrackSection::new(Meters::new(0.0), end),
+        TrackSection::new(Meters::new(-0.0), end),
+        TrackSection::new(Meters::new(-0.0), end),
+        TrackSection::new(Meters::new(0.0), end),
+    ]
+    .map(|s| NodeSpec::new(NodeKind::DonorRepeater, s));
+    let length = Meters::new(CORRIDOR);
+    for policy in [WakePolicy::instant(), WakePolicy::paper_default()] {
+        let sim = CorridorSimulator::new().with_policy(policy);
+        let oracle = Oracle::of(&sim);
+        assert_eq!(
+            DayBits::of(&sim.simulate(&nodes, &passes)),
+            oracle.simulate(&nodes, &passes)
+        );
+        assert_eq!(
+            DayBits::of(&sim.simulate_double_track(&nodes, &passes, &passes, length)),
+            oracle.simulate_double_track(&nodes, &passes, &passes, length)
+        );
+    }
+}
+
+#[test]
+fn cancelled_drains_match_the_global_loop() {
+    // a 30 s guard and trains every 30 s: each barrier trip after the
+    // first lands inside the previous train's drain and cancels it, and
+    // the next exit schedules a fresh one. A second burst after a quiet
+    // hour wakes the node again.
+    let train = Train::paper_default();
+    let passes: Vec<TrainPass> = (0..10)
+        .map(|k| 1_000.0 + 30.0 * f64::from(k))
+        .chain((0..5).map(|k| 5_000.0 + 40.0 * f64::from(k)))
+        .map(|t| TrainPass::new(train, Seconds::new(t)))
+        .collect();
+    let nodes = [NodeSpec::new(
+        NodeKind::HighPowerMast,
+        TrackSection::new(Meters::ZERO, Meters::new(500.0)),
+    )];
+    let policy = WakePolicy::new(Seconds::new(5.0), Seconds::new(1.0), Seconds::new(30.0));
+    let sim = CorridorSimulator::new().with_policy(policy);
+    let report = sim.simulate(&nodes, &passes);
+    let oracle = Oracle::of(&sim);
+    assert_eq!(DayBits::of(&report), oracle.simulate(&nodes, &passes));
+    // every pass stages 3 events and every wake fires its completion
+    // and, once its last drain is not cancelled, one drain expiry; the
+    // rest are the cancelled drains, still counted at their expiry
+    let wakes = report.nodes()[0].trace().wakes();
+    let cancelled = report.events_processed() - 3 * passes.len() - 2 * wakes;
+    assert_eq!((wakes, cancelled), (2, 9 + 4));
+
+    let length = Meters::new(CORRIDOR);
+    let nodes = paper_segment();
+    assert_eq!(
+        DayBits::of(&sim.simulate_double_track(&nodes, &passes, &passes, length)),
+        oracle.simulate_double_track(&nodes, &passes, &passes, length)
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -260,14 +260,16 @@ impl CellContext {
             &baseline_report,
         );
 
-        let service: Vec<f64> = deployment_report
+        let mut service = 0usize;
+        let service_wh: f64 = deployment_report
             .nodes_of(NodeKind::ServiceRepeater)
+            .inspect(|_| service += 1)
             .map(|node| node.trace().daily_energy(params.lp_node()).value())
-            .collect();
-        let repeater_wh = if service.is_empty() {
+            .sum();
+        let repeater_wh = if service == 0 {
             0.0
         } else {
-            service.iter().sum::<f64>() / service.len() as f64
+            service_wh / service as f64
         };
 
         DaySample {
