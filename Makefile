@@ -2,9 +2,9 @@
 
 RUSTDOCFLAGS_STRICT := -D missing_docs -D warnings
 
-.PHONY: ci fmt-check clippy lint build test golden differential sim-differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build bench-snapshot results
+.PHONY: ci fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build bench-snapshot results
 
-ci: fmt-check clippy lint build test golden differential sim-differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build
+ci: fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build
 
 fmt-check:
 	cargo fmt --all --check
@@ -37,6 +37,13 @@ differential:
 # release so arithmetic runs as it does in the served binaries.
 sim-differential:
 	cargo test --release -p corridor_events --test sim_differential
+
+# Early-exit Table IV search vs a copy of the full search it replaced
+# (proptest oracle over random loads, sites, ladders and seeds: same
+# candidate, bit-identical winner stats), in release like the served
+# binaries.
+sizing-oracle:
+	cargo test --release -p corridor_solar --test sizing_oracle
 
 # Monte-Carlo smoke: 3-cell grid x 10 replications, byte-diffed against
 # the committed golden (plus the engine's own determinism/convergence suite).

@@ -6,12 +6,11 @@ use corridor_core::energy::SegmentEnergy;
 use corridor_core::sink::{RowFormat, RowSink};
 use corridor_core::{AnalyticEvaluator, EnergyStrategy, ScenarioError, SegmentEvaluator};
 use corridor_events::{EventDrivenEvaluator, WakePolicy};
-use corridor_solar::{sizing, DailyLoadProfile};
 use corridor_traffic::TrackSection;
-use corridor_units::Watts;
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{render_sweep_row, CSV_HEADER};
+use crate::sizing::{repeater_load, SizingMemo};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{CellResult, PvOutcome, ScenarioCell, ScenarioGrid, SweepReport};
 
@@ -254,7 +253,11 @@ impl SweepEngine {
 
     /// The engine's per-cell work over `grid`.
     fn job<'a>(&'a self, grid: &'a ScenarioGrid) -> SweepJob<'a> {
-        SweepJob { engine: self, grid }
+        SweepJob {
+            engine: self,
+            grid,
+            memo: SizingMemo::default(),
+        }
     }
 
     /// The scenario hash of one cell under this engine's configuration.
@@ -275,9 +278,14 @@ impl SweepEngine {
     /// backend and, unless disabled, the PV sizing of one service
     /// repeater at the cell's deployment ISD.
     pub fn evaluate(&self, cell: &ScenarioCell) -> CellResult {
+        self.evaluate_with(cell, &SizingMemo::default())
+    }
+
+    /// [`SweepEngine::evaluate`] with the run's sizing memo.
+    fn evaluate_with(&self, cell: &ScenarioCell, memo: &SizingMemo) -> CellResult {
         let [baseline, continuous, sleep, solar] = self.evaluator.splits(cell);
         let pv = if self.pv_sizing {
-            size_repeater_pv(cell.params(), cell.location(), cell.isd())
+            size_repeater_pv(cell, memo)
         } else {
             PvOutcome::Skipped
         };
@@ -293,52 +301,16 @@ impl SweepEngine {
     }
 }
 
-/// Sizes the off-grid PV system of one service repeater at `isd`: the
-/// node sleeps through the night pause and serves train bursts during
-/// the service window (the paper's Table IV methodology, generalized to
-/// the given timetable, equipment and deployment geometry).
-fn size_repeater_pv(
-    params: &corridor_core::ScenarioParams,
-    location: &corridor_solar::Location,
-    isd: corridor_units::Meters,
-) -> PvOutcome {
-    let section = TrackSection::around(isd / 2.0, params.lp_spacing());
+/// Sizes the off-grid PV system of one service repeater at the cell's
+/// deployment ISD: the node sleeps through the night pause and serves
+/// train bursts during the service window (the paper's Table IV
+/// methodology, generalized to the given timetable, equipment and
+/// deployment geometry).
+fn size_repeater_pv(cell: &ScenarioCell, memo: &SizingMemo) -> PvOutcome {
+    let params = cell.params();
+    let section = TrackSection::around(cell.isd() / 2.0, params.lp_spacing());
     let active_h = corridor_core::energy::active_hours(params, section).value();
-    size_repeater_pv_for_load(params, location, active_h)
-}
-
-/// [`size_repeater_pv`] with explicit daily full-load hours — the
-/// deployment optimizer feeds the *policy-padded* powered time from the
-/// event-driven trace here, so a padded wake policy's PV system is
-/// sized for the load it actually reports, not the instant-wake
-/// activity floor.
-pub(crate) fn size_repeater_pv_for_load(
-    params: &corridor_core::ScenarioParams,
-    location: &corridor_solar::Location,
-    active_h: f64,
-) -> PvOutcome {
-    let lp = params.lp_node();
-    let night_h = (24.0 - params.timetable().service_window().value())
-        .round()
-        .clamp(0.0, 23.0);
-    let day_window_h = 24.0 - night_h;
-    let day_avg_w = (lp.full_load_power().value() * active_h
-        + lp.p_sleep().value() * (day_window_h - active_h).max(0.0))
-        / day_window_h;
-    let load =
-        DailyLoadProfile::repeater_profile(lp.p_sleep(), Watts::new(day_avg_w), night_h as usize);
-    match sizing::size_for_zero_downtime(
-        location.clone(),
-        load,
-        &sizing::SizingOptions::paper_default(),
-    ) {
-        Some(fit) => PvOutcome::Sized {
-            pv_wp: fit.pv.peak().value(),
-            battery_wh: fit.battery_capacity.value(),
-            days_full_pct: fit.mean_full_battery_fraction() * 100.0,
-        },
-        None => PvOutcome::Unsolvable,
-    }
+    memo.size(cell.location(), repeater_load(params, active_h))
 }
 
 impl Default for SweepEngine {
@@ -352,6 +324,8 @@ impl Default for SweepEngine {
 struct SweepJob<'a> {
     engine: &'a SweepEngine,
     grid: &'a ScenarioGrid,
+    /// PV sizing outcomes of this run.
+    memo: SizingMemo,
 }
 
 impl CellJob for SweepJob<'_> {
@@ -375,7 +349,7 @@ impl CellJob for SweepJob<'_> {
     }
 
     fn evaluate(&self, cell: ScenarioCell) -> CellResult {
-        self.engine.evaluate(&cell)
+        self.engine.evaluate_with(&cell, &self.memo)
     }
 
     fn render(&self, result: &CellResult, format: RowFormat) -> String {
@@ -505,6 +479,59 @@ mod tests {
                 / a.split(strategy).total().value();
             assert!(rel < 1e-3, "{strategy}: {rel}");
         }
+    }
+
+    /// Every field of a result, with the PV percentage compared as bits.
+    fn assert_bit_equal(memoized: &CellResult, fresh: &CellResult) {
+        assert_eq!(memoized, fresh);
+        if let (
+            PvOutcome::Sized {
+                days_full_pct: a, ..
+            },
+            PvOutcome::Sized {
+                days_full_pct: b, ..
+            },
+        ) = (memoized.pv(), fresh.pv())
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "{}", memoized.cell());
+        }
+    }
+
+    #[test]
+    fn memoized_runs_equal_per_cell_evaluation() {
+        let engine = SweepEngine::new().workers(2);
+        for grid in [
+            ScenarioGrid::screening_200(),
+            ScenarioGrid::by_name("mixed-8").expect("mixed-8 is a named grid"),
+        ] {
+            let report = engine.run(&grid).expect("valid grid");
+            assert_eq!(report.len(), grid.len());
+            for (index, memoized) in report.results().iter().enumerate() {
+                let cell = grid.cell_at(index).expect("valid cell");
+                assert_bit_equal(memoized, &engine.evaluate(&cell));
+            }
+        }
+    }
+
+    #[test]
+    fn a_screening_chunk_sizes_each_distinct_key_once() {
+        let grid = ScenarioGrid::screening_200();
+        let engine = SweepEngine::new();
+        let job = engine.job(&grid);
+        let mut keys = Vec::new();
+        for index in 0..64 {
+            let cell = job.cell(index).expect("valid cell");
+            let params = cell.params();
+            let section = TrackSection::around(cell.isd() / 2.0, params.lp_spacing());
+            let active_h = corridor_core::energy::active_hours(params, section).value();
+            let key = (cell.location().clone(), repeater_load(params, active_h));
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+            job.evaluate(cell);
+        }
+        assert_eq!(job.memo.sized(), keys.len());
+        assert!(keys.len() < 64, "{} keys", keys.len());
     }
 
     #[test]

@@ -74,6 +74,7 @@ mod mc;
 mod network;
 mod optimize;
 mod report;
+mod sizing;
 mod stream;
 
 pub use cache::ResultCache;

@@ -37,8 +37,8 @@ use corridor_traffic::TrackSection;
 use corridor_units::{Db, Meters};
 
 use crate::cache::{KeyBuilder, ResultCache};
-use crate::engine::size_repeater_pv_for_load;
 use crate::report::{csv_field, json_string};
+use crate::sizing::{repeater_load, SizingMemo};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{PvOutcome, ScenarioCell, ScenarioGrid};
 
@@ -476,6 +476,8 @@ pub(crate) struct SearchJob<'a, F> {
     space: &'a SearchSpace,
     /// The coverage caches the search has built so far.
     pub(crate) coverage: CoverageCaches,
+    /// PV sizing outcomes of this search.
+    sizing: SizingMemo,
 }
 
 impl<'a, F> SearchJob<'a, F> {
@@ -486,6 +488,7 @@ impl<'a, F> SearchJob<'a, F> {
             cell_at,
             space,
             coverage: Mutex::new(Vec::new()),
+            sizing: SizingMemo::default(),
         }
     }
 }
@@ -512,7 +515,7 @@ where
 
     fn evaluate(&self, cell: ScenarioCell) -> OptimizeCellResult {
         let coverage = shared_cache(&self.coverage, &cell, self.space);
-        evaluate_cell(&cell, &coverage, self.space)
+        evaluate_cell(&cell, &coverage, &self.sizing, self.space)
     }
 
     fn render(&self, result: &OptimizeCellResult, format: RowFormat) -> String {
@@ -571,6 +574,7 @@ fn cache_key(cell: &ScenarioCell, space: &SearchSpace) -> String {
 fn evaluate_cell(
     cell: &ScenarioCell,
     cache: &CoverageCache,
+    sizing: &SizingMemo,
     space: &SearchSpace,
 ) -> OptimizeCellResult {
     let params = cell.params();
@@ -648,8 +652,8 @@ fn evaluate_cell(
                             .value();
                     let pv = if space.pv_sizing {
                         // the activity hours are already in hand; skip
-                        // size_repeater_pv's identical timeline scan
-                        size_repeater_pv_for_load(params, cell.location(), active.value())
+                        // the sweep's identical timeline scan
+                        sizing.size(cell.location(), repeater_load(params, active.value()))
                     } else {
                         PvOutcome::Skipped
                     };
@@ -685,7 +689,7 @@ fn evaluate_cell(
                     )
                 };
                 let pv = if space.pv_sizing && n > 0 {
-                    size_repeater_pv_for_load(params, cell.location(), powered_h)
+                    sizing.size(cell.location(), repeater_load(params, powered_h))
                 } else {
                     PvOutcome::Skipped
                 };

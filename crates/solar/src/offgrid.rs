@@ -180,6 +180,21 @@ impl OffGridSystem {
     /// sizing search re-simulating the same weather year through many
     /// PV/battery candidates pays only for the battery stepping.
     pub fn simulate_year(&self, seed: u64) -> YearStats {
+        self.run_year(seed, false)
+    }
+
+    /// [`OffGridSystem::simulate_year`] for a sizing search: returns
+    /// `None` at the first day with unmet load, so a rejected candidate
+    /// steps no further. A year that completes ran every day, so its
+    /// stats are the ones `simulate_year` returns.
+    pub(crate) fn simulate_year_until_downtime(&self, seed: u64) -> Option<YearStats> {
+        let stats = self.run_year(seed, true);
+        (stats.downtime_days == 0).then_some(stats)
+    }
+
+    /// The hourly year loop; with `stop_at_downtime` it returns the
+    /// partial stats at the end of the first day with unmet load.
+    fn run_year(&self, seed: u64, stop_at_downtime: bool) -> YearStats {
         let env = crate::environment::cached_year(
             &self.location,
             &self.transposition,
@@ -224,6 +239,9 @@ impl OffGridSystem {
             }
             if unmet_today {
                 stats.downtime_days += 1;
+                if stop_at_downtime {
+                    break;
+                }
             }
         }
         stats

@@ -14,6 +14,10 @@ use crate::{Battery, DailyLoadProfile, Location, OffGridSystem, PvArray, PvModul
 /// 720 Wh battery; if winter downtime occurs, double the battery; if that
 /// is still insufficient, move to slightly larger modules (3 × 200 Wp =
 /// 600 Wp). The default candidates encode exactly that ladder.
+///
+/// One downtime day in any seed year rejects a candidate, so
+/// [`size_for_zero_downtime`] stops a failing candidate at its first
+/// downtime day and skips its remaining seed years.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizingOptions {
     /// PV arrays to try, in preference order (smallest first).
@@ -21,6 +25,9 @@ pub struct SizingOptions {
     /// Battery capacities to try, in preference order (smallest first).
     pub battery_candidates: Vec<WattHours>,
     /// Weather seeds that must all complete with zero downtime.
+    ///
+    /// An empty list proves nothing, so it accepts no candidate:
+    /// [`size_for_zero_downtime`] returns `None`.
     pub seeds: Vec<u64>,
 }
 
@@ -98,7 +105,12 @@ impl fmt::Display for PvSizing {
 /// mountable module count small, enlarging the battery before the array).
 /// For each PV array, battery capacities are tried in order; the first
 /// fully downtime-free combination wins. Returns `None` if no candidate
-/// passes.
+/// passes, or if `options.seeds` is empty.
+///
+/// A failing candidate stops at its first downtime day and skips its
+/// remaining seed years: its stats would be thrown away. The winner ran
+/// every seed year in full, so its [`PvSizing::stats`] equal
+/// [`OffGridSystem::simulate_years`] over the seeds.
 ///
 /// # Examples
 ///
@@ -117,6 +129,9 @@ pub fn size_for_zero_downtime(
     load: DailyLoadProfile,
     options: &SizingOptions,
 ) -> Option<PvSizing> {
+    if options.seeds.is_empty() {
+        return None;
+    }
     for pv in &options.pv_candidates {
         for &battery_capacity in &options.battery_candidates {
             let system = OffGridSystem::new(
@@ -125,8 +140,12 @@ pub fn size_for_zero_downtime(
                 Battery::with_capacity(battery_capacity),
                 load.clone(),
             );
-            let stats = system.simulate_years(&options.seeds);
-            if stats.iter().all(|s| s.downtime_days() == 0) {
+            let stats: Option<Vec<YearStats>> = options
+                .seeds
+                .iter()
+                .map(|&seed| system.simulate_year_until_downtime(seed))
+                .collect();
+            if let Some(stats) = stats {
                 return Some(PvSizing {
                     pv: *pv,
                     battery_capacity,
@@ -190,6 +209,16 @@ mod tests {
         // a kilowatt-class load cannot be served by ≤720 Wp
         let heavy = DailyLoadProfile::constant(corridor_units::Watts::new(1000.0));
         assert!(size_for_zero_downtime(climate::madrid(), heavy, &options()).is_none());
+    }
+
+    #[test]
+    fn empty_seed_list_accepts_nothing() {
+        let no_seeds = SizingOptions {
+            seeds: vec![],
+            ..options()
+        };
+        let load = DailyLoadProfile::repeater_paper_default();
+        assert!(size_for_zero_downtime(climate::madrid(), load, &no_seeds).is_none());
     }
 
     #[test]
