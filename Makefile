@@ -2,9 +2,9 @@
 
 RUSTDOCFLAGS_STRICT := -D missing_docs -D warnings
 
-.PHONY: ci fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build bench-snapshot results
+.PHONY: ci fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build bench-snapshot results
 
-ci: fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart perfbench-build
+ci: fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build
 
 fmt-check:
 	cargo fmt --all --check
@@ -97,6 +97,15 @@ cache-determinism:
 		--stream target/tmp-cache-determinism/warm.csv --cache target/tmp-cache-determinism/cache
 	cmp target/tmp-cache-determinism/cold.csv target/tmp-cache-determinism/warm.csv
 	rm -rf target/tmp-cache-determinism
+
+# CLI smoke: the simulate binary's --stats rendering byte-diffed against
+# the committed golden (the golden test only checks it in-process), and
+# --help exits 0 for the five engine CLIs on the shared argument grammar.
+cli-smoke:
+	cargo run -q --release -p corridor_bench --bin simulate -- --stats | diff - docs/results/poisson_stats.txt
+	for b in sweep mc optimize network simulate; do \
+		cargo run -q --release -p corridor_bench --bin $$b -- --help > /dev/null || exit 1; \
+	done
 
 doc:
 	RUSTDOCFLAGS="$(RUSTDOCFLAGS_STRICT)" cargo doc --no-deps --workspace

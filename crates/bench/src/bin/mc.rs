@@ -17,11 +17,12 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use corridor_bench::args::{self, Fields};
 use corridor_bench::render;
 use corridor_core::experiments;
 use corridor_core::traffic::DelayModel;
 use corridor_core::ScenarioParams;
-use corridor_sim::{McEngine, McMetric, ReplicationPlan, ScenarioGrid, TrafficSpec};
+use corridor_sim::{McEngine, McMetric, ReplicationPlan, TrafficSpec};
 
 const USAGE: &str = "\
 usage: mc [options]
@@ -39,132 +40,56 @@ options:
   --help        this text
 ";
 
-struct Options {
-    grid: ScenarioGrid,
-    grid_name: String,
-    reps: usize,
-    seed: u64,
-    traffic: TrafficSpec,
-    workers: usize,
-    csv: bool,
-    smoke: bool,
-}
-
-fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        grid: ScenarioGrid::screening_200(),
-        grid_name: "screening-200".into(),
-        reps: 25,
-        seed: 42,
-        traffic: TrafficSpec::Poisson,
-        workers: 0,
-        csv: false,
-        smoke: false,
-    };
-    let _ = args.next(); // binary name
-    let mut sweep_options: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        if arg != "--smoke" && arg != "--help" && arg != "-h" {
-            sweep_options.push(arg.clone());
-        }
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--grid" => {
-                let name = value("--grid")?;
-                opts.grid =
-                    ScenarioGrid::by_name(&name).ok_or_else(|| format!("unknown grid {name}"))?;
-                opts.grid_name = name;
-            }
-            "--reps" => {
-                opts.reps = value("--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
-                if opts.reps == 0 {
-                    return Err("--reps must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--model" => {
-                opts.traffic = match value("--model")?.as_str() {
-                    "poisson" => TrafficSpec::Poisson,
-                    "jittered" => TrafficSpec::Jittered(DelayModel::typical()),
-                    "deterministic" => TrafficSpec::Deterministic,
-                    other => return Err(format!("unknown model {other}")),
-                };
-            }
-            "--workers" => {
-                opts.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--csv" => opts.csv = true,
-            "--smoke" => opts.smoke = true,
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    // the smoke rendering is fixed (it must match the committed golden
-    // byte for byte), so combining it with sweep options would silently
-    // ignore them — reject instead
-    if opts.smoke && !sweep_options.is_empty() {
-        return Err(format!(
-            "--smoke renders the fixed golden configuration and cannot be \
-             combined with {}",
-            sweep_options.join(" ")
-        ));
-    }
-    Ok(Some(opts))
-}
-
 fn main() -> ExitCode {
-    let opts = match parse(std::env::args()) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("mc: {message}");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    args::run("mc", USAGE, &["csv", "smoke"], run)
+}
 
-    if opts.smoke {
+fn run(f: &mut Fields) -> Result<ExitCode, String> {
+    let smoke = f.standalone("smoke")?;
+    let (grid_name, grid) = f.grid("screening-200")?;
+    let reps = f.reps("reps")?.unwrap_or(25);
+    let seed = f.parse("seed")?.unwrap_or(42);
+    let models = [
+        ("poisson", TrafficSpec::Poisson),
+        ("jittered", TrafficSpec::Jittered(DelayModel::typical())),
+        ("deterministic", TrafficSpec::Deterministic),
+    ];
+    let traffic = f.pick("model", models)?.1;
+    let workers = f.workers()?;
+    let csv = f.flag("csv");
+    f.finish()?;
+
+    if smoke {
         print!("{}", render::mc_smoke());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let plan = ReplicationPlan::new(opts.reps)
-        .master_seed(opts.seed)
-        .traffic(opts.traffic);
+    let plan = ReplicationPlan::new(reps)
+        .master_seed(seed)
+        .traffic(traffic);
     let mut engine = McEngine::new();
-    if opts.workers > 0 {
-        engine = engine.workers(opts.workers);
+    if let Some(workers) = workers {
+        engine = engine.workers(workers);
     }
 
     let started = Instant::now();
-    let report = match engine.run(&opts.grid, &plan) {
+    let report = match engine.run(&grid, &plan) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("mc: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let elapsed = started.elapsed();
 
-    if opts.csv {
+    if csv {
         print!("{}", report.to_csv());
     } else {
         println!("Monte-Carlo replication sweep — event-driven backend");
         println!();
         println!(
             "grid: {} ({} cells)  model: {}  replications: {}  master seed: {}",
-            opts.grid_name,
+            grid_name,
             report.len(),
             report.traffic(),
             report.replications(),
@@ -231,11 +156,7 @@ fn main() -> ExitCode {
         report.cell_days(),
         elapsed.as_secs_f64() * 1e3,
         report.cell_days() as f64 / elapsed.as_secs_f64().max(1e-9),
-        if opts.workers == 0 {
-            "auto".to_string()
-        } else {
-            opts.workers.to_string()
-        }
+        args::workers_label(workers),
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -26,10 +26,11 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use corridor_bench::args::{self, Fields};
 use corridor_bench::render;
 use corridor_core::sink::{RowFormat, WriteSink};
 use corridor_core::units::Meters;
-use corridor_sim::{CorridorNetwork, IsdSearch, NetworkDayEngine, NetworkOptimizer, SearchSpace};
+use corridor_sim::{CorridorNetwork, NetworkDayEngine, NetworkOptimizer, SearchSpace};
 
 const USAGE: &str = "\
 usage: network [options]
@@ -39,7 +40,7 @@ options:
   --isd M       paper (published Section V table, default) | model
                 (cached 50 m-step max-ISD search under the link budget)
   --capacity C  aggregate demand one boundary repeater may absorb,
-                trains/h (default: 30)
+                trains/h (default: 30; not with --simulate)
   --margin-floor F
                 enable margin-trading sleep: interior repeaters may
                 sleep while every edge's residual coverage margin stays
@@ -60,209 +61,91 @@ options:
   --help        this text
 ";
 
-struct Options {
-    topology: String,
-    space: SearchSpace,
-    capacity: Option<f64>,
-    margin_floor: Option<f64>,
-    workers: usize,
-    simulate: bool,
-    reps: Option<usize>,
-    seed: Option<u64>,
-    csv: bool,
-    json: bool,
-    smoke: bool,
-}
-
-fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        topology: "wye3".into(),
-        space: SearchSpace::new().sample_step(Meters::new(10.0)),
-        capacity: None,
-        margin_floor: None,
-        workers: 0,
-        simulate: false,
-        reps: None,
-        seed: None,
-        csv: false,
-        json: false,
-        smoke: false,
-    };
-    let _ = args.next(); // binary name
-    let mut search_options: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        if arg != "--smoke" && arg != "--help" && arg != "-h" {
-            search_options.push(arg.clone());
-        }
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--topology" => {
-                let name = value("--topology")?;
-                if CorridorNetwork::by_name(&name).is_none() {
-                    return Err(format!("unknown topology {name}"));
-                }
-                opts.topology = name;
-            }
-            "--isd" => {
-                opts.space = match value("--isd")?.as_str() {
-                    "paper" => opts.space.isd_search(IsdSearch::PaperTable),
-                    "model" => opts.space.isd_search(IsdSearch::model_paper_grid()),
-                    other => return Err(format!("unknown ISD mode {other}")),
-                };
-            }
-            "--capacity" => {
-                let cap: f64 = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-                if cap.is_nan() || cap <= 0.0 {
-                    return Err("--capacity must be positive".into());
-                }
-                opts.capacity = Some(cap);
-            }
-            "--margin-floor" => {
-                let floor: f64 = value("--margin-floor")?
-                    .parse()
-                    .map_err(|e| format!("--margin-floor: {e}"))?;
-                if !floor.is_finite() {
-                    return Err("--margin-floor must be finite".into());
-                }
-                opts.margin_floor = Some(floor);
-            }
-            "--simulate" => opts.simulate = true,
-            "--reps" => {
-                let reps: usize = value("--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
-                if reps == 0 {
-                    return Err("--reps must be positive".into());
-                }
-                opts.reps = Some(reps);
-            }
-            "--seed" => {
-                opts.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                );
-            }
-            "--sample-step" => {
-                let step: f64 = value("--sample-step")?
-                    .parse()
-                    .map_err(|e| format!("--sample-step: {e}"))?;
-                if step.is_nan() || step <= 0.0 {
-                    return Err("--sample-step must be positive".into());
-                }
-                opts.space = opts.space.sample_step(Meters::new(step));
-            }
-            "--workers" => {
-                opts.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--csv" => opts.csv = true,
-            "--json" => opts.json = true,
-            "--smoke" => opts.smoke = true,
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    if opts.smoke && !search_options.is_empty() {
-        return Err(format!(
-            "--smoke renders the fixed golden configuration and cannot be \
-             combined with {}",
-            search_options.join(" ")
-        ));
-    }
-    if opts.csv && opts.json {
-        return Err("--csv and --json are mutually exclusive".into());
-    }
-    if !opts.simulate && (opts.reps.is_some() || opts.seed.is_some()) {
-        return Err("--reps/--seed only apply to --simulate".into());
-    }
-    if opts.simulate && opts.margin_floor.is_some() {
-        return Err(
-            "--simulate prices the deployment picks before any margin is traded; \
-             drop --margin-floor"
-                .into(),
-        );
-    }
-    Ok(Some(opts))
-}
-
 fn main() -> ExitCode {
-    let opts = match parse(std::env::args()) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("network: {message}");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    args::run("network", USAGE, &["simulate", "csv", "json", "smoke"], run)
+}
 
-    if opts.smoke {
+fn run(f: &mut Fields) -> Result<ExitCode, String> {
+    let smoke = f.standalone("smoke")?;
+    f.applies(&["reps", "seed"], "simulate", true)?;
+    // the day backend prices the deployment picks: no margin is traded
+    // and no boundary repeater absorbs another's demand
+    f.applies(&["capacity", "margin-floor"], "simulate", false)?;
+    let topology = f.value("topology")?.unwrap_or_else(|| "wye3".to_owned());
+    let net = CorridorNetwork::by_name(&topology)
+        .ok_or_else(|| format!("unknown topology {topology}"))?;
+    let step = f.positive("sample-step")?.unwrap_or(10.0);
+    let space = SearchSpace::new()
+        .sample_step(Meters::new(step))
+        .isd_search(f.isd()?);
+    let capacity = f.positive("capacity")?;
+    let margin_floor = f.finite("margin-floor")?;
+    let workers = f.workers()?;
+    let simulate_days = f.flag("simulate");
+    let reps = f.reps("reps")?;
+    let seed = f.parse("seed")?;
+    let output = f.output()?;
+    f.finish()?;
+
+    if smoke {
         print!("{}", render::network_smoke());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-
-    let net = CorridorNetwork::by_name(&opts.topology).expect("validated by parse");
-    if opts.simulate {
-        return simulate(&opts, &net);
+    if simulate_days {
+        let mut engine = NetworkDayEngine::new();
+        if let Some(workers) = workers {
+            engine = engine.workers(workers);
+        }
+        if let Some(reps) = reps {
+            engine = engine.reps(reps);
+        }
+        if let Some(seed) = seed {
+            engine = engine.seed(seed);
+        }
+        return Ok(simulate(engine, &topology, &net, &space, output, workers));
     }
     let mut optimizer = NetworkOptimizer::new();
-    if opts.workers > 0 {
-        optimizer = optimizer.workers(opts.workers);
+    if let Some(workers) = workers {
+        optimizer = optimizer.workers(workers);
     }
-    if let Some(cap) = opts.capacity {
+    if let Some(cap) = capacity {
         optimizer = optimizer.capacity_tph(cap);
     }
-    if let Some(floor) = opts.margin_floor {
+    if let Some(floor) = margin_floor {
         optimizer = optimizer.margin_floor_db(floor);
     }
 
     let started = Instant::now();
-    if opts.csv || opts.json {
+    if let Some(format) = output {
         // stream the frontier rows through the RowSink layer: edge
         // order, byte-identical whatever the worker count
-        let format = if opts.csv {
-            RowFormat::Csv
-        } else {
-            RowFormat::Json
-        };
         let stdout = std::io::stdout();
         let mut sink = WriteSink::new(std::io::BufWriter::new(stdout.lock()));
-        let summary = match optimizer.stream_frontier(&net, &opts.space, format, &mut sink) {
+        let summary = match optimizer.stream_frontier(&net, &space, format, &mut sink) {
             Ok(summary) => summary,
             Err(err) => {
                 eprintln!("network: {err}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let mut writer = sink.into_inner();
         if writer.flush().is_err() {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!(
             "streamed {} edge(s) in {:.0} ms (workers: {})",
             summary.cells,
             started.elapsed().as_secs_f64() * 1e3,
-            if opts.workers == 0 {
-                "auto".to_string()
-            } else {
-                opts.workers.to_string()
-            }
+            args::workers_label(workers),
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let report = match optimizer.run(&net, &opts.space) {
+    let report = match optimizer.run(&net, &space) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("network: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let elapsed = started.elapsed();
@@ -271,7 +154,7 @@ fn main() -> ExitCode {
     println!();
     println!(
         "topology: {} ({} stations, {} edges)  isd: {}",
-        opts.topology,
+        topology,
         report.network().station_count(),
         report.network().edge_count(),
         report.isd_search(),
@@ -298,7 +181,7 @@ fn main() -> ExitCode {
         }
     }
     println!();
-    match opts.margin_floor {
+    match margin_floor {
         None => println!(
             "sleep schedule: {} boundary repeater(s) sleep, {:.3} Wh/day net saving",
             report.plan().len(),
@@ -340,7 +223,7 @@ fn main() -> ExitCode {
             ),
         }
     }
-    if opts.margin_floor.is_some() {
+    if margin_floor.is_some() {
         let margins: Vec<String> = report
             .residual_margins()
             .iter()
@@ -362,45 +245,27 @@ fn main() -> ExitCode {
         "searched {} edge(s) in {:.0} ms (workers: {})",
         report.len(),
         elapsed.as_secs_f64() * 1e3,
-        if opts.workers == 0 {
-            "auto".to_string()
-        } else {
-            opts.workers.to_string()
-        }
+        args::workers_label(workers),
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `--simulate` path: decomposes the edge demands into routes,
 /// replays seeded stochastic days through the time-domain backend and
 /// prints the per-edge Monte-Carlo summary (or streams the day rows).
-fn simulate(opts: &Options, net: &CorridorNetwork) -> ExitCode {
-    let mut engine = NetworkDayEngine::new();
-    if opts.workers > 0 {
-        engine = engine.workers(opts.workers);
-    }
-    if let Some(reps) = opts.reps {
-        engine = engine.reps(reps);
-    }
-    if let Some(seed) = opts.seed {
-        engine = engine.seed(seed);
-    }
-    let workers_label = if opts.workers == 0 {
-        "auto".to_string()
-    } else {
-        opts.workers.to_string()
-    };
-
+fn simulate(
+    engine: NetworkDayEngine,
+    topology: &str,
+    net: &CorridorNetwork,
+    space: &SearchSpace,
+    output: Option<RowFormat>,
+    workers: Option<usize>,
+) -> ExitCode {
     let started = Instant::now();
-    if opts.csv || opts.json {
-        let format = if opts.csv {
-            RowFormat::Csv
-        } else {
-            RowFormat::Json
-        };
+    if let Some(format) = output {
         let stdout = std::io::stdout();
         let mut sink = WriteSink::new(std::io::BufWriter::new(stdout.lock()));
-        let summary = match engine.stream(net, &opts.space, format, &mut sink) {
+        let summary = match engine.stream(net, space, format, &mut sink) {
             Ok(summary) => summary,
             Err(err) => {
                 eprintln!("network: {err}");
@@ -412,14 +277,15 @@ fn simulate(opts: &Options, net: &CorridorNetwork) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "streamed {} day row(s) in {:.0} ms (workers: {workers_label})",
+            "streamed {} day row(s) in {:.0} ms (workers: {})",
             summary.cells,
             started.elapsed().as_secs_f64() * 1e3,
+            args::workers_label(workers),
         );
         return ExitCode::SUCCESS;
     }
 
-    let report = match engine.run(net, &opts.space) {
+    let report = match engine.run(net, space) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("network: {err}");
@@ -432,7 +298,7 @@ fn simulate(opts: &Options, net: &CorridorNetwork) -> ExitCode {
     println!();
     println!(
         "topology: {} ({} stations, {} edges)  reps: {}  seed: {}",
-        opts.topology,
+        topology,
         report.network().station_count(),
         report.network().edge_count(),
         report.reps(),
@@ -471,9 +337,10 @@ fn simulate(opts: &Options, net: &CorridorNetwork) -> ExitCode {
     );
 
     eprintln!(
-        "simulated {} edge-day(s) in {:.0} ms (workers: {workers_label})",
+        "simulated {} edge-day(s) in {:.0} ms (workers: {})",
         report.per_edge().len() * report.reps(),
         elapsed.as_secs_f64() * 1e3,
+        args::workers_label(workers),
     );
     ExitCode::SUCCESS
 }

@@ -18,9 +18,11 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use corridor_bench::args::{self, Fields};
 use corridor_bench::render;
-use corridor_core::units::Meters;
-use corridor_sim::{DeploymentOptimizer, IsdSearch, ScenarioGrid, SearchSpace, WakePolicy};
+use corridor_core::sink::RowFormat;
+use corridor_core::units::{Db, Meters};
+use corridor_sim::{DeploymentOptimizer, SearchSpace, WakePolicy};
 
 const USAGE: &str = "\
 usage: optimize [options]
@@ -45,162 +47,72 @@ options:
   --help        this text
 ";
 
-struct Options {
-    grid: ScenarioGrid,
-    grid_name: String,
-    space: SearchSpace,
-    sample_step: Option<f64>,
-    workers: usize,
-    csv: bool,
-    json: bool,
-    smoke: bool,
-}
-
-fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        grid: ScenarioGrid::new(),
-        grid_name: "paper".into(),
-        space: SearchSpace::new(),
-        sample_step: None,
-        workers: 0,
-        csv: false,
-        json: false,
-        smoke: false,
-    };
-    let _ = args.next(); // binary name
-    let mut search_options: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        if arg != "--smoke" && arg != "--help" && arg != "-h" {
-            search_options.push(arg.clone());
-        }
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--grid" => {
-                let name = value("--grid")?;
-                opts.grid =
-                    ScenarioGrid::by_name(&name).ok_or_else(|| format!("unknown grid {name}"))?;
-                opts.grid_name = name;
-            }
-            "--isd" => {
-                opts.space = match value("--isd")?.as_str() {
-                    "paper" => opts.space.isd_search(IsdSearch::PaperTable),
-                    "model" => opts.space.isd_search(IsdSearch::model_paper_grid()),
-                    other => return Err(format!("unknown ISD mode {other}")),
-                };
-            }
-            "--policies" => {
-                let policies = match value("--policies")?.as_str() {
-                    "instant" => vec![WakePolicy::instant()],
-                    "paper" => vec![WakePolicy::paper_default()],
-                    "both" => vec![WakePolicy::instant(), WakePolicy::paper_default()],
-                    other => return Err(format!("unknown policy set {other}")),
-                };
-                opts.space = opts.space.wake_policies(policies);
-            }
-            "--pv" => opts.space = opts.space.pv_sizing(true),
-            "--threshold" => {
-                let db: f64 = value("--threshold")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-                // a NaN/inf threshold parses fine but would silently
-                // mark every candidate infeasible
-                if !db.is_finite() {
-                    return Err("--threshold must be finite".into());
-                }
-                opts.space = opts.space.snr_threshold(corridor_core::units::Db::new(db));
-            }
-            "--sample-step" => {
-                let step: f64 = value("--sample-step")?
-                    .parse()
-                    .map_err(|e| format!("--sample-step: {e}"))?;
-                // reject NaN explicitly — it slips past `<= 0.0` and
-                // would only blow up later in the library assert
-                if step.is_nan() || step <= 0.0 {
-                    return Err("--sample-step must be positive".into());
-                }
-                opts.sample_step = Some(step);
-            }
-            "--workers" => {
-                opts.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--csv" => opts.csv = true,
-            "--json" => opts.json = true,
-            "--smoke" => opts.smoke = true,
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    // the smoke rendering is fixed (it must match the committed golden
-    // byte for byte), so combining it with search options would
-    // silently ignore them — reject instead
-    if opts.smoke && !search_options.is_empty() {
-        return Err(format!(
-            "--smoke renders the fixed golden configuration and cannot be \
-             combined with {}",
-            search_options.join(" ")
-        ));
-    }
-    if opts.csv && opts.json {
-        return Err("--csv and --json are mutually exclusive".into());
-    }
-    Ok(Some(opts))
-}
-
 fn main() -> ExitCode {
-    let opts = match parse(std::env::args()) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("optimize: {message}");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    args::run("optimize", USAGE, &["pv", "csv", "json", "smoke"], run)
+}
 
-    if opts.smoke {
+fn run(f: &mut Fields) -> Result<ExitCode, String> {
+    let smoke = f.standalone("smoke")?;
+    let (grid_name, grid) = f.grid("paper")?;
+    let policies = [
+        ("instant", vec![WakePolicy::instant()]),
+        ("paper", vec![WakePolicy::paper_default()]),
+        (
+            "both",
+            vec![WakePolicy::instant(), WakePolicy::paper_default()],
+        ),
+    ];
+    let mut space = SearchSpace::new()
+        .isd_search(f.isd()?)
+        .wake_policies(f.pick("policies", policies)?.1)
+        .pv_sizing(f.flag("pv"));
+    if let Some(db) = f.finite("threshold")? {
+        space = space.snr_threshold(Db::new(db));
+    }
+    let sample_step = f.positive("sample-step")?;
+    let workers = f.workers()?;
+    let output = f.output()?;
+    f.finish()?;
+
+    if smoke {
         print!("{}", render::optimize_smoke());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     // keep the screening grid affordable by default: coarser profile
     // sampling there (boundary ISDs are insensitive to 5 m vs 10 m at a
     // 50 m ISD grid); every other grid keeps the library's 5 m default
     // unless --sample-step overrides it
-    let space = match opts.sample_step {
-        Some(step) => opts.space.sample_step(Meters::new(step)),
-        None if opts.grid_name == "screening-200" => opts.space.sample_step(Meters::new(10.0)),
-        None => opts.space,
+    let space = match sample_step {
+        Some(step) => space.sample_step(Meters::new(step)),
+        None if grid_name == "screening-200" => space.sample_step(Meters::new(10.0)),
+        None => space,
     };
     let mut optimizer = DeploymentOptimizer::new();
-    if opts.workers > 0 {
-        optimizer = optimizer.workers(opts.workers);
+    if let Some(workers) = workers {
+        optimizer = optimizer.workers(workers);
     }
 
     let started = Instant::now();
-    let report = match optimizer.run(&opts.grid, &space) {
+    let report = match optimizer.run(&grid, &space) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("optimize: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let elapsed = started.elapsed();
 
-    if opts.csv {
+    if output == Some(RowFormat::Csv) {
         print!("{}", report.to_csv());
-    } else if opts.json {
+    } else if output == Some(RowFormat::Json) {
         print!("{}", report.to_json());
     } else {
         println!("Corridor deployment optimizer — Pareto frontier per cell");
         println!();
         println!(
             "grid: {} ({} cells)  isd: {}  candidates/cell: {}",
-            opts.grid_name,
+            grid_name,
             report.len(),
             report.isd_search(),
             space.candidates_per_cell(),
@@ -256,11 +168,7 @@ fn main() -> ExitCode {
         report.len(),
         elapsed.as_secs_f64() * 1e3,
         report.candidates_evaluated() as f64 / elapsed.as_secs_f64().max(1e-9),
-        if opts.workers == 0 {
-            "auto".to_string()
-        } else {
-            opts.workers.to_string()
-        }
+        args::workers_label(workers),
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -17,7 +17,9 @@
 //! `screening-200`); `shards` is the worker-process count (default 2);
 //! `reps`/`seed` configure the Monte-Carlo replication plan (defaults 5
 //! and 7; `reps` at most 10 000); `cache` points every worker at a
-//! shared scenario-hash [`ResultCache`] directory.
+//! shared scenario-hash [`ResultCache`] directory. Request lines, the
+//! worker's task lines and the engine CLIs share one field grammar,
+//! `corridor_bench::args`.
 //!
 //! # Response
 //!
@@ -54,6 +56,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitCode, Stdio};
 use std::sync::{Mutex, PoisonError};
 
+use corridor_bench::args::{self, Fields};
 use corridor_core::hash::Sha256;
 use corridor_core::sink::{RowEmitter, RowFormat};
 use corridor_sim::{
@@ -68,10 +71,6 @@ const CHUNK_CELLS: usize = 64;
 
 /// Attempts per chunk before the request is declared failed.
 const MAX_ATTEMPTS: u32 = 3;
-
-/// Largest `reps` a request may ask for, so no request can occupy the
-/// workers for days.
-const MAX_REPS: usize = 10_000;
 
 const USAGE: &str = "\
 usage: serve [--worker]
@@ -121,10 +120,11 @@ impl EngineKind {
 
 /// One parsed request (shared between coordinator and worker: the task
 /// lines the coordinator sends are requests plus a cell range).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Request {
     engine: EngineKind,
-    grid: String,
+    grid_name: String,
+    grid: ScenarioGrid,
     format: RowFormat,
     shards: usize,
     replications: usize,
@@ -134,47 +134,34 @@ struct Request {
 
 impl Request {
     fn parse(line: &str) -> Result<Request, String> {
+        let (engine, mut fields) = Request::fields(line)?;
+        Request::read(engine, &mut fields)
+    }
+
+    /// Splits a line into its engine word and its fields.
+    fn fields(line: &str) -> Result<(EngineKind, Fields), String> {
         let mut words = line.split_whitespace();
         let engine = words
             .next()
             .and_then(EngineKind::from_label)
             .ok_or("request must start with sweep|mc|optimize")?;
-        let mut request = Request {
+        Ok((engine, Fields::line(words)))
+    }
+
+    /// Reads the request fields; any field left over is an error.
+    fn read(engine: EngineKind, f: &mut Fields) -> Result<Request, String> {
+        let (grid_name, grid) = f.grid("mixed-8")?;
+        let request = Request {
             engine,
-            grid: "mixed-8".to_owned(),
-            format: RowFormat::Csv,
-            shards: 2,
-            replications: 5,
-            master_seed: 7,
-            cache: None,
+            grid_name,
+            grid,
+            format: f.format()?,
+            shards: f.checked("shards", |&n| n > 0, "at least 1")?.unwrap_or(2),
+            replications: f.reps("reps")?.unwrap_or(5),
+            master_seed: f.parse("seed")?.unwrap_or(7),
+            cache: f.value("cache")?,
         };
-        for word in words {
-            let (key, value) = word
-                .split_once('=')
-                .ok_or_else(|| format!("malformed field {word:?} (expected key=value)"))?;
-            match key {
-                "grid" => request.grid = value.to_owned(),
-                "format" => {
-                    request.format = RowFormat::from_label(value)
-                        .ok_or_else(|| format!("unknown format {value:?}"))?;
-                }
-                "shards" => {
-                    request.shards = value.parse().map_err(|e| format!("shards: {e}"))?;
-                    if request.shards == 0 {
-                        return Err("shards must be at least 1".into());
-                    }
-                }
-                "reps" => {
-                    request.replications = value.parse().map_err(|e| format!("reps: {e}"))?;
-                    if !(1..=MAX_REPS).contains(&request.replications) {
-                        return Err(format!("reps must be between 1 and {MAX_REPS}"));
-                    }
-                }
-                "seed" => request.master_seed = value.parse().map_err(|e| format!("seed: {e}"))?,
-                "cache" => request.cache = Some(value.to_owned()),
-                other => return Err(format!("unknown field {other:?}")),
-            }
-        }
+        f.finish()?;
         Ok(request)
     }
 
@@ -183,7 +170,7 @@ impl Request {
         let mut line = format!(
             "task {} grid={} format={} range={}:{} reps={} seed={}",
             self.engine.label(),
-            self.grid,
+            self.grid_name,
             self.format.label(),
             range.start,
             range.end,
@@ -198,10 +185,6 @@ impl Request {
         }
         line
     }
-
-    fn resolve_grid(&self) -> Result<ScenarioGrid, String> {
-        ScenarioGrid::by_name(&self.grid).ok_or_else(|| format!("unknown grid {:?}", self.grid))
-    }
 }
 
 /// The fixed search space the `optimize` engine serves: the quick
@@ -212,20 +195,15 @@ fn serve_search_space() -> SearchSpace {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    match args.as_slice() {
-        [] => coordinator_main(),
-        ["--worker"] => worker_main(),
-        ["--help"] | ["-h"] => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        _ => {
-            eprint!("serve: unknown arguments\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+    args::run("serve", USAGE, &["worker"], |f| {
+        let worker = f.flag("worker");
+        f.finish()?;
+        Ok(if worker {
+            worker_main()
+        } else {
+            coordinator_main()
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -279,8 +257,7 @@ fn coordinator_main() -> ExitCode {
 }
 
 fn serve_request(request: &Request) -> Result<(), String> {
-    let grid = request.resolve_grid()?;
-    let cells = grid.len();
+    let cells = request.grid.len();
     // small grids still split across every shard; large grids cap the
     // chunk so a retry never re-evaluates more than CHUNK_CELLS cells
     let chunk_cells = cells.div_ceil(request.shards).clamp(1, CHUNK_CELLS);
@@ -296,7 +273,7 @@ fn serve_request(request: &Request) -> Result<(), String> {
     println!(
         "BEGIN {} grid={} format={} cells={} shards={}",
         request.engine.label(),
-        request.grid,
+        request.grid_name,
         request.format.label(),
         cells,
         request.shards,
@@ -544,23 +521,12 @@ fn run_task(line: &str) -> Result<(), String> {
         .strip_prefix("task ")
         .ok_or_else(|| format!("unexpected line {line:?}"))?;
     // a task line is a request plus the chunk's cell range (and the
-    // fault hook); every other field goes through the request grammar
-    let mut range = 0..0;
-    let mut crash = None;
-    let mut fields = Vec::new();
-    for word in rest.split_whitespace() {
-        if let Some(value) = word.strip_prefix("range=") {
-            let (a, b) = value.split_once(':').ok_or("range needs a:b")?;
-            range = a.parse().map_err(|e| format!("range: {e}"))?
-                ..b.parse().map_err(|e| format!("range: {e}"))?;
-        } else if let Some(value) = word.strip_prefix("crash=") {
-            crash = Some(value.parse().map_err(|e| format!("crash: {e}"))?);
-        } else {
-            fields.push(word);
-        }
-    }
-    let request = Request::parse(&fields.join(" "))?;
-    let grid = request.resolve_grid()?;
+    // fault hook), all in one field list
+    let (engine, mut fields) = Request::fields(rest)?;
+    let range = fields.range("range")?.unwrap_or(0..0);
+    let crash: Option<usize> = fields.parse("crash")?;
+    let request = Request::read(engine, &mut fields)?;
+    let grid = &request.grid;
     if range.start > range.end || range.end > grid.len() {
         return Err(format!(
             "range {}:{} outside the {}-cell grid",
@@ -594,7 +560,7 @@ fn run_task(line: &str) -> Result<(), String> {
 
     let summary = match request.engine {
         EngineKind::Sweep => SweepEngine::new().workers(1).stream_rows(
-            &grid,
+            grid,
             range.clone(),
             request.format,
             cache.as_ref(),
@@ -603,7 +569,7 @@ fn run_task(line: &str) -> Result<(), String> {
         EngineKind::Mc => {
             let plan = ReplicationPlan::new(request.replications).master_seed(request.master_seed);
             McEngine::new().workers(1).stream_rows(
-                &grid,
+                grid,
                 &plan,
                 range.clone(),
                 request.format,
@@ -612,7 +578,7 @@ fn run_task(line: &str) -> Result<(), String> {
             )
         }
         EngineKind::Optimize => DeploymentOptimizer::new().workers(1).stream_rows(
-            &grid,
+            grid,
             &serve_search_space(),
             range.clone(),
             request.format,

@@ -14,6 +14,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use corridor_bench::args::{self, Fields};
 use corridor_bench::{render, scenario};
 use corridor_core::deploy::IsdTable;
 use corridor_core::report::TextTable;
@@ -34,118 +35,62 @@ options:
   --nodes N     repeaters per segment, 0-10 (default: 10)
   --policy P    wake policy: instant | paper (default: paper)
   --stats       print the fixed-seed Poisson statistics report and exit
+                (fixed configuration; not combinable with other options)
   --help        this text
 ";
 
-struct Options {
-    model: TrafficModel,
-    model_name: String,
-    seed: u64,
-    days: usize,
-    nodes: usize,
-    policy: WakePolicy,
-    policy_name: String,
-    stats: bool,
-}
-
-fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        model: TrafficModel::Poisson(PoissonTimetable::paper_rate()),
-        model_name: "poisson".into(),
-        seed: 42,
-        days: 1,
-        nodes: 10,
-        policy: WakePolicy::paper_default(),
-        policy_name: "paper".into(),
-        stats: false,
-    };
-    let _ = args.next(); // binary name
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--model" => {
-                let name = value("--model")?;
-                opts.model = match name.as_str() {
-                    "deterministic" => TrafficModel::Deterministic(Timetable::paper_default()),
-                    "poisson" => TrafficModel::Poisson(PoissonTimetable::paper_rate()),
-                    "jittered" => TrafficModel::Jittered {
-                        base: Timetable::paper_default(),
-                        delays: DelayModel::typical(),
-                    },
-                    "mixed" => TrafficModel::Mixed(MixedTimetable::paper_mixed()),
-                    other => return Err(format!("unknown model {other}")),
-                };
-                opts.model_name = name;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--days" => {
-                opts.days = value("--days")?
-                    .parse()
-                    .map_err(|e| format!("--days: {e}"))?;
-                if opts.days == 0 {
-                    return Err("--days must be at least 1".into());
-                }
-            }
-            "--nodes" => {
-                opts.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?;
-                if opts.nodes > 10 {
-                    return Err("--nodes must be 0-10 (the paper's ISD table)".into());
-                }
-            }
-            "--policy" => {
-                let name = value("--policy")?;
-                opts.policy = match name.as_str() {
-                    "instant" => WakePolicy::instant(),
-                    "paper" => WakePolicy::paper_default(),
-                    other => return Err(format!("unknown policy {other}")),
-                };
-                opts.policy_name = name;
-            }
-            "--stats" => opts.stats = true,
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    Ok(Some(opts))
-}
-
 fn main() -> ExitCode {
-    let opts = match parse(std::env::args()) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("simulate: {message}");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    args::run("simulate", USAGE, &["stats"], run)
+}
 
-    if opts.stats {
+fn run(f: &mut Fields) -> Result<ExitCode, String> {
+    let stats = f.standalone("stats")?;
+    let models = [
+        (
+            "poisson",
+            TrafficModel::Poisson(PoissonTimetable::paper_rate()),
+        ),
+        (
+            "deterministic",
+            TrafficModel::Deterministic(Timetable::paper_default()),
+        ),
+        (
+            "jittered",
+            TrafficModel::Jittered {
+                base: Timetable::paper_default(),
+                delays: DelayModel::typical(),
+            },
+        ),
+        ("mixed", TrafficModel::Mixed(MixedTimetable::paper_mixed())),
+    ];
+    let (model_name, model) = f.pick("model", models)?;
+    let policies = [
+        ("paper", WakePolicy::paper_default()),
+        ("instant", WakePolicy::instant()),
+    ];
+    let (policy_name, policy) = f.pick("policy", policies)?;
+    let seed = f.parse("seed")?.unwrap_or(42);
+    let days = f.reps("days")?.unwrap_or(1);
+    let nodes = f.nodes()?;
+    f.finish()?;
+
+    if stats {
         print!("{}", render::poisson_stats());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let params = scenario();
     let isd = IsdTable::paper()
-        .isd_for(opts.nodes)
+        .isd_for(nodes)
         .expect("nodes validated to 0-10");
-    let evaluator = EventDrivenEvaluator::with_policy(opts.policy);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(opts.seed);
+    let evaluator = EventDrivenEvaluator::with_policy(policy);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 
     let started = Instant::now();
-    let mut reports = Vec::with_capacity(opts.days);
-    for _ in 0..opts.days {
-        let passes = opts.model.passes(&mut rng);
-        reports.push(evaluator.simulate_segment(&params, opts.nodes, isd, &passes));
+    let mut reports = Vec::with_capacity(days);
+    for _ in 0..days {
+        let passes = model.passes(&mut rng);
+        reports.push(evaluator.simulate_segment(&params, nodes, isd, &passes));
     }
     let elapsed = started.elapsed();
 
@@ -153,11 +98,11 @@ fn main() -> ExitCode {
     println!();
     println!(
         "model: {}  seed: {}  days: {}  policy: {}",
-        opts.model_name, opts.seed, opts.days, opts.policy_name
+        model_name, seed, days, policy_name
     );
     println!(
         "segment: {} repeater(s) at ISD {:.0} m, LP spacing {:.0} m",
-        opts.nodes,
+        nodes,
         isd.value(),
         params.lp_spacing().value()
     );
@@ -237,11 +182,11 @@ fn main() -> ExitCode {
     // strategies
     for strategy in EnergyStrategy::ALL {
         let simulated =
-            EventDrivenEvaluator::power_from_report(&params, opts.nodes, isd, strategy, first)
+            EventDrivenEvaluator::power_from_report(&params, nodes, isd, strategy, first)
                 .total()
                 .value();
         let analytic = AnalyticEvaluator
-            .average_power_per_km(&params, opts.nodes, isd, strategy)
+            .average_power_per_km(&params, nodes, isd, strategy)
             .total()
             .value();
         split.add_row(vec![
@@ -254,9 +199,9 @@ fn main() -> ExitCode {
     println!("{}", split.render());
     eprintln!(
         "simulated {} day(s) in {:.1} ms ({:.0} events/s)",
-        opts.days,
+        reports.len(),
         elapsed.as_secs_f64() * 1e3,
         mean_events * days / elapsed.as_secs_f64().max(1e-9)
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

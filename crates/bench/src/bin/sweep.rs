@@ -15,8 +15,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use corridor_bench::args::{self, Fields};
 use corridor_core::report::TextTable;
-use corridor_core::sink::{RowFormat, WriteSink};
+use corridor_core::sink::WriteSink;
 use corridor_core::solar::climate;
 use corridor_core::EnergyStrategy;
 use corridor_sim::{PvOutcome, ResultCache, ScenarioGrid, SweepEngine};
@@ -29,8 +30,8 @@ options:
   --nodes N       repeaters per segment, 0-10 (default 10)
   --no-pv         skip the per-cell PV sizing (the expensive step)
   --demo          8-cell demo grid instead of the 200-cell screening grid
-  --csv PATH      write the per-cell report as CSV
-  --json PATH     write the per-cell report as JSON
+  --csv PATH      write the per-cell report as CSV (not with --stream)
+  --json PATH     write the per-cell report as JSON (not with --stream)
   --stream PATH   stream rows straight to PATH with flat memory (no report)
   --format F      row format for --stream: csv (default) or json
   --cache DIR     scenario-hash result cache for --stream: re-runs only
@@ -38,80 +39,26 @@ options:
   --help          this text
 ";
 
-struct Options {
-    workers: usize,
-    nodes: usize,
-    pv: bool,
-    demo: bool,
-    csv: Option<String>,
-    json: Option<String>,
-    stream: Option<String>,
-    format: RowFormat,
-    cache: Option<String>,
-}
-
-fn parse(mut args: std::env::Args) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        workers: 0,
-        nodes: 10,
-        pv: true,
-        demo: false,
-        csv: None,
-        json: None,
-        stream: None,
-        format: RowFormat::Csv,
-        cache: None,
-    };
-    let _ = args.next(); // binary name
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--workers" => {
-                opts.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--nodes" => {
-                opts.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?;
-                if opts.nodes > 10 {
-                    return Err("--nodes must be 0-10 (the paper's ISD table)".into());
-                }
-            }
-            "--no-pv" => opts.pv = false,
-            "--demo" => opts.demo = true,
-            "--csv" => opts.csv = Some(value("--csv")?),
-            "--json" => opts.json = Some(value("--json")?),
-            "--stream" => opts.stream = Some(value("--stream")?),
-            "--format" => {
-                let label = value("--format")?;
-                opts.format = RowFormat::from_label(&label)
-                    .ok_or(format!("--format must be csv or json, not {label:?}"))?;
-            }
-            "--cache" => opts.cache = Some(value("--cache")?),
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    Ok(Some(opts))
-}
-
 fn main() -> ExitCode {
-    let opts = match parse(std::env::args()) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("sweep: {message}");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    args::run("sweep", USAGE, &["no-pv", "demo"], run)
+}
 
-    let base = if opts.demo {
+fn run(f: &mut Fields) -> Result<ExitCode, String> {
+    // the stream path writes no report, and the report path no stream
+    f.applies(&["format", "cache"], "stream", true)?;
+    f.applies(&["csv", "json"], "stream", false)?;
+    let workers = f.workers()?;
+    let nodes = f.nodes()?;
+    let pv = !f.flag("no-pv");
+    let demo = f.flag("demo");
+    let csv = f.value("csv")?;
+    let json = f.value("json")?;
+    let stream = f.value("stream")?;
+    let format = f.format()?;
+    let cache = f.value("cache")?;
+    f.finish()?;
+
+    let base = if demo {
         ScenarioGrid::new()
             .trains_per_hour(vec![4.0, 8.0])
             .train_speeds_kmh(vec![160.0, 200.0])
@@ -119,22 +66,19 @@ fn main() -> ExitCode {
     } else {
         ScenarioGrid::screening_200()
     };
-    let grid = match base.repeater_nodes(opts.nodes) {
+    let grid = match base.repeater_nodes(nodes) {
         Ok(grid) => grid,
         Err(err) => {
             eprintln!("sweep: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
     // resolve the worker count once and hand it to the engine, so the
     // banner below always matches the pool that actually runs
-    let workers = if opts.workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        opts.workers
-    };
-    let engine = SweepEngine::new().workers(workers).pv_sizing(opts.pv);
+    let workers =
+        workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
+    let engine = SweepEngine::new().workers(workers).pv_sizing(pv);
 
     println!(
         "sweep: {} cells ({} repeater nodes @ {:.0} m), {} worker{}, PV sizing {}",
@@ -143,18 +87,18 @@ fn main() -> ExitCode {
         grid.deployment_isd().value(),
         workers,
         if workers == 1 { "" } else { "s" },
-        if opts.pv { "on" } else { "off" },
+        if pv { "on" } else { "off" },
     );
 
-    if let Some(path) = &opts.stream {
+    if let Some(path) = &stream {
         // flat-memory path: rows go straight to the file, the full
         // report never exists in memory
-        let cache = match &opts.cache {
+        let cache = match &cache {
             Some(dir) => match ResultCache::open(dir) {
                 Ok(cache) => Some(cache),
                 Err(error) => {
                     eprintln!("sweep: cannot open cache {dir}: {error}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             None => None,
@@ -163,26 +107,26 @@ fn main() -> ExitCode {
             Ok(file) => file,
             Err(error) => {
                 eprintln!("sweep: cannot create {path}: {error}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let mut sink = WriteSink::new(std::io::BufWriter::new(file));
         let started = Instant::now();
-        let summary = match engine.stream_with(&grid, opts.format, &mut sink, cache.as_ref()) {
+        let summary = match engine.stream_with(&grid, format, &mut sink, cache.as_ref()) {
             Ok(summary) => summary,
             Err(error) => {
                 eprintln!("sweep: streaming failed: {error}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let elapsed = started.elapsed();
         println!(
             "streamed {} rows ({}) to {path} in {:.2} s",
             summary.rows,
-            opts.format.label(),
+            format.label(),
             elapsed.as_secs_f64(),
         );
-        if opts.cache.is_some() {
+        if cache.is_some() {
             println!(
                 "cache: {} hits, {} misses ({:.0} % warm)",
                 summary.cache_hits,
@@ -190,7 +134,7 @@ fn main() -> ExitCode {
                 summary.hit_rate() * 100.0,
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let started = Instant::now();
@@ -198,7 +142,7 @@ fn main() -> ExitCode {
         Ok(report) => report,
         Err(error) => {
             eprintln!("sweep: invalid grid: {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let elapsed = started.elapsed();
@@ -229,7 +173,7 @@ fn main() -> ExitCode {
     }
     println!("{}", table.render());
 
-    if opts.pv {
+    if pv {
         let (mut sized, mut unsolvable) = (0usize, 0usize);
         for r in report.results() {
             match r.pv() {
@@ -241,19 +185,19 @@ fn main() -> ExitCode {
         println!("PV sizing: {sized} cells sized, {unsolvable} unsolvable");
     }
 
-    if let Some(path) = &opts.csv {
+    if let Some(path) = &csv {
         if let Err(error) = report.write_csv(path) {
             eprintln!("sweep: cannot write {path}: {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("wrote CSV to {path}");
     }
-    if let Some(path) = &opts.json {
+    if let Some(path) = &json {
         if let Err(error) = report.write_json(path) {
             eprintln!("sweep: cannot write {path}: {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("wrote JSON to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -5,11 +5,14 @@
 //! the paper plus the batch scenario sweeps.
 //! The [`render`] module holds the exact text each reproduction binary
 //! prints, so the golden-file regression test can assert it against the
-//! committed outputs under `docs/results/`.
+//! committed outputs under `docs/results/`. The [`args`] module is the
+//! one argument grammar of the engine CLIs and of `serve`'s request
+//! lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod render;
 pub mod snapshot;
 
