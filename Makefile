@@ -40,10 +40,13 @@ sim-differential:
 
 # Early-exit Table IV search vs a copy of the full search it replaced
 # (proptest oracle over random loads, sites, ladders and seeds: same
-# candidate, bit-identical winner stats), in release like the served
-# binaries.
+# candidate, bit-identical winner stats), and the sky-table weather
+# years vs a copy of the per-seed computation (any latitude, mounting,
+# albedo, weather and seed: bit-identical years), both in release like
+# the served binaries.
 sizing-oracle:
 	cargo test --release -p corridor_solar --test sizing_oracle
+	cargo test --release -p corridor_solar --lib environment
 
 # Monte-Carlo smoke: 3-cell grid x 10 replications, byte-diffed against
 # the committed golden (plus the engine's own determinism/convergence suite).

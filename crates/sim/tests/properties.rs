@@ -95,6 +95,61 @@ proptest! {
             prop_assert!((-1.0..1.0).contains(&s), "savings {s} for {strategy:?}");
         }
     }
+
+    /// Metamorphic: more trains per hour never lower the energy per km,
+    /// for the conventional baseline or any strategy, with every other
+    /// axis fixed.
+    #[test]
+    fn energy_per_km_is_monotone_in_trains_per_hour(
+        tph in 0.5..30.0f64,
+        more in 0.0..10.0f64,
+        speed in 60.0..320.0f64,
+        shape in (0usize..3, 0usize..3, 0usize..3, 1usize..=10),
+    ) {
+        let (length, spacing, isd, nodes) = shape;
+        let grid = ScenarioGrid::new()
+            .trains_per_hour(vec![tph, tph + more])
+            .train_speeds_kmh(vec![speed])
+            .train_lengths_m(vec![LENGTHS[length]])
+            .lp_spacings_m(vec![SPACINGS[spacing]])
+            .conventional_isds_m(vec![ISDS[isd]])
+            .repeater_nodes(nodes)
+            .unwrap();
+        let report = SweepEngine::new().workers(1).pv_sizing(false).run(&grid).unwrap();
+        let [sparse, dense] = report.results() else {
+            panic!("expected two cells, got {}", report.len());
+        };
+        prop_assert_eq!(sparse.cell().trains_per_hour(), tph);
+        prop_assert_eq!(dense.cell().trains_per_hour(), tph + more);
+        prop_assert!(
+            dense.baseline().total() >= sparse.baseline().total(),
+            "baseline: {} -> {} tph lowered energy", tph, tph + more
+        );
+        for strategy in EnergyStrategy::ALL {
+            prop_assert!(
+                dense.split(strategy).total() >= sparse.split(strategy).total(),
+                "{strategy:?}: {} -> {} tph lowered energy", tph, tph + more
+            );
+        }
+    }
+}
+
+/// Metamorphic: solar-powered repeaters draw no mains power. On every
+/// cell of the 200-cell screening sweep (PV sizing on, as served), the
+/// `SolarPoweredRepeaters` split's service and donor power are zero.
+#[test]
+fn solar_repeaters_draw_no_mains_power_on_the_screening_sweep() {
+    let report = SweepEngine::new()
+        .workers(1)
+        .run(&ScenarioGrid::screening_200())
+        .unwrap();
+    assert_eq!(report.len(), 200);
+    for result in report.results() {
+        let split = result.split(EnergyStrategy::SolarPoweredRepeaters);
+        assert_eq!(split.service, Watts::ZERO, "{}", result.cell());
+        assert_eq!(split.donor, Watts::ZERO, "{}", result.cell());
+        assert!(split.hp > Watts::ZERO, "{}", result.cell());
+    }
 }
 
 /// Every split of the 200-cell screening sweep equals the core energy

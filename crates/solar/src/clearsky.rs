@@ -45,7 +45,12 @@ impl ClearSky {
     /// Clear-sky global horizontal irradiance (W/m²) at day `doy`, local
     /// solar time `hour`; zero when the sun is below the horizon.
     pub fn ghi_w_m2(&self, doy: u32, hour: f64) -> f64 {
-        let elev = self.geometry.elevation_deg(doy, hour);
+        Self::ghi_at_elevation(self.geometry.elevation_deg(doy, hour))
+    }
+
+    /// Clear-sky GHI (W/m²) with the sun at `elev` degrees; zero when the
+    /// sun is below the horizon.
+    pub(crate) fn ghi_at_elevation(elev: f64) -> f64 {
         if elev <= 0.0 {
             return 0.0;
         }

@@ -57,12 +57,7 @@ impl SolarGeometry {
     /// Solar elevation above the horizon (degrees) at day `doy` and local
     /// solar time `hour`; negative below the horizon.
     pub fn elevation_deg(&self, doy: u32, hour: f64) -> f64 {
-        let lat = self.latitude_deg.to_radians();
-        let dec = Self::declination_deg(doy).to_radians();
-        let ha = Self::hour_angle_deg(hour).to_radians();
-        (lat.sin() * dec.sin() + lat.cos() * dec.cos() * ha.cos())
-            .asin()
-            .to_degrees()
+        self.sun_day(doy).elevation_deg(hour)
     }
 
     /// Solar zenith angle (degrees): `90 − elevation`.
@@ -72,18 +67,8 @@ impl SolarGeometry {
 
     /// Solar azimuth (degrees from south, west positive).
     pub fn azimuth_deg(&self, doy: u32, hour: f64) -> f64 {
-        let lat = self.latitude_deg.to_radians();
-        let dec = Self::declination_deg(doy).to_radians();
-        let ha = Self::hour_angle_deg(hour).to_radians();
-        let elev = self.elevation_deg(doy, hour).to_radians();
-        // standard formula; guard the acos argument against rounding
-        let cos_az = (elev.sin() * lat.sin() - dec.sin()) / (elev.cos() * lat.cos());
-        let az = cos_az.clamp(-1.0, 1.0).acos().to_degrees();
-        if ha < 0.0 {
-            -az
-        } else {
-            az
-        }
+        let day = self.sun_day(doy);
+        day.azimuth_deg(hour, day.elevation_deg(hour))
     }
 
     /// Sunrise hour angle magnitude (degrees); 0 for polar night, 180 for
@@ -112,11 +97,75 @@ impl SolarGeometry {
         tilt_deg: f64,
         plane_azimuth_deg: f64,
     ) -> f64 {
-        let elev = self.elevation_deg(doy, hour).to_radians();
+        let day = self.sun_day(doy);
+        day.incidence_cosine(hour, day.elevation_deg(hour), tilt_deg, plane_azimuth_deg)
+    }
+
+    /// The latitude and declination terms shared by every hour of day
+    /// `doy`.
+    pub(crate) fn sun_day(&self, doy: u32) -> SunDay {
+        let lat = self.latitude_deg.to_radians();
+        let dec = Self::declination_deg(doy).to_radians();
+        SunDay {
+            lat_sin: lat.sin(),
+            lat_cos: lat.cos(),
+            dec_sin: dec.sin(),
+            dec_cos: dec.cos(),
+        }
+    }
+}
+
+/// One day of [`SolarGeometry`]: the sines and cosines of latitude and
+/// declination, computed once so a caller that walks the day's hours can
+/// also compute each hour's elevation once and pass it on. Every
+/// `SolarGeometry` position method runs through these, so a table built
+/// from them is bit-identical to the per-call methods.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SunDay {
+    lat_sin: f64,
+    lat_cos: f64,
+    dec_sin: f64,
+    dec_cos: f64,
+}
+
+impl SunDay {
+    /// Solar elevation (degrees) at local solar time `hour`.
+    pub(crate) fn elevation_deg(&self, hour: f64) -> f64 {
+        let ha = SolarGeometry::hour_angle_deg(hour).to_radians();
+        (self.lat_sin * self.dec_sin + self.lat_cos * self.dec_cos * ha.cos())
+            .asin()
+            .to_degrees()
+    }
+
+    /// Solar azimuth (degrees from south, west positive) at `hour`, whose
+    /// elevation is `elevation_deg`.
+    fn azimuth_deg(&self, hour: f64, elevation_deg: f64) -> f64 {
+        let ha = SolarGeometry::hour_angle_deg(hour).to_radians();
+        let elev = elevation_deg.to_radians();
+        // standard formula; guard the acos argument against rounding
+        let cos_az = (elev.sin() * self.lat_sin - self.dec_sin) / (elev.cos() * self.lat_cos);
+        let az = cos_az.clamp(-1.0, 1.0).acos().to_degrees();
+        if ha < 0.0 {
+            -az
+        } else {
+            az
+        }
+    }
+
+    /// [`SolarGeometry::incidence_cosine`] at `hour`, whose elevation is
+    /// `elevation_deg`.
+    pub(crate) fn incidence_cosine(
+        &self,
+        hour: f64,
+        elevation_deg: f64,
+        tilt_deg: f64,
+        plane_azimuth_deg: f64,
+    ) -> f64 {
+        let elev = elevation_deg.to_radians();
         if elev <= 0.0 {
             return 0.0;
         }
-        let sun_az = self.azimuth_deg(doy, hour).to_radians();
+        let sun_az = self.azimuth_deg(hour, elevation_deg).to_radians();
         let tilt = tilt_deg.to_radians();
         let plane_az = plane_azimuth_deg.to_radians();
         let cos_inc = elev.sin() * tilt.cos() + elev.cos() * tilt.sin() * (sun_az - plane_az).cos();

@@ -141,9 +141,20 @@ impl OffGridSystem {
         self
     }
 
-    /// Overrides the weather variability (0 = deterministic normals).
+    /// Overrides the weather variability (0 = deterministic normals) and
+    /// the day-to-day persistence of its anomalies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `variability` is negative or NaN, or if `persistence` is
+    /// outside `[0, 1)` — the contracts of
+    /// [`WeatherGenerator::with_variability`] and
+    /// [`WeatherGenerator::with_persistence`], checked here rather than
+    /// when a year is first simulated.
     #[must_use]
     pub fn with_weather_variability(mut self, variability: f64, persistence: f64) -> Self {
+        WeatherGenerator::check_variability(variability);
+        WeatherGenerator::check_persistence(persistence);
         self.variability = variability;
         self.persistence = persistence;
         self
@@ -174,9 +185,12 @@ impl OffGridSystem {
     /// The battery starts full on January 1st; the seed fully determines
     /// the weather, so results are reproducible.
     ///
-    /// The candidate-independent environment (seeded clearness draws and
-    /// plane-of-array transposition) is computed once per
-    /// `(site, mounting, weather, seed)` and shared process-wide, so a
+    /// The candidate-independent environment is cached process-wide in
+    /// two levels. The solar geometry of the year (hourly clear-sky
+    /// irradiance and beam ratios) is computed once per
+    /// `(latitude, tilt, azimuth)`. Each `(site, mounting, weather, seed)`
+    /// then draws its daily clearness and projects it through that table
+    /// once. So a site's seed years share one geometry computation, and a
     /// sizing search re-simulating the same weather year through many
     /// PV/battery candidates pays only for the battery stepping.
     pub fn simulate_year(&self, seed: u64) -> YearStats {
@@ -316,6 +330,30 @@ mod tests {
         let b = sys.simulate_year(99);
         // zero variability: the seed is irrelevant
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "variability must be non-negative")]
+    fn negative_variability_rejected_when_set() {
+        let _ = system(climate::lyon(), 3, 720.0).with_weather_variability(-0.5, 0.6);
+    }
+
+    #[test]
+    #[should_panic(expected = "variability must be non-negative")]
+    fn nan_variability_rejected_when_set() {
+        let _ = system(climate::lyon(), 3, 720.0).with_weather_variability(f64::NAN, 0.6);
+    }
+
+    #[test]
+    #[should_panic(expected = "persistence must be in [0, 1)")]
+    fn persistence_of_one_rejected_when_set() {
+        let _ = system(climate::lyon(), 3, 720.0).with_weather_variability(0.95, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "persistence must be in [0, 1)")]
+    fn nan_persistence_rejected_when_set() {
+        let _ = system(climate::lyon(), 3, 720.0).with_weather_variability(0.95, f64::NAN);
     }
 
     #[test]

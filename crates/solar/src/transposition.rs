@@ -1,5 +1,6 @@
 //! Transposition of horizontal irradiance onto a tilted plane.
 
+use crate::geometry::SunDay;
 use crate::{ClearSky, SolarGeometry};
 
 /// Converts global horizontal irradiance to plane-of-array irradiance on a
@@ -22,7 +23,6 @@ use crate::{ClearSky, SolarGeometry};
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transposition {
     geometry: SolarGeometry,
-    clear_sky: ClearSky,
     tilt_deg: f64,
     plane_azimuth_deg: f64,
     ground_albedo: f64,
@@ -39,7 +39,6 @@ impl Transposition {
         assert!((0.0..=90.0).contains(&tilt_deg), "tilt out of range");
         Transposition {
             geometry,
-            clear_sky: ClearSky::new(geometry),
             tilt_deg,
             plane_azimuth_deg,
             ground_albedo: 0.2,
@@ -93,25 +92,37 @@ impl Transposition {
     /// Plane-of-array irradiance (W/m²) at day `doy`, local solar time
     /// `hour`, and daily clearness index `kt`.
     pub fn poa_w_m2(&self, doy: u32, hour: f64, kt: f64) -> f64 {
-        let ghi = self.clear_sky.ghi_w_m2(doy, hour) * kt.clamp(0.0, 1.0);
+        let day = self.geometry.sun_day(doy);
+        let elev = day.elevation_deg(hour);
+        let ghi = ClearSky::ghi_at_elevation(elev) * kt.clamp(0.0, 1.0);
         if ghi <= 0.0 {
             return 0.0;
         }
-        let df = Self::diffuse_fraction(kt);
+        let rb = self.beam_ratio(&day, hour, elev);
+        self.project(ghi, Self::diffuse_fraction(kt), rb, self.view_factors())
+    }
+
+    /// Ratio of beam irradiance on the plane to beam on the horizontal at
+    /// `hour` of `day`, whose solar elevation is `elev` degrees.
+    pub(crate) fn beam_ratio(&self, day: &SunDay, hour: f64, elev: f64) -> f64 {
+        let cos_zenith = elev.to_radians().sin().max(0.05); // avoid horizon blow-up
+        let cos_inc = day.incidence_cosine(hour, elev, self.tilt_deg, self.plane_azimuth_deg);
+        cos_inc / cos_zenith
+    }
+
+    /// The plane's isotropic sky-view and ground-view factors.
+    pub(crate) fn view_factors(&self) -> (f64, f64) {
+        let tilt_rad = self.tilt_deg.to_radians();
+        ((1.0 + tilt_rad.cos()) / 2.0, (1.0 - tilt_rad.cos()) / 2.0)
+    }
+
+    /// Plane-of-array irradiance (W/m²) of an hour with horizontal
+    /// irradiance `ghi` > 0, Erbs diffuse fraction `df` and beam ratio
+    /// `rb` ([`Transposition::beam_ratio`]).
+    pub(crate) fn project(&self, ghi: f64, df: f64, rb: f64, views: (f64, f64)) -> f64 {
+        let (sky_view, ground_view) = views;
         let diffuse = ghi * df;
         let beam_horizontal = ghi - diffuse;
-
-        let elev = self.geometry.elevation_deg(doy, hour);
-        let cos_zenith = elev.to_radians().sin().max(0.05); // avoid horizon blow-up
-        let cos_inc =
-            self.geometry
-                .incidence_cosine(doy, hour, self.tilt_deg, self.plane_azimuth_deg);
-        let rb = cos_inc / cos_zenith;
-
-        let tilt_rad = self.tilt_deg.to_radians();
-        let sky_view = (1.0 + tilt_rad.cos()) / 2.0;
-        let ground_view = (1.0 - tilt_rad.cos()) / 2.0;
-
         beam_horizontal * rb + diffuse * sky_view + ghi * self.ground_albedo * ground_view
     }
 

@@ -65,7 +65,7 @@ impl WeatherGenerator {
     /// Panics if `variability` is negative.
     #[must_use]
     pub fn with_variability(mut self, variability: f64) -> Self {
-        assert!(variability >= 0.0, "variability must be non-negative");
+        Self::check_variability(variability);
         self.variability = variability;
         self
     }
@@ -77,12 +77,24 @@ impl WeatherGenerator {
     /// Panics if `persistence` is outside `[0, 1)`.
     #[must_use]
     pub fn with_persistence(mut self, persistence: f64) -> Self {
+        Self::check_persistence(persistence);
+        self.persistence = persistence;
+        self
+    }
+
+    /// The variability contract of [`WeatherGenerator::with_variability`]:
+    /// non-negative (so not NaN).
+    pub(crate) fn check_variability(variability: f64) {
+        assert!(variability >= 0.0, "variability must be non-negative");
+    }
+
+    /// The persistence contract of [`WeatherGenerator::with_persistence`]:
+    /// in `[0, 1)` (so not NaN).
+    pub(crate) fn check_persistence(persistence: f64) {
         assert!(
             (0.0..1.0).contains(&persistence),
             "persistence must be in [0, 1)"
         );
-        self.persistence = persistence;
-        self
     }
 
     /// The location whose normals are used.
