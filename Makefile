@@ -77,10 +77,12 @@ network-differential:
 	cargo test -q -p corridor_sim --test network_day
 
 # Streaming serve smoke: the sharded worker-process service answers the
-# committed requests with the committed byte stream (mixed-8 sweep in
-# both formats across 2 shards), plus the serve fault-injection suite.
+# committed session with the committed byte stream (a mixed-8 sweep in
+# both formats around an mc and an optimize request on smoke-3, across
+# 2 shards, all served by the same session's workers), plus the serve
+# fault-injection and session suite.
 serve-smoke:
-	printf 'sweep grid=mixed-8 format=csv shards=2\nsweep grid=mixed-8 format=json shards=2\n' \
+	printf 'sweep grid=mixed-8 format=csv shards=2\nmc grid=smoke-3 format=csv shards=2 reps=3 seed=9\noptimize grid=smoke-3 format=json shards=2\nsweep grid=mixed-8 format=json shards=2\n' \
 		| cargo run -q --release -p corridor_bench --bin serve \
 		| diff - docs/results/serve_smoke.txt
 	cargo test -q --release -p corridor_bench --test serve

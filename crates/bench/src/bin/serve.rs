@@ -35,26 +35,42 @@
 //! payload bytes — so a client can verify integrity without re-hashing
 //! upstream state. Diagnostics (worker deaths, retries) go to stderr.
 //!
-//! # Fault tolerance
+//! # Worker pool
 //!
 //! Cells are cut into chunks and run on `rayon::stream_ordered`, the
 //! ordered executor every engine uses: `shards` threads (the calling
 //! thread alone for one shard), at most `2 × shards` chunks in flight,
 //! and rows emitted in chunk order. Each thread hands its chunk to a
-//! child process (`serve --worker`) borrowed from a per-request pool,
-//! over a line protocol with length-prefixed row frames; the first
-//! failed chunk in order cancels the chunks not yet dispatched and ends
-//! the response with `ERROR`. A worker death mid-chunk is detected by
-//! the broken pipe / truncated frame stream; the coordinator respawns
-//! the child and re-dispatches the chunk (the rows are deterministic, so
-//! a retry reproduces them exactly). Setting
+//! child process (`serve --worker`) taken from the session's idle pool,
+//! over a line protocol with length-prefixed row frames, and spawns a
+//! child only when no idle one is left. Workers outlive the request: the
+//! ones the first request spawns answer every later request with their
+//! process-wide memos (`active_hours`, the solar sky tables and seed
+//! years) already warm. The pool stays bounded without a setting: after
+//! each request, before its trailer is written, idle workers beyond
+//! `std::thread::available_parallelism()` are killed and reaped. At
+//! stdin EOF every worker is killed and reaped before `serve` exits, so
+//! worker CPU time counts in the caller's `RUSAGE_CHILDREN`.
+//!
+//! # Fault tolerance
+//!
+//! The first failed chunk in order cancels the chunks not yet
+//! dispatched and ends the response with `ERROR`. A worker's `error`
+//! answer (an unusable cache directory, say) fails its chunk at once,
+//! and the worker, still in step, goes back to the pool. Only a worker
+//! death respawns one: EOF or a truncated frame mid-chunk, a `done`
+//! trailer that does not match the frames, any other line outside the
+//! protocol, or a failed write to an idle worker that died. The dead
+//! child is reaped and the chunk re-dispatched, up to [`MAX_ATTEMPTS`]
+//! attempts (the rows are deterministic, so a retry reproduces them
+//! exactly); no worker is spawned after the last one fails. Setting
 //! `CORRIDOR_SERVE_CRASH_CELL=<index>` makes the *first* attempt at the
-//! chunk holding that cell kill its worker mid-shard — the
-//! fault-injection hook the serve tests use.
+//! chunk holding that cell, in every request, kill its worker
+//! mid-shard — the fault-injection hook the serve tests use.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitCode, Stdio};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use corridor_bench::args::{self, Fields};
 use corridor_core::hash::Sha256;
@@ -218,14 +234,15 @@ struct ChunkResult {
 }
 
 fn coordinator_main() -> ExitCode {
-    let stdin = io::stdin();
+    let pool = WorkerPool::new();
     let mut failed = false;
-    for line in stdin.lock().lines() {
+    for line in io::stdin().lock().lines() {
         let line = match line {
             Ok(line) => line,
             Err(error) => {
                 eprintln!("serve: stdin: {error}");
-                return ExitCode::FAILURE;
+                failed = true;
+                break;
             }
         };
         let trimmed = line.trim();
@@ -234,7 +251,7 @@ fn coordinator_main() -> ExitCode {
         }
         match Request::parse(trimmed) {
             Ok(request) => {
-                if let Err(error) = serve_request(&request) {
+                if let Err(error) = serve_request(&request, &pool) {
                     // the protocol stays parseable: an ERROR line instead
                     // of an END trailer tells the client the stream is void
                     println!("ERROR {error}");
@@ -249,6 +266,9 @@ fn coordinator_main() -> ExitCode {
             }
         }
     }
+    // kill and reap every worker before exiting, so their CPU time
+    // counts in the caller's RUSAGE_CHILDREN
+    drop(pool);
     if failed {
         ExitCode::FAILURE
     } else {
@@ -256,7 +276,7 @@ fn coordinator_main() -> ExitCode {
     }
 }
 
-fn serve_request(request: &Request) -> Result<(), String> {
+fn serve_request(request: &Request, pool: &WorkerPool) -> Result<(), String> {
     let cells = request.grid.len();
     // small grids still split across every shard; large grids cap the
     // chunk so a retry never re-evaluates more than CHUNK_CELLS cells
@@ -287,23 +307,11 @@ fn serve_request(request: &Request) -> Result<(), String> {
     let mut emitter = RowEmitter::begin(&mut sink, request.format, request.engine.csv_header())
         .map_err(|e| format!("stdout: {e}"))?;
     let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-    // idle worker processes: an executor thread borrows one per chunk
-    // (spawning it on first use); dropping the pool kills and reaps them
-    let pool: Mutex<Vec<io::Result<WorkerHandle>>> = Mutex::new(Vec::new());
-    let idle = || pool.lock().unwrap_or_else(PoisonError::into_inner);
-    rayon::stream_ordered(
+    let streamed = rayon::stream_ordered(
         chunks.enumerate(),
         shards,
         2 * shards,
-        |(index, range)| {
-            // pop in its own statement: the pool is not locked while a
-            // missing worker is spawned
-            let borrowed = idle().pop();
-            let mut worker = borrowed.unwrap_or_else(WorkerHandle::spawn);
-            let result = run_chunk_with_retry(&mut worker, request, index, &range, crash_cell);
-            idle().push(worker);
-            result
-        },
+        |(index, range)| run_chunk_with_retry(pool, request, index, &range, crash_cell),
         |result| -> Result<(), String> {
             let chunk = result.map_err(|e| format!("chunk failed: {e}"))?;
             for row in &chunk.rows {
@@ -314,7 +322,11 @@ fn serve_request(request: &Request) -> Result<(), String> {
             cache_misses += chunk.cache_misses;
             Ok(())
         },
-    )?;
+    );
+    // trimmed before the trailer, so a client that has read END sees
+    // the bounded pool
+    pool.trim();
+    streamed?;
     let rows = emitter.finish().map_err(|e| format!("stdout: {e}"))?;
     let sha256 = sink.digest.finalize_hex();
     writeln!(
@@ -378,10 +390,60 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Runs one chunk on a borrowed worker, respawning the child and
-/// re-dispatching on any mid-chunk death, up to [`MAX_ATTEMPTS`].
+/// The session's idle worker processes. An executor thread takes one
+/// per chunk (spawning a child only when none is idle) and puts it back
+/// once the chunk is answered; dropping the pool kills and reaps them.
+struct WorkerPool {
+    idle: Mutex<Vec<WorkerHandle>>,
+    /// Idle workers kept between requests: one per available CPU.
+    keep: usize,
+}
+
+impl WorkerPool {
+    fn new() -> WorkerPool {
+        WorkerPool {
+            idle: Mutex::new(Vec::new()),
+            keep: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    fn idle(&self) -> MutexGuard<'_, Vec<WorkerHandle>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An idle worker, or a freshly spawned one. The pool is not locked
+    /// while a child is spawned.
+    fn take(&self) -> io::Result<WorkerHandle> {
+        let idle = self.idle().pop();
+        idle.map_or_else(WorkerHandle::spawn, Ok)
+    }
+
+    fn put(&self, worker: WorkerHandle) {
+        self.idle().push(worker);
+    }
+
+    /// Kills and reaps the idle workers beyond [`WorkerPool::keep`],
+    /// keeping the ones put back first.
+    fn trim(&self) {
+        self.idle().truncate(self.keep);
+    }
+}
+
+/// How a chunk failed on its worker.
+enum ChunkFailure {
+    /// The worker answered `error`: it is still in step, so it goes back
+    /// to the pool, and a retry would fail the same way.
+    Answer(String),
+    /// The worker died or left the frame protocol: it is reaped and the
+    /// chunk retried on another worker.
+    Death(String),
+}
+
+/// Runs one chunk on a pooled worker. A worker death reaps the worker
+/// and re-dispatches the chunk, up to [`MAX_ATTEMPTS`]; any other
+/// outcome puts the worker back in the pool.
 fn run_chunk_with_retry(
-    worker: &mut io::Result<WorkerHandle>,
+    pool: &WorkerPool,
     request: &Request,
     index: usize,
     range: &std::ops::Range<usize>,
@@ -392,24 +454,36 @@ fn run_chunk_with_retry(
         // the injected fault fires on the first attempt only: the retry
         // must succeed and reproduce the exact rows
         let crash = crash_cell.filter(|cell| attempt == 1 && range.contains(cell));
-        let handle = match worker {
-            Ok(handle) => handle,
+        let mut worker = match pool.take() {
+            Ok(worker) => worker,
             Err(error) => {
                 last_error = format!("cannot spawn worker: {error}");
-                *worker = WorkerHandle::spawn();
                 continue;
             }
         };
-        match run_chunk(handle, request, range, crash) {
-            Ok(result) => return Ok(result),
-            Err(error) => {
-                eprintln!(
-                    "serve: chunk {index} (cells {}..{}) attempt {attempt} failed: {error}; \
-                     respawning worker and retrying",
-                    range.start, range.end,
-                );
+        match run_chunk(&mut worker, request, range, crash) {
+            Ok(result) => {
+                pool.put(worker);
+                return Ok(result);
+            }
+            Err(ChunkFailure::Answer(error)) => {
+                pool.put(worker);
+                return Err(format!(
+                    "chunk {index} (cells {}..{}): worker: {error}",
+                    range.start, range.end
+                ));
+            }
+            Err(ChunkFailure::Death(error)) => {
+                // dropping the handle kills and reaps the child
+                drop(worker);
+                if attempt < MAX_ATTEMPTS {
+                    eprintln!(
+                        "serve: chunk {index} (cells {}..{}) attempt {attempt} failed: {error}; \
+                         respawning worker and retrying",
+                        range.start, range.end,
+                    );
+                }
                 last_error = error;
-                *worker = WorkerHandle::spawn();
             }
         }
     }
@@ -424,13 +498,12 @@ fn run_chunk(
     request: &Request,
     range: &std::ops::Range<usize>,
     crash: Option<usize>,
-) -> Result<ChunkResult, String> {
+) -> Result<ChunkResult, ChunkFailure> {
+    use ChunkFailure::Death;
     let task = request.task_line(range, crash);
-    writeln!(worker.stdin, "{task}").map_err(|e| format!("worker stdin: {e}"))?;
-    worker
-        .stdin
-        .flush()
-        .map_err(|e| format!("worker stdin: {e}"))?;
+    writeln!(worker.stdin, "{task}")
+        .and_then(|()| worker.stdin.flush())
+        .map_err(|e| Death(format!("worker stdin: {e}")))?;
 
     let mut rows = Vec::new();
     let mut digest = Sha256::new();
@@ -439,27 +512,31 @@ fn run_chunk(
         let n = worker
             .stdout
             .read_line(&mut line)
-            .map_err(|e| format!("worker stdout: {e}"))?;
+            .map_err(|e| Death(format!("worker stdout: {e}")))?;
         if n == 0 {
-            return Err("worker died mid-chunk (eof)".into());
+            return Err(Death("worker died mid-chunk (eof)".into()));
         }
         let line = line.trim_end_matches('\n');
         if let Some(length) = line.strip_prefix("row ") {
-            let length: usize = length.parse().map_err(|e| format!("bad frame: {e}"))?;
+            let length: usize = length
+                .parse()
+                .map_err(|e| Death(format!("bad frame: {e}")))?;
             let mut bytes = vec![0u8; length + 1];
             worker
                 .stdout
                 .read_exact(&mut bytes)
-                .map_err(|_| "worker died mid-frame".to_owned())?;
+                .map_err(|_| Death("worker died mid-frame".into()))?;
             if bytes.pop() != Some(b'\n') {
-                return Err("frame missing terminator".into());
+                return Err(Death("frame missing terminator".into()));
             }
             digest.update(&bytes);
             rows.push(bytes);
         } else if let Some(trailer) = line.strip_prefix("done ") {
-            let (count, hits, misses, sha) = parse_done(trailer)?;
+            let (count, hits, misses, sha) = parse_done(trailer).map_err(Death)?;
             if count != rows.len() as u64 || sha != digest.finalize_hex() {
-                return Err("worker trailer does not match received frames".into());
+                return Err(Death(
+                    "worker trailer does not match received frames".into(),
+                ));
             }
             return Ok(ChunkResult {
                 rows,
@@ -467,9 +544,9 @@ fn run_chunk(
                 cache_misses: misses,
             });
         } else if let Some(error) = line.strip_prefix("error ") {
-            return Err(format!("worker: {error}"));
+            return Err(ChunkFailure::Answer(error.to_owned()));
         } else {
-            return Err(format!("unexpected worker line {line:?}"));
+            return Err(Death(format!("unexpected worker line {line:?}")));
         }
     }
 }

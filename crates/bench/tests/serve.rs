@@ -1,7 +1,8 @@
 //! End-to-end tests for the `serve` binary: protocol shape, byte
 //! equivalence with the in-memory writers, retry-on-worker-death fault
 //! injection, cache behaviour across requests, the worker's task-line
-//! frames, and typed errors for hostile requests and task lines.
+//! frames, typed errors for hostile requests and task lines, and the
+//! session-wide worker pool (reuse, respawn, trimming, flat memory).
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -310,4 +311,340 @@ fn hostile_task_ranges_get_error_lines_and_the_worker_keeps_serving() {
     assert!(first.starts_with("error "), "{stdout}");
     assert!(second.starts_with("error "), "{stdout}");
     assert_eq!(*rest, worker(good), "the worker still answers a good task");
+}
+
+/// The session-wide worker pool, watched through `/proc`: worker reuse
+/// across requests, respawn only on death, trimming and flat memory.
+#[cfg(target_os = "linux")]
+mod session {
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
+    use std::thread::JoinHandle;
+
+    use super::parse_response;
+    use corridor_sim::{
+        DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, SweepEngine,
+    };
+
+    /// A running `serve` coordinator driven one request at a time, so the
+    /// test can look at its worker processes between requests.
+    struct Session {
+        child: Child,
+        stdin: ChildStdin,
+        stdout: BufReader<ChildStdout>,
+        stderr: JoinHandle<String>,
+    }
+
+    impl Session {
+        fn start(envs: &[(&str, &str)]) -> Session {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+                .envs(envs.iter().copied())
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn serve");
+            let stdin = child.stdin.take().expect("piped stdin");
+            let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+            let mut stderr = child.stderr.take().expect("piped stderr");
+            // drained on its own thread so a chatty stderr never blocks serve
+            let stderr = std::thread::spawn(move || {
+                let mut text = String::new();
+                stderr.read_to_string(&mut text).expect("utf-8 stderr");
+                text
+            });
+            Session {
+                child,
+                stdin,
+                stdout,
+                stderr,
+            }
+        }
+
+        /// Sends one request line and returns its whole response, up to and
+        /// including the `END` (or `ERROR`) line.
+        fn request(&mut self, line: &str) -> String {
+            writeln!(self.stdin, "{line}").expect("write request");
+            self.stdin.flush().expect("flush request");
+            let mut response = String::new();
+            loop {
+                let start = response.len();
+                let n = self.stdout.read_line(&mut response).expect("read response");
+                assert!(n > 0, "serve closed stdout mid-response: {response}");
+                let last = &response[start..];
+                if last.starts_with("END ") || last.starts_with("ERROR ") {
+                    return response;
+                }
+            }
+        }
+
+        /// The PIDs of serve's child processes (its workers).
+        fn workers(&self) -> BTreeSet<u32> {
+            children(self.child.id())
+        }
+
+        /// Closes stdin and waits for serve to exit: `(status, stderr)`.
+        fn finish(mut self) -> (ExitStatus, String) {
+            drop(self.stdin);
+            let mut rest = String::new();
+            self.stdout.read_to_string(&mut rest).expect("read stdout");
+            assert!(rest.is_empty(), "output after the last response: {rest}");
+            let status = self.child.wait().expect("serve exits");
+            (status, self.stderr.join().expect("stderr reader"))
+        }
+    }
+
+    /// The child PIDs of `pid`, from `/proc/<pid>/task/*/children` (a worker
+    /// is listed under the thread that spawned it). Kernels built without
+    /// those files get the same set from each process's parent PID.
+    fn children(pid: u32) -> BTreeSet<u32> {
+        let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("serve is running");
+        let lists: Vec<String> = tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("children")).ok())
+            .collect();
+        if !lists.is_empty() {
+            return lists
+                .iter()
+                .flat_map(|list| list.split_whitespace())
+                .map(|pid| pid.parse().expect("pid"))
+                .collect();
+        }
+        std::fs::read_dir("/proc")
+            .expect("/proc")
+            .filter_map(|entry| {
+                let child: u32 = entry.ok()?.file_name().to_str()?.parse().ok()?;
+                let stat = std::fs::read_to_string(format!("/proc/{child}/stat")).ok()?;
+                // the field after the `(comm)` state letter is the parent PID
+                let ppid: u32 = stat
+                    .rsplit_once(')')?
+                    .1
+                    .split_whitespace()
+                    .nth(1)?
+                    .parse()
+                    .ok()?;
+                (ppid == pid).then_some(child)
+            })
+            .collect()
+    }
+
+    /// A process's peak resident set size, in KiB.
+    fn vm_hwm_kib(pid: u32) -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("worker status");
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("VmHWM:"))
+            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+            .unwrap_or_else(|| panic!("no VmHWM for {pid}"))
+    }
+
+    /// The payload of a one-request response, its trailer checked.
+    fn payload(response: &str) -> String {
+        parse_response(response).1
+    }
+
+    fn retries(stderr: &str) -> usize {
+        stderr.matches("respawning worker and retrying").count()
+    }
+
+    #[test]
+    fn a_session_serves_later_requests_on_the_same_workers() {
+        let mut session = Session::start(&[]);
+        let first = session.request("sweep grid=mixed-8 format=csv shards=1");
+        let workers = session.workers();
+        assert_eq!(workers.len(), 1, "one shard, one worker: {workers:?}");
+        let second = session.request("sweep grid=mixed-8 format=csv shards=1");
+        assert_eq!(session.workers(), workers, "the second request respawned");
+        assert_eq!(second, first);
+        let (status, stderr) = session.finish();
+        assert!(status.success(), "{stderr}");
+    }
+
+    #[test]
+    fn a_mixed_session_matches_the_in_memory_writers() {
+        let mixed = ScenarioGrid::by_name("mixed-8").unwrap();
+        let smoke = ScenarioGrid::by_name("smoke-3").unwrap();
+        let sweep = SweepEngine::new().workers(2).run(&mixed).unwrap();
+        let mc = |seed| {
+            let plan = ReplicationPlan::new(3).master_seed(seed);
+            McEngine::new()
+                .workers(2)
+                .run(&smoke, &plan)
+                .unwrap()
+                .to_csv()
+        };
+        let space = SearchSpace::new().node_counts((0..=6).collect());
+        let optimize = DeploymentOptimizer::new()
+            .workers(2)
+            .run(&smoke, &space)
+            .unwrap();
+
+        let mut session = Session::start(&[]);
+        for (line, expected) in [
+            ("sweep grid=mixed-8 format=csv shards=2", sweep.to_csv()),
+            ("mc grid=smoke-3 format=csv shards=2 reps=3 seed=9", mc(9)),
+            ("mc grid=smoke-3 format=csv shards=2 reps=3 seed=10", mc(10)),
+            (
+                "optimize grid=smoke-3 format=json shards=2",
+                optimize.to_json(),
+            ),
+            ("sweep grid=mixed-8 format=json shards=2", sweep.to_json()),
+        ] {
+            assert_eq!(payload(&session.request(line)), expected, "{line}");
+        }
+        let (status, stderr) = session.finish();
+        assert!(status.success(), "{stderr}");
+        assert_eq!(retries(&stderr), 0, "{stderr}");
+    }
+
+    #[test]
+    fn a_worker_killed_while_idle_is_replaced_and_the_response_is_unchanged() {
+        let request = "sweep grid=mixed-8 format=json shards=1";
+        let mut session = Session::start(&[]);
+        let clean = session.request(request);
+        let workers = session.workers();
+        let [pid] = workers.iter().copied().collect::<Vec<_>>()[..] else {
+            panic!("one shard, one worker: {workers:?}");
+        };
+        let killed = Command::new("kill")
+            .args(["-KILL", &pid.to_string()])
+            .status()
+            .expect("run kill");
+        assert!(killed.success());
+        // serve has not reaped it yet: wait until it is a zombie
+        let stat = format!("/proc/{pid}/stat");
+        for _ in 0..500 {
+            let state = std::fs::read_to_string(&stat).unwrap_or_default();
+            if state
+                .rsplit_once(')')
+                .is_some_and(|(_, rest)| rest.trim_start().starts_with('Z'))
+            {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+
+        assert_eq!(session.request(request), clean, "retried stream drifted");
+        let replaced = session.workers();
+        assert_eq!(replaced.len(), 1, "{replaced:?}");
+        assert!(!replaced.contains(&pid), "the dead worker is still pooled");
+        let (status, stderr) = session.finish();
+        assert!(status.success(), "{stderr}");
+        assert_eq!(retries(&stderr), 1, "{stderr}");
+    }
+
+    #[test]
+    fn a_crash_in_one_request_leaves_the_next_unaffected() {
+        let mixed = ScenarioGrid::by_name("mixed-8").unwrap();
+        let sweep = SweepEngine::new().workers(2).run(&mixed).unwrap();
+        let smoke = ScenarioGrid::by_name("smoke-3").unwrap();
+        let plan = ReplicationPlan::new(3).master_seed(9);
+        let mc = McEngine::new().workers(2).run(&smoke, &plan).unwrap();
+
+        // cell 5 is in the mixed-8 request only: its chunk's worker dies once
+        let mut session = Session::start(&[("CORRIDOR_SERVE_CRASH_CELL", "5")]);
+        let first = session.request("sweep grid=mixed-8 format=json shards=2");
+        assert_eq!(payload(&first), sweep.to_json());
+        let second = session.request("mc grid=smoke-3 format=csv shards=2 reps=3 seed=9");
+        assert_eq!(payload(&second), mc.to_csv());
+        let (status, stderr) = session.finish();
+        assert!(status.success(), "{stderr}");
+        assert_eq!(retries(&stderr), 1, "{stderr}");
+    }
+
+    #[test]
+    fn an_error_answer_fails_the_chunk_once_and_keeps_the_worker() {
+        let mut session = Session::start(&[]);
+        let failed = session.request("sweep grid=paper format=csv shards=1 cache=/dev/null/x");
+        assert!(
+            failed.lines().last().unwrap().starts_with("ERROR "),
+            "{failed}"
+        );
+        let workers = session.workers();
+        assert_eq!(workers.len(), 1, "no worker after the failure: {workers:?}");
+        let served = session.request("sweep grid=paper format=csv shards=1");
+        parse_response(&served);
+        assert_eq!(session.workers(), workers, "the error answer cost a worker");
+        let (status, stderr) = session.finish();
+        assert!(!status.success(), "a failed request must fail the run");
+        assert!(
+            !stderr.contains("retrying"),
+            "an error answer was retried: {stderr}"
+        );
+        assert_eq!(
+            failed.matches("ERROR").count() + served.matches("ERROR").count(),
+            1
+        );
+    }
+
+    #[test]
+    fn a_wide_request_leaves_at_most_one_idle_worker_per_cpu_and_exit_reaps_them() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut session = Session::start(&[]);
+        parse_response(&session.request("sweep grid=mixed-8 format=csv shards=8"));
+        let workers = session.workers();
+        assert!(
+            !workers.is_empty() && workers.len() <= cpus,
+            "{} workers on {cpus} CPUs",
+            workers.len()
+        );
+        let (status, stderr) = session.finish();
+        assert!(status.success(), "{stderr}");
+        for pid in workers {
+            assert!(
+                !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+                "worker {pid} outlived serve"
+            );
+        }
+    }
+
+    #[test]
+    fn worker_memory_stays_flat_over_a_hundred_requests() {
+        // no more shards than CPUs, so no worker is trimmed between
+        // requests and the same workers are measured at 10 and 100
+        let shards = std::thread::available_parallelism().map_or(1, |n| n.get().min(2));
+        let mut session = Session::start(&[]);
+        let mut peaks_at_10 = BTreeMap::new();
+        for i in 0..100u32 {
+            let grid = if (i / 3) % 2 == 0 {
+                "mixed-8"
+            } else {
+                "smoke-3"
+            };
+            let format = if i % 2 == 0 { "csv" } else { "json" };
+            let line = match i % 3 {
+                0 => format!("sweep grid={grid} format={format} shards={shards}"),
+                // a new Monte-Carlo seed every time
+                1 => format!(
+                    "mc grid={grid} format={format} shards={shards} reps=2 seed={}",
+                    100 + i
+                ),
+                _ => format!("optimize grid={grid} format={format} shards={shards}"),
+            };
+            parse_response(&session.request(&line));
+            if i + 1 == 10 {
+                peaks_at_10 = session
+                    .workers()
+                    .into_iter()
+                    .map(|pid| (pid, vm_hwm_kib(pid)))
+                    .collect();
+            }
+        }
+        let workers = session.workers();
+        let kept: Vec<u32> = workers
+            .iter()
+            .copied()
+            .filter(|pid| peaks_at_10.contains_key(pid))
+            .collect();
+        assert!(!kept.is_empty(), "{peaks_at_10:?} vs {workers:?}");
+        for pid in kept {
+            let (before, after) = (peaks_at_10[&pid], vm_hwm_kib(pid));
+            assert!(
+                after <= before + 1024,
+                "worker {pid}: VmHWM {before} KiB after request 10, {after} KiB after request 100"
+            );
+        }
+        let (status, stderr) = session.finish();
+        assert!(status.success(), "{stderr}");
+    }
 }
