@@ -44,10 +44,14 @@
 //! child process (`serve --worker`) taken from the session's idle pool,
 //! over a line protocol with length-prefixed row frames, and spawns a
 //! child only when no idle one is left. Workers outlive the request: the
-//! ones the first request spawns answer every later request with their
-//! process-wide memos (`active_hours`, the solar sky tables and seed
-//! years) already warm. The pool stays bounded without a setting: after
-//! each request, before its trailer is written, idle workers beyond
+//! ones the first request spawns answer every later request warm. Each
+//! worker keeps one [`EvalContext`] for its whole session and runs every
+//! sweep and optimize task through it, so it never repeats a PV sizing
+//! (Table IV) search it has made; the context holds at most
+//! [`EvalContext::SIZING_CAPACITY`] outcomes. The process-wide memos
+//! (`active_hours`, the solar sky tables and seed years) stay warm the
+//! same way. The pool stays bounded without a setting: after each
+//! request, before its trailer is written, idle workers beyond
 //! `std::thread::available_parallelism()` are killed and reaped. At
 //! stdin EOF every worker is killed and reaped before `serve` exits, so
 //! worker CPU time counts in the caller's `RUSAGE_CHILDREN`.
@@ -76,8 +80,8 @@ use corridor_bench::args::{self, Fields};
 use corridor_core::hash::Sha256;
 use corridor_core::sink::{RowEmitter, RowFormat};
 use corridor_sim::{
-    DeploymentOptimizer, McEngine, ReplicationPlan, ResultCache, ScenarioGrid, SearchSpace,
-    StreamError, SweepEngine, CSV_HEADER, MC_CSV_HEADER, OPTIMIZE_CSV_HEADER,
+    DeploymentOptimizer, EvalContext, McEngine, ReplicationPlan, ResultCache, ScenarioGrid,
+    SearchSpace, StreamError, SweepEngine, CSV_HEADER, MC_CSV_HEADER, OPTIMIZE_CSV_HEADER,
 };
 
 /// Cells per dispatched chunk: small enough that a retry is cheap and
@@ -573,8 +577,10 @@ fn parse_done(trailer: &str) -> Result<(u64, u64, u64, String), String> {
 // ---------------------------------------------------------------------------
 
 /// Child-process mode: evaluates task lines from the coordinator,
-/// streaming each chunk's rows back as length-prefixed frames.
+/// streaming each chunk's rows back as length-prefixed frames. Every
+/// task runs through one [`EvalContext`], kept until stdin EOF.
 fn worker_main() -> ExitCode {
+    let context = EvalContext::new();
     let stdin = io::stdin();
     for line in stdin.lock().lines() {
         let line = match line {
@@ -585,7 +591,7 @@ fn worker_main() -> ExitCode {
         if trimmed.is_empty() {
             continue;
         }
-        if let Err(error) = run_task(trimmed) {
+        if let Err(error) = run_task(trimmed, &context) {
             println!("error {error}");
             let _ = io::stdout().flush();
         }
@@ -593,7 +599,7 @@ fn worker_main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_task(line: &str) -> Result<(), String> {
+fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
     let rest = line
         .strip_prefix("task ")
         .ok_or_else(|| format!("unexpected line {line:?}"))?;
@@ -636,7 +642,8 @@ fn run_task(line: &str) -> Result<(), String> {
     };
 
     let summary = match request.engine {
-        EngineKind::Sweep => SweepEngine::new().workers(1).stream_rows(
+        EngineKind::Sweep => SweepEngine::new().workers(1).stream_rows_in(
+            context,
             grid,
             range.clone(),
             request.format,
@@ -654,7 +661,8 @@ fn run_task(line: &str) -> Result<(), String> {
                 &mut emit,
             )
         }
-        EngineKind::Optimize => DeploymentOptimizer::new().workers(1).stream_rows(
+        EngineKind::Optimize => DeploymentOptimizer::new().workers(1).stream_rows_in(
+            context,
             grid,
             &serve_search_space(),
             range.clone(),

@@ -323,6 +323,8 @@ mod session {
     use std::thread::JoinHandle;
 
     use super::parse_response;
+    use corridor_core::hash::sha256_hex;
+    use corridor_core::sink::{RowFormat, StringSink};
     use corridor_sim::{
         DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, SweepEngine,
     };
@@ -495,6 +497,66 @@ mod session {
         let (status, stderr) = session.finish();
         assert!(status.success(), "{stderr}");
         assert_eq!(retries(&stderr), 0, "{stderr}");
+    }
+
+    /// The `sha256` of a response's END trailer, checked against its payload.
+    fn end_digest(response: &str) -> String {
+        let (_, _, end) = parse_response(response);
+        end.split_whitespace()
+            .find_map(|w| w.strip_prefix("sha256="))
+            .expect("sha256 field")
+            .to_owned()
+    }
+
+    #[test]
+    fn warm_worker_contexts_answer_with_the_digests_of_fresh_streams() {
+        let screening = ScenarioGrid::screening_200();
+        let smoke = ScenarioGrid::by_name("smoke-3").unwrap();
+        let sweep = |format| {
+            let mut sink = StringSink::new();
+            SweepEngine::new()
+                .workers(2)
+                .stream(&screening, format, &mut sink)
+                .unwrap();
+            sha256_hex(sink.as_str().as_bytes())
+        };
+        let mut sink = StringSink::new();
+        let space = SearchSpace::new().node_counts((0..=6).collect());
+        DeploymentOptimizer::new()
+            .workers(2)
+            .stream(&smoke, &space, RowFormat::Csv, &mut sink)
+            .unwrap();
+        let optimize = sha256_hex(sink.as_str().as_bytes());
+        let (csv, json) = (sweep(RowFormat::Csv), sweep(RowFormat::Json));
+
+        for shards in [1, 2] {
+            let screening = format!("sweep grid=screening-200 format=csv shards={shards}");
+            let mut session = Session::start(&[]);
+            for (line, expected) in [
+                (screening.clone(), &csv),
+                (
+                    format!("sweep grid=screening-200 format=json shards={shards}"),
+                    &json,
+                ),
+                (
+                    format!("optimize grid=smoke-3 format=csv shards={shards}"),
+                    &optimize,
+                ),
+            ] {
+                assert_eq!(&end_digest(&session.request(&line)), expected, "{line}");
+            }
+            // every chunk's worker answers `error` and stays pooled, its
+            // context still warm
+            let failed = session.request(&format!("{screening} cache=/dev/null/x"));
+            assert!(
+                failed.lines().last().unwrap().starts_with("ERROR "),
+                "{failed}"
+            );
+            assert_eq!(end_digest(&session.request(&screening)), csv, "{screening}");
+            let (status, stderr) = session.finish();
+            assert!(!status.success(), "a failed request must fail the run");
+            assert_eq!(retries(&stderr), 0, "{stderr}");
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ fn activity_key(params: &ScenarioParams, section: &TrackSection) -> ActivityKey 
 }
 
 fn activity_cache() -> &'static Mutex<HashMap<ActivityKey, u64>> {
+    // corridor-lint: allow(global-state, reason = "the ledger times active_hours cold on first touch; moving this memo into an explicit context is the open part of ROADMAP item 2")
     static CACHE: OnceLock<Mutex<HashMap<ActivityKey, u64>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }

@@ -43,17 +43,25 @@ pub enum Rule {
     /// silently reorders; sort keys must use `to_bits`-style exact
     /// encodings.
     FloatKeyCast,
+    /// Process-wide state in library code: a `static` item whose type
+    /// holds a `Mutex`, `RwLock`, `OnceLock`, `HashMap` or `BTreeMap`,
+    /// or a `thread_local!` block. Such state outlives every engine run,
+    /// grows without a visible bound and makes cold versus warm
+    /// implicit; memos belong in an explicit, bounded context that the
+    /// run passes down (`corridor_sim::EvalContext`).
+    GlobalState,
 }
 
 impl Rule {
     /// Every content rule, in report order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::FloatOrd,
         Rule::NoPanic,
         Rule::HashOrder,
         Rule::WallClock,
         Rule::UnsafeCode,
         Rule::FloatKeyCast,
+        Rule::GlobalState,
     ];
 
     /// The stable kebab-case id used in diagnostics and waivers.
@@ -65,6 +73,7 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::UnsafeCode => "unsafe-code",
             Rule::FloatKeyCast => "float-key-cast",
+            Rule::GlobalState => "global-state",
         }
     }
 
@@ -77,6 +86,7 @@ impl Rule {
             Rule::WallClock => "wall-clock read outside bench/timing code",
             Rule::UnsafeCode => "unsafe code or static mut",
             Rule::FloatKeyCast => "`as` integer cast in sort-key code; use exact bit encodings",
+            Rule::GlobalState => "static lock/once-cell/map or thread_local! in library code; keep state in an explicit, bounded context",
         }
     }
 
@@ -93,8 +103,9 @@ pub enum Scope {
     /// Library crates and the umbrella crate: every rule applies.
     Library,
     /// The bench/CLI harness and the offline dependency shims: the
-    /// determinism rules apply, but panics are acceptable in binaries
-    /// and wall-clock timing is what the harness binaries are for.
+    /// determinism rules apply, but panics are acceptable in binaries,
+    /// wall-clock timing is what the harness binaries are for, and a
+    /// process is free to keep its own global state.
     Harness,
 }
 
@@ -103,7 +114,7 @@ impl Scope {
     pub fn enforces(self, rule: Rule) -> bool {
         match self {
             Scope::Library => true,
-            Scope::Harness => !matches!(rule, Rule::NoPanic | Rule::WallClock),
+            Scope::Harness => !matches!(rule, Rule::NoPanic | Rule::WallClock | Rule::GlobalState),
         }
     }
 }
@@ -123,6 +134,7 @@ pub fn scan(sanitized: &Sanitized, scope: Scope) -> Vec<Hit> {
     let masked = &sanitized.masked;
     let test_spans = test_line_spans(masked);
     let key_spans = sort_key_line_spans(masked);
+    let state_lines = stateful_static_lines(masked);
     let mut hits = Vec::new();
 
     for (idx, line) in masked.lines().enumerate() {
@@ -148,6 +160,9 @@ pub fn scan(sanitized: &Sanitized, scope: Scope) -> Vec<Hit> {
                 Rule::WallClock => wall_clock(line),
                 Rule::UnsafeCode => has_word(line, "unsafe") || static_mut(line),
                 Rule::FloatKeyCast => in_spans(&key_spans, lineno) && int_cast(line),
+                Rule::GlobalState => {
+                    state_lines.contains(&lineno) || has_macro(line, "thread_local")
+                }
             };
             if fired {
                 hits.push(Hit { line: lineno, rule });
@@ -242,6 +257,23 @@ fn wall_clock(line: &str) -> bool {
 fn static_mut(line: &str) -> bool {
     word_offsets(line, "static")
         .any(|at| starts_with_word(line[at + "static".len()..].trim_start(), "mut"))
+}
+
+/// 1-based lines of `static` items whose name and type (the text up to
+/// the first `=` or `;`, however many lines it spans) mention a lock, a
+/// once-cell or a map. A `'static` lifetime is not an item.
+fn stateful_static_lines(masked: &str) -> Vec<usize> {
+    const HOLDERS: [&str; 5] = ["Mutex", "RwLock", "OnceLock", "HashMap", "BTreeMap"];
+    let bytes = masked.as_bytes();
+    word_offsets(masked, "static")
+        .filter(|&at| at == 0 || bytes[at - 1] != b'\'')
+        .filter(|&at| {
+            let rest = &masked[at..];
+            let decl = &rest[..rest.find(['=', ';']).unwrap_or(rest.len())];
+            HOLDERS.iter().any(|holder| has_word(decl, holder))
+        })
+        .map(|at| line_of(masked, at))
+        .collect()
 }
 
 /// True when `rest` begins with `word` at an identifier boundary.
@@ -462,6 +494,33 @@ mod tests {
     fn multiline_sort_key_closure_is_covered() {
         let src = "v.sort_by_key(|x| {\n    let k = x.f as i64;\n    k\n});\n";
         assert_eq!(hits(src, Scope::Library), vec![(2, Rule::FloatKeyCast)]);
+    }
+
+    #[test]
+    fn stateful_statics_and_thread_locals_fire_only_in_library_code() {
+        let src = "static A: OnceLock<Mutex<u8>> = OnceLock::new();\n\
+                   pub(crate) static B:\n    RwLock<\n        BTreeMap<u8, u8>,\n    > = RwLock::new(BTreeMap::new());\n\
+                   thread_local! { static C: Cell<u8> = Cell::new(0); }\n";
+        let got = hits(src, Scope::Library);
+        assert_eq!(
+            got,
+            vec![
+                (1, Rule::GlobalState),
+                (2, Rule::GlobalState),
+                (6, Rule::GlobalState)
+            ]
+        );
+        assert!(hits(src, Scope::Harness).is_empty());
+    }
+
+    #[test]
+    fn lifetimes_plain_statics_and_fields_do_not_fire_global_state() {
+        let src = "fn cache() -> &'static Mutex<Cache> { build() }\n\
+                   static NAMES: [&str; 1] = [\"Mutex\"];\n\
+                   static COUNT: AtomicU64 = AtomicU64::new(0);\n\
+                   struct Memo { slots: Mutex<BTreeMap<u8, u8>> }\n\
+                   static EMPTY: Vec<u8> = Vec::new(); fn f() -> Mutex<u8> { g() }\n";
+        assert!(hits(src, Scope::Library).is_empty());
     }
 
     #[test]

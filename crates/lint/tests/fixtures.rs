@@ -19,7 +19,7 @@ fn ids(src: &str, scope: Scope) -> Vec<&'static str> {
 
 /// `(rule id, trigger fixture, waived fixture, clean fixture)` — one row
 /// per rule in the catalogue.
-const CASES: [(&str, &str, &str, &str); 6] = [
+const CASES: [(&str, &str, &str, &str); 7] = [
     (
         "float-ord",
         include_str!("fixtures/float_ord_trigger.rs"),
@@ -55,6 +55,12 @@ const CASES: [(&str, &str, &str, &str); 6] = [
         include_str!("fixtures/float_key_cast_trigger.rs"),
         include_str!("fixtures/float_key_cast_waived.rs"),
         include_str!("fixtures/float_key_cast_clean.rs"),
+    ),
+    (
+        "global-state",
+        include_str!("fixtures/global_state_trigger.rs"),
+        include_str!("fixtures/global_state_waived.rs"),
+        include_str!("fixtures/global_state_clean.rs"),
     ),
 ];
 
@@ -105,6 +111,19 @@ fn harness_scope_skips_panic_and_clock_rules_but_keeps_determinism() {
     // ...but determinism rules still apply to them.
     let (_, hash_trigger, _, _) = CASES[2];
     assert_eq!(ids(hash_trigger, Scope::Harness), vec!["hash-order"]);
+}
+
+#[test]
+fn global_state_flags_the_static_memo_and_the_thread_local_in_library_code_only() {
+    let (_, trigger, _, _) = CASES[6];
+    let lines: Vec<usize> = check_source("fixture.rs", trigger, Scope::Library)
+        .diagnostics
+        .iter()
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(lines, vec![7, 11]);
+    // a harness process may keep its own global state
+    assert!(ids(trigger, Scope::Harness).is_empty());
 }
 
 #[test]

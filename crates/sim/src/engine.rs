@@ -10,9 +10,9 @@ use corridor_traffic::TrackSection;
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{render_sweep_row, CSV_HEADER};
-use crate::sizing::{repeater_load, SizingMemo};
+use crate::sizing::{repeater_load, Sizer};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
-use crate::{CellResult, PvOutcome, ScenarioCell, ScenarioGrid, SweepReport};
+use crate::{CellResult, EvalContext, PvOutcome, ScenarioCell, ScenarioGrid, SweepReport};
 
 /// Which energy backend evaluates the cells.
 ///
@@ -185,8 +185,9 @@ impl SweepEngine {
     /// count of zero was configured, or the [`ScenarioError`] of the
     /// first cell whose parameters fail validation.
     pub fn run(&self, grid: &ScenarioGrid) -> Result<SweepReport, ScenarioError> {
+        let context = EvalContext::new();
         Ok(SweepReport::new(stream::collect(
-            &self.job(grid),
+            &self.job(grid, &context),
             self.workers,
         )?))
     }
@@ -224,7 +225,8 @@ impl SweepEngine {
         sink: &mut dyn RowSink,
         cache: Option<&ResultCache>,
     ) -> Result<StreamSummary, StreamError> {
-        stream::stream(&self.job(grid), self.workers, format, sink, cache)
+        let context = EvalContext::new();
+        stream::stream(&self.job(grid, &context), self.workers, format, sink, cache)
     }
 
     /// Streams the raw rows of a cell range to `emit`, without header or
@@ -248,15 +250,46 @@ impl SweepEngine {
         cache: Option<&ResultCache>,
         emit: impl FnMut(&str) -> Result<(), StreamError>,
     ) -> Result<StreamSummary, StreamError> {
-        stream::stream_rows(&self.job(grid), self.workers, range, format, cache, emit)
+        self.stream_rows_in(&EvalContext::new(), grid, range, format, cache, emit)
     }
 
-    /// The engine's per-cell work over `grid`.
-    fn job<'a>(&'a self, grid: &'a ScenarioGrid) -> SweepJob<'a> {
+    /// [`SweepEngine::stream_rows`] through the caller's
+    /// [`EvalContext`]: PV sizing outcomes the context already holds
+    /// are reused, new ones are kept in it. The rows are byte-identical
+    /// to a fresh context's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the grid's length.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SweepEngine::stream_rows`].
+    pub fn stream_rows_in(
+        &self,
+        context: &EvalContext,
+        grid: &ScenarioGrid,
+        range: Range<usize>,
+        format: RowFormat,
+        cache: Option<&ResultCache>,
+        emit: impl FnMut(&str) -> Result<(), StreamError>,
+    ) -> Result<StreamSummary, StreamError> {
+        stream::stream_rows(
+            &self.job(grid, context),
+            self.workers,
+            range,
+            format,
+            cache,
+            emit,
+        )
+    }
+
+    /// The engine's per-cell work over `grid`, sizing through `context`.
+    fn job<'a>(&'a self, grid: &'a ScenarioGrid, context: &'a EvalContext) -> SweepJob<'a> {
         SweepJob {
             engine: self,
             grid,
-            memo: SizingMemo::default(),
+            sizer: context.paper_sizer(),
         }
     }
 
@@ -278,14 +311,14 @@ impl SweepEngine {
     /// backend and, unless disabled, the PV sizing of one service
     /// repeater at the cell's deployment ISD.
     pub fn evaluate(&self, cell: &ScenarioCell) -> CellResult {
-        self.evaluate_with(cell, &SizingMemo::default())
+        self.evaluate_with(cell, &EvalContext::new().paper_sizer())
     }
 
-    /// [`SweepEngine::evaluate`] with the run's sizing memo.
-    fn evaluate_with(&self, cell: &ScenarioCell, memo: &SizingMemo) -> CellResult {
+    /// [`SweepEngine::evaluate`] through the run's sizer.
+    fn evaluate_with(&self, cell: &ScenarioCell, sizer: &Sizer<'_>) -> CellResult {
         let [baseline, continuous, sleep, solar] = self.evaluator.splits(cell);
         let pv = if self.pv_sizing {
-            size_repeater_pv(cell, memo)
+            size_repeater_pv(cell, sizer)
         } else {
             PvOutcome::Skipped
         };
@@ -306,11 +339,11 @@ impl SweepEngine {
 /// train bursts during the service window (the paper's Table IV
 /// methodology, generalized to the given timetable, equipment and
 /// deployment geometry).
-fn size_repeater_pv(cell: &ScenarioCell, memo: &SizingMemo) -> PvOutcome {
+fn size_repeater_pv(cell: &ScenarioCell, sizer: &Sizer<'_>) -> PvOutcome {
     let params = cell.params();
     let section = TrackSection::around(cell.isd() / 2.0, params.lp_spacing());
     let active_h = corridor_core::energy::active_hours(params, section).value();
-    memo.size(cell.location(), repeater_load(params, active_h))
+    sizer.size(cell.location(), repeater_load(params, active_h))
 }
 
 impl Default for SweepEngine {
@@ -324,8 +357,8 @@ impl Default for SweepEngine {
 struct SweepJob<'a> {
     engine: &'a SweepEngine,
     grid: &'a ScenarioGrid,
-    /// PV sizing outcomes of this run.
-    memo: SizingMemo,
+    /// PV sizing through the run's context.
+    sizer: Sizer<'a>,
 }
 
 impl CellJob for SweepJob<'_> {
@@ -349,7 +382,7 @@ impl CellJob for SweepJob<'_> {
     }
 
     fn evaluate(&self, cell: ScenarioCell) -> CellResult {
-        self.engine.evaluate_with(&cell, &self.memo)
+        self.engine.evaluate_with(&cell, &self.sizer)
     }
 
     fn render(&self, result: &CellResult, format: RowFormat) -> String {
@@ -517,7 +550,8 @@ mod tests {
     fn a_screening_chunk_sizes_each_distinct_key_once() {
         let grid = ScenarioGrid::screening_200();
         let engine = SweepEngine::new();
-        let job = engine.job(&grid);
+        let context = EvalContext::new();
+        let job = engine.job(&grid, &context);
         let mut keys = Vec::new();
         for index in 0..64 {
             let cell = job.cell(index).expect("valid cell");
@@ -530,8 +564,52 @@ mod tests {
             }
             job.evaluate(cell);
         }
-        assert_eq!(job.memo.sized(), keys.len());
+        assert_eq!(context.sizing_searches(), keys.len() as u64);
         assert!(keys.len() < 64, "{} keys", keys.len());
+    }
+
+    /// Every result of `grid` through `context`, on two workers.
+    fn run_in(engine: &SweepEngine, grid: &ScenarioGrid, context: &EvalContext) -> Vec<CellResult> {
+        stream::collect(&engine.job(grid, context), Some(2)).expect("valid grid")
+    }
+
+    #[test]
+    fn a_second_run_through_one_context_runs_no_search() {
+        let grid = ScenarioGrid::screening_200();
+        let engine = SweepEngine::new();
+        let fresh = engine.run(&grid).expect("valid grid");
+        let context = EvalContext::new();
+        let cold = run_in(&engine, &grid, &context);
+        let searches = context.sizing_searches();
+        // one search per distinct (location, load) key of the grid
+        assert_eq!(searches, 38);
+        assert_eq!(context.sizing_entries(), 38);
+        let warm = run_in(&engine, &grid, &context);
+        assert_eq!(context.sizing_searches(), searches, "the warm run searched");
+        for ((cold, warm), fresh) in cold.iter().zip(&warm).zip(fresh.results()) {
+            assert_bit_equal(cold, fresh);
+            assert_bit_equal(warm, fresh);
+        }
+    }
+
+    #[test]
+    fn a_tiny_context_evicts_without_changing_a_result() {
+        let grid = ScenarioGrid::screening_200();
+        let engine = SweepEngine::new();
+        let fresh = engine.run(&grid).expect("valid grid");
+        let context = EvalContext::with_sizing_capacity(3);
+        let job = engine.job(&grid, &context);
+        for (index, fresh) in fresh.results().iter().enumerate() {
+            let result = job.evaluate(job.cell(index).expect("valid cell"));
+            assert_bit_equal(&result, fresh);
+            assert!(context.sizing_entries() <= 3, "cell {index}");
+        }
+        assert!(context.sizing_searches() > 38, "nothing was evicted");
+        let parallel = run_in(&engine, &grid, &context);
+        assert!(context.sizing_entries() <= 3);
+        for (result, fresh) in parallel.iter().zip(fresh.results()) {
+            assert_bit_equal(result, fresh);
+        }
     }
 
     #[test]

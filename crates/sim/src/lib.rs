@@ -68,6 +68,7 @@
 
 mod cache;
 mod cell;
+mod context;
 mod engine;
 mod grid;
 mod mc;
@@ -79,6 +80,7 @@ mod stream;
 
 pub use cache::ResultCache;
 pub use cell::{CellResult, PvOutcome, ScenarioCell};
+pub use context::EvalContext;
 pub use engine::{Evaluator, SweepEngine};
 pub use grid::{PowerProfile, ScenarioGrid};
 pub use mc::{

@@ -45,7 +45,7 @@ use crate::optimize::{
     SearchJob, SearchSpace, OPTIMIZE_CSV_HEADER,
 };
 use crate::stream::{self, StreamSummary};
-use crate::ScenarioCell;
+use crate::{EvalContext, ScenarioCell};
 
 /// The CSV header of [`NetworkReport::schedule_csv`].
 pub const NETWORK_SCHEDULE_CSV_HEADER: &str =
@@ -137,7 +137,8 @@ impl NetworkOptimizer {
         space: &SearchSpace,
     ) -> Result<NetworkReport, NetworkError> {
         net.validate()?;
-        let search = edge_search(net, space);
+        let context = EvalContext::new();
+        let search = edge_search(net, space, &context);
         let results = stream::collect(&search, self.workers)?;
         self.fold(net, space, &search.coverage, results)
     }
@@ -159,8 +160,9 @@ impl NetworkOptimizer {
         sink: &mut dyn RowSink,
     ) -> Result<StreamSummary, NetworkError> {
         net.validate()?;
-        stream::stream(&edge_search(net, space), self.workers, format, sink, None)
-            .map_err(NetworkError::Stream)
+        let context = EvalContext::new();
+        let search = edge_search(net, space, &context);
+        stream::stream(&search, self.workers, format, sink, None).map_err(NetworkError::Stream)
     }
 
     /// Picks each edge's least-energy frontier point, runs the sleep
@@ -228,8 +230,14 @@ impl Default for NetworkOptimizer {
 fn edge_search<'a>(
     net: &'a CorridorNetwork,
     space: &'a SearchSpace,
+    context: &'a EvalContext,
 ) -> SearchJob<'a, impl Fn(usize) -> Result<ScenarioCell, ScenarioError> + Sync + 'a> {
-    SearchJob::new(net.edge_count(), move |edge| net.edge_cell(edge), space)
+    SearchJob::new(
+        net.edge_count(),
+        move |edge| net.edge_cell(edge),
+        space,
+        context,
+    )
 }
 
 /// The searched network: per-edge frontiers (in edge order), the

@@ -38,9 +38,9 @@ use corridor_units::{Db, Meters};
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{csv_field, json_string};
-use crate::sizing::{repeater_load, SizingMemo};
+use crate::sizing::{repeater_load, Sizer};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
-use crate::{PvOutcome, ScenarioCell, ScenarioGrid};
+use crate::{EvalContext, PvOutcome, ScenarioCell, ScenarioGrid};
 
 /// How the ISD dimension of the search is resolved per repeater count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -346,7 +346,8 @@ impl DeploymentOptimizer {
         grid: &ScenarioGrid,
         space: &SearchSpace,
     ) -> Result<OptimizeReport, ScenarioError> {
-        let search = grid_search(grid, space);
+        let context = EvalContext::new();
+        let search = grid_search(grid, space, &context);
         let results = stream::collect(&search, self.workers)?;
         let caches = search
             .coverage
@@ -397,7 +398,9 @@ impl DeploymentOptimizer {
         sink: &mut dyn RowSink,
         cache: Option<&ResultCache>,
     ) -> Result<StreamSummary, StreamError> {
-        stream::stream(&grid_search(grid, space), self.workers, format, sink, cache)
+        let context = EvalContext::new();
+        let search = grid_search(grid, space, &context);
+        stream::stream(&search, self.workers, format, sink, cache)
     }
 
     /// Streams the raw per-cell chunks of a cell range to `emit`,
@@ -422,8 +425,34 @@ impl DeploymentOptimizer {
         cache: Option<&ResultCache>,
         emit: impl FnMut(&str) -> Result<(), StreamError>,
     ) -> Result<StreamSummary, StreamError> {
+        self.stream_rows_in(&EvalContext::new(), grid, space, range, format, cache, emit)
+    }
+
+    /// [`DeploymentOptimizer::stream_rows`] through the caller's
+    /// [`EvalContext`]: PV sizing outcomes the context already holds
+    /// are reused, new ones are kept in it. The rows are byte-identical
+    /// to a fresh context's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the grid's length.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`DeploymentOptimizer::stream_rows`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn stream_rows_in(
+        &self,
+        context: &EvalContext,
+        grid: &ScenarioGrid,
+        space: &SearchSpace,
+        range: core::ops::Range<usize>,
+        format: RowFormat,
+        cache: Option<&ResultCache>,
+        emit: impl FnMut(&str) -> Result<(), StreamError>,
+    ) -> Result<StreamSummary, StreamError> {
         stream::stream_rows(
-            &grid_search(grid, space),
+            &grid_search(grid, space, context),
             self.workers,
             range,
             format,
@@ -476,19 +505,25 @@ pub(crate) struct SearchJob<'a, F> {
     space: &'a SearchSpace,
     /// The coverage caches the search has built so far.
     pub(crate) coverage: CoverageCaches,
-    /// PV sizing outcomes of this search.
-    sizing: SizingMemo,
+    /// PV sizing through the search's context.
+    sizing: Sizer<'a>,
 }
 
 impl<'a, F> SearchJob<'a, F> {
-    /// A search over `cells` cells, cell `i` built by `cell_at(i)`.
-    pub(crate) fn new(cells: usize, cell_at: F, space: &'a SearchSpace) -> Self {
+    /// A search over `cells` cells, cell `i` built by `cell_at(i)`,
+    /// sizing through `context`.
+    pub(crate) fn new(
+        cells: usize,
+        cell_at: F,
+        space: &'a SearchSpace,
+        context: &'a EvalContext,
+    ) -> Self {
         SearchJob {
             cells,
             cell_at,
             space,
             coverage: Mutex::new(Vec::new()),
-            sizing: SizingMemo::default(),
+            sizing: context.paper_sizer(),
         }
     }
 }
@@ -527,8 +562,9 @@ where
 fn grid_search<'a>(
     grid: &'a ScenarioGrid,
     space: &'a SearchSpace,
+    context: &'a EvalContext,
 ) -> SearchJob<'a, impl Fn(usize) -> Result<ScenarioCell, ScenarioError> + Sync + 'a> {
-    SearchJob::new(grid.len(), move |index| grid.cell_at(index), space)
+    SearchJob::new(grid.len(), move |index| grid.cell_at(index), space, context)
 }
 
 /// The scenario hash of one cell under a whole search space. Beyond the
@@ -574,7 +610,7 @@ fn cache_key(cell: &ScenarioCell, space: &SearchSpace) -> String {
 fn evaluate_cell(
     cell: &ScenarioCell,
     cache: &CoverageCache,
-    sizing: &SizingMemo,
+    sizing: &Sizer<'_>,
     space: &SearchSpace,
 ) -> OptimizeCellResult {
     let params = cell.params();

@@ -203,6 +203,7 @@ struct Cache {
 }
 
 fn cache() -> &'static Mutex<Cache> {
+    // corridor-lint: allow(global-state, reason = "the ledger times size_for_zero_downtime cold on first touch; moving this cache into an explicit context is the open part of ROADMAP item 2")
     static CACHE: OnceLock<Mutex<Cache>> = OnceLock::new();
     CACHE.get_or_init(Mutex::default)
 }

@@ -57,6 +57,16 @@ impl PvModule {
         self.peak
     }
 
+    /// Power temperature coefficient (per kelvin, negative).
+    pub fn temp_coefficient_per_k(&self) -> f64 {
+        self.temp_coeff_per_k
+    }
+
+    /// Nominal operating cell temperature (°C).
+    pub fn noct_c(&self) -> f64 {
+        self.noct_c
+    }
+
     /// Cell temperature (°C) under `poa_w_m2` at ambient `ambient_c`,
     /// using the NOCT model.
     pub fn cell_temperature_c(&self, poa_w_m2: f64, ambient_c: f64) -> f64 {
@@ -150,6 +160,11 @@ impl PvArray {
     /// Number of modules.
     pub fn count(&self) -> u32 {
         self.count
+    }
+
+    /// Balance-of-system efficiency.
+    pub fn system_efficiency(&self) -> f64 {
+        self.system_efficiency
     }
 
     /// Installed peak power.
