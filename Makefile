@@ -80,11 +80,16 @@ network-differential:
 # committed session with the committed byte stream (a mixed-8 sweep in
 # both formats around an mc and an optimize request on smoke-3, across
 # 2 shards, all served by the same session's workers), plus the serve
-# fault-injection and session suite.
+# fault-injection and session suite. The session runs three times: clean,
+# with a worker crash at cell 5 and with a flipped frame byte at cell 3.
+# Both faults fail their chunk's first attempt, and the retries must not
+# change a byte.
 serve-smoke:
-	printf 'sweep grid=mixed-8 format=csv shards=2\nmc grid=smoke-3 format=csv shards=2 reps=3 seed=9\noptimize grid=smoke-3 format=json shards=2\nsweep grid=mixed-8 format=json shards=2\n' \
-		| cargo run -q --release -p corridor_bench --bin serve \
-		| diff - docs/results/serve_smoke.txt
+	for fault in "" CORRIDOR_SERVE_CRASH_CELL=5 CORRIDOR_SERVE_FLIP_CELL=3; do \
+		printf 'sweep grid=mixed-8 format=csv shards=2\nmc grid=smoke-3 format=csv shards=2 reps=3 seed=9\noptimize grid=smoke-3 format=json shards=2\nsweep grid=mixed-8 format=json shards=2\n' \
+			| env $$fault cargo run -q --release -p corridor_bench --bin serve \
+			| diff - docs/results/serve_smoke.txt || exit 1; \
+	done
 	cargo test -q --release -p corridor_bench --test serve
 
 # Cache determinism: the streamed bytes equal the in-memory writers'

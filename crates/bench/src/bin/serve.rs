@@ -43,18 +43,26 @@
 //! and rows emitted in chunk order. Each thread hands its chunk to a
 //! child process (`serve --worker`) taken from the session's idle pool,
 //! over a line protocol with length-prefixed row frames, and spawns a
-//! child only when no idle one is left. Workers outlive the request: the
-//! ones the first request spawns answer every later request warm. Each
-//! worker keeps one [`EvalContext`] for its whole session and runs every
-//! sweep and optimize task through it, so it never repeats a PV sizing
-//! (Table IV) search it has made; the context holds at most
-//! [`EvalContext::SIZING_CAPACITY`] outcomes. The process-wide memos
-//! (`active_hours`, the solar sky tables and seed years) stay warm the
-//! same way. The pool stays bounded without a setting: after each
-//! request, before its trailer is written, idle workers beyond
-//! `std::thread::available_parallelism()` are killed and reaped. At
-//! stdin EOF every worker is killed and reaped before `serve` exits, so
-//! worker CPU time counts in the caller's `RUSAGE_CHILDREN`.
+//! child only when no idle one is left. The worker ends each chunk with
+//! a `done rows=<n> cache_hits=<n> cache_misses=<n> sum=<16 hex>`
+//! trailer, and the coordinator checks the row count and the
+//! [`ChunkSum`] of the frames it read against it. That sum is SipHash,
+//! not SHA-256, on purpose: it only has to catch a desynced or torn
+//! frame on a local pipe between two copies of this executable, and the
+//! `END` trailer's SHA-256 still certifies every byte the client gets,
+//! so each served row is SHA-256'd once, for `END`. Workers outlive the
+//! request: the ones the first request spawns answer every later
+//! request warm. Each worker keeps one [`EvalContext`] for its whole
+//! session and runs every sweep and optimize task through it, so it
+//! never repeats a PV sizing (Table IV) search it has made; the context
+//! holds at most [`EvalContext::SIZING_CAPACITY`] outcomes. The
+//! process-wide memos (`active_hours`, the solar sky tables and seed
+//! years) stay warm the same way. The pool stays bounded without a
+//! setting: after each request, before its trailer is written, idle
+//! workers beyond `std::thread::available_parallelism()` are killed and
+//! reaped. At stdin EOF every worker is killed and reaped before
+//! `serve` exits, so worker CPU time counts in the caller's
+//! `RUSAGE_CHILDREN`.
 //!
 //! # Fault tolerance
 //!
@@ -63,20 +71,35 @@
 //! answer (an unusable cache directory, say) fails its chunk at once,
 //! and the worker, still in step, goes back to the pool. Only a worker
 //! death respawns one: EOF or a truncated frame mid-chunk, a `done`
-//! trailer that does not match the frames, any other line outside the
-//! protocol, or a failed write to an idle worker that died. The dead
-//! child is reaped and the chunk re-dispatched, up to [`MAX_ATTEMPTS`]
-//! attempts (the rows are deterministic, so a retry reproduces them
-//! exactly); no worker is spawned after the last one fails. Setting
-//! `CORRIDOR_SERVE_CRASH_CELL=<index>` makes the *first* attempt at the
-//! chunk holding that cell, in every request, kill its worker
-//! mid-shard — the fault-injection hook the serve tests use.
+//! trailer whose row count or sum does not match the frames, any other
+//! line outside the protocol, or a failed write to an idle worker that
+//! died. The dead child is reaped and the chunk re-dispatched, up to
+//! [`MAX_ATTEMPTS`] attempts (the rows are deterministic, so a retry
+//! reproduces them exactly); no worker is spawned after the last one
+//! fails. Two
+//! fault-injection hooks, which the serve tests and `make serve-smoke`
+//! use, fire on the *first* attempt at the chunk holding a cell, in
+//! every request: `CORRIDOR_SERVE_CRASH_CELL=<index>` kills its worker
+//! mid-shard, and `CORRIDOR_SERVE_FLIP_CELL=<index>` makes the worker
+//! flip one byte of that cell's frame after summing it, so the chunk
+//! check fails.
+//!
+//! # Exit status
+//!
+//! `0` when every request ended with `END`; `1` when one ended with
+//! `ERROR`, or stdin failed; [`STDOUT_CLOSED`] (`2`) when a write to
+//! stdout failed, a client that stopped reading, say. After that
+//! failure `serve` writes nothing more to stdout: it reaps every worker,
+//! prints one line on stderr and exits.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::borrow::Cow;
+use std::io::{self, BufRead, BufReader, Write};
+use std::ops::Range;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitCode, Stdio};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use corridor_bench::args::{self, Fields};
+use corridor_bench::ChunkSum;
 use corridor_core::hash::Sha256;
 use corridor_core::sink::{RowEmitter, RowFormat};
 use corridor_sim::{
@@ -91,6 +114,9 @@ const CHUNK_CELLS: usize = 64;
 
 /// Attempts per chunk before the request is declared failed.
 const MAX_ATTEMPTS: u32 = 3;
+
+/// Exit status after a failed write to stdout.
+const STDOUT_CLOSED: u8 = 2;
 
 const USAGE: &str = "\
 usage: serve [--worker]
@@ -186,7 +212,7 @@ impl Request {
     }
 
     /// The task line dispatched to a worker for one chunk.
-    fn task_line(&self, range: &std::ops::Range<usize>, crash: Option<usize>) -> String {
+    fn task_line(&self, range: &Range<usize>, faults: Faults) -> String {
         let mut line = format!(
             "task {} grid={} format={} range={}:{} reps={} seed={}",
             self.engine.label(),
@@ -200,10 +226,46 @@ impl Request {
         if let Some(dir) = &self.cache {
             line.push_str(&format!(" cache={dir}"));
         }
-        if let Some(cell) = crash {
+        if let Some(cell) = faults.crash {
             line.push_str(&format!(" crash={cell}"));
         }
+        if let Some(cell) = faults.flip {
+            line.push_str(&format!(" flip={cell}"));
+        }
         line
+    }
+}
+
+/// The fault-injection hooks: cells whose chunk fails on its first
+/// attempt.
+#[derive(Clone, Copy)]
+struct Faults {
+    /// `CORRIDOR_SERVE_CRASH_CELL`: the worker dies right before this
+    /// cell's row.
+    crash: Option<usize>,
+    /// `CORRIDOR_SERVE_FLIP_CELL`: the worker flips one byte of this
+    /// cell's frame after adding the row to the chunk's sum.
+    flip: Option<usize>,
+}
+
+impl Faults {
+    fn from_env() -> Faults {
+        let cell = |name| std::env::var(name).ok().and_then(|v| v.parse().ok());
+        Faults {
+            crash: cell("CORRIDOR_SERVE_CRASH_CELL"),
+            flip: cell("CORRIDOR_SERVE_FLIP_CELL"),
+        }
+    }
+
+    /// The hooks that fire on this attempt at the chunk `range`: on the
+    /// first attempt only, so the retry must succeed and reproduce the
+    /// exact rows.
+    fn on_attempt(self, attempt: u32, range: &Range<usize>) -> Faults {
+        let fire = |cell: Option<usize>| cell.filter(|c| attempt == 1 && range.contains(c));
+        Faults {
+            crash: fire(self.crash),
+            flip: fire(self.flip),
+        }
     }
 }
 
@@ -231,14 +293,31 @@ fn main() -> ExitCode {
 // ---------------------------------------------------------------------------
 
 /// A chunk's rows as returned by one worker.
+#[derive(Debug)]
 struct ChunkResult {
     rows: Vec<Vec<u8>>,
     cache_hits: u64,
     cache_misses: u64,
 }
 
+/// Why a request did not end with `END`.
+enum Failure {
+    /// The request failed: its response ends with an `ERROR` line.
+    Request(String),
+    /// A write to stdout failed: the session ends without another line.
+    Stdout(String),
+}
+
+impl Failure {
+    fn stdout(error: impl std::fmt::Display) -> Failure {
+        Failure::Stdout(error.to_string())
+    }
+}
+
 fn coordinator_main() -> ExitCode {
     let pool = WorkerPool::new();
+    let faults = Faults::from_env();
+    let mut out = io::BufWriter::new(io::stdout().lock());
     let mut failed = false;
     for line in io::stdin().lock().lines() {
         let line = match line {
@@ -253,21 +332,29 @@ fn coordinator_main() -> ExitCode {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        match Request::parse(trimmed) {
-            Ok(request) => {
-                if let Err(error) = serve_request(&request, &pool) {
-                    // the protocol stays parseable: an ERROR line instead
-                    // of an END trailer tells the client the stream is void
-                    println!("ERROR {error}");
-                    eprintln!("serve: {error}");
-                    failed = true;
-                }
-            }
-            Err(error) => {
-                println!("ERROR bad request: {error}");
-                eprintln!("serve: bad request: {error}");
+        let answered = match Request::parse(trimmed) {
+            Ok(request) => serve_request(&request, &pool, faults, &mut out),
+            Err(error) => Err(Failure::Request(format!("bad request: {error}"))),
+        };
+        let written = match answered {
+            Ok(()) => Ok(()),
+            Err(Failure::Request(error)) => {
+                // the protocol stays parseable: an ERROR line instead
+                // of an END trailer tells the client the stream is void
+                eprintln!("serve: {error}");
                 failed = true;
+                writeln!(out, "ERROR {error}")
+                    .and_then(|()| out.flush())
+                    .map_err(|e| e.to_string())
             }
+            Err(Failure::Stdout(error)) => Err(error),
+        };
+        if let Err(error) = written {
+            // drop the unwritten bytes: nothing more goes to stdout
+            let _ = out.into_parts();
+            drop(pool);
+            eprintln!("serve: stdout: {error}; stopped and reaped every worker");
+            return ExitCode::from(STDOUT_CLOSED);
         }
     }
     // kill and reap every worker before exiting, so their CPU time
@@ -280,7 +367,12 @@ fn coordinator_main() -> ExitCode {
     }
 }
 
-fn serve_request(request: &Request, pool: &WorkerPool) -> Result<(), String> {
+fn serve_request(
+    request: &Request,
+    pool: &WorkerPool,
+    faults: Faults,
+    out: &mut impl Write,
+) -> Result<(), Failure> {
     let cells = request.grid.len();
     // small grids still split across every shard; large grids cap the
     // chunk so a retry never re-evaluates more than CHUNK_CELLS cells
@@ -290,37 +382,37 @@ fn serve_request(request: &Request, pool: &WorkerPool) -> Result<(), String> {
         .map(|start| start..(start + chunk_cells).min(cells));
     // no more threads than chunks: a one-chunk request runs on this thread
     let shards = request.shards.min(cells.div_ceil(chunk_cells));
-    let crash_cell: Option<usize> = std::env::var("CORRIDOR_SERVE_CRASH_CELL")
-        .ok()
-        .and_then(|v| v.parse().ok());
 
-    println!(
+    writeln!(
+        out,
         "BEGIN {} grid={} format={} cells={} shards={}",
         request.engine.label(),
         request.grid_name,
         request.format.label(),
         cells,
         request.shards,
-    );
+    )
+    .and_then(|()| out.flush())
+    .map_err(Failure::stdout)?;
 
-    let stdout = io::stdout();
     let mut sink = HashingSink {
-        out: io::BufWriter::new(stdout.lock()),
+        out,
         digest: Sha256::new(),
     };
     let mut emitter = RowEmitter::begin(&mut sink, request.format, request.engine.csv_header())
-        .map_err(|e| format!("stdout: {e}"))?;
+        .map_err(Failure::stdout)?;
     let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
     let streamed = rayon::stream_ordered(
         chunks.enumerate(),
         shards,
         2 * shards,
-        |(index, range)| run_chunk_with_retry(pool, request, index, &range, crash_cell),
-        |result| -> Result<(), String> {
-            let chunk = result.map_err(|e| format!("chunk failed: {e}"))?;
+        |(index, range)| run_chunk_with_retry(pool, request, index, &range, faults),
+        |result| -> Result<(), Failure> {
+            let chunk = result.map_err(|e| Failure::Request(format!("chunk failed: {e}")))?;
             for row in &chunk.rows {
-                let text = std::str::from_utf8(row).map_err(|e| format!("bad row bytes: {e}"))?;
-                emitter.row(text).map_err(|e| format!("stdout: {e}"))?;
+                let text = std::str::from_utf8(row)
+                    .map_err(|e| Failure::Request(format!("bad row bytes: {e}")))?;
+                emitter.row(text).map_err(Failure::stdout)?;
             }
             cache_hits += chunk.cache_hits;
             cache_misses += chunk.cache_misses;
@@ -331,14 +423,14 @@ fn serve_request(request: &Request, pool: &WorkerPool) -> Result<(), String> {
     // the bounded pool
     pool.trim();
     streamed?;
-    let rows = emitter.finish().map_err(|e| format!("stdout: {e}"))?;
+    let rows = emitter.finish().map_err(Failure::stdout)?;
     let sha256 = sink.digest.finalize_hex();
     writeln!(
         sink.out,
         "END rows={rows} sha256={sha256} cache_hits={cache_hits} cache_misses={cache_misses}"
     )
     .and_then(|()| sink.out.flush())
-    .map_err(|e| format!("stdout: {e}"))
+    .map_err(Failure::stdout)
 }
 
 /// Writes to stdout while folding every byte into a SHA-256, so the END
@@ -434,6 +526,7 @@ impl WorkerPool {
 }
 
 /// How a chunk failed on its worker.
+#[derive(Debug)]
 enum ChunkFailure {
     /// The worker answered `error`: it is still in step, so it goes back
     /// to the pool, and a retry would fail the same way.
@@ -450,14 +543,11 @@ fn run_chunk_with_retry(
     pool: &WorkerPool,
     request: &Request,
     index: usize,
-    range: &std::ops::Range<usize>,
-    crash_cell: Option<usize>,
+    range: &Range<usize>,
+    faults: Faults,
 ) -> Result<ChunkResult, String> {
     let mut last_error = String::new();
     for attempt in 1..=MAX_ATTEMPTS {
-        // the injected fault fires on the first attempt only: the retry
-        // must succeed and reproduce the exact rows
-        let crash = crash_cell.filter(|cell| attempt == 1 && range.contains(cell));
         let mut worker = match pool.take() {
             Ok(worker) => worker,
             Err(error) => {
@@ -465,7 +555,8 @@ fn run_chunk_with_retry(
                 continue;
             }
         };
-        match run_chunk(&mut worker, request, range, crash) {
+        let hooks = faults.on_attempt(attempt, range);
+        match run_chunk(&mut worker, request, range, hooks) {
             Ok(result) => {
                 pool.put(worker);
                 return Ok(result);
@@ -500,21 +591,26 @@ fn run_chunk_with_retry(
 fn run_chunk(
     worker: &mut WorkerHandle,
     request: &Request,
-    range: &std::ops::Range<usize>,
-    crash: Option<usize>,
+    range: &Range<usize>,
+    faults: Faults,
 ) -> Result<ChunkResult, ChunkFailure> {
-    use ChunkFailure::Death;
-    let task = request.task_line(range, crash);
+    let task = request.task_line(range, faults);
     writeln!(worker.stdin, "{task}")
         .and_then(|()| worker.stdin.flush())
-        .map_err(|e| Death(format!("worker stdin: {e}")))?;
+        .map_err(|e| ChunkFailure::Death(format!("worker stdin: {e}")))?;
+    read_chunk(&mut worker.stdout)
+}
 
+/// Reads one chunk's answer: `row <len>` frames up to a `done` trailer
+/// whose row count and [`ChunkSum`] match them, or an `error` line.
+fn read_chunk(reader: &mut impl BufRead) -> Result<ChunkResult, ChunkFailure> {
+    use ChunkFailure::Death;
     let mut rows = Vec::new();
-    let mut digest = Sha256::new();
+    let mut sum = ChunkSum::new();
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        let n = worker
-            .stdout
+        line.clear();
+        let n = reader
             .read_line(&mut line)
             .map_err(|e| Death(format!("worker stdout: {e}")))?;
         if n == 0 {
@@ -526,18 +622,17 @@ fn run_chunk(
                 .parse()
                 .map_err(|e| Death(format!("bad frame: {e}")))?;
             let mut bytes = vec![0u8; length + 1];
-            worker
-                .stdout
+            reader
                 .read_exact(&mut bytes)
                 .map_err(|_| Death("worker died mid-frame".into()))?;
             if bytes.pop() != Some(b'\n') {
                 return Err(Death("frame missing terminator".into()));
             }
-            digest.update(&bytes);
+            sum.add(&bytes);
             rows.push(bytes);
         } else if let Some(trailer) = line.strip_prefix("done ") {
-            let (count, hits, misses, sha) = parse_done(trailer).map_err(Death)?;
-            if count != rows.len() as u64 || sha != digest.finalize_hex() {
+            let (count, hits, misses, trailer_sum) = parse_done(trailer).map_err(Death)?;
+            if count != rows.len() as u64 || trailer_sum != sum.hex() {
                 return Err(Death(
                     "worker trailer does not match received frames".into(),
                 ));
@@ -556,17 +651,17 @@ fn run_chunk(
 }
 
 fn parse_done(trailer: &str) -> Result<(u64, u64, u64, String), String> {
-    let (mut rows, mut hits, mut misses, mut sha) = (None, None, None, None);
+    let (mut rows, mut hits, mut misses, mut sum) = (None, None, None, None);
     for word in trailer.split_whitespace() {
         match word.split_once('=') {
             Some(("rows", v)) => rows = v.parse().ok(),
             Some(("cache_hits", v)) => hits = v.parse().ok(),
             Some(("cache_misses", v)) => misses = v.parse().ok(),
-            Some(("sha256", v)) => sha = Some(v.to_owned()),
+            Some(("sum", v)) => sum = Some(v.to_owned()),
             _ => return Err(format!("bad done field {word:?}")),
         }
     }
-    match (rows, hits, misses, sha) {
+    match (rows, hits, misses, sum) {
         (Some(r), Some(h), Some(m), Some(s)) => Ok((r, h, m, s)),
         _ => Err("incomplete done trailer".into()),
     }
@@ -604,10 +699,11 @@ fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
         .strip_prefix("task ")
         .ok_or_else(|| format!("unexpected line {line:?}"))?;
     // a task line is a request plus the chunk's cell range (and the
-    // fault hook), all in one field list
+    // fault hooks), all in one field list
     let (engine, mut fields) = Request::fields(rest)?;
     let range = fields.range("range")?.unwrap_or(0..0);
     let crash: Option<usize> = fields.parse("crash")?;
+    let flip: Option<usize> = fields.parse("flip")?;
     let request = Request::read(engine, &mut fields)?;
     let grid = &request.grid;
     if range.start > range.end || range.end > grid.len() {
@@ -626,17 +722,25 @@ fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
     let stdout = io::stdout();
     let mut out = io::BufWriter::new(stdout.lock());
     let mut emitted = 0usize;
-    let mut digest = Sha256::new();
+    let mut sum = ChunkSum::new();
     let mut emit = |row: &str| -> Result<(), StreamError> {
+        let cell = range.start + emitted;
         // the injected fault: die mid-shard right before this cell's row
-        if crash == Some(range.start + emitted) {
+        if crash == Some(cell) {
             let _ = out.flush();
             std::process::exit(101);
         }
         emitted += 1;
-        digest.update(row.as_bytes());
-        out.write_all(format!("row {}\n", row.len()).as_bytes())
-            .and_then(|()| out.write_all(row.as_bytes()))
+        sum.add(row.as_bytes());
+        let mut frame = Cow::Borrowed(row.as_bytes());
+        // the other injected fault: a frame that no longer matches the sum
+        if flip == Some(cell) {
+            if let Some(byte) = frame.to_mut().first_mut() {
+                *byte ^= 1;
+            }
+        }
+        writeln!(out, "row {}", frame.len())
+            .and_then(|()| out.write_all(&frame))
             .and_then(|()| out.write_all(b"\n"))
             .map_err(|e| StreamError::Sink(corridor_core::sink::SinkError::Io(e)))
     };
@@ -675,12 +779,128 @@ fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
 
     writeln!(
         out,
-        "done rows={} cache_hits={} cache_misses={} sha256={}",
+        "done rows={} cache_hits={} cache_misses={} sum={}",
         summary.rows,
         summary.cache_hits,
         summary.cache_misses,
-        digest.finalize_hex(),
+        sum.hex(),
     )
     .and_then(|()| out.flush())
     .map_err(|e| format!("stdout: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `sum=` of a chunk of `rows`.
+    fn sum(rows: &[&str]) -> String {
+        let mut sum = ChunkSum::new();
+        for row in rows {
+            sum.add(row.as_bytes());
+        }
+        sum.hex()
+    }
+
+    fn read(answer: &str) -> Result<ChunkResult, ChunkFailure> {
+        read_chunk(&mut answer.as_bytes())
+    }
+
+    /// Asserts that `answer` is a worker death whose message says `why`.
+    fn death(answer: &str, why: &str) {
+        match read(answer) {
+            Err(ChunkFailure::Death(message)) => {
+                assert!(message.contains(why), "{answer:?}: {message}");
+            }
+            other => panic!("{answer:?}: a death expected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_chunk_whose_trailer_matches_its_frames_is_read() {
+        let answer = format!(
+            "row 3\nabc\nrow 0\n\ndone rows=2 cache_hits=1 cache_misses=1 sum={}\n",
+            sum(&["abc", ""])
+        );
+        let chunk = read(&answer).expect("a good chunk");
+        assert_eq!(chunk.rows, [b"abc".to_vec(), Vec::new()]);
+        assert_eq!((chunk.cache_hits, chunk.cache_misses), (1, 1));
+    }
+
+    #[test]
+    fn eof_mid_chunk_is_a_death() {
+        death("row 3\nabc\n", "eof");
+        death("", "eof");
+    }
+
+    #[test]
+    fn a_truncated_frame_is_a_death() {
+        death("row 10\nabc", "mid-frame");
+    }
+
+    #[test]
+    fn a_frame_without_its_terminator_is_a_death() {
+        death("row 3\nabcd\n", "terminator");
+    }
+
+    #[test]
+    fn a_non_numeric_frame_length_is_a_death() {
+        death("row three\nabc\n", "bad frame");
+        death("row -1\n", "bad frame");
+    }
+
+    #[test]
+    fn a_wrong_row_count_is_a_death() {
+        let abc = sum(&["abc"]);
+        death(
+            &format!("row 3\nabc\ndone rows=2 cache_hits=0 cache_misses=0 sum={abc}\n"),
+            "does not match",
+        );
+        death(
+            &format!("done rows=1 cache_hits=0 cache_misses=0 sum={abc}\n"),
+            "does not match",
+        );
+    }
+
+    #[test]
+    fn a_checksum_mismatch_is_a_death() {
+        // one flipped byte, as the CORRIDOR_SERVE_FLIP_CELL hook sends it
+        death(
+            &format!(
+                "row 3\nabd\ndone rows=1 cache_hits=0 cache_misses=0 sum={}\n",
+                sum(&["abc"])
+            ),
+            "does not match",
+        );
+        // the same bytes, framed as other rows
+        death(
+            &format!(
+                "row 2\nab\nrow 1\nc\ndone rows=2 cache_hits=0 cache_misses=0 sum={}\n",
+                sum(&["a", "bc"])
+            ),
+            "does not match",
+        );
+        // the trailer's checksum field is `sum=`, nothing else
+        death(
+            "row 3\nabc\ndone rows=1 cache_hits=0 cache_misses=0 sha256=ba7816bf\n",
+            "bad done field",
+        );
+        death("done rows=0 cache_hits=0 cache_misses=0\n", "incomplete");
+    }
+
+    #[test]
+    fn an_unknown_line_is_a_death() {
+        death("hello\n", "unexpected worker line");
+        death("row 3\nabc\nrows 1\n", "unexpected worker line");
+    }
+
+    #[test]
+    fn an_error_line_is_an_answer_not_a_death() {
+        match read("error cache /dev/null/x: not a directory\n") {
+            Err(ChunkFailure::Answer(message)) => {
+                assert_eq!(message, "cache /dev/null/x: not a directory");
+            }
+            other => panic!("an answer expected, got {other:?}"),
+        }
+    }
 }

@@ -7,7 +7,8 @@
 //! prints, so the golden-file regression test can assert it against the
 //! committed outputs under `docs/results/`. The [`args`] module is the
 //! one argument grammar of the engine CLIs and of `serve`'s request
-//! lines.
+//! lines. [`ChunkSum`] is the checksum `serve`'s workers and coordinator
+//! put on each chunk of row frames.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,6 +22,7 @@ use corridor_core::traffic::PoissonTimetable;
 use corridor_core::ScenarioParams;
 use corridor_events::{EventDrivenEvaluator, NodeKind};
 use rand::SeedableRng;
+use std::hash::{DefaultHasher, Hasher};
 
 /// The scenario every binary uses: the paper's defaults.
 pub fn scenario() -> ScenarioParams {
@@ -73,6 +75,38 @@ pub fn poisson_service_day(seed: u64) -> PoissonDay {
     }
 }
 
+/// The checksum of one chunk of `serve` row frames: std's SipHash
+/// (`DefaultHasher`) over each row's length and bytes, in order.
+///
+/// It guards the local pipe between a `serve --worker` and its
+/// coordinator, two copies of the same executable, against protocol
+/// desync (a lost, torn or misread frame). It is a 64-bit
+/// non-cryptographic checksum, not a digest: the SHA-256 in `serve`'s
+/// `END` trailer is what certifies every byte a client receives.
+/// `DefaultHasher`'s algorithm may change between Rust releases, so a
+/// sum is only compared within one build.
+#[derive(Debug, Clone, Default)]
+pub struct ChunkSum(DefaultHasher);
+
+impl ChunkSum {
+    /// The sum of an empty chunk.
+    pub fn new() -> ChunkSum {
+        ChunkSum::default()
+    }
+
+    /// Folds in the next row of the chunk (without its frame terminator).
+    pub fn add(&mut self, row: &[u8]) {
+        self.0.write_u64(row.len() as u64);
+        self.0.write(row);
+    }
+
+    /// The sum as the 16 lowercase hex digits of the `done` trailer's
+    /// `sum=` field.
+    pub fn hex(&self) -> String {
+        format!("{:016x}", self.0.finish())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,5 +119,31 @@ mod tests {
     #[test]
     fn wh_formats_one_decimal() {
         assert_eq!(wh(467.04), "467.0");
+    }
+
+    #[test]
+    fn chunk_sum_covers_row_boundaries_order_and_every_byte() {
+        let sum = |rows: &[&str]| {
+            let mut sum = ChunkSum::new();
+            for row in rows {
+                sum.add(row.as_bytes());
+            }
+            sum.hex()
+        };
+        let base = sum(&["ab", "c"]);
+        assert_eq!(base.len(), 16);
+        assert!(base
+            .bytes()
+            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()));
+        assert_eq!(base, sum(&["ab", "c"]));
+        for other in [
+            sum(&["a", "bc"]),
+            sum(&["c", "ab"]),
+            sum(&["ab", "b"]),
+            sum(&["ab", "c", ""]),
+            sum(&["ab"]),
+        ] {
+            assert_ne!(other, base);
+        }
     }
 }

@@ -1,14 +1,16 @@
 //! End-to-end tests for the `serve` binary: protocol shape, byte
 //! equivalence with the in-memory writers, retry-on-worker-death fault
-//! injection, cache behaviour across requests, the worker's task-line
-//! frames, typed errors for hostile requests and task lines, and the
+//! injection (a crash and a flipped frame byte), cache behaviour across
+//! requests, the worker's task-line frames, typed errors for hostile
+//! requests and task lines, a client that closes stdout, and the
 //! session-wide worker pool (reuse, respawn, trimming, flat memory).
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::process::{Command, Stdio};
 
+use corridor_bench::ChunkSum;
 use corridor_core::hash::sha256_hex;
-use corridor_core::sink::RowFormat;
+use corridor_core::sink::{RowFormat, StringSink};
 use corridor_sim::{
     DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, SweepEngine,
 };
@@ -145,6 +147,75 @@ fn killed_worker_is_retried_and_the_stream_is_byte_identical() {
         stderr.contains("respawning worker and retrying"),
         "no retry happened — the fault did not fire: {stderr}"
     );
+}
+
+#[test]
+fn a_flipped_frame_byte_fails_the_chunk_check_and_is_retried_once() {
+    let grid = ScenarioGrid::by_name("mixed-8").unwrap();
+    for format in [RowFormat::Csv, RowFormat::Json] {
+        let mut sink = StringSink::new();
+        SweepEngine::new()
+            .workers(1)
+            .stream(&grid, format, &mut sink)
+            .unwrap();
+        let expected = sha256_hex(sink.as_str().as_bytes());
+        for shards in [1, 2] {
+            let request = format!(
+                "sweep grid=mixed-8 format={} shards={shards}\n",
+                format.label()
+            );
+            // cell 3's frame reaches the coordinator with one byte flipped
+            // after the worker summed it
+            let (stdout, stderr) = serve(&request, &[("CORRIDOR_SERVE_FLIP_CELL", "3")]);
+            let (_, _, end) = parse_response(&stdout);
+            let sha = end
+                .split_whitespace()
+                .find_map(|w| w.strip_prefix("sha256="))
+                .expect("sha256 field");
+            assert_eq!(sha, expected, "{request}");
+            assert_eq!(
+                stderr.matches("respawning worker and retrying").count(),
+                1,
+                "{request}: {stderr}"
+            );
+            assert!(
+                stderr.contains("worker trailer does not match received frames"),
+                "{request}: the chunk check did not fire: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_session_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    // ~120 KB per response, far more than a pipe holds, so serve writes
+    // after the client is gone
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(&b"sweep grid=screening-200 format=json shards=2\n".repeat(3))
+        .expect("write requests");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 10];
+    stdout.read_exact(&mut head).expect("read the head");
+    assert_eq!(&head, b"BEGIN swee");
+    // the client stops reading, like `serve | head -c 10`
+    drop(stdout);
+    let output = child.wait_with_output().expect("serve exits");
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    // the documented status: not 101, a panic's
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "one diagnostic line: {stderr}");
+    assert!(lines[0].starts_with("serve: stdout: "), "{stderr}");
 }
 
 #[test]
@@ -286,12 +357,14 @@ fn worker_answers_the_task_line_the_benchmark_sends() {
         panic!("one row expected, got {rows:?}");
     };
     let stdout = worker("task sweep grid=paper format=csv range=0:1 reps=5 seed=7\n");
+    let mut sum = ChunkSum::new();
+    sum.add(row.as_bytes());
     assert_eq!(
         stdout,
         format!(
-            "row {}\n{row}\ndone rows=1 cache_hits=0 cache_misses=0 sha256={}\n",
+            "row {}\n{row}\ndone rows=1 cache_hits=0 cache_misses=0 sum={}\n",
             row.len(),
-            sha256_hex(row.as_bytes())
+            sum.hex()
         )
     );
 }
