@@ -83,13 +83,22 @@ network-differential:
 # fault-injection and session suite. The session runs three times: clean,
 # with a worker crash at cell 5 and with a flipped frame byte at cell 3.
 # Both faults fail their chunk's first attempt, and the retries must not
-# change a byte.
+# change a byte. A fourth run sends one 100 KiB line (longer than the
+# 64 KiB request-line cap) before the session: it must be answered with
+# one ERROR line, and the session after it with the golden bytes.
+SERVE_SESSION = sweep grid=mixed-8 format=csv shards=2\nmc grid=smoke-3 format=csv shards=2 reps=3 seed=9\noptimize grid=smoke-3 format=json shards=2\nsweep grid=mixed-8 format=json shards=2\n
+
 serve-smoke:
 	for fault in "" CORRIDOR_SERVE_CRASH_CELL=5 CORRIDOR_SERVE_FLIP_CELL=3; do \
-		printf 'sweep grid=mixed-8 format=csv shards=2\nmc grid=smoke-3 format=csv shards=2 reps=3 seed=9\noptimize grid=smoke-3 format=json shards=2\nsweep grid=mixed-8 format=json shards=2\n' \
+		printf '$(SERVE_SESSION)' \
 			| env $$fault cargo run -q --release -p corridor_bench --bin serve \
 			| diff - docs/results/serve_smoke.txt || exit 1; \
 	done
+	mkdir -p target
+	{ echo 'ERROR bad request: line too long'; cat docs/results/serve_smoke.txt; } > target/serve_smoke_long_line.txt
+	{ head -c 102400 /dev/zero | tr '\0' x; echo; printf '$(SERVE_SESSION)'; } \
+		| cargo run -q --release -p corridor_bench --bin serve \
+		| diff - target/serve_smoke_long_line.txt
 	cargo test -q --release -p corridor_bench --test serve
 
 # Cache determinism: the streamed bytes equal the in-memory writers'

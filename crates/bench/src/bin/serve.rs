@@ -19,7 +19,10 @@
 //! and 7; `reps` at most 10 000); `cache` points every worker at a
 //! shared scenario-hash [`ResultCache`] directory. Request lines, the
 //! worker's task lines and the engine CLIs share one field grammar,
-//! `corridor_bench::args`.
+//! `corridor_bench::args`. A line longer than [`MAX_REQUEST_LINE`]
+//! (64 KiB) is drained without being kept and answered `ERROR bad
+//! request: line too long`; a line that is not UTF-8 is answered `ERROR
+//! bad request: not UTF-8: …`. Either way the session goes on.
 //!
 //! # Response
 //!
@@ -29,11 +32,14 @@
 //! END rows=<n> sha256=<hex> cache_hits=<n> cache_misses=<n>
 //! ```
 //!
-//! The payload between `BEGIN` and `END` is byte-identical to
-//! `SweepEngine::stream` (respectively `McEngine` / `DeploymentOptimizer`)
-//! writing into a sink, and the `sha256` trailer is the digest of those
-//! payload bytes — so a client can verify integrity without re-hashing
-//! upstream state. Diagnostics (worker deaths, retries) go to stderr.
+//! The payload is produced by one entry, [`RowEngine::stream_rows`]:
+//! the request word picks the [`RowEngine`], which fixes the served
+//! configuration and the CSV header, so this binary names no engine.
+//! The payload between `BEGIN` and `END` is byte-identical to that
+//! engine's own `stream` writing into a sink, and the `sha256` trailer
+//! is the digest of those payload bytes — so a client can verify
+//! integrity without re-hashing upstream state. Diagnostics (worker
+//! deaths, retries) go to stderr.
 //!
 //! # Worker pool
 //!
@@ -53,16 +59,15 @@
 //! so each served row is SHA-256'd once, for `END`. Workers outlive the
 //! request: the ones the first request spawns answer every later
 //! request warm. Each worker keeps one [`EvalContext`] for its whole
-//! session and runs every sweep and optimize task through it, so it
-//! never repeats a PV sizing (Table IV) search it has made; the context
-//! holds at most [`EvalContext::SIZING_CAPACITY`] outcomes. The
-//! process-wide memos (`active_hours`, the solar sky tables and seed
-//! years) stay warm the same way. The pool stays bounded without a
-//! setting: after each request, before its trailer is written, idle
-//! workers beyond `std::thread::available_parallelism()` are killed and
-//! reaped. At stdin EOF every worker is killed and reaped before
-//! `serve` exits, so worker CPU time counts in the caller's
-//! `RUSAGE_CHILDREN`.
+//! session and runs every task through it, so it never repeats a PV
+//! sizing (Table IV) search it has made; the context holds at most
+//! [`EvalContext::SIZING_CAPACITY`] outcomes. The process-wide memos
+//! (`active_hours`, the solar sky tables and seed years) stay warm the
+//! same way. The pool stays bounded without a setting: after each
+//! request, before its trailer is written, idle workers beyond
+//! `std::thread::available_parallelism()` are killed and reaped. At
+//! stdin EOF every worker is killed and reaped before `serve` exits, so
+//! worker CPU time counts in the caller's `RUSAGE_CHILDREN`.
 //!
 //! # Fault tolerance
 //!
@@ -93,7 +98,7 @@
 //! prints one line on stderr and exits.
 
 use std::borrow::Cow;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::ops::Range;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitCode, Stdio};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -103,8 +108,7 @@ use corridor_bench::ChunkSum;
 use corridor_core::hash::Sha256;
 use corridor_core::sink::{RowEmitter, RowFormat};
 use corridor_sim::{
-    DeploymentOptimizer, EvalContext, McEngine, ReplicationPlan, ResultCache, ScenarioGrid,
-    SearchSpace, StreamError, SweepEngine, CSV_HEADER, MC_CSV_HEADER, OPTIMIZE_CSV_HEADER,
+    EvalContext, ReplicationPlan, ResultCache, RowEngine, ScenarioGrid, StreamError,
 };
 
 /// Cells per dispatched chunk: small enough that a retry is cheap and
@@ -118,6 +122,10 @@ const MAX_ATTEMPTS: u32 = 3;
 /// Exit status after a failed write to stdout.
 const STDOUT_CLOSED: u8 = 2;
 
+/// Longest request line read, its newline excluded: a bound on what one
+/// client line can make the coordinator hold, not a setting.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 const USAGE: &str = "\
 usage: serve [--worker]
 
@@ -129,52 +137,16 @@ Coordinator mode (default): reads one request per stdin line —
 it is not meant to be invoked by hand.
 ";
 
-/// Which engine a request drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EngineKind {
-    Sweep,
-    Mc,
-    Optimize,
-}
-
-impl EngineKind {
-    fn label(self) -> &'static str {
-        match self {
-            EngineKind::Sweep => "sweep",
-            EngineKind::Mc => "mc",
-            EngineKind::Optimize => "optimize",
-        }
-    }
-
-    fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "sweep" => Some(EngineKind::Sweep),
-            "mc" => Some(EngineKind::Mc),
-            "optimize" => Some(EngineKind::Optimize),
-            _ => None,
-        }
-    }
-
-    fn csv_header(self) -> &'static str {
-        match self {
-            EngineKind::Sweep => CSV_HEADER,
-            EngineKind::Mc => MC_CSV_HEADER,
-            EngineKind::Optimize => OPTIMIZE_CSV_HEADER,
-        }
-    }
-}
-
 /// One parsed request (shared between coordinator and worker: the task
 /// lines the coordinator sends are requests plus a cell range).
 #[derive(Debug)]
 struct Request {
-    engine: EngineKind,
+    engine: RowEngine,
     grid_name: String,
     grid: ScenarioGrid,
     format: RowFormat,
     shards: usize,
-    replications: usize,
-    master_seed: u64,
+    plan: ReplicationPlan,
     cache: Option<String>,
 }
 
@@ -185,17 +157,17 @@ impl Request {
     }
 
     /// Splits a line into its engine word and its fields.
-    fn fields(line: &str) -> Result<(EngineKind, Fields), String> {
+    fn fields(line: &str) -> Result<(RowEngine, Fields), String> {
         let mut words = line.split_whitespace();
         let engine = words
             .next()
-            .and_then(EngineKind::from_label)
+            .and_then(RowEngine::from_label)
             .ok_or("request must start with sweep|mc|optimize")?;
         Ok((engine, Fields::line(words)))
     }
 
     /// Reads the request fields; any field left over is an error.
-    fn read(engine: EngineKind, f: &mut Fields) -> Result<Request, String> {
+    fn read(engine: RowEngine, f: &mut Fields) -> Result<Request, String> {
         let (grid_name, grid) = f.grid("mixed-8")?;
         let request = Request {
             engine,
@@ -203,8 +175,8 @@ impl Request {
             grid,
             format: f.format()?,
             shards: f.checked("shards", |&n| n > 0, "at least 1")?.unwrap_or(2),
-            replications: f.reps("reps")?.unwrap_or(5),
-            master_seed: f.parse("seed")?.unwrap_or(7),
+            plan: ReplicationPlan::new(f.reps("reps")?.unwrap_or(5))
+                .master_seed(f.parse("seed")?.unwrap_or(7)),
             cache: f.value("cache")?,
         };
         f.finish()?;
@@ -220,8 +192,8 @@ impl Request {
             self.format.label(),
             range.start,
             range.end,
-            self.replications,
-            self.master_seed,
+            self.plan.replications(),
+            self.plan.seeds().master(),
         );
         if let Some(dir) = &self.cache {
             line.push_str(&format!(" cache={dir}"));
@@ -269,13 +241,6 @@ impl Faults {
     }
 }
 
-/// The fixed search space the `optimize` engine serves: the quick
-/// variant the optimizer determinism suite pins (0–6 repeaters at the
-/// default ISD resolution).
-fn serve_search_space() -> SearchSpace {
-    SearchSpace::new().node_counts((0..=6).collect())
-}
-
 fn main() -> ExitCode {
     args::run("serve", USAGE, &["worker"], |f| {
         let worker = f.flag("worker");
@@ -319,23 +284,25 @@ fn coordinator_main() -> ExitCode {
     let faults = Faults::from_env();
     let mut out = io::BufWriter::new(io::stdout().lock());
     let mut failed = false;
-    for line in io::stdin().lock().lines() {
-        let line = match line {
-            Ok(line) => line,
+    let mut stdin = io::stdin().lock();
+    let mut line = Vec::new();
+    loop {
+        let text = match read_request_line(&mut stdin, &mut line) {
+            Ok(Some(text)) => text,
+            Ok(None) => break,
             Err(error) => {
                 eprintln!("serve: stdin: {error}");
                 failed = true;
                 break;
             }
         };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+        let answered = match text.map(str::trim) {
+            Ok(text) if text.is_empty() || text.starts_with('#') => continue,
+            Ok(text) => Request::parse(text),
+            Err(error) => Err(error),
         }
-        let answered = match Request::parse(trimmed) {
-            Ok(request) => serve_request(&request, &pool, faults, &mut out),
-            Err(error) => Err(Failure::Request(format!("bad request: {error}"))),
-        };
+        .map_err(|error| Failure::Request(format!("bad request: {error}")))
+        .and_then(|request| serve_request(&request, &pool, faults, &mut out));
         let written = match answered {
             Ok(()) => Ok(()),
             Err(Failure::Request(error)) => {
@@ -365,6 +332,35 @@ fn coordinator_main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Reads the next request line into `line`, keeping at most
+/// [`MAX_REQUEST_LINE`] bytes of it: `Ok(None)` at EOF, else the line's
+/// text or why it cannot be a request. A longer line is drained to its
+/// newline without being kept.
+fn read_request_line<'a>(
+    reader: &mut impl BufRead,
+    line: &'a mut Vec<u8>,
+) -> io::Result<Option<Result<&'a str, String>>> {
+    // at most one byte past the cap, so an over-long line shows itself
+    let mut piece = |line: &mut Vec<u8>| {
+        line.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        reader.by_ref().take(limit).read_until(b'\n', line)
+    };
+    if piece(line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_REQUEST_LINE {
+        // drain the rest, one bounded piece at a time
+        while line.last() != Some(&b'\n') && piece(line)? > 0 {}
+        return Ok(Some(Err("line too long".into())));
+    }
+    Ok(Some(
+        std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}")),
+    ))
 }
 
 fn serve_request(
@@ -745,37 +741,18 @@ fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
             .map_err(|e| StreamError::Sink(corridor_core::sink::SinkError::Io(e)))
     };
 
-    let summary = match request.engine {
-        EngineKind::Sweep => SweepEngine::new().workers(1).stream_rows_in(
+    let summary = request
+        .engine
+        .stream_rows(
             context,
             grid,
+            &request.plan,
             range.clone(),
             request.format,
             cache.as_ref(),
             &mut emit,
-        ),
-        EngineKind::Mc => {
-            let plan = ReplicationPlan::new(request.replications).master_seed(request.master_seed);
-            McEngine::new().workers(1).stream_rows(
-                grid,
-                &plan,
-                range.clone(),
-                request.format,
-                cache.as_ref(),
-                &mut emit,
-            )
-        }
-        EngineKind::Optimize => DeploymentOptimizer::new().workers(1).stream_rows_in(
-            context,
-            grid,
-            &serve_search_space(),
-            range.clone(),
-            request.format,
-            cache.as_ref(),
-            &mut emit,
-        ),
-    }
-    .map_err(|e| format!("{e}"))?;
+        )
+        .map_err(|e| format!("{e}"))?;
 
     writeln!(
         out,
@@ -892,6 +869,44 @@ mod tests {
     fn an_unknown_line_is_a_death() {
         death("hello\n", "unexpected worker line");
         death("row 3\nabc\nrows 1\n", "unexpected worker line");
+    }
+
+    /// Every request line of `input`, read as the coordinator reads them.
+    fn request_lines(mut input: &[u8]) -> Vec<Result<String, String>> {
+        let mut line = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(text) = read_request_line(&mut input, &mut line).expect("in memory") {
+            lines.push(text.map(str::to_owned));
+        }
+        lines
+    }
+
+    #[test]
+    fn request_lines_are_capped_and_the_rest_of_a_long_line_is_dropped() {
+        let cap = "x".repeat(MAX_REQUEST_LINE);
+        let over = "x".repeat(MAX_REQUEST_LINE + 1);
+        let huge = "x".repeat(3 * MAX_REQUEST_LINE + 5);
+        let too_long = || Err("line too long".to_owned());
+        assert_eq!(
+            request_lines(format!("{cap}\n{over}\na\n{huge}\n{huge}").as_bytes()),
+            [Ok(cap), too_long(), Ok("a".into()), too_long(), too_long()]
+        );
+        assert_eq!(
+            request_lines(b"a\n\nb"),
+            [Ok("a".into()), Ok("".into()), Ok("b".into())]
+        );
+        assert!(request_lines(b"").is_empty());
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_an_error_and_the_next_line_is_read() {
+        match request_lines(b"sweep \xff\nmc\n").as_slice() {
+            [Err(error), Ok(next)] => {
+                assert!(error.starts_with("not UTF-8: "), "{error}");
+                assert_eq!(next, "mc");
+            }
+            other => panic!("an error and a line expected, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! equivalence with the in-memory writers, retry-on-worker-death fault
 //! injection (a crash and a flipped frame byte), cache behaviour across
 //! requests, the worker's task-line frames, typed errors for hostile
-//! requests and task lines, a client that closes stdout, and the
-//! session-wide worker pool (reuse, respawn, trimming, flat memory).
+//! requests, request lines and task lines, a client that closes stdout,
+//! and the session-wide worker pool (reuse, respawn, trimming, flat
+//! memory).
 
 use std::io::{Read, Write};
 use std::process::{Command, Stdio};
@@ -440,8 +441,19 @@ mod session {
         /// Sends one request line and returns its whole response, up to and
         /// including the `END` (or `ERROR`) line.
         fn request(&mut self, line: &str) -> String {
-            writeln!(self.stdin, "{line}").expect("write request");
+            self.send(format!("{line}\n").as_bytes());
+            self.response()
+        }
+
+        /// Writes raw bytes to serve's stdin.
+        fn send(&mut self, bytes: &[u8]) {
+            self.stdin.write_all(bytes).expect("write request");
             self.stdin.flush().expect("flush request");
+        }
+
+        /// Reads the next whole response, up to and including its `END`
+        /// (or `ERROR`) line.
+        fn response(&mut self) -> String {
             let mut response = String::new();
             loop {
                 let start = response.len();
@@ -781,5 +793,57 @@ mod session {
         }
         let (status, stderr) = session.finish();
         assert!(status.success(), "{stderr}");
+    }
+
+    /// The END digest of a fresh in-process stream of the paper grid as CSV.
+    fn paper_csv_digest() -> String {
+        let mut sink = StringSink::new();
+        SweepEngine::new()
+            .workers(1)
+            .stream(
+                &ScenarioGrid::by_name("paper").unwrap(),
+                RowFormat::Csv,
+                &mut sink,
+            )
+            .unwrap();
+        sha256_hex(sink.as_str().as_bytes())
+    }
+
+    #[test]
+    fn an_over_long_request_line_is_drained_not_kept() {
+        const LINE: usize = 8 << 20;
+        // a peak far below the line: the coordinator never holds it
+        const PEAK_BOUND_KIB: u64 = 6 << 10;
+        let request = "sweep grid=paper format=csv shards=1";
+        let mut session = Session::start(&[]);
+        // 8 MiB without a newline, then the newline that ends the line
+        let mut long = vec![b'x'; LINE];
+        long.push(b'\n');
+        session.send(&long);
+        assert_eq!(session.response(), "ERROR bad request: line too long\n");
+        assert_eq!(end_digest(&session.request(request)), paper_csv_digest());
+        let peak = vm_hwm_kib(session.child.id());
+        assert!(
+            peak < PEAK_BOUND_KIB,
+            "coordinator VmHWM {peak} KiB after an {LINE}-byte line"
+        );
+        let (status, stderr) = session.finish();
+        assert!(!status.success(), "a bad request must fail the run");
+        assert!(stderr.contains("line too long"), "{stderr}");
+    }
+
+    #[test]
+    fn a_non_utf8_request_line_gets_an_error_and_the_session_goes_on() {
+        let mut session = Session::start(&[]);
+        session.send(
+            b"sweep grid=paper format=csv shards=1 \xff\nsweep grid=paper format=csv shards=1\n",
+        );
+        let failed = session.response();
+        assert!(failed.starts_with("ERROR bad request: "), "{failed}");
+        assert_eq!(failed.lines().count(), 1, "{failed}");
+        assert_eq!(end_digest(&session.response()), paper_csv_digest());
+        let (status, stderr) = session.finish();
+        assert!(!status.success(), "a bad request must fail the run");
+        assert!(!stderr.contains("stdin"), "{stderr}");
     }
 }

@@ -1,22 +1,18 @@
 //! Evaluation state that outlives one cell.
 
-use corridor_solar::sizing::SizingOptions;
-
-use crate::sizing::{Sizer, SizingMemo};
+use crate::sizing::SizingMemo;
 
 /// What an evaluation keeps between cells, and between runs: today the
-/// PV sizing memo, which holds each Table IV search's outcome by the
-/// bits of its site, load and search options.
+/// PV sizing memo, which holds each Table IV search's outcome (on the
+/// paper's ladder) by the bits of its site and load.
 ///
-/// Every engine run evaluates through a context. `run`, `stream`,
-/// `stream_with` and `stream_rows` use a fresh one per call;
-/// [`SweepEngine::stream_rows_in`](crate::SweepEngine::stream_rows_in)
-/// and
-/// [`DeploymentOptimizer::stream_rows_in`](crate::DeploymentOptimizer::stream_rows_in)
-/// take the caller's, so a long-lived process (a `serve` worker, say)
-/// keeps it across runs and skips the searches it has already made.
-/// A hit returns exactly what a fresh search computes, so a warm
-/// context never changes an output byte.
+/// Every engine run evaluates through a context. The engines' `run`,
+/// `stream`, `stream_with` and `stream_rows` use a fresh one per call;
+/// [`RowEngine::stream_rows`](crate::RowEngine::stream_rows) takes the
+/// caller's, so a long-lived process (a `serve` worker, say) keeps it
+/// across runs and skips the searches it has already made. A hit
+/// returns exactly what a fresh search computes, so a warm context
+/// never changes an output byte.
 ///
 /// The memo is bounded: it holds at most
 /// [`EvalContext::SIZING_CAPACITY`] outcomes, and a new key beyond that
@@ -26,15 +22,15 @@ use crate::sizing::{Sizer, SizingMemo};
 ///
 /// ```
 /// use corridor_core::sink::RowFormat;
-/// use corridor_sim::{EvalContext, ScenarioGrid, SweepEngine};
+/// use corridor_sim::{EvalContext, ReplicationPlan, RowEngine, ScenarioGrid};
 ///
 /// let grid = ScenarioGrid::new();
-/// let engine = SweepEngine::new().workers(1);
+/// let plan = ReplicationPlan::new(5);
 /// let context = EvalContext::new();
 /// let mut rows = Vec::new();
 /// for _ in 0..2 {
-///     engine
-///         .stream_rows_in(&context, &grid, 0..1, RowFormat::Csv, None, |row| {
+///     RowEngine::Sweep
+///         .stream_rows(&context, &grid, &plan, 0..1, RowFormat::Csv, None, |row| {
 ///             rows.push(row.to_owned());
 ///             Ok(())
 ///         })
@@ -80,9 +76,9 @@ impl EvalContext {
         self.sizing.len()
     }
 
-    /// A sizer for the paper's Table IV ladder through this context.
-    pub(crate) fn paper_sizer(&self) -> Sizer<'_> {
-        self.sizing.sizer(SizingOptions::paper_default())
+    /// The context's PV sizing memo.
+    pub(crate) fn sizing(&self) -> &SizingMemo {
+        &self.sizing
     }
 }
 

@@ -10,7 +10,7 @@ use corridor_traffic::TrackSection;
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{render_sweep_row, CSV_HEADER};
-use crate::sizing::{repeater_load, Sizer};
+use crate::sizing::{repeater_load, SizingMemo};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{CellResult, EvalContext, PvOutcome, ScenarioCell, ScenarioGrid, SweepReport};
 
@@ -230,8 +230,9 @@ impl SweepEngine {
     }
 
     /// Streams the raw rows of a cell range to `emit`, without header or
-    /// framing — the building block the `serve` coordinator shards
-    /// across worker processes. Rows arrive in grid order.
+    /// framing, through a fresh [`EvalContext`]. Rows arrive in grid
+    /// order. [`RowEngine::stream_rows`](crate::RowEngine::stream_rows)
+    /// streams the same rows through the caller's context.
     ///
     /// # Panics
     ///
@@ -250,32 +251,9 @@ impl SweepEngine {
         cache: Option<&ResultCache>,
         emit: impl FnMut(&str) -> Result<(), StreamError>,
     ) -> Result<StreamSummary, StreamError> {
-        self.stream_rows_in(&EvalContext::new(), grid, range, format, cache, emit)
-    }
-
-    /// [`SweepEngine::stream_rows`] through the caller's
-    /// [`EvalContext`]: PV sizing outcomes the context already holds
-    /// are reused, new ones are kept in it. The rows are byte-identical
-    /// to a fresh context's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` reaches past the grid's length.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SweepEngine::stream_rows`].
-    pub fn stream_rows_in(
-        &self,
-        context: &EvalContext,
-        grid: &ScenarioGrid,
-        range: Range<usize>,
-        format: RowFormat,
-        cache: Option<&ResultCache>,
-        emit: impl FnMut(&str) -> Result<(), StreamError>,
-    ) -> Result<StreamSummary, StreamError> {
+        let context = EvalContext::new();
         stream::stream_rows(
-            &self.job(grid, context),
+            &self.job(grid, &context),
             self.workers,
             range,
             format,
@@ -285,11 +263,15 @@ impl SweepEngine {
     }
 
     /// The engine's per-cell work over `grid`, sizing through `context`.
-    fn job<'a>(&'a self, grid: &'a ScenarioGrid, context: &'a EvalContext) -> SweepJob<'a> {
+    pub(crate) fn job<'a>(
+        &'a self,
+        grid: &'a ScenarioGrid,
+        context: &'a EvalContext,
+    ) -> SweepJob<'a> {
         SweepJob {
             engine: self,
             grid,
-            sizer: context.paper_sizer(),
+            sizing: context.sizing(),
         }
     }
 
@@ -311,14 +293,14 @@ impl SweepEngine {
     /// backend and, unless disabled, the PV sizing of one service
     /// repeater at the cell's deployment ISD.
     pub fn evaluate(&self, cell: &ScenarioCell) -> CellResult {
-        self.evaluate_with(cell, &EvalContext::new().paper_sizer())
+        self.evaluate_with(cell, EvalContext::new().sizing())
     }
 
-    /// [`SweepEngine::evaluate`] through the run's sizer.
-    fn evaluate_with(&self, cell: &ScenarioCell, sizer: &Sizer<'_>) -> CellResult {
+    /// [`SweepEngine::evaluate`] through the run's sizing memo.
+    fn evaluate_with(&self, cell: &ScenarioCell, sizing: &SizingMemo) -> CellResult {
         let [baseline, continuous, sleep, solar] = self.evaluator.splits(cell);
         let pv = if self.pv_sizing {
-            size_repeater_pv(cell, sizer)
+            size_repeater_pv(cell, sizing)
         } else {
             PvOutcome::Skipped
         };
@@ -339,11 +321,11 @@ impl SweepEngine {
 /// train bursts during the service window (the paper's Table IV
 /// methodology, generalized to the given timetable, equipment and
 /// deployment geometry).
-fn size_repeater_pv(cell: &ScenarioCell, sizer: &Sizer<'_>) -> PvOutcome {
+fn size_repeater_pv(cell: &ScenarioCell, sizing: &SizingMemo) -> PvOutcome {
     let params = cell.params();
     let section = TrackSection::around(cell.isd() / 2.0, params.lp_spacing());
     let active_h = corridor_core::energy::active_hours(params, section).value();
-    sizer.size(cell.location(), repeater_load(params, active_h))
+    sizing.size(cell.location(), repeater_load(params, active_h))
 }
 
 impl Default for SweepEngine {
@@ -354,11 +336,11 @@ impl Default for SweepEngine {
 }
 
 /// The sweep's per-cell work for the shared drivers.
-struct SweepJob<'a> {
+pub(crate) struct SweepJob<'a> {
     engine: &'a SweepEngine,
     grid: &'a ScenarioGrid,
     /// PV sizing through the run's context.
-    sizer: Sizer<'a>,
+    sizing: &'a SizingMemo,
 }
 
 impl CellJob for SweepJob<'_> {
@@ -382,7 +364,7 @@ impl CellJob for SweepJob<'_> {
     }
 
     fn evaluate(&self, cell: ScenarioCell) -> CellResult {
-        self.engine.evaluate_with(&cell, &self.sizer)
+        self.engine.evaluate_with(&cell, self.sizing)
     }
 
     fn render(&self, result: &CellResult, format: RowFormat) -> String {

@@ -75,6 +75,7 @@ mod mc;
 mod network;
 mod optimize;
 mod report;
+mod served;
 mod sizing;
 mod stream;
 
@@ -96,6 +97,7 @@ pub use optimize::{
     SearchSpace, OPTIMIZE_CSV_HEADER,
 };
 pub use report::{SweepReport, CSV_HEADER};
+pub use served::RowEngine;
 pub use stream::{StreamError, StreamSummary};
 
 pub use corridor_events::WakePolicy;

@@ -52,6 +52,10 @@ pub const NETWORK_SCHEDULE_CSV_HEADER: &str =
     "edge,edge_name,station,station_name,absorber_edge,absorber_name,slept_wh_day,\
 absorber_delta_wh_day,net_wh_day,absorbed_demand_tph";
 
+/// The seed of the representative network day the margin-trading
+/// scheduler prices interior sleeps against.
+const MARGIN_DAY_SEED: u64 = 42;
+
 /// Runs the per-edge deployment search and the demand-aware sleep
 /// schedule over a [`CorridorNetwork`] on one or more worker threads.
 ///
@@ -74,19 +78,17 @@ pub struct NetworkOptimizer {
     workers: Option<usize>,
     capacity_tph: f64,
     margin_floor_db: Option<f64>,
-    day_seed: u64,
 }
 
 impl NetworkOptimizer {
     /// An optimizer with automatic worker count, the default 30
-    /// trains/h absorption capacity per boundary repeater, no margin
-    /// trading and day seed 42.
+    /// trains/h absorption capacity per boundary repeater and no margin
+    /// trading.
     pub fn new() -> Self {
         NetworkOptimizer {
             workers: None,
             capacity_tph: 30.0,
             margin_floor_db: None,
-            day_seed: 42,
         }
     }
 
@@ -113,14 +115,6 @@ impl NetworkOptimizer {
     #[must_use]
     pub fn margin_floor_db(mut self, floor_db: f64) -> Self {
         self.margin_floor_db = Some(floor_db);
-        self
-    }
-
-    /// Sets the seed of the representative network day the
-    /// margin-trading scheduler prices interior sleeps against.
-    #[must_use]
-    pub fn day_seed(mut self, seed: u64) -> Self {
-        self.day_seed = seed;
         self
     }
 
@@ -192,7 +186,7 @@ impl NetworkOptimizer {
             Some(floor_db) => {
                 // the representative day the interior prices come from,
                 // plus each edge's coverage cache from the search
-                let day = day::build_day_context(net, &picks, self.day_seed);
+                let day = day::build_day_context(net, &picks, MARGIN_DAY_SEED);
                 let caches: Vec<Arc<CoverageCache>> = results
                     .iter()
                     .map(|r| shared_cache(coverage, r.cell(), space))

@@ -38,7 +38,7 @@ use corridor_units::{Db, Meters};
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{csv_field, json_string};
-use crate::sizing::{repeater_load, Sizer};
+use crate::sizing::{repeater_load, SizingMemo};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{EvalContext, PvOutcome, ScenarioCell, ScenarioGrid};
 
@@ -404,9 +404,9 @@ impl DeploymentOptimizer {
     }
 
     /// Streams the raw per-cell chunks of a cell range to `emit`,
-    /// without header or framing (the `serve` shard primitive). Workers
-    /// share one lazily built [`CoverageCache`] per distinct link
-    /// budget, exactly like [`DeploymentOptimizer::run`].
+    /// without header or framing, through a fresh [`EvalContext`].
+    /// Workers share one lazily built [`CoverageCache`] per distinct
+    /// link budget, exactly like [`DeploymentOptimizer::run`].
     ///
     /// # Panics
     ///
@@ -425,40 +425,9 @@ impl DeploymentOptimizer {
         cache: Option<&ResultCache>,
         emit: impl FnMut(&str) -> Result<(), StreamError>,
     ) -> Result<StreamSummary, StreamError> {
-        self.stream_rows_in(&EvalContext::new(), grid, space, range, format, cache, emit)
-    }
-
-    /// [`DeploymentOptimizer::stream_rows`] through the caller's
-    /// [`EvalContext`]: PV sizing outcomes the context already holds
-    /// are reused, new ones are kept in it. The rows are byte-identical
-    /// to a fresh context's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` reaches past the grid's length.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DeploymentOptimizer::stream_rows`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn stream_rows_in(
-        &self,
-        context: &EvalContext,
-        grid: &ScenarioGrid,
-        space: &SearchSpace,
-        range: core::ops::Range<usize>,
-        format: RowFormat,
-        cache: Option<&ResultCache>,
-        emit: impl FnMut(&str) -> Result<(), StreamError>,
-    ) -> Result<StreamSummary, StreamError> {
-        stream::stream_rows(
-            &grid_search(grid, space, context),
-            self.workers,
-            range,
-            format,
-            cache,
-            emit,
-        )
+        let context = EvalContext::new();
+        let search = grid_search(grid, space, &context);
+        stream::stream_rows(&search, self.workers, range, format, cache, emit)
     }
 }
 
@@ -506,7 +475,7 @@ pub(crate) struct SearchJob<'a, F> {
     /// The coverage caches the search has built so far.
     pub(crate) coverage: CoverageCaches,
     /// PV sizing through the search's context.
-    sizing: Sizer<'a>,
+    sizing: &'a SizingMemo,
 }
 
 impl<'a, F> SearchJob<'a, F> {
@@ -523,7 +492,7 @@ impl<'a, F> SearchJob<'a, F> {
             cell_at,
             space,
             coverage: Mutex::new(Vec::new()),
-            sizing: context.paper_sizer(),
+            sizing: context.sizing(),
         }
     }
 }
@@ -550,7 +519,7 @@ where
 
     fn evaluate(&self, cell: ScenarioCell) -> OptimizeCellResult {
         let coverage = shared_cache(&self.coverage, &cell, self.space);
-        evaluate_cell(&cell, &coverage, &self.sizing, self.space)
+        evaluate_cell(&cell, &coverage, self.sizing, self.space)
     }
 
     fn render(&self, result: &OptimizeCellResult, format: RowFormat) -> String {
@@ -559,7 +528,7 @@ where
 }
 
 /// The deployment search over every cell of `grid`.
-fn grid_search<'a>(
+pub(crate) fn grid_search<'a>(
     grid: &'a ScenarioGrid,
     space: &'a SearchSpace,
     context: &'a EvalContext,
@@ -610,7 +579,7 @@ fn cache_key(cell: &ScenarioCell, space: &SearchSpace) -> String {
 fn evaluate_cell(
     cell: &ScenarioCell,
     cache: &CoverageCache,
-    sizing: &Sizer<'_>,
+    sizing: &SizingMemo,
     space: &SearchSpace,
 ) -> OptimizeCellResult {
     let params = cell.params();
