@@ -8,8 +8,14 @@
 //! place: `<name>: <parse error>` messages, bounds, the stand-alone rule
 //! of fixed renderings, the "only applies to" rule and the rejection of
 //! unknown fields. A repeated field keeps its last value.
+//!
+//! Every binary also writes its stdout through this module: [`run`] and
+//! [`output`] own the one fallible writer, so a reader that goes away
+//! ends the binary with `<name>: stdout: <error>` and exit status
+//! [`STDOUT_CLOSED`] instead of a panic.
 
 use std::fmt;
+use std::io::{self, Write as _};
 use std::ops::Range;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -21,30 +27,88 @@ use corridor_sim::{IsdSearch, ScenarioGrid};
 /// ask for, so no invocation can occupy the workers for days.
 pub const MAX_REPS: usize = 10_000;
 
+/// Exit status after a failed write to stdout: a reader that went away,
+/// say (`sweep | head -c 1`).
+pub const STDOUT_CLOSED: u8 = 2;
+
+/// The one stdout every binary writes through: std's own line-buffered
+/// handle, locked once for the whole run, so a result written here and
+/// a timing line on stderr keep their order on a terminal.
+pub type Stdout = io::StdoutLock<'static>;
+
+/// Why a binary's body stopped early.
+#[derive(Debug)]
+pub enum Stop {
+    /// A usage error: [`run`] prints `<name>: <message>` and the usage
+    /// on stderr, and the exit status is 1.
+    Usage(String),
+    /// A write to stdout failed: `<name>: stdout: <error>` goes to
+    /// stderr, and the exit status is [`STDOUT_CLOSED`].
+    Stdout(io::Error),
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Stop {
+        Stop::Usage(message)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(error: io::Error) -> Stop {
+        Stop::Stdout(error)
+    }
+}
+
 /// Runs a binary on its process arguments: `--help` or `-h` prints
 /// `usage` and exits 0; otherwise `body` reads its options, calls
-/// [`Fields::finish`] and runs. An `Err` from `body` is a usage error:
-/// `<name>: <message>` and the usage go to stderr, and the exit code
-/// is 1. `flags` are the options that take no value.
+/// [`Fields::finish`] and runs, writing its results to the [`Stdout`]
+/// of [`output`]. A [`Stop::Usage`] from `body` is a usage error:
+/// `<name>: <message>` and the usage go to stderr, and the exit code is
+/// 1. `flags` are the options that take no value.
 pub fn run(
     name: &str,
     usage: &str,
     flags: &[&str],
-    body: impl FnOnce(&mut Fields) -> Result<ExitCode, String>,
+    body: impl FnOnce(&mut Fields, &mut Stdout) -> Result<ExitCode, Stop>,
 ) -> ExitCode {
-    let fields = Fields::cli(std::env::args().skip(1), flags);
-    match fields.and_then(|f| f.map(|mut f| body(&mut f)).transpose()) {
-        Ok(Some(code)) => code,
-        Ok(None) => {
-            print!("{usage}");
-            ExitCode::SUCCESS
+    output(name, |out| {
+        let ran = match Fields::cli(std::env::args().skip(1), flags) {
+            Ok(Some(mut fields)) => body(&mut fields, out),
+            Ok(None) => return out.write_all(usage.as_bytes()).map(|()| ExitCode::SUCCESS),
+            Err(message) => Err(Stop::Usage(message)),
+        };
+        match ran {
+            Ok(code) => Ok(code),
+            Err(Stop::Usage(message)) => {
+                eprintln!("{name}: {message}");
+                eprint!("{usage}");
+                Ok(ExitCode::FAILURE)
+            }
+            Err(Stop::Stdout(error)) => Err(error),
         }
-        Err(message) => {
-            eprintln!("{name}: {message}");
-            eprint!("{usage}");
-            ExitCode::FAILURE
+    })
+}
+
+/// Runs `body` on the process's one [`Stdout`] and flushes it. If a
+/// write fails, `<name>: stdout: <error>` goes to stderr and the exit
+/// status is [`STDOUT_CLOSED`]; nothing panics.
+pub fn output(name: &str, body: impl FnOnce(&mut Stdout) -> io::Result<ExitCode>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match body(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(error) => {
+            eprintln!("{name}: stdout: {error}");
+            ExitCode::from(STDOUT_CLOSED)
         }
     }
+}
+
+/// Prints `text` through [`output`]: the whole body of the fixed
+/// reproduction binaries.
+pub fn print(name: &str, text: &str) -> ExitCode {
+    output(name, |out| {
+        out.write_all(text.as_bytes()).map(|()| ExitCode::SUCCESS)
+    })
 }
 
 /// The `auto` label of an unset worker count.

@@ -4,6 +4,8 @@
 //! The rendering lives in [`corridor_bench::render`] so the golden-file
 //! test can assert it against `docs/results/`.
 
-fn main() {
-    print!("{}", corridor_bench::render::fig3());
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    corridor_bench::args::print("fig3", &corridor_bench::render::fig3())
 }

@@ -3,6 +3,8 @@
 //! The rendering lives in [`corridor_bench::render`] so the golden-file
 //! test can assert it against `docs/results/`.
 
-fn main() {
-    print!("{}", corridor_bench::render::headline());
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    corridor_bench::args::print("headline", &corridor_bench::render::headline())
 }

@@ -5,6 +5,8 @@
 //! The rendering lives in [`corridor_bench::render`] so the golden-file
 //! test can assert it against `docs/results/`.
 
-fn main() {
-    print!("{}", corridor_bench::render::isd_sweep());
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    corridor_bench::args::print("isd_sweep", &corridor_bench::render::isd_sweep())
 }

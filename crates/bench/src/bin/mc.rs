@@ -14,10 +14,11 @@
 //! clocks), so piped output is byte-reproducible across runs *and worker
 //! counts*; wall-clock timing goes to stderr.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use corridor_bench::args::{self, Fields};
+use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_bench::render;
 use corridor_core::experiments;
 use corridor_core::traffic::DelayModel;
@@ -44,7 +45,7 @@ fn main() -> ExitCode {
     args::run("mc", USAGE, &["csv", "smoke"], run)
 }
 
-fn run(f: &mut Fields) -> Result<ExitCode, String> {
+fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     let smoke = f.standalone("smoke")?;
     let (grid_name, grid) = f.grid("screening-200")?;
     let reps = f.reps("reps")?.unwrap_or(25);
@@ -60,7 +61,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     f.finish()?;
 
     if smoke {
-        print!("{}", render::mc_smoke());
+        write!(out, "{}", render::mc_smoke())?;
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -83,20 +84,21 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     let elapsed = started.elapsed();
 
     if csv {
-        print!("{}", report.to_csv());
+        write!(out, "{}", report.to_csv())?;
     } else {
-        println!("Monte-Carlo replication sweep — event-driven backend");
-        println!();
-        println!(
+        writeln!(out, "Monte-Carlo replication sweep — event-driven backend")?;
+        writeln!(out)?;
+        writeln!(
+            out,
             "grid: {} ({} cells)  model: {}  replications: {}  master seed: {}",
             grid_name,
             report.len(),
             report.traffic(),
             report.replications(),
             report.master_seed()
-        );
-        println!("cell-days simulated: {}", report.cell_days());
-        println!();
+        )?;
+        writeln!(out, "cell-days simulated: {}", report.cell_days())?;
+        writeln!(out)?;
 
         // the statistics of the whole grid, by metric
         for metric in [
@@ -113,12 +115,13 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                 hi = hi.max(s.mean);
                 widest = widest.max(s.ci95);
             }
-            println!(
+            writeln!(
+                out,
                 "{:<18} cell means {lo:.3} .. {hi:.3}, widest 95 % CI half-width {widest:.3}",
                 metric.key()
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
 
         // the headline cell: the paper's 10-node segment at 8 trains/h
         let analytic = experiments::headline_numbers(&ScenarioParams::paper_default())
@@ -132,22 +135,24 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                 && (c.train_speed_kmh() - 200.0).abs() < 1e-9
         }) {
             let s = headline.stats(McMetric::RepeaterWhDay);
-            println!(
+            writeln!(
+                out,
                 "headline cell {} (8 trains/h, 200 km/h): repeater {:.3} ± {:.3} Wh/day (95 % CI)",
                 headline.cell().index(),
                 s.mean,
                 s.ci95
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "analytic closed form: {analytic:.3} Wh/day -> CI {}",
                 if s.ci_covers(analytic) {
                     "covers the analytic value"
                 } else {
                     "does NOT cover the analytic value"
                 }
-            );
+            )?;
         } else {
-            println!("(grid has no headline cell at the paper's defaults)");
+            writeln!(out, "(grid has no headline cell at the paper's defaults)")?;
         }
     }
 

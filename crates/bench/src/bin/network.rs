@@ -22,15 +22,18 @@
 //! so piped output is byte-reproducible; wall-clock timing goes to
 //! stderr.
 
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use corridor_bench::args::{self, Fields};
+use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_bench::render;
-use corridor_core::sink::{RowFormat, WriteSink};
+use corridor_core::sink::{RowFormat, SinkError, WriteSink};
 use corridor_core::units::Meters;
-use corridor_sim::{CorridorNetwork, NetworkDayEngine, NetworkOptimizer, SearchSpace};
+use corridor_sim::{
+    CorridorNetwork, NetworkDayEngine, NetworkError, NetworkOptimizer, SearchSpace, StreamError,
+    StreamSummary,
+};
 
 const USAGE: &str = "\
 usage: network [options]
@@ -65,7 +68,7 @@ fn main() -> ExitCode {
     args::run("network", USAGE, &["simulate", "csv", "json", "smoke"], run)
 }
 
-fn run(f: &mut Fields) -> Result<ExitCode, String> {
+fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     let smoke = f.standalone("smoke")?;
     f.applies(&["reps", "seed"], "simulate", true)?;
     // the day backend prices the deployment picks: no margin is traded
@@ -88,7 +91,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     f.finish()?;
 
     if smoke {
-        print!("{}", render::network_smoke());
+        write!(out, "{}", render::network_smoke())?;
         return Ok(ExitCode::SUCCESS);
     }
     if simulate_days {
@@ -102,7 +105,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
         if let Some(seed) = seed {
             engine = engine.seed(seed);
         }
-        return Ok(simulate(engine, &topology, &net, &space, output, workers));
+        return simulate(engine, &topology, &net, &space, output, workers, out);
     }
     let mut optimizer = NetworkOptimizer::new();
     if let Some(workers) = workers {
@@ -119,26 +122,9 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     if let Some(format) = output {
         // stream the frontier rows through the RowSink layer: edge
         // order, byte-identical whatever the worker count
-        let stdout = std::io::stdout();
-        let mut sink = WriteSink::new(std::io::BufWriter::new(stdout.lock()));
-        let summary = match optimizer.stream_frontier(&net, &space, format, &mut sink) {
-            Ok(summary) => summary,
-            Err(err) => {
-                eprintln!("network: {err}");
-                return Ok(ExitCode::FAILURE);
-            }
-        };
-        let mut writer = sink.into_inner();
-        if writer.flush().is_err() {
-            return Ok(ExitCode::FAILURE);
-        }
-        eprintln!(
-            "streamed {} edge(s) in {:.0} ms (workers: {})",
-            summary.cells,
-            started.elapsed().as_secs_f64() * 1e3,
-            args::workers_label(workers),
-        );
-        return Ok(ExitCode::SUCCESS);
+        return stream_out(out, "edge(s)", workers, |sink| {
+            optimizer.stream_frontier(&net, &space, format, sink)
+        });
     }
 
     let report = match optimizer.run(&net, &space) {
@@ -150,19 +136,24 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     };
     let elapsed = started.elapsed();
 
-    println!("Rail-network optimizer — per-edge frontiers + demand-aware sleep");
-    println!();
-    println!(
+    writeln!(
+        out,
+        "Rail-network optimizer — per-edge frontiers + demand-aware sleep"
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "topology: {} ({} stations, {} edges)  isd: {}",
         topology,
         report.network().station_count(),
         report.network().edge_count(),
         report.isd_search(),
-    );
+    )?;
     for (e, pick) in report.picks().iter().enumerate() {
         let edge = report.network().edge(e);
         match pick {
-            Some(p) => println!(
+            Some(p) => writeln!(
+                out,
                 "edge {e} ({}): {} t/h over {:.0} km -> {} nodes @ {:.0} m, \
                  {:.1} Wh/day/km, margin {:.3} dB",
                 report.network().edge_name(e),
@@ -172,38 +163,42 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                 p.isd.value(),
                 p.energy_wh_day_km,
                 p.margin_db,
-            ),
-            None => println!(
+            )?,
+            None => writeln!(
+                out,
                 "edge {e} ({}): {} t/h -> unsolvable",
                 report.network().edge_name(e),
                 edge.demand_tph(),
-            ),
+            )?,
         }
     }
-    println!();
+    writeln!(out)?;
     match margin_floor {
-        None => println!(
+        None => writeln!(
+            out,
             "sleep schedule: {} boundary repeater(s) sleep, {:.3} Wh/day net saving",
             report.plan().len(),
             report.sleep_saving_wh_day()
-        ),
+        )?,
         Some(floor) => {
             let interior = report
                 .plan()
                 .iter()
                 .filter(|d| d.repeater.is_some())
                 .count();
-            println!(
+            writeln!(
+                out,
                 "sleep schedule ({floor} dB floor): {} boundary + {interior} interior \
                  repeater(s) sleep, {:.3} Wh/day net saving",
                 report.plan().len() - interior,
                 report.sleep_saving_wh_day()
-            );
+            )?;
         }
     }
     for d in report.plan() {
         match d.repeater {
-            None => println!(
+            None => writeln!(
+                out,
                 "  station {} ({}): edge {} sleeps into edge {} \
                  (+{} t/h absorbed, net {:.3} Wh/day)",
                 d.station,
@@ -212,15 +207,16 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                 d.absorber_edge,
                 d.absorbed_demand_tph,
                 d.net_wh_day,
-            ),
-            Some(k) => println!(
+            )?,
+            Some(k) => writeln!(
+                out,
                 "  edge {} ({}): interior repeater {k} sleeps into its neighbor \
                  (margin cost {:.3} dB, net {:.3} Wh/day)",
                 d.edge,
                 report.network().edge_name(d.edge),
                 d.margin_cost_db,
                 d.net_wh_day,
-            ),
+            )?,
         }
     }
     if margin_floor.is_some() {
@@ -233,13 +229,14 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                 None => format!("{} n/a", report.network().edge_name(e)),
             })
             .collect();
-        println!("residual margins: {}", margins.join(", "));
+        writeln!(out, "residual margins: {}", margins.join(", "))?;
     }
-    println!(
+    writeln!(
+        out,
         "totals: per-corridor {:.3} Wh/day -> network {:.3} Wh/day",
         report.corridor_wh_day(),
         report.network_wh_day()
-    );
+    )?;
 
     eprintln!(
         "searched {} edge(s) in {:.0} ms (workers: {})",
@@ -260,51 +257,40 @@ fn simulate(
     space: &SearchSpace,
     output: Option<RowFormat>,
     workers: Option<usize>,
-) -> ExitCode {
-    let started = Instant::now();
+    out: &mut Stdout,
+) -> Result<ExitCode, Stop> {
     if let Some(format) = output {
-        let stdout = std::io::stdout();
-        let mut sink = WriteSink::new(std::io::BufWriter::new(stdout.lock()));
-        let summary = match engine.stream(net, space, format, &mut sink) {
-            Ok(summary) => summary,
-            Err(err) => {
-                eprintln!("network: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut writer = sink.into_inner();
-        if writer.flush().is_err() {
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "streamed {} day row(s) in {:.0} ms (workers: {})",
-            summary.cells,
-            started.elapsed().as_secs_f64() * 1e3,
-            args::workers_label(workers),
-        );
-        return ExitCode::SUCCESS;
+        return stream_out(out, "day row(s)", workers, |sink| {
+            engine.stream(net, space, format, sink)
+        });
     }
 
+    let started = Instant::now();
     let report = match engine.run(net, space) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("network: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let elapsed = started.elapsed();
 
-    println!("Rail-network day simulator — routed itineraries, junction-consistent days");
-    println!();
-    println!(
+    writeln!(
+        out,
+        "Rail-network day simulator — routed itineraries, junction-consistent days"
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "topology: {} ({} stations, {} edges)  reps: {}  seed: {}",
         topology,
         report.network().station_count(),
         report.network().edge_count(),
         report.reps(),
         report.seed(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "routes: {} ({} junction-crossing), mean {:.1} crossings/day",
         report.routes().len(),
         report
@@ -313,9 +299,10 @@ fn simulate(
             .filter(|r| r.legs().len() >= 2)
             .count(),
         report.crossings_per_day(),
-    );
+    )?;
     for s in report.per_edge() {
-        println!(
+        writeln!(
+            out,
             "edge {} ({}): {} t/h over {} route(s) -> {} nodes @ {:.0} m, \
              {:.3} +/- {:.3} Wh/day ({:.2} passes, {:.2} wakes per day)",
             s.edge,
@@ -328,13 +315,14 @@ fn simulate(
             s.ci95_wh_day,
             s.mean_passes,
             s.mean_wakes,
-        );
+        )?;
     }
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "network: {:.3} Wh/day (sum of per-edge means)",
         report.network_mean_wh_day()
-    );
+    )?;
 
     eprintln!(
         "simulated {} edge-day(s) in {:.0} ms (workers: {})",
@@ -342,5 +330,36 @@ fn simulate(
         elapsed.as_secs_f64() * 1e3,
         args::workers_label(workers),
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Streams `rows` to stdout and reports the count and the time on
+/// stderr. A failed write to stdout is a closed stdout; any other error
+/// ends the run with exit status 1.
+fn stream_out(
+    out: &mut Stdout,
+    label: &str,
+    workers: Option<usize>,
+    rows: impl FnOnce(&mut WriteSink<BufWriter<&mut Stdout>>) -> Result<StreamSummary, NetworkError>,
+) -> Result<ExitCode, Stop> {
+    let started = Instant::now();
+    let mut sink = WriteSink::new(BufWriter::new(out));
+    let summary = match rows(&mut sink) {
+        Ok(summary) => summary,
+        Err(NetworkError::Stream(StreamError::Sink(SinkError::Io(error)))) => {
+            return Err(error.into())
+        }
+        Err(err) => {
+            eprintln!("network: {err}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    sink.into_inner().flush()?;
+    eprintln!(
+        "streamed {} {label} in {:.0} ms (workers: {})",
+        summary.cells,
+        started.elapsed().as_secs_f64() * 1e3,
+        args::workers_label(workers),
+    );
+    Ok(ExitCode::SUCCESS)
 }

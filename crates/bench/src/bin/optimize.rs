@@ -15,10 +15,11 @@
 //! across worker counts), so piped output is byte-reproducible;
 //! wall-clock timing goes to stderr.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use corridor_bench::args::{self, Fields};
+use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_bench::render;
 use corridor_core::sink::RowFormat;
 use corridor_core::units::{Db, Meters};
@@ -51,7 +52,7 @@ fn main() -> ExitCode {
     args::run("optimize", USAGE, &["pv", "csv", "json", "smoke"], run)
 }
 
-fn run(f: &mut Fields) -> Result<ExitCode, String> {
+fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     let smoke = f.standalone("smoke")?;
     let (grid_name, grid) = f.grid("paper")?;
     let policies = [
@@ -75,7 +76,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     f.finish()?;
 
     if smoke {
-        print!("{}", render::optimize_smoke());
+        write!(out, "{}", render::optimize_smoke())?;
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -104,20 +105,25 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     let elapsed = started.elapsed();
 
     if output == Some(RowFormat::Csv) {
-        print!("{}", report.to_csv());
+        write!(out, "{}", report.to_csv())?;
     } else if output == Some(RowFormat::Json) {
-        print!("{}", report.to_json());
+        write!(out, "{}", report.to_json())?;
     } else {
-        println!("Corridor deployment optimizer — Pareto frontier per cell");
-        println!();
-        println!(
+        writeln!(
+            out,
+            "Corridor deployment optimizer — Pareto frontier per cell"
+        )?;
+        writeln!(out)?;
+        writeln!(
+            out,
             "grid: {} ({} cells)  isd: {}  candidates/cell: {}",
             grid_name,
             report.len(),
             report.isd_search(),
             space.candidates_per_cell(),
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "candidates: {} evaluated, {} on the frontiers, {} unsolvable cell(s)",
             report.candidates_evaluated(),
             report.frontier_points(),
@@ -126,14 +132,15 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                 .iter()
                 .filter(|r| r.is_unsolvable())
                 .count()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "coverage cache: {} lookups, {} profiles sampled ({:.0} % hit rate)",
             report.coverage_lookups(),
             report.profile_evaluations(),
             report.cache_hit_rate() * 100.0
-        );
-        println!();
+        )?;
+        writeln!(out)?;
         // the paper's headline cell, if present: its frontier extremes
         if let Some(r) = report.results().iter().find(|r| {
             let c = r.cell();
@@ -146,7 +153,8 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                 .iter()
                 .min_by(|a, b| a.energy_wh_day_km.total_cmp(&b.energy_wh_day_km))
             {
-                println!(
+                writeln!(
+                    out,
                     "headline cell {}: least-energy point {} nodes @ {:.0} m -> \
                      {:.1} Wh/day/km ({:.1} % saving), {:.3} nodes/km",
                     r.cell().index(),
@@ -155,9 +163,9 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                     least_energy.energy_wh_day_km,
                     least_energy.saving_sleep_pct,
                     least_energy.nodes_per_km,
-                );
+                )?;
             } else {
-                println!("headline cell {}: unsolvable", r.cell().index());
+                writeln!(out, "headline cell {}: unsolvable", r.cell().index())?;
             }
         }
     }

@@ -92,7 +92,7 @@
 //! # Exit status
 //!
 //! `0` when every request ended with `END`; `1` when one ended with
-//! `ERROR`, or stdin failed; [`STDOUT_CLOSED`] (`2`) when a write to
+//! `ERROR`, or stdin failed; [`args::STDOUT_CLOSED`] (`2`) when a write to
 //! stdout failed, a client that stopped reading, say. After that
 //! failure `serve` writes nothing more to stdout: it reaps every worker,
 //! prints one line on stderr and exits.
@@ -103,10 +103,10 @@ use std::ops::Range;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitCode, Stdio};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use corridor_bench::args::{self, Fields};
+use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_bench::ChunkSum;
 use corridor_core::hash::Sha256;
-use corridor_core::sink::{RowEmitter, RowFormat};
+use corridor_core::sink::{RowEmitter, RowFormat, SinkError};
 use corridor_sim::{
     EvalContext, ReplicationPlan, ResultCache, RowEngine, ScenarioGrid, StreamError,
 };
@@ -118,9 +118,6 @@ const CHUNK_CELLS: usize = 64;
 
 /// Attempts per chunk before the request is declared failed.
 const MAX_ATTEMPTS: u32 = 3;
-
-/// Exit status after a failed write to stdout.
-const STDOUT_CLOSED: u8 = 2;
 
 /// Longest request line read, its newline excluded: a bound on what one
 /// client line can make the coordinator hold, not a setting.
@@ -242,14 +239,14 @@ impl Faults {
 }
 
 fn main() -> ExitCode {
-    args::run("serve", USAGE, &["worker"], |f| {
+    args::run("serve", USAGE, &["worker"], |f, out| {
         let worker = f.flag("worker");
         f.finish()?;
-        Ok(if worker {
-            worker_main()
+        if worker {
+            worker_main(out)
         } else {
-            coordinator_main()
-        })
+            coordinator_main(out)
+        }
     })
 }
 
@@ -270,19 +267,34 @@ enum Failure {
     /// The request failed: its response ends with an `ERROR` line.
     Request(String),
     /// A write to stdout failed: the session ends without another line.
-    Stdout(String),
+    Stdout(io::Error),
 }
 
-impl Failure {
-    fn stdout(error: impl std::fmt::Display) -> Failure {
-        Failure::Stdout(error.to_string())
+impl From<String> for Failure {
+    fn from(error: String) -> Failure {
+        Failure::Request(error)
     }
 }
 
-fn coordinator_main() -> ExitCode {
+impl From<io::Error> for Failure {
+    fn from(error: io::Error) -> Failure {
+        Failure::Stdout(error)
+    }
+}
+
+impl From<SinkError> for Failure {
+    fn from(error: SinkError) -> Failure {
+        Failure::Stdout(match error {
+            SinkError::Io(error) => error,
+            SinkError::Closed => io::ErrorKind::BrokenPipe.into(),
+        })
+    }
+}
+
+fn coordinator_main(out: &mut Stdout) -> Result<ExitCode, Stop> {
     let pool = WorkerPool::new();
     let faults = Faults::from_env();
-    let mut out = io::BufWriter::new(io::stdout().lock());
+    let mut out = io::BufWriter::new(out);
     let mut failed = false;
     let mut stdin = io::stdin().lock();
     let mut line = Vec::new();
@@ -310,9 +322,7 @@ fn coordinator_main() -> ExitCode {
                 // of an END trailer tells the client the stream is void
                 eprintln!("serve: {error}");
                 failed = true;
-                writeln!(out, "ERROR {error}")
-                    .and_then(|()| out.flush())
-                    .map_err(|e| e.to_string())
+                writeln!(out, "ERROR {error}").and_then(|()| out.flush())
             }
             Err(Failure::Stdout(error)) => Err(error),
         };
@@ -320,18 +330,18 @@ fn coordinator_main() -> ExitCode {
             // drop the unwritten bytes: nothing more goes to stdout
             let _ = out.into_parts();
             drop(pool);
-            eprintln!("serve: stdout: {error}; stopped and reaped every worker");
-            return ExitCode::from(STDOUT_CLOSED);
+            let error = format!("{error}; stopped and reaped every worker");
+            return Err(Stop::Stdout(io::Error::other(error)));
         }
     }
     // kill and reap every worker before exiting, so their CPU time
     // counts in the caller's RUSAGE_CHILDREN
     drop(pool);
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Reads the next request line into `line`, keeping at most
@@ -388,15 +398,13 @@ fn serve_request(
         cells,
         request.shards,
     )
-    .and_then(|()| out.flush())
-    .map_err(Failure::stdout)?;
+    .and_then(|()| out.flush())?;
 
     let mut sink = HashingSink {
         out,
         digest: Sha256::new(),
     };
-    let mut emitter = RowEmitter::begin(&mut sink, request.format, request.engine.csv_header())
-        .map_err(Failure::stdout)?;
+    let mut emitter = RowEmitter::begin(&mut sink, request.format, request.engine.csv_header())?;
     let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
     let streamed = rayon::stream_ordered(
         chunks.enumerate(),
@@ -408,7 +416,7 @@ fn serve_request(
             for row in &chunk.rows {
                 let text = std::str::from_utf8(row)
                     .map_err(|e| Failure::Request(format!("bad row bytes: {e}")))?;
-                emitter.row(text).map_err(Failure::stdout)?;
+                emitter.row(text)?;
             }
             cache_hits += chunk.cache_hits;
             cache_misses += chunk.cache_misses;
@@ -419,14 +427,14 @@ fn serve_request(
     // the bounded pool
     pool.trim();
     streamed?;
-    let rows = emitter.finish().map_err(Failure::stdout)?;
+    let rows = emitter.finish()?;
     let sha256 = sink.digest.finalize_hex();
     writeln!(
         sink.out,
         "END rows={rows} sha256={sha256} cache_hits={cache_hits} cache_misses={cache_misses}"
     )
     .and_then(|()| sink.out.flush())
-    .map_err(Failure::stdout)
+    .map_err(Failure::from)
 }
 
 /// Writes to stdout while folding every byte into a SHA-256, so the END
@@ -669,28 +677,34 @@ fn parse_done(trailer: &str) -> Result<(u64, u64, u64, String), String> {
 
 /// Child-process mode: evaluates task lines from the coordinator,
 /// streaming each chunk's rows back as length-prefixed frames. Every
-/// task runs through one [`EvalContext`], kept until stdin EOF.
-fn worker_main() -> ExitCode {
+/// task runs through one [`EvalContext`], kept until stdin EOF. A
+/// failed task is answered with an `error` line; a failed write to
+/// stdout (the coordinator is gone) ends the worker.
+fn worker_main(out: &mut Stdout) -> Result<ExitCode, Stop> {
     let context = EvalContext::new();
     let stdin = io::stdin();
     for line in stdin.lock().lines() {
         let line = match line {
             Ok(line) => line,
-            Err(_) => return ExitCode::FAILURE,
+            Err(_) => return Ok(ExitCode::FAILURE),
         };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
-        if let Err(error) = run_task(trimmed, &context) {
-            println!("error {error}");
-            let _ = io::stdout().flush();
+        match run_task(trimmed, &context, out) {
+            Err(Failure::Request(error)) => {
+                writeln!(out, "error {error}")?;
+                out.flush()?;
+            }
+            Err(Failure::Stdout(error)) => return Err(Stop::Stdout(error)),
+            Ok(()) => {}
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
+fn run_task(line: &str, context: &EvalContext, out: &mut Stdout) -> Result<(), Failure> {
     let rest = line
         .strip_prefix("task ")
         .ok_or_else(|| format!("unexpected line {line:?}"))?;
@@ -708,15 +722,15 @@ fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
             range.start,
             range.end,
             grid.len()
-        ));
+        )
+        .into());
     }
     let cache = match &request.cache {
         Some(dir) => Some(ResultCache::open(dir).map_err(|e| format!("cache {dir}: {e}"))?),
         None => None,
     };
 
-    let stdout = io::stdout();
-    let mut out = io::BufWriter::new(stdout.lock());
+    let mut out = io::BufWriter::new(out);
     let mut emitted = 0usize;
     let mut sum = ChunkSum::new();
     let mut emit = |row: &str| -> Result<(), StreamError> {
@@ -738,21 +752,23 @@ fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
         writeln!(out, "row {}", frame.len())
             .and_then(|()| out.write_all(&frame))
             .and_then(|()| out.write_all(b"\n"))
-            .map_err(|e| StreamError::Sink(corridor_core::sink::SinkError::Io(e)))
+            .map_err(|e| StreamError::Sink(SinkError::Io(e)))
     };
 
-    let summary = request
-        .engine
-        .stream_rows(
-            context,
-            grid,
-            &request.plan,
-            range.clone(),
-            request.format,
-            cache.as_ref(),
-            &mut emit,
-        )
-        .map_err(|e| format!("{e}"))?;
+    let summary = match request.engine.stream_rows(
+        context,
+        grid,
+        &request.plan,
+        range.clone(),
+        request.format,
+        cache.as_ref(),
+        &mut emit,
+    ) {
+        Ok(summary) => summary,
+        // emit's only sink is stdout
+        Err(StreamError::Sink(error)) => return Err(error.into()),
+        Err(error) => return Err(Failure::Request(error.to_string())),
+    };
 
     writeln!(
         out,
@@ -762,8 +778,8 @@ fn run_task(line: &str, context: &EvalContext) -> Result<(), String> {
         summary.cache_misses,
         sum.hex(),
     )
-    .and_then(|()| out.flush())
-    .map_err(|e| format!("stdout: {e}"))
+    .and_then(|()| out.flush())?;
+    Ok(())
 }
 
 #[cfg(test)]

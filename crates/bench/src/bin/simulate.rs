@@ -11,10 +11,11 @@
 //! Stdout depends only on the options (seeded RNG, no clocks), so piped
 //! output is byte-reproducible; the wall-clock timing goes to stderr.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use corridor_bench::args::{self, Fields};
+use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_bench::{render, scenario};
 use corridor_core::deploy::IsdTable;
 use corridor_core::report::TextTable;
@@ -43,7 +44,7 @@ fn main() -> ExitCode {
     args::run("simulate", USAGE, &["stats"], run)
 }
 
-fn run(f: &mut Fields) -> Result<ExitCode, String> {
+fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     let stats = f.standalone("stats")?;
     let models = [
         (
@@ -75,7 +76,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     f.finish()?;
 
     if stats {
-        print!("{}", render::poisson_stats());
+        write!(out, "{}", render::poisson_stats())?;
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -94,19 +95,21 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
     }
     let elapsed = started.elapsed();
 
-    println!("event-driven corridor simulation");
-    println!();
-    println!(
+    writeln!(out, "event-driven corridor simulation")?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "model: {}  seed: {}  days: {}  policy: {}",
         model_name, seed, days, policy_name
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "segment: {} repeater(s) at ISD {:.0} m, LP spacing {:.0} m",
         nodes,
         isd.value(),
         params.lp_spacing().value()
-    );
-    println!();
+    )?;
+    writeln!(out)?;
 
     // per-node table, averaged over the simulated days
     let first = &reports[0];
@@ -159,7 +162,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
             format!("{energy:.2}"),
         ]);
     }
-    println!("{}", table.render());
+    writeln!(out, "{}", table.render())?;
 
     let mean_passes: f64 = reports.iter().map(|r| r.passes() as f64).sum::<f64>() / days;
     let mean_events: f64 = reports
@@ -167,11 +170,17 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
         .map(|r| r.events_processed() as f64)
         .sum::<f64>()
         / days;
-    println!("mean passes/day: {mean_passes:.1}  mean events/day: {mean_events:.0}");
-    println!();
+    writeln!(
+        out,
+        "mean passes/day: {mean_passes:.1}  mean events/day: {mean_events:.0}"
+    )?;
+    writeln!(out)?;
 
     // segment energy per strategy, simulated vs closed form
-    println!("per-km energy split (day 1) vs the closed-form backend:");
+    writeln!(
+        out,
+        "per-km energy split (day 1) vs the closed-form backend:"
+    )?;
     let mut split = TextTable::new(vec![
         "strategy".into(),
         "simulated [Wh/h/km]".into(),
@@ -196,7 +205,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
             format!("{:+.3}", (simulated / analytic - 1.0) * 100.0),
         ]);
     }
-    println!("{}", split.render());
+    writeln!(out, "{}", split.render())?;
     eprintln!(
         "simulated {} day(s) in {:.1} ms ({:.0} events/s)",
         reports.len(),

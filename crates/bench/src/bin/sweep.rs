@@ -12,10 +12,11 @@
 //! an 8-cell variant for a quick look. Every `--workers` count produces
 //! identical results; only the speed changes.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use corridor_bench::args::{self, Fields};
+use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_core::report::TextTable;
 use corridor_core::sink::WriteSink;
 use corridor_core::solar::climate;
@@ -43,7 +44,7 @@ fn main() -> ExitCode {
     args::run("sweep", USAGE, &["no-pv", "demo"], run)
 }
 
-fn run(f: &mut Fields) -> Result<ExitCode, String> {
+fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     // the stream path writes no report, and the report path no stream
     f.applies(&["format", "cache"], "stream", true)?;
     f.applies(&["csv", "json"], "stream", false)?;
@@ -80,7 +81,8 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
         workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
     let engine = SweepEngine::new().workers(workers).pv_sizing(pv);
 
-    println!(
+    writeln!(
+        out,
         "sweep: {} cells ({} repeater nodes @ {:.0} m), {} worker{}, PV sizing {}",
         grid.len(),
         grid.nodes(),
@@ -88,7 +90,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
         workers,
         if workers == 1 { "" } else { "s" },
         if pv { "on" } else { "off" },
-    );
+    )?;
 
     if let Some(path) = &stream {
         // flat-memory path: rows go straight to the file, the full
@@ -120,19 +122,21 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
             }
         };
         let elapsed = started.elapsed();
-        println!(
+        writeln!(
+            out,
             "streamed {} rows ({}) to {path} in {:.2} s",
             summary.rows,
             format.label(),
             elapsed.as_secs_f64(),
-        );
+        )?;
         if cache.is_some() {
-            println!(
+            writeln!(
+                out,
                 "cache: {} hits, {} misses ({:.0} % warm)",
                 summary.cache_hits,
                 summary.cache_misses,
                 summary.hit_rate() * 100.0,
-            );
+            )?;
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -146,11 +150,12 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
         }
     };
     let elapsed = started.elapsed();
-    println!(
+    writeln!(
+        out,
         "evaluated in {:.2} s ({:.0} cells/s)\n",
         elapsed.as_secs_f64(),
         report.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-    );
+    )?;
 
     let mut table = TextTable::new(vec![
         "strategy".into(),
@@ -171,7 +176,7 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
             best.cell().to_string(),
         ]);
     }
-    println!("{}", table.render());
+    writeln!(out, "{}", table.render())?;
 
     if pv {
         let (mut sized, mut unsolvable) = (0usize, 0usize);
@@ -182,22 +187,23 @@ fn run(f: &mut Fields) -> Result<ExitCode, String> {
                 PvOutcome::Skipped => {}
             }
         }
-        println!("PV sizing: {sized} cells sized, {unsolvable} unsolvable");
+        writeln!(
+            out,
+            "PV sizing: {sized} cells sized, {unsolvable} unsolvable"
+        )?;
     }
 
-    if let Some(path) = &csv {
-        if let Err(error) = report.write_csv(path) {
+    let files = [
+        ("CSV", csv.map(|path| (path, report.to_csv()))),
+        ("JSON", json.map(|path| (path, report.to_json()))),
+    ];
+    for (label, file) in files {
+        let Some((path, text)) = file else { continue };
+        if let Err(error) = std::fs::write(&path, text) {
             eprintln!("sweep: cannot write {path}: {error}");
             return Ok(ExitCode::FAILURE);
         }
-        println!("wrote CSV to {path}");
-    }
-    if let Some(path) = &json {
-        if let Err(error) = report.write_json(path) {
-            eprintln!("sweep: cannot write {path}: {error}");
-            return Ok(ExitCode::FAILURE);
-        }
-        println!("wrote JSON to {path}");
+        writeln!(out, "wrote {label} to {path}")?;
     }
     Ok(ExitCode::SUCCESS)
 }

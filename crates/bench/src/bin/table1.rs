@@ -4,6 +4,8 @@
 //! The rendering lives in [`corridor_bench::render`] so the golden-file
 //! test can assert it against `docs/results/`.
 
-fn main() {
-    print!("{}", corridor_bench::render::table1());
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    corridor_bench::args::print("table1", &corridor_bench::render::table1())
 }

@@ -7,7 +7,7 @@
 //! prints, so the golden-file regression test can assert it against the
 //! committed outputs under `docs/results/`. The [`args`] module is the
 //! one argument grammar of the engine CLIs and of `serve`'s request
-//! lines. [`ChunkSum`] is the checksum `serve`'s workers and coordinator
+//! lines, and the one fallible stdout every binary writes through. [`ChunkSum`] is the checksum `serve`'s workers and coordinator
 //! put on each chunk of row frames.
 
 #![forbid(unsafe_code)]

@@ -1,10 +1,10 @@
 //! Text rendering of every reproduction artefact.
 //!
 //! Each function returns *exactly* the bytes its binary prints — the
-//! binaries are thin `print!` wrappers, and `tests/golden_outputs.rs` (in
-//! the umbrella crate) asserts these strings against the committed
-//! reference files under `docs/results/`, so paper fidelity is enforced
-//! by `cargo test` instead of by hand.
+//! binaries are thin [`args::print`](crate::args::print) wrappers, and
+//! `tests/golden_outputs.rs` (in the umbrella crate) asserts these
+//! strings against the committed reference files under `docs/results/`,
+//! so paper fidelity is enforced by `cargo test` instead of by hand.
 
 use core::fmt::Write as _;
 

@@ -1,7 +1,8 @@
 //! End-to-end tests for the argument grammar of the engine CLIs and
 //! `serve`: `--help`, usage errors, non-finite floats, the stand-alone
 //! rule of fixed renderings, output-flag exclusivity, the shared
-//! replication bound and the "only applies to" combinations.
+//! replication bound, the "only applies to" combinations and the exit
+//! status of a closed stdout.
 
 use std::process::{Command, Output};
 
@@ -136,4 +137,34 @@ fn options_outside_their_mode_are_rejected() {
     rejected("network", &["--simulate", "--capacity", "20"]);
     rejected("network", &["--simulate", "--margin-floor", "-3"]);
     rejected("network", &["--seed", "7"]);
+}
+
+#[test]
+fn a_closed_stdout_is_exit_status_2_not_a_panic() {
+    for (name, args) in [
+        ("sweep", &["--demo", "--no-pv"][..]),
+        ("mc", &["--grid", "smoke-3", "--reps", "3"]),
+        ("optimize", &["--grid", "smoke-3", "--csv"]),
+        ("network", &["--csv"]),
+        ("simulate", &[]),
+    ] {
+        // the read end is gone before the binary starts, so its first
+        // write to stdout fails, as under `| head -c 0`
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(exe(name))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+        let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+        assert_eq!(output.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|line| line.starts_with(&format!("{name}: stdout: "))),
+            "{name} {args:?}: {stderr}"
+        );
+    }
 }

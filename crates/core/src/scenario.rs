@@ -107,27 +107,6 @@ impl ScenarioParams {
         self
     }
 
-    /// Overrides the high-power mast power model.
-    #[must_use]
-    pub fn with_hp_mast(mut self, model: LoadDependentPower) -> Self {
-        self.hp_mast = model;
-        self
-    }
-
-    /// Overrides the low-power repeater power model.
-    #[must_use]
-    pub fn with_lp_node(mut self, model: LoadDependentPower) -> Self {
-        self.lp_node = model;
-        self
-    }
-
-    /// Overrides the link budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: LinkBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// The daily timetable.
     pub fn timetable(&self) -> &Timetable {
         &self.timetable

@@ -70,13 +70,6 @@ impl LinkBudget {
         self
     }
 
-    /// Overrides the NR carrier.
-    #[must_use]
-    pub fn with_carrier(mut self, carrier: NrCarrier) -> Self {
-        self.carrier = carrier;
-        self
-    }
-
     /// Overrides the high-power EIRP.
     #[must_use]
     pub fn with_hp_eirp(mut self, eirp: Dbm) -> Self {
@@ -110,13 +103,6 @@ impl LinkBudget {
     #[must_use]
     pub fn with_repeater_noise_figure(mut self, nf: Db) -> Self {
         self.repeater_noise_figure = nf;
-        self
-    }
-
-    /// Overrides the throughput model.
-    #[must_use]
-    pub fn with_throughput(mut self, throughput: ThroughputModel) -> Self {
-        self.throughput = throughput;
         self
     }
 

@@ -72,11 +72,6 @@ impl Corridor {
         Ok(())
     }
 
-    /// Appends an existing layout.
-    pub fn push_segment(&mut self, layout: CorridorLayout) {
-        self.segments.push(layout);
-    }
-
     /// The segments, in track order.
     pub fn segments(&self) -> &[CorridorLayout] {
         &self.segments

@@ -66,18 +66,6 @@ impl IsdOptimizer {
         self
     }
 
-    /// Overrides the ISD grid step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not strictly positive.
-    #[must_use]
-    pub fn with_isd_step(mut self, step: Meters) -> Self {
-        assert!(step.value() > 0.0, "ISD step must be positive");
-        self.isd_step = step;
-        self
-    }
-
     /// Overrides the profile sampling step.
     ///
     /// # Panics

@@ -74,13 +74,6 @@ impl FronthaulHop {
         self
     }
 
-    /// Overrides the receive antenna gain.
-    #[must_use]
-    pub fn with_rx_antenna_gain(mut self, gain: Db) -> Self {
-        self.rx_antenna_gain = gain;
-        self
-    }
-
     /// Overrides the required SNR.
     #[must_use]
     pub fn with_required_snr(mut self, snr: Db) -> Self {

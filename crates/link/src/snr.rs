@@ -83,13 +83,6 @@ impl<M: PathLoss> SnrModel<M> {
         self
     }
 
-    /// Adds many sources (builder style).
-    #[must_use]
-    pub fn with_sources<I: IntoIterator<Item = SignalSource<M>>>(mut self, sources: I) -> Self {
-        self.sources.extend(sources);
-        self
-    }
-
     /// Adds a source in place.
     pub fn add_source(&mut self, source: SignalSource<M>) {
         self.sources.push(source);

@@ -7,11 +7,13 @@
 //! Human-readable diagnostics go to stdout; `--json` additionally
 //! writes the machine-readable report (CI uploads it as a build
 //! artifact). Exit status: `0` clean, `1` violations found, `2` the
-//! pass itself failed (bad root, unreadable file).
+//! pass itself failed (bad root, unreadable file, a failed write to
+//! stdout).
 
 use std::env;
 use std::fmt::Write as _;
 use std::fs;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -33,15 +35,13 @@ fn main() -> ExitCode {
                 None => return usage("--json needs a path"),
             },
             "--list-rules" => {
+                let mut rules = String::new();
                 for rule in Rule::ALL {
-                    println!("{:<16} {}", rule.id(), rule.summary());
+                    let _ = writeln!(rules, "{:<16} {}", rule.id(), rule.summary());
                 }
-                return ExitCode::SUCCESS;
+                return stdout(&rules, ExitCode::SUCCESS);
             }
-            "--help" | "-h" => {
-                println!("usage: lint [--root <dir>] [--json <path>] [--list-rules]");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return stdout(USAGE, ExitCode::SUCCESS),
             other => return usage(&format!("unknown argument: {other}")),
         }
     }
@@ -62,24 +62,39 @@ fn main() -> ExitCode {
         }
     };
 
-    print_human(&report);
     if let Some(path) = json {
         if let Err(err) = fs::write(&path, render_json(&report)) {
             eprintln!("lint: cannot write JSON report {}: {err}", path.display());
             return ExitCode::from(2);
         }
     }
-    if report.is_clean() {
+    let code = if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    }
+    };
+    stdout(&render_human(&report), code)
 }
+
+const USAGE: &str = "usage: lint [--root <dir>] [--json <path>] [--list-rules]\n";
 
 fn usage(message: &str) -> ExitCode {
     eprintln!("lint: {message}");
-    eprintln!("usage: lint [--root <dir>] [--json <path>] [--list-rules]");
+    eprint!("{USAGE}");
     ExitCode::from(2)
+}
+
+/// Writes `text` to stdout and exits with `code`, or with `2` when the
+/// write fails (a reader that went away), instead of panicking.
+fn stdout(text: &str, code: ExitCode) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => code,
+        Err(err) => {
+            eprintln!("lint: stdout: {err}");
+            ExitCode::from(2)
+        }
+    }
 }
 
 /// Walks upward from the current directory to the first `Cargo.toml`
@@ -99,29 +114,34 @@ fn find_workspace_root() -> Option<PathBuf> {
     }
 }
 
-fn print_human(report: &LintReport) {
-    println!(
+/// Renders the human-readable report.
+fn render_human(report: &LintReport) -> String {
+    let mut out = String::with_capacity(1024);
+    let _ = writeln!(
+        out,
         "corridor_lint: scanned {} files under {}",
         report.files_scanned,
         report.root.display()
     );
     for diagnostic in &report.diagnostics {
-        println!("{diagnostic}");
+        let _ = writeln!(out, "{diagnostic}");
     }
     let declared = report.waivers.len();
     let used = report.waivers.iter().filter(|w| w.used).count();
-    println!("waivers: {declared} declared, {used} used");
+    let _ = writeln!(out, "waivers: {declared} declared, {used} used");
     for stale in report.unused_waivers() {
-        println!(
+        let _ = writeln!(
+            out,
             "note: unused waiver at {}:{} ({})",
             stale.file, stale.line, stale.rule_id
         );
     }
     if report.is_clean() {
-        println!("LINT OK");
+        out.push_str("LINT OK\n");
     } else {
-        println!("LINT FAIL: {} violation(s)", report.diagnostics.len());
+        let _ = writeln!(out, "LINT FAIL: {} violation(s)", report.diagnostics.len());
     }
+    out
 }
 
 /// Renders the machine-readable report (stable field order, sorted

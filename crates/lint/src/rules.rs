@@ -50,11 +50,16 @@ pub enum Rule {
     /// implicit; memos belong in an explicit, bounded context that the
     /// run passes down (`corridor_sim::EvalContext`).
     GlobalState,
+    /// `print!` / `println!` in scanned code. They panic when stdout is
+    /// closed; every binary writes stdout through the one fallible
+    /// writer of `corridor_bench::args`, which ends the run with exit
+    /// status 2 instead. `eprint!` / `eprintln!` stay allowed.
+    StdoutPrint,
 }
 
 impl Rule {
     /// Every content rule, in report order.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::FloatOrd,
         Rule::NoPanic,
         Rule::HashOrder,
@@ -62,6 +67,7 @@ impl Rule {
         Rule::UnsafeCode,
         Rule::FloatKeyCast,
         Rule::GlobalState,
+        Rule::StdoutPrint,
     ];
 
     /// The stable kebab-case id used in diagnostics and waivers.
@@ -74,6 +80,7 @@ impl Rule {
             Rule::UnsafeCode => "unsafe-code",
             Rule::FloatKeyCast => "float-key-cast",
             Rule::GlobalState => "global-state",
+            Rule::StdoutPrint => "stdout-print",
         }
     }
 
@@ -87,6 +94,7 @@ impl Rule {
             Rule::UnsafeCode => "unsafe code or static mut",
             Rule::FloatKeyCast => "`as` integer cast in sort-key code; use exact bit encodings",
             Rule::GlobalState => "static lock/once-cell/map or thread_local! in library code; keep state in an explicit, bounded context",
+            Rule::StdoutPrint => "print!/println! (panics on a closed stdout); write through a fallible stdout writer",
         }
     }
 
@@ -163,6 +171,7 @@ pub fn scan(sanitized: &Sanitized, scope: Scope) -> Vec<Hit> {
                 Rule::GlobalState => {
                     state_lines.contains(&lineno) || has_macro(line, "thread_local")
                 }
+                Rule::StdoutPrint => has_macro(line, "print") || has_macro(line, "println"),
             };
             if fired {
                 hits.push(Hit { line: lineno, rule });
@@ -521,6 +530,16 @@ mod tests {
                    struct Memo { slots: Mutex<BTreeMap<u8, u8>> }\n\
                    static EMPTY: Vec<u8> = Vec::new(); fn f() -> Mutex<u8> { g() }\n";
         assert!(hits(src, Scope::Library).is_empty());
+    }
+
+    #[test]
+    fn stdout_prints_fire_in_every_scope_but_stderr_and_writers_do_not() {
+        let src = "print!(\"a\");\nprintln! (\"b\");\n";
+        let want = vec![(1, Rule::StdoutPrint), (2, Rule::StdoutPrint)];
+        assert_eq!(hits(src, Scope::Library), want);
+        assert_eq!(hits(src, Scope::Harness), want);
+        let src = "eprint!(\"a\");\neprintln!(\"b\");\nwriteln!(out, \"c\")?;\nlet print = 1;\n";
+        assert!(hits(src, Scope::Harness).is_empty());
     }
 
     #[test]

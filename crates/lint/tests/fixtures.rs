@@ -19,7 +19,7 @@ fn ids(src: &str, scope: Scope) -> Vec<&'static str> {
 
 /// `(rule id, trigger fixture, waived fixture, clean fixture)` — one row
 /// per rule in the catalogue.
-const CASES: [(&str, &str, &str, &str); 7] = [
+const CASES: [(&str, &str, &str, &str); 8] = [
     (
         "float-ord",
         include_str!("fixtures/float_ord_trigger.rs"),
@@ -61,6 +61,12 @@ const CASES: [(&str, &str, &str, &str); 7] = [
         include_str!("fixtures/global_state_trigger.rs"),
         include_str!("fixtures/global_state_waived.rs"),
         include_str!("fixtures/global_state_clean.rs"),
+    ),
+    (
+        "stdout-print",
+        include_str!("fixtures/stdout_print_trigger.rs"),
+        include_str!("fixtures/stdout_print_waived.rs"),
+        include_str!("fixtures/stdout_print_clean.rs"),
     ),
 ];
 

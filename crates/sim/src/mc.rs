@@ -23,11 +23,9 @@ use corridor_traffic::{DelayModel, PoissonTimetable, SeedSequence, Timetable, Tr
 use rand::SeedableRng;
 
 use core::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use crate::cache::{KeyBuilder, ResultCache};
-use crate::report::{csv_field, json_string};
+use crate::report::{cell_csv, cell_header, cell_json, json_string};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{ScenarioCell, ScenarioGrid};
 
@@ -501,14 +499,15 @@ impl CellJob for McJob<'_> {
 
 /// The CSV header [`McReport::to_csv`] writes: the cell axis labels, the
 /// plan, then `mean/stddev/ci95/min/max` per metric.
-pub const MC_CSV_HEADER: &str = "cell,trains_per_hour,service_window_h,train_speed_kmh,\
-train_length_m,lp_spacing_m,conventional_isd_m,power_profile,climate,nodes,deployment_isd_m,\
-traffic,replications,master_seed,\
+pub const MC_CSV_HEADER: &str = concat!(
+    cell_header!(),
+    "nodes,deployment_isd_m,traffic,replications,master_seed,\
 passes_mean,passes_stddev,passes_ci95,passes_min,passes_max,\
 baseline_wh_km_mean,baseline_wh_km_stddev,baseline_wh_km_ci95,baseline_wh_km_min,baseline_wh_km_max,\
 sleep_wh_km_mean,sleep_wh_km_stddev,sleep_wh_km_ci95,sleep_wh_km_min,sleep_wh_km_max,\
 saving_sleep_pct_mean,saving_sleep_pct_stddev,saving_sleep_pct_ci95,saving_sleep_pct_min,saving_sleep_pct_max,\
-repeater_wh_day_mean,repeater_wh_day_stddev,repeater_wh_day_ci95,repeater_wh_day_min,repeater_wh_day_max";
+repeater_wh_day_mean,repeater_wh_day_stddev,repeater_wh_day_ci95,repeater_wh_day_min,repeater_wh_day_max"
+);
 
 /// The statistics of a whole Monte-Carlo run, in grid order, with
 /// deterministic CSV/JSON writers.
@@ -606,24 +605,6 @@ impl McReport {
             self.stream_into(RowFormat::Json, sink)
         })
     }
-
-    /// Writes [`McReport::to_csv`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_csv<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Writes [`McReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
 }
 
 /// Evaluates one cell's whole replication set on the calling thread: the
@@ -660,28 +641,11 @@ pub(crate) fn render_mc_row(
     master_seed: u64,
     format: RowFormat,
 ) -> String {
-    let c = r.cell();
     match format {
         RowFormat::Csv => {
             let mut out = String::with_capacity(400);
-            let _ = write!(
-                out,
-                "{},{},{},{:.1},{},{},{},{},{},{},{:.0},{},{},{}",
-                c.index(),
-                c.trains_per_hour(),
-                c.service_window_h(),
-                c.train_speed_kmh(),
-                c.train_length_m(),
-                c.lp_spacing_m(),
-                c.conventional_isd_m(),
-                csv_field(c.profile_name()),
-                csv_field(c.location().name()),
-                c.nodes(),
-                c.isd().value(),
-                traffic,
-                replications,
-                master_seed,
-            );
+            cell_csv(&mut out, r.cell(), true);
+            let _ = write!(out, ",{traffic},{replications},{master_seed}");
             for metric in McMetric::ALL {
                 let s = r.stats(metric);
                 let _ = write!(
@@ -696,27 +660,12 @@ pub(crate) fn render_mc_row(
         RowFormat::Json => {
             let mut out = String::with_capacity(700);
             out.push_str("  {");
+            cell_json(&mut out, r.cell(), true);
             let _ = write!(
                 out,
-                "\"cell\": {}, \"trains_per_hour\": {}, \"service_window_h\": {}, \
-                 \"train_speed_kmh\": {:.1}, \"train_length_m\": {}, \"lp_spacing_m\": {}, \
-                 \"conventional_isd_m\": {}, \"power_profile\": {}, \"climate\": {}, \
-                 \"nodes\": {}, \"deployment_isd_m\": {}, \"traffic\": {}, \
-                 \"replications\": {}, \"master_seed\": {}, \"stats\": {{",
-                c.index(),
-                c.trains_per_hour(),
-                c.service_window_h(),
-                c.train_speed_kmh(),
-                c.train_length_m(),
-                c.lp_spacing_m(),
-                c.conventional_isd_m(),
-                json_string(c.profile_name()),
-                json_string(c.location().name()),
-                c.nodes(),
-                c.isd().value(),
+                ", \"traffic\": {}, \"replications\": {replications}, \
+                 \"master_seed\": {master_seed}, \"stats\": {{",
                 json_string(traffic),
-                replications,
-                master_seed,
             );
             for (j, metric) in McMetric::ALL.into_iter().enumerate() {
                 let s = r.stats(metric);
@@ -869,26 +818,6 @@ mod tests {
             assert!(json.contains(&format!("\"{}\":", metric.key())), "{json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn file_writers_roundtrip() {
-        let report = McEngine::new()
-            .workers(1)
-            .run(&ScenarioGrid::new(), &small_plan())
-            .unwrap();
-        let dir = std::env::temp_dir();
-        let csv_path = dir.join("corridor_sim_mc_test.csv");
-        let json_path = dir.join("corridor_sim_mc_test.json");
-        report.write_csv(&csv_path).unwrap();
-        report.write_json(&json_path).unwrap();
-        assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), report.to_csv());
-        assert_eq!(
-            std::fs::read_to_string(&json_path).unwrap(),
-            report.to_json()
-        );
-        let _ = std::fs::remove_file(csv_path);
-        let _ = std::fs::remove_file(json_path);
     }
 
     #[test]

@@ -291,11 +291,6 @@ impl NetworkReport {
         &self.margins
     }
 
-    /// Edges without any feasible deployment.
-    pub fn unsolvable_edges(&self) -> usize {
-        self.picks.iter().filter(|p| p.is_none()).count()
-    }
-
     /// Total daily energy of the per-corridor picks, Wh/day: each
     /// edge's per-km frontier energy scaled by its physical length.
     /// This is what independent per-corridor optimization would deploy.

@@ -24,8 +24,6 @@
 //! byte-identical no matter how many workers produced them.
 
 use core::fmt::Write as _;
-use std::io;
-use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use corridor_core::margin::MarginModel;
@@ -37,7 +35,7 @@ use corridor_traffic::TrackSection;
 use corridor_units::{Db, Meters};
 
 use crate::cache::{KeyBuilder, ResultCache};
-use crate::report::{csv_field, json_string};
+use crate::report::{cell_csv, cell_header, cell_json, csv_field, json_string, pv_csv, pv_json};
 use crate::sizing::{repeater_load, SizingMemo};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{EvalContext, PvOutcome, ScenarioCell, ScenarioGrid};
@@ -745,10 +743,11 @@ fn evaluate_cell(
 }
 
 /// The CSV header [`OptimizeReport::to_csv`] writes.
-pub const OPTIMIZE_CSV_HEADER: &str = "cell,trains_per_hour,service_window_h,train_speed_kmh,\
-train_length_m,lp_spacing_m,conventional_isd_m,power_profile,climate,isd_search,status,\
-nodes,isd_m,policy,evaluator,energy_wh_day_km,nodes_per_km,margin_db,saving_sleep_pct,\
-repeater_wh_day,pv_wp,battery_wh,days_full_pct";
+pub const OPTIMIZE_CSV_HEADER: &str = concat!(
+    cell_header!(),
+    "isd_search,status,nodes,isd_m,policy,evaluator,energy_wh_day_km,nodes_per_km,margin_db,\
+     saving_sleep_pct,repeater_wh_day,pv_wp,battery_wh,days_full_pct"
+);
 
 /// The Pareto frontiers of a whole search, in grid order, with
 /// deterministic CSV/JSON writers and the shared cache's counters.
@@ -855,24 +854,6 @@ impl OptimizeReport {
             self.stream_into(RowFormat::Json, sink)
         })
     }
-
-    /// Writes [`OptimizeReport::to_csv`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_csv<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Writes [`OptimizeReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
 }
 
 /// Renders one cell's search outcome as a report chunk. The CSV chunk
@@ -883,46 +864,20 @@ pub(crate) fn render_optimize_row(
     isd_search: &str,
     format: RowFormat,
 ) -> String {
-    let c = r.cell();
     match format {
         RowFormat::Csv => {
+            let mut prefix = String::with_capacity(96);
+            cell_csv(&mut prefix, r.cell(), false);
+            let _ = write!(prefix, ",{isd_search}");
             let mut out = String::with_capacity(160 * r.frontier().len().max(1));
-            let mut prefix = String::new();
-            let _ = write!(
-                prefix,
-                "{},{},{},{:.1},{},{},{},{},{},{}",
-                c.index(),
-                c.trains_per_hour(),
-                c.service_window_h(),
-                c.train_speed_kmh(),
-                c.train_length_m(),
-                c.lp_spacing_m(),
-                c.conventional_isd_m(),
-                csv_field(c.profile_name()),
-                csv_field(c.location().name()),
-                isd_search,
-            );
             if r.is_unsolvable() {
                 let _ = writeln!(out, "{prefix},unsolvable,-,-,-,-,-,-,-,-,-,-,-,-");
                 return out;
             }
             for p in r.frontier() {
-                let (pv_wp, battery_wh, days_full) = match p.pv {
-                    PvOutcome::Skipped => (String::new(), String::new(), String::new()),
-                    PvOutcome::Unsolvable => ("-".into(), "-".into(), "-".into()),
-                    PvOutcome::Sized {
-                        pv_wp,
-                        battery_wh,
-                        days_full_pct,
-                    } => (
-                        format!("{pv_wp:.0}"),
-                        format!("{battery_wh:.0}"),
-                        format!("{days_full_pct:.2}"),
-                    ),
-                };
-                let _ = writeln!(
+                let _ = write!(
                     out,
-                    "{prefix},frontier,{},{:.0},{},{},{:.3},{:.4},{:.3},{:.2},{:.3},{pv_wp},{battery_wh},{days_full}",
+                    "{prefix},frontier,{},{:.0},{},{},{:.3},{:.4},{:.3},{:.2},{:.3},",
                     p.nodes,
                     p.isd.value(),
                     csv_field(&p.policy),
@@ -933,27 +888,18 @@ pub(crate) fn render_optimize_row(
                     p.saving_sleep_pct,
                     p.repeater_wh_day,
                 );
+                pv_csv(&mut out, p.pv);
+                out.push('\n');
             }
             out
         }
         RowFormat::Json => {
             let mut out = String::with_capacity(320 * r.frontier().len().max(1));
             out.push_str("  {");
+            cell_json(&mut out, r.cell(), false);
             let _ = write!(
                 out,
-                "\"cell\": {}, \"trains_per_hour\": {}, \"service_window_h\": {}, \
-                 \"train_speed_kmh\": {:.1}, \"train_length_m\": {}, \"lp_spacing_m\": {}, \
-                 \"conventional_isd_m\": {}, \"power_profile\": {}, \"climate\": {}, \
-                 \"isd_search\": {}, \"status\": {}, \"frontier\": [",
-                c.index(),
-                c.trains_per_hour(),
-                c.service_window_h(),
-                c.train_speed_kmh(),
-                c.train_length_m(),
-                c.lp_spacing_m(),
-                c.conventional_isd_m(),
-                json_string(c.profile_name()),
-                json_string(c.location().name()),
+                ", \"isd_search\": {}, \"status\": {}, \"frontier\": [",
                 json_string(isd_search),
                 json_string(if r.is_unsolvable() {
                     "unsolvable"
@@ -978,21 +924,8 @@ pub(crate) fn render_optimize_row(
                     p.saving_sleep_pct,
                     p.repeater_wh_day,
                 );
-                match p.pv {
-                    PvOutcome::Skipped => out.push_str("\"pv_status\": \"skipped\"}"),
-                    PvOutcome::Unsolvable => out.push_str("\"pv_status\": \"unsolvable\"}"),
-                    PvOutcome::Sized {
-                        pv_wp,
-                        battery_wh,
-                        days_full_pct,
-                    } => {
-                        let _ = write!(
-                            out,
-                            "\"pv_status\": \"sized\", \"pv_wp\": {pv_wp:.0}, \
-                             \"battery_wh\": {battery_wh:.0}, \"days_full_pct\": {days_full_pct:.2}}}"
-                        );
-                    }
-                }
+                pv_json(&mut out, p.pv);
+                out.push('}');
             }
             out.push_str("]}");
             out
@@ -1127,15 +1060,5 @@ mod tests {
         assert!(json.starts_with("[\n"));
         assert!(json.ends_with("]\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        let dir = std::env::temp_dir();
-        let csv_path = dir.join("corridor_sim_optimize_test.csv");
-        let json_path = dir.join("corridor_sim_optimize_test.json");
-        report.write_csv(&csv_path).unwrap();
-        report.write_json(&json_path).unwrap();
-        assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), csv);
-        assert_eq!(std::fs::read_to_string(&json_path).unwrap(), json);
-        let _ = std::fs::remove_file(csv_path);
-        let _ = std::fs::remove_file(json_path);
     }
 }

@@ -1,20 +1,30 @@
 //! Typed sweep results with deterministic CSV and JSON writers.
 
 use core::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use corridor_core::sink::{RowEmitter, RowFormat, RowSink, SinkResult, StringSink};
 use corridor_core::EnergyStrategy;
 
-use crate::{CellResult, PvOutcome};
+use crate::{CellResult, PvOutcome, ScenarioCell};
+
+/// The CSV names of the nine scenario-cell columns every sweep, mc and
+/// optimize row starts with ([`cell_csv`] writes their values), with
+/// the comma that follows them.
+macro_rules! cell_header {
+    () => {
+        "cell,trains_per_hour,service_window_h,train_speed_kmh,train_length_m,\
+         lp_spacing_m,conventional_isd_m,power_profile,climate,"
+    };
+}
+pub(crate) use cell_header;
 
 /// The CSV header [`SweepReport::to_csv`] writes.
-pub const CSV_HEADER: &str = "cell,trains_per_hour,service_window_h,train_speed_kmh,\
-train_length_m,lp_spacing_m,conventional_isd_m,power_profile,climate,nodes,deployment_isd_m,\
-evaluator,baseline_wh_km,continuous_wh_km,sleep_wh_km,solar_wh_km,\
-sleep_hp_wh_km,sleep_service_wh_km,sleep_donor_wh_km,\
-saving_continuous_pct,saving_sleep_pct,saving_solar_pct,pv_wp,battery_wh,days_full_pct";
+pub const CSV_HEADER: &str = concat!(
+    cell_header!(),
+    "nodes,deployment_isd_m,evaluator,baseline_wh_km,continuous_wh_km,sleep_wh_km,solar_wh_km,\
+     sleep_hp_wh_km,sleep_service_wh_km,sleep_donor_wh_km,\
+     saving_continuous_pct,saving_sleep_pct,saving_solar_pct,pv_wp,battery_wh,days_full_pct"
+);
 
 /// The evaluated results of a sweep, in grid order.
 ///
@@ -122,24 +132,6 @@ impl SweepReport {
             self.stream_into(RowFormat::Json, sink)
         })
     }
-
-    /// Writes [`SweepReport::to_csv`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_csv<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Writes [`SweepReport::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
 }
 
 /// Renders one sweep result as a report row: CSV rows carry their own
@@ -153,41 +145,19 @@ pub(crate) fn render_sweep_row(r: &CellResult, format: RowFormat) -> String {
 }
 
 fn sweep_csv_row(r: &CellResult) -> String {
-    let c = r.cell();
-    let (pv_wp, battery_wh, days_full) = match r.pv() {
-        PvOutcome::Skipped => (String::new(), String::new(), String::new()),
-        PvOutcome::Unsolvable => ("-".into(), "-".into(), "-".into()),
-        PvOutcome::Sized {
-            pv_wp,
-            battery_wh,
-            days_full_pct,
-        } => (
-            format!("{pv_wp:.0}"),
-            format!("{battery_wh:.0}"),
-            format!("{days_full_pct:.2}"),
-        ),
-    };
     let sleep = r.split(EnergyStrategy::SleepModeRepeaters);
     let mut out = String::with_capacity(160);
-    let _ = writeln!(
+    cell_csv(&mut out, r.cell(), true);
+    let _ = write!(
         out,
-        "{},{},{},{:.1},{},{},{},{},{},{},{:.0},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.2},{:.2},{:.2},{pv_wp},{battery_wh},{days_full}",
-        c.index(),
-        c.trains_per_hour(),
-        c.service_window_h(),
-        c.train_speed_kmh(),
-        c.train_length_m(),
-        c.lp_spacing_m(),
-        c.conventional_isd_m(),
-        csv_field(c.profile_name()),
-        csv_field(c.location().name()),
-        c.nodes(),
-        c.isd().value(),
+        ",{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.2},{:.2},{:.2},",
         r.evaluator(),
         r.baseline().total().value(),
         r.split(EnergyStrategy::ContinuousRepeaters).total().value(),
         sleep.total().value(),
-        r.split(EnergyStrategy::SolarPoweredRepeaters).total().value(),
+        r.split(EnergyStrategy::SolarPoweredRepeaters)
+            .total()
+            .value(),
         sleep.hp.value(),
         sleep.service.value(),
         sleep.donor.value(),
@@ -195,35 +165,23 @@ fn sweep_csv_row(r: &CellResult) -> String {
         r.savings(EnergyStrategy::SleepModeRepeaters) * 100.0,
         r.savings(EnergyStrategy::SolarPoweredRepeaters) * 100.0,
     );
+    pv_csv(&mut out, r.pv());
+    out.push('\n');
     out
 }
 
 fn sweep_json_row(r: &CellResult) -> String {
-    let c = r.cell();
     let sleep = r.split(EnergyStrategy::SleepModeRepeaters);
     let mut out = String::with_capacity(320);
     out.push_str("  {");
+    cell_json(&mut out, r.cell(), true);
     let _ = write!(
         out,
-        "\"cell\": {}, \"trains_per_hour\": {}, \"service_window_h\": {}, \
-         \"train_speed_kmh\": {:.1}, \"train_length_m\": {}, \"lp_spacing_m\": {}, \
-         \"conventional_isd_m\": {}, \"power_profile\": {}, \"climate\": {}, \
-         \"nodes\": {}, \"deployment_isd_m\": {}, \"evaluator\": {}, \
+        ", \"evaluator\": {}, \
          \"baseline_wh_km\": {:.3}, \"continuous_wh_km\": {:.3}, \
          \"sleep_wh_km\": {:.3}, \"solar_wh_km\": {:.3}, \
          \"sleep_split_wh_km\": {{\"hp\": {:.3}, \"service\": {:.3}, \"donor\": {:.3}}}, \
          \"saving_pct\": {{\"continuous\": {:.2}, \"sleep\": {:.2}, \"solar\": {:.2}}}, ",
-        c.index(),
-        c.trains_per_hour(),
-        c.service_window_h(),
-        c.train_speed_kmh(),
-        c.train_length_m(),
-        c.lp_spacing_m(),
-        c.conventional_isd_m(),
-        json_string(c.profile_name()),
-        json_string(c.location().name()),
-        c.nodes(),
-        c.isd().value(),
         json_string(r.evaluator()),
         r.baseline().total().value(),
         r.split(EnergyStrategy::ContinuousRepeaters).total().value(),
@@ -238,9 +196,83 @@ fn sweep_json_row(r: &CellResult) -> String {
         r.savings(EnergyStrategy::SleepModeRepeaters) * 100.0,
         r.savings(EnergyStrategy::SolarPoweredRepeaters) * 100.0,
     );
-    match r.pv() {
-        PvOutcome::Skipped => out.push_str("\"pv_status\": \"skipped\"}"),
-        PvOutcome::Unsolvable => out.push_str("\"pv_status\": \"unsolvable\"}"),
+    pv_json(&mut out, r.pv());
+    out.push('}');
+    out
+}
+
+/// Writes the nine scenario-cell columns of a CSV row, plus `nodes`
+/// and `deployment_isd_m` when `deployment` is set, with no separator
+/// before or after.
+pub(crate) fn cell_csv(out: &mut String, c: &ScenarioCell, deployment: bool) {
+    let _ = write!(
+        out,
+        "{},{},{},{:.1},{},{},{},{},{}",
+        c.index(),
+        c.trains_per_hour(),
+        c.service_window_h(),
+        c.train_speed_kmh(),
+        c.train_length_m(),
+        c.lp_spacing_m(),
+        c.conventional_isd_m(),
+        csv_field(c.profile_name()),
+        csv_field(c.location().name()),
+    );
+    if deployment {
+        let _ = write!(out, ",{},{:.0}", c.nodes(), c.isd().value());
+    }
+}
+
+/// Writes the JSON members of [`cell_csv`]'s columns, with no separator
+/// before or after.
+pub(crate) fn cell_json(out: &mut String, c: &ScenarioCell, deployment: bool) {
+    let _ = write!(
+        out,
+        "\"cell\": {}, \"trains_per_hour\": {}, \"service_window_h\": {}, \
+         \"train_speed_kmh\": {:.1}, \"train_length_m\": {}, \"lp_spacing_m\": {}, \
+         \"conventional_isd_m\": {}, \"power_profile\": {}, \"climate\": {}",
+        c.index(),
+        c.trains_per_hour(),
+        c.service_window_h(),
+        c.train_speed_kmh(),
+        c.train_length_m(),
+        c.lp_spacing_m(),
+        c.conventional_isd_m(),
+        json_string(c.profile_name()),
+        json_string(c.location().name()),
+    );
+    if deployment {
+        let _ = write!(
+            out,
+            ", \"nodes\": {}, \"deployment_isd_m\": {}",
+            c.nodes(),
+            c.isd().value()
+        );
+    }
+}
+
+/// Writes the `pv_wp,battery_wh,days_full_pct` CSV columns of a PV
+/// sizing outcome: empty when skipped, `-` when unsolvable.
+pub(crate) fn pv_csv(out: &mut String, pv: PvOutcome) {
+    match pv {
+        PvOutcome::Skipped => out.push_str(",,"),
+        PvOutcome::Unsolvable => out.push_str("-,-,-"),
+        PvOutcome::Sized {
+            pv_wp,
+            battery_wh,
+            days_full_pct,
+        } => {
+            let _ = write!(out, "{pv_wp:.0},{battery_wh:.0},{days_full_pct:.2}");
+        }
+    }
+}
+
+/// Writes the JSON members of a PV sizing outcome: `pv_status`, plus
+/// the sized system when there is one.
+pub(crate) fn pv_json(out: &mut String, pv: PvOutcome) {
+    match pv {
+        PvOutcome::Skipped => out.push_str("\"pv_status\": \"skipped\""),
+        PvOutcome::Unsolvable => out.push_str("\"pv_status\": \"unsolvable\""),
         PvOutcome::Sized {
             pv_wp,
             battery_wh,
@@ -249,11 +281,10 @@ fn sweep_json_row(r: &CellResult) -> String {
             let _ = write!(
                 out,
                 "\"pv_status\": \"sized\", \"pv_wp\": {pv_wp:.0}, \
-                 \"battery_wh\": {battery_wh:.0}, \"days_full_pct\": {days_full_pct:.2}}}"
+                 \"battery_wh\": {battery_wh:.0}, \"days_full_pct\": {days_full_pct:.2}"
             );
         }
     }
-    out
 }
 
 /// Quotes a CSV field when it contains a delimiter, quote or newline
@@ -401,23 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn file_writers_roundtrip() {
-        let report = small_report();
-        let dir = std::env::temp_dir();
-        let csv_path = dir.join("corridor_sim_report_test.csv");
-        let json_path = dir.join("corridor_sim_report_test.json");
-        report.write_csv(&csv_path).unwrap();
-        report.write_json(&json_path).unwrap();
-        assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), report.to_csv());
-        assert_eq!(
-            std::fs::read_to_string(&json_path).unwrap(),
-            report.to_json()
-        );
-        let _ = std::fs::remove_file(csv_path);
-        let _ = std::fs::remove_file(json_path);
-    }
-
-    #[test]
     fn sized_pv_lands_in_both_writers() {
         let report = SweepEngine::new()
             .workers(1)
@@ -450,6 +464,47 @@ mod tests {
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("a,b"), "\"a,b\"");
         assert_eq!(csv_field("a\"b"), "\"a\"\"b\"");
+
+        // mc and optimize rows start with the same nine quoted cell
+        // fields and JSON members, under the same header prefix
+        let ninth = row
+            .char_indices()
+            .filter(|&(at, ch)| ch == ',' && row[..at].matches('"').count() % 2 == 0)
+            .nth(8)
+            .map(|(at, _)| at + 1)
+            .unwrap();
+        let cells = &row[..ninth];
+        assert!(cells.ends_with(",Berlin,"), "{cells}");
+        let json = report.to_json();
+        let members = json.lines().nth(1).unwrap();
+        let members = &members[..members.find(", \"nodes\"").unwrap()];
+        assert!(members.ends_with("\"climate\": \"Berlin\""), "{members}");
+        let mc = crate::McEngine::new()
+            .workers(1)
+            .run(&grid, &crate::ReplicationPlan::new(2))
+            .unwrap();
+        let optimize = crate::DeploymentOptimizer::new()
+            .workers(1)
+            .run(&grid, &crate::SearchSpace::new().node_counts(vec![8, 10]))
+            .unwrap();
+        for (header, csv, json) in [
+            (crate::MC_CSV_HEADER, mc.to_csv(), mc.to_json()),
+            (
+                crate::OPTIMIZE_CSV_HEADER,
+                optimize.to_csv(),
+                optimize.to_json(),
+            ),
+        ] {
+            assert!(header.starts_with(cell_header!()), "{header}");
+            assert!(csv.lines().count() > 1, "{csv}");
+            for line in csv.lines().skip(1) {
+                assert!(line.starts_with(cells), "{line}");
+            }
+            for line in json.lines().skip(1).filter(|l| l.starts_with("  {")) {
+                assert!(line.starts_with(members), "{line}");
+            }
+        }
+        assert!(CSV_HEADER.starts_with(cell_header!()));
     }
 
     #[test]

@@ -133,14 +133,6 @@ impl OffGridSystem {
         }
     }
 
-    /// Overrides the module mounting (tilt/azimuth).
-    #[must_use]
-    pub fn with_mounting(mut self, tilt_deg: f64, azimuth_deg: f64) -> Self {
-        let geometry = SolarGeometry::at_latitude(self.location.latitude_deg());
-        self.transposition = Transposition::new(geometry, tilt_deg, azimuth_deg);
-        self
-    }
-
     /// Overrides the weather variability (0 = deterministic normals) and
     /// the day-to-day persistence of its anomalies.
     ///

@@ -45,13 +45,6 @@ impl PvModule {
         }
     }
 
-    /// Overrides the power temperature coefficient (per kelvin, negative).
-    #[must_use]
-    pub fn with_temp_coefficient(mut self, coeff_per_k: f64) -> Self {
-        self.temp_coeff_per_k = coeff_per_k;
-        self
-    }
-
     /// Rated (STC) power.
     pub fn peak(&self) -> Watts {
         self.peak

@@ -219,12 +219,6 @@ impl Dbm {
     pub fn combine(self, other: Dbm) -> Dbm {
         Dbm::from_milliwatts(self.milliwatts() + other.milliwatts())
     }
-
-    /// The ratio of this power to `other`.
-    #[inline]
-    pub fn ratio_to(self, other: Dbm) -> crate::Db {
-        self - other
-    }
 }
 
 impl fmt::Display for Dbm {
