@@ -104,16 +104,16 @@ serve-smoke:
 # Cache determinism: the streamed bytes equal the in-memory writers'
 # (sha256-pinned) and a warm re-run is byte-identical at a 100 % hit
 # rate — engine suites plus an end-to-end cold/warm diff of the sweep
-# binary's --stream/--cache path.
+# binary's --csv --cache rows on stdout.
 cache-determinism:
 	cargo test -q -p corridor_sim --test streaming_equivalence
 	cargo test -q -p corridor_sim --test result_cache
 	rm -rf target/tmp-cache-determinism
 	mkdir -p target/tmp-cache-determinism
 	cargo run -q --release -p corridor_bench --bin sweep -- --demo \
-		--stream target/tmp-cache-determinism/cold.csv --cache target/tmp-cache-determinism/cache
+		--csv --cache target/tmp-cache-determinism/cache > target/tmp-cache-determinism/cold.csv
 	cargo run -q --release -p corridor_bench --bin sweep -- --demo \
-		--stream target/tmp-cache-determinism/warm.csv --cache target/tmp-cache-determinism/cache
+		--csv --cache target/tmp-cache-determinism/cache > target/tmp-cache-determinism/warm.csv
 	cmp target/tmp-cache-determinism/cold.csv target/tmp-cache-determinism/warm.csv
 	rm -rf target/tmp-cache-determinism
 

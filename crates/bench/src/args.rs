@@ -12,16 +12,18 @@
 //! Every binary also writes its stdout through this module: [`run`] and
 //! [`output`] own the one fallible writer, so a reader that goes away
 //! ends the binary with `<name>: stdout: <error>` and exit status
-//! [`STDOUT_CLOSED`] instead of a panic.
+//! [`STDOUT_CLOSED`] instead of a panic. [`stream`] is the one row
+//! output of the engine CLIs' `--csv`/`--json`.
 
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io::{self, BufWriter, Write as _};
 use std::ops::Range;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::time::Instant;
 
-use corridor_core::sink::RowFormat;
-use corridor_sim::{IsdSearch, ScenarioGrid};
+use corridor_core::sink::{RowFormat, RowSink, SinkError, WriteSink};
+use corridor_sim::{IsdSearch, NetworkError, ScenarioGrid, StreamError, StreamSummary};
 
 /// Largest replication or simulated-day count any CLI or request may
 /// ask for, so no invocation can occupy the workers for days.
@@ -109,6 +111,72 @@ pub fn print(name: &str, text: &str) -> ExitCode {
     output(name, |out| {
         out.write_all(text.as_bytes()).map(|()| ExitCode::SUCCESS)
     })
+}
+
+/// An engine's streaming error: a failed write to stdout, or anything
+/// else that stopped the rows.
+pub trait RowsError: fmt::Display + Sized {
+    /// The failed write to stdout this error carries, or the error
+    /// itself when it carries none.
+    fn into_stdout(self) -> Result<io::Error, Self>;
+}
+
+impl RowsError for StreamError {
+    fn into_stdout(self) -> Result<io::Error, Self> {
+        match self {
+            StreamError::Sink(SinkError::Io(error)) => Ok(error),
+            other => Err(other),
+        }
+    }
+}
+
+impl RowsError for NetworkError {
+    fn into_stdout(self) -> Result<io::Error, Self> {
+        match self {
+            NetworkError::Stream(error) => error.into_stdout().map_err(NetworkError::Stream),
+            other => Err(other),
+        }
+    }
+}
+
+/// Streams an engine's rows to `out` (the `--csv`/`--json` mode of
+/// every engine CLI) and reports the count, the time and any result
+/// cache traffic on stderr. A failed write to stdout is a
+/// [`Stop::Stdout`]; any other engine error prints `<name>: <error>`
+/// and the exit status is 1.
+pub fn stream<E: RowsError>(
+    name: &str,
+    out: &mut Stdout,
+    label: &str,
+    workers: Option<usize>,
+    rows: impl FnOnce(&mut dyn RowSink) -> Result<StreamSummary, E>,
+) -> Result<ExitCode, Stop> {
+    let started = Instant::now();
+    let mut sink = WriteSink::new(BufWriter::new(out));
+    let summary = match rows(&mut sink).map_err(E::into_stdout) {
+        Ok(summary) => summary,
+        Err(Ok(error)) => return Err(error.into()),
+        Err(Err(error)) => {
+            eprintln!("{name}: {error}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    sink.into_inner().flush()?;
+    eprintln!(
+        "streamed {} {label} in {:.0} ms (workers: {})",
+        summary.cells,
+        started.elapsed().as_secs_f64() * 1e3,
+        workers_label(workers),
+    );
+    if summary.cache_hits + summary.cache_misses > 0 {
+        eprintln!(
+            "cache: {} hits, {} misses ({:.0} % warm)",
+            summary.cache_hits,
+            summary.cache_misses,
+            summary.hit_rate() * 100.0,
+        );
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `auto` label of an unset worker count.

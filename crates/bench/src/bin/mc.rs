@@ -1,7 +1,8 @@
 //! Monte-Carlo replication sweeps: replays seeded stochastic days over a
 //! scenario grid through the event-driven backend and prints per-cell
 //! statistics (mean, stddev, 95 % CI, min/max) with a headline-cell
-//! check against the analytic 124.07 Wh/day.
+//! check against the analytic 124.07 Wh/day, or streams the per-cell
+//! CSV rows.
 //!
 //! ```console
 //! $ cargo run --release -p corridor_bench --bin mc -- --help
@@ -21,6 +22,7 @@ use std::time::Instant;
 use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_bench::render;
 use corridor_core::experiments;
+use corridor_core::sink::RowFormat;
 use corridor_core::traffic::DelayModel;
 use corridor_core::ScenarioParams;
 use corridor_sim::{McEngine, McMetric, ReplicationPlan, TrafficSpec};
@@ -35,7 +37,7 @@ options:
   --seed N      master seed for the SplitMix64 seed-splitting (default: 42)
   --model M     poisson | jittered | deterministic (default: poisson)
   --workers N   worker threads, 0 = auto (default: 0)
-  --csv         print the full per-cell CSV instead of the summary
+  --csv         stream the per-cell CSV rows instead of the summary
   --smoke       print the committed mc_smoke golden rendering and exit
                 (fixed configuration; not combinable with other options)
   --help        this text
@@ -73,6 +75,12 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
         engine = engine.workers(workers);
     }
 
+    if csv {
+        return args::stream("mc", out, "cell(s)", workers, |sink| {
+            engine.stream(&grid, &plan, RowFormat::Csv, sink)
+        });
+    }
+
     let started = Instant::now();
     let report = match engine.run(&grid, &plan) {
         Ok(report) => report,
@@ -83,77 +91,73 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     };
     let elapsed = started.elapsed();
 
-    if csv {
-        write!(out, "{}", report.to_csv())?;
-    } else {
-        writeln!(out, "Monte-Carlo replication sweep — event-driven backend")?;
-        writeln!(out)?;
+    writeln!(out, "Monte-Carlo replication sweep — event-driven backend")?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "grid: {} ({} cells)  model: {}  replications: {}  master seed: {}",
+        grid_name,
+        report.len(),
+        report.traffic(),
+        report.replications(),
+        report.master_seed()
+    )?;
+    writeln!(out, "cell-days simulated: {}", report.cell_days())?;
+    writeln!(out)?;
+
+    // the statistics of the whole grid, by metric
+    for metric in [
+        McMetric::SleepWhKm,
+        McMetric::SavingSleepPct,
+        McMetric::RepeaterWhDay,
+    ] {
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        let mut widest = 0.0f64;
+        for r in report.results() {
+            let s = r.stats(metric);
+            lo = lo.min(s.mean);
+            hi = hi.max(s.mean);
+            widest = widest.max(s.ci95);
+        }
         writeln!(
             out,
-            "grid: {} ({} cells)  model: {}  replications: {}  master seed: {}",
-            grid_name,
-            report.len(),
-            report.traffic(),
-            report.replications(),
-            report.master_seed()
+            "{:<18} cell means {lo:.3} .. {hi:.3}, widest 95 % CI half-width {widest:.3}",
+            metric.key()
         )?;
-        writeln!(out, "cell-days simulated: {}", report.cell_days())?;
-        writeln!(out)?;
+    }
+    writeln!(out)?;
 
-        // the statistics of the whole grid, by metric
-        for metric in [
-            McMetric::SleepWhKm,
-            McMetric::SavingSleepPct,
-            McMetric::RepeaterWhDay,
-        ] {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            let mut widest = 0.0f64;
-            for r in report.results() {
-                let s = r.stats(metric);
-                lo = lo.min(s.mean);
-                hi = hi.max(s.mean);
-                widest = widest.max(s.ci95);
+    // the headline cell: the paper's 10-node segment at 8 trains/h
+    let analytic = experiments::headline_numbers(&ScenarioParams::paper_default())
+        .repeater_daily_energy
+        .value();
+    if let Some(headline) = report.results().iter().find(|r| {
+        let c = r.cell();
+        c.trains_per_hour() == 8.0
+            && c.nodes() == 10
+            && c.conventional_isd_m() == 500.0
+            && (c.train_speed_kmh() - 200.0).abs() < 1e-9
+    }) {
+        let s = headline.stats(McMetric::RepeaterWhDay);
+        writeln!(
+            out,
+            "headline cell {} (8 trains/h, 200 km/h): repeater {:.3} ± {:.3} Wh/day (95 % CI)",
+            headline.cell().index(),
+            s.mean,
+            s.ci95
+        )?;
+        writeln!(
+            out,
+            "analytic closed form: {analytic:.3} Wh/day -> CI {}",
+            if s.ci_covers(analytic) {
+                "covers the analytic value"
+            } else {
+                "does NOT cover the analytic value"
             }
-            writeln!(
-                out,
-                "{:<18} cell means {lo:.3} .. {hi:.3}, widest 95 % CI half-width {widest:.3}",
-                metric.key()
-            )?;
-        }
-        writeln!(out)?;
-
-        // the headline cell: the paper's 10-node segment at 8 trains/h
-        let analytic = experiments::headline_numbers(&ScenarioParams::paper_default())
-            .repeater_daily_energy
-            .value();
-        if let Some(headline) = report.results().iter().find(|r| {
-            let c = r.cell();
-            c.trains_per_hour() == 8.0
-                && c.nodes() == 10
-                && c.conventional_isd_m() == 500.0
-                && (c.train_speed_kmh() - 200.0).abs() < 1e-9
-        }) {
-            let s = headline.stats(McMetric::RepeaterWhDay);
-            writeln!(
-                out,
-                "headline cell {} (8 trains/h, 200 km/h): repeater {:.3} ± {:.3} Wh/day (95 % CI)",
-                headline.cell().index(),
-                s.mean,
-                s.ci95
-            )?;
-            writeln!(
-                out,
-                "analytic closed form: {analytic:.3} Wh/day -> CI {}",
-                if s.ci_covers(analytic) {
-                    "covers the analytic value"
-                } else {
-                    "does NOT cover the analytic value"
-                }
-            )?;
-        } else {
-            writeln!(out, "(grid has no headline cell at the paper's defaults)")?;
-        }
+        )?;
+    } else {
+        writeln!(out, "(grid has no headline cell at the paper's defaults)")?;
     }
 
     eprintln!(

@@ -22,18 +22,15 @@
 //! so piped output is byte-reproducible; wall-clock timing goes to
 //! stderr.
 
-use std::io::{BufWriter, Write as _};
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_bench::render;
-use corridor_core::sink::{RowFormat, SinkError, WriteSink};
+use corridor_core::sink::RowFormat;
 use corridor_core::units::Meters;
-use corridor_sim::{
-    CorridorNetwork, NetworkDayEngine, NetworkError, NetworkOptimizer, SearchSpace, StreamError,
-    StreamSummary,
-};
+use corridor_sim::{CorridorNetwork, NetworkDayEngine, NetworkOptimizer, SearchSpace};
 
 const USAGE: &str = "\
 usage: network [options]
@@ -122,7 +119,7 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     if let Some(format) = output {
         // stream the frontier rows through the RowSink layer: edge
         // order, byte-identical whatever the worker count
-        return stream_out(out, "edge(s)", workers, |sink| {
+        return args::stream("network", out, "edge(s)", workers, |sink| {
             optimizer.stream_frontier(&net, &space, format, sink)
         });
     }
@@ -260,7 +257,7 @@ fn simulate(
     out: &mut Stdout,
 ) -> Result<ExitCode, Stop> {
     if let Some(format) = output {
-        return stream_out(out, "day row(s)", workers, |sink| {
+        return args::stream("network", out, "day row(s)", workers, |sink| {
             engine.stream(net, space, format, sink)
         });
     }
@@ -328,37 +325,6 @@ fn simulate(
         "simulated {} edge-day(s) in {:.0} ms (workers: {})",
         report.per_edge().len() * report.reps(),
         elapsed.as_secs_f64() * 1e3,
-        args::workers_label(workers),
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Streams `rows` to stdout and reports the count and the time on
-/// stderr. A failed write to stdout is a closed stdout; any other error
-/// ends the run with exit status 1.
-fn stream_out(
-    out: &mut Stdout,
-    label: &str,
-    workers: Option<usize>,
-    rows: impl FnOnce(&mut WriteSink<BufWriter<&mut Stdout>>) -> Result<StreamSummary, NetworkError>,
-) -> Result<ExitCode, Stop> {
-    let started = Instant::now();
-    let mut sink = WriteSink::new(BufWriter::new(out));
-    let summary = match rows(&mut sink) {
-        Ok(summary) => summary,
-        Err(NetworkError::Stream(StreamError::Sink(SinkError::Io(error)))) => {
-            return Err(error.into())
-        }
-        Err(err) => {
-            eprintln!("network: {err}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    sink.into_inner().flush()?;
-    eprintln!(
-        "streamed {} {label} in {:.0} ms (workers: {})",
-        summary.cells,
-        started.elapsed().as_secs_f64() * 1e3,
         args::workers_label(workers),
     );
     Ok(ExitCode::SUCCESS)

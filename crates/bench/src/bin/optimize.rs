@@ -1,7 +1,7 @@
 //! Corridor deployment optimizer: jointly searches repeater count, ISD,
 //! wake policy and PV sizing per scenario cell and prints the Pareto
 //! frontier of (energy/day, nodes/km, coverage margin), with the shared
-//! coverage cache's counters.
+//! coverage cache's counters, or streams the frontier rows as CSV/JSON.
 //!
 //! ```console
 //! $ cargo run --release -p corridor_bench --bin optimize -- --help
@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_bench::render;
-use corridor_core::sink::RowFormat;
 use corridor_core::units::{Db, Meters};
 use corridor_sim::{DeploymentOptimizer, SearchSpace, WakePolicy};
 
@@ -41,8 +40,8 @@ options:
                 except 10 for --grid screening-200 to keep it affordable;
                 boundary ISDs are insensitive at a 50 m ISD grid)
   --workers N   worker threads, 0 = auto (default: 0)
-  --csv         print the full frontier CSV instead of the summary
-  --json        print the frontier JSON instead of the summary
+  --csv         stream the frontier CSV rows instead of the summary
+  --json        stream the frontier JSON rows instead of the summary
   --smoke       print the committed optimize_smoke golden rendering and
                 exit (fixed configuration; not combinable)
   --help        this text
@@ -94,6 +93,12 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
         optimizer = optimizer.workers(workers);
     }
 
+    if let Some(format) = output {
+        return args::stream("optimize", out, "cell(s)", workers, |sink| {
+            optimizer.stream(&grid, &space, format, sink)
+        });
+    }
+
     let started = Instant::now();
     let report = match optimizer.run(&grid, &space) {
         Ok(report) => report,
@@ -104,69 +109,63 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     };
     let elapsed = started.elapsed();
 
-    if output == Some(RowFormat::Csv) {
-        write!(out, "{}", report.to_csv())?;
-    } else if output == Some(RowFormat::Json) {
-        write!(out, "{}", report.to_json())?;
-    } else {
-        writeln!(
-            out,
-            "Corridor deployment optimizer — Pareto frontier per cell"
-        )?;
-        writeln!(out)?;
-        writeln!(
-            out,
-            "grid: {} ({} cells)  isd: {}  candidates/cell: {}",
-            grid_name,
-            report.len(),
-            report.isd_search(),
-            space.candidates_per_cell(),
-        )?;
-        writeln!(
-            out,
-            "candidates: {} evaluated, {} on the frontiers, {} unsolvable cell(s)",
-            report.candidates_evaluated(),
-            report.frontier_points(),
-            report
-                .results()
-                .iter()
-                .filter(|r| r.is_unsolvable())
-                .count()
-        )?;
-        writeln!(
-            out,
-            "coverage cache: {} lookups, {} profiles sampled ({:.0} % hit rate)",
-            report.coverage_lookups(),
-            report.profile_evaluations(),
-            report.cache_hit_rate() * 100.0
-        )?;
-        writeln!(out)?;
-        // the paper's headline cell, if present: its frontier extremes
-        if let Some(r) = report.results().iter().find(|r| {
-            let c = r.cell();
-            c.trains_per_hour() == 8.0
-                && c.conventional_isd_m() == 500.0
-                && (c.train_speed_kmh() - 200.0).abs() < 1e-9
-        }) {
-            if let Some(least_energy) = r
-                .frontier()
-                .iter()
-                .min_by(|a, b| a.energy_wh_day_km.total_cmp(&b.energy_wh_day_km))
-            {
-                writeln!(
-                    out,
-                    "headline cell {}: least-energy point {} nodes @ {:.0} m -> \
+    writeln!(
+        out,
+        "Corridor deployment optimizer — Pareto frontier per cell"
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "grid: {} ({} cells)  isd: {}  candidates/cell: {}",
+        grid_name,
+        report.len(),
+        report.isd_search(),
+        space.candidates_per_cell(),
+    )?;
+    writeln!(
+        out,
+        "candidates: {} evaluated, {} on the frontiers, {} unsolvable cell(s)",
+        report.candidates_evaluated(),
+        report.frontier_points(),
+        report
+            .results()
+            .iter()
+            .filter(|r| r.is_unsolvable())
+            .count()
+    )?;
+    writeln!(
+        out,
+        "coverage cache: {} lookups, {} profiles sampled ({:.0} % hit rate)",
+        report.coverage_lookups(),
+        report.profile_evaluations(),
+        report.cache_hit_rate() * 100.0
+    )?;
+    writeln!(out)?;
+    // the paper's headline cell, if present: its frontier extremes
+    if let Some(r) = report.results().iter().find(|r| {
+        let c = r.cell();
+        c.trains_per_hour() == 8.0
+            && c.conventional_isd_m() == 500.0
+            && (c.train_speed_kmh() - 200.0).abs() < 1e-9
+    }) {
+        if let Some(least_energy) = r
+            .frontier()
+            .iter()
+            .min_by(|a, b| a.energy_wh_day_km.total_cmp(&b.energy_wh_day_km))
+        {
+            writeln!(
+                out,
+                "headline cell {}: least-energy point {} nodes @ {:.0} m -> \
                      {:.1} Wh/day/km ({:.1} % saving), {:.3} nodes/km",
-                    r.cell().index(),
-                    least_energy.nodes,
-                    least_energy.isd.value(),
-                    least_energy.energy_wh_day_km,
-                    least_energy.saving_sleep_pct,
-                    least_energy.nodes_per_km,
-                )?;
-            } else {
-                writeln!(out, "headline cell {}: unsolvable", r.cell().index())?;
-            }
+                r.cell().index(),
+                least_energy.nodes,
+                least_energy.isd.value(),
+                least_energy.energy_wh_day_km,
+                least_energy.saving_sleep_pct,
+                least_energy.nodes_per_km,
+            )?;
+        } else {
+            writeln!(out, "headline cell {}: unsolvable", r.cell().index())?;
         }
     }
 

@@ -773,7 +773,7 @@ fn run_task(line: &str, context: &EvalContext, out: &mut Stdout) -> Result<(), F
     writeln!(
         out,
         "done rows={} cache_hits={} cache_misses={} sum={}",
-        summary.rows,
+        summary.cells,
         summary.cache_hits,
         summary.cache_misses,
         sum.hex(),

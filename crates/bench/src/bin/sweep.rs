@@ -1,16 +1,17 @@
 //! Batch scenario sweeps: expands a Cartesian scenario grid and evaluates
-//! every cell on the worker pool, printing a summary and optionally
-//! writing the full per-cell report as CSV/JSON.
+//! every cell on the worker pool, printing a summary, or streaming the
+//! per-cell rows as CSV/JSON.
 //!
 //! ```console
 //! $ cargo run --release -p corridor_bench --bin sweep -- --help
-//! $ cargo run --release -p corridor_bench --bin sweep -- --workers 4 --csv sweep.csv
+//! $ cargo run --release -p corridor_bench --bin sweep -- --workers 4 --csv > sweep.csv
+//! $ cargo run --release -p corridor_bench --bin sweep -- --csv --cache .sweep-cache > sweep.csv
 //! ```
 //!
 //! The default grid is the 200-cell screening sweep (5 conventional ISDs
 //! × 5 timetable densities × 4 train speeds × 2 climates); `--demo` runs
-//! an 8-cell variant for a quick look. Every `--workers` count produces
-//! identical results; only the speed changes.
+//! the 8-cell `mixed-8` grid for a quick look. Every `--workers` count
+//! produces identical results; only the speed changes.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -18,8 +19,6 @@ use std::time::Instant;
 
 use corridor_bench::args::{self, Fields, Stdout, Stop};
 use corridor_core::report::TextTable;
-use corridor_core::sink::WriteSink;
-use corridor_core::solar::climate;
 use corridor_core::EnergyStrategy;
 use corridor_sim::{PvOutcome, ResultCache, ScenarioGrid, SweepEngine};
 
@@ -30,43 +29,32 @@ options:
   --workers N     worker threads (default: machine parallelism; 1 = calling thread)
   --nodes N       repeaters per segment, 0-10 (default 10)
   --no-pv         skip the per-cell PV sizing (the expensive step)
-  --demo          8-cell demo grid instead of the 200-cell screening grid
-  --csv PATH      write the per-cell report as CSV (not with --stream)
-  --json PATH     write the per-cell report as JSON (not with --stream)
-  --stream PATH   stream rows straight to PATH with flat memory (no report)
-  --format F      row format for --stream: csv (default) or json
-  --cache DIR     scenario-hash result cache for --stream: re-runs only
-                  recompute cells whose parameters changed
+  --demo          8-cell mixed-8 grid instead of the 200-cell screening grid
+  --csv           stream the per-cell CSV rows instead of the summary
+  --json          stream the per-cell JSON rows instead of the summary
+  --cache DIR     scenario-hash result cache for --csv/--json: re-runs
+                  only recompute cells whose parameters changed
   --help          this text
 ";
 
 fn main() -> ExitCode {
-    args::run("sweep", USAGE, &["no-pv", "demo"], run)
+    args::run("sweep", USAGE, &["no-pv", "demo", "csv", "json"], run)
 }
 
 fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
-    // the stream path writes no report, and the report path no stream
-    f.applies(&["format", "cache"], "stream", true)?;
-    f.applies(&["csv", "json"], "stream", false)?;
     let workers = f.workers()?;
     let nodes = f.nodes()?;
     let pv = !f.flag("no-pv");
     let demo = f.flag("demo");
-    let csv = f.value("csv")?;
-    let json = f.value("json")?;
-    let stream = f.value("stream")?;
-    let format = f.format()?;
+    let output = f.output()?;
     let cache = f.value("cache")?;
+    if cache.is_some() && output.is_none() {
+        return Err(Stop::Usage("--cache only applies to --csv/--json".into()));
+    }
     f.finish()?;
 
-    let base = if demo {
-        ScenarioGrid::new()
-            .trains_per_hour(vec![4.0, 8.0])
-            .train_speeds_kmh(vec![160.0, 200.0])
-            .locations(vec![climate::madrid(), climate::berlin()])
-    } else {
-        ScenarioGrid::screening_200()
-    };
+    let name = if demo { "mixed-8" } else { "screening-200" };
+    let base = ScenarioGrid::by_name(name).expect("a named grid");
     let grid = match base.repeater_nodes(nodes) {
         Ok(grid) => grid,
         Err(err) => {
@@ -76,10 +64,24 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     };
 
     // resolve the worker count once and hand it to the engine, so the
-    // banner below always matches the pool that actually runs
+    // banner and the stderr line always match the pool that actually runs
     let workers =
         workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
     let engine = SweepEngine::new().workers(workers).pv_sizing(pv);
+
+    if let Some(format) = output {
+        let cache = match cache.as_deref().map(ResultCache::open).transpose() {
+            Ok(cache) => cache,
+            Err(error) => {
+                let dir = cache.unwrap_or_default();
+                eprintln!("sweep: cannot open cache {dir}: {error}");
+                return Ok(ExitCode::FAILURE);
+            }
+        };
+        return args::stream("sweep", out, "cell(s)", Some(workers), |sink| {
+            engine.stream_with(&grid, format, sink, cache.as_ref())
+        });
+    }
 
     writeln!(
         out,
@@ -91,55 +93,6 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
         if workers == 1 { "" } else { "s" },
         if pv { "on" } else { "off" },
     )?;
-
-    if let Some(path) = &stream {
-        // flat-memory path: rows go straight to the file, the full
-        // report never exists in memory
-        let cache = match &cache {
-            Some(dir) => match ResultCache::open(dir) {
-                Ok(cache) => Some(cache),
-                Err(error) => {
-                    eprintln!("sweep: cannot open cache {dir}: {error}");
-                    return Ok(ExitCode::FAILURE);
-                }
-            },
-            None => None,
-        };
-        let file = match std::fs::File::create(path) {
-            Ok(file) => file,
-            Err(error) => {
-                eprintln!("sweep: cannot create {path}: {error}");
-                return Ok(ExitCode::FAILURE);
-            }
-        };
-        let mut sink = WriteSink::new(std::io::BufWriter::new(file));
-        let started = Instant::now();
-        let summary = match engine.stream_with(&grid, format, &mut sink, cache.as_ref()) {
-            Ok(summary) => summary,
-            Err(error) => {
-                eprintln!("sweep: streaming failed: {error}");
-                return Ok(ExitCode::FAILURE);
-            }
-        };
-        let elapsed = started.elapsed();
-        writeln!(
-            out,
-            "streamed {} rows ({}) to {path} in {:.2} s",
-            summary.rows,
-            format.label(),
-            elapsed.as_secs_f64(),
-        )?;
-        if cache.is_some() {
-            writeln!(
-                out,
-                "cache: {} hits, {} misses ({:.0} % warm)",
-                summary.cache_hits,
-                summary.cache_misses,
-                summary.hit_rate() * 100.0,
-            )?;
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
 
     let started = Instant::now();
     let report = match engine.run(&grid) {
@@ -193,17 +146,5 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
         )?;
     }
 
-    let files = [
-        ("CSV", csv.map(|path| (path, report.to_csv()))),
-        ("JSON", json.map(|path| (path, report.to_json()))),
-    ];
-    for (label, file) in files {
-        let Some((path, text)) = file else { continue };
-        if let Err(error) = std::fs::write(&path, text) {
-            eprintln!("sweep: cannot write {path}: {error}");
-            return Ok(ExitCode::FAILURE);
-        }
-        writeln!(out, "wrote {label} to {path}")?;
-    }
     Ok(ExitCode::SUCCESS)
 }

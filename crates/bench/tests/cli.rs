@@ -2,9 +2,13 @@
 //! `serve`: `--help`, usage errors, non-finite floats, the stand-alone
 //! rule of fixed renderings, output-flag exclusivity, the shared
 //! replication bound, the "only applies to" combinations and the exit
-//! status of a closed stdout.
+//! status of a closed stdout; and for the row output of `--csv`/`--json`,
+//! which must carry the library writers' bytes.
 
 use std::process::{Command, Output};
+
+use corridor_sim::SweepEngine;
+use corridor_sim::{DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace};
 
 const BINARIES: [&str; 6] = ["sweep", "mc", "optimize", "network", "simulate", "serve"];
 
@@ -25,6 +29,17 @@ fn run(name: &str, args: &[&str]) -> Output {
         .args(args)
         .output()
         .unwrap_or_else(|e| panic!("spawn {name}: {e}"))
+}
+
+/// The stdout of `name args`, which must succeed, and its stderr.
+fn ran(name: &str, args: &[&str]) -> (String, String) {
+    let output = run(name, args);
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    assert!(output.status.success(), "{name} {args:?}: {stderr}");
+    (
+        String::from_utf8(output.stdout).expect("utf-8 stdout"),
+        stderr,
+    )
 }
 
 /// Asserts that `name args` is a usage error: exit 1, `<name>: …` and
@@ -126,14 +141,19 @@ fn options_outside_their_mode_are_rejected() {
     let path = |file: &str| dir.join(file).to_str().expect("utf-8 path").to_owned();
     let (stream, report) = (path("stream.csv"), path("report"));
     let demo = ["--demo", "--no-pv"];
+    // sweep has no --stream or --format: its rows stream to stdout
+    // under --csv/--json, so both are unknown options
     for extra in [
         vec!["--format", "json"],
-        vec!["--cache", &report],
+        vec!["--stream", &stream],
         vec!["--stream", &stream, "--csv", &report],
         vec!["--stream", &stream, "--json", &report],
     ] {
         rejected("sweep", &[&demo[..], &extra[..]].concat());
     }
+    // the summary writes no rows, so a cache has nothing to serve
+    let message = rejected("sweep", &[&demo[..], &["--cache", &report]].concat());
+    assert_eq!(message, "sweep: --cache only applies to --csv/--json");
     rejected("network", &["--simulate", "--capacity", "20"]);
     rejected("network", &["--simulate", "--margin-floor", "-3"]);
     rejected("network", &["--seed", "7"]);
@@ -143,7 +163,9 @@ fn options_outside_their_mode_are_rejected() {
 fn a_closed_stdout_is_exit_status_2_not_a_panic() {
     for (name, args) in [
         ("sweep", &["--demo", "--no-pv"][..]),
+        ("sweep", &["--demo", "--no-pv", "--csv"]),
         ("mc", &["--grid", "smoke-3", "--reps", "3"]),
+        ("mc", &["--grid", "smoke-3", "--reps", "3", "--csv"]),
         ("optimize", &["--grid", "smoke-3", "--csv"]),
         ("network", &["--csv"]),
         ("simulate", &[]),
@@ -167,4 +189,69 @@ fn a_closed_stdout_is_exit_status_2_not_a_panic() {
             "{name} {args:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn row_output_is_the_library_writers_bytes() {
+    // `sweep --demo` is the mixed-8 grid at the default 10 nodes; mc and
+    // optimize run at their defaults (seed 42, Poisson; the paper ISD
+    // table, the instant wake policy, no PV sizing)
+    let demo = ScenarioGrid::by_name("mixed-8")
+        .and_then(|grid| grid.repeater_nodes(10).ok())
+        .expect("the demo grid");
+    let sweep = SweepEngine::new()
+        .pv_sizing(false)
+        .run(&demo)
+        .expect("sweep");
+    let smoke = ScenarioGrid::by_name("smoke-3").expect("smoke-3");
+    let mc = McEngine::new()
+        .run(&smoke, &ReplicationPlan::new(3))
+        .expect("mc");
+    let optimize = DeploymentOptimizer::new()
+        .run(&smoke, &SearchSpace::new())
+        .expect("optimize");
+    for (name, args, expected) in [
+        ("sweep", &["--demo", "--no-pv", "--csv"][..], sweep.to_csv()),
+        ("sweep", &["--demo", "--no-pv", "--json"], sweep.to_json()),
+        (
+            "mc",
+            &["--grid", "smoke-3", "--reps", "3", "--csv"],
+            mc.to_csv(),
+        ),
+        (
+            "optimize",
+            &["--grid", "smoke-3", "--csv"],
+            optimize.to_csv(),
+        ),
+        (
+            "optimize",
+            &["--grid", "smoke-3", "--json"],
+            optimize.to_json(),
+        ),
+    ] {
+        let (stdout, stderr) = ran(name, args);
+        assert!(stdout == expected, "{name} {args:?}: rows differ");
+        assert!(stderr.starts_with("streamed "), "{name} {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_warm_sweep_cache_serves_every_row_with_the_same_bytes() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-sweep-cache");
+    // a cache left by an earlier run would make the cold run warm
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir = dir.to_str().expect("utf-8 path");
+    let args = ["--demo", "--no-pv", "--csv", "--cache", dir];
+    let (cold, cold_stderr) = ran("sweep", &args);
+    let (warm, warm_stderr) = ran("sweep", &args);
+    assert!(cold.starts_with("cell,"), "{cold}");
+    assert!(cold == warm, "the warm run changed the rows");
+    assert!(
+        cold_stderr.contains("cache: 0 hits, 8 misses (0 % warm)"),
+        "{cold_stderr}"
+    );
+    assert!(
+        warm_stderr.contains("cache: 8 hits, 0 misses (100 % warm)"),
+        "{warm_stderr}"
+    );
 }

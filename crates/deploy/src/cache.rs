@@ -1,9 +1,9 @@
 //! Memoized coverage profiling: each `(layout, budget)` pair is sampled
 //! once, no matter how many search passes ask about it.
 //!
-//! The deployment searches (the fixed-step [`IsdOptimizer`] and the
-//! Pareto optimizer in `corridor_sim::optimize`) keep asking the same
-//! question — *what is the worst SNR of `n` repeaters at this ISD?* —
+//! The deployment searches (the Pareto optimizer in
+//! `corridor_sim::optimize` and the network optimizer built on it) keep
+//! asking the same question — *what is the worst SNR of `n` repeaters at this ISD?* —
 //! from different directions: per scenario cell, per wake policy, per
 //! binary-search probe. Sampling a coverage profile is the hot path of
 //! that question (hundreds of [`SnrModel`](corridor_link::SnrModel)
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use corridor_units::{Db, Meters};
 
-use crate::{CorridorLayout, CoverageCriterion, LinkBudget, PlacementPolicy};
+use crate::{CorridorLayout, LinkBudget, PlacementPolicy};
 
 /// Discretized cache key: geometry in whole millimetres.
 ///
@@ -151,37 +151,6 @@ impl CoverageCache {
         })
     }
 
-    /// Whether the cached geometry satisfies `criterion`, or `None`
-    /// when the criterion cannot be answered from the cache.
-    ///
-    /// Only the min-SNR criteria are answerable:
-    /// [`CoverageCriterion::MinSnr`] and
-    /// [`CoverageCriterion::PeakEverywhere`]. The spectral-efficiency
-    /// criteria need the full profile, which the cache deliberately does
-    /// not retain — callers getting `None` must evaluate uncached (as
-    /// [`IsdOptimizer::max_isd_cached`](crate::IsdOptimizer::max_isd_cached)
-    /// does). An infeasible placement is `Some(false)`.
-    pub fn satisfies(
-        &self,
-        n: usize,
-        isd: Meters,
-        placement: &PlacementPolicy,
-        criterion: CoverageCriterion,
-    ) -> Option<bool> {
-        match criterion {
-            CoverageCriterion::MinSnr(threshold) => Some(
-                self.min_snr(n, isd, placement)
-                    .is_some_and(|snr| snr >= threshold),
-            ),
-            CoverageCriterion::PeakEverywhere => Some(
-                self.min_snr(n, isd, placement)
-                    .is_some_and(|snr| self.budget.throughput().is_peak(snr)),
-            ),
-            CoverageCriterion::MeanSpectralEfficiency(_)
-            | CoverageCriterion::TrainWindowed { .. } => None,
-        }
-    }
-
     /// Number of [`CoverageCache::min_snr`] calls so far — what an
     /// uncached, per-step search would have paid in profile samples.
     pub fn lookups(&self) -> u64 {
@@ -221,30 +190,13 @@ impl CoverageCache {
         max_isd: Meters,
         isd_step: Meters,
     ) -> Option<Meters> {
-        self.max_isd_by(n, placement, min_isd, max_isd, isd_step, |snr| {
-            snr >= threshold
-        })
-    }
-
-    /// The shared-skeleton search with an arbitrary min-SNR acceptance
-    /// predicate (also backs the `PeakEverywhere` path of
-    /// [`IsdOptimizer::max_isd_cached`](crate::IsdOptimizer::max_isd_cached)).
-    pub(crate) fn max_isd_by(
-        &self,
-        n: usize,
-        placement: &PlacementPolicy,
-        min_isd: Meters,
-        max_isd: Meters,
-        isd_step: Meters,
-        accepts: impl Fn(Db) -> bool,
-    ) -> Option<Meters> {
         crate::search::max_feasible_on_grid(min_isd, max_isd, isd_step, |isd| {
             // min_snr distinguishes the two failure modes the skeleton
             // needs: None = placement infeasible, Some below the
-            // acceptance = criterion failed
+            // threshold = criterion failed
             match self.min_snr(n, isd, placement) {
                 None => crate::search::Probe::PlacementInfeasible,
-                Some(snr) if accepts(snr) => crate::search::Probe::Satisfied,
+                Some(snr) if snr >= threshold => crate::search::Probe::Satisfied,
                 Some(_) => crate::search::Probe::CriterionFailed,
             }
         })
@@ -326,67 +278,6 @@ mod tests {
                 Meters::new(100.0),
                 Meters::new(4000.0),
                 Meters::new(50.0),
-            ),
-            None
-        );
-    }
-
-    #[test]
-    fn satisfies_answers_min_snr_criteria() {
-        let c = cache();
-        let placement = PlacementPolicy::paper_default();
-        assert_eq!(
-            c.satisfies(
-                8,
-                Meters::new(2400.0),
-                &placement,
-                CoverageCriterion::MinSnr(Db::new(29.0))
-            ),
-            Some(true)
-        );
-        assert_eq!(
-            c.satisfies(
-                0,
-                Meters::new(2400.0),
-                &placement,
-                CoverageCriterion::MinSnr(Db::new(29.0))
-            ),
-            Some(false)
-        );
-        // infeasible placement counts as unsatisfied
-        assert_eq!(
-            c.satisfies(
-                6,
-                Meters::new(900.0),
-                &placement,
-                CoverageCriterion::MinSnr(Db::new(29.0))
-            ),
-            Some(false)
-        );
-    }
-
-    #[test]
-    fn spectral_efficiency_criteria_are_unanswerable_not_a_panic() {
-        let c = cache();
-        let placement = PlacementPolicy::paper_default();
-        assert_eq!(
-            c.satisfies(
-                1,
-                Meters::new(1250.0),
-                &placement,
-                CoverageCriterion::MeanSpectralEfficiency(5.0),
-            ),
-            None
-        );
-        assert_eq!(
-            c.satisfies(
-                1,
-                Meters::new(1250.0),
-                &placement,
-                CoverageCriterion::TrainWindowed {
-                    window: Meters::new(400.0),
-                    min_se: 5.0,
-                },
             ),
             None
         );

@@ -133,76 +133,19 @@ impl IsdOptimizer {
     /// or `None` if even the smallest feasible ISD fails.
     ///
     /// Every probe samples a fresh coverage profile; layered searches
-    /// should prefer [`IsdOptimizer::max_isd_cached`].
+    /// should probe a shared [`CoverageCache`](crate::CoverageCache)
+    /// through
+    /// [`CoverageCache::max_feasible_isd`](crate::CoverageCache::max_feasible_isd).
     pub fn max_isd(&self, n: usize) -> Option<Meters> {
         crate::search::max_feasible_on_grid(self.min_isd, self.max_isd, self.isd_step, |isd| {
             self.probe(n, isd)
         })
     }
 
-    /// [`IsdOptimizer::max_isd`] through a shared [`CoverageCache`](crate::CoverageCache): the
-    /// min-SNR criteria ([`CoverageCriterion::MinSnr`],
-    /// [`CoverageCriterion::PeakEverywhere`]) probe the memoized minimum
-    /// SNR instead of re-sampling a profile per step — the hot path of
-    /// repeated sweeps. Spectral-efficiency criteria need the full
-    /// profile and fall back to the uncached search.
-    ///
-    /// Cached probes sample at the *cache's* step
-    /// ([`CoverageCache::sample_step`](crate::CoverageCache::sample_step)), not this optimizer's — build
-    /// the cache with the step you want pinned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` was built under a different [`LinkBudget`] than
-    /// this optimizer (its memoized answers would be for the wrong RF
-    /// configuration).
-    pub fn max_isd_cached(&self, cache: &crate::CoverageCache, n: usize) -> Option<Meters> {
-        assert!(
-            cache.budget() == &self.budget,
-            "coverage cache built under a different link budget"
-        );
-        match self.criterion {
-            CoverageCriterion::MinSnr(threshold) => cache.max_feasible_isd(
-                n,
-                &self.placement,
-                threshold,
-                self.min_isd,
-                self.max_isd,
-                self.isd_step,
-            ),
-            CoverageCriterion::PeakEverywhere => cache.max_isd_by(
-                n,
-                &self.placement,
-                self.min_isd,
-                self.max_isd,
-                self.isd_step,
-                |snr| self.budget.throughput().is_peak(snr),
-            ),
-            CoverageCriterion::MeanSpectralEfficiency(_)
-            | CoverageCriterion::TrainWindowed { .. } => self.max_isd(n),
-        }
-    }
-
     /// Sweeps `n = 0..=max_nodes` and collects the results in an
     /// [`IsdTable`].
     pub fn sweep(&self, max_nodes: usize) -> IsdTable {
         IsdTable::from_max_isds((0..=max_nodes).map(|n| self.max_isd(n)).collect())
-    }
-
-    /// [`IsdOptimizer::sweep`] through a shared [`CoverageCache`](crate::CoverageCache): a
-    /// repeated sweep (another criterion threshold, another caller) hits
-    /// the cache instead of re-sampling every profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` was built under a different [`LinkBudget`]
-    /// (see [`IsdOptimizer::max_isd_cached`]).
-    pub fn sweep_cached(&self, cache: &crate::CoverageCache, max_nodes: usize) -> IsdTable {
-        IsdTable::from_max_isds(
-            (0..=max_nodes)
-                .map(|n| self.max_isd_cached(cache, n))
-                .collect(),
-        )
     }
 }
 
@@ -274,37 +217,6 @@ mod tests {
         let opt = optimizer().with_search_range(Meters::new(100.0), Meters::new(800.0));
         // n=1 could reach 1250 m but the range caps it
         assert_eq!(opt.max_isd(1), Some(Meters::new(800.0)));
-    }
-
-    #[test]
-    fn cached_search_matches_uncached() {
-        let opt = optimizer();
-        let cache =
-            crate::CoverageCache::with_sample_step(LinkBudget::paper_default(), Meters::new(10.0));
-        for n in 0..=3 {
-            assert_eq!(opt.max_isd_cached(&cache, n), opt.max_isd(n), "n={n}");
-        }
-        assert_eq!(opt.sweep_cached(&cache, 3), opt.sweep(3));
-        // a repeated cached sweep pays zero new profile samples
-        let profiles = cache.profile_evaluations();
-        let _ = opt.sweep_cached(&cache, 3);
-        assert_eq!(cache.profile_evaluations(), profiles);
-        // PeakEverywhere routes through the cache too
-        let peak = optimizer().with_criterion(CoverageCriterion::PeakEverywhere);
-        assert_eq!(peak.max_isd_cached(&cache, 1), peak.max_isd(1));
-        // spectral-efficiency criteria fall back to the uncached path
-        let se = optimizer().with_criterion(CoverageCriterion::MeanSpectralEfficiency(5.8));
-        assert_eq!(se.max_isd_cached(&cache, 1), se.max_isd(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "different link budget")]
-    fn cached_search_rejects_foreign_budget() {
-        use corridor_units::Dbm;
-        let opt = optimizer();
-        let foreign = LinkBudget::paper_default().with_hp_eirp(Dbm::new(10.0));
-        let cache = crate::CoverageCache::new(foreign);
-        let _ = opt.max_isd_cached(&cache, 1);
     }
 
     #[test]

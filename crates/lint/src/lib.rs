@@ -5,7 +5,7 @@
 //! byte-deterministic reports across worker counts, NaN-safe float
 //! ordering and typed errors instead of panics in library crates. This
 //! crate is a dependency-free, offline pass that walks every workspace
-//! `src/` file, masks comments and string literals with a lossless
+//! `src/` file and example, masks comments and string literals with a lossless
 //! tokenizer ([`sanitize`]) and runs a rule set ([`rules::Rule`])
 //! encoding those invariants. It ships three ways so it cannot rot:
 //!
@@ -222,7 +222,7 @@ pub fn scope_for(rel_path: &str) -> Option<Scope> {
     if p.starts_with("shims/") && p.contains("/src/") {
         return Some(Scope::Harness);
     }
-    if p.starts_with("crates/bench/src/") {
+    if p.starts_with("crates/bench/src/") || p.starts_with("examples/") {
         return Some(Scope::Harness);
     }
     if p.starts_with("crates/") && p.contains("/src/") {
@@ -234,7 +234,8 @@ pub fn scope_for(rel_path: &str) -> Option<Scope> {
     None
 }
 
-/// Runs the pass over every workspace `src/` file under `root`.
+/// Runs the pass over every workspace `src/` file and every example
+/// under `root`.
 ///
 /// # Errors
 ///
@@ -253,6 +254,7 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, LintError> {
 
     let mut files = Vec::new();
     collect_rs(&root.join("src"), &mut files)?;
+    collect_rs(&root.join("examples"), &mut files)?;
     for family in ["crates", "shims"] {
         let family_dir = root.join(family);
         for member in sorted_dirs(&family_dir)? {
@@ -383,6 +385,7 @@ let x = y.unwrap();
             Some(Scope::Harness)
         );
         assert_eq!(scope_for("shims/rayon/src/lib.rs"), Some(Scope::Harness));
+        assert_eq!(scope_for("examples/quickstart.rs"), Some(Scope::Harness));
         assert_eq!(scope_for("src/lib.rs"), Some(Scope::Library));
         assert_eq!(scope_for("crates/sim/tests/mc.rs"), None);
         assert_eq!(scope_for("tests/golden_outputs.rs"), None);

@@ -70,11 +70,9 @@ impl From<SinkError> for StreamError {
 /// What a completed streaming run processed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamSummary {
-    /// Grid cells evaluated or served from the cache.
+    /// Grid cells evaluated or served from the cache: one row each (an
+    /// optimizer "row" is the cell's whole frontier chunk).
     pub cells: u64,
-    /// Rows emitted (one per cell; an optimizer "row" is the cell's
-    /// whole frontier chunk).
-    pub rows: u64,
     /// Cells served from the [`ResultCache`](crate::ResultCache).
     pub cache_hits: u64,
     /// Cells computed and (when caching) stored.
@@ -264,7 +262,6 @@ pub(crate) fn stream_rows<J: CellJob>(
         |(row, lookup)| {
             emit(&row)?;
             summary.cells += 1;
-            summary.rows += 1;
             match lookup {
                 Lookup::Uncached => {}
                 Lookup::Hit => summary.cache_hits += 1,
@@ -392,7 +389,7 @@ mod tests {
                 },
             )
             .unwrap();
-            assert_eq!(summary.rows, 10);
+            assert_eq!(summary.cells, 10);
             assert_eq!(summary.cache_hits + summary.cache_misses, 0);
             let tail: String = expected[2..].iter().map(|v| format!("{v}\n")).collect();
             assert_eq!(rows, tail, "workers = {workers}");

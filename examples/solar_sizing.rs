@@ -3,33 +3,46 @@
 //!
 //! Run with `cargo run --release --example solar_sizing`.
 
+use std::io::{self, Write as _};
+use std::process::ExitCode;
+
+use corridor_bench::args::{self, Stdout};
 use railway_corridor::prelude::*;
 use railway_corridor::solar::sizing::SizingOptions;
 use railway_corridor::solar::{Location, WeatherGenerator, YearStats};
 
-fn main() {
+fn main() -> ExitCode {
+    args::output("solar_sizing", run)
+}
+
+fn run(out: &mut Stdout) -> io::Result<ExitCode> {
     let load = DailyLoadProfile::repeater_paper_default();
-    println!(
+    writeln!(
+        out,
         "repeater load: {} per day (avg {})\n",
         load.daily_energy(),
         load.average_power()
-    );
+    )?;
 
     // 1. The paper's four regions, sized with the standard ladder.
     let options = SizingOptions::paper_default();
-    println!("zero-downtime sizing (paper Table IV):");
+    writeln!(out, "zero-downtime sizing (paper Table IV):")?;
     for location in climate::paper_regions() {
         match sizing::size_for_zero_downtime(location.clone(), load.clone(), &options) {
-            Some(fit) => println!("  {:8} -> {fit}", location.name()),
-            None => println!(
+            Some(fit) => writeln!(out, "  {:8} -> {fit}", location.name())?,
+            None => writeln!(
+                out,
                 "  {:8} -> not solvable with the standard ladder",
                 location.name()
-            ),
+            )?,
         }
     }
 
     // 2. Why Berlin needs more: December energy balance per candidate.
-    println!("\nBerlin, month-by-month balance (540 Wp, deterministic weather):");
+    writeln!(
+        out,
+        "\nBerlin, month-by-month balance (540 Wp, deterministic weather):"
+    )?;
     let berlin = climate::berlin();
     let system = OffGridSystem::new(
         berlin.clone(),
@@ -39,14 +52,18 @@ fn main() {
     )
     .with_weather_variability(0.0, 0.0);
     let stats = system.simulate_year(0);
-    print_year("  deterministic normals", &stats);
+    print_year(out, "  deterministic normals", &stats)?;
     let stochastic = OffGridSystem::new(
         berlin,
         PvArray::standard_modules(3),
         Battery::paper_default(),
         load.clone(),
     );
-    print_year("  with overcast strings", &stochastic.simulate_year(10));
+    print_year(
+        out,
+        "  with overcast strings",
+        &stochastic.simulate_year(10),
+    )?;
 
     // 3. A custom site: a south-facing alpine valley wall at 46.5°N with
     //    strong winter fog (synthetic normals).
@@ -59,28 +76,36 @@ fn main() {
         ],
     )
     .with_overcast_persistence(0.85);
-    println!("\ncustom site:");
+    writeln!(out, "\ncustom site:")?;
     match sizing::size_for_zero_downtime(alpine, load, &options) {
-        Some(fit) => println!("  Alpine valley -> {fit}"),
-        None => println!("  Alpine valley -> needs more than the standard ladder"),
+        Some(fit) => writeln!(out, "  Alpine valley -> {fit}")?,
+        None => writeln!(
+            out,
+            "  Alpine valley -> needs more than the standard ladder"
+        )?,
     }
 
     // 4. Show a sampled stretch of synthetic winter weather.
-    println!("\nten January days of synthetic Berlin weather (GHI multipliers):");
+    writeln!(
+        out,
+        "\nten January days of synthetic Berlin weather (GHI multipliers):"
+    )?;
     let mut weather = WeatherGenerator::new(climate::berlin(), 10);
     let multipliers = weather.daily_multipliers_for_year();
     let days: Vec<String> = multipliers[..10]
         .iter()
         .map(|m| format!("{m:.2}"))
         .collect();
-    println!("  {}", days.join("  "));
+    writeln!(out, "  {}", days.join("  "))?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn print_year(label: &str, stats: &YearStats) {
-    println!(
+fn print_year(out: &mut Stdout, label: &str, stats: &YearStats) -> io::Result<()> {
+    writeln!(
+        out,
         "{label}: {:.1} % days full, {} downtime day(s), min SoC {:.0} %",
         stats.full_battery_day_fraction() * 100.0,
         stats.downtime_days(),
         stats.min_soc_fraction() * 100.0
-    );
+    )
 }

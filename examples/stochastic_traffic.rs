@@ -4,10 +4,18 @@
 //!
 //! Run with `cargo run --release --example stochastic_traffic`.
 
+use std::io::{self, Write as _};
+use std::process::ExitCode;
+
+use corridor_bench::args::{self, Stdout};
 use railway_corridor::prelude::*;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> ExitCode {
+    args::output("stochastic_traffic", run)
+}
+
+fn run(out: &mut Stdout) -> io::Result<ExitCode> {
     let params = ScenarioParams::paper_default();
     let isd = Meters::new(2400.0);
     let section_hp = TrackSection::new(Meters::ZERO, isd);
@@ -16,11 +24,12 @@ fn main() {
     // 1. Deterministic vs Poisson occupancy for the same mean rate.
     let deterministic =
         ActivityTimeline::for_section(&section_hp, &Timetable::paper_default().passes());
-    println!(
+    writeln!(
+        out,
         "deterministic timetable: HP mast active {:.3} h/day ({:.2} % duty)",
         deterministic.total_active_hours().value(),
         deterministic.total_active().value() / 864.0
-    );
+    )?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let poisson = PoissonTimetable::paper_rate();
     let mut total = 0.0;
@@ -31,13 +40,17 @@ fn main() {
             .total_active_hours()
             .value();
     }
-    println!(
+    writeln!(
+        out,
         "Poisson arrivals (mean of {DRAWS} days): HP mast active {:.3} h/day",
         total / DRAWS as f64
-    );
+    )?;
 
     // 2. Energy savings versus traffic intensity.
-    println!("\nsleep-mode savings vs traffic intensity (10 nodes, ISD 2650 m):");
+    writeln!(
+        out,
+        "\nsleep-mode savings vs traffic intensity (10 nodes, ISD 2650 m):"
+    )?;
     for trains_per_hour in [2.0, 4.0, 8.0, 16.0, 32.0] {
         let timetable = Timetable::new(
             trains_per_hour,
@@ -53,15 +66,16 @@ fn main() {
             EnergyStrategy::SleepModeRepeaters,
         )
         .expect("the paper ISD table covers 10 nodes");
-        println!(
+        writeln!(
+            out,
             "  {trains_per_hour:>5.0} trains/h: {:.1} % savings",
             savings * 100.0
-        );
+        )?;
     }
 
     // 3. Wake latency: how much coverage time is lost per pass, and how
     //    much track the train covers while the node wakes.
-    println!("\nwake-latency study (train at 200 km/h):");
+    writeln!(out, "\nwake-latency study (train at 200 km/h):")?;
     let v = Train::paper_default().speed();
     for delay_ms in [100.0, 300.0, 500.0, 1000.0] {
         let ctl = WakeController::new(Seconds::ZERO, Seconds::new(delay_ms / 1000.0));
@@ -79,11 +93,13 @@ fn main() {
             - ActivityTimeline::for_section(&section_lp, &Timetable::paper_default().passes())
                 .total_active_hours()
                 .value();
-        println!(
+        writeln!(
+            out,
             "  {delay_ms:>5.0} ms delay: {:.1} m of track uncovered per pass \
              (barrier lead compensates at +{:.1} Wh/day)",
             distance.value(),
             extra * 28.38
-        );
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }
