@@ -104,7 +104,9 @@ serve-smoke:
 # Cache determinism: the streamed bytes equal the in-memory writers'
 # (sha256-pinned) and a warm re-run is byte-identical at a 100 % hit
 # rate — engine suites plus an end-to-end cold/warm diff of the sweep
-# binary's --csv --cache rows on stdout.
+# binary's --csv --cache rows on stdout, then a --json run on the same
+# cache (every cell a hit: the CSV run stored both renderings) diffed
+# against an uncached --json run.
 cache-determinism:
 	cargo test -q -p corridor_sim --test streaming_equivalence
 	cargo test -q -p corridor_sim --test result_cache
@@ -115,6 +117,13 @@ cache-determinism:
 	cargo run -q --release -p corridor_bench --bin sweep -- --demo \
 		--csv --cache target/tmp-cache-determinism/cache > target/tmp-cache-determinism/warm.csv
 	cmp target/tmp-cache-determinism/cold.csv target/tmp-cache-determinism/warm.csv
+	cargo run -q --release -p corridor_bench --bin sweep -- --demo \
+		--json --cache target/tmp-cache-determinism/cache > target/tmp-cache-determinism/warm.json \
+		2> target/tmp-cache-determinism/warm.json.err
+	grep -q '^cache: 8 hits, 0 misses' target/tmp-cache-determinism/warm.json.err
+	cargo run -q --release -p corridor_bench --bin sweep -- --demo \
+		--json > target/tmp-cache-determinism/uncached.json
+	cmp target/tmp-cache-determinism/warm.json target/tmp-cache-determinism/uncached.json
 	rm -rf target/tmp-cache-determinism
 
 # CLI smoke: the simulate binary's --stats rendering byte-diffed against

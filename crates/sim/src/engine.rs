@@ -278,13 +278,13 @@ impl SweepEngine {
     /// The scenario hash of one cell under this engine's configuration.
     fn cache_key(&self, cell: &ScenarioCell) -> String {
         let mut key = KeyBuilder::new("sweep");
-        key.text("evaluator", self.evaluator.name());
+        key.text(self.evaluator.name());
         if let Evaluator::EventDriven(policy) = self.evaluator {
-            key.f64("lead", policy.lead().value())
-                .f64("wake", policy.wake_delay().value())
-                .f64("guard", policy.guard().value());
+            key.f64(policy.lead().value())
+                .f64(policy.wake_delay().value())
+                .f64(policy.guard().value());
         }
-        key.int("pv", u64::from(self.pv_sizing));
+        key.int(u64::from(self.pv_sizing));
         key.cell(cell);
         key.finish()
     }

@@ -433,16 +433,16 @@ impl McEngine {
     /// The scenario hash of one cell under this engine and plan.
     fn cache_key(&self, cell: &ScenarioCell, plan: &ReplicationPlan) -> String {
         let mut key = KeyBuilder::new("mc");
-        key.text("traffic", plan.traffic_spec().label())
-            .int("reps", plan.replications() as u64)
-            .int("seed", plan.seeds().master())
-            .f64("lead", self.policy.lead().value())
-            .f64("wake", self.policy.wake_delay().value())
-            .f64("guard", self.policy.guard().value());
+        key.text(plan.traffic_spec().label())
+            .int(plan.replications() as u64)
+            .int(plan.seeds().master())
+            .f64(self.policy.lead().value())
+            .f64(self.policy.wake_delay().value())
+            .f64(self.policy.guard().value());
         if let TrafficSpec::Jittered(model) = plan.traffic_spec() {
-            key.f64("jitter", model.jitter().value())
-                .f64("delay_p", model.delay_probability())
-                .f64("max_delay", model.max_delay().value());
+            key.f64(model.jitter().value())
+                .f64(model.delay_probability())
+                .f64(model.max_delay().value());
         }
         key.cell(cell);
         key.finish()

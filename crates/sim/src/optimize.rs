@@ -541,30 +541,32 @@ pub(crate) fn grid_search<'a>(
 /// dirties exactly the cells on it.
 fn cache_key(cell: &ScenarioCell, space: &SearchSpace) -> String {
     let mut key = KeyBuilder::new("optimize");
+    // each list's count goes first, so no list can run into the field
+    // after it
+    key.int(space.node_counts.len() as u64);
     for &count in &space.node_counts {
-        key.int("n", count as u64);
+        key.int(count as u64);
     }
-    key.text("isd_search", space.isd_search.label());
+    key.text(space.isd_search.label());
     if let IsdSearch::ModelGrid { min, max, step } = space.isd_search {
-        key.f64("isd_min", min.value())
-            .f64("isd_max", max.value())
-            .f64("isd_step", step.value());
+        key.f64(min.value()).f64(max.value()).f64(step.value());
     }
+    key.int(space.wake_policies.len() as u64);
     for policy in &space.wake_policies {
-        key.f64("lead", policy.lead().value())
-            .f64("wake", policy.wake_delay().value())
-            .f64("guard", policy.guard().value());
+        key.f64(policy.lead().value())
+            .f64(policy.wake_delay().value())
+            .f64(policy.guard().value());
     }
-    key.int("pv", u64::from(space.pv_sizing))
-        .f64("snr", space.snr_threshold.value())
-        .f64("step", space.sample_step.value());
+    key.int(u64::from(space.pv_sizing))
+        .f64(space.snr_threshold.value())
+        .f64(space.sample_step.value());
     let budget = cell.params().budget();
-    key.f64("freq", budget.frequency().value())
-        .f64("hp_eirp", budget.hp_eirp().value())
-        .f64("lp_eirp", budget.lp_eirp().value())
-        .f64("hp_cal", budget.hp_calibration().value())
-        .f64("lp_cal", budget.lp_calibration().value())
-        .f64("noise", budget.noise_floor().value());
+    key.f64(budget.frequency().value())
+        .f64(budget.hp_eirp().value())
+        .f64(budget.lp_eirp().value())
+        .f64(budget.hp_calibration().value())
+        .f64(budget.lp_calibration().value())
+        .f64(budget.noise_floor().value());
     key.cell(cell);
     key.finish()
 }
@@ -936,6 +938,25 @@ pub(crate) fn render_optimize_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corridor_units::Seconds;
+
+    #[test]
+    fn search_spaces_differing_only_in_list_lengths_get_different_keys() {
+        let cell = ScenarioGrid::new().cell_at(0).unwrap();
+        let policies = vec![
+            WakePolicy::instant(),
+            WakePolicy::new(Seconds::new(40.0), Seconds::new(1.0), Seconds::new(12.0)),
+        ];
+        let space = SearchSpace::new()
+            .node_counts((0..=5).collect())
+            .wake_policies(policies.clone());
+        let key = cache_key(&cell, &space);
+        assert_eq!(key, cache_key(&cell, &space.clone()));
+        let longer = space.clone().node_counts((0..=6).collect());
+        assert_ne!(key, cache_key(&cell, &longer));
+        let fewer = space.wake_policies(policies[..1].to_vec());
+        assert_ne!(key, cache_key(&cell, &fewer));
+    }
 
     fn quick_space() -> SearchSpace {
         // coarse sampling keeps debug-mode tests fast; boundaries are

@@ -89,23 +89,6 @@ impl StreamSummary {
     }
 }
 
-/// One cell's row rendered in both formats — the unit the result cache
-/// stores, so a single evaluation warms both the CSV and JSON streams.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RowPair {
-    pub(crate) csv: String,
-    pub(crate) json: String,
-}
-
-impl RowPair {
-    fn into_row(self, format: RowFormat) -> String {
-        match format {
-            RowFormat::Csv => self.csv,
-            RowFormat::Json => self.json,
-        }
-    }
-}
-
 /// One engine's per-cell work, as the drivers see it.
 pub(crate) trait CellJob: Sync {
     /// What [`CellJob::cell`] builds for one index.
@@ -248,16 +231,18 @@ pub(crate) fn stream_rows<J: CellJob>(
             let Some((store, key)) = keyed else {
                 return Ok((job.render(&job.evaluate(cell), format), Lookup::Uncached));
             };
-            if let Some(pair) = store.load(&key) {
-                return Ok((pair.into_row(format), Lookup::Hit));
+            if let Some(row) = store.load(&key, format) {
+                return Ok((row, Lookup::Hit));
             }
             let result = job.evaluate(cell);
-            let pair = RowPair {
-                csv: job.render(&result, RowFormat::Csv),
-                json: job.render(&result, RowFormat::Json),
+            let csv = job.render(&result, RowFormat::Csv);
+            let json = job.render(&result, RowFormat::Json);
+            store.store(&key, &csv, &json);
+            let row = match format {
+                RowFormat::Csv => csv,
+                RowFormat::Json => json,
             };
-            store.store(&key, &pair);
-            Ok((pair.into_row(format), Lookup::Miss))
+            Ok((row, Lookup::Miss))
         },
         |(row, lookup)| {
             emit(&row)?;

@@ -228,6 +228,38 @@ fn corrupt_entry_is_recomputed_not_served() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_flipped_json_byte_misses_for_json_only_then_heals() {
+    let dir = temp_cache_dir("flip-json");
+    let cache = ResultCache::open(&dir).unwrap();
+    let engine = SweepEngine::new().workers(2);
+    let grid = sweep_grid();
+    let (csv, _) = streamed_sweep(&engine, &grid, RowFormat::Csv, Some(&cache));
+    let (json, _) = streamed_sweep(&engine, &grid, RowFormat::Json, None);
+
+    // flip a byte of one entry's JSON rendering: the entry ends with it
+    let entry = walk_entries(&dir).into_iter().next().expect("stored entry");
+    let mut bytes = fs::read(&entry).unwrap();
+    let last = bytes.len() - 2;
+    bytes[last] ^= 0x01;
+    fs::write(&entry, &bytes).unwrap();
+
+    // CSV requests still hit: only the served rendering is checked
+    let (warm, summary) = streamed_sweep(&engine, &grid, RowFormat::Csv, Some(&cache));
+    assert_eq!(warm, csv);
+    assert_eq!((summary.cache_hits, summary.cache_misses), (4, 0));
+
+    // JSON requests miss on that cell, recompute it and rewrite it
+    let (warm, summary) = streamed_sweep(&engine, &grid, RowFormat::Json, Some(&cache));
+    assert_eq!(warm, json);
+    assert_eq!((summary.cache_hits, summary.cache_misses), (3, 1));
+    let (healed, summary) = streamed_sweep(&engine, &grid, RowFormat::Json, Some(&cache));
+    assert_eq!(healed, json);
+    assert_eq!((summary.cache_hits, summary.cache_misses), (4, 0));
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 fn walk_entries(dir: &std::path::Path) -> Vec<PathBuf> {
     let mut found = Vec::new();
     let mut stack = vec![dir.to_path_buf()];

@@ -2,13 +2,15 @@
 //! reader that goes away ends them with exit status 2 and a
 //! `<name>: stdout: <error>` line, never a panic.
 
-use std::path::PathBuf;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// An example binary of this build: cargo puts it in the profile's
 /// `examples/` directory, next to the `deps/` directory holding this
 /// test binary. A plain `cargo test` builds it; `cargo test --test
-/// examples` alone does not, so run `cargo build --examples` first.
+/// examples` alone does not, so a binary that is missing, or older than
+/// its `examples/<name>.rs`, fails here instead of being run.
 fn example(name: &str) -> PathBuf {
     let exe = std::env::current_exe().expect("test binary path");
     let profile = exe
@@ -16,9 +18,20 @@ fn example(name: &str) -> PathBuf {
         .and_then(|deps| deps.parent())
         .expect("test binary in <profile>/deps");
     let path = profile.join("examples").join(name);
+    let modified = |path: &Path| fs::metadata(path).and_then(|meta| meta.modified());
+    let Ok(built) = modified(&path) else {
+        panic!(
+            "{} is missing: run `cargo build --examples`",
+            path.display()
+        );
+    };
+    let source = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("examples")
+        .join(format!("{name}.rs"));
+    let edited = modified(&source).expect("example source");
     assert!(
-        path.is_file(),
-        "{} is missing: run `cargo build --examples`",
+        built >= edited,
+        "{} is stale: run `cargo build --examples`",
         path.display()
     );
     path
