@@ -2,9 +2,9 @@
 
 RUSTDOCFLAGS_STRICT := -D missing_docs -D warnings
 
-.PHONY: ci fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build bench-snapshot results
+.PHONY: ci fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build bench-floors bench-snapshot results
 
-ci: fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build
+ci: fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build bench-floors
 
 fmt-check:
 	cargo fmt --all --check
@@ -147,6 +147,11 @@ quickstart:
 perfbench-build:
 	CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+# The committed BENCH_*.json snapshots stay above their floors (no
+# measuring; CI's "Bench snapshots" step).
+bench-floors:
+	cargo test -q --release -p corridor_bench --test bench_snapshots
+
 # Regenerate the committed BENCH_*.json throughput snapshots at the repo
 # root, then re-verify this machine against them (>20 % drop fails).
 # Run on a quiet machine; the snapshots are committed like goldens.
@@ -156,7 +161,7 @@ bench-snapshot:
 
 # Regenerate the committed reference outputs under docs/results/.
 results:
-	for b in headline table1 table2 table3 table4 fig3 fig4 isd_sweep; do \
+	for b in headline table1 table2 table3 table4 fig3 fig4 isd_sweep fronthaul; do \
 		cargo run -q --release -p corridor_bench --bin $$b > docs/results/$$b.txt || exit 1; \
 	done
 	cargo run -q --release -p corridor_bench --bin simulate -- --stats > docs/results/poisson_stats.txt

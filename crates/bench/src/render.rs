@@ -8,6 +8,7 @@
 
 use core::fmt::Write as _;
 
+use corridor_core::deploy::IsdTable;
 use corridor_core::report::TextTable;
 use corridor_core::units::Meters;
 use corridor_core::{experiments, ScenarioParams};
@@ -293,11 +294,7 @@ pub fn fig3() -> String {
 }
 
 /// Renders one Fig. 4 table for a given ISD mapping.
-fn fig4_table(
-    params: &ScenarioParams,
-    table: &corridor_core::deploy::IsdTable,
-    label: &str,
-) -> String {
+fn fig4_table(params: &ScenarioParams, table: &IsdTable, label: &str) -> String {
     let rows = experiments::fig4(params, table);
     let baseline = rows[0].sleep;
     let mut out = format!("Fig. 4 ({label}) — average energy [Wh] per hour per km\n\n");
@@ -331,11 +328,7 @@ fn fig4_table(
 /// Renders the Fig. 4 strategy comparison (`fig4` binary).
 pub fn fig4() -> String {
     let params = scenario();
-    let mut out = fig4_table(
-        &params,
-        &corridor_core::deploy::IsdTable::paper(),
-        "paper ISD mapping",
-    );
+    let mut out = fig4_table(&params, &IsdTable::paper(), "paper ISD mapping");
     let computed = experiments::isd_sweep(&params, Meters::new(5.0)).computed;
     out.push_str(&fig4_table(&params, &computed, "computed ISD mapping"));
     let _ = writeln!(
@@ -378,6 +371,36 @@ pub fn isd_sweep() -> String {
         "(n = 0 is the model's own bound; the paper's 500 m reference is the"
     );
     let _ = writeln!(out, "real-world deployment value, not a model output)");
+    out
+}
+
+/// Renders the fronthaul check (`fronthaul` binary): the V-band daisy
+/// chain feeding each paper segment with repeaters (Fig. 1) must close
+/// every donor→node hop, or the relays would need cables after all.
+pub fn fronthaul() -> String {
+    let params = scenario();
+    let mut out =
+        String::from("mmWave fronthaul per paper segment (V-band daisy chain, Fig. 1)\n\n");
+    let mut table = TextTable::new(vec![
+        "nodes".into(),
+        "ISD [m]".into(),
+        "hops".into(),
+        "worst margin [dB]".into(),
+        "availability".into(),
+        "feasible".into(),
+    ]);
+    for (n, isd) in IsdTable::paper().iter().filter(|&(n, _)| n >= 1) {
+        let report = experiments::fronthaul_check(&params, isd, n);
+        table.add_row(vec![
+            n.to_string(),
+            format!("{:.0}", isd.value()),
+            report.hop_count.to_string(),
+            format!("{:.1}", report.worst_margin_db),
+            format!("{:.4} %", report.availability * 100.0),
+            if report.is_feasible() { "yes" } else { "no" }.into(),
+        ]);
+    }
+    let _ = writeln!(out, "{}", table.render());
     out
 }
 

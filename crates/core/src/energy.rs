@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use corridor_deploy::{Corridor, IsdTable, SegmentInventory};
+use corridor_deploy::{IsdTable, SegmentInventory};
 use corridor_traffic::{ActivityTimeline, TrackSection};
 use corridor_units::{Hours, Meters, WattHours, Watts};
 
@@ -200,64 +200,6 @@ pub fn split_from_active_hours(
     }
 }
 
-/// Average mains power of a whole line (all segments of `corridor`)
-/// under `strategy`, in watts.
-///
-/// Each segment contributes its per-km average scaled by its length, so
-/// heterogeneous lines (station throats at 500 m next to repeater
-/// stretches at 2400 m) are evaluated in one call.
-///
-/// # Examples
-///
-/// ```
-/// use corridor_core::{energy, EnergyStrategy, ScenarioParams};
-/// use corridor_deploy::{Corridor, PlacementPolicy};
-/// use corridor_units::Meters;
-///
-/// let params = ScenarioParams::paper_default();
-/// let mut line = Corridor::new();
-/// line.push_conventional(Meters::new(500.0));
-/// line.push_with_repeaters(Meters::new(2400.0), 8, &PlacementPolicy::paper_default())?;
-/// let power = energy::line_average_power(
-///     &params, &line, EnergyStrategy::SleepModeRepeaters);
-/// assert!(power.value() > 0.0);
-/// # Ok::<(), corridor_deploy::PlacementError>(())
-/// ```
-pub fn line_average_power(
-    params: &ScenarioParams,
-    corridor: &Corridor,
-    strategy: EnergyStrategy,
-) -> Watts {
-    corridor
-        .segments()
-        .iter()
-        .map(|segment| {
-            let per_km =
-                average_power_per_km(params, segment.repeater_count(), segment.isd(), strategy);
-            per_km.total() * segment.isd().kilometers().value()
-        })
-        .sum()
-}
-
-/// Savings of a whole line versus building it conventionally (every
-/// segment at the conventional reference ISD).
-///
-/// Follows the [`SegmentEnergy::savings_vs`] convention: a line whose
-/// conventional baseline draws nothing (e.g. an empty corridor) admits
-/// no savings and yields `0.0`, never NaN/∞.
-pub fn line_savings_vs_conventional(
-    params: &ScenarioParams,
-    corridor: &Corridor,
-    strategy: EnergyStrategy,
-) -> f64 {
-    let deployed = line_average_power(params, corridor, strategy);
-    let baseline = conventional_baseline(params).total() * corridor.total_length().value();
-    if baseline.value() <= 0.0 || !baseline.value().is_finite() {
-        return 0.0;
-    }
-    1.0 - deployed / baseline
-}
-
 /// The conventional baseline: high-power masts every
 /// [`ScenarioParams::conventional_isd`], no repeaters, masts sleeping
 /// between trains.
@@ -391,61 +333,6 @@ mod tests {
         let base = conventional_baseline(&params());
         assert_eq!(base.hourly_energy_per_km().value(), base.total().value());
         assert_eq!(base.savings_vs(&base), 0.0);
-    }
-
-    #[test]
-    fn line_energy_matches_segment_sum() {
-        use corridor_deploy::{Corridor, PlacementPolicy};
-        let p = params();
-        let mut line = Corridor::new();
-        line.push_conventional(Meters::new(500.0));
-        line.push_with_repeaters(Meters::new(2400.0), 8, &PlacementPolicy::paper_default())
-            .unwrap();
-        let total = line_average_power(&p, &line, EnergyStrategy::SleepModeRepeaters);
-        let manual = average_power_per_km(
-            &p,
-            0,
-            Meters::new(500.0),
-            EnergyStrategy::SleepModeRepeaters,
-        )
-        .total()
-            * 0.5
-            + average_power_per_km(
-                &p,
-                8,
-                Meters::new(2400.0),
-                EnergyStrategy::SleepModeRepeaters,
-            )
-            .total()
-                * 2.4;
-        assert!((total.value() - manual.value()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn homogeneous_line_savings_match_per_km() {
-        use corridor_deploy::{Corridor, PlacementPolicy};
-        let p = params();
-        let table = IsdTable::paper();
-        let isd = table.isd_for(8).unwrap();
-        let mut line = Corridor::new();
-        for _ in 0..5 {
-            line.push_with_repeaters(isd, 8, &PlacementPolicy::paper_default())
-                .unwrap();
-        }
-        let line_savings =
-            line_savings_vs_conventional(&p, &line, EnergyStrategy::SleepModeRepeaters);
-        let per_km =
-            savings_vs_conventional(&p, &table, 8, EnergyStrategy::SleepModeRepeaters).unwrap();
-        assert!((line_savings - per_km).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_line_yields_zero_savings_not_nan() {
-        // same zero-baseline convention as SegmentEnergy::savings_vs: an
-        // empty corridor has a zero-length (zero-energy) baseline
-        let empty = Corridor::new();
-        let s = line_savings_vs_conventional(&params(), &empty, EnergyStrategy::SleepModeRepeaters);
-        assert_eq!(s, 0.0);
     }
 
     #[test]

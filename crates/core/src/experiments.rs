@@ -7,7 +7,6 @@
 use corridor_deploy::{CorridorLayout, IsdOptimizer, IsdTable};
 use corridor_fronthaul::{ChainReport, FronthaulChain, MmWaveBand};
 use corridor_power::{DutyCycle, RepeaterBill};
-use corridor_propagation::emf::{self, EmfLimit};
 use corridor_solar::{climate, sizing, DailyLoadProfile, Location};
 use corridor_traffic::{ActivityTimeline, TrackSection};
 use corridor_units::{Dbm, Hours, Meters, WattHours, Watts};
@@ -236,36 +235,6 @@ pub fn fronthaul_check(params: &ScenarioParams, isd: Meters, n: usize) -> ChainR
     FronthaulChain::for_segment(MmWaveBand::v_band_60ghz(), &positions, isd).evaluate()
 }
 
-/// One row of the EMF compliance summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmfRow {
-    /// Transmitter description.
-    pub transmitter: &'static str,
-    /// EIRP of the transmitter.
-    pub eirp: corridor_units::Dbm,
-    /// Compliance distance under the ICNIRP general-public limit.
-    pub icnirp_distance: Meters,
-    /// Compliance distance under the Swiss NISV installation limit.
-    pub nisv_distance: Meters,
-}
-
-/// EMF compliance distances for the corridor's transmitters — the
-/// regulatory constraint that motivates the paper (Section I).
-pub fn emf_compliance(params: &ScenarioParams) -> Vec<EmfRow> {
-    let icnirp = EmfLimit::icnirp_general_public();
-    let nisv = EmfLimit::swiss_nisv_installation();
-    let row = |transmitter, eirp| EmfRow {
-        transmitter,
-        eirp,
-        icnirp_distance: emf::compliance_distance(eirp, &icnirp),
-        nisv_distance: emf::compliance_distance(eirp, &nisv),
-    };
-    vec![
-        row("High-power RRH antenna", params.budget().hp_eirp()),
-        row("Low-power repeater node", params.budget().lp_eirp()),
-    ]
-}
-
 /// Table I: the repeater component bill (returns the typed bill; the
 /// bench binary renders it).
 pub fn table1() -> RepeaterBill {
@@ -422,16 +391,6 @@ mod tests {
             let report = fronthaul_check(&p, isd, n);
             assert!(report.is_feasible(), "n={n}: {report}");
         }
-    }
-
-    #[test]
-    fn emf_rows_show_lp_advantage() {
-        let rows = emf_compliance(&params());
-        assert_eq!(rows.len(), 2);
-        // the repeater's strictest compliance distance is ~16x smaller
-        let ratio = rows[0].nisv_distance / rows[1].nisv_distance;
-        assert!((ratio - 15.85).abs() < 0.1, "ratio {ratio}");
-        assert!(rows[1].nisv_distance.value() < 3.0);
     }
 
     #[test]

@@ -83,8 +83,8 @@ pub mod prelude {
         SegmentEvaluator,
     };
     pub use corridor_deploy::{
-        Corridor, CorridorLayout, CoverageCriterion, IsdOptimizer, IsdTable, LinkBudget,
-        PlacementPolicy, SegmentInventory,
+        CorridorLayout, CoverageCriterion, IsdOptimizer, IsdTable, LinkBudget, PlacementPolicy,
+        SegmentInventory,
     };
     pub use corridor_fronthaul::{FronthaulChain, FronthaulHop, MmWaveBand};
     pub use corridor_link::{

@@ -26,8 +26,6 @@ use corridor_units::{Db, Meters};
 ///
 /// let model = MarginModel::paper_default();
 /// assert_eq!(model.margin_db(Db::new(32.0)), 3.0);
-/// assert!(model.meets_floor(Db::new(32.0), 3.0));
-/// assert!(!model.meets_floor(Db::new(31.9), 3.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarginModel {
@@ -54,11 +52,6 @@ impl MarginModel {
     /// `min_snr`: the headroom above (or deficit below) the threshold.
     pub fn margin_db(&self, min_snr: Db) -> f64 {
         (min_snr - self.threshold).value()
-    }
-
-    /// True when the deployment's margin is at or above `floor_db`.
-    pub fn meets_floor(&self, min_snr: Db, floor_db: f64) -> bool {
-        self.margin_db(min_snr) >= floor_db
     }
 
     /// Margin of the full `n`-repeater deployment at `isd` under
@@ -179,8 +172,6 @@ mod tests {
         let model = MarginModel::new(Db::new(29.0));
         assert_eq!(model.margin_db(Db::new(32.5)), 3.5);
         assert_eq!(model.margin_db(Db::new(27.0)), -2.0);
-        assert!(model.meets_floor(Db::new(29.0), 0.0));
-        assert!(!model.meets_floor(Db::new(28.9), 0.0));
     }
 
     #[test]

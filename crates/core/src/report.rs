@@ -88,11 +88,6 @@ impl TextTable {
     }
 }
 
-/// Formats a fraction as a percentage with the given decimals.
-pub fn pct(fraction: f64, decimals: usize) -> String {
-    format!("{:.decimals$} %", fraction * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,12 +111,6 @@ mod tests {
         t.add_row(vec!["1".into()]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.5734, 1), "57.3 %");
-        assert_eq!(pct(0.0285, 2), "2.85 %");
     }
 
     #[test]

@@ -82,31 +82,6 @@ impl ScenarioParams {
         self
     }
 
-    /// Overrides the repeater node spacing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spacing` is not strictly positive.
-    #[must_use]
-    pub fn with_lp_spacing(mut self, spacing: Meters) -> Self {
-        assert!(spacing.value() > 0.0, "spacing must be positive");
-        self.lp_spacing = spacing;
-        self.placement = PlacementPolicy::FixedSpacing(spacing);
-        self
-    }
-
-    /// Overrides the conventional reference ISD.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `isd` is not strictly positive.
-    #[must_use]
-    pub fn with_conventional_isd(mut self, isd: Meters) -> Self {
-        assert!(isd.value() > 0.0, "ISD must be positive");
-        self.conventional_isd = isd;
-        self
-    }
-
     /// The daily timetable.
     pub fn timetable(&self) -> &Timetable {
         &self.timetable
@@ -422,19 +397,6 @@ mod tests {
         assert_eq!(p.hp_mast().full_load_power(), Watts::new(560.0));
         assert!((p.lp_node().full_load_power().value() - 28.38).abs() < 1e-9);
         assert_eq!(ScenarioParams::default(), p);
-    }
-
-    #[test]
-    fn builders() {
-        let p = ScenarioParams::paper_default()
-            .with_lp_spacing(Meters::new(150.0))
-            .with_conventional_isd(Meters::new(600.0));
-        assert_eq!(p.lp_spacing(), Meters::new(150.0));
-        assert_eq!(p.conventional_isd(), Meters::new(600.0));
-        assert_eq!(
-            p.placement(),
-            &PlacementPolicy::FixedSpacing(Meters::new(150.0))
-        );
     }
 
     #[test]

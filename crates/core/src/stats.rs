@@ -18,7 +18,7 @@
 ///
 /// A single NaN or ±∞ sample **poisons** the accumulator: from that
 /// sample on, `mean`, `variance`, `stddev`, `ci95`, `min` and `max` all
-/// return NaN (and [`Welford::is_poisoned`] returns `true`), while
+/// return NaN, while
 /// `count` keeps counting every pushed sample. Without the explicit flag
 /// the failure would be half-silent — NaN loses every float comparison,
 /// so `min`/`max` would freeze at their pre-NaN values while mean/m2 went
@@ -76,12 +76,6 @@ impl Welford {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// True once any non-finite sample has been folded in; every
-    /// statistic except [`Welford::count`] reads NaN from then on.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
     }
 
     /// Number of samples folded so far (poisoned or not).
@@ -355,10 +349,9 @@ mod tests {
             let mut acc = Welford::new();
             acc.push(1.0);
             acc.push(3.0);
-            assert!(!acc.is_poisoned());
+            assert!(acc.mean().is_finite());
             acc.push(bad);
             acc.push(5.0); // later good samples cannot un-poison
-            assert!(acc.is_poisoned(), "sample {bad}");
             assert_eq!(acc.count(), 4, "count still tracks every sample");
             assert!(acc.mean().is_nan(), "mean for {bad}");
             assert!(acc.variance().is_nan(), "variance for {bad}");
@@ -377,7 +370,6 @@ mod tests {
     fn finite_streams_never_poison() {
         let mut acc = Welford::new();
         (0..1000).for_each(|i| acc.push((i as f64) * 1e10 - 5e12));
-        assert!(!acc.is_poisoned());
         assert!(acc.mean().is_finite());
         assert!(acc.stddev().is_finite());
     }

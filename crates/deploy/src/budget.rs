@@ -63,46 +63,10 @@ impl LinkBudget {
         }
     }
 
-    /// Overrides the carrier frequency.
-    #[must_use]
-    pub fn with_frequency(mut self, frequency: Hertz) -> Self {
-        self.frequency = frequency;
-        self
-    }
-
-    /// Overrides the high-power EIRP.
-    #[must_use]
-    pub fn with_hp_eirp(mut self, eirp: Dbm) -> Self {
-        self.hp_eirp = eirp;
-        self
-    }
-
-    /// Overrides the low-power (repeater) EIRP.
-    #[must_use]
-    pub fn with_lp_eirp(mut self, eirp: Dbm) -> Self {
-        self.lp_eirp = eirp;
-        self
-    }
-
-    /// Overrides both calibration factors.
-    #[must_use]
-    pub fn with_calibrations(mut self, hp: Db, lp: Db) -> Self {
-        self.hp_calibration = hp;
-        self.lp_calibration = lp;
-        self
-    }
-
     /// Overrides the noise floor.
     #[must_use]
     pub fn with_noise_floor(mut self, floor: Dbm) -> Self {
         self.noise_floor = floor;
-        self
-    }
-
-    /// Overrides the repeater noise figure.
-    #[must_use]
-    pub fn with_repeater_noise_figure(mut self, nf: Db) -> Self {
-        self.repeater_noise_figure = nf;
         self
     }
 
@@ -208,23 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn builders_override() {
-        let b = LinkBudget::paper_default()
-            .with_frequency(Hertz::from_ghz(2.1))
-            .with_hp_eirp(Dbm::new(60.0))
-            .with_lp_eirp(Dbm::new(36.0))
-            .with_calibrations(Db::new(30.0), Db::new(18.0))
-            .with_noise_floor(Dbm::new(-129.0))
-            .with_repeater_noise_figure(Db::new(6.0));
-        assert_eq!(b.frequency(), Hertz::from_ghz(2.1));
-        assert_eq!(b.hp_eirp(), Dbm::new(60.0));
-        assert_eq!(b.lp_eirp(), Dbm::new(36.0));
-        assert_eq!(b.hp_calibration(), Db::new(30.0));
-        assert_eq!(b.lp_calibration(), Db::new(18.0));
+    fn noise_floor_override() {
+        let b = LinkBudget::paper_default().with_noise_floor(Dbm::new(-129.0));
         assert_eq!(b.noise_floor(), Dbm::new(-129.0));
-        assert_eq!(b.repeater_noise_figure(), Db::new(6.0));
-        assert_eq!(b.hp_path_loss().frequency(), Hertz::from_ghz(2.1));
-        assert_eq!(b.lp_path_loss().calibration(), Db::new(18.0));
     }
 
     #[test]

@@ -17,13 +17,15 @@ use corridor_units::{Db, Meters};
 /// # Examples
 ///
 /// ```
-/// use corridor_deploy::{CorridorLayout, CoverageCriterion, LinkBudget};
+/// use corridor_deploy::{CorridorLayout, CoverageCriterion, LinkBudget, PlacementPolicy};
 /// use corridor_units::Meters;
 ///
 /// let budget = LinkBudget::paper_default();
-/// let profile = CorridorLayout::conventional(Meters::new(500.0))
-///     .coverage_profile(&budget, Meters::new(5.0));
+/// let conventional =
+///     CorridorLayout::with_policy(Meters::new(500.0), 0, &PlacementPolicy::paper_default())?;
+/// let profile = conventional.coverage_profile(&budget, Meters::new(5.0));
 /// assert!(CoverageCriterion::paper_default().is_satisfied(&profile, budget.throughput()));
+/// # Ok::<(), corridor_deploy::PlacementError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -99,12 +101,9 @@ mod tests {
     use crate::{CorridorLayout, LinkBudget, PlacementPolicy};
 
     fn profile(isd: f64, n: usize) -> CoverageProfile {
-        let layout = if n == 0 {
-            CorridorLayout::conventional(Meters::new(isd))
-        } else {
+        let layout =
             CorridorLayout::with_policy(Meters::new(isd), n, &PlacementPolicy::paper_default())
-                .unwrap()
-        };
+                .unwrap();
         layout.coverage_profile(&LinkBudget::paper_default(), Meters::new(5.0))
     }
 

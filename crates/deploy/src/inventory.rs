@@ -22,7 +22,7 @@ use corridor_units::{Kilometers, Meters};
 /// let seg = SegmentInventory::for_nodes(8, Meters::new(2400.0));
 /// assert_eq!(seg.service_nodes(), 8);
 /// assert_eq!(seg.donor_nodes(), 2);
-/// assert!((seg.masts_per_km() - 0.4167).abs() < 1e-3);
+/// assert!((seg.segments_per_km() - 0.4167).abs() < 1e-3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -87,21 +87,6 @@ impl SegmentInventory {
     pub fn segments_per_km(&self) -> f64 {
         Kilometers::new(1.0).meters() / self.isd
     }
-
-    /// High-power masts per kilometre.
-    pub fn masts_per_km(&self) -> f64 {
-        self.segments_per_km()
-    }
-
-    /// Service nodes per kilometre.
-    pub fn service_nodes_per_km(&self) -> f64 {
-        self.service_nodes as f64 * self.segments_per_km()
-    }
-
-    /// Donor nodes per kilometre.
-    pub fn donor_nodes_per_km(&self) -> f64 {
-        self.donor_nodes as f64 * self.segments_per_km()
-    }
 }
 
 impl fmt::Display for SegmentInventory {
@@ -132,7 +117,7 @@ mod tests {
         assert_eq!(seg.total_repeaters(), 0);
         assert_eq!(seg.masts(), 1);
         // 2 masts per km at 500 m ISD
-        assert!((seg.masts_per_km() - 2.0).abs() < 1e-12);
+        assert!((seg.segments_per_km() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -141,17 +126,7 @@ mod tests {
         assert_eq!(seg.service_nodes(), 10);
         assert_eq!(seg.donor_nodes(), 2);
         assert_eq!(seg.total_repeaters(), 12);
-        assert!((seg.masts_per_km() - 0.3774).abs() < 1e-3);
-        assert!((seg.service_nodes_per_km() - 3.774).abs() < 1e-2);
-        assert!((seg.donor_nodes_per_km() - 0.7547).abs() < 1e-3);
-    }
-
-    #[test]
-    fn per_km_scaling_consistent() {
-        let seg = SegmentInventory::for_nodes(3, Meters::new(1600.0));
-        let per_segment = seg.total_repeaters() as f64;
-        let per_km = seg.service_nodes_per_km() + seg.donor_nodes_per_km();
-        assert!((per_km - per_segment * seg.segments_per_km()).abs() < 1e-12);
+        assert!((seg.segments_per_km() - 0.3774).abs() < 1e-3);
     }
 
     #[test]

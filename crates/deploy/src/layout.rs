@@ -20,7 +20,7 @@ use crate::{LinkBudget, PlacementError, PlacementPolicy};
 /// // the paper's Fig. 3 scenario: ISD 2400 m, 8 repeaters
 /// let layout = CorridorLayout::with_policy(
 ///     Meters::new(2400.0), 8, &PlacementPolicy::paper_default())?;
-/// assert_eq!(layout.repeater_count(), 8);
+/// assert_eq!(layout.repeater_positions().len(), 8);
 /// let model = layout.snr_model(&LinkBudget::paper_default());
 /// assert_eq!(model.sources().len(), 10); // 2 masts + 8 repeaters
 /// # Ok::<(), corridor_deploy::PlacementError>(())
@@ -33,19 +33,6 @@ pub struct CorridorLayout {
 }
 
 impl CorridorLayout {
-    /// A conventional segment with no repeaters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `isd` is not strictly positive.
-    pub fn conventional(isd: Meters) -> Self {
-        assert!(isd.value() > 0.0, "ISD must be positive");
-        CorridorLayout {
-            isd,
-            repeaters: Vec::new(),
-        }
-    }
-
     /// A segment with `n` repeaters placed by `policy`.
     ///
     /// # Errors
@@ -69,16 +56,6 @@ impl CorridorLayout {
     /// Repeater positions, sorted along the track.
     pub fn repeater_positions(&self) -> &[Meters] {
         &self.repeaters
-    }
-
-    /// Number of repeater service nodes.
-    pub fn repeater_count(&self) -> usize {
-        self.repeaters.len()
-    }
-
-    /// Positions of the two high-power masts.
-    pub fn mast_positions(&self) -> [Meters; 2] {
-        [Meters::ZERO, self.isd]
     }
 
     /// Builds the segment's [`SnrModel`] under `budget`: two high-power
@@ -122,12 +99,16 @@ impl fmt::Display for CorridorLayout {
 mod tests {
     use super::*;
 
+    /// A segment with no repeaters.
+    fn conventional(isd: f64) -> CorridorLayout {
+        CorridorLayout::with_policy(Meters::new(isd), 0, &PlacementPolicy::paper_default()).unwrap()
+    }
+
     #[test]
     fn conventional_layout() {
-        let l = CorridorLayout::conventional(Meters::new(500.0));
+        let l = conventional(500.0);
         assert_eq!(l.isd(), Meters::new(500.0));
-        assert_eq!(l.repeater_count(), 0);
-        assert_eq!(l.mast_positions(), [Meters::ZERO, Meters::new(500.0)]);
+        assert!(l.repeater_positions().is_empty());
         let model = l.snr_model(&LinkBudget::paper_default());
         assert_eq!(model.sources().len(), 2);
     }
@@ -147,7 +128,7 @@ mod tests {
 
     #[test]
     fn profile_of_conventional_500m_is_peak_everywhere() {
-        let l = CorridorLayout::conventional(Meters::new(500.0));
+        let l = conventional(500.0);
         let p = l.coverage_profile(&LinkBudget::paper_default(), Meters::new(1.0));
         assert!(p.min_snr().unwrap().value() > 29.0);
     }
@@ -173,8 +154,7 @@ mod tests {
     #[test]
     fn repeaters_fill_the_coverage_hole() {
         let budget = LinkBudget::paper_default();
-        let bare = CorridorLayout::conventional(Meters::new(2400.0))
-            .coverage_profile(&budget, Meters::new(5.0));
+        let bare = conventional(2400.0).coverage_profile(&budget, Meters::new(5.0));
         let with_nodes =
             CorridorLayout::with_policy(Meters::new(2400.0), 8, &PlacementPolicy::paper_default())
                 .unwrap()
@@ -186,13 +166,7 @@ mod tests {
 
     #[test]
     fn display() {
-        let l = CorridorLayout::conventional(Meters::new(500.0));
+        let l = conventional(500.0);
         assert_eq!(l.to_string(), "segment of 500.0 m with 0 repeater(s)");
-    }
-
-    #[test]
-    #[should_panic(expected = "ISD must be positive")]
-    fn zero_isd_rejected() {
-        let _ = CorridorLayout::conventional(Meters::ZERO);
     }
 }

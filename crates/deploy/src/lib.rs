@@ -44,7 +44,6 @@
 
 mod budget;
 mod cache;
-mod corridor;
 mod criteria;
 mod inventory;
 mod layout;
@@ -55,7 +54,6 @@ mod table;
 
 pub use budget::LinkBudget;
 pub use cache::CoverageCache;
-pub use corridor::Corridor;
 pub use criteria::CoverageCriterion;
 pub use inventory::SegmentInventory;
 pub use layout::CorridorLayout;

@@ -59,13 +59,6 @@ impl IsdOptimizer {
         self
     }
 
-    /// Overrides the coverage criterion.
-    #[must_use]
-    pub fn with_criterion(mut self, criterion: CoverageCriterion) -> Self {
-        self.criterion = criterion;
-        self
-    }
-
     /// Overrides the profile sampling step.
     ///
     /// # Panics
@@ -75,19 +68,6 @@ impl IsdOptimizer {
     pub fn with_sample_step(mut self, step: Meters) -> Self {
         assert!(step.value() > 0.0, "sample step must be positive");
         self.sample_step = step;
-        self
-    }
-
-    /// Overrides the search range `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or non-positive.
-    #[must_use]
-    pub fn with_search_range(mut self, min: Meters, max: Meters) -> Self {
-        assert!(min.value() > 0.0 && max >= min, "invalid search range");
-        self.min_isd = min;
-        self.max_isd = max;
         self
     }
 
@@ -104,12 +84,6 @@ impl IsdOptimizer {
     /// The criterion in use.
     pub fn criterion(&self) -> CoverageCriterion {
         self.criterion
-    }
-
-    /// True if a segment of `isd` with `n` repeaters satisfies the
-    /// criterion (placement failures count as unsatisfied).
-    pub fn satisfies(&self, n: usize, isd: Meters) -> bool {
-        self.probe(n, isd) == crate::search::Probe::Satisfied
     }
 
     /// One uncached grid-point probe, in the shared skeleton's
@@ -152,7 +126,7 @@ impl IsdOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corridor_units::Db;
+    use corridor_units::Dbm;
 
     fn optimizer() -> IsdOptimizer {
         // coarser sampling keeps debug-mode tests quick; the boundary ISDs
@@ -184,8 +158,11 @@ mod tests {
     fn boundary_is_tight() {
         let opt = optimizer();
         let isd = opt.max_isd(1).unwrap();
-        assert!(opt.satisfies(1, isd));
-        assert!(!opt.satisfies(1, isd + Meters::new(50.0)));
+        assert_eq!(opt.probe(1, isd), crate::search::Probe::Satisfied);
+        assert_ne!(
+            opt.probe(1, isd + Meters::new(50.0)),
+            crate::search::Probe::Satisfied
+        );
     }
 
     #[test]
@@ -196,27 +173,35 @@ mod tests {
         let opt = optimizer();
         let isd = opt.max_isd(0).unwrap();
         assert!(isd >= Meters::new(500.0));
-        assert!(opt.satisfies(0, Meters::new(500.0)));
+        assert_eq!(
+            opt.probe(0, Meters::new(500.0)),
+            crate::search::Probe::Satisfied
+        );
     }
 
     #[test]
-    fn stricter_criterion_shrinks_isd() {
+    fn noisier_budget_shrinks_isd() {
         let opt = optimizer();
-        let strict = optimizer().with_criterion(CoverageCriterion::MinSnr(Db::new(32.0)));
-        assert!(strict.max_isd(2).unwrap() < opt.max_isd(2).unwrap());
+        let noisy =
+            IsdOptimizer::new(LinkBudget::paper_default().with_noise_floor(Dbm::new(-129.0)))
+                .with_sample_step(Meters::new(10.0));
+        assert!(noisy.max_isd(2).unwrap() < opt.max_isd(2).unwrap());
     }
 
     #[test]
-    fn impossible_criterion_returns_none() {
-        let opt = optimizer().with_criterion(CoverageCriterion::MinSnr(Db::new(90.0)));
+    fn unreachable_criterion_returns_none() {
+        let opt = IsdOptimizer::new(LinkBudget::paper_default().with_noise_floor(Dbm::new(-60.0)))
+            .with_sample_step(Meters::new(10.0));
         assert_eq!(opt.max_isd(1), None);
     }
 
     #[test]
     fn capped_at_search_range() {
-        let opt = optimizer().with_search_range(Meters::new(100.0), Meters::new(800.0));
-        // n=1 could reach 1250 m but the range caps it
-        assert_eq!(opt.max_isd(1), Some(Meters::new(800.0)));
+        // a near-noiseless budget satisfies every ISD; the 4 km ceiling
+        // of the search range caps it
+        let opt = IsdOptimizer::new(LinkBudget::paper_default().with_noise_floor(Dbm::new(-250.0)))
+            .with_sample_step(Meters::new(10.0));
+        assert_eq!(opt.max_isd(1), Some(Meters::new(4000.0)));
     }
 
     #[test]

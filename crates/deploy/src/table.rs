@@ -69,19 +69,6 @@ impl IsdTable {
             .enumerate()
             .filter_map(|(n, isd)| isd.map(|i| (n, i)))
     }
-
-    /// The extra ISD gained by the `n`-th node over the `(n−1)`-th.
-    pub fn marginal_gain(&self, n: usize) -> Option<Meters> {
-        if n == 0 {
-            return None;
-        }
-        Some(self.isd_for(n)? - self.isd_for(n - 1)?)
-    }
-
-    /// The smallest node count whose ISD reaches at least `target`, if any.
-    pub fn nodes_for_isd(&self, target: Meters) -> Option<usize> {
-        self.iter().find(|(_, isd)| *isd >= target).map(|(n, _)| n)
-    }
 }
 
 impl fmt::Display for IsdTable {
@@ -121,24 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn marginal_gains() {
-        let t = IsdTable::paper();
-        assert_eq!(t.marginal_gain(0), None);
-        assert_eq!(t.marginal_gain(1), Some(Meters::new(750.0)));
-        assert_eq!(t.marginal_gain(2), Some(Meters::new(200.0)));
-        assert_eq!(t.marginal_gain(9), Some(Meters::new(100.0)));
-    }
-
-    #[test]
-    fn nodes_for_isd_lookup() {
-        let t = IsdTable::paper();
-        assert_eq!(t.nodes_for_isd(Meters::new(500.0)), Some(0));
-        assert_eq!(t.nodes_for_isd(Meters::new(1600.0)), Some(3));
-        assert_eq!(t.nodes_for_isd(Meters::new(1601.0)), Some(4));
-        assert_eq!(t.nodes_for_isd(Meters::new(3000.0)), None);
-    }
-
-    #[test]
     fn unsolvable_entries_skipped() {
         let t = IsdTable::from_max_isds(vec![
             Some(Meters::new(500.0)),
@@ -147,7 +116,6 @@ mod tests {
         ]);
         assert_eq!(t.isd_for(1), None);
         assert_eq!(t.iter().count(), 2);
-        assert_eq!(t.marginal_gain(2), None); // n=1 missing
     }
 
     #[test]

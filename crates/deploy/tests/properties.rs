@@ -1,9 +1,9 @@
 //! Property-based tests for deployment and optimization invariants.
 
 use corridor_deploy::{
-    CorridorLayout, CoverageCriterion, IsdOptimizer, LinkBudget, PlacementPolicy, SegmentInventory,
+    CorridorLayout, IsdOptimizer, LinkBudget, PlacementPolicy, SegmentInventory,
 };
-use corridor_units::{Db, Meters};
+use corridor_units::{Db, Dbm, Meters};
 use proptest::prelude::*;
 
 proptest! {
@@ -60,12 +60,12 @@ proptest! {
             snr_small, snr_large, base, base + delta);
     }
 
-    /// More repeaters never shrink the achievable ISD.
+    /// More repeaters never shrink the achievable ISD, at any noise
+    /// floor within ±2 dB of the paper's.
     #[test]
-    fn more_nodes_never_worse(threshold in 27.0..31.0f64) {
-        let opt = IsdOptimizer::new(LinkBudget::paper_default())
-            .with_criterion(CoverageCriterion::MinSnr(Db::new(threshold)))
-            .with_sample_step(Meters::new(20.0));
+    fn more_nodes_never_worse(offset in -2.0..2.0f64) {
+        let budget = LinkBudget::paper_default().with_noise_floor(Dbm::new(-132.0 + offset));
+        let opt = IsdOptimizer::new(budget).with_sample_step(Meters::new(20.0));
         let a = opt.max_isd(1);
         let b = opt.max_isd(2);
         match (a, b) {
@@ -80,8 +80,7 @@ proptest! {
     fn inventory_scaling(n in 0usize..12, isd in 200.0..4000.0f64) {
         let seg = SegmentInventory::for_nodes(n, Meters::new(isd));
         let per_km = 1000.0 / isd;
-        prop_assert!((seg.masts_per_km() - per_km).abs() < 1e-9);
-        prop_assert!((seg.service_nodes_per_km() - n as f64 * per_km).abs() < 1e-9);
+        prop_assert!((seg.segments_per_km() - per_km).abs() < 1e-9);
         prop_assert!(seg.donor_nodes() <= 2);
         prop_assert_eq!(seg.total_repeaters(), seg.service_nodes() + seg.donor_nodes());
     }

@@ -1,8 +1,7 @@
 //! Replicated simulation of one segment geometry: build once, replay
 //! many seeded days.
 
-use corridor_core::energy::SegmentEnergy;
-use corridor_core::{EnergyStrategy, ScenarioParams};
+use corridor_core::ScenarioParams;
 use corridor_traffic::TrainPass;
 use corridor_units::Meters;
 
@@ -40,8 +39,6 @@ use crate::{segment_nodes, CorridorSimulator, EventDrivenEvaluator, SimReport, W
 pub struct SegmentReplicator {
     simulator: CorridorSimulator,
     nodes: Vec<crate::NodeSpec>,
-    n: usize,
-    isd: Meters,
 }
 
 impl SegmentReplicator {
@@ -57,41 +54,12 @@ impl SegmentReplicator {
         SegmentReplicator {
             simulator: CorridorSimulator::new().with_policy(policy),
             nodes: segment_nodes(n, isd, spacing),
-            n,
-            isd,
         }
-    }
-
-    /// The repeater count of the prepared segment.
-    pub fn nodes_in_segment(&self) -> usize {
-        self.n
-    }
-
-    /// The inter-site distance of the prepared segment.
-    pub fn isd(&self) -> Meters {
-        self.isd
-    }
-
-    /// The prepared node population.
-    pub fn node_specs(&self) -> &[crate::NodeSpec] {
-        &self.nodes
     }
 
     /// Replays one day of `passes` through the prepared segment.
     pub fn simulate_day(&self, passes: &[TrainPass]) -> SimReport {
         self.simulator.simulate(&self.nodes, passes)
-    }
-
-    /// Replays one day and reduces it straight to the per-kilometre
-    /// energy split of `strategy` — the common Monte-Carlo reduction.
-    pub fn energy_for_day(
-        &self,
-        params: &ScenarioParams,
-        strategy: EnergyStrategy,
-        passes: &[TrainPass],
-    ) -> SegmentEnergy {
-        let report = self.simulate_day(passes);
-        EventDrivenEvaluator::power_from_report(params, self.n, self.isd, strategy, &report)
     }
 }
 
@@ -120,30 +88,5 @@ mod tests {
         assert_eq!(replicator.simulate_day(&passes), one_shot);
         // and again: the prepared state is not consumed
         assert_eq!(replicator.simulate_day(&passes), one_shot);
-    }
-
-    #[test]
-    fn energy_reduction_matches_power_from_passes() {
-        let params = ScenarioParams::paper_default();
-        let isd = Meters::new(1250.0);
-        let passes = Timetable::paper_default().passes();
-        let evaluator = EventDrivenEvaluator::new();
-        let replicator = evaluator.replicator(&params, 1, isd);
-        for strategy in EnergyStrategy::ALL {
-            assert_eq!(
-                replicator.energy_for_day(&params, strategy, &passes),
-                evaluator.power_from_passes(&params, 1, isd, strategy, &passes),
-                "{strategy}"
-            );
-        }
-    }
-
-    #[test]
-    fn accessors_expose_geometry() {
-        let params = ScenarioParams::paper_default();
-        let replicator = EventDrivenEvaluator::new().replicator(&params, 10, Meters::new(2650.0));
-        assert_eq!(replicator.nodes_in_segment(), 10);
-        assert_eq!(replicator.isd(), Meters::new(2650.0));
-        assert_eq!(replicator.node_specs().len(), 13);
     }
 }

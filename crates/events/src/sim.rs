@@ -215,6 +215,7 @@ impl CorridorSimulator {
     ///
     /// Panics if the horizon is not strictly positive.
     #[must_use]
+    // corridor-lint: allow(unused-pub, reason = "crates/events/tests/sim_differential.rs (simulator_strategy) shortens the horizon to one hour so the oracle checks the horizon clip that every simulated day runs")
     pub fn with_horizon(mut self, horizon: Seconds) -> Self {
         assert!(horizon.value() > 0.0, "horizon must be positive");
         self.horizon = horizon;

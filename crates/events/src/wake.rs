@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-use corridor_traffic::WakeController;
 use corridor_units::Seconds;
 
 /// The state of a node's sleep controller in the time-domain simulation.
@@ -31,12 +30,7 @@ pub enum NodeState {
     Drain,
 }
 
-impl NodeState {
-    /// True for every state that draws full power.
-    pub fn is_powered(self) -> bool {
-        !matches!(self, NodeState::Asleep)
-    }
-}
+impl NodeState {}
 
 impl fmt::Display for NodeState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -51,7 +45,7 @@ impl fmt::Display for NodeState {
 
 /// The timing parameters of the sleep/wake state machine.
 ///
-/// Extends the analytic [`WakeController`] (barrier lead + wake delay)
+/// Extends the analytic [`WakeController`](corridor_traffic::WakeController) (barrier lead + wake delay)
 /// with a *guard* interval: how long a node stays powered after the last
 /// train clears its section before dropping back to sleep, absorbing
 /// sensor debounce and closely following trains.
@@ -107,12 +101,6 @@ impl WakePolicy {
         WakePolicy::new(Seconds::new(1.0), Seconds::new(0.3), Seconds::new(0.5))
     }
 
-    /// Lifts an analytic [`WakeController`] into a policy with the given
-    /// guard interval.
-    pub fn from_controller(controller: &WakeController, guard: Seconds) -> Self {
-        WakePolicy::new(controller.lead(), controller.wake_delay(), guard)
-    }
-
     /// Barrier lead time (the node is triggered this early).
     pub fn lead(&self) -> Seconds {
         self.lead
@@ -150,20 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn lifts_wake_controller() {
-        let ctl = WakeController::paper_default();
-        let p = WakePolicy::from_controller(&ctl, Seconds::new(2.0));
-        assert_eq!(p.lead(), ctl.lead());
-        assert_eq!(p.wake_delay(), ctl.wake_delay());
-        assert_eq!(p.guard(), Seconds::new(2.0));
-    }
-
-    #[test]
     fn state_helpers_and_display() {
-        assert!(!NodeState::Asleep.is_powered());
-        assert!(NodeState::Waking.is_powered());
-        assert!(NodeState::Active.is_powered());
-        assert!(NodeState::Drain.is_powered());
         assert_eq!(NodeState::default(), NodeState::Asleep);
         assert_eq!(NodeState::Asleep.to_string(), "asleep");
         assert_eq!(NodeState::Drain.to_string(), "drain");

@@ -61,25 +61,6 @@ pub fn excess_attenuation(distance: Meters, oxygen_db_per_km: Db, rain_db_per_km
     Db::new((oxygen_db_per_km.value() + rain_db_per_km.value()) * km)
 }
 
-/// Fraction of the year a European temperate site exceeds a rain rate
-/// (simplified ITU-R P.837 relation for rain-zone-H-like climates):
-/// `R(p)` in mm/h exceeded for fraction `p` of the time.
-///
-/// Used to translate a rain margin into link availability.
-///
-/// # Panics
-///
-/// Panics unless `0 < percent_of_year <= 1` (e.g. 0.01 = 0.01 % of the
-/// year ≈ 53 min).
-pub fn rain_rate_exceeded_mm_h(percent_of_year: f64) -> f64 {
-    assert!(
-        percent_of_year > 0.0 && percent_of_year <= 1.0,
-        "percentage out of range"
-    );
-    // anchored at R(0.01 %) = 32 mm/h with the usual ~ p^-0.55 scaling
-    32.0 * (0.01 / percent_of_year).powf(0.55)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,21 +96,6 @@ mod tests {
         assert!((long.value() - 2.0 * short.value()).abs() < 1e-9);
         // 200 m at (15 + 10.1) dB/km ≈ 5 dB
         assert!((short.value() - 5.02).abs() < 0.2);
-    }
-
-    #[test]
-    fn rain_rate_curve() {
-        let r001 = rain_rate_exceeded_mm_h(0.01);
-        assert!((r001 - 32.0).abs() < 1e-9);
-        // rarer events are heavier
-        assert!(rain_rate_exceeded_mm_h(0.001) > r001);
-        assert!(rain_rate_exceeded_mm_h(0.1) < r001);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentage out of range")]
-    fn bad_percentage_rejected() {
-        let _ = rain_rate_exceeded_mm_h(0.0);
     }
 
     #[test]

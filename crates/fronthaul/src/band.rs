@@ -13,7 +13,7 @@ use corridor_units::{Db, Dbm, Hertz};
 ///   the 60 GHz oxygen absorption peak (~15 dB/km extra), which limits
 ///   hops to a few hundred metres — exactly the repeater spacing regime;
 /// * **E-band (71–76 / 81–86 GHz)** — light-licensed, no oxygen peak,
-///   longer reach, higher EIRP allowance.
+///   longer reach, higher EIRP allowance (a custom [`MmWaveBand::new`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MmWaveBand {
@@ -32,17 +32,6 @@ impl MmWaveBand {
             frequency: Hertz::from_ghz(60.0),
             max_eirp: Dbm::new(40.0),
             oxygen_db_per_km: Db::new(15.0),
-        }
-    }
-
-    /// E-band at 80 GHz: 55 dBm EIRP allowance, negligible oxygen
-    /// absorption (~0.4 dB/km).
-    pub fn e_band_80ghz() -> Self {
-        MmWaveBand {
-            name: "E-band 80 GHz",
-            frequency: Hertz::from_ghz(80.0),
-            max_eirp: Dbm::new(55.0),
-            oxygen_db_per_km: Db::new(0.4),
         }
     }
 
@@ -100,9 +89,7 @@ mod tests {
         let v = MmWaveBand::v_band_60ghz();
         assert_eq!(v.frequency(), Hertz::from_ghz(60.0));
         assert_eq!(v.max_eirp(), Dbm::new(40.0));
-        let e = MmWaveBand::e_band_80ghz();
-        assert!(e.oxygen_db_per_km() < v.oxygen_db_per_km());
-        assert!(e.max_eirp() > v.max_eirp());
+        assert_eq!(v.oxygen_db_per_km(), Db::new(15.0));
     }
 
     #[test]

@@ -9,16 +9,10 @@ use crate::{FronthaulHop, MmWaveBand};
 /// The fronthaul of one corridor segment.
 ///
 /// Two donor nodes sit at the high-power masts (positions `0` and `isd`),
-/// each feeding the service nodes on its half of the segment. Two
-/// topologies are supported:
-///
-/// * [`for_segment`](FronthaulChain::for_segment) — **daisy chain** (the
-///   prototype's architecture): the donor feeds the nearest node, which
-///   relays to the next, so every hop is short;
-/// * [`star_for_segment`](FronthaulChain::star_for_segment) — direct
-///   donor→node hops; simple, but the central nodes of a long segment
-///   need km-class hops, which V-band oxygen absorption kills (the
-///   evaluation shows exactly that).
+/// each feeding the service nodes on its half of the segment as a
+/// **daisy chain** (the prototype's architecture, built by
+/// [`for_segment`](FronthaulChain::for_segment)): the donor feeds the
+/// nearest node, which relays to the next, so every hop is short.
 ///
 /// # Examples
 ///
@@ -31,11 +25,6 @@ use crate::{FronthaulHop, MmWaveBand};
 /// let daisy = FronthaulChain::for_segment(
 ///     MmWaveBand::v_band_60ghz(), &positions, Meters::new(2400.0));
 /// assert!(daisy.evaluate().is_feasible());
-///
-/// // a star of direct hops does NOT close on V-band at this ISD
-/// let star = FronthaulChain::star_for_segment(
-///     MmWaveBand::v_band_60ghz(), &positions, Meters::new(2400.0));
-/// assert!(!star.evaluate().is_feasible());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -93,26 +82,6 @@ impl FronthaulChain {
             hops.push(FronthaulHop::new(band, pos.distance_to(previous)));
             previous = pos;
         }
-        FronthaulChain { hops }
-    }
-
-    /// Builds a star fronthaul: every node is fed by a direct hop from
-    /// the nearer mast's donor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a position lies outside the open segment.
-    pub fn star_for_segment(band: MmWaveBand, positions: &[Meters], isd: Meters) -> Self {
-        Self::validate(positions, isd);
-        let hops = positions
-            .iter()
-            .map(|&pos| FronthaulHop::new(band, pos.min(isd - pos)))
-            .collect();
-        FronthaulChain { hops }
-    }
-
-    /// Builds a chain from explicit hops.
-    pub fn from_hops(hops: Vec<FronthaulHop>) -> Self {
         FronthaulChain { hops }
     }
 
@@ -202,23 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn fig3_star_dies_on_vband_oxygen() {
-        let star = FronthaulChain::star_for_segment(
-            MmWaveBand::v_band_60ghz(),
-            &fig3_positions(),
-            Meters::new(2400.0),
-        );
-        assert!(!star.evaluate().is_feasible());
-        // ...but the short hops still close: only the central ones fail
-        let feasible_hops = star
-            .hops()
-            .iter()
-            .filter(|h| h.clear_sky_margin().value() > 0.0)
-            .count();
-        assert!((2..8).contains(&feasible_hops));
-    }
-
-    #[test]
     fn daisy_hop_lengths_are_gaps() {
         let chain = FronthaulChain::for_segment(
             MmWaveBand::v_band_60ghz(),
@@ -235,33 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn star_nodes_fed_by_nearer_mast() {
-        let star = FronthaulChain::star_for_segment(
-            MmWaveBand::v_band_60ghz(),
-            &fig3_positions(),
-            Meters::new(2400.0),
-        );
-        let longest = star
-            .hops()
-            .iter()
-            .map(|h| h.distance().value())
-            .fold(0.0, f64::max);
-        assert_eq!(longest, 1100.0);
-    }
-
-    #[test]
-    fn eband_star_closes_where_vband_fails() {
-        let positions = fig3_positions();
-        let isd = Meters::new(2400.0);
-        let v = FronthaulChain::star_for_segment(MmWaveBand::v_band_60ghz(), &positions, isd);
-        let e = FronthaulChain::star_for_segment(MmWaveBand::e_band_80ghz(), &positions, isd);
-        assert!(!v.evaluate().is_feasible());
-        assert!(e.evaluate().is_feasible());
-    }
-
-    #[test]
     fn empty_chain_not_feasible() {
-        let chain = FronthaulChain::from_hops(Vec::new());
+        let chain =
+            FronthaulChain::for_segment(MmWaveBand::v_band_60ghz(), &[], Meters::new(2400.0));
         let report = chain.evaluate();
         assert!(!report.is_feasible());
         assert_eq!(report.hop_count, 0);

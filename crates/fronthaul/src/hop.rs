@@ -63,24 +63,6 @@ impl FronthaulHop {
         }
     }
 
-    /// Overrides the transmit EIRP (clamped to the band ceiling).
-    #[must_use]
-    pub fn with_tx_eirp(mut self, eirp: Dbm) -> Self {
-        self.tx_eirp = if eirp > self.band.max_eirp() {
-            self.band.max_eirp()
-        } else {
-            eirp
-        };
-        self
-    }
-
-    /// Overrides the required SNR.
-    #[must_use]
-    pub fn with_required_snr(mut self, snr: Db) -> Self {
-        self.required_snr = snr;
-        self
-    }
-
     /// The band in use.
     pub fn band(&self) -> &MmWaveBand {
         &self.band
@@ -126,11 +108,6 @@ impl FronthaulHop {
     /// Margin over the required SNR under clear sky.
     pub fn clear_sky_margin(&self) -> Db {
         self.snr(0.0) - self.required_snr
-    }
-
-    /// Margin over the required SNR at `rain_mm_h`.
-    pub fn margin_in_rain(&self, rain_mm_h: f64) -> Db {
-        self.snr(rain_mm_h) - self.required_snr
     }
 
     /// The heaviest rain rate (mm/h) the hop tolerates at zero margin,
@@ -183,7 +160,7 @@ mod tests {
         let short = FronthaulHop::paper_default(Meters::new(200.0));
         let long = FronthaulHop::paper_default(Meters::new(600.0));
         assert!(short.clear_sky_margin() > long.clear_sky_margin());
-        assert!(short.margin_in_rain(25.0) < short.clear_sky_margin());
+        assert!(short.snr(25.0) < short.snr(0.0));
     }
 
     #[test]
@@ -195,22 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn e_band_reaches_farther() {
-        let v = FronthaulHop::new(MmWaveBand::v_band_60ghz(), Meters::new(1000.0));
-        let e = FronthaulHop::new(MmWaveBand::e_band_80ghz(), Meters::new(1000.0));
-        // E-band: +15 dB EIRP and ~no oxygen absorption beat the extra FSPL
-        assert!(e.clear_sky_margin() > v.clear_sky_margin());
-    }
-
-    #[test]
-    fn eirp_clamped_to_band_ceiling() {
-        let hop = FronthaulHop::paper_default(Meters::new(200.0)).with_tx_eirp(Dbm::new(60.0));
-        assert_eq!(hop.tx_eirp(), Dbm::new(40.0));
-    }
-
-    #[test]
     fn dead_hop_has_zero_availability() {
-        let hop = FronthaulHop::paper_default(Meters::new(200.0)).with_required_snr(Db::new(90.0));
+        // 5 km of V-band: the oxygen absorption alone eats the budget
+        let hop = FronthaulHop::paper_default(Meters::new(5000.0));
         assert!(hop.clear_sky_margin().value() < 0.0);
         assert_eq!(hop.max_rain_rate_mm_h(), 0.0);
         assert_eq!(hop.rain_availability(), 0.0);

@@ -11,8 +11,8 @@
 //! model: the mmWave hop budget that determines whether a donor can
 //! actually feed service nodes several hundred metres down the track.
 //!
-//! * [`MmWaveBand`] — V-band (60 GHz, oxygen absorption) and E-band
-//!   (70/80 GHz) presets;
+//! * [`MmWaveBand`] — the V-band (60 GHz, oxygen absorption) preset and
+//!   custom bands;
 //! * [`atmosphere`] — simplified ITU-R style gaseous and rain specific
 //!   attenuation;
 //! * [`FronthaulHop`] — one donor→service (or service→service daisy
@@ -31,7 +31,7 @@
 //! let hop = FronthaulHop::paper_default(Meters::new(200.0));
 //! assert!(hop.clear_sky_margin().value() > 10.0);
 //! // heavy rain (25 mm/h) must not break the hop
-//! assert!(hop.margin_in_rain(25.0).value() > 0.0);
+//! assert!(hop.max_rain_rate_mm_h() > 25.0);
 //! ```
 
 #![forbid(unsafe_code)]

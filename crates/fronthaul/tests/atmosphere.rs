@@ -82,40 +82,6 @@ fn excess_attenuation_is_linear_in_distance_and_additive_in_gammas() {
 }
 
 #[test]
-fn rain_rate_curve_is_anchored_and_monotone_decreasing_in_probability() {
-    // anchored at R(0.01 %) = 32 mm/h
-    assert!((atmosphere::rain_rate_exceeded_mm_h(0.01) - 32.0).abs() < 1e-9);
-    let mut last = f64::INFINITY;
-    for p in [0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0] {
-        let rate = atmosphere::rain_rate_exceeded_mm_h(p);
-        assert!(rate < last, "p {p}: {rate} !< {last}");
-        assert!(rate > 0.0);
-        last = rate;
-    }
-}
-
-#[test]
-fn rain_rate_edge_of_domain_is_accepted() {
-    // the documented domain is (0, 1]: both ends behave
-    let whole_year = atmosphere::rain_rate_exceeded_mm_h(1.0);
-    assert!(whole_year > 0.0 && whole_year < 32.0);
-    let tiny = atmosphere::rain_rate_exceeded_mm_h(1e-6);
-    assert!(tiny > 32.0);
-}
-
-#[test]
-#[should_panic(expected = "percentage out of range")]
-fn zero_probability_rejected() {
-    let _ = atmosphere::rain_rate_exceeded_mm_h(0.0);
-}
-
-#[test]
-#[should_panic(expected = "percentage out of range")]
-fn over_unity_probability_rejected() {
-    let _ = atmosphere::rain_rate_exceeded_mm_h(1.5);
-}
-
-#[test]
 #[should_panic(expected = "rain rate must be non-negative")]
 fn negative_rain_rate_rejected() {
     let _ = atmosphere::rain_db_per_km(Hertz::from_ghz(60.0), -0.1);

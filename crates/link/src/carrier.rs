@@ -17,11 +17,11 @@ use corridor_units::{Db, Dbm, Hertz};
 ///
 /// ```
 /// use corridor_link::NrCarrier;
-/// use corridor_units::{Dbm, Watts};
+/// use corridor_units::Dbm;
 ///
 /// let carrier = NrCarrier::paper_100mhz();
 /// // 2500 W EIRP = 64 dBm total -> 28.8 dBm per subcarrier
-/// let rstp = carrier.per_subcarrier(Dbm::from_watts(Watts::new(2500.0)));
+/// let rstp = carrier.per_subcarrier(Dbm::from_milliwatts(2_500_000.0));
 /// assert!((rstp.value() - 28.79).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,22 +54,6 @@ impl NrCarrier {
         }
     }
 
-    /// Creates a carrier from a resource-block count (12 subcarriers per RB)
-    /// at the given subcarrier spacing, e.g. `from_resource_blocks(273,
-    /// Hertz::from_khz(30.0))` for the standard FR1 100 MHz numerology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resource_blocks` is zero.
-    pub fn from_resource_blocks(resource_blocks: u32, spacing: Hertz) -> Self {
-        assert!(resource_blocks > 0, "carrier needs at least one RB");
-        let subcarriers = resource_blocks * 12;
-        NrCarrier {
-            bandwidth: spacing * f64::from(subcarriers),
-            subcarriers,
-        }
-    }
-
     /// Occupied bandwidth.
     pub fn bandwidth(&self) -> Hertz {
         self.bandwidth
@@ -78,11 +62,6 @@ impl NrCarrier {
     /// Number of subcarriers.
     pub fn subcarriers(&self) -> u32 {
         self.subcarriers
-    }
-
-    /// Effective subcarrier spacing `bandwidth / N_sc`.
-    pub fn subcarrier_spacing(&self) -> Hertz {
-        self.bandwidth / f64::from(self.subcarriers)
     }
 
     /// The dB factor `10·log10(N_sc)` between total power and
@@ -94,20 +73,6 @@ impl NrCarrier {
     /// Converts a total transmit power (EIRP) to per-subcarrier RSTP.
     pub fn per_subcarrier(&self, total: Dbm) -> Dbm {
         total - self.subcarrier_division()
-    }
-
-    /// Converts a per-subcarrier power back to a carrier total.
-    pub fn total_power(&self, per_subcarrier: Dbm) -> Dbm {
-        per_subcarrier + self.subcarrier_division()
-    }
-
-    /// Thermal noise floor per subcarrier: `−174 dBm/Hz + 10·log10(Δf)`.
-    ///
-    /// For the paper's 30 kHz effective spacing this is ≈ −129.2 dBm; the
-    /// paper rounds further to −132 dBm, which callers can override in
-    /// [`SnrModel`](crate::SnrModel).
-    pub fn thermal_noise_per_subcarrier(&self) -> Dbm {
-        Dbm::new(-174.0 + 10.0 * self.subcarrier_spacing().value().log10())
     }
 }
 
@@ -131,7 +96,6 @@ impl fmt::Display for NrCarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corridor_units::Watts;
 
     #[test]
     fn paper_carrier_values() {
@@ -151,30 +115,6 @@ mod tests {
         // LP: 40 dBm EIRP -> 4.8 dBm RSTP
         let lp = c.per_subcarrier(Dbm::new(40.0));
         assert!((lp.value() - 4.81).abs() < 0.01);
-    }
-
-    #[test]
-    fn per_subcarrier_total_round_trip() {
-        let c = NrCarrier::paper_100mhz();
-        let total = Dbm::from_watts(Watts::new(2500.0));
-        let back = c.total_power(c.per_subcarrier(total));
-        assert!((back.value() - total.value()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn resource_block_construction() {
-        let c = NrCarrier::from_resource_blocks(273, Hertz::from_khz(30.0));
-        assert_eq!(c.subcarriers(), 3276);
-        assert!((c.bandwidth().megahertz() - 98.28).abs() < 0.01);
-        assert_eq!(c.subcarrier_spacing(), Hertz::from_khz(30.0));
-    }
-
-    #[test]
-    fn thermal_noise_close_to_paper_constant() {
-        let c = NrCarrier::paper_100mhz();
-        let n = c.thermal_noise_per_subcarrier().value();
-        // kTB for ~30.3 kHz: about -129.2 dBm; paper rounds to -132 dBm.
-        assert!((n - (-129.18)).abs() < 0.1, "got {n}");
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! ```
 //! use corridor_link::{NrCarrier, SignalSource, SnrModel, ThroughputModel};
 //! use corridor_propagation::CalibratedFriis;
-//! use corridor_units::{Db, Dbm, Hertz, Meters, Watts};
+//! use corridor_units::{Db, Dbm, Hertz, Meters};
 //!
 //! let carrier = NrCarrier::paper_100mhz();
 //! let hp_model = CalibratedFriis::new(Hertz::from_ghz(3.7), Db::new(33.0));
-//! let rstp = carrier.per_subcarrier(Dbm::from_watts(Watts::new(2500.0)));
+//! let rstp = carrier.per_subcarrier(Dbm::from_milliwatts(2_500_000.0));
 //!
 //! let model = SnrModel::new(carrier)
 //!     .with_source(SignalSource::new(Meters::ZERO, rstp, hp_model))

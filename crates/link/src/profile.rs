@@ -125,15 +125,6 @@ impl CoverageProfile {
         self.samples.iter().min_by(|a, b| a.snr.total_cmp(&b.snr))
     }
 
-    /// Mean SNR in dB (arithmetic mean of the dB values).
-    pub fn mean_snr_db(&self) -> Option<Db> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let sum: f64 = self.samples.iter().map(|s| s.snr.value()).sum();
-        Some(Db::new(sum / self.samples.len() as f64))
-    }
-
     /// Mean spectral efficiency over the profile, bps/Hz.
     pub fn mean_spectral_efficiency(&self) -> Option<f64> {
         if self.samples.is_empty() {
@@ -141,14 +132,6 @@ impl CoverageProfile {
         }
         let sum: f64 = self.samples.iter().map(|s| s.spectral_efficiency).sum();
         Some(sum / self.samples.len() as f64)
-    }
-
-    /// Minimum spectral efficiency over the profile, bps/Hz.
-    pub fn min_spectral_efficiency(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.spectral_efficiency)
-            .min_by(|a, b| a.total_cmp(b))
     }
 
     /// Fraction of samples at the peak rate of `throughput`.
@@ -232,7 +215,6 @@ mod tests {
     fn conventional_isd_is_all_peak() {
         let p = profile(500.0, 1.0);
         assert_eq!(p.fraction_at_peak(&ThroughputModel::nr_default()), 1.0);
-        assert_eq!(p.min_spectral_efficiency().unwrap(), 5.84);
         assert!((p.mean_spectral_efficiency().unwrap() - 5.84).abs() < 1e-12);
     }
 
@@ -240,15 +222,18 @@ mod tests {
     fn overstretched_isd_loses_peak() {
         let p = profile(3000.0, 5.0);
         assert!(p.fraction_at_peak(&ThroughputModel::nr_default()) < 1.0);
-        assert!(p.min_spectral_efficiency().unwrap() < 5.84);
-        assert!(p.mean_snr_db().unwrap() > p.min_snr().unwrap());
+        assert!(p.mean_spectral_efficiency().unwrap() < 5.84);
     }
 
     #[test]
     fn windowed_mean_between_min_and_max() {
         let p = profile(3000.0, 5.0);
         let windowed = p.min_windowed_mean_se(Meters::new(400.0)).unwrap();
-        let min = p.min_spectral_efficiency().unwrap();
+        let min = p
+            .samples()
+            .iter()
+            .map(|s| s.spectral_efficiency)
+            .fold(f64::INFINITY, f64::min);
         let mean = p.mean_spectral_efficiency().unwrap();
         assert!(windowed >= min - 1e-12);
         assert!(windowed <= mean + 1e-12 || windowed <= 5.84);
@@ -285,7 +270,7 @@ mod tests {
 
     #[test]
     fn nan_snr_sample_does_not_win_the_minimum() {
-        // regression: min_snr / worst_sample / min_spectral_efficiency
+        // regression: min_snr / worst_sample
         // used partial_cmp + expect and panicked on NaN. total_cmp orders
         // NaN after +inf, so a NaN sample loses every min search.
         let sample = |snr: f64, se: f64| ProfileSample {
@@ -305,6 +290,5 @@ mod tests {
         };
         assert_eq!(profile.min_snr(), Some(Db::new(12.0)));
         assert_eq!(profile.worst_sample().map(|s| s.snr), Some(Db::new(12.0)));
-        assert_eq!(profile.min_spectral_efficiency(), Some(3.5));
     }
 }

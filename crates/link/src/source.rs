@@ -12,8 +12,8 @@ use corridor_units::{Db, Dbm, Meters};
 ///
 /// The generic parameter `M` is the path-loss model; using one model type
 /// with different calibrations (as the paper does) keeps sources `Copy` and
-/// collections homogeneous, while `M = DynPathLoss` allows heterogeneous
-/// mixes.
+/// collections homogeneous, while `M = Box<dyn PathLoss + Send + Sync>`
+/// allows heterogeneous mixes.
 ///
 /// # Examples
 ///

@@ -1,6 +1,6 @@
 //! Calibrated Shannon-bound throughput mapping (3GPP TR 36.942, A.2).
 
-use corridor_units::{Db, Hertz};
+use corridor_units::Db;
 
 /// Throughput as a function of SNR, per the calibrated Shannon bound of
 /// 3GPP TR 36.942 Annex A.2:
@@ -46,16 +46,6 @@ impl ThroughputModel {
         }
     }
 
-    /// TR 36.942's original LTE parameters: `α = 0.6`,
-    /// `Thr_MAX = 4.4 bps/Hz`, `SNR_min = −10 dB`.
-    pub fn lte_default() -> Self {
-        ThroughputModel {
-            alpha: 0.6,
-            max_spectral_efficiency: 4.4,
-            snr_min: Db::new(-10.0),
-        }
-    }
-
     /// Creates a custom calibrated Shannon model.
     ///
     /// # Panics
@@ -97,11 +87,6 @@ impl ThroughputModel {
         }
         let shannon = self.alpha * (1.0 + snr.linear()).log2();
         shannon.min(self.max_spectral_efficiency)
-    }
-
-    /// Throughput in bit/s over `bandwidth` at `snr`.
-    pub fn throughput_bps(&self, snr: Db, bandwidth: Hertz) -> f64 {
-        self.spectral_efficiency(snr) * bandwidth.value()
     }
 
     /// The exact SNR at which the cap is reached:
@@ -167,22 +152,6 @@ mod tests {
             assert!(se >= last);
             last = se;
         }
-    }
-
-    #[test]
-    fn throughput_over_paper_carrier() {
-        let m = ThroughputModel::nr_default();
-        // peak over 100 MHz: 584 Mbit/s
-        let bps = m.throughput_bps(Db::new(35.0), Hertz::from_mhz(100.0));
-        assert!((bps - 584e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn lte_caps_lower_than_nr() {
-        let lte = ThroughputModel::lte_default();
-        let nr = ThroughputModel::nr_default();
-        assert!(lte.peak_snr() < nr.peak_snr());
-        assert_eq!(lte.spectral_efficiency(Db::new(40.0)), 4.4);
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub mod rules;
 pub mod sanitize;
 pub mod waiver;
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -71,7 +72,7 @@ pub struct WaiverRecord {
     pub used: bool,
 }
 
-/// The findings of one scanned source text.
+/// The findings of one scanned source text, or of a set of them.
 #[derive(Debug, Clone, Default)]
 pub struct FileFindings {
     /// Violations, in line order.
@@ -138,26 +139,25 @@ impl fmt::Display for LintError {
 impl std::error::Error for LintError {}
 
 /// Scans one source text under `file` (a workspace-relative label) with
-/// the rules of `scope`. This is the engine the walker, the fixture
-/// tests and the self-check all share.
+/// the rules of `scope`, all but the workspace-level `unused-pub` (see
+/// [`check_tree`]).
+// corridor-lint: allow(unused-pub, reason = "tests/fixtures.rs (every CASES row) and tests/self_check.rs::injected_violation_in_a_live_file_is_detected scan one text at a time through the engine check_tree runs")
 pub fn check_source(file: &str, source: &str, scope: Scope) -> FileFindings {
-    let sanitized = sanitize::sanitize(source);
+    check_sanitized(file, source, &sanitize::sanitize(source), scope, None)
+}
+
+/// The engine [`check_source`] and [`check_tree`] share: the hits of
+/// [`rules::scan`] resolved against the file's waivers, plus waiver
+/// hygiene. `names` is the workspace name index `unused-pub` needs.
+fn check_sanitized(
+    file: &str,
+    source: &str,
+    sanitized: &sanitize::Sanitized,
+    scope: Scope,
+    names: Option<&BTreeMap<&str, usize>>,
+) -> FileFindings {
     let mut waivers = waiver::parse_waivers(&sanitized.comments);
-    let hits = rules::scan(&sanitized, scope);
-    let lines: Vec<&str> = source.lines().collect();
-    let snippet = |line: usize| -> String {
-        let text = lines.get(line.saturating_sub(1)).copied().unwrap_or("");
-        let trimmed = text.trim();
-        if trimmed.len() > 120 {
-            let mut end = 117;
-            while end > 0 && !trimmed.is_char_boundary(end) {
-                end -= 1;
-            }
-            format!("{}...", &trimmed[..end])
-        } else {
-            trimmed.to_string()
-        }
-    };
+    let hits = rules::scan(sanitized, scope, names);
 
     let mut used = vec![false; waivers.len()];
     let mut diagnostics = Vec::new();
@@ -169,7 +169,7 @@ pub fn check_source(file: &str, source: &str, scope: Scope) -> FileFindings {
                 file: file.to_string(),
                 line: hit.line,
                 rule_id: hit.rule.id(),
-                snippet: snippet(hit.line),
+                snippet: snippet(source, hit.line),
             }),
         }
     }
@@ -192,7 +192,7 @@ pub fn check_source(file: &str, source: &str, scope: Scope) -> FileFindings {
                 file: file.to_string(),
                 line: w.line,
                 rule_id,
-                snippet: snippet(w.line),
+                snippet: snippet(source, w.line),
             });
         }
     }
@@ -215,6 +215,56 @@ pub fn check_source(file: &str, source: &str, scope: Scope) -> FileFindings {
     }
 }
 
+/// The trimmed source line `line` (1-based), cut to 120 bytes on a char
+/// boundary.
+fn snippet(source: &str, line: usize) -> String {
+    let text = source.lines().nth(line.saturating_sub(1)).unwrap_or("");
+    let trimmed = text.trim();
+    if trimmed.len() > 120 {
+        let mut end = 117;
+        while end > 0 && !trimmed.is_char_boundary(end) {
+            end -= 1;
+        }
+        format!("{}...", &trimmed[..end])
+    } else {
+        trimmed.to_string()
+    }
+}
+
+/// Scans a set of workspace files, each given as its workspace-relative
+/// path and its text: every file in scope (see [`scope_for`]) with
+/// [`check_source`]'s rules plus the workspace-level `unused-pub`. That
+/// rule indexes the names of every scanned file and of the benchmark
+/// helper's sources (`perfbench/src/`, which links the library crates),
+/// and reports each `pub` item of a library file that no other site
+/// names. Files outside both sets are ignored.
+pub fn check_tree(files: &[(&str, &str)]) -> FileFindings {
+    let indexed: Vec<_> = files
+        .iter()
+        .filter(|(rel, _)| scope_for(rel).is_some() || rel.starts_with("perfbench/src/"))
+        .map(|&(rel, source)| (rel, source, sanitize::sanitize(source)))
+        .collect();
+    let mut names = BTreeMap::new();
+    for (_, _, sanitized) in &indexed {
+        rules::index_names(&sanitized.masked, &mut names);
+    }
+
+    let mut out = FileFindings::default();
+    for (rel, source, sanitized) in &indexed {
+        let Some(scope) = scope_for(rel) else {
+            continue;
+        };
+        let findings = check_sanitized(rel, source, sanitized, scope, Some(&names));
+        out.diagnostics.extend(findings.diagnostics);
+        out.waivers.extend(findings.waivers);
+    }
+    out.diagnostics
+        .sort_by(|a, b| (&a.file, a.line, a.rule_id).cmp(&(&b.file, b.line, b.rule_id)));
+    out.waivers
+        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    out
+}
+
 /// The scope a workspace-relative path is scanned under, or `None` for
 /// paths the pass does not cover (tests, benches, fixtures, goldens).
 pub fn scope_for(rel_path: &str) -> Option<Scope> {
@@ -235,7 +285,8 @@ pub fn scope_for(rel_path: &str) -> Option<Scope> {
 }
 
 /// Runs the pass over every workspace `src/` file and every example
-/// under `root`.
+/// under `root`, with the benchmark helper's sources in the
+/// `unused-pub` index (see [`check_tree`]).
 ///
 /// # Errors
 ///
@@ -255,6 +306,7 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, LintError> {
     let mut files = Vec::new();
     collect_rs(&root.join("src"), &mut files)?;
     collect_rs(&root.join("examples"), &mut files)?;
+    collect_rs(&root.join("perfbench").join("src"), &mut files)?;
     for family in ["crates", "shims"] {
         let family_dir = root.join(family);
         for member in sorted_dirs(&family_dir)? {
@@ -263,34 +315,32 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, LintError> {
     }
     files.sort();
 
-    let mut diagnostics = Vec::new();
-    let mut waivers = Vec::new();
-    let mut scanned = 0usize;
+    let mut sources = Vec::with_capacity(files.len());
     for file in &files {
         let rel = file
             .strip_prefix(root)
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        let Some(scope) = scope_for(&rel) else {
-            continue;
-        };
         let source = fs::read_to_string(file).map_err(|source| LintError::Io {
             path: file.clone(),
             source,
         })?;
-        scanned += 1;
-        let findings = check_source(&rel, &source, scope);
-        diagnostics.extend(findings.diagnostics);
-        waivers.extend(findings.waivers);
+        sources.push((rel, source));
     }
-    diagnostics.sort_by(|a, b| (&a.file, a.line, a.rule_id).cmp(&(&b.file, b.line, b.rule_id)));
-    waivers.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    let texts: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(rel, source)| (rel.as_str(), source.as_str()))
+        .collect();
+    let findings = check_tree(&texts);
     Ok(LintReport {
         root: root.to_path_buf(),
-        files_scanned: scanned,
-        diagnostics,
-        waivers,
+        files_scanned: texts
+            .iter()
+            .filter(|(rel, _)| scope_for(rel).is_some())
+            .count(),
+        diagnostics: findings.diagnostics,
+        waivers: findings.waivers,
     })
 }
 

@@ -7,6 +7,8 @@
 //! sites carry an inline waiver whose reason string documents the
 //! safety argument (the waiver is part of the code review surface).
 
+use std::collections::BTreeMap;
+
 use crate::sanitize::Sanitized;
 
 /// A lint rule identifier.
@@ -55,11 +57,18 @@ pub enum Rule {
     /// writer of `corridor_bench::args`, which ends the run with exit
     /// status 2 instead. `eprint!` / `eprintln!` stay allowed.
     StdoutPrint,
+    /// A `pub` item of a library crate (`fn`, `const`, `static`,
+    /// `struct`, `enum`, `trait` or `type`) whose name appears nowhere
+    /// else in the non-test code of the workspace or the benchmark
+    /// helper. Imports do not count as uses. Workspace-level: it fires
+    /// only when [`scan`] is given the name index of every file, which
+    /// [`crate::check_tree`] builds.
+    UnusedPub,
 }
 
 impl Rule {
     /// Every content rule, in report order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 9] = [
         Rule::FloatOrd,
         Rule::NoPanic,
         Rule::HashOrder,
@@ -68,6 +77,7 @@ impl Rule {
         Rule::FloatKeyCast,
         Rule::GlobalState,
         Rule::StdoutPrint,
+        Rule::UnusedPub,
     ];
 
     /// The stable kebab-case id used in diagnostics and waivers.
@@ -81,6 +91,7 @@ impl Rule {
             Rule::FloatKeyCast => "float-key-cast",
             Rule::GlobalState => "global-state",
             Rule::StdoutPrint => "stdout-print",
+            Rule::UnusedPub => "unused-pub",
         }
     }
 
@@ -95,6 +106,7 @@ impl Rule {
             Rule::FloatKeyCast => "`as` integer cast in sort-key code; use exact bit encodings",
             Rule::GlobalState => "static lock/once-cell/map or thread_local! in library code; keep state in an explicit, bounded context",
             Rule::StdoutPrint => "print!/println! (panics on a closed stdout); write through a fallible stdout writer",
+            Rule::UnusedPub => "pub library item named nowhere else in non-test code; delete it or waive it naming the test that needs it",
         }
     }
 
@@ -122,7 +134,10 @@ impl Scope {
     pub fn enforces(self, rule: Rule) -> bool {
         match self {
             Scope::Library => true,
-            Scope::Harness => !matches!(rule, Rule::NoPanic | Rule::WallClock | Rule::GlobalState),
+            Scope::Harness => !matches!(
+                rule,
+                Rule::NoPanic | Rule::WallClock | Rule::GlobalState | Rule::UnusedPub
+            ),
         }
     }
 }
@@ -137,12 +152,19 @@ pub struct Hit {
 }
 
 /// Runs every rule enforced in `scope` over the sanitized file and
-/// returns the raw hits in (line, rule) order.
-pub fn scan(sanitized: &Sanitized, scope: Scope) -> Vec<Hit> {
+/// returns the raw hits in (line, rule) order. `unused-pub` needs the
+/// workspace name index (see [`index_names`]); without one it does not
+/// fire.
+pub fn scan(
+    sanitized: &Sanitized,
+    scope: Scope,
+    names: Option<&BTreeMap<&str, usize>>,
+) -> Vec<Hit> {
     let masked = &sanitized.masked;
     let test_spans = test_line_spans(masked);
     let key_spans = sort_key_line_spans(masked);
     let state_lines = stateful_static_lines(masked);
+    let unused_lines = names.map_or_else(Vec::new, |names| unused_pub_lines(masked, names));
     let mut hits = Vec::new();
 
     for (idx, line) in masked.lines().enumerate() {
@@ -172,6 +194,7 @@ pub fn scan(sanitized: &Sanitized, scope: Scope) -> Vec<Hit> {
                     state_lines.contains(&lineno) || has_macro(line, "thread_local")
                 }
                 Rule::StdoutPrint => has_macro(line, "print") || has_macro(line, "println"),
+                Rule::UnusedPub => unused_lines.contains(&lineno),
             };
             if fired {
                 hits.push(Hit { line: lineno, rule });
@@ -179,6 +202,115 @@ pub fn scan(sanitized: &Sanitized, scope: Scope) -> Vec<Hit> {
         }
     }
     hits
+}
+
+/// Counts every identifier of the masked text into `index`, skipping
+/// `#[cfg(test)]` items and `use` declarations: an import names an item
+/// without using it.
+pub fn index_names<'a>(masked: &'a str, index: &mut BTreeMap<&'a str, usize>) {
+    let test_spans = test_line_spans(masked);
+    let imports = use_spans(masked);
+    let (mut line, mut counted) = (1, 0);
+    for (at, name) in identifiers(masked) {
+        line += masked[counted..at].bytes().filter(|&b| b == b'\n').count();
+        counted = at;
+        let in_import = imports.iter().any(|&(a, b)| at >= a && at <= b);
+        if !in_import && !in_spans(&test_spans, line) {
+            *index.entry(name).or_insert(0) += 1;
+        }
+    }
+}
+
+/// Lines of the masked text that open a `pub` item whose name `names`
+/// counts no more than once (the declaration itself).
+fn unused_pub_lines(masked: &str, names: &BTreeMap<&str, usize>) -> Vec<usize> {
+    word_offsets(masked, "pub")
+        .filter(|&at| {
+            pub_item_name(&masked[at + "pub".len()..])
+                .is_some_and(|name| names.get(name).copied().unwrap_or(0) < 2)
+        })
+        .map(|at| line_of(masked, at))
+        .collect()
+}
+
+/// The name an unrestricted `pub` declares when it opens a `fn`,
+/// `const`, `static`, `struct`, `enum`, `trait` or `type` item (after
+/// any `const`/`unsafe`/`async`/`extern` qualifiers). `None` for
+/// `pub(crate)`, fields, modules, re-exports and macro metavariables.
+fn pub_item_name(rest: &str) -> Option<&str> {
+    let mut rest = rest;
+    loop {
+        let word = leading_ident(rest)?;
+        rest = &rest.trim_start()[word.len()..];
+        match word {
+            // `pub const NAME`, but `pub const fn name` is a function
+            "const" if !matches!(leading_ident(rest), Some("fn" | "unsafe")) => break,
+            "const" | "unsafe" | "async" | "extern" => {}
+            "static" => {
+                if leading_ident(rest) == Some("mut") {
+                    rest = &rest.trim_start()["mut".len()..];
+                }
+                break;
+            }
+            "fn" | "struct" | "enum" | "trait" | "type" => break,
+            _ => return None,
+        }
+    }
+    leading_ident(rest).filter(|name| *name != "_")
+}
+
+/// The identifier that `text` starts with (leading whitespace skipped).
+fn leading_ident(text: &str) -> Option<&str> {
+    let text = text.trim_start();
+    let len = text.bytes().take_while(|&b| is_ident(b)).count();
+    let word = &text[..len];
+    word.bytes()
+        .next()
+        .is_some_and(|b| !b.is_ascii_digit())
+        .then_some(word)
+}
+
+/// Every identifier of the masked text with its byte offset (number
+/// literals are skipped whole).
+fn identifiers(masked: &str) -> impl Iterator<Item = (usize, &str)> {
+    let bytes = masked.as_bytes();
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        while i < bytes.len() {
+            let start = i;
+            if !is_ident(bytes[i]) {
+                i += 1;
+                continue;
+            }
+            while i < bytes.len() && is_ident(bytes[i]) {
+                i += 1;
+            }
+            if !bytes[start].is_ascii_digit() {
+                return Some((start, &masked[start..i]));
+            }
+        }
+        None
+    })
+}
+
+/// Inclusive byte spans of `use` declarations: a line that starts with
+/// `use` (or `pub use`, `pub(…) use`) through the `;` that ends it.
+fn use_spans(masked: &str) -> Vec<(usize, usize)> {
+    let bytes = masked.as_bytes();
+    word_offsets(masked, "use")
+        .filter(|&at| {
+            let line_start = masked[..at].rfind('\n').map_or(0, |n| n + 1);
+            let head = masked[line_start..at].trim();
+            head.is_empty() || head == "pub" || (head.starts_with("pub(") && head.ends_with(')'))
+        })
+        .map(|at| {
+            let end = bytes[at..]
+                .iter()
+                .position(|&b| b == b';')
+                .map_or(bytes.len(), |p| at + p);
+            (at, end)
+        })
+        .collect()
 }
 
 /// True when `c` can be part of an identifier.
@@ -408,7 +540,7 @@ mod tests {
     use crate::sanitize::sanitize;
 
     fn hits(src: &str, scope: Scope) -> Vec<(usize, Rule)> {
-        scan(&sanitize(src), scope)
+        scan(&sanitize(src), scope, None)
             .into_iter()
             .map(|h| (h.line, h.rule))
             .collect()
@@ -546,6 +678,21 @@ mod tests {
     fn forbidden_tokens_in_comments_and_strings_do_not_fire() {
         let src = "// a partial_cmp in prose\nlet m = \"calls .unwrap() and panic!\";\n";
         assert!(hits(src, Scope::Library).is_empty());
+    }
+
+    #[test]
+    fn pub_item_names_follow_qualifiers_and_skip_everything_else() {
+        assert_eq!(pub_item_name(" fn f()"), Some("f"));
+        assert_eq!(pub_item_name(" const fn g()"), Some("g"));
+        assert_eq!(pub_item_name(" const LIMIT: u32 = 1;"), Some("LIMIT"));
+        assert_eq!(pub_item_name(" static mut S: u8 = 0;"), Some("S"));
+        assert_eq!(pub_item_name(" unsafe extern   fn h()"), Some("h"));
+        assert_eq!(pub_item_name("(crate) fn f()"), None);
+        assert_eq!(pub_item_name(" limit: u32,"), None);
+        assert_eq!(pub_item_name(" mod inner;"), None);
+        assert_eq!(pub_item_name(" use inner::f;"), None);
+        assert_eq!(pub_item_name(" fn $name()"), None);
+        assert_eq!(pub_item_name(" const _: () = ();"), None);
     }
 
     #[test]

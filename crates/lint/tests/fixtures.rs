@@ -3,10 +3,12 @@
 //! (rule stops firing, waiver stops suppressing, clean code starts
 //! flagging) fails `cargo test` immediately. The waiver hygiene rules
 //! (`unknown-rule`, `missing-reason`, `bad-waiver`) get their own
-//! fixtures at the bottom.
+//! fixtures at the bottom. The workspace-level `unused-pub` rule needs
+//! several files at once, so its fixtures go through [`check_tree`]
+//! under workspace-relative paths instead of the per-file `CASES` table.
 
-use corridor_lint::check_source;
 use corridor_lint::rules::Scope;
+use corridor_lint::{check_source, check_tree};
 
 /// Rule ids of every diagnostic in `src` under the given scope.
 fn ids(src: &str, scope: Scope) -> Vec<&'static str> {
@@ -167,4 +169,93 @@ fn diagnostics_carry_file_line_and_snippet() {
         d.to_string(),
         format!("crates/demo/src/lib.rs:4: [no-panic] {}", d.snippet)
     );
+}
+
+/// Rule ids and lines of every diagnostic of a multi-file tree.
+fn tree_hits(files: &[(&str, &str)]) -> Vec<(String, usize, &'static str)> {
+    check_tree(files)
+        .diagnostics
+        .iter()
+        .map(|d| (d.file.clone(), d.line, d.rule_id))
+        .collect()
+}
+
+const LIB: &str = "crates/demo/src/lib.rs";
+
+#[test]
+fn unused_pub_fires_on_items_named_only_by_themselves_or_tests() {
+    let found = tree_hits(&[(LIB, include_str!("fixtures/unused_pub_trigger.rs"))]);
+    assert_eq!(
+        found,
+        vec![
+            (LIB.to_string(), 4, "unused-pub"),
+            (LIB.to_string(), 9, "unused-pub"),
+        ]
+    );
+}
+
+#[test]
+fn unused_pub_is_suppressed_by_a_reasoned_waiver() {
+    let findings = check_tree(&[(LIB, include_str!("fixtures/unused_pub_waived.rs"))]);
+    assert!(
+        findings.diagnostics.is_empty(),
+        "{:?}",
+        findings.diagnostics
+    );
+    assert_eq!(findings.waivers.len(), 1);
+    assert!(findings.waivers[0].used, "waiver went unused");
+    assert!(findings.waivers[0].reason.is_some());
+}
+
+#[test]
+fn unused_pub_stays_silent_when_another_file_names_the_item() {
+    let clean = include_str!("fixtures/unused_pub_clean.rs");
+    let consumer = "fn main() {\n    let budget = demo::entry();\n    let _ = budget.limit;\n}\n";
+    let found = tree_hits(&[(LIB, clean), ("crates/bench/src/bin/demo.rs", consumer)]);
+    assert!(found.is_empty(), "{found:?}");
+    // without the consumer, `entry` is the one item nothing names
+    let alone = tree_hits(&[(LIB, clean)]);
+    assert_eq!(alone, vec![(LIB.to_string(), 17, "unused-pub")]);
+}
+
+#[test]
+fn a_name_used_only_by_the_benchmark_helper_counts_as_used() {
+    let lib = "pub fn probe() -> u64 {\n    0\n}\n";
+    let caller = "fn main() {\n    let _ = demo::probe();\n}\n";
+    assert!(tree_hits(&[(LIB, lib), ("perfbench/src/main.rs", caller)]).is_empty());
+    // the same caller in a test directory is not production code
+    assert_eq!(
+        tree_hits(&[(LIB, lib), ("crates/demo/tests/probe.rs", caller)]),
+        vec![(LIB.to_string(), 1, "unused-pub")]
+    );
+}
+
+#[test]
+fn a_name_on_a_pub_use_line_only_does_not_count_as_used() {
+    let inner = "crates/demo/src/inner.rs";
+    let item = "pub fn reexported() {}\n";
+    for reexport in [
+        "pub mod inner;\npub use inner::reexported;\n",
+        "pub mod inner;\npub use inner::{\n    reexported,\n};\n",
+    ] {
+        assert_eq!(
+            tree_hits(&[(LIB, reexport), (inner, item)]),
+            vec![(inner.to_string(), 1, "unused-pub")],
+            "{reexport}"
+        );
+    }
+    // a call through the re-export is a use
+    let caller = "fn main() {\n    demo::reexported();\n}\n";
+    let found = tree_hits(&[
+        (LIB, "pub mod inner;\npub use inner::reexported;\n"),
+        (inner, item),
+        ("examples/demo.rs", caller),
+    ]);
+    assert!(found.is_empty(), "{found:?}");
+}
+
+#[test]
+fn unused_pub_leaves_harness_items_alone() {
+    let bin = "pub fn helper() {}\nfn main() {}\n";
+    assert!(tree_hits(&[("crates/bench/src/bin/demo.rs", bin)]).is_empty());
 }

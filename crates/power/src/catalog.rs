@@ -44,24 +44,6 @@ pub fn low_power_repeater_measured() -> LoadDependentPower {
     LoadDependentPower::new(Watts::new(1.0), Watts::new(24.26), 4.12, Watts::new(4.72))
 }
 
-/// An onboard active relay (five frequency bands) as used before Low-E /
-/// FSS windows became state of the art: 650 W flat draw (paper
-/// Section I). Modelled with no load dependence and no sleep capability.
-pub fn onboard_relay() -> LoadDependentPower {
-    LoadDependentPower::new(Watts::ZERO, Watts::new(650.0), 0.0, Watts::new(650.0))
-}
-
-/// A regular (non-corridor) macro cell site: 3200 W average consumption
-/// (paper Section I), used for context in energy comparisons.
-pub fn macro_site() -> LoadDependentPower {
-    LoadDependentPower::new(
-        Watts::new(80.0),
-        Watts::new(2976.0),
-        2.8,
-        Watts::new(1600.0),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,19 +88,5 @@ mod tests {
         let mast = high_power_mast().full_load_power();
         let fraction = repeater / mast;
         assert!(fraction < 0.06, "repeater/mast = {fraction}");
-    }
-
-    #[test]
-    fn onboard_relay_flat() {
-        let relay = onboard_relay();
-        assert_eq!(relay.full_load_power(), Watts::new(650.0));
-        assert_eq!(relay.input_power(OperatingState::Sleep), Watts::new(650.0));
-    }
-
-    #[test]
-    fn macro_site_average() {
-        // at moderate load the macro site sits around its 3200 W average
-        let m = macro_site();
-        assert_eq!(m.full_load_power(), Watts::new(3200.0));
     }
 }

@@ -114,11 +114,6 @@ impl DutyCycle {
         self.period - self.active - self.idle
     }
 
-    /// Fraction of the period spent at full load.
-    pub fn active_fraction(&self) -> f64 {
-        self.active / self.period
-    }
-
     /// Energy per period when the remainder of the time is spent asleep.
     pub fn energy(&self, model: &LoadDependentPower) -> WattHours {
         self.energy_with_fallback(model, OperatingState::Sleep)
@@ -172,9 +167,9 @@ mod tests {
     fn paper_hp_duty_fractions() {
         // ISD 500 m: 2.85 % full load; ISD 2650 m: 9.66 %.
         let short = DutyCycle::over_day(Hours::new(0.684), Hours::ZERO);
-        assert!((short.active_fraction() - 0.0285).abs() < 0.0001);
+        assert!((short.active() / short.period() - 0.0285).abs() < 0.0001);
         let long = DutyCycle::over_day(Hours::new(2.318), Hours::ZERO);
-        assert!((long.active_fraction() - 0.0966).abs() < 0.0001);
+        assert!((long.active() / long.period() - 0.0966).abs() < 0.0001);
     }
 
     #[test]

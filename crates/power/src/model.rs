@@ -33,11 +33,6 @@ impl OperatingState {
     pub fn full_load() -> Self {
         OperatingState::Active(LoadFraction::FULL)
     }
-
-    /// True for the sleep state.
-    pub fn is_sleep(self) -> bool {
-        matches!(self, OperatingState::Sleep)
-    }
 }
 
 impl fmt::Display for OperatingState {
@@ -203,9 +198,10 @@ mod tests {
 
     #[test]
     fn state_helpers() {
-        assert!(OperatingState::Sleep.is_sleep());
-        assert!(!OperatingState::Idle.is_sleep());
-        assert!(!OperatingState::full_load().is_sleep());
+        assert_eq!(
+            OperatingState::full_load(),
+            OperatingState::Active(LoadFraction::FULL)
+        );
         assert_eq!(OperatingState::default(), OperatingState::Idle);
     }
 

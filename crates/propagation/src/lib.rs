@@ -1,4 +1,4 @@
-//! Path-loss, antenna and penetration-loss models for railway corridor links.
+//! Path-loss and penetration-loss models for railway corridor links.
 //!
 //! The central abstraction is the [`PathLoss`] trait: a model that maps a
 //! transmitter–receiver distance to an attenuation in dB. The paper's
@@ -8,8 +8,7 @@
 //!
 //! Train-wagon penetration loss (the motivation for the corridor's short
 //! inter-site distances) is modelled by [`WindowTreatment`] /
-//! [`PenetrationLoss`], and simple antenna directivity by
-//! [`AntennaPattern`].
+//! [`PenetrationLoss`].
 //!
 //! # Examples
 //!
@@ -26,18 +25,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod emf;
-
-mod antenna;
 mod friis;
 mod log_distance;
 mod pathloss;
 mod penetration;
 mod two_ray;
 
-pub use antenna::AntennaPattern;
 pub use friis::{CalibratedFriis, FreeSpace};
 pub use log_distance::LogDistance;
-pub use pathloss::{DynPathLoss, PathLoss};
+pub use pathloss::PathLoss;
 pub use penetration::{PenetrationLoss, WindowTreatment};
 pub use two_ray::TwoRayGround;

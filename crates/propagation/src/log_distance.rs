@@ -46,21 +46,6 @@ impl LogDistance {
         }
     }
 
-    /// Overrides the reference distance `d0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference_distance` is not strictly positive.
-    #[must_use]
-    pub fn with_reference_distance(mut self, reference_distance: Meters) -> Self {
-        assert!(
-            reference_distance.value() > 0.0,
-            "reference distance must be positive"
-        );
-        self.reference_distance = reference_distance;
-        self
-    }
-
     /// The path-loss exponent `n`.
     pub fn exponent(&self) -> f64 {
         self.exponent
@@ -117,12 +102,12 @@ mod tests {
 
     #[test]
     fn reference_distance_clamps() {
-        let ld =
-            LogDistance::new(Hertz::from_ghz(3.5), 2.5).with_reference_distance(Meters::new(10.0));
-        assert_eq!(ld.min_distance(), Meters::new(10.0));
+        // distances inside the 1 m reference read the reference loss
+        let ld = LogDistance::new(Hertz::from_ghz(3.5), 2.5);
+        assert_eq!(ld.min_distance(), Meters::new(1.0));
         assert_eq!(
-            ld.attenuation(Meters::new(2.0)),
-            ld.attenuation(Meters::new(10.0))
+            ld.attenuation(Meters::new(0.2)),
+            ld.attenuation(Meters::new(1.0))
         );
     }
 

@@ -30,27 +30,6 @@ pub trait PathLoss {
     }
 }
 
-/// A boxed, dynamically dispatched path-loss model.
-///
-/// Useful when mixing heterogeneous models (e.g. different calibrations for
-/// high-power and low-power transmitters) in one collection.
-///
-/// # Examples
-///
-/// ```
-/// use corridor_propagation::{DynPathLoss, FreeSpace, LogDistance, PathLoss};
-/// use corridor_units::{Hertz, Meters};
-///
-/// let models: Vec<DynPathLoss> = vec![
-///     Box::new(FreeSpace::new(Hertz::from_ghz(3.7))),
-///     Box::new(LogDistance::new(Hertz::from_ghz(3.7), 2.5)),
-/// ];
-/// for m in &models {
-///     assert!(m.attenuation(Meters::new(100.0)).value() > 0.0);
-/// }
-/// ```
-pub type DynPathLoss = Box<dyn PathLoss + Send + Sync>;
-
 impl<T: PathLoss + ?Sized> PathLoss for &T {
     fn attenuation(&self, distance: Meters) -> Db {
         (**self).attenuation(distance)
@@ -77,7 +56,7 @@ mod tests {
 
     #[test]
     fn trait_object_usable() {
-        let boxed: DynPathLoss = Box::new(FreeSpace::new(Hertz::from_ghz(3.5)));
+        let boxed: Box<dyn PathLoss + Send + Sync> = Box::new(FreeSpace::new(Hertz::from_ghz(3.5)));
         assert!(boxed.attenuation(Meters::new(100.0)).value() > 80.0);
         assert_eq!(boxed.min_distance(), Meters::new(1.0));
     }

@@ -1,8 +1,6 @@
 //! Property-based tests for path-loss model invariants.
 
-use corridor_propagation::{
-    AntennaPattern, CalibratedFriis, FreeSpace, LogDistance, PathLoss, TwoRayGround,
-};
+use corridor_propagation::{CalibratedFriis, FreeSpace, LogDistance, PathLoss, TwoRayGround};
 use corridor_units::{Db, Hertz, Meters};
 use proptest::prelude::*;
 
@@ -75,22 +73,5 @@ proptest! {
         let tr = TwoRayGround::new(f, Meters::new(15.0), Meters::new(3.0));
         let (near, far) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
         prop_assert!(tr.attenuation(far) >= tr.attenuation(near));
-    }
-
-    /// Antenna gain never exceeds boresight and never drops below the
-    /// front-to-back floor.
-    #[test]
-    fn antenna_gain_bounded(g0 in 0.0..30.0f64, bw in 1.0..120.0f64, angle in -360.0..360.0f64) {
-        let p = AntennaPattern::pencil_beam(Db::new(g0), bw);
-        let g = p.gain_at(angle);
-        prop_assert!(g <= Db::new(g0));
-        prop_assert!(g >= Db::new(g0 - 25.0) - Db::new(1e-9));
-    }
-
-    /// Pattern is symmetric in the off-axis angle.
-    #[test]
-    fn antenna_gain_symmetric(g0 in 0.0..30.0f64, bw in 1.0..120.0f64, angle in 0.0..360.0f64) {
-        let p = AntennaPattern::pencil_beam(Db::new(g0), bw);
-        prop_assert_eq!(p.gain_at(angle), p.gain_at(-angle));
     }
 }

@@ -67,11 +67,13 @@ impl EvalContext {
     }
 
     /// Table IV searches this context has run.
+    // corridor-lint: allow(unused-pub, reason = "engine::tests::a_second_run_through_one_context_runs_no_search, served::tests::split_ranges_through_one_context_equal_each_fresh_stream and this type's doc example count the memo's searches with it")
     pub fn sizing_searches(&self) -> u64 {
         self.sizing.searches()
     }
 
     /// PV sizing outcomes this context holds.
+    // corridor-lint: allow(unused-pub, reason = "engine::tests::a_tiny_context_evicts_without_changing_a_result and a_second_run_through_one_context_runs_no_search check the memo's bound with it")
     pub fn sizing_entries(&self) -> usize {
         self.sizing.len()
     }

@@ -30,13 +30,6 @@ pub enum Evaluator {
 }
 
 impl Evaluator {
-    /// The event-driven backend with instant wake transitions — the
-    /// configuration the differential harness compares against the
-    /// analytic backend.
-    pub fn event_driven() -> Self {
-        Evaluator::EventDriven(WakePolicy::instant())
-    }
-
     /// A short stable label for report columns.
     pub fn name(&self) -> &'static str {
         match self {
@@ -118,7 +111,7 @@ impl Evaluator {
 ///
 /// ```
 /// use corridor_core::EnergyStrategy;
-/// use corridor_sim::{Evaluator, ScenarioGrid, SweepEngine};
+/// use corridor_sim::{Evaluator, ScenarioGrid, SweepEngine, WakePolicy};
 ///
 /// let engine = SweepEngine::new().workers(2).pv_sizing(false);
 /// let report = engine.run(&ScenarioGrid::new()).unwrap();
@@ -127,7 +120,7 @@ impl Evaluator {
 /// assert!((saving - 0.74).abs() < 0.01);
 ///
 /// // the same grid through the event-driven backend
-/// let simulated = engine.evaluator(Evaluator::event_driven()).run(&ScenarioGrid::new()).unwrap();
+/// let simulated = engine.evaluator(Evaluator::EventDriven(WakePolicy::instant())).run(&ScenarioGrid::new()).unwrap();
 /// let sim_saving = simulated.results()[0].savings(EnergyStrategy::SleepModeRepeaters);
 /// assert!((sim_saving - saving).abs() < 1e-3);
 /// ```
@@ -378,6 +371,7 @@ mod tests {
     use corridor_core::sink::StringSink;
     use corridor_core::{experiments, ScenarioParams};
     use corridor_solar::climate;
+    use corridor_units::Watts;
 
     #[test]
     fn paper_cell_reproduces_headline_savings() {
@@ -419,10 +413,16 @@ mod tests {
     #[test]
     fn heavy_load_profile_is_unsolvable() {
         // a flat 650 W onboard-relay "repeater" cannot be solar-sized
+        let onboard_relay = corridor_power::LoadDependentPower::new(
+            Watts::ZERO,
+            Watts::new(650.0),
+            0.0,
+            Watts::new(650.0),
+        );
         let grid = ScenarioGrid::new().power_profiles(vec![crate::PowerProfile::custom(
             "flat-650w",
             corridor_power::catalog::high_power_mast(),
-            corridor_power::catalog::onboard_relay(),
+            onboard_relay,
         )]);
         let report = SweepEngine::new().workers(1).run(&grid).unwrap();
         assert_eq!(report.results()[0].pv(), PvOutcome::Unsolvable);
@@ -483,7 +483,7 @@ mod tests {
         let engine = SweepEngine::new().workers(1).pv_sizing(false);
         let analytic = engine.run(&grid).unwrap();
         let simulated = engine
-            .evaluator(Evaluator::event_driven())
+            .evaluator(Evaluator::EventDriven(WakePolicy::instant()))
             .run(&grid)
             .unwrap();
         let a = &analytic.results()[0];
@@ -597,7 +597,10 @@ mod tests {
     #[test]
     fn evaluator_labels() {
         assert_eq!(Evaluator::Analytic.name(), "analytic");
-        assert_eq!(Evaluator::event_driven().name(), "event-driven");
+        assert_eq!(
+            Evaluator::EventDriven(WakePolicy::instant()).name(),
+            "event-driven"
+        );
         assert_eq!(Evaluator::default(), Evaluator::Analytic);
     }
 }

@@ -39,16 +39,6 @@ impl PowerProfile {
         }
     }
 
-    /// The EARTH-fit variant: same mast, repeater at the Table II EARTH
-    /// parameterization (28.26 W full load) instead of the measured bill.
-    pub fn earth_fit() -> Self {
-        PowerProfile {
-            name: "earth-fit".to_owned(),
-            hp: catalog::high_power_mast(),
-            lp: catalog::low_power_repeater(),
-        }
-    }
-
     /// A custom profile under the given name.
     pub fn custom(name: &str, hp: LoadDependentPower, lp: LoadDependentPower) -> Self {
         PowerProfile {
@@ -387,6 +377,16 @@ impl Default for ScenarioGrid {
 mod tests {
     use super::*;
     use corridor_core::ScenarioError;
+    use corridor_units::Watts;
+
+    /// The Table II EARTH-fit repeater behind the measured-bill mast.
+    fn earth_fit() -> PowerProfile {
+        PowerProfile::custom(
+            "earth-fit",
+            catalog::high_power_mast(),
+            catalog::low_power_repeater(),
+        )
+    }
 
     #[test]
     fn default_grid_is_one_paper_cell() {
@@ -484,9 +484,8 @@ mod tests {
     #[test]
     fn power_profiles_named() {
         assert_eq!(PowerProfile::paper().to_string(), "paper");
-        assert_eq!(PowerProfile::earth_fit().name(), "earth-fit");
-        let custom =
-            PowerProfile::custom("flat", catalog::high_power_mast(), catalog::onboard_relay());
+        let flat = LoadDependentPower::new(Watts::ZERO, Watts::new(650.0), 0.0, Watts::new(650.0));
+        let custom = PowerProfile::custom("flat", catalog::high_power_mast(), flat);
         assert_eq!(custom.name(), "flat");
         assert_eq!(custom.lp().p0().value(), 650.0);
     }
@@ -499,7 +498,7 @@ mod tests {
             .trains_per_hour(vec![2.0, 6.0, 10.0])
             .train_speeds_kmh(vec![160.0, 250.0])
             .lp_spacings_m(vec![150.0, 200.0, 300.0, 350.0])
-            .power_profiles(vec![PowerProfile::paper(), PowerProfile::earth_fit()])
+            .power_profiles(vec![PowerProfile::paper(), earth_fit()])
             .locations(vec![climate::madrid(), climate::berlin(), climate::lyon()]);
         let cells = grid.expand().unwrap();
         assert_eq!(cells.len(), grid.len());

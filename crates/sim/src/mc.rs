@@ -328,13 +328,6 @@ impl McEngine {
         self
     }
 
-    /// Sets the wake policy every simulated day runs under.
-    #[must_use]
-    pub fn wake_policy(mut self, policy: WakePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Evaluates every cell of `grid × plan` on the worker threads.
     ///
     /// # Errors
@@ -732,7 +725,6 @@ mod tests {
             .is_stochastic());
         let poisson = TrafficSpec::Poisson.model_for(&timetable);
         assert!(poisson.is_stochastic());
-        assert_eq!(poisson.mean_trains_per_day(), 152.0);
         assert!(TrafficSpec::Jittered(DelayModel::typical())
             .model_for(&timetable)
             .is_stochastic());
@@ -772,21 +764,6 @@ mod tests {
         // 8 trains/h x 19 h, every day
         assert_eq!(r.stats(McMetric::Passes).mean, 152.0);
         assert_eq!(report.cell_days(), 5);
-    }
-
-    #[test]
-    fn paper_wake_policy_costs_more_than_instant() {
-        let plan = small_plan().traffic(TrafficSpec::Deterministic);
-        let grid = ScenarioGrid::new();
-        let instant = McEngine::new().workers(1).run(&grid, &plan).unwrap();
-        let padded = McEngine::new()
-            .workers(1)
-            .wake_policy(WakePolicy::paper_default())
-            .run(&grid, &plan)
-            .unwrap();
-        let i = instant.results()[0].stats(McMetric::SleepWhKm).mean;
-        let p = padded.results()[0].stats(McMetric::SleepWhKm).mean;
-        assert!(p > i, "padded {p} <= instant {i}");
     }
 
     #[test]

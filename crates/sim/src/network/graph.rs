@@ -139,13 +139,6 @@ impl CorridorEdge {
         }
     }
 
-    /// Names the edge (defaults to `e<index>` when added unnamed).
-    #[must_use]
-    pub fn named(mut self, name: &str) -> Self {
-        self.name = Some(name.to_owned());
-        self
-    }
-
     /// Sets the edge's timetable density per track (trains per service
     /// hour).
     #[must_use]
@@ -213,11 +206,6 @@ impl CorridorEdge {
     /// The physical corridor length in km.
     pub fn length_km_value(&self) -> f64 {
         self.length_km
-    }
-
-    /// True for a double-track edge.
-    pub fn is_double_track(&self) -> bool {
-        self.double_track
     }
 
     /// The aggregate demand the edge's deployment serves: the per-track
@@ -312,13 +300,6 @@ impl CorridorNetwork {
     #[must_use]
     pub fn conventional_isd_m(mut self, m: f64) -> Self {
         self.conventional_isd_m = m;
-        self
-    }
-
-    /// Sets the network-wide equipment profile.
-    #[must_use]
-    pub fn power_profile(mut self, profile: PowerProfile) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -712,7 +693,6 @@ mod tests {
         assert_eq!(CorridorNetwork::by_name("line3").unwrap().edge_count(), 3);
         let wye = CorridorNetwork::by_name("wye3").unwrap();
         assert_eq!(wye.edge_count(), 3);
-        assert!(wye.edge(1).is_double_track());
         assert_eq!(wye.edge(1).demand_tph(), 16.0);
         assert_eq!(CorridorNetwork::by_name("star4").unwrap().edge_count(), 4);
         assert_eq!(CorridorNetwork::by_name("cycle4").unwrap().edge_count(), 4);

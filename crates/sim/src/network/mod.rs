@@ -139,8 +139,8 @@ impl NetworkOptimizer {
 
     /// Streams the per-edge frontier rows into `sink` in edge order
     /// without materializing the report; the emitted bytes are
-    /// identical to [`NetworkReport::frontier_csv`] /
-    /// [`NetworkReport::frontier_json`] whatever the worker count.
+    /// identical to [`NetworkReport::stream_frontier_into`] whatever the
+    /// worker count.
     ///
     /// # Errors
     ///
@@ -338,13 +338,6 @@ impl NetworkReport {
     /// format, one line per frontier point).
     pub fn frontier_csv(&self) -> String {
         StringSink::render(4096, |sink| self.stream_frontier_into(RowFormat::Csv, sink))
-    }
-
-    /// Renders the per-edge frontiers as a JSON array of edge objects.
-    pub fn frontier_json(&self) -> String {
-        StringSink::render(8192, |sink| {
-            self.stream_frontier_into(RowFormat::Json, sink)
-        })
     }
 
     /// Renders the sleep schedule as CSV

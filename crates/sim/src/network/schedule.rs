@@ -31,8 +31,8 @@
 //!   applies — the absorber serves the same trains, not new flows.
 //!
 //! The greedy loop always takes the highest net saving next, with a
-//! deterministic total order over candidates ([`SleepDecision::sort_key`]:
-//! station, then repeater index, then edge indices) breaking exact
+//! deterministic total order over candidates (`SortKey`: station, then
+//! repeater rank, then edge indices) breaking exact
 //! ties — so the schedule is a pure function of the network, the picks
 //! and the day, whatever the worker count or candidate evaluation
 //! order. With the floor at the pick's own margin the interior family
@@ -79,22 +79,6 @@ pub struct SleepDecision {
     /// Coverage margin the sleep spent, dB (zero for boundary sleeps —
     /// the throat footprints overlap entirely).
     pub margin_cost_db: f64,
-}
-
-impl SleepDecision {
-    /// The deterministic total order of the schedule: station id, then
-    /// repeater index (boundary throats order before interior repeater
-    /// `k` as rank `k + 1`), then the sleeper and absorber edges. Equal
-    /// net savings are broken by this key, so the committed plan is
-    /// independent of candidate evaluation order and worker count.
-    pub fn sort_key(&self) -> (usize, usize, usize, usize) {
-        (
-            self.station,
-            self.repeater.map_or(0, |k| k + 1),
-            self.edge,
-            self.absorber_edge,
-        )
-    }
 }
 
 /// The margin-trading configuration of the scheduler: the floor, the
@@ -238,7 +222,11 @@ enum Choice {
     },
 }
 
-/// The deterministic tie-break key — [`SleepDecision::sort_key`].
+/// The deterministic tie-break key: station id, then repeater rank
+/// (boundary throats rank 0, before interior repeater `k` at rank
+/// `k + 1`), then the sleeper and absorber edges. Equal net savings are
+/// broken by this key, so the committed plan is independent of candidate
+/// evaluation order and worker count.
 type SortKey = (usize, usize, usize, usize);
 
 /// One round's best candidate: (net saving, tie-break key, commit).
@@ -570,39 +558,5 @@ mod tests {
             .unwrap();
         assert_eq!(a.plan(), b.plan());
         assert_eq!(a.schedule_csv(), b.schedule_csv());
-    }
-
-    #[test]
-    fn sort_key_totally_orders_shuffled_decisions() {
-        let decision = |station, repeater, edge, absorber| SleepDecision {
-            station,
-            edge,
-            absorber_edge: absorber,
-            repeater,
-            slept_wh_day: 1.0,
-            absorber_delta_wh_day: 0.5,
-            net_wh_day: 0.5,
-            absorbed_demand_tph: 8.0,
-            margin_cost_db: 0.0,
-        };
-        let canonical = vec![
-            decision(0, None, 0, 1),
-            decision(0, None, 0, 2),
-            decision(0, None, 1, 0),
-            decision(0, Some(0), 0, 0),
-            decision(0, Some(3), 2, 2),
-            decision(1, None, 4, 3),
-            decision(2, Some(1), 5, 5),
-        ];
-        // boundary throats (rank 0) order before interior repeater k
-        // (rank k + 1) at the same station
-        assert!(decision(0, None, 9, 9).sort_key() < decision(0, Some(0), 0, 0).sort_key());
-        for rotation in 0..canonical.len() {
-            let mut shuffled = canonical.clone();
-            shuffled.rotate_left(rotation);
-            shuffled.reverse();
-            shuffled.sort_by_key(SleepDecision::sort_key);
-            assert_eq!(shuffled, canonical, "rotation {rotation}");
-        }
     }
 }

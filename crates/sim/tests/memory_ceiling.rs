@@ -10,6 +10,7 @@
 //! per-cell state — rows, results, an unbounded memo — the budget trips.
 
 use corridor_core::sink::{DigestSink, RowFormat};
+use corridor_power::catalog;
 use corridor_sim::{PowerProfile, ScenarioGrid, SweepEngine};
 use corridor_solar::climate;
 
@@ -51,7 +52,14 @@ fn huge_grid_streams_within_a_flat_memory_budget() {
         .train_lengths_m(axis(n_len, 200.0, 200.0))
         .lp_spacings_m(axis(n_spacing, 150.0, 10.0))
         .conventional_isds_m(axis(n_isd, 450.0, 25.0))
-        .power_profiles(vec![PowerProfile::paper(), PowerProfile::earth_fit()])
+        .power_profiles(vec![
+            PowerProfile::paper(),
+            PowerProfile::custom(
+                "earth-fit",
+                catalog::high_power_mast(),
+                catalog::low_power_repeater(),
+            ),
+        ])
         .locations(vec![
             climate::madrid(),
             climate::berlin(),

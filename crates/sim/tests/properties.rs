@@ -2,6 +2,7 @@
 
 use corridor_core::energy::{self, SegmentEnergy};
 use corridor_core::{experiments, EnergyStrategy, ScenarioParams};
+use corridor_power::catalog;
 use corridor_sim::{PowerProfile, ScenarioGrid, SweepEngine};
 use corridor_solar::climate;
 use corridor_units::Watts;
@@ -31,7 +32,12 @@ proptest! {
         n_profile in 1usize..=2,
         n_location in 1usize..=2,
     ) {
-        let profiles = [PowerProfile::paper(), PowerProfile::earth_fit()];
+        let earth_fit = PowerProfile::custom(
+            "earth-fit",
+            catalog::high_power_mast(),
+            catalog::low_power_repeater(),
+        );
+        let profiles = [PowerProfile::paper(), earth_fit];
         let locations = [climate::madrid(), climate::berlin()];
         let grid = ScenarioGrid::new()
             .trains_per_hour(take(TPH, n_tph))

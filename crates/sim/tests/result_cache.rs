@@ -11,10 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use corridor_core::sink::{RowFormat, StringSink};
 use corridor_sim::{
     DeploymentOptimizer, McEngine, ReplicationPlan, ResultCache, ScenarioGrid, SearchSpace,
-    SweepEngine, WakePolicy,
+    SweepEngine,
 };
 use corridor_solar::climate;
-use corridor_units::{Db, Meters, Seconds};
+use corridor_units::{Db, Meters};
 use proptest::prelude::*;
 
 /// A fresh cache directory per test (and per proptest case), cleaned
@@ -154,16 +154,6 @@ fn mc_seed_and_policy_changes_invalidate_everything() {
     let reseeded = ReplicationPlan::new(3).master_seed(8);
     let (_, summary) = run(&engine, &reseeded, Some(&cache));
     assert_eq!((summary.cache_hits, summary.cache_misses), (0, 4));
-
-    // so is a new wake policy
-    let repoliced = McEngine::new().workers(2).wake_policy(WakePolicy::new(
-        Seconds::new(40.0),
-        Seconds::new(1.0),
-        Seconds::new(12.0),
-    ));
-    let (bytes, summary) = run(&repoliced, &plan, Some(&cache));
-    assert_eq!((summary.cache_hits, summary.cache_misses), (0, 4));
-    assert_eq!(bytes, run(&repoliced, &plan, None).0);
 
     let _ = fs::remove_dir_all(&dir);
 }

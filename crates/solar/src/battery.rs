@@ -68,34 +68,6 @@ impl Battery {
         }
     }
 
-    /// Overrides the discharge cutoff fraction (state of charge below
-    /// which the battery refuses to discharge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1)`.
-    #[must_use]
-    pub fn with_cutoff_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..1.0).contains(&fraction), "cutoff must be in [0, 1)");
-        self.cutoff_fraction = fraction;
-        self.soc = self.soc.max(self.min_soc());
-        self
-    }
-
-    /// Overrides both conversion efficiencies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an efficiency is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_efficiencies(mut self, charge: f64, discharge: f64) -> Self {
-        assert!(charge > 0.0 && charge <= 1.0, "charge efficiency");
-        assert!(discharge > 0.0 && discharge <= 1.0, "discharge efficiency");
-        self.charge_efficiency = charge;
-        self.discharge_efficiency = discharge;
-        self
-    }
-
     /// Nominal capacity.
     pub fn capacity(&self) -> WattHours {
         self.capacity
@@ -111,12 +83,8 @@ impl Battery {
         self.capacity * self.cutoff_fraction
     }
 
-    /// Usable energy above the cutoff when full.
-    pub fn usable_capacity(&self) -> WattHours {
-        self.capacity - self.min_soc()
-    }
-
     /// Current state of charge.
+    // corridor-lint: allow(unused-pub, reason = "battery::tests (discharge_stops_at_cutoff, round_trip_efficiency) and tests/properties.rs (battery_invariants, battery_energy_conservation) read the charge that the live step() leaves")
     pub fn state_of_charge(&self) -> WattHours {
         self.soc
     }
@@ -189,7 +157,6 @@ mod tests {
         let b = Battery::paper_default();
         assert_eq!(b.capacity(), wh(720.0));
         assert_eq!(b.min_soc(), wh(288.0));
-        assert_eq!(b.usable_capacity(), wh(432.0));
         assert!(b.is_full());
     }
 
@@ -234,17 +201,6 @@ mod tests {
         assert!(b.is_full());
         assert_eq!(step.unmet, WattHours::ZERO);
         assert_eq!(step.curtailed, WattHours::ZERO);
-    }
-
-    #[test]
-    fn lossless_battery() {
-        let mut b = Battery::with_capacity(wh(1000.0))
-            .with_efficiencies(1.0, 1.0)
-            .with_cutoff_fraction(0.0);
-        b.step(WattHours::ZERO, wh(600.0));
-        assert_eq!(b.state_of_charge(), wh(400.0));
-        b.step(wh(600.0), WattHours::ZERO);
-        assert!(b.is_full());
     }
 
     #[test]

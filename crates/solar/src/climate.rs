@@ -116,18 +116,6 @@ impl Location {
         self.monthly_temp_c[Self::month_of_doy(doy)]
     }
 
-    /// Annual irradiation (kWh/m²/year) implied by the normals.
-    pub fn annual_ghi_kwh_m2(&self) -> f64 {
-        const DAYS: [f64; 12] = [
-            31.0, 28.0, 31.0, 30.0, 31.0, 30.0, 31.0, 31.0, 30.0, 31.0, 30.0, 31.0,
-        ];
-        self.monthly_ghi_kwh_m2_day
-            .iter()
-            .zip(DAYS)
-            .map(|(g, d)| g * d)
-            .sum()
-    }
-
     /// Month index (0..=11) of a day of year (1..=365; days beyond 365
     /// clamp to December).
     pub fn month_of_doy(doy: u32) -> usize {
@@ -226,9 +214,19 @@ mod tests {
     #[test]
     fn annual_totals_in_published_ballpark() {
         // public normals: Madrid ~1650-1850, Berlin ~1000-1100 kWh/m²/year
-        let madrid = madrid().annual_ghi_kwh_m2();
+        const DAYS: [f64; 12] = [
+            31.0, 28.0, 31.0, 30.0, 31.0, 30.0, 31.0, 31.0, 30.0, 31.0, 30.0, 31.0,
+        ];
+        let annual = |loc: &Location| -> f64 {
+            loc.monthly_ghi_kwh_m2_day()
+                .iter()
+                .zip(DAYS)
+                .map(|(g, d)| g * d)
+                .sum()
+        };
+        let madrid = annual(&madrid());
         assert!((1550.0..1900.0).contains(&madrid), "Madrid {madrid}");
-        let berlin = berlin().annual_ghi_kwh_m2();
+        let berlin = annual(&berlin());
         assert!((950.0..1200.0).contains(&berlin), "Berlin {berlin}");
     }
 

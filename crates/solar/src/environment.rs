@@ -21,7 +21,7 @@
 //!   per hour).
 //!
 //! So a site's seed years share one geometry computation. Every value
-//! goes through the same [`SolarGeometry`], [`ClearSky`] and
+//! goes through the same [`SolarGeometry`], `ClearSky` and
 //! [`Transposition`] arithmetic, in the same order, as a direct
 //! per-hour transposition, so the cached years are bit-identical to it
 //! (pinned against a verbatim copy of the direct computation by the
@@ -34,7 +34,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::{ClearSky, Location, OffGridSystem, SolarGeometry, Transposition, WeatherGenerator};
+use crate::clearsky::ClearSky;
+use crate::{Location, OffGridSystem, SolarGeometry, Transposition, WeatherGenerator};
 
 /// One precomputed weather year at a site and mounting: every
 /// environmental input of [`OffGridSystem::simulate_year`] that does not
@@ -58,7 +59,7 @@ struct SkyTable {
     /// Beam ratio per hour of year ([`Transposition::beam_ratio`]).
     rb: Vec<f64>,
     /// Clear-sky irradiation (Wh/m²) per day: the sum of the day's
-    /// `clear_ghi`, as [`ClearSky::daily_ghi_wh_m2`] integrates it.
+    /// `clear_ghi`.
     clear_daily: Vec<f64>,
     /// The plane's sky- and ground-view factors.
     views: (f64, f64),

@@ -60,29 +60,10 @@ impl SolarGeometry {
         self.sun_day(doy).elevation_deg(hour)
     }
 
-    /// Solar zenith angle (degrees): `90 − elevation`.
-    pub fn zenith_deg(&self, doy: u32, hour: f64) -> f64 {
-        90.0 - self.elevation_deg(doy, hour)
-    }
-
     /// Solar azimuth (degrees from south, west positive).
     pub fn azimuth_deg(&self, doy: u32, hour: f64) -> f64 {
         let day = self.sun_day(doy);
         day.azimuth_deg(hour, day.elevation_deg(hour))
-    }
-
-    /// Sunrise hour angle magnitude (degrees); 0 for polar night, 180 for
-    /// polar day.
-    pub fn sunrise_hour_angle_deg(&self, doy: u32) -> f64 {
-        let lat = self.latitude_deg.to_radians();
-        let dec = Self::declination_deg(doy).to_radians();
-        let cos_ws = -lat.tan() * dec.tan();
-        cos_ws.clamp(-1.0, 1.0).acos().to_degrees()
-    }
-
-    /// Day length in hours.
-    pub fn day_length_hours(&self, doy: u32) -> f64 {
-        2.0 * self.sunrise_hour_angle_deg(doy) / 15.0
     }
 
     /// Cosine of the angle of incidence on a tilted plane.
@@ -215,18 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn day_length_seasonal_ordering() {
-        let berlin = SolarGeometry::at_latitude(BERLIN);
-        let madrid = SolarGeometry::at_latitude(MADRID);
-        // Berlin summers are longer, winters shorter
-        assert!(berlin.day_length_hours(172) > madrid.day_length_hours(172));
-        assert!(berlin.day_length_hours(355) < madrid.day_length_hours(355));
-        // Berlin mid-winter day is short but not polar night
-        let winter = berlin.day_length_hours(355);
-        assert!(winter > 7.0 && winter < 9.0, "got {winter}");
-    }
-
-    #[test]
     fn vertical_south_plane_sees_winter_sun_well() {
         let geo = SolarGeometry::at_latitude(BERLIN);
         // low winter sun hits a vertical south plane at near-normal incidence
@@ -242,13 +211,6 @@ mod tests {
         assert_eq!(geo.incidence_cosine(100, 0.0, 90.0, 0.0), 0.0);
         // north-facing vertical plane at noon sees nothing
         assert_eq!(geo.incidence_cosine(100, 12.0, 90.0, 180.0), 0.0);
-    }
-
-    #[test]
-    fn zenith_complements_elevation() {
-        let geo = SolarGeometry::at_latitude(MADRID);
-        let e = geo.elevation_deg(150, 10.0);
-        assert!((geo.zenith_deg(150, 10.0) + e - 90.0).abs() < 1e-12);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! built from
 //!
 //! * [`SolarGeometry`] — declination, hour angle, elevation/azimuth;
-//! * [`ClearSky`] — the Haurwitz clear-sky model, scaled by per-month
+//! * the Haurwitz clear-sky model, scaled by per-month
 //!   clearness indices from embedded climate normals ([`Location`],
 //!   [`climate`]);
 //! * [`WeatherGenerator`] — seeded day-to-day clearness variability (the
@@ -54,7 +54,6 @@ mod transposition;
 mod weather;
 
 pub use battery::{Battery, BatteryStep};
-pub use clearsky::ClearSky;
 pub use climate::Location;
 pub use geometry::SolarGeometry;
 pub use load::DailyLoadProfile;

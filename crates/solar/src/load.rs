@@ -49,15 +49,8 @@ impl DailyLoadProfile {
         DailyLoadProfile { hourly }
     }
 
-    /// A flat profile drawing `power` around the clock.
-    pub fn constant(power: Watts) -> Self {
-        assert!(power.value() >= 0.0, "power must be non-negative");
-        DailyLoadProfile {
-            hourly: [power; 24],
-        }
-    }
-
     /// A profile from explicit hourly powers.
+    // corridor-lint: allow(unused-pub, reason = "tests/cross_crate.rs::traffic_to_solar_pipeline sizes a traffic-derived hourly load with the live OffGridSystem::simulate_year; solar's own tests build flat loads with it")
     pub fn from_hourly(hourly: [Watts; 24]) -> Self {
         assert!(
             hourly.iter().all(|p| p.value() >= 0.0),
@@ -127,8 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn constant_profile() {
-        let load = DailyLoadProfile::constant(Watts::new(10.0));
+    fn flat_profile() {
+        let load = DailyLoadProfile::from_hourly([Watts::new(10.0); 24]);
         assert_eq!(load.daily_energy(), WattHours::new(240.0));
         assert_eq!(load.average_power(), Watts::new(10.0));
     }
@@ -146,7 +139,7 @@ mod tests {
 
     #[test]
     fn display() {
-        let load = DailyLoadProfile::constant(Watts::new(5.0));
+        let load = DailyLoadProfile::from_hourly([Watts::new(5.0); 24]);
         assert_eq!(load.to_string(), "daily load 120.00 Wh (avg 5.00 W)");
     }
 

@@ -252,11 +252,6 @@ impl OffGridSystem {
         }
         stats
     }
-
-    /// Simulates several seeded years and returns the per-year stats.
-    pub fn simulate_years(&self, seeds: &[u64]) -> Vec<YearStats> {
-        seeds.iter().map(|&s| self.simulate_year(s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -352,9 +347,6 @@ mod tests {
     fn reproducible_per_seed() {
         let sys = system(climate::vienna(), 3, 720.0);
         assert_eq!(sys.simulate_year(4), sys.simulate_year(4));
-        let multi = sys.simulate_years(&[1, 2, 3]);
-        assert_eq!(multi.len(), 3);
-        assert_eq!(multi[0], sys.simulate_year(1));
     }
 
     #[test]

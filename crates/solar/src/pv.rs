@@ -120,21 +120,6 @@ impl PvArray {
         }
     }
 
-    /// Overrides the balance-of-system efficiency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `efficiency` is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_system_efficiency(mut self, efficiency: f64) -> Self {
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "efficiency must be in (0, 1]"
-        );
-        self.system_efficiency = efficiency;
-        self
-    }
-
     /// The module type.
     pub fn module(&self) -> &PvModule {
         &self.module
@@ -217,10 +202,10 @@ mod tests {
 
     #[test]
     fn system_losses_applied() {
-        let lossless = PvArray::standard_modules(1).with_system_efficiency(1.0);
-        let lossy = PvArray::standard_modules(1);
-        let ratio = lossy.output_power_w(500.0, 10.0) / lossless.output_power_w(500.0, 10.0);
-        assert!((ratio - 0.86).abs() < 1e-9);
+        // the 0.86 balance-of-system factor rides on every array's output
+        let array = PvArray::standard_modules(1).output_power_w(500.0, 10.0);
+        let module = PvModule::standard_180wp().dc_power_w(500.0, 10.0);
+        assert!((array - module * 0.86).abs() < 1e-9);
     }
 
     #[test]

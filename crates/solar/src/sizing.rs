@@ -110,7 +110,7 @@ impl fmt::Display for PvSizing {
 /// A failing candidate stops at its first downtime day and skips its
 /// remaining seed years: its stats would be thrown away. The winner ran
 /// every seed year in full, so its [`PvSizing::stats`] equal
-/// [`OffGridSystem::simulate_years`] over the seeds.
+/// [`OffGridSystem::simulate_year`] over each seed.
 ///
 /// # Examples
 ///
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn impossible_load_returns_none() {
         // a kilowatt-class load cannot be served by ≤720 Wp
-        let heavy = DailyLoadProfile::constant(corridor_units::Watts::new(1000.0));
+        let heavy = DailyLoadProfile::from_hourly([corridor_units::Watts::new(1000.0); 24]);
         assert!(size_for_zero_downtime(climate::madrid(), heavy, &options()).is_none());
     }
 

@@ -38,9 +38,6 @@ impl WeatherGenerator {
     /// Default relative day-to-day variability (fraction of the monthly
     /// normal).
     pub const DEFAULT_VARIABILITY: f64 = 0.95;
-    /// Fallback first-order persistence of the weather anomaly (sites
-    /// carry their own via [`Location::overcast_persistence`]).
-    pub const DEFAULT_PERSISTENCE: f64 = 0.75;
     /// Multiplier floor: thick overcast still transmits some diffuse light.
     pub const MIN_MULTIPLIER: f64 = 0.10;
     /// Multiplier ceiling: an exceptionally clear day relative to the mean.

@@ -25,7 +25,11 @@ fn oracle(location: Location, load: DailyLoadProfile, options: &SizingOptions) -
                 Battery::with_capacity(battery_capacity),
                 load.clone(),
             );
-            let stats = system.simulate_years(&options.seeds);
+            let stats: Vec<_> = options
+                .seeds
+                .iter()
+                .map(|&seed| system.simulate_year(seed))
+                .collect();
             if stats.iter().all(|s| s.downtime_days() == 0) {
                 return Some(PvSizing {
                     pv: *pv,

@@ -93,13 +93,9 @@ impl ActivityTimeline {
         self.total_active().hours()
     }
 
-    /// True if the node is active at time `t`.
-    pub fn is_active_at(&self, t: Seconds) -> bool {
-        self.intervals.iter().any(|(s, e)| *s <= t && t <= *e)
-    }
-
     /// Total active time within the clock window `[from, to]` (used to
     /// build hourly load profiles for the solar simulation).
+    // corridor-lint: allow(unused-pub, reason = "tests/cross_crate.rs::traffic_to_solar_pipeline builds the hourly load it sizes with OffGridSystem::simulate_year from it, and crates/events/tests/clipping.rs clips its analytic reference with it")
     pub fn active_within(&self, from: Seconds, to: Seconds) -> Seconds {
         self.intervals
             .iter()
@@ -183,9 +179,6 @@ mod tests {
     #[test]
     fn activity_queries() {
         let t = ActivityTimeline::from_intervals([(sec(10.0), sec(20.0))]);
-        assert!(t.is_active_at(sec(15.0)));
-        assert!(t.is_active_at(sec(10.0)));
-        assert!(!t.is_active_at(sec(25.0)));
         assert_eq!(t.active_within(sec(0.0), sec(15.0)), sec(5.0));
         assert_eq!(t.active_within(sec(12.0), sec(18.0)), sec(6.0));
         assert_eq!(t.active_within(sec(30.0), sec(40.0)), Seconds::ZERO);
@@ -196,7 +189,6 @@ mod tests {
         let t = ActivityTimeline::default();
         assert!(t.is_empty());
         assert_eq!(t.total_active(), Seconds::ZERO);
-        assert!(!t.is_active_at(sec(0.0)));
     }
 
     #[test]

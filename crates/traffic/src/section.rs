@@ -117,18 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_consistent_with_overlap_predicate() {
-        let pass = TrainPass::new(Train::paper_default(), Seconds::new(100.0));
-        let s = TrackSection::new(Meters::new(300.0), Meters::new(800.0));
-        let (enter, exit) = s.occupancy(&pass);
-        let eps = Seconds::new(0.01);
-        assert!(pass.overlaps(s.start(), s.end(), enter + eps));
-        assert!(pass.overlaps(s.start(), s.end(), exit - eps));
-        assert!(!pass.overlaps(s.start(), s.end(), enter - eps));
-        assert!(!pass.overlaps(s.start(), s.end(), exit + eps));
-    }
-
-    #[test]
     fn zero_length_section_occupied_for_train_pass_time() {
         let pass = TrainPass::new(Train::paper_default(), Seconds::ZERO);
         let point = TrackSection::new(Meters::new(100.0), Meters::new(100.0));

@@ -244,16 +244,6 @@ impl TrafficModel {
         )
     }
 
-    /// Expected trains per day.
-    pub fn mean_trains_per_day(&self) -> f64 {
-        match self {
-            TrafficModel::Deterministic(t) => t.trains_per_day() as f64,
-            TrafficModel::Poisson(p) => p.rate_per_hour() * p.service_window().value(),
-            TrafficModel::Jittered { base, .. } => base.trains_per_day() as f64,
-            TrafficModel::Mixed(m) => m.trains_per_day() as f64,
-        }
-    }
-
     /// A short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -416,13 +406,11 @@ mod tests {
         let det = TrafficModel::Deterministic(Timetable::paper_default());
         assert!(!det.is_stochastic());
         assert_eq!(det.label(), "deterministic");
-        assert_eq!(det.mean_trains_per_day(), 152.0);
         assert_eq!(det.passes(&mut rng(0)), Timetable::paper_default().passes());
 
         let poisson = TrafficModel::Poisson(PoissonTimetable::paper_rate());
         assert!(poisson.is_stochastic());
         assert_eq!(poisson.label(), "poisson");
-        assert_eq!(poisson.mean_trains_per_day(), 152.0);
         assert_eq!(poisson.passes(&mut rng(5)), poisson.passes(&mut rng(5)));
 
         let jittered = TrafficModel::Jittered {
@@ -431,12 +419,10 @@ mod tests {
         };
         assert!(jittered.is_stochastic());
         assert_eq!(jittered.label(), "jittered");
-        assert_eq!(jittered.mean_trains_per_day(), 152.0);
 
         let mixed = TrafficModel::Mixed(MixedTimetable::paper_mixed());
         assert!(!mixed.is_stochastic());
         assert_eq!(mixed.label(), "mixed");
-        assert_eq!(mixed.mean_trains_per_day(), 152.0);
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl Train {
     pub fn speed(&self) -> MetersPerSecond {
         self.speed
     }
-
-    /// Time for the whole train to clear a section of the given length:
-    /// `(section + length) / v` — the paper's full-load duration per train.
-    pub fn time_to_clear(&self, section_length: Meters) -> Seconds {
-        (section_length + self.length) / self.speed
-    }
 }
 
 impl Default for Train {
@@ -84,8 +78,9 @@ impl fmt::Display for Train {
 /// use corridor_units::{Meters, Seconds};
 ///
 /// let pass = TrainPass::new(Train::paper_default(), Seconds::new(3600.0));
-/// let head = pass.head_position(Seconds::new(3610.0));
-/// assert!((head.value() - 555.6).abs() < 0.1);
+/// // at 200 km/h the head is 555.6 m down the track 10 s later
+/// let arrival = pass.head_reaches(Meters::new(555.6));
+/// assert!((arrival.value() - 3610.0).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -110,17 +105,6 @@ impl TrainPass {
         self.origin_time
     }
 
-    /// Position of the train head at time `t` (may be negative before the
-    /// train reaches the origin).
-    pub fn head_position(&self, t: Seconds) -> Meters {
-        self.train.speed() * (t - self.origin_time)
-    }
-
-    /// Position of the train tail at time `t`.
-    pub fn tail_position(&self, t: Seconds) -> Meters {
-        self.head_position(t) - self.train.length()
-    }
-
     /// Time at which the head reaches track position `x`.
     pub fn head_reaches(&self, x: Meters) -> Seconds {
         self.origin_time + x / self.train.speed()
@@ -129,13 +113,6 @@ impl TrainPass {
     /// Time at which the tail clears track position `x`.
     pub fn tail_clears(&self, x: Meters) -> Seconds {
         self.origin_time + (x + self.train.length()) / self.train.speed()
-    }
-
-    /// True if any part of the train overlaps `[from, to]` at time `t`.
-    pub fn overlaps(&self, from: Meters, to: Meters, t: Seconds) -> bool {
-        let head = self.head_position(t);
-        let tail = self.tail_position(t);
-        head >= from && tail <= to
     }
 }
 
@@ -155,39 +132,24 @@ mod tests {
     fn clear_times_match_paper_range() {
         let t = Train::paper_default();
         // ISD 500 m -> 16.2 s; ISD 2650 m -> 54.9 s (paper: 16 s – 55 s)
-        assert!((t.time_to_clear(Meters::new(500.0)).value() - 16.2).abs() < 0.01);
-        assert!((t.time_to_clear(Meters::new(2650.0)).value() - 54.9).abs() < 0.01);
+        let clear = |isd: f64| {
+            let section = crate::TrackSection::new(Meters::ZERO, Meters::new(isd));
+            let (enter, exit) = section.occupancy(&TrainPass::new(t, Seconds::ZERO));
+            (exit - enter).value()
+        };
+        assert!((clear(500.0) - 16.2).abs() < 0.01);
+        assert!((clear(2650.0) - 54.9).abs() < 0.01);
     }
 
     #[test]
-    fn head_and_tail_positions() {
-        let pass = TrainPass::new(Train::paper_default(), Seconds::new(100.0));
-        let t = Seconds::new(100.0 + 18.0); // 18 s after origin: 1000 m
-        assert!((pass.head_position(t).value() - 1000.0).abs() < 0.01);
-        assert!((pass.tail_position(t).value() - 600.0).abs() < 0.01);
-        // before origin the head is negative
-        assert!(pass.head_position(Seconds::new(50.0)).value() < 0.0);
-    }
-
-    #[test]
-    fn reach_and_clear_are_inverse_of_position() {
+    fn reach_and_clear_times() {
         let pass = TrainPass::new(Train::paper_default(), Seconds::new(500.0));
         let x = Meters::new(750.0);
+        // 750 m at 200 km/h takes 13.5 s; the 400 m train clears 7.2 s later
         let t_head = pass.head_reaches(x);
-        assert!((pass.head_position(t_head).value() - 750.0).abs() < 1e-9);
+        assert!((t_head.value() - 513.5).abs() < 1e-9);
         let t_tail = pass.tail_clears(x);
-        assert!((pass.tail_position(t_tail).value() - 750.0).abs() < 1e-9);
-        assert!(t_tail > t_head);
-    }
-
-    #[test]
-    fn overlap_window() {
-        let pass = TrainPass::new(Train::paper_default(), Seconds::ZERO);
-        // while head is between 0 and section end + length the train overlaps
-        assert!(pass.overlaps(Meters::ZERO, Meters::new(500.0), Seconds::new(5.0)));
-        assert!(!pass.overlaps(Meters::ZERO, Meters::new(500.0), Seconds::new(-1.0)));
-        // after tail passes 500 m: head at 900 m at t = 16.2 s
-        assert!(!pass.overlaps(Meters::ZERO, Meters::new(500.0), Seconds::new(16.3)));
+        assert!((t_tail.value() - 520.7).abs() < 1e-9);
     }
 
     #[test]

@@ -84,13 +84,6 @@ impl WakeController {
     pub fn uncovered_time(&self) -> Seconds {
         (self.wake_delay - self.lead).max(Seconds::ZERO)
     }
-
-    /// Extra powered (but not yet needed) time per pass caused by the
-    /// barrier lead: `max(0, lead − wake_delay)` of fully operational
-    /// slack plus the wake transition itself.
-    pub fn slack_time(&self) -> Seconds {
-        (self.lead - self.wake_delay).max(Seconds::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +94,6 @@ mod tests {
     fn paper_default_has_no_gap() {
         let ctl = WakeController::paper_default();
         assert_eq!(ctl.uncovered_time(), Seconds::ZERO);
-        assert!((ctl.slack_time().value() - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -110,7 +102,6 @@ mod tests {
         let occ = (Seconds::new(10.0), Seconds::new(20.0));
         assert_eq!(ctl.powered_interval(occ), occ);
         assert_eq!(ctl.uncovered_time(), Seconds::ZERO);
-        assert_eq!(ctl.slack_time(), Seconds::ZERO);
     }
 
     #[test]
@@ -125,7 +116,6 @@ mod tests {
     fn uncovered_when_delay_exceeds_lead() {
         let ctl = WakeController::new(Seconds::new(0.1), Seconds::new(0.5));
         assert!((ctl.uncovered_time().value() - 0.4).abs() < 1e-12);
-        assert_eq!(ctl.slack_time(), Seconds::ZERO);
     }
 
     #[test]

@@ -40,7 +40,8 @@ proptest! {
         let section = TrackSection::new(Meters::ZERO, Meters::new(isd));
         let passes = timetable.passes();
         let activity = ActivityTimeline::for_section(&section, &passes);
-        let per_pass = Train::paper_default().time_to_clear(Meters::new(isd)).value();
+        let (enter, exit) = section.occupancy(&TrainPass::new(Train::paper_default(), Seconds::ZERO));
+        let per_pass = (exit - enter).value();
         let upper = passes.len() as f64 * per_pass;
         prop_assert!(activity.total_active().value() <= upper + 1e-6);
         // headway > per-pass duration implies no merging
@@ -98,15 +99,12 @@ proptest! {
         prop_assert!(((occ.0 - on).value() - lead).abs() < 1e-12);
     }
 
-    /// Uncovered + slack: exactly one of them is nonzero (or both zero).
+    /// The uncovered time is the wake delay beyond the barrier lead.
     #[test]
-    fn uncovered_slack_exclusive(lead in 0.0..5.0f64, delay in 0.0..5.0f64) {
+    fn uncovered_is_the_delay_beyond_the_lead(lead in 0.0..5.0f64, delay in 0.0..5.0f64) {
         let ctl = WakeController::new(Seconds::new(lead), Seconds::new(delay));
         let u = ctl.uncovered_time().value();
-        let s = ctl.slack_time().value();
-        prop_assert!(u >= 0.0 && s >= 0.0);
-        prop_assert!(u == 0.0 || s == 0.0);
-        prop_assert!(((u - s) - (delay - lead)).abs() < 1e-12);
+        prop_assert!((u - (delay - lead).max(0.0)).abs() < 1e-12);
     }
 
     /// A timeline with wake control is a superset in time of the plain one.

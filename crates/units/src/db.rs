@@ -4,8 +4,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use crate::Watts;
-
 /// A relative power ratio expressed in decibels.
 ///
 /// `Db` models gains (positive) and losses (positive values passed to
@@ -145,7 +143,7 @@ impl Sum for Db {
 ///
 /// `Dbm` is an *absolute* quantity; two `Dbm` values cannot be added
 /// (that would be meaningless), but a [`Db`] gain or loss can be applied,
-/// and powers can be combined in the linear domain with [`Dbm::combine`].
+/// and powers can be summed in the linear domain with [`sum_power_dbm`].
 ///
 /// # Examples
 ///
@@ -154,8 +152,9 @@ impl Sum for Db {
 /// let tx = Dbm::new(40.0);            // 10 W EIRP
 /// let rx = tx - Db::new(120.0);        // after 120 dB path loss
 /// assert_eq!(rx.value(), -80.0);
-/// // two equal powers combine to +3.01 dB:
-/// assert!((rx.combine(rx).value() - (-76.99)).abs() < 0.01);
+/// // two equal powers sum to +3.01 dB:
+/// let both = corridor_units::sum_power_dbm([rx, rx]).unwrap();
+/// assert!((both.value() - (-76.99)).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -183,17 +182,6 @@ impl Dbm {
         self.0.total_cmp(&other.0)
     }
 
-    /// Converts an absolute power in watts to dBm.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the power is negative.
-    #[inline]
-    pub fn from_watts(power: Watts) -> Self {
-        debug_assert!(power.value() >= 0.0, "negative power: {power}");
-        Dbm(10.0 * (power.value() * 1e3).log10())
-    }
-
     /// Converts an absolute power in milliwatts to dBm.
     #[inline]
     pub fn from_milliwatts(mw: f64) -> Self {
@@ -205,19 +193,6 @@ impl Dbm {
     #[inline]
     pub fn milliwatts(self) -> f64 {
         10f64.powf(self.0 / 10.0)
-    }
-
-    /// Returns this power in watts.
-    #[inline]
-    pub fn watts(self) -> Watts {
-        Watts::new(self.milliwatts() * 1e-3)
-    }
-
-    /// Combines (sums) two absolute powers in the linear domain.
-    #[inline]
-    #[must_use]
-    pub fn combine(self, other: Dbm) -> Dbm {
-        Dbm::from_milliwatts(self.milliwatts() + other.milliwatts())
     }
 }
 
@@ -320,11 +295,11 @@ mod tests {
 
     #[test]
     fn dbm_watts_round_trip() {
-        let p = Dbm::from_watts(Watts::new(10.0));
+        let p = Dbm::from_milliwatts(10_000.0);
         assert!((p.value() - 40.0).abs() < 1e-12);
-        assert!((p.watts().value() - 10.0).abs() < 1e-12);
+        assert!((p.milliwatts() - 10_000.0).abs() < 1e-9);
         // the paper's HP EIRP: 2500 W = 64 dBm
-        let hp = Dbm::from_watts(Watts::new(2500.0));
+        let hp = Dbm::from_milliwatts(2_500_000.0);
         assert!((hp.value() - 63.98).abs() < 0.01);
     }
 
@@ -337,9 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn dbm_combine_equal_powers_adds_3db() {
+    fn dbm_sum_of_equal_powers_adds_3db() {
         let p = Dbm::new(-100.0);
-        let sum = p.combine(p);
+        let sum = sum_power_dbm([p, p]).unwrap();
         assert!((sum.value() - (-100.0 + 10.0 * 2f64.log10())).abs() < 1e-9);
     }
 

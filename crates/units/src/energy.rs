@@ -44,18 +44,6 @@ impl Watts {
     pub fn total_cmp(&self, other: &Self) -> core::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
-
-    /// Returns the value in kilowatts.
-    #[inline]
-    pub fn kilowatts(self) -> f64 {
-        self.0 / 1e3
-    }
-
-    /// Energy consumed at this power over `duration`.
-    #[inline]
-    pub fn energy_over(self, duration: Hours) -> WattHours {
-        WattHours::new(self.0 * duration.value())
-    }
 }
 
 impl fmt::Display for Watts {
@@ -195,12 +183,6 @@ impl WattHours {
         self.0.total_cmp(&other.0)
     }
 
-    /// Returns the value in kilowatt-hours.
-    #[inline]
-    pub fn kilowatt_hours(self) -> f64 {
-        self.0 / 1e3
-    }
-
     /// Clamps this energy into `[lo, hi]` (useful for battery state of charge).
     #[inline]
     #[must_use]
@@ -310,14 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_over_duration() {
-        assert_eq!(
-            Watts::new(28.38).energy_over(Hours::new(10.0)),
-            WattHours::new(283.8)
-        );
-    }
-
-    #[test]
     fn energy_div_time_is_power() {
         let p = WattHours::new(124.1) / Hours::new(24.0);
         assert!((p.value() - 5.1708).abs() < 1e-3);
@@ -348,11 +322,5 @@ mod tests {
     fn display_formats() {
         assert_eq!(Watts::new(28.375).to_string(), "28.38 W");
         assert_eq!(WattHours::new(124.1).to_string(), "124.10 Wh");
-    }
-
-    #[test]
-    fn kilo_conversions() {
-        assert!((Watts::new(1500.0).kilowatts() - 1.5).abs() < 1e-12);
-        assert!((WattHours::new(1240.0).kilowatt_hours() - 1.24).abs() < 1e-12);
     }
 }

@@ -11,15 +11,15 @@
 //! arithmetic follows RF engineering conventions: adding a [`Db`] gain to a
 //! [`Dbm`] power yields a [`Dbm`] power, subtracting two [`Dbm`] powers
 //! yields a [`Db`] ratio, and combining *powers* is only possible in the
-//! linear domain (see [`Dbm::combine`] and [`sum_power_dbm`]).
+//! linear domain (see [`sum_power_dbm`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use corridor_units::{Db, Dbm, Hertz, Meters, Watts};
+//! use corridor_units::{Db, Dbm, Hertz, Meters};
 //!
 //! // 10 W EIRP expressed in dBm, attenuated by a 60 dB path loss:
-//! let eirp = Dbm::from_watts(Watts::new(10.0));
+//! let eirp = Dbm::from_milliwatts(10_000.0);
 //! let rx = eirp - Db::new(60.0);
 //! assert!((rx.value() - (-20.0)).abs() < 1e-9);
 //!

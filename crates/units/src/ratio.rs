@@ -42,17 +42,6 @@ impl LoadFraction {
         }
     }
 
-    /// Creates a load fraction, clamping `value` into `[0, 1]`
-    /// (NaN becomes zero).
-    #[inline]
-    pub fn saturating(value: f64) -> Self {
-        if value.is_nan() {
-            LoadFraction(0.0)
-        } else {
-            LoadFraction(value.clamp(0.0, 1.0))
-        }
-    }
-
     /// Returns the raw fraction in `[0, 1]`.
     #[inline]
     pub const fn value(self) -> f64 {
@@ -66,12 +55,6 @@ impl LoadFraction {
     #[must_use]
     pub fn total_cmp(&self, other: &Self) -> core::cmp::Ordering {
         self.0.total_cmp(&other.0)
-    }
-
-    /// True if this is exactly zero load (the sleep-eligible state).
-    #[inline]
-    pub fn is_idle(self) -> bool {
-        self.0 == 0.0
     }
 }
 
@@ -121,21 +104,6 @@ mod tests {
         let err = LoadFraction::new(2.0).unwrap_err();
         assert_eq!(err.value(), 2.0);
         assert_eq!(err.to_string(), "load fraction 2 is outside [0, 1]");
-    }
-
-    #[test]
-    fn saturating_clamps() {
-        assert_eq!(LoadFraction::saturating(-1.0), LoadFraction::ZERO);
-        assert_eq!(LoadFraction::saturating(2.0), LoadFraction::FULL);
-        assert_eq!(LoadFraction::saturating(f64::NAN), LoadFraction::ZERO);
-        assert_eq!(LoadFraction::saturating(0.3).value(), 0.3);
-    }
-
-    #[test]
-    fn idle_detection() {
-        assert!(LoadFraction::ZERO.is_idle());
-        assert!(!LoadFraction::FULL.is_idle());
-        assert!(!LoadFraction::new(1e-9).unwrap().is_idle());
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! | module | contents |
 //! |---|---|
 //! | [`units`] | unit-safe quantities (dB, dBm, W, Wh, m, Hz, s) |
-//! | [`propagation`] | calibrated Friis, free-space, log-distance, two-ray, antennas, penetration loss |
+//! | [`propagation`] | calibrated Friis, free-space, log-distance, two-ray, penetration loss |
 //! | [`link`] | NR carrier, RSRP/SNR (paper eq. 2), TR 36.942 throughput, coverage profiles |
 //! | [`power`] | EARTH power model (eq. 3), Table I/II equipment, duty cycles |
 //! | [`traffic`] | timetables, train kinematics, section occupancy, wake control |
+//! | [`fronthaul`] | mmWave donor→node hop budgets; the `fronthaul` golden pins that every paper segment's chain closes |
 //! | [`deploy`] | corridor layout, repeater placement, max-ISD optimization |
 //! | [`solar`] | solar geometry, synthetic weather, PV, battery, off-grid sizing |
 //! | [`experiments`] | one function per table/figure of the paper |
@@ -47,3 +48,28 @@
 #![warn(missing_docs)]
 
 pub use corridor_core::*;
+
+/// The Rust snippets of `README.md`, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
+/// The Rust snippets of `docs/backends.md`.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/backends.md")]
+struct BackendsDoctests;
+
+/// The Rust snippets of `docs/network.md`.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/network.md")]
+struct NetworkDoctests;
+
+/// The Rust snippets of `docs/streaming.md`.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/streaming.md")]
+struct StreamingDoctests;
+
+/// The Rust snippets of `docs/lints.md`.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/lints.md")]
+struct LintsDoctests;

@@ -62,9 +62,8 @@ fn pathloss_families_order_the_isd() {
     let base = IsdOptimizer::new(LinkBudget::paper_default()).with_sample_step(Meters::new(10.0));
     let friis_isd = base.max_isd(2).unwrap();
 
-    // a harsher exponent via a higher equivalent calibration: +6 dB on
-    // both links costs range
-    let harsh_budget = LinkBudget::paper_default().with_calibrations(Db::new(39.0), Db::new(26.0));
+    // a harsher link: a noise floor 6 dB higher costs range
+    let harsh_budget = LinkBudget::paper_default().with_noise_floor(Dbm::new(-126.0));
     let harsh = IsdOptimizer::new(harsh_budget).with_sample_step(Meters::new(10.0));
     let harsh_isd = harsh.max_isd(2).unwrap();
     assert!(harsh_isd < friis_isd);
@@ -132,7 +131,7 @@ fn unit_consistency_end_to_end() {
 #[test]
 fn eirp_chain_matches_paper() {
     let carrier = NrCarrier::paper_100mhz();
-    let eirp = Dbm::from_watts(Watts::new(2500.0));
+    let eirp = Dbm::from_milliwatts(2_500_000.0);
     let rstp = carrier.per_subcarrier(eirp);
     assert!((rstp.value() - 28.8).abs() < 0.05);
     let model = CalibratedFriis::new(Hertz::from_ghz(3.5), Db::new(33.0));

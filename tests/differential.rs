@@ -164,7 +164,7 @@ fn table4_cells_match() {
     let engine = SweepEngine::new().workers(1).pv_sizing(false);
     let analytic = engine.run(&grid).unwrap();
     let simulated = engine
-        .evaluator(Evaluator::event_driven())
+        .evaluator(Evaluator::EventDriven(WakePolicy::instant()))
         .run(&grid)
         .unwrap();
     assert_eq!(analytic.len(), 4);
@@ -198,7 +198,7 @@ fn sweep_backends_agree_under_1_and_8_workers() {
         let engine = SweepEngine::new().workers(workers).pv_sizing(false);
         let analytic = engine.run(&grid).unwrap();
         let simulated = engine
-            .evaluator(Evaluator::event_driven())
+            .evaluator(Evaluator::EventDriven(WakePolicy::instant()))
             .run(&grid)
             .unwrap();
         assert_eq!(analytic.len(), simulated.len());
@@ -231,7 +231,7 @@ fn event_driven_sweep_is_deterministic_across_worker_counts() {
     let grid = mixed_grid();
     let engine = SweepEngine::new()
         .pv_sizing(false)
-        .evaluator(Evaluator::event_driven());
+        .evaluator(Evaluator::EventDriven(WakePolicy::instant()));
     let reference = engine.workers(1).run(&grid).unwrap();
     let eight = engine.workers(8).run(&grid).unwrap();
     assert_eq!(reference.results(), eight.results());

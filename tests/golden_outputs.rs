@@ -61,6 +61,7 @@ golden_test!(table4);
 golden_test!(fig3);
 golden_test!(fig4);
 golden_test!(isd_sweep);
+golden_test!(fronthaul);
 golden_test!(poisson_stats);
 golden_test!(mc_smoke);
 golden_test!(optimize_smoke);

