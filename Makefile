@@ -2,9 +2,9 @@
 
 RUSTDOCFLAGS_STRICT := -D missing_docs -D warnings
 
-.PHONY: ci fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build bench-floors bench-snapshot results
+.PHONY: ci fmt-check clippy lint build test golden differential sim-differential sizing-oracle render-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build bench-floors bench-snapshot results
 
-ci: fmt-check clippy lint build test golden differential sim-differential sizing-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build bench-floors
+ci: fmt-check clippy lint build test golden differential sim-differential sizing-oracle render-oracle mc optimize network-smoke network-differential serve-smoke cache-determinism cli-smoke doc quickstart perfbench-build bench-floors
 
 fmt-check:
 	cargo fmt --all --check
@@ -47,6 +47,15 @@ sim-differential:
 sizing-oracle:
 	cargo test --release -p corridor_solar --test sizing_oracle
 	cargo test --release -p corridor_solar --lib environment
+
+# Fixed-point row writer vs copies of the core::fmt row renderers it
+# replaced (sweep, mc, optimize and network rows, CSV and JSON): same
+# bytes over every cell of mixed-8 and screening-200, over hostile
+# numbers (NaN, ±inf, -0.0, subnormals, exact ties, 2^63 and up) and
+# over engine output, plus a proptest of the writer against core::fmt
+# over arbitrary bit patterns; in release like the served binaries.
+render-oracle:
+	cargo test --release -p corridor_sim --lib report::oracle
 
 # Monte-Carlo smoke: 3-cell grid x 10 replications, byte-diffed against
 # the committed golden (plus the engine's own determinism/convergence suite).

@@ -2,11 +2,14 @@
 
 use core::ops::Range;
 
-use corridor_core::energy::SegmentEnergy;
+use corridor_core::energy::{self, SegmentEnergy};
 use corridor_core::sink::{RowFormat, RowSink};
-use corridor_core::{AnalyticEvaluator, EnergyStrategy, ScenarioError, SegmentEvaluator};
+use corridor_core::{
+    AnalyticEvaluator, EnergyStrategy, ScenarioError, ScenarioParams, SegmentEvaluator,
+};
 use corridor_events::{EventDrivenEvaluator, WakePolicy};
 use corridor_traffic::TrackSection;
+use corridor_units::{Hours, Meters};
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{render_sweep_row, CSV_HEADER};
@@ -43,28 +46,43 @@ impl Evaluator {
     /// Returned in `[baseline, continuous, sleep, solar]` order. The
     /// event-driven backend simulates each geometry once (the state
     /// trace is strategy-independent), so a cell costs two simulated
-    /// days — deployment and conventional baseline — not four.
-    fn splits(&self, cell: &ScenarioCell) -> [SegmentEnergy; 4] {
+    /// days — deployment and conventional baseline — not four. The
+    /// analytic backend likewise looks up each geometry's activity
+    /// hours once, and takes the deployment's service hours from
+    /// `service_active`.
+    fn splits(&self, cell: &ScenarioCell, service_active: Hours) -> [SegmentEnergy; 4] {
         let params = cell.params();
         let baseline_isd = params.conventional_isd();
         match self {
             Evaluator::Analytic => {
-                let at = |n, isd, strategy| {
-                    AnalyticEvaluator.average_power_per_km(params, n, isd, strategy)
+                let hp_active =
+                    |isd| energy::active_hours(params, TrackSection::new(Meters::ZERO, isd));
+                let baseline_hp = hp_active(baseline_isd);
+                let baseline_service =
+                    energy::active_hours(params, service_section(params, baseline_isd));
+                let deployment_hp = hp_active(cell.isd());
+                let at = |strategy| {
+                    energy::split_from_active_hours(
+                        params,
+                        cell.nodes(),
+                        cell.isd(),
+                        strategy,
+                        deployment_hp,
+                        service_active,
+                    )
                 };
                 [
-                    at(0, baseline_isd, EnergyStrategy::SleepModeRepeaters),
-                    at(
-                        cell.nodes(),
-                        cell.isd(),
-                        EnergyStrategy::ContinuousRepeaters,
+                    energy::split_from_active_hours(
+                        params,
+                        0,
+                        baseline_isd,
+                        EnergyStrategy::SleepModeRepeaters,
+                        baseline_hp,
+                        baseline_service,
                     ),
-                    at(cell.nodes(), cell.isd(), EnergyStrategy::SleepModeRepeaters),
-                    at(
-                        cell.nodes(),
-                        cell.isd(),
-                        EnergyStrategy::SolarPoweredRepeaters,
-                    ),
+                    at(EnergyStrategy::ContinuousRepeaters),
+                    at(EnergyStrategy::SleepModeRepeaters),
+                    at(EnergyStrategy::SolarPoweredRepeaters),
                 ]
             }
             Evaluator::EventDriven(policy) => {
@@ -291,9 +309,16 @@ impl SweepEngine {
 
     /// [`SweepEngine::evaluate`] through the run's sizing memo.
     fn evaluate_with(&self, cell: &ScenarioCell, sizing: &SizingMemo) -> CellResult {
-        let [baseline, continuous, sleep, solar] = self.evaluator.splits(cell);
+        let params = cell.params();
+        // the deployment's service-node hours drive both the analytic
+        // split and the PV load: one memo lookup serves the two
+        let service_active = energy::active_hours(params, service_section(params, cell.isd()));
+        let [baseline, continuous, sleep, solar] = self.evaluator.splits(cell, service_active);
         let pv = if self.pv_sizing {
-            size_repeater_pv(cell, sizing)
+            sizing.size(
+                cell.location(),
+                repeater_load(params, service_active.value()),
+            )
         } else {
             PvOutcome::Skipped
         };
@@ -309,16 +334,14 @@ impl SweepEngine {
     }
 }
 
-/// Sizes the off-grid PV system of one service repeater at the cell's
-/// deployment ISD: the node sleeps through the night pause and serves
-/// train bursts during the service window (the paper's Table IV
-/// methodology, generalized to the given timetable, equipment and
-/// deployment geometry).
-fn size_repeater_pv(cell: &ScenarioCell, sizing: &SizingMemo) -> PvOutcome {
-    let params = cell.params();
-    let section = TrackSection::around(cell.isd() / 2.0, params.lp_spacing());
-    let active_h = corridor_core::energy::active_hours(params, section).value();
-    sizing.size(cell.location(), repeater_load(params, active_h))
+/// The coverage section of the service repeater in the middle of an
+/// `isd`-long segment. Its occupancy also sizes the off-grid PV system
+/// of one service repeater at that ISD: the node sleeps through the
+/// night pause and serves train bursts during the service window (the
+/// paper's Table IV methodology, generalized to the given timetable,
+/// equipment and deployment geometry).
+fn service_section(params: &ScenarioParams, isd: Meters) -> TrackSection {
+    TrackSection::around(isd / 2.0, params.lp_spacing())
 }
 
 impl Default for SweepEngine {
@@ -538,9 +561,11 @@ mod tests {
         for index in 0..64 {
             let cell = job.cell(index).expect("valid cell");
             let params = cell.params();
-            let section = TrackSection::around(cell.isd() / 2.0, params.lp_spacing());
-            let active_h = corridor_core::energy::active_hours(params, section).value();
-            let key = (cell.location().clone(), repeater_load(params, active_h));
+            let active_h = energy::active_hours(params, service_section(params, cell.isd()));
+            let key = (
+                cell.location().clone(),
+                repeater_load(params, active_h.value()),
+            );
             if !keys.contains(&key) {
                 keys.push(key);
             }

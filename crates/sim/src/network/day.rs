@@ -25,10 +25,8 @@ use corridor_units::{Hours, KilometersPerHour, Meters};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use core::fmt::Write as _;
-
 use crate::optimize::FrontierPoint;
-use crate::report::{csv_field, json_string};
+use crate::report::{csv_field, json_string, push_fixed, push_plain, push_uint};
 use crate::stream::{self, CellJob, StreamSummary};
 use crate::ScenarioCell;
 
@@ -497,51 +495,70 @@ impl CellJob for DayJob<'_> {
 }
 
 /// Renders one edge's day row in the requested format.
-fn render_day_row(
+pub(crate) fn render_day_row(
     net: &CorridorNetwork,
     s: &EdgeDayStats,
     reps: usize,
     format: RowFormat,
 ) -> String {
+    let numbers = [
+        (s.mean_wh_day, 3),
+        (s.ci95_wh_day, 3),
+        (s.mean_passes, 2),
+        (s.mean_wakes, 2),
+    ];
     match format {
         RowFormat::Csv => {
             let mut out = String::with_capacity(128);
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{:.0},{},{:.3},{:.3},{:.2},{:.2}",
-                s.edge,
-                csv_field(net.edge_name(s.edge)),
-                s.demand_tph,
-                s.routes,
-                s.nodes,
-                s.isd_m,
-                reps,
-                s.mean_wh_day,
-                s.ci95_wh_day,
-                s.mean_passes,
-                s.mean_wakes,
-            );
+            push_uint(&mut out, s.edge as u64);
+            out.push(',');
+            csv_field(&mut out, net.edge_name(s.edge));
+            out.push(',');
+            push_plain(&mut out, s.demand_tph);
+            out.push(',');
+            push_uint(&mut out, s.routes as u64);
+            out.push(',');
+            push_uint(&mut out, s.nodes as u64);
+            out.push(',');
+            push_fixed(&mut out, s.isd_m, 0);
+            out.push(',');
+            push_uint(&mut out, reps as u64);
+            for (v, decimals) in numbers {
+                out.push(',');
+                push_fixed(&mut out, v, decimals);
+            }
+            out.push('\n');
             out
         }
         RowFormat::Json => {
             let mut out = String::with_capacity(256);
-            let _ = write!(
-                out,
-                "  {{\"edge\": {}, \"edge_name\": {}, \"demand_tph\": {}, \"routes\": {}, \
-                 \"nodes\": {}, \"isd_m\": {:.0}, \"reps\": {}, \"mean_wh_day\": {:.3}, \
-                 \"ci95_wh_day\": {:.3}, \"mean_passes\": {:.2}, \"mean_wakes\": {:.2}}}",
-                s.edge,
-                json_string(net.edge_name(s.edge)),
-                s.demand_tph,
-                s.routes,
-                s.nodes,
-                s.isd_m,
-                reps,
-                s.mean_wh_day,
-                s.ci95_wh_day,
-                s.mean_passes,
-                s.mean_wakes,
-            );
+            out.push_str("  {\"edge\": ");
+            push_uint(&mut out, s.edge as u64);
+            out.push_str(", \"edge_name\": ");
+            json_string(&mut out, net.edge_name(s.edge));
+            out.push_str(", \"demand_tph\": ");
+            push_plain(&mut out, s.demand_tph);
+            out.push_str(", \"routes\": ");
+            push_uint(&mut out, s.routes as u64);
+            out.push_str(", \"nodes\": ");
+            push_uint(&mut out, s.nodes as u64);
+            out.push_str(", \"isd_m\": ");
+            push_fixed(&mut out, s.isd_m, 0);
+            out.push_str(", \"reps\": ");
+            push_uint(&mut out, reps as u64);
+            for (key, (v, decimals)) in [
+                ", \"mean_wh_day\": ",
+                ", \"ci95_wh_day\": ",
+                ", \"mean_passes\": ",
+                ", \"mean_wakes\": ",
+            ]
+            .into_iter()
+            .zip(numbers)
+            {
+                out.push_str(key);
+                push_fixed(&mut out, v, decimals);
+            }
+            out.push('}');
             out
         }
     }

@@ -21,7 +21,7 @@
 //! [`DeploymentOptimizer`](crate::DeploymentOptimizer)'s over the same
 //! cells — pinned by the differential tests.
 
-mod day;
+pub(crate) mod day;
 mod graph;
 mod schedule;
 
@@ -33,7 +33,6 @@ pub use schedule::SleepDecision;
 
 use corridor_core::margin::MarginModel;
 
-use core::fmt::Write as _;
 use std::sync::Arc;
 
 use corridor_core::sink::{RowEmitter, RowFormat, RowSink, StringSink};
@@ -44,6 +43,7 @@ use crate::optimize::{
     render_optimize_row, shared_cache, CoverageCaches, FrontierPoint, OptimizeCellResult,
     SearchJob, SearchSpace, OPTIMIZE_CSV_HEADER,
 };
+use crate::report::{csv_field, push_fixed, push_plain, push_uint};
 use crate::stream::{self, StreamSummary};
 use crate::{EvalContext, ScenarioCell};
 
@@ -348,23 +348,32 @@ impl NetworkReport {
         out.push_str(NETWORK_SCHEDULE_CSV_HEADER);
         out.push('\n');
         for d in &self.plan {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{:.3},{:.3},{:.3},{}",
-                d.edge,
-                crate::report::csv_field(self.network.edge_name(d.edge)),
-                d.station,
-                crate::report::csv_field(self.network.station_name(d.station)),
-                d.absorber_edge,
-                crate::report::csv_field(self.network.edge_name(d.absorber_edge)),
-                d.slept_wh_day,
-                d.absorber_delta_wh_day,
-                d.net_wh_day,
-                d.absorbed_demand_tph,
-            );
+            render_schedule_row(&mut out, &self.network, d);
         }
         out
     }
+}
+
+/// Writes one sleep decision as a schedule CSV line.
+pub(crate) fn render_schedule_row(out: &mut String, net: &CorridorNetwork, d: &SleepDecision) {
+    push_uint(out, d.edge as u64);
+    out.push(',');
+    csv_field(out, net.edge_name(d.edge));
+    out.push(',');
+    push_uint(out, d.station as u64);
+    out.push(',');
+    csv_field(out, net.station_name(d.station));
+    out.push(',');
+    push_uint(out, d.absorber_edge as u64);
+    out.push(',');
+    csv_field(out, net.edge_name(d.absorber_edge));
+    for v in [d.slept_wh_day, d.absorber_delta_wh_day, d.net_wh_day] {
+        out.push(',');
+        push_fixed(out, v, 3);
+    }
+    out.push(',');
+    push_plain(out, d.absorbed_demand_tph);
+    out.push('\n');
 }
 
 #[cfg(test)]

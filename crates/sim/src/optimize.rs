@@ -23,7 +23,6 @@
 //! Results land in an [`OptimizeReport`] whose CSV/JSON renderings are
 //! byte-identical no matter how many workers produced them.
 
-use core::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use corridor_core::margin::MarginModel;
@@ -35,7 +34,10 @@ use corridor_traffic::TrackSection;
 use corridor_units::{Db, Meters};
 
 use crate::cache::{KeyBuilder, ResultCache};
-use crate::report::{cell_csv, cell_header, cell_json, csv_field, json_string, pv_csv, pv_json};
+use crate::report::{
+    cell_csv, cell_header, cell_json, csv_field, json_string, push_fixed, push_uint, pv_csv,
+    pv_json,
+};
 use crate::sizing::{repeater_load, SizingMemo};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{EvalContext, PvOutcome, ScenarioCell, ScenarioGrid};
@@ -267,9 +269,9 @@ pub enum CellOutcome {
 /// The evaluated search result of one scenario cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeCellResult {
-    cell: ScenarioCell,
-    evaluated: usize,
-    outcome: CellOutcome,
+    pub(crate) cell: ScenarioCell,
+    pub(crate) evaluated: usize,
+    pub(crate) outcome: CellOutcome,
 }
 
 impl OptimizeCellResult {
@@ -870,26 +872,29 @@ pub(crate) fn render_optimize_row(
         RowFormat::Csv => {
             let mut prefix = String::with_capacity(96);
             cell_csv(&mut prefix, r.cell(), false);
-            let _ = write!(prefix, ",{isd_search}");
+            prefix.push(',');
+            prefix.push_str(isd_search);
             let mut out = String::with_capacity(160 * r.frontier().len().max(1));
             if r.is_unsolvable() {
-                let _ = writeln!(out, "{prefix},unsolvable,-,-,-,-,-,-,-,-,-,-,-,-");
+                out.push_str(&prefix);
+                out.push_str(",unsolvable,-,-,-,-,-,-,-,-,-,-,-,-\n");
                 return out;
             }
             for p in r.frontier() {
-                let _ = write!(
-                    out,
-                    "{prefix},frontier,{},{:.0},{},{},{:.3},{:.4},{:.3},{:.2},{:.3},",
-                    p.nodes,
-                    p.isd.value(),
-                    csv_field(&p.policy),
-                    p.evaluator,
-                    p.energy_wh_day_km,
-                    p.nodes_per_km,
-                    p.margin_db,
-                    p.saving_sleep_pct,
-                    p.repeater_wh_day,
-                );
+                out.push_str(&prefix);
+                out.push_str(",frontier,");
+                push_uint(&mut out, p.nodes as u64);
+                out.push(',');
+                push_fixed(&mut out, p.isd.value(), 0);
+                out.push(',');
+                csv_field(&mut out, &p.policy);
+                out.push(',');
+                out.push_str(p.evaluator);
+                for (v, decimals) in frontier_numbers(p) {
+                    out.push(',');
+                    push_fixed(&mut out, v, decimals);
+                }
+                out.push(',');
                 pv_csv(&mut out, p.pv);
                 out.push('\n');
             }
@@ -899,33 +904,37 @@ pub(crate) fn render_optimize_row(
             let mut out = String::with_capacity(320 * r.frontier().len().max(1));
             out.push_str("  {");
             cell_json(&mut out, r.cell(), false);
-            let _ = write!(
-                out,
-                ", \"isd_search\": {}, \"status\": {}, \"frontier\": [",
-                json_string(isd_search),
-                json_string(if r.is_unsolvable() {
+            out.push_str(", \"isd_search\": ");
+            json_string(&mut out, isd_search);
+            out.push_str(", \"status\": ");
+            json_string(
+                &mut out,
+                if r.is_unsolvable() {
                     "unsolvable"
                 } else {
                     "frontier"
-                }),
+                },
             );
+            out.push_str(", \"frontier\": [");
             for (j, p) in r.frontier().iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}{{\"nodes\": {}, \"isd_m\": {:.0}, \"policy\": {}, \"evaluator\": {}, \
-                     \"energy_wh_day_km\": {:.3}, \"nodes_per_km\": {:.4}, \"margin_db\": {:.3}, \
-                     \"saving_sleep_pct\": {:.2}, \"repeater_wh_day\": {:.3}, ",
-                    if j == 0 { "" } else { ", " },
-                    p.nodes,
-                    p.isd.value(),
-                    json_string(&p.policy),
-                    json_string(p.evaluator),
-                    p.energy_wh_day_km,
-                    p.nodes_per_km,
-                    p.margin_db,
-                    p.saving_sleep_pct,
-                    p.repeater_wh_day,
-                );
+                out.push_str(if j == 0 {
+                    "{\"nodes\": "
+                } else {
+                    ", {\"nodes\": "
+                });
+                push_uint(&mut out, p.nodes as u64);
+                out.push_str(", \"isd_m\": ");
+                push_fixed(&mut out, p.isd.value(), 0);
+                out.push_str(", \"policy\": ");
+                json_string(&mut out, &p.policy);
+                out.push_str(", \"evaluator\": ");
+                json_string(&mut out, p.evaluator);
+                for (key, (v, decimals)) in FRONTIER_JSON_KEYS.into_iter().zip(frontier_numbers(p))
+                {
+                    out.push_str(key);
+                    push_fixed(&mut out, v, decimals);
+                }
+                out.push_str(", ");
                 pv_json(&mut out, p.pv);
                 out.push('}');
             }
@@ -934,6 +943,27 @@ pub(crate) fn render_optimize_row(
         }
     }
 }
+
+/// The five objective numbers of a frontier row, each with its
+/// decimals.
+fn frontier_numbers(p: &FrontierPoint) -> [(f64, usize); 5] {
+    [
+        (p.energy_wh_day_km, 3),
+        (p.nodes_per_km, 4),
+        (p.margin_db, 3),
+        (p.saving_sleep_pct, 2),
+        (p.repeater_wh_day, 3),
+    ]
+}
+
+/// What precedes each of [`frontier_numbers`] in a JSON frontier point.
+const FRONTIER_JSON_KEYS: [&str; 5] = [
+    ", \"energy_wh_day_km\": ",
+    ", \"nodes_per_km\": ",
+    ", \"margin_db\": ",
+    ", \"saving_sleep_pct\": ",
+    ", \"repeater_wh_day\": ",
+];
 
 #[cfg(test)]
 mod tests {
