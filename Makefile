@@ -32,9 +32,10 @@ golden:
 differential:
 	cargo test -q --test differential
 
-# Per-node event loop vs the global heap-queue loop it replaced (proptest
-# oracle, heap-era digests, node independence, non-finite passes), in
-# release so arithmetic runs as it does in the served binaries.
+# Per-node event loop and instant-policy interval sweep vs the global
+# heap-queue loop they replaced (proptest oracle, heap-era digests, node
+# independence, non-finite passes), in release so arithmetic runs as it
+# does in the served binaries.
 sim-differential:
 	cargo test --release -p corridor_events --test sim_differential
 

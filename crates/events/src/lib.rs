@@ -10,7 +10,9 @@
 //!   sorted once and interleaved deterministically with the one wake
 //!   or drain timer the node may have pending (nodes never share state,
 //!   so each runs on its own, and nodes watching the same section share
-//!   one run);
+//!   one run); under [`WakePolicy::instant`] the node's occupancy
+//!   intervals are merged directly instead, with the same trace bits and
+//!   event count;
 //! * a per-node wake state machine ([`NodeState`]: asleep → waking →
 //!   active → drain) parameterized by a [`WakePolicy`] (barrier lead,
 //!   wake latency, guard interval);

@@ -98,7 +98,13 @@ impl SimReport {
     /// numerator of the events/s throughput metric). A drain cancelled
     /// by a new train still counts once, as the no-op expiry a queue
     /// without removal would pop, and a node whose section repeats an
-    /// earlier node's counts that node's events again.
+    /// earlier node's counts that node's events again. Under
+    /// [`WakePolicy::instant`](crate::WakePolicy::instant) no event is
+    /// popped (the simulator merges occupancy intervals instead), and a
+    /// node counts `3 · intervals + 2 · wakes`: its barrier trips,
+    /// entries and exits plus one wake completion and one drain expiry
+    /// per wake, exactly what the event loop pops on that day, so counts
+    /// stay comparable across policies.
     pub fn events_processed(&self) -> usize {
         self.events
     }

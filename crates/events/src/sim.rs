@@ -47,15 +47,38 @@ impl Event {
         self.time < other.time
             || (self.time == other.time && (self.kind as u8) < (other.kind as u8))
     }
+}
 
-    /// [`Event::precedes`] as an [`Ordering`], for `sort_by`.
-    fn firing_order(&self, other: &Event) -> Ordering {
-        if self.precedes(other) {
-            Ordering::Less
-        } else if other.precedes(self) {
-            Ordering::Greater
-        } else {
-            Ordering::Equal
+/// One occupancy interval of a node's section: `(enter, exit)`.
+type Span = (Seconds, Seconds);
+
+/// Sorts `items` stably into the order `precedes` defines. A day's
+/// passes usually arrive sorted by origin, leaving only the local
+/// disorder of overlapping trains, which an insertion pass fixes with a
+/// move or two per pass. Once the moves outnumber the items (passes out
+/// of order, routes concatenated on a network edge, a double-track
+/// day's second direction), the stable `sort_by` takes over, so no
+/// input costs more than O(n log n).
+fn sort_nearly_sorted<T>(items: &mut [T], precedes: impl Fn(&T, &T) -> bool) {
+    let mut budget = items.len();
+    for i in 1..items.len() {
+        let mut j = i;
+        while j > 0 && precedes(&items[j], &items[j - 1]) {
+            if budget == 0 {
+                items.sort_by(|a, b| {
+                    if precedes(a, b) {
+                        Ordering::Less
+                    } else if precedes(b, a) {
+                        Ordering::Greater
+                    } else {
+                        Ordering::Equal
+                    }
+                });
+                return;
+            }
+            budget -= 1;
+            items.swap(j - 1, j);
+            j -= 1;
         }
     }
 }
@@ -96,28 +119,9 @@ impl NodeDay {
         self.stale = 0;
     }
 
-    /// Sorts the staged events into firing order, stably. Passes
-    /// usually arrive sorted by origin, leaving only the local disorder
-    /// of overlapping trains, which an insertion pass fixes with a move
-    /// or two per pass. Once the moves outnumber the events (passes out
-    /// of order, routes concatenated on a network edge, a double-track
-    /// day's second direction), the stable `sort_by` takes over, so no
-    /// input costs more than O(n log n).
+    /// Sorts the staged events into firing order, stably.
     fn seal(&mut self) {
-        let run = &mut self.run;
-        let mut budget = run.len();
-        for i in 1..run.len() {
-            let mut j = i;
-            while j > 0 && run[j].precedes(&run[j - 1]) {
-                if budget == 0 {
-                    run.sort_by(Event::firing_order);
-                    return;
-                }
-                budget -= 1;
-                run.swap(j - 1, j);
-                j -= 1;
-            }
-        }
+        sort_nearly_sorted(&mut self.run, Event::precedes);
     }
 
     /// Schedules a wake or drain timer into the empty slot.
@@ -160,6 +164,20 @@ struct NodeRuntime {
     trace: StateTrace,
 }
 
+impl NodeRuntime {
+    /// A node asleep at `t = 0` with an empty trace over `horizon`.
+    fn asleep(horizon: Seconds) -> Self {
+        NodeRuntime {
+            state: NodeState::Asleep,
+            state_since: Seconds::ZERO,
+            occupancy: 0,
+            expected: 0,
+            occupied_since: Seconds::ZERO,
+            trace: StateTrace::new(horizon),
+        }
+    }
+}
+
 /// Replays a day of train passes through per-node wake state machines.
 ///
 /// Each node watches its [`TrackSection`]; the simulator stages the
@@ -167,7 +185,16 @@ struct NodeRuntime {
 /// the asleep → waking → active → drain machine under a [`WakePolicy`]
 /// over them, and integrates per-state time into a [`StateTrace`]. No
 /// node's state depends on another's, so each node runs on its own, and
-/// nodes watching bit-identical sections share one run. The energy
+/// nodes watching bit-identical sections share one run.
+///
+/// Under [`WakePolicy::instant`] that machine can only power the node
+/// over the union of its occupancy intervals, one wake per connected
+/// stretch, so the simulator skips the events: it sorts the node's
+/// `(enter, exit)` intervals, merges those that overlap or touch, and
+/// bills each merged stretch through the same four state transitions,
+/// at the same clocks and in the same order, as the event loop would.
+/// The traces and event counts are bit-identical to the loop's. Any
+/// other policy runs the event loop. The energy
 /// numbers then come from the same duty-cycle arithmetic as the
 /// closed-form model, so with [`WakePolicy::instant`] the two backends
 /// agree to float precision on deterministic timetables.
@@ -235,8 +262,8 @@ impl CorridorSimulator {
     /// Simulates single-track traffic: every pass sweeps the corridor in
     /// the positive direction.
     pub fn simulate(&self, nodes: &[NodeSpec], passes: &[TrainPass]) -> SimReport {
-        self.run(nodes, passes.len(), |section, day| {
-            self.stage(day, passes.iter().map(|pass| section.occupancy(pass)));
+        self.run(nodes, passes.len(), |section| {
+            passes.iter().map(move |pass| section.occupancy(pass))
         })
     }
 
@@ -257,32 +284,43 @@ impl CorridorSimulator {
         down: &[TrainPass],
         corridor_length: Meters,
     ) -> SimReport {
-        self.run(nodes, up.len() + down.len(), |s, day| {
+        self.run(nodes, up.len() + down.len(), |s| {
             assert!(
                 s.start().value() >= 0.0 && s.end() <= corridor_length,
                 "section {s} extends beyond the corridor"
             );
-            self.stage(day, up.iter().map(|pass| s.occupancy(pass)));
             let mirrored =
                 TrackSection::new(corridor_length - s.end(), corridor_length - s.start());
-            self.stage(day, down.iter().map(|pass| mirrored.occupancy(pass)));
+            let up = up.iter().map(move |pass| s.occupancy(pass));
+            up.chain(down.iter().map(move |pass| mirrored.occupancy(pass)))
         })
     }
 
-    /// The core loop: for each distinct section in turn, `stage` fills
-    /// its day with barrier/enter/exit events, then the node's state
-    /// machine runs over them. A node's trace and event count depend on
-    /// nothing but its section, so a node whose section matches an
-    /// earlier one's bit for bit (the mast and the donor repeaters all
-    /// watch `[0, isd]`) reuses them; `-0.0` and `+0.0` starts do not
-    /// match.
-    fn run(
+    /// The core loop: for each distinct section in turn, `occupancies`
+    /// yields its `(enter, exit)` intervals in pass order, and the ones
+    /// that overlap the horizon make the node's day: merged into powered
+    /// stretches under the instant policy ([`CorridorSimulator::sweep`]),
+    /// staged as barrier/enter/exit events for the state machine under
+    /// any other ([`CorridorSimulator::replay`]). A node's trace and
+    /// event count depend on nothing but its section, so a node whose
+    /// section matches an earlier one's bit for bit (the mast and the
+    /// donor repeaters all watch `[0, isd]`) reuses them; `-0.0` and
+    /// `+0.0` starts do not match.
+    fn run<I>(
         &self,
         nodes: &[NodeSpec],
         passes: usize,
-        mut stage: impl FnMut(TrackSection, &mut NodeDay),
-    ) -> SimReport {
+        mut occupancies: impl FnMut(TrackSection) -> I,
+    ) -> SimReport
+    where
+        I: Iterator<Item = Span>,
+    {
+        let instant = self.policy == WakePolicy::instant();
         let mut day = NodeDay::default();
+        let mut spans: Vec<Span> = Vec::new();
+        if instant {
+            spans.reserve(passes);
+        }
         let mut done: BTreeMap<[u64; 2], (StateTrace, usize)> = BTreeMap::new();
         let mut events = 0usize;
         let reports = nodes
@@ -291,10 +329,22 @@ impl CorridorSimulator {
                 let section = spec.section();
                 let key = [section.start(), section.end()].map(|m| m.value().to_bits());
                 let (trace, count) = *done.entry(key).or_insert_with(|| {
-                    day.clear();
-                    stage(section, &mut day);
-                    day.seal();
-                    self.replay(&mut day)
+                    // only intervals that overlap the horizon power the
+                    // node; every comparison with NaN is false, so NaN
+                    // intervals drop
+                    let live = occupancies(section).filter(|&(enter, exit)| {
+                        exit > enter && exit > Seconds::ZERO && enter < self.horizon
+                    });
+                    if instant {
+                        spans.clear();
+                        live.for_each(|span| spans.push(span));
+                        self.sweep(&mut spans)
+                    } else {
+                        day.clear();
+                        self.stage(&mut day, live);
+                        day.seal();
+                        self.replay(&mut day)
+                    }
                 });
                 events += count;
                 NodeReport::new(spec.kind(), section, trace)
@@ -306,48 +356,99 @@ impl CorridorSimulator {
     /// Runs one node's sealed day through the state machine, returning
     /// its trace and event count.
     fn replay(&self, day: &mut NodeDay) -> (StateTrace, usize) {
-        let mut rt = NodeRuntime {
-            state: NodeState::Asleep,
-            state_since: Seconds::ZERO,
-            occupancy: 0,
-            expected: 0,
-            occupied_since: Seconds::ZERO,
-            trace: StateTrace::new(self.horizon),
-        };
+        let mut rt = NodeRuntime::asleep(self.horizon);
         let mut events = 0usize;
         while let Some(event) = day.pop() {
             events += 1;
             self.handle(&mut rt, event, day);
         }
-        // close the node's final state segment at the horizon
+        (self.close(rt), events + day.stale)
+    }
+
+    /// Runs one node's instant-policy day from its occupancy intervals,
+    /// returning the trace and event count [`CorridorSimulator::replay`]
+    /// would return for the same day.
+    ///
+    /// With lead, wake delay and guard all zero, the loop's wake
+    /// completion at a barrier's time fires after every barrier at that
+    /// time and before every entry (ranks 1 and 2), so no time goes
+    /// uncovered; a drain scheduled at an exit time fires before any
+    /// later event, as nothing of a lower rank is left at that time, so
+    /// none is cancelled; and a barrier sorts before an exit at the same
+    /// time, so intervals that touch share one wake. The node is thus
+    /// powered over each stretch of intervals that overlap or touch,
+    /// from its first entry to its last exit. Sorted by entry (stably,
+    /// as the loop's barriers are), a stretch grows while the next entry
+    /// is `<=` its running maximum exit, and each is billed through the
+    /// four transitions the loop makes ([`CorridorSimulator::power`]).
+    /// The loop pops three staged events per interval and a wake
+    /// completion and a drain expiry per stretch.
+    ///
+    /// Out of line: inlined next to the event loop in `simulate`, it
+    /// made paper-policy days 6–7 % slower in process; out of line, they
+    /// run as before and instant days slightly faster.
+    #[inline(never)]
+    fn sweep(&self, spans: &mut [Span]) -> (StateTrace, usize) {
+        sort_nearly_sorted(spans, |a, b| a.0 < b.0);
+        let mut rt = NodeRuntime::asleep(self.horizon);
+        let mut stretches = 0usize;
+        let mut rest = spans.iter();
+        if let Some(&(mut start, mut end)) = rest.next() {
+            for &(enter, exit) in rest {
+                if enter <= end {
+                    if exit > end {
+                        end = exit;
+                    }
+                } else {
+                    self.power(&mut rt, start, end);
+                    stretches += 1;
+                    (start, end) = (enter, exit);
+                }
+            }
+            self.power(&mut rt, start, end);
+            stretches += 1;
+        }
+        (self.close(rt), 3 * spans.len() + 2 * stretches)
+    }
+
+    /// Bills one powered stretch from a first entry `start` to a last
+    /// exit `end` with the transitions and clocks of the event loop: the
+    /// barrier trip, its wake completion, the last exit and its drain
+    /// expiry.
+    fn power(&self, rt: &mut NodeRuntime, start: Seconds, end: Seconds) {
+        let trip = start - self.policy.lead();
+        self.transition(rt, trip, NodeState::Waking);
+        self.transition(rt, trip + self.policy.wake_delay(), NodeState::Active);
+        self.transition(rt, end, NodeState::Drain);
+        self.transition(rt, end + self.policy.guard(), NodeState::Asleep);
+    }
+
+    /// Closes the node's final state segment at the horizon.
+    fn close(&self, mut rt: NodeRuntime) -> StateTrace {
         let remaining = self.horizon - rt.state_since;
         rt.trace.add(rt.state, remaining);
-        (rt.trace, events + day.stale)
+        rt.trace
     }
 
     /// Stages a barrier trip, entry and exit per occupancy interval into
     /// `day`, in pass order.
-    fn stage(&self, day: &mut NodeDay, occupancies: impl Iterator<Item = (Seconds, Seconds)>) {
-        for (enter, exit) in occupancies {
-            // only intervals that overlap the horizon power the node;
-            // every comparison with NaN is false, so NaN intervals drop
-            if exit > enter && exit > Seconds::ZERO && enter < self.horizon {
-                day.run.extend([
-                    Event {
-                        time: enter - self.policy.lead(),
-                        kind: EventKind::BarrierTrip,
-                    },
-                    Event {
-                        time: enter,
-                        kind: EventKind::TrainEnter,
-                    },
-                    Event {
-                        time: exit,
-                        kind: EventKind::TrainExit,
-                    },
-                ]);
-            }
-        }
+    fn stage(&self, day: &mut NodeDay, occupancies: impl Iterator<Item = Span>) {
+        occupancies.for_each(|(enter, exit)| {
+            day.run.extend([
+                Event {
+                    time: enter - self.policy.lead(),
+                    kind: EventKind::BarrierTrip,
+                },
+                Event {
+                    time: enter,
+                    kind: EventKind::TrainEnter,
+                },
+                Event {
+                    time: exit,
+                    kind: EventKind::TrainExit,
+                },
+            ]);
+        });
     }
 
     /// Transitions `rt` to `next` at clock `t`, billing the elapsed
@@ -626,7 +727,10 @@ mod tests {
         let twin = TrackSection::new(Meters::new(-0.0), nodes[0].section().end());
         nodes.push(NodeSpec::new(NodeKind::DonorRepeater, twin));
         let mut staged = Vec::new();
-        let report = CorridorSimulator::new().run(&nodes, 0, |section, _| staged.push(section));
+        let report = CorridorSimulator::new().run(&nodes, 0, |section| {
+            staged.push(section);
+            std::iter::empty()
+        });
         assert_eq!(report.nodes().len(), 14);
         assert_eq!(staged.len(), 12);
         assert_eq!(staged[0].start().value().to_bits(), 0.0f64.to_bits());

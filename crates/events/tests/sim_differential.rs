@@ -1,5 +1,6 @@
-//! Differential suite: the per-node event loop of [`CorridorSimulator`]
-//! against the global event loop it replaced.
+//! Differential suite: the per-node event loop of [`CorridorSimulator`],
+//! and the interval sweep it runs instead under the instant wake policy,
+//! against the global event loop they replaced.
 //!
 //! The simulator used to push every node's events into one global
 //! queue ordered by (time, kind priority, node, insertion sequence) and
@@ -629,24 +630,41 @@ fn paper_segment() -> Vec<NodeSpec> {
 
 #[test]
 fn horizon_clipped_passes_match_the_global_loop() {
-    // passes straddling both horizon edges: one still in the section at
-    // midnight, one entirely past the day, one entering before t = 0
-    // (negative barrier-trip times via the wake lead)
+    // passes straddling both horizon edges of a day and of a one-hour
+    // horizon: some still in the section when it ends, some entirely
+    // past it, one entering before t = 0 (negative barrier-trip times
+    // via the wake lead) and one leaving before it
     let train = Train::paper_default();
-    let passes: Vec<TrainPass> = [-5.0, 0.0, 10.0, 86_390.0, 86_395.0, 90_000.0]
-        .into_iter()
-        .map(|t| TrainPass::new(train, Seconds::new(t)))
-        .collect();
+    let passes: Vec<TrainPass> = [
+        -30.0, -5.0, 0.0, 10.0, 3_590.0, 3_600.0, 86_390.0, 86_395.0, 90_000.0,
+    ]
+    .into_iter()
+    .map(|t| TrainPass::new(train, Seconds::new(t)))
+    .collect();
     let nodes = [
         TrackSection::new(Meters::ZERO, Meters::new(500.0)),
         TrackSection::new(Meters::new(400.0), Meters::new(900.0)),
     ]
     .map(|s| NodeSpec::new(NodeKind::ServiceRepeater, s));
-    let sim = CorridorSimulator::new().with_policy(WakePolicy::paper_default());
-    assert_eq!(
-        DayBits::of(&sim.simulate(&nodes, &passes)),
-        Oracle::of(&sim).simulate(&nodes, &passes)
-    );
+    let length = Meters::new(CORRIDOR);
+    for policy in [WakePolicy::paper_default(), WakePolicy::instant()] {
+        for horizon in [86_400.0, 3_600.0] {
+            let sim = CorridorSimulator::new()
+                .with_policy(policy)
+                .with_horizon(Seconds::new(horizon));
+            let oracle = Oracle::of(&sim);
+            assert_eq!(
+                DayBits::of(&sim.simulate(&nodes, &passes)),
+                oracle.simulate(&nodes, &passes),
+                "{policy:?}, horizon {horizon}"
+            );
+            assert_eq!(
+                DayBits::of(&sim.simulate_double_track(&nodes, &passes, &passes, length)),
+                oracle.simulate_double_track(&nodes, &passes, &passes, length),
+                "double track, {policy:?}, horizon {horizon}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -676,7 +694,10 @@ fn colocated_zero_length_sections_match_the_global_loop() {
 fn days_not_sorted_by_origin_match_the_global_loop() {
     // a network edge appends one sorted Poisson day per route, so its
     // passes form two sorted runs end to end; a reversed day is the
-    // worst case for an insertion pass. Both reach the sort fallback.
+    // worst case for an insertion pass. Both reach the sort fallback,
+    // under the event loop (paper policy) and the interval sweep
+    // (instant), on single track and on double track, whose down
+    // direction is one more sorted run after the up direction.
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let mut routes = PoissonTimetable::paper_rate().sample_passes(&mut rng);
     routes.extend(PoissonTimetable::paper_rate().sample_passes(&mut rng));
@@ -684,17 +705,19 @@ fn days_not_sorted_by_origin_match_the_global_loop() {
     reversed.reverse();
     let nodes = paper_segment();
     let length = Meters::new(2650.0);
-    let sim = CorridorSimulator::new().with_policy(WakePolicy::paper_default());
-    let oracle = Oracle::of(&sim);
-    for passes in [&routes, &reversed] {
-        assert_eq!(
-            DayBits::of(&sim.simulate(&nodes, passes)),
-            oracle.simulate(&nodes, passes)
-        );
-        assert_eq!(
-            DayBits::of(&sim.simulate_double_track(&nodes, passes, &routes, length)),
-            oracle.simulate_double_track(&nodes, passes, &routes, length)
-        );
+    for policy in [WakePolicy::paper_default(), WakePolicy::instant()] {
+        let sim = CorridorSimulator::new().with_policy(policy);
+        let oracle = Oracle::of(&sim);
+        for passes in [&routes, &reversed] {
+            assert_eq!(
+                DayBits::of(&sim.simulate(&nodes, passes)),
+                oracle.simulate(&nodes, passes)
+            );
+            assert_eq!(
+                DayBits::of(&sim.simulate_double_track(&nodes, passes, &routes, length)),
+                oracle.simulate_double_track(&nodes, passes, &routes, length)
+            );
+        }
     }
 }
 
@@ -798,6 +821,98 @@ fn cancelled_drains_match_the_global_loop() {
         DayBits::of(&sim.simulate_double_track(&nodes, &passes, &passes, length)),
         oracle.simulate_double_track(&nodes, &passes, &passes, length)
     );
+}
+
+// ---------------------------------------------------------------------
+// Instant-policy days: the simulator merges occupancy intervals instead
+// of running the event loop, and must still match it bit for bit
+// ---------------------------------------------------------------------
+
+proptest! {
+    /// Every generated case runs the instant policy, at a 24 h or a
+    /// one-hour horizon, on single and on double track.
+    #[test]
+    fn instant_policy_days_match_the_global_loop(
+        short in 0u8..=1,
+        nodes in nodes_strategy(),
+        up in passes_strategy(),
+        down in passes_strategy(),
+    ) {
+        let sim = CorridorSimulator::new();
+        let sim = if short == 1 { sim.with_horizon(Seconds::new(3_600.0)) } else { sim };
+        let oracle = Oracle::of(&sim);
+        prop_assert_eq!(DayBits::of(&sim.simulate(&nodes, &up)), oracle.simulate(&nodes, &up));
+        let length = Meters::new(CORRIDOR);
+        prop_assert_eq!(
+            DayBits::of(&sim.simulate_double_track(&nodes, &up, &down, length)),
+            oracle.simulate_double_track(&nodes, &up, &down, length)
+        );
+    }
+}
+
+/// One node watching `[0, end]`.
+fn one_node(end: f64) -> [NodeSpec; 1] {
+    [NodeSpec::new(
+        NodeKind::ServiceRepeater,
+        TrackSection::new(Meters::ZERO, Meters::new(end)),
+    )]
+}
+
+/// Passes of `train_of(selector)` at each origin, in the order given.
+fn passes_at(passes: &[(f64, u8)]) -> Vec<TrainPass> {
+    passes
+        .iter()
+        .map(|&(t, train)| TrainPass::new(train_of(train), Seconds::new(t)))
+        .collect()
+}
+
+#[test]
+fn touching_intervals_share_one_wake() {
+    // a 50 m train at 20 m/s occupies [0, 150] for exactly 10 s, so
+    // passes 10 s apart touch: the next entry equals the last exit, the
+    // barrier at that time fires before the exit, and the node stays
+    // powered. A pass after a gap wakes it again.
+    let nodes = one_node(150.0);
+    let passes = passes_at(&[(100.0, 1), (110.0, 1), (120.0, 1), (200.0, 1)]);
+    let sim = CorridorSimulator::new();
+    let report = sim.simulate(&nodes, &passes);
+    assert_eq!(
+        DayBits::of(&report),
+        Oracle::of(&sim).simulate(&nodes, &passes)
+    );
+    let trace = report.nodes()[0].trace();
+    assert_eq!(trace.wakes(), 2);
+    assert_eq!(trace.powered(), Seconds::new(40.0));
+    assert_eq!(report.events_processed(), 3 * 4 + 2 * 2);
+}
+
+#[test]
+fn equal_entries_with_different_exits_merge_to_the_latest_exit() {
+    // all three trains enter [0, 500] at their origin. At t = 1000 the
+    // 50 m train leaves at 1027.5 and the 400 m train at 80 m/s at
+    // 1011.25; a third train entering at 1015 overlaps the first, not
+    // the second, so the powered stretch must run to the latest exit
+    // seen, not the last one. At t = 2000 three trains tie on entry,
+    // in the order of their exits.
+    let nodes = one_node(500.0);
+    let passes = passes_at(&[
+        (1_000.0, 1),
+        (1_000.0, 2),
+        (1_015.0, 2),
+        (2_000.0, 2),
+        (2_000.0, 0),
+        (2_000.0, 1),
+    ]);
+    let sim = CorridorSimulator::new();
+    let report = sim.simulate(&nodes, &passes);
+    assert_eq!(
+        DayBits::of(&report),
+        Oracle::of(&sim).simulate(&nodes, &passes)
+    );
+    let trace = report.nodes()[0].trace();
+    assert_eq!(trace.wakes(), 2);
+    assert_eq!(trace.powered(), Seconds::new(27.5 + 27.5));
+    assert_eq!(report.events_processed(), 3 * 6 + 2 * 2);
 }
 
 // ---------------------------------------------------------------------

@@ -222,11 +222,6 @@ struct CellContext {
 }
 
 impl CellContext {
-    // Out of line, so the instant policy's constant timings are not
-    // folded through the prebuilt simulators into the per-day event
-    // loop: inlined, served mc-poisson measured 5-7 % fewer cell-days
-    // per CPU-second.
-    #[inline(never)]
     fn new(cell: ScenarioCell, spec: TrafficSpec) -> Self {
         let params = cell.params();
         let evaluator = EventDrivenEvaluator::with_policy(WakePolicy::instant());

@@ -7,6 +7,7 @@
 use corridor_core::hash::sha256_hex;
 use corridor_sim::{
     DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, SweepEngine,
+    TrafficSpec,
 };
 use corridor_solar::climate;
 
@@ -99,6 +100,36 @@ fn mc_renderings_are_sha256_pinned_across_worker_counts() {
             sha256_hex(report.to_json().as_bytes()),
             MC_JSON_SHA256,
             "mc JSON, workers = {workers}"
+        );
+    }
+}
+
+/// The Monte-Carlo request the mc-poisson benchmark serves, at two
+/// replications: Poisson days on all 200 cells of `screening-200`,
+/// master seed 7. Every cell's deployment and baseline days feed its
+/// row, so a changed bit in any simulated day moves these digests.
+const MC_SCREENING_CSV_SHA256: &str =
+    "d72ecf507cdfdea17d549fe0f46e8d025e36a43cc230db2ac09e38c6463d2f95";
+const MC_SCREENING_JSON_SHA256: &str =
+    "5e3ce61c0bc5c946b756c8ba9cc38e9acfa8f3232f9c44284dbd8ad5cb736e18";
+
+#[test]
+fn mc_screening_renderings_are_sha256_pinned_across_worker_counts() {
+    let grid = ScenarioGrid::screening_200();
+    let plan = ReplicationPlan::new(2)
+        .traffic(TrafficSpec::Poisson)
+        .master_seed(7);
+    for workers in [1usize, 2] {
+        let report = McEngine::new().workers(workers).run(&grid, &plan).unwrap();
+        assert_eq!(
+            sha256_hex(report.to_csv().as_bytes()),
+            MC_SCREENING_CSV_SHA256,
+            "mc screening-200 CSV, workers = {workers}"
+        );
+        assert_eq!(
+            sha256_hex(report.to_json().as_bytes()),
+            MC_SCREENING_JSON_SHA256,
+            "mc screening-200 JSON, workers = {workers}"
         );
     }
 }
