@@ -632,7 +632,7 @@ pub fn network_smoke() -> String {
         match pick {
             Some(p) => table.add_row(vec![
                 e.to_string(),
-                report.network().edge_name(e).to_owned(),
+                report.network().edge_name(e),
                 format!("{}", edge.demand_tph()),
                 format!("{} nodes", p.nodes),
                 format!("{:.0}", p.isd.value()),
@@ -641,7 +641,7 @@ pub fn network_smoke() -> String {
             ]),
             None => table.add_row(vec![
                 e.to_string(),
-                report.network().edge_name(e).to_owned(),
+                report.network().edge_name(e),
                 format!("{}", edge.demand_tph()),
                 "unsolvable".into(),
                 "-".into(),

@@ -19,7 +19,6 @@ use crate::{EnergyStrategy, ScenarioError, ScenarioParams};
 /// equals the average energy in watt-hours per hour — the unit of the
 /// paper's Fig. 4 y-axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegmentEnergy {
     /// High-power masts, W/km.
     pub hp: Watts,

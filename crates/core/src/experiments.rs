@@ -4,8 +4,8 @@
 //! them as text, and EXPERIMENTS.md records the comparison with the
 //! published values.
 
-use corridor_deploy::{CorridorLayout, IsdOptimizer, IsdTable};
-use corridor_fronthaul::{ChainReport, FronthaulChain, MmWaveBand};
+use corridor_deploy::{CorridorLayout, IsdOptimizer, IsdTable, LinkBudget};
+use corridor_fronthaul::{ChainReport, FronthaulChain};
 use corridor_power::{DutyCycle, RepeaterBill};
 use corridor_solar::{climate, sizing, DailyLoadProfile, Location};
 use corridor_traffic::{ActivityTimeline, TrackSection};
@@ -50,10 +50,10 @@ pub fn fig3(params: &ScenarioParams) -> Vec<Fig3Sample> {
 ///
 /// Panics if the repeaters cannot be placed in the segment.
 pub fn fig3_with(params: &ScenarioParams, isd: Meters, n: usize, step: Meters) -> Vec<Fig3Sample> {
-    let layout = CorridorLayout::with_policy(isd, n, params.placement())
+    let layout = CorridorLayout::with_policy(isd, n, &params.placement())
         // corridor-lint: allow(no-panic, reason = "documented `# Panics` API: the figure helpers panic on unplaceable geometry by contract")
         .expect("paper geometry is placeable");
-    let model = layout.snr_model(params.budget());
+    let model = layout.snr_model(&LinkBudget::paper_default());
     let samples = (isd.value() / step.value()).round() as usize;
     (0..=samples)
         .map(|i| {
@@ -88,8 +88,8 @@ pub struct IsdSweep {
 /// `sample_step` trades accuracy for time (the paper-matching results use
 /// 5 m).
 pub fn isd_sweep(params: &ScenarioParams, sample_step: Meters) -> IsdSweep {
-    let optimizer = IsdOptimizer::new(params.budget().clone())
-        .with_placement(params.placement().clone())
+    let optimizer = IsdOptimizer::new(LinkBudget::paper_default())
+        .with_placement(params.placement())
         .with_sample_step(sample_step);
     IsdSweep {
         computed: optimizer.sweep(10),
@@ -232,7 +232,7 @@ pub fn fronthaul_check(params: &ScenarioParams, isd: Meters, n: usize) -> ChainR
         .positions(n, isd)
         // corridor-lint: allow(no-panic, reason = "documented `# Panics` API: the figure helpers panic on unplaceable geometry by contract")
         .expect("paper geometry is placeable");
-    FronthaulChain::for_segment(MmWaveBand::v_band_60ghz(), &positions, isd).evaluate()
+    FronthaulChain::for_segment(&positions, isd).evaluate()
 }
 
 /// Table I: the repeater component bill (returns the typed bill; the

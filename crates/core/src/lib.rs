@@ -87,9 +87,7 @@ pub mod prelude {
         SegmentInventory,
     };
     pub use corridor_fronthaul::{FronthaulChain, FronthaulHop, MmWaveBand};
-    pub use corridor_link::{
-        CoverageProfile, NrCarrier, SignalSource, SnrModel, ThroughputModel, UplinkBudget,
-    };
+    pub use corridor_link::{CoverageProfile, NrCarrier, SignalSource, SnrModel, ThroughputModel};
     pub use corridor_power::{
         catalog, DutyCycle, LoadDependentPower, OperatingState, RepeaterBill,
     };

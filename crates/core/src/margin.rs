@@ -165,7 +165,6 @@ impl MarginLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corridor_deploy::LinkBudget;
 
     #[test]
     fn margin_is_headroom_above_the_threshold() {
@@ -176,7 +175,7 @@ mod tests {
 
     #[test]
     fn removing_a_repeater_never_raises_the_margin() {
-        let cache = CoverageCache::with_sample_step(LinkBudget::paper_default(), Meters::new(10.0));
+        let cache = CoverageCache::with_sample_step(Meters::new(10.0));
         let model = MarginModel::paper_default();
         let placement = PlacementPolicy::paper_default();
         let (n, isd) = (10, Meters::new(2650.0));

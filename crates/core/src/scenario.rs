@@ -1,8 +1,8 @@
-//! Scenario parameters (paper Table III plus equipment and RF budget).
+//! Scenario parameters (paper Table III plus equipment).
 
 use core::fmt;
 
-use corridor_deploy::{LinkBudget, PlacementPolicy};
+use corridor_deploy::PlacementPolicy;
 use corridor_power::{catalog, LoadDependentPower};
 use corridor_traffic::{Timetable, Train};
 use corridor_units::{Hours, KilometersPerHour, Meters, Seconds};
@@ -35,8 +35,6 @@ pub struct ScenarioParams {
     conventional_isd: Meters,
     hp_mast: LoadDependentPower,
     lp_node: LoadDependentPower,
-    budget: LinkBudget,
-    placement: PlacementPolicy,
 }
 
 impl ScenarioParams {
@@ -70,8 +68,6 @@ impl ScenarioParams {
             conventional_isd: Meters::new(500.0),
             hp_mast: catalog::high_power_mast(),
             lp_node: catalog::low_power_repeater_measured(),
-            budget: LinkBudget::paper_default(),
-            placement: PlacementPolicy::paper_default(),
         }
     }
 
@@ -112,14 +108,10 @@ impl ScenarioParams {
         &self.lp_node
     }
 
-    /// The RF link budget.
-    pub fn budget(&self) -> &LinkBudget {
-        &self.budget
-    }
-
-    /// The repeater placement policy.
-    pub fn placement(&self) -> &PlacementPolicy {
-        &self.placement
+    /// The repeater placement policy: a centered cluster at the
+    /// scenario's [`lp_spacing`](ScenarioParams::lp_spacing).
+    pub fn placement(&self) -> PlacementPolicy {
+        PlacementPolicy::FixedSpacing(self.lp_spacing)
     }
 }
 
@@ -234,7 +226,6 @@ pub struct ScenarioParamsBuilder {
     conventional_isd: Meters,
     hp_mast: LoadDependentPower,
     lp_node: LoadDependentPower,
-    budget: LinkBudget,
 }
 
 impl ScenarioParamsBuilder {
@@ -252,7 +243,6 @@ impl ScenarioParamsBuilder {
             conventional_isd: Meters::new(500.0),
             hp_mast: catalog::high_power_mast(),
             lp_node: catalog::low_power_repeater_measured(),
-            budget: LinkBudget::paper_default(),
         }
     }
 
@@ -312,13 +302,6 @@ impl ScenarioParamsBuilder {
         self
     }
 
-    /// Sets the RF link budget.
-    #[must_use]
-    pub fn budget(mut self, budget: LinkBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Validates the inputs and builds the scenario.
     ///
     /// # Errors
@@ -370,8 +353,6 @@ impl ScenarioParamsBuilder {
             conventional_isd: self.conventional_isd,
             hp_mast: self.hp_mast,
             lp_node: self.lp_node,
-            budget: self.budget,
-            placement: PlacementPolicy::FixedSpacing(self.lp_spacing),
         })
     }
 }
@@ -423,7 +404,6 @@ mod tests {
             .conventional_isd_m(600.0)
             .hp_mast(catalog::high_power_rrh())
             .lp_node(catalog::low_power_repeater())
-            .budget(LinkBudget::paper_default())
             .build()
             .unwrap();
         assert_eq!(p.timetable().trains_per_hour(), 4.0);
@@ -436,7 +416,7 @@ mod tests {
         assert_eq!(p.lp_node(), &catalog::low_power_repeater());
         assert_eq!(
             p.placement(),
-            &PlacementPolicy::FixedSpacing(Meters::new(150.0))
+            PlacementPolicy::FixedSpacing(Meters::new(150.0))
         );
     }
 

@@ -16,7 +16,6 @@ use core::fmt;
 ///   sleep mode plus off-grid PV supply: repeaters draw no mains energy at
 ///   all, only the high-power masts remain grid-powered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EnergyStrategy {
     /// Repeaters powered continuously (idle between trains).
     ContinuousRepeaters,

@@ -4,8 +4,8 @@ use corridor_link::{NrCarrier, ThroughputModel};
 use corridor_propagation::CalibratedFriis;
 use corridor_units::{Db, Dbm, Hertz};
 
-/// Every RF parameter of a corridor deployment, with the paper's values as
-/// defaults (Sections III-A and V):
+/// Every RF parameter of a corridor deployment, at the paper's values
+/// (Sections III-A and V):
 ///
 /// | parameter | paper value |
 /// |---|---|
@@ -18,10 +18,14 @@ use corridor_units::{Db, Dbm, Hertz};
 /// | terminal NF | 5 dB |
 /// | repeater NF | 8 dB |
 ///
-/// The carrier frequency is not stated in the paper ("sub-6 GHz"); the
-/// default of 3.5 GHz (band n78) is the value for which the model
+/// The carrier frequency is not stated in the paper ("sub-6 GHz");
+/// 3.5 GHz (band n78) is the value for which the model
 /// reproduces the paper's published maximum-ISD anchors exactly for one to
 /// four nodes (1250, 1450, 1600, 1800 m) and within ~13 % beyond.
+///
+/// Only the noise floor can be overridden
+/// ([`LinkBudget::with_noise_floor`]); the other parameters are the
+/// paper's for every budget.
 ///
 /// # Examples
 ///
@@ -32,34 +36,25 @@ use corridor_units::{Db, Dbm, Hertz};
 /// assert!((budget.lp_rstp().value() - 4.81).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkBudget {
-    frequency: Hertz,
-    carrier: NrCarrier,
-    hp_eirp: Dbm,
-    lp_eirp: Dbm,
-    hp_calibration: Db,
-    lp_calibration: Db,
     noise_floor: Dbm,
-    terminal_noise_figure: Db,
-    repeater_noise_figure: Db,
-    throughput: ThroughputModel,
 }
 
 impl LinkBudget {
+    const FREQUENCY: Hertz = Hertz::from_ghz(3.5);
+    const CARRIER: NrCarrier = NrCarrier::paper_100mhz();
+    const HP_EIRP: Dbm = Dbm::new(64.0);
+    const LP_EIRP: Dbm = Dbm::new(40.0);
+    const HP_CALIBRATION: Db = Db::new(33.0);
+    const LP_CALIBRATION: Db = Db::new(20.0);
+    const TERMINAL_NOISE_FIGURE: Db = Db::new(5.0);
+    const REPEATER_NOISE_FIGURE: Db = Db::new(8.0);
+    const THROUGHPUT: ThroughputModel = ThroughputModel::nr_default();
+
     /// The paper's parameters (see the type-level table).
     pub fn paper_default() -> Self {
         LinkBudget {
-            frequency: Hertz::from_ghz(3.5),
-            carrier: NrCarrier::paper_100mhz(),
-            hp_eirp: Dbm::new(64.0),
-            lp_eirp: Dbm::new(40.0),
-            hp_calibration: Db::new(33.0),
-            lp_calibration: Db::new(20.0),
             noise_floor: Dbm::new(-132.0),
-            terminal_noise_figure: Db::new(5.0),
-            repeater_noise_figure: Db::new(8.0),
-            throughput: ThroughputModel::nr_default(),
         }
     }
 
@@ -72,32 +67,32 @@ impl LinkBudget {
 
     /// Carrier frequency.
     pub fn frequency(&self) -> Hertz {
-        self.frequency
+        Self::FREQUENCY
     }
 
     /// NR carrier.
     pub fn carrier(&self) -> &NrCarrier {
-        &self.carrier
+        &Self::CARRIER
     }
 
     /// High-power EIRP (total over the carrier).
     pub fn hp_eirp(&self) -> Dbm {
-        self.hp_eirp
+        Self::HP_EIRP
     }
 
     /// Low-power EIRP (total over the carrier).
     pub fn lp_eirp(&self) -> Dbm {
-        self.lp_eirp
+        Self::LP_EIRP
     }
 
     /// HP calibration factor `L_HP,calib`.
     pub fn hp_calibration(&self) -> Db {
-        self.hp_calibration
+        Self::HP_CALIBRATION
     }
 
     /// LP calibration factor `L_LP,calib`.
     pub fn lp_calibration(&self) -> Db {
-        self.lp_calibration
+        Self::LP_CALIBRATION
     }
 
     /// Per-subcarrier noise floor `N_RSRP`.
@@ -107,43 +102,38 @@ impl LinkBudget {
 
     /// Terminal noise figure `NF_MT`.
     pub fn terminal_noise_figure(&self) -> Db {
-        self.terminal_noise_figure
-    }
-
-    /// Repeater noise figure `NF_LP`.
-    pub fn repeater_noise_figure(&self) -> Db {
-        self.repeater_noise_figure
+        Self::TERMINAL_NOISE_FIGURE
     }
 
     /// Throughput model.
     pub fn throughput(&self) -> &ThroughputModel {
-        &self.throughput
+        &Self::THROUGHPUT
     }
 
     /// Per-subcarrier RSTP of a high-power RRH.
     pub fn hp_rstp(&self) -> Dbm {
-        self.carrier.per_subcarrier(self.hp_eirp)
+        Self::CARRIER.per_subcarrier(Self::HP_EIRP)
     }
 
     /// Per-subcarrier RSTP of a low-power repeater.
     pub fn lp_rstp(&self) -> Dbm {
-        self.carrier.per_subcarrier(self.lp_eirp)
+        Self::CARRIER.per_subcarrier(Self::LP_EIRP)
     }
 
     /// The calibrated path-loss model of the high-power link.
     pub fn hp_path_loss(&self) -> CalibratedFriis {
-        CalibratedFriis::new(self.frequency, self.hp_calibration)
+        CalibratedFriis::new(Self::FREQUENCY, Self::HP_CALIBRATION)
     }
 
     /// The calibrated path-loss model of the low-power link.
     pub fn lp_path_loss(&self) -> CalibratedFriis {
-        CalibratedFriis::new(self.frequency, self.lp_calibration)
+        CalibratedFriis::new(Self::FREQUENCY, Self::LP_CALIBRATION)
     }
 
     /// Noise re-emitted at a repeater's transmit port per the paper's
     /// eq. (2): `N_RSRP · NF_LP`.
     pub fn repeater_emitted_noise(&self) -> Dbm {
-        self.noise_floor + self.repeater_noise_figure
+        self.noise_floor + Self::REPEATER_NOISE_FIGURE
     }
 }
 

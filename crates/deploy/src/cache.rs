@@ -1,5 +1,5 @@
-//! Memoized coverage profiling: each `(layout, budget)` pair is sampled
-//! once, no matter how many search passes ask about it.
+//! Memoized coverage profiling: each layout is sampled once, no matter
+//! how many search passes ask about it.
 //!
 //! The deployment searches (the Pareto optimizer in
 //! `corridor_sim::optimize` and the network optimizer built on it) keep
@@ -8,11 +8,10 @@
 //! binary-search probe. Sampling a coverage profile is the hot path of
 //! that question (hundreds of [`SnrModel`](corridor_link::SnrModel)
 //! evaluations per probe), and the answer depends only on the geometry
-//! and the RF budget, never on timetables or wake policies. A
+//! under the paper's RF budget, never on timetables or wake policies. A
 //! [`CoverageCache`] therefore memoizes the minimum SNR per
-//! `(n, isd, placement)` key under one fixed budget, and counts lookups
-//! versus actual profile evaluations so benches and tests can assert
-//! the saving.
+//! `(n, isd, placement)` key, and counts lookups versus actual profile
+//! evaluations so benches and tests can assert the saving.
 
 // Order-safety audit (hash-order): the memo map below is only ever
 // probed through `entry()` by exact key; nothing iterates it, so the
@@ -42,7 +41,6 @@ struct CoverageKey {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum PlacementKey {
     Fixed(u64),
-    Even,
     Custom(Vec<u64>),
 }
 
@@ -54,7 +52,6 @@ impl PlacementKey {
     fn of(policy: &PlacementPolicy) -> Self {
         match policy {
             PlacementPolicy::FixedSpacing(spacing) => PlacementKey::Fixed(mm(*spacing)),
-            PlacementPolicy::EvenlySpaced => PlacementKey::Even,
             PlacementPolicy::Custom(positions) => {
                 PlacementKey::Custom(positions.iter().map(|&p| mm(p)).collect())
             }
@@ -62,7 +59,8 @@ impl PlacementKey {
     }
 }
 
-/// Memoizes minimum-SNR coverage profiles under one [`LinkBudget`].
+/// Memoizes minimum-SNR coverage profiles under the paper's
+/// [`LinkBudget`].
 ///
 /// Thread-safe: searches running on the worker pool share one cache.
 /// The map lock is held only long enough to reserve a per-key slot
@@ -76,10 +74,10 @@ impl PlacementKey {
 /// # Examples
 ///
 /// ```
-/// use corridor_deploy::{CoverageCache, LinkBudget, PlacementPolicy};
+/// use corridor_deploy::{CoverageCache, PlacementPolicy};
 /// use corridor_units::Meters;
 ///
-/// let cache = CoverageCache::new(LinkBudget::paper_default());
+/// let cache = CoverageCache::with_sample_step(Meters::new(5.0));
 /// let placement = PlacementPolicy::paper_default();
 /// let first = cache.min_snr(1, Meters::new(1250.0), &placement);
 /// let again = cache.min_snr(1, Meters::new(1250.0), &placement);
@@ -89,7 +87,6 @@ impl PlacementKey {
 /// ```
 #[derive(Debug)]
 pub struct CoverageCache {
-    budget: LinkBudget,
     sample_step: Meters,
     entries: Mutex<HashMap<CoverageKey, Arc<OnceLock<Option<Db>>>>>,
     lookups: AtomicU64,
@@ -97,30 +94,19 @@ pub struct CoverageCache {
 }
 
 impl CoverageCache {
-    /// A cache under `budget` with the paper's 5 m profile sampling.
-    pub fn new(budget: LinkBudget) -> Self {
-        Self::with_sample_step(budget, Meters::new(5.0))
-    }
-
-    /// A cache under `budget` sampling profiles every `sample_step`.
+    /// A cache sampling profiles every `sample_step`.
     ///
     /// # Panics
     ///
     /// Panics if `sample_step` is not strictly positive.
-    pub fn with_sample_step(budget: LinkBudget, sample_step: Meters) -> Self {
+    pub fn with_sample_step(sample_step: Meters) -> Self {
         assert!(sample_step.value() > 0.0, "sample step must be positive");
         CoverageCache {
-            budget,
             sample_step,
             entries: Mutex::new(HashMap::new()),
             lookups: AtomicU64::new(0),
             profiles: AtomicU64::new(0),
         }
-    }
-
-    /// The budget every cached profile was sampled under.
-    pub fn budget(&self) -> &LinkBudget {
-        &self.budget
     }
 
     /// The profile sampling step.
@@ -146,7 +132,7 @@ impl CoverageCache {
             self.profiles.fetch_add(1, Ordering::Relaxed);
             let layout = CorridorLayout::with_policy(isd, n, placement).ok()?;
             layout
-                .coverage_profile(&self.budget, self.sample_step)
+                .coverage_profile(&LinkBudget::paper_default(), self.sample_step)
                 .min_snr()
         })
     }
@@ -210,7 +196,7 @@ mod tests {
     fn cache() -> CoverageCache {
         // 10 m sampling keeps debug-mode tests quick (boundary ISDs are
         // insensitive to 5 m vs 10 m at a 50 m grid)
-        CoverageCache::with_sample_step(LinkBudget::paper_default(), Meters::new(10.0))
+        CoverageCache::with_sample_step(Meters::new(10.0))
     }
 
     #[test]
@@ -290,7 +276,11 @@ mod tests {
         let _ = c.min_snr(1, Meters::new(1250.0), &placement);
         let _ = c.min_snr(1, Meters::new(1300.0), &placement);
         let _ = c.min_snr(2, Meters::new(1250.0), &placement);
-        let _ = c.min_snr(1, Meters::new(1250.0), &PlacementPolicy::EvenlySpaced);
+        let _ = c.min_snr(
+            1,
+            Meters::new(1250.0),
+            &PlacementPolicy::Custom(vec![Meters::new(600.0)]),
+        );
         assert_eq!(c.profile_evaluations(), 4);
     }
 

@@ -25,7 +25,6 @@ use corridor_units::{Kilometers, Meters};
 /// assert!((seg.segments_per_km() - 0.4167).abs() < 1e-3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegmentInventory {
     service_nodes: usize,
     donor_nodes: usize,

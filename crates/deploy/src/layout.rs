@@ -26,7 +26,6 @@ use crate::{LinkBudget, PlacementError, PlacementPolicy};
 /// # Ok::<(), corridor_deploy::PlacementError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorridorLayout {
     isd: Meters,
     repeaters: Vec<Meters>,

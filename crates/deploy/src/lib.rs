@@ -6,9 +6,10 @@
 //! nodes, without losing peak 5G NR throughput anywhere on the track?*
 //!
 //! * [`LinkBudget`] — all RF parameters of a corridor deployment in one
-//!   place, with the paper's values as defaults;
+//!   place, at the paper's values (only the noise floor can be
+//!   overridden);
 //! * [`PlacementPolicy`] — where the repeater nodes go between two masts
-//!   (fixed 200 m spacing per Table III, evenly spread, or custom);
+//!   (fixed 200 m spacing per Table III, or custom positions);
 //! * [`CorridorLayout`] — one inter-site segment: two HP masts plus
 //!   repeaters, convertible to an [`SnrModel`](corridor_link::SnrModel);
 //! * [`CoverageCriterion`] — what "maintaining capacity" means (the paper:
@@ -16,9 +17,9 @@
 //! * [`IsdOptimizer`] — the 50 m-step sweep producing an [`IsdTable`]
 //!   (maximum ISD per repeater count), with [`IsdTable::paper`] carrying
 //!   the published sequence;
-//! * [`CoverageCache`] — memoized minimum-SNR profiling with
-//!   lookup/evaluation counters, so layered searches (per scenario cell,
-//!   per wake policy) sample each `(layout, budget)` pair exactly once;
+//! * [`CoverageCache`] — memoized minimum-SNR profiling under the paper
+//!   budget with lookup/evaluation counters, so layered searches (per
+//!   scenario cell, per wake policy) sample each layout exactly once;
 //! * [`SegmentInventory`] — node counts (service + donor repeaters, masts)
 //!   per segment and per kilometre.
 //!

@@ -13,9 +13,8 @@ use corridor_units::Meters;
 /// * [`FixedSpacing`](PlacementPolicy::FixedSpacing) — a cluster centered
 ///   in the segment with a fixed node-to-node distance (the paper's
 ///   Table III uses 200 m);
-/// * [`EvenlySpaced`](PlacementPolicy::EvenlySpaced) — nodes at
-///   `i·isd/(n+1)`, spreading the segment uniformly;
-/// * [`Custom`](PlacementPolicy::Custom) — explicit positions.
+/// * [`Custom`](PlacementPolicy::Custom) — explicit positions (the
+///   survivors of a fixed-spacing cluster after some repeaters sleep).
 ///
 /// # Examples
 ///
@@ -30,12 +29,9 @@ use corridor_units::Meters;
 /// # Ok::<(), corridor_deploy::PlacementError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlacementPolicy {
     /// A centered cluster with the given spacing between adjacent nodes.
     FixedSpacing(Meters),
-    /// Nodes at `i·isd/(n+1)` for `i = 1..=n`.
-    EvenlySpaced,
     /// Explicit positions (must lie strictly inside `(0, isd)`).
     Custom(Vec<Meters>),
 }
@@ -72,10 +68,6 @@ impl PlacementPolicy {
                 }
                 let first = (isd - span) / 2.0;
                 Ok((0..n).map(|i| first + *spacing * i as f64).collect())
-            }
-            PlacementPolicy::EvenlySpaced => {
-                let gap = isd / (n + 1) as f64;
-                Ok((1..=n).map(|i| gap * i as f64).collect())
             }
             PlacementPolicy::Custom(positions) => {
                 if positions.len() != n {
@@ -200,18 +192,6 @@ mod tests {
     fn zero_nodes_empty() {
         let p = PlacementPolicy::paper_default();
         assert!(p.positions(0, Meters::new(500.0)).unwrap().is_empty());
-        assert!(PlacementPolicy::EvenlySpaced
-            .positions(0, Meters::new(500.0))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn evenly_spaced_positions() {
-        let pos = PlacementPolicy::EvenlySpaced
-            .positions(3, Meters::new(1000.0))
-            .unwrap();
-        assert_eq!(values(&pos), vec![250.0, 500.0, 750.0]);
     }
 
     #[test]
@@ -263,19 +243,14 @@ mod tests {
     #[test]
     fn positions_sorted_and_inside() {
         for n in 1..=10 {
-            for policy in [
-                PlacementPolicy::paper_default(),
-                PlacementPolicy::EvenlySpaced,
-            ] {
-                let isd = Meters::new(2650.0);
-                let pos = policy.positions(n, isd).unwrap();
-                assert_eq!(pos.len(), n);
-                for w in pos.windows(2) {
-                    assert!(w[0] < w[1]);
-                }
-                assert!(pos[0].value() > 0.0);
-                assert!(pos[n - 1] < isd);
+            let isd = Meters::new(2650.0);
+            let pos = PlacementPolicy::paper_default().positions(n, isd).unwrap();
+            assert_eq!(pos.len(), n);
+            for w in pos.windows(2) {
+                assert!(w[0] < w[1]);
             }
+            assert!(pos[0].value() > 0.0);
+            assert!(pos[n - 1] < isd);
         }
     }
 

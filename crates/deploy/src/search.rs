@@ -2,11 +2,13 @@
 //! searches.
 //!
 //! Both [`IsdOptimizer::max_isd`](crate::IsdOptimizer::max_isd)
-//! (uncached, arbitrary criteria) and
+//! (uncached, any noise floor, the paper's 29 dB criterion on the paper's
+//! 50 m grid) and
 //! [`CoverageCache::max_feasible_isd`](crate::CoverageCache::max_feasible_isd)
-//! (memoized, min-SNR criteria) search the same structure: stretching a
-//! segment only ever worsens its worst-served point, so feasibility is
-//! monotone in the ISD once placement succeeds. Keeping the skeleton in
+//! (memoized, the paper budget, any SNR threshold and grid) search the
+//! same structure: stretching a segment only ever worsens its
+//! worst-served point, so feasibility is monotone in the ISD once
+//! placement succeeds. Keeping the skeleton in
 //! one place means the two searches cannot silently drift apart.
 
 use corridor_units::Meters;

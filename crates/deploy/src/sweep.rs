@@ -5,7 +5,8 @@ use corridor_units::Meters;
 use crate::{CorridorLayout, CoverageCriterion, IsdTable, LinkBudget, PlacementPolicy};
 
 /// Finds, for each repeater count, the largest inter-site distance that
-/// still satisfies a coverage criterion — the paper's 50 m-step sweep.
+/// still satisfies the paper's [`CoverageCriterion`] (minimum SNR ≥ 29 dB)
+/// — the paper's 50 m-step sweep over 100 m – 4000 m.
 ///
 /// The search exploits that stretching a segment only ever worsens its
 /// worst-served point (for the supported placement policies both the
@@ -25,18 +26,17 @@ use crate::{CorridorLayout, CoverageCriterion, IsdTable, LinkBudget, PlacementPo
 /// assert_eq!(max, Meters::new(1250.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IsdOptimizer {
     budget: LinkBudget,
     placement: PlacementPolicy,
-    criterion: CoverageCriterion,
-    isd_step: Meters,
     sample_step: Meters,
-    min_isd: Meters,
-    max_isd: Meters,
 }
 
 impl IsdOptimizer {
+    const ISD_STEP: Meters = Meters::new(50.0);
+    const MIN_ISD: Meters = Meters::new(100.0);
+    const MAX_ISD: Meters = Meters::new(4000.0);
+
     /// An optimizer with the paper's setup: 50 m ISD grid, 200 m fixed
     /// repeater spacing, min-SNR-29 dB criterion, search range
     /// 100 m – 4000 m, 5 m profile sampling.
@@ -44,11 +44,7 @@ impl IsdOptimizer {
         IsdOptimizer {
             budget,
             placement: PlacementPolicy::paper_default(),
-            criterion: CoverageCriterion::paper_default(),
-            isd_step: Meters::new(50.0),
             sample_step: Meters::new(5.0),
-            min_isd: Meters::new(100.0),
-            max_isd: Meters::new(4000.0),
         }
     }
 
@@ -81,11 +77,6 @@ impl IsdOptimizer {
         &self.placement
     }
 
-    /// The criterion in use.
-    pub fn criterion(&self) -> CoverageCriterion {
-        self.criterion
-    }
-
     /// One uncached grid-point probe, in the shared skeleton's
     /// vocabulary.
     fn probe(&self, n: usize, isd: Meters) -> crate::search::Probe {
@@ -93,10 +84,7 @@ impl IsdOptimizer {
             return crate::search::Probe::PlacementInfeasible;
         };
         let profile = layout.coverage_profile(&self.budget, self.sample_step);
-        if self
-            .criterion
-            .is_satisfied(&profile, self.budget.throughput())
-        {
+        if CoverageCriterion::paper_default().is_satisfied(&profile) {
             crate::search::Probe::Satisfied
         } else {
             crate::search::Probe::CriterionFailed
@@ -106,12 +94,15 @@ impl IsdOptimizer {
     /// The largest grid ISD for which `n` repeaters satisfy the criterion,
     /// or `None` if even the smallest feasible ISD fails.
     ///
-    /// Every probe samples a fresh coverage profile; layered searches
+    /// Every probe samples a fresh coverage profile under the
+    /// optimizer's own budget, so this is also the search for an
+    /// overridden noise floor. Layered searches under the paper budget
     /// should probe a shared [`CoverageCache`](crate::CoverageCache)
     /// through
-    /// [`CoverageCache::max_feasible_isd`](crate::CoverageCache::max_feasible_isd).
+    /// [`CoverageCache::max_feasible_isd`](crate::CoverageCache::max_feasible_isd),
+    /// whose results this uncached search reproduces.
     pub fn max_isd(&self, n: usize) -> Option<Meters> {
-        crate::search::max_feasible_on_grid(self.min_isd, self.max_isd, self.isd_step, |isd| {
+        crate::search::max_feasible_on_grid(Self::MIN_ISD, Self::MAX_ISD, Self::ISD_STEP, |isd| {
             self.probe(n, isd)
         })
     }
@@ -207,7 +198,6 @@ mod tests {
     #[test]
     fn accessors() {
         let opt = optimizer();
-        assert_eq!(opt.criterion(), CoverageCriterion::paper_default());
         assert_eq!(opt.placement(), &PlacementPolicy::paper_default());
         assert_eq!(opt.budget(), &LinkBudget::paper_default());
     }

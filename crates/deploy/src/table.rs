@@ -29,7 +29,6 @@ use corridor_units::Meters;
 /// assert_eq!(table.max_nodes(), 10);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IsdTable {
     max_isd_by_n: Vec<Option<Meters>>,
 }

@@ -7,29 +7,23 @@ use corridor_units::{Db, Dbm, Meters};
 use proptest::prelude::*;
 
 proptest! {
-    /// Placement positions are sorted, strictly inside the segment, and of
-    /// the requested count, for both built-in policies.
+    /// Fixed-spacing positions are sorted, strictly inside the segment,
+    /// and of the requested count whenever the cluster fits.
     #[test]
     fn placement_invariants(n in 0usize..12, isd in 300.0..4000.0f64) {
-        for policy in [PlacementPolicy::paper_default(), PlacementPolicy::EvenlySpaced] {
-            match policy.positions(n, Meters::new(isd)) {
-                Ok(pos) => {
-                    prop_assert_eq!(pos.len(), n);
-                    for w in pos.windows(2) {
-                        prop_assert!(w[0] < w[1]);
-                    }
-                    if n > 0 {
-                        prop_assert!(pos[0].value() > 0.0);
-                        prop_assert!(pos[n - 1].value() < isd);
-                    }
+        match PlacementPolicy::paper_default().positions(n, Meters::new(isd)) {
+            Ok(pos) => {
+                prop_assert_eq!(pos.len(), n);
+                for w in pos.windows(2) {
+                    prop_assert!(w[0] < w[1]);
                 }
-                Err(_) => {
-                    // only the fixed-spacing cluster can fail, and only when
-                    // it genuinely does not fit
-                    prop_assert!(matches!(policy, PlacementPolicy::FixedSpacing(_)));
-                    prop_assert!(200.0 * (n as f64 - 1.0) >= isd);
+                if n > 0 {
+                    prop_assert!(pos[0].value() > 0.0);
+                    prop_assert!(pos[n - 1].value() < isd);
                 }
             }
+            // the cluster fails only when it genuinely does not fit
+            Err(_) => prop_assert!(200.0 * (n as f64 - 1.0) >= isd),
         }
     }
 

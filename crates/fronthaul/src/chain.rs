@@ -4,7 +4,7 @@ use core::fmt;
 
 use corridor_units::Meters;
 
-use crate::{FronthaulHop, MmWaveBand};
+use crate::FronthaulHop;
 
 /// The fronthaul of one corridor segment.
 ///
@@ -17,17 +17,15 @@ use crate::{FronthaulHop, MmWaveBand};
 /// # Examples
 ///
 /// ```
-/// use corridor_fronthaul::{FronthaulChain, MmWaveBand};
+/// use corridor_fronthaul::FronthaulChain;
 /// use corridor_units::Meters;
 ///
 /// // the paper's Fig. 3 geometry: 8 nodes at 200 m spacing in 2400 m
 /// let positions: Vec<Meters> = (0..8).map(|i| Meters::new(500.0 + 200.0 * i as f64)).collect();
-/// let daisy = FronthaulChain::for_segment(
-///     MmWaveBand::v_band_60ghz(), &positions, Meters::new(2400.0));
+/// let daisy = FronthaulChain::for_segment(&positions, Meters::new(2400.0));
 /// assert!(daisy.evaluate().is_feasible());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FronthaulChain {
     hops: Vec<FronthaulHop>,
 }
@@ -68,18 +66,18 @@ impl FronthaulChain {
     /// # Panics
     ///
     /// Panics if a position lies outside the open segment.
-    pub fn for_segment(band: MmWaveBand, positions: &[Meters], isd: Meters) -> Self {
+    pub fn for_segment(positions: &[Meters], isd: Meters) -> Self {
         Self::validate(positions, isd);
         let (left, right) = Self::split_sides(positions, isd);
         let mut hops = Vec::with_capacity(positions.len());
         let mut previous = Meters::ZERO;
         for &pos in &left {
-            hops.push(FronthaulHop::new(band, pos.distance_to(previous)));
+            hops.push(FronthaulHop::paper_default(pos.distance_to(previous)));
             previous = pos;
         }
         previous = isd;
         for &pos in &right {
-            hops.push(FronthaulHop::new(band, pos.distance_to(previous)));
+            hops.push(FronthaulHop::paper_default(pos.distance_to(previous)));
             previous = pos;
         }
         FronthaulChain { hops }
@@ -118,7 +116,6 @@ impl FronthaulChain {
 
 /// The evaluation of a segment's fronthaul.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChainReport {
     /// Number of hops (served nodes).
     pub hop_count: usize,
@@ -159,11 +156,7 @@ mod tests {
 
     #[test]
     fn fig3_daisy_chain_is_feasible() {
-        let chain = FronthaulChain::for_segment(
-            MmWaveBand::v_band_60ghz(),
-            &fig3_positions(),
-            Meters::new(2400.0),
-        );
+        let chain = FronthaulChain::for_segment(&fig3_positions(), Meters::new(2400.0));
         let report = chain.evaluate();
         assert!(report.is_feasible(), "{report}");
         assert_eq!(report.hop_count, 8);
@@ -172,11 +165,7 @@ mod tests {
 
     #[test]
     fn daisy_hop_lengths_are_gaps() {
-        let chain = FronthaulChain::for_segment(
-            MmWaveBand::v_band_60ghz(),
-            &fig3_positions(),
-            Meters::new(2400.0),
-        );
+        let chain = FronthaulChain::for_segment(&fig3_positions(), Meters::new(2400.0));
         let lengths: Vec<f64> = chain.hops().iter().map(|h| h.distance().value()).collect();
         // left donor: 500 m to the first node, then 200 m gaps; mirrored
         // on the right side
@@ -188,8 +177,7 @@ mod tests {
 
     #[test]
     fn empty_chain_not_feasible() {
-        let chain =
-            FronthaulChain::for_segment(MmWaveBand::v_band_60ghz(), &[], Meters::new(2400.0));
+        let chain = FronthaulChain::for_segment(&[], Meters::new(2400.0));
         let report = chain.evaluate();
         assert!(!report.is_feasible());
         assert_eq!(report.hop_count, 0);
@@ -197,11 +185,7 @@ mod tests {
 
     #[test]
     fn single_node_daisy() {
-        let chain = FronthaulChain::for_segment(
-            MmWaveBand::v_band_60ghz(),
-            &[Meters::new(625.0)],
-            Meters::new(1250.0),
-        );
+        let chain = FronthaulChain::for_segment(&[Meters::new(625.0)], Meters::new(1250.0));
         assert_eq!(chain.hops().len(), 1);
         assert_eq!(chain.hops()[0].distance(), Meters::new(625.0));
         assert!(chain.evaluate().to_string().contains("1 hop(s)"));
@@ -210,11 +194,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside segment")]
     fn out_of_segment_node_rejected() {
-        let _ = FronthaulChain::for_segment(
-            MmWaveBand::v_band_60ghz(),
-            &[Meters::new(3000.0)],
-            Meters::new(2400.0),
-        );
+        let _ = FronthaulChain::for_segment(&[Meters::new(3000.0)], Meters::new(2400.0));
     }
 
     #[test]
@@ -235,10 +215,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside segment")]
     fn nan_position_rejected_by_validation() {
-        let _ = FronthaulChain::for_segment(
-            MmWaveBand::v_band_60ghz(),
-            &[Meters::new(f64::NAN)],
-            Meters::new(2400.0),
-        );
+        let _ = FronthaulChain::for_segment(&[Meters::new(f64::NAN)], Meters::new(2400.0));
     }
 }

@@ -9,13 +9,15 @@ use crate::{atmosphere, MmWaveBand};
 ///
 /// The hop carries the upconverted 100 MHz cell signal; for the repeater
 /// chain to be transparent, the fronthaul SNR must comfortably exceed the
-/// access-link SNR target (29 dB), so the default requirement is 32 dB
-/// (3 dB implementation margin).
+/// access-link SNR target (29 dB), so the requirement is 32 dB (3 dB
+/// implementation margin). Every hop uses the prototype's radio: V-band
+/// 60 GHz at the band's 40 dBm EIRP ceiling, a 42 dBi lens receive
+/// antenna and an 8 dB receiver noise figure; only the hop length varies.
 ///
 /// # Examples
 ///
 /// ```
-/// use corridor_fronthaul::{FronthaulHop, MmWaveBand};
+/// use corridor_fronthaul::FronthaulHop;
 /// use corridor_units::Meters;
 ///
 /// let hop = FronthaulHop::paper_default(Meters::new(200.0));
@@ -25,47 +27,26 @@ use crate::{atmosphere, MmWaveBand};
 /// assert!(hop.rain_availability() > 0.999);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FronthaulHop {
-    band: MmWaveBand,
     distance: Meters,
-    tx_eirp: Dbm,
-    rx_antenna_gain: Db,
-    bandwidth: Hertz,
-    rx_noise_figure: Db,
-    required_snr: Db,
 }
 
 impl FronthaulHop {
-    /// The prototype's configuration: V-band 60 GHz at the full 40 dBm
-    /// EIRP, a 42 dBi lens receive antenna, 100 MHz carrier, 8 dB noise
-    /// figure, 32 dB required SNR.
-    pub fn paper_default(distance: Meters) -> Self {
-        FronthaulHop::new(MmWaveBand::v_band_60ghz(), distance)
-    }
+    const BAND: MmWaveBand = MmWaveBand::v_band_60ghz();
+    const RX_ANTENNA_GAIN: Db = Db::new(42.0);
+    const BANDWIDTH: Hertz = Hertz::from_mhz(100.0);
+    const RX_NOISE_FIGURE: Db = Db::new(8.0);
+    const REQUIRED_SNR: Db = Db::new(32.0);
 
-    /// A hop over `distance` in `band` with the default RF parameters,
-    /// transmitting at the band's EIRP ceiling.
+    /// The prototype's hop over `distance` (see the type-level
+    /// parameters).
     ///
     /// # Panics
     ///
     /// Panics if `distance` is not strictly positive.
-    pub fn new(band: MmWaveBand, distance: Meters) -> Self {
+    pub fn paper_default(distance: Meters) -> Self {
         assert!(distance.value() > 0.0, "hop distance must be positive");
-        FronthaulHop {
-            band,
-            distance,
-            tx_eirp: band.max_eirp(),
-            rx_antenna_gain: Db::new(42.0),
-            bandwidth: Hertz::from_mhz(100.0),
-            rx_noise_figure: Db::new(8.0),
-            required_snr: Db::new(32.0),
-        }
-    }
-
-    /// The band in use.
-    pub fn band(&self) -> &MmWaveBand {
-        &self.band
+        FronthaulHop { distance }
     }
 
     /// Hop length.
@@ -73,31 +54,21 @@ impl FronthaulHop {
         self.distance
     }
 
-    /// Transmit EIRP.
-    pub fn tx_eirp(&self) -> Dbm {
-        self.tx_eirp
-    }
-
-    /// The SNR the hop must deliver.
-    pub fn required_snr(&self) -> Db {
-        self.required_snr
-    }
-
     /// Thermal noise over the hop bandwidth including the receiver noise
     /// figure.
     pub fn noise_power(&self) -> Dbm {
-        Dbm::new(-174.0 + 10.0 * self.bandwidth.value().log10()) + self.rx_noise_figure
+        Dbm::new(-174.0 + 10.0 * Self::BANDWIDTH.value().log10()) + Self::RX_NOISE_FIGURE
     }
 
     /// Received power at a given rain rate.
     pub fn received_power(&self, rain_mm_h: f64) -> Dbm {
-        let fspl = FreeSpace::new(self.band.frequency()).attenuation(self.distance);
+        let fspl = FreeSpace::new(Self::BAND.frequency()).attenuation(self.distance);
         let excess = atmosphere::excess_attenuation(
             self.distance,
-            self.band.oxygen_db_per_km(),
-            atmosphere::rain_db_per_km(self.band.frequency(), rain_mm_h),
+            Self::BAND.oxygen_db_per_km(),
+            atmosphere::rain_db_per_km(Self::BAND.frequency(), rain_mm_h),
         );
-        self.tx_eirp - fspl - excess + self.rx_antenna_gain
+        Self::BAND.max_eirp() - fspl - excess + Self::RX_ANTENNA_GAIN
     }
 
     /// SNR at a given rain rate.
@@ -107,7 +78,7 @@ impl FronthaulHop {
 
     /// Margin over the required SNR under clear sky.
     pub fn clear_sky_margin(&self) -> Db {
-        self.snr(0.0) - self.required_snr
+        self.snr(0.0) - Self::REQUIRED_SNR
     }
 
     /// The heaviest rain rate (mm/h) the hop tolerates at zero margin,
@@ -120,8 +91,9 @@ impl FronthaulHop {
         let km = self.distance.kilometers().value();
         // invert margin = gamma(R) * km via the power law at this band
         let gamma_needed = margin / km;
-        let gamma_at_1mm = atmosphere::rain_db_per_km(self.band.frequency(), 1.0).value();
-        let gamma_at_50mm = atmosphere::rain_db_per_km(self.band.frequency(), 50.0).value();
+        let frequency = Self::BAND.frequency();
+        let gamma_at_1mm = atmosphere::rain_db_per_km(frequency, 1.0).value();
+        let gamma_at_50mm = atmosphere::rain_db_per_km(frequency, 50.0).value();
         let alpha = (gamma_at_50mm / gamma_at_1mm).ln() / 50f64.ln();
         (gamma_needed / gamma_at_1mm).powf(1.0 / alpha)
     }
@@ -184,8 +156,7 @@ mod tests {
     fn accessors() {
         let hop = FronthaulHop::paper_default(Meters::new(200.0));
         assert_eq!(hop.distance(), Meters::new(200.0));
-        assert_eq!(hop.band().name(), "V-band 60 GHz");
-        assert_eq!(hop.required_snr(), Db::new(32.0));
+        assert_eq!(hop.clear_sky_margin(), hop.snr(0.0) - Db::new(32.0));
     }
 
     #[test]

@@ -11,20 +11,20 @@
 //! model: the mmWave hop budget that determines whether a donor can
 //! actually feed service nodes several hundred metres down the track.
 //!
-//! * [`MmWaveBand`] — the V-band (60 GHz, oxygen absorption) preset and
-//!   custom bands;
+//! * [`MmWaveBand`] — the V-band (60 GHz, oxygen absorption) the
+//!   prototype's hops use;
 //! * [`atmosphere`] — simplified ITU-R style gaseous and rain specific
 //!   attenuation;
 //! * [`FronthaulHop`] — one donor→service (or service→service daisy
-//!   chain) hop: EIRP, antenna gains, path and weather losses → SNR and
-//!   link margin;
+//!   chain) hop with the prototype's radio: EIRP, antenna gain, path and
+//!   weather losses → SNR and link margin;
 //! * [`FronthaulChain`] — a chain of hops feeding all service nodes of a
 //!   segment, with end-to-end margin and availability checks.
 //!
 //! # Examples
 //!
 //! ```
-//! use corridor_fronthaul::{FronthaulHop, MmWaveBand};
+//! use corridor_fronthaul::FronthaulHop;
 //! use corridor_units::Meters;
 //!
 //! // the paper's geometry: service nodes every 200 m

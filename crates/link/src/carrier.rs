@@ -25,7 +25,6 @@ use corridor_units::{Db, Dbm, Hertz};
 /// assert!((rstp.value() - 28.79).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NrCarrier {
     bandwidth: Hertz,
     subcarriers: u32,
@@ -33,7 +32,7 @@ pub struct NrCarrier {
 
 impl NrCarrier {
     /// The paper's carrier: 100 MHz with 3300 subcarriers.
-    pub fn paper_100mhz() -> Self {
+    pub const fn paper_100mhz() -> Self {
         NrCarrier {
             bandwidth: Hertz::from_mhz(100.0),
             subcarriers: 3300,

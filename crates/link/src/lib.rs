@@ -29,9 +29,11 @@
 //!     .with_source(SignalSource::new(Meters::ZERO, rstp, hp_model))
 //!     .with_source(SignalSource::new(Meters::new(500.0), rstp, hp_model));
 //!
-//! let snr = model.snr_at(Meters::new(250.0)).unwrap();
+//! // eq. (2) at mid-cell: the total signal over the total noise
+//! let mid = Meters::new(250.0);
+//! let snr = model.total_signal_at(mid).unwrap() - model.total_noise_at(mid);
 //! let thr = ThroughputModel::nr_default();
-//! assert!(thr.spectral_efficiency(snr) > 5.8); // peak rate at mid-cell
+//! assert!(thr.spectral_efficiency(snr) > 5.8); // peak rate
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,11 +44,9 @@ mod profile;
 mod snr;
 mod source;
 mod throughput;
-mod uplink;
 
 pub use carrier::NrCarrier;
 pub use profile::{CoverageProfile, ProfileSample};
 pub use snr::SnrModel;
 pub use source::SignalSource;
 pub use throughput::ThroughputModel;
-pub use uplink::UplinkBudget;

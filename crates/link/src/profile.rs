@@ -7,7 +7,6 @@ use crate::{SnrModel, ThroughputModel};
 
 /// One sampled point of a [`CoverageProfile`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProfileSample {
     /// Track position of the sample.
     pub position: Meters,
@@ -47,7 +46,6 @@ pub struct ProfileSample {
 /// assert!(profile.min_snr().unwrap().value() > 29.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoverageProfile {
     samples: Vec<ProfileSample>,
     step: Meters,
@@ -125,15 +123,6 @@ impl CoverageProfile {
         self.samples.iter().min_by(|a, b| a.snr.total_cmp(&b.snr))
     }
 
-    /// Mean spectral efficiency over the profile, bps/Hz.
-    pub fn mean_spectral_efficiency(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let sum: f64 = self.samples.iter().map(|s| s.spectral_efficiency).sum();
-        Some(sum / self.samples.len() as f64)
-    }
-
     /// Fraction of samples at the peak rate of `throughput`.
     pub fn fraction_at_peak(&self, throughput: &ThroughputModel) -> f64 {
         if self.samples.is_empty() {
@@ -145,28 +134,6 @@ impl CoverageProfile {
             .filter(|s| throughput.is_peak(s.snr))
             .count();
         peak as f64 / self.samples.len() as f64
-    }
-
-    /// The minimum over all train positions of the mean spectral efficiency
-    /// seen across a train of length `window` (sliding-window mean).
-    ///
-    /// A train occupies many metres of track at once; terminals are spread
-    /// along it, so the capacity delivered *to the train* is closer to a
-    /// windowed average than to the point-wise SNR. Returns `None` if the
-    /// window is longer than the profile.
-    pub fn min_windowed_mean_se(&self, window: Meters) -> Option<f64> {
-        let w = (window.value() / self.step.value()).round() as usize;
-        if w == 0 || w > self.samples.len() {
-            return None;
-        }
-        let se: Vec<f64> = self.samples.iter().map(|s| s.spectral_efficiency).collect();
-        let mut sum: f64 = se[..w].iter().sum();
-        let mut min_mean = sum / w as f64;
-        for i in w..se.len() {
-            sum += se[i] - se[i - w];
-            min_mean = min_mean.min(sum / w as f64);
-        }
-        Some(min_mean)
     }
 }
 
@@ -215,34 +182,12 @@ mod tests {
     fn conventional_isd_is_all_peak() {
         let p = profile(500.0, 1.0);
         assert_eq!(p.fraction_at_peak(&ThroughputModel::nr_default()), 1.0);
-        assert!((p.mean_spectral_efficiency().unwrap() - 5.84).abs() < 1e-12);
     }
 
     #[test]
     fn overstretched_isd_loses_peak() {
         let p = profile(3000.0, 5.0);
         assert!(p.fraction_at_peak(&ThroughputModel::nr_default()) < 1.0);
-        assert!(p.mean_spectral_efficiency().unwrap() < 5.84);
-    }
-
-    #[test]
-    fn windowed_mean_between_min_and_max() {
-        let p = profile(3000.0, 5.0);
-        let windowed = p.min_windowed_mean_se(Meters::new(400.0)).unwrap();
-        let min = p
-            .samples()
-            .iter()
-            .map(|s| s.spectral_efficiency)
-            .fold(f64::INFINITY, f64::min);
-        let mean = p.mean_spectral_efficiency().unwrap();
-        assert!(windowed >= min - 1e-12);
-        assert!(windowed <= mean + 1e-12 || windowed <= 5.84);
-    }
-
-    #[test]
-    fn windowed_mean_none_when_window_too_long() {
-        let p = profile(500.0, 1.0);
-        assert!(p.min_windowed_mean_se(Meters::new(1000.0)).is_none());
     }
 
     #[test]

@@ -33,11 +33,12 @@ use crate::{NrCarrier, SignalSource};
 /// let hp = CalibratedFriis::new(Hertz::from_ghz(3.7), Db::new(33.0));
 /// let model = SnrModel::new(NrCarrier::paper_100mhz())
 ///     .with_source(SignalSource::new(Meters::ZERO, Dbm::new(28.8), hp));
-/// let snr = model.snr_at(Meters::new(250.0)).unwrap();
+/// // eq. (2): the total signal over the total noise
+/// let at = Meters::new(250.0);
+/// let snr = model.total_signal_at(at).unwrap() - model.total_noise_at(at);
 /// assert!(snr.value() > 25.0 && snr.value() < 40.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SnrModel<M> {
     carrier: NrCarrier,
     noise_floor: Dbm,
@@ -131,11 +132,6 @@ impl<M: PathLoss> SnrModel<M> {
         sum_power_dbm(repeater_noise.chain(std::iter::once(self.terminal_noise())))
             .unwrap_or_else(|| self.terminal_noise())
     }
-
-    /// SNR at `at` (eq. (2)), or `None` if the model has no sources.
-    pub fn snr_at(&self, at: Meters) -> Option<Db> {
-        Some(self.total_signal_at(at)? - self.total_noise_at(at))
-    }
 }
 
 #[cfg(test)]
@@ -152,6 +148,12 @@ mod tests {
         CalibratedFriis::new(Hertz::from_ghz(3.7), Db::new(20.0))
     }
 
+    /// Eq. (2): the total signal over the total noise, `None` without
+    /// sources.
+    fn snr_at(m: &SnrModel<CalibratedFriis>, at: Meters) -> Option<Db> {
+        Some(m.total_signal_at(at)? - m.total_noise_at(at))
+    }
+
     fn hp_pair(isd: f64) -> SnrModel<CalibratedFriis> {
         SnrModel::new(NrCarrier::paper_100mhz())
             .with_source(SignalSource::new(Meters::ZERO, Dbm::new(28.81), hp_model()))
@@ -165,7 +167,7 @@ mod tests {
     #[test]
     fn empty_model_has_no_snr() {
         let m: SnrModel<CalibratedFriis> = SnrModel::new(NrCarrier::paper_100mhz());
-        assert_eq!(m.snr_at(Meters::ZERO), None);
+        assert_eq!(snr_at(&m, Meters::ZERO), None);
         assert_eq!(m.total_signal_at(Meters::ZERO), None);
     }
 
@@ -179,15 +181,15 @@ mod tests {
     fn conventional_midpoint_snr_exceeds_peak_threshold() {
         // At ISD 500 m the paper's conventional corridor maintains peak rate.
         let m = hp_pair(500.0);
-        let snr = m.snr_at(Meters::new(250.0)).unwrap();
+        let snr = snr_at(&m, Meters::new(250.0)).unwrap();
         assert!(snr.value() > 29.0, "got {snr}");
     }
 
     #[test]
     fn snr_symmetric_for_symmetric_deployment() {
         let m = hp_pair(500.0);
-        let a = m.snr_at(Meters::new(100.0)).unwrap();
-        let b = m.snr_at(Meters::new(400.0)).unwrap();
+        let a = snr_at(&m, Meters::new(100.0)).unwrap();
+        let b = snr_at(&m, Meters::new(400.0)).unwrap();
         assert!((a.value() - b.value()).abs() < 1e-9);
     }
 
@@ -200,8 +202,8 @@ mod tests {
         ));
         let pair = hp_pair(500.0);
         for d in [50.0, 150.0, 250.0, 400.0] {
-            let s1 = single.snr_at(Meters::new(d)).unwrap();
-            let s2 = pair.snr_at(Meters::new(d)).unwrap();
+            let s1 = snr_at(&single, Meters::new(d)).unwrap();
+            let s2 = snr_at(&pair, Meters::new(d)).unwrap();
             assert!(s2 >= s1, "at {d} m: {s2} < {s1}");
         }
     }

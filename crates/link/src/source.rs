@@ -31,7 +31,6 @@ use corridor_units::{Db, Dbm, Meters};
 /// assert!(rsrp.value() < 4.8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SignalSource<M> {
     position: Meters,
     rstp: Dbm,

@@ -28,7 +28,6 @@ use corridor_units::Db;
 /// assert!((m.peak_snr().value() - 29.3).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThroughputModel {
     alpha: f64,
     max_spectral_efficiency: f64,
@@ -38,7 +37,7 @@ pub struct ThroughputModel {
 impl ThroughputModel {
     /// The paper's 5G NR parameters: `α = 0.6`, `Thr_MAX = 5.84 bps/Hz`,
     /// `SNR_min = −10 dB`.
-    pub fn nr_default() -> Self {
+    pub const fn nr_default() -> Self {
         ThroughputModel {
             alpha: 0.6,
             max_spectral_efficiency: 5.84,

@@ -60,9 +60,12 @@ pub enum Rule {
     /// A `pub` item of a library crate (`fn`, `const`, `static`,
     /// `struct`, `enum`, `trait` or `type`) whose name appears nowhere
     /// else in the non-test code of the workspace or the benchmark
-    /// helper. Imports do not count as uses. Workspace-level: it fires
-    /// only when [`scan`] is given the name index of every file, which
-    /// [`crate::check_tree`] builds.
+    /// helper. Imports do not count as uses, and neither does a type's
+    /// name inside its own `impl` blocks (`impl T`, `impl Trait for T`),
+    /// so a type that only its own constructors name is caught; a
+    /// trait's name in its impls for other types still counts.
+    /// Workspace-level: it fires only when [`scan`] is given the name
+    /// index of every file, which [`crate::check_tree`] builds.
     UnusedPub,
 }
 
@@ -205,20 +208,91 @@ pub fn scan(
 }
 
 /// Counts every identifier of the masked text into `index`, skipping
-/// `#[cfg(test)]` items and `use` declarations: an import names an item
-/// without using it.
+/// `#[cfg(test)]` items, `use` declarations (an import names an item
+/// without using it) and a type's name inside its own `impl` blocks (a
+/// type its own impls alone name is not used).
 pub fn index_names<'a>(masked: &'a str, index: &mut BTreeMap<&'a str, usize>) {
     let test_spans = test_line_spans(masked);
     let imports = use_spans(masked);
+    let impls = impl_spans(masked);
     let (mut line, mut counted) = (1, 0);
     for (at, name) in identifiers(masked) {
         line += masked[counted..at].bytes().filter(|&b| b == b'\n').count();
         counted = at;
         let in_import = imports.iter().any(|&(a, b)| at >= a && at <= b);
-        if !in_import && !in_spans(&test_spans, line) {
+        let in_own_impl = impls
+            .iter()
+            .any(|&(a, b, own)| own == name && at >= a && at <= b);
+        if !in_import && !in_own_impl && !in_spans(&test_spans, line) {
             *index.entry(name).or_insert(0) += 1;
         }
     }
+}
+
+/// Inclusive byte spans of `impl` items (the `impl` keyword through the
+/// closing brace), each with its self type's name: the last path
+/// segment after `for` in a trait impl, or after the generics in an
+/// inherent one. Only an `impl` that opens its line (after an optional
+/// `unsafe`) is an item; `-> impl Trait` and `x: impl Trait` are not.
+fn impl_spans(masked: &str) -> Vec<(usize, usize, &str)> {
+    let bytes = masked.as_bytes();
+    word_offsets(masked, "impl")
+        .filter(|&at| {
+            let line_start = masked[..at].rfind('\n').map_or(0, |n| n + 1);
+            matches!(masked[line_start..at].trim(), "" | "unsafe")
+        })
+        .filter_map(|at| {
+            let header_end = at + bytes[at..].iter().position(|&b| b == b'{' || b == b';')?;
+            let own = impl_self_name(&masked[at + "impl".len()..header_end])?;
+            let end = delimited_span(bytes, header_end, b'{', b'}')?;
+            Some((at, end, own))
+        })
+        .collect()
+}
+
+/// The self type's name of an `impl` header (the text between `impl`
+/// and its `{`): `Foo` for `<T> Foo<T>`, `fmt::Display for Foo` and
+/// `Trait for crate::m::Foo where …`. `None` for references, slices and
+/// other unnamed types.
+fn impl_self_name(header: &str) -> Option<&str> {
+    let mut rest = header.trim_start();
+    if rest.starts_with('<') {
+        rest = &rest[angle_end(rest)?..];
+    }
+    // `for<'a>` is a higher-ranked bound, not the trait-impl keyword
+    if let Some(at) = word_offsets(rest, "for")
+        .find(|&at| !rest[at + "for".len()..].trim_start().starts_with('<'))
+    {
+        rest = &rest[at + "for".len()..];
+    }
+    let mut name = leading_ident(rest)?;
+    rest = &rest.trim_start()[name.len()..];
+    while let Some(tail) = rest.strip_prefix("::") {
+        name = leading_ident(tail)?;
+        rest = &tail.trim_start()[name.len()..];
+    }
+    Some(name)
+}
+
+/// The byte offset just past the `>` that closes the generics `text`
+/// starts with (`->` arrows inside them are skipped).
+fn angle_end(text: &str) -> Option<usize> {
+    let bytes = text.as_bytes();
+    let mut depth = 0usize;
+    for (i, &b) in bytes.iter().enumerate() {
+        match b {
+            b'<' => depth += 1,
+            b'>' if i > 0 && bytes[i - 1] == b'-' => {}
+            b'>' => {
+                depth = depth.checked_sub(1)?;
+                if depth == 0 {
+                    return Some(i + 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Lines of the masked text that open a `pub` item whose name `names`
@@ -693,6 +767,29 @@ mod tests {
         assert_eq!(pub_item_name(" use inner::f;"), None);
         assert_eq!(pub_item_name(" fn $name()"), None);
         assert_eq!(pub_item_name(" const _: () = ();"), None);
+    }
+
+    #[test]
+    fn impl_self_names_follow_generics_paths_and_the_trait_for() {
+        assert_eq!(impl_self_name(" LogDistance "), Some("LogDistance"));
+        assert_eq!(impl_self_name("<T: Ord> Memo<T> "), Some("Memo"));
+        assert_eq!(
+            impl_self_name(" fmt::Display for Battery "),
+            Some("Battery")
+        );
+        assert_eq!(
+            impl_self_name("<'a, F: Fn() -> u8> Iterator for crate::m::Walk<'a, F> where F: Copy "),
+            Some("Walk")
+        );
+        assert_eq!(
+            impl_self_name("<F> Apply for Step<F> where F: for<'a> Fn(&'a u8) "),
+            Some("Step")
+        );
+        assert_eq!(impl_self_name(" Trait for &Thing "), None);
+        // an `impl` in return or argument position opens no item
+        let src = "fn f() -> impl Iterator<Item = u8> {\n    0..1\n}\nimpl Own {\n}\n";
+        let spans: Vec<&str> = impl_spans(src).iter().map(|&(_, _, own)| own).collect();
+        assert_eq!(spans, vec!["Own"]);
     }
 
     #[test]

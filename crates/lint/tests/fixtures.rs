@@ -219,6 +219,28 @@ fn unused_pub_stays_silent_when_another_file_names_the_item() {
 }
 
 #[test]
+fn unused_pub_does_not_count_a_type_named_only_by_its_own_impls() {
+    let found = tree_hits(&[(LIB, include_str!("fixtures/unused_pub_impl_trigger.rs"))]);
+    // the type (its constructor and trait impl name it) and the
+    // constructor (no caller); the trait counts through its impl
+    assert_eq!(
+        found,
+        vec![
+            (LIB.to_string(), 8, "unused-pub"),
+            (LIB.to_string(), 13, "unused-pub"),
+        ]
+    );
+}
+
+#[test]
+fn unused_pub_counts_a_trait_impl_for_another_type_and_a_type_named_outside_its_impls() {
+    let clean = include_str!("fixtures/unused_pub_impl_clean.rs");
+    let consumer = "fn main() {\n    let _ = demo::corridor_loss(1.0);\n}\n";
+    let found = tree_hits(&[(LIB, clean), ("crates/bench/src/bin/demo.rs", consumer)]);
+    assert!(found.is_empty(), "{found:?}");
+}
+
+#[test]
 fn a_name_used_only_by_the_benchmark_helper_counts_as_used() {
     let lib = "pub fn probe() -> u64 {\n    0\n}\n";
     let caller = "fn main() {\n    let _ = demo::probe();\n}\n";

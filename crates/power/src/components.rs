@@ -7,7 +7,6 @@ use corridor_units::Watts;
 
 /// The signal path a component belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComponentRole {
     /// Shared infrastructure (controller, clocking, LO distribution).
     Common,
@@ -30,7 +29,6 @@ impl fmt::Display for ComponentRole {
 
 /// One row of the repeater's power bill.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RepeaterComponent {
     /// Component name as listed in Table I.
     pub name: &'static str,
@@ -65,7 +63,6 @@ pub struct RepeaterComponent {
 /// assert_eq!(bill.paper_full_load_total().value(), 28.38);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RepeaterBill {
     components: Vec<RepeaterComponent>,
     dl_paths: u32,

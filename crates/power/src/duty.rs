@@ -48,7 +48,6 @@ impl std::error::Error for DutyCycleError {}
 /// assert!((avg.value() - 233.6).abs() < 0.2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DutyCycle {
     active: Hours,
     idle: Hours,

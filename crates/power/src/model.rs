@@ -17,7 +17,6 @@ use corridor_units::{LoadFraction, Watts};
 /// kept distinct because schedulers treat them differently (an idle node can
 /// sleep, an active one cannot).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OperatingState {
     /// Deep sleep: only wake-up circuitry powered.
     Sleep,
@@ -65,7 +64,6 @@ impl fmt::Display for OperatingState {
 /// assert_eq!(rrh.input_power(OperatingState::Sleep), Watts::new(112.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoadDependentPower {
     p_max: Watts,
     p0: Watts,

@@ -18,7 +18,6 @@ use crate::PathLoss;
 /// assert!((loss.value() - 103.3).abs() < 0.1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FreeSpace {
     frequency: Hertz,
     min_distance: Meters,
@@ -84,7 +83,6 @@ impl PathLoss for FreeSpace {
 /// assert!((delta.value() - 33.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CalibratedFriis {
     free_space: FreeSpace,
     calibration: Db,

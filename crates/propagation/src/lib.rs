@@ -3,8 +3,8 @@
 //! The central abstraction is the [`PathLoss`] trait: a model that maps a
 //! transmitter–receiver distance to an attenuation in dB. The paper's
 //! calibrated Friis model (eq. (1)) is provided by [`CalibratedFriis`];
-//! classic baselines ([`FreeSpace`], [`LogDistance`], [`TwoRayGround`]) are
-//! included for comparison and ablation studies.
+//! [`FreeSpace`] is the uncalibrated Friis loss the mmWave fronthaul hops
+//! use.
 //!
 //! Train-wagon penetration loss (the motivation for the corridor's short
 //! inter-site distances) is modelled by [`WindowTreatment`] /
@@ -26,13 +26,9 @@
 #![warn(missing_docs)]
 
 mod friis;
-mod log_distance;
 mod pathloss;
 mod penetration;
-mod two_ray;
 
 pub use friis::{CalibratedFriis, FreeSpace};
-pub use log_distance::LogDistance;
 pub use pathloss::PathLoss;
 pub use penetration::{PenetrationLoss, WindowTreatment};
-pub use two_ray::TwoRayGround;

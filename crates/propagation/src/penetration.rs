@@ -16,7 +16,6 @@ use corridor_units::{Db, Hertz};
 /// (refs. \[8\], \[9\], \[11\]): plain windows ≈ 5 dB, coated ≈ 25–30 dB,
 /// FSS-treated ≈ 10 dB at 3.5 GHz with a mild frequency slope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WindowTreatment {
     /// Plain uncoated glass (older rolling stock).
     Uncoated,
@@ -65,7 +64,6 @@ impl fmt::Display for WindowTreatment {
 /// assert!(coated.loss_at(f).value() > fss.loss_at(f).value() + 10.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PenetrationLoss {
     treatment: WindowTreatment,
 }

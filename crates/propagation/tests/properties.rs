@@ -1,6 +1,6 @@
 //! Property-based tests for path-loss model invariants.
 
-use corridor_propagation::{CalibratedFriis, FreeSpace, LogDistance, PathLoss, TwoRayGround};
+use corridor_propagation::{CalibratedFriis, FreeSpace, PathLoss};
 use corridor_units::{Db, Hertz, Meters};
 use proptest::prelude::*;
 
@@ -38,40 +38,5 @@ proptest! {
         let calib = CalibratedFriis::new(f, Db::new(c));
         let delta = calib.attenuation(d) - base.attenuation(d);
         prop_assert!((delta.value() - c).abs() < 1e-9);
-    }
-
-    /// Log-distance with n = 2 coincides with free space everywhere.
-    #[test]
-    fn log_distance_reduces_to_friis(f in freq(), d in distance()) {
-        let ld = LogDistance::new(f, 2.0);
-        let fs = FreeSpace::new(f);
-        let a = ld.attenuation(d).value();
-        let b = fs.attenuation(d).value();
-        prop_assert!((a - b).abs() < 1e-9);
-    }
-
-    /// Log-distance attenuation is monotone in the exponent beyond d0.
-    #[test]
-    fn log_distance_monotone_in_exponent(f in freq(), d in 2.0..10_000.0f64, n1 in 1.5..4.0f64, n2 in 1.5..4.0f64) {
-        let (lo, hi) = if n1 <= n2 { (n1, n2) } else { (n2, n1) };
-        let a = LogDistance::new(f, lo).attenuation(Meters::new(d));
-        let b = LogDistance::new(f, hi).attenuation(Meters::new(d));
-        prop_assert!(b >= a);
-    }
-
-    /// Two-ray never predicts less loss than free space.
-    #[test]
-    fn two_ray_at_least_free_space(f in freq(), d in distance(), ht in 5.0..40.0f64, hr in 1.0..5.0f64) {
-        let tr = TwoRayGround::new(f, Meters::new(ht), Meters::new(hr));
-        let fs = FreeSpace::new(f);
-        prop_assert!(tr.attenuation(d).value() >= fs.attenuation(d).value() - 1e-9);
-    }
-
-    /// Two-ray attenuation is monotone in distance.
-    #[test]
-    fn two_ray_monotone(f in freq(), d1 in distance(), d2 in distance()) {
-        let tr = TwoRayGround::new(f, Meters::new(15.0), Meters::new(3.0));
-        let (near, far) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-        prop_assert!(tr.attenuation(far) >= tr.attenuation(near));
     }
 }

@@ -721,14 +721,20 @@ mod tests {
     fn traffic_spec_instantiates_per_cell() {
         let timetable = Timetable::paper_default();
         assert_eq!(TrafficSpec::Deterministic.label(), "deterministic");
-        assert!(!TrafficSpec::Deterministic
-            .model_for(&timetable)
-            .is_stochastic());
-        let poisson = TrafficSpec::Poisson.model_for(&timetable);
-        assert!(poisson.is_stochastic());
-        assert!(TrafficSpec::Jittered(DelayModel::typical())
-            .model_for(&timetable)
-            .is_stochastic());
+        assert_eq!(
+            TrafficSpec::Deterministic.model_for(&timetable).label(),
+            "deterministic"
+        );
+        assert_eq!(
+            TrafficSpec::Poisson.model_for(&timetable).label(),
+            "poisson"
+        );
+        assert_eq!(
+            TrafficSpec::Jittered(DelayModel::typical())
+                .model_for(&timetable)
+                .label(),
+            "jittered"
+        );
     }
 
     #[test]

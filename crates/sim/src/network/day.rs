@@ -512,7 +512,7 @@ pub(crate) fn render_day_row(
             let mut out = String::with_capacity(128);
             push_uint(&mut out, s.edge as u64);
             out.push(',');
-            csv_field(&mut out, net.edge_name(s.edge));
+            csv_field(&mut out, &net.edge_name(s.edge));
             out.push(',');
             push_plain(&mut out, s.demand_tph);
             out.push(',');
@@ -535,7 +535,7 @@ pub(crate) fn render_day_row(
             out.push_str("  {\"edge\": ");
             push_uint(&mut out, s.edge as u64);
             out.push_str(", \"edge_name\": ");
-            json_string(&mut out, net.edge_name(s.edge));
+            json_string(&mut out, &net.edge_name(s.edge));
             out.push_str(", \"demand_tph\": ");
             push_plain(&mut out, s.demand_tph);
             out.push_str(", \"routes\": ");

@@ -6,10 +6,10 @@
 //! train parameters, physical length and an optional double-track flag
 //! that doubles the demand flowing through its stations. Network-wide
 //! parameters (service window, repeater spacing, conventional reference
-//! ISD, equipment profile, solar climate) are shared by every edge, so a
-//! degenerate single-path network expands to exactly the cells a linear
-//! [`ScenarioGrid`](crate::ScenarioGrid) sweep would produce — the
-//! invariant the differential tests pin byte-for-byte.
+//! ISD, solar climate) and the paper's equipment profile are shared by
+//! every edge, so a degenerate single-path network expands to exactly
+//! the cells a linear [`ScenarioGrid`](crate::ScenarioGrid) sweep would
+//! produce — the invariant the differential tests pin byte-for-byte.
 
 use core::fmt;
 
@@ -112,7 +112,6 @@ impl From<crate::stream::StreamError> for NetworkError {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorridorEdge {
-    name: Option<String>,
     a: usize,
     b: usize,
     trains_per_hour: f64,
@@ -128,7 +127,6 @@ impl CorridorEdge {
     /// long).
     pub fn between(a: usize, b: usize) -> Self {
         CorridorEdge {
-            name: None,
             a,
             b,
             trains_per_hour: 8.0,
@@ -256,11 +254,9 @@ impl CorridorEdge {
 pub struct CorridorNetwork {
     stations: Vec<String>,
     edges: Vec<CorridorEdge>,
-    edge_names: Vec<String>,
     service_window_h: f64,
     lp_spacing_m: f64,
     conventional_isd_m: f64,
-    profile: PowerProfile,
     location: Location,
 }
 
@@ -273,11 +269,9 @@ impl CorridorNetwork {
         CorridorNetwork {
             stations: Vec::new(),
             edges: Vec::new(),
-            edge_names: Vec::new(),
             service_window_h: 19.0,
             lp_spacing_m: 200.0,
             conventional_isd_m: 500.0,
-            profile: PowerProfile::paper(),
             location: climate::berlin(),
         }
     }
@@ -351,11 +345,8 @@ impl CorridorNetwork {
         if !(edge.length_km.is_finite() && edge.length_km > 0.0) {
             return Err(NetworkError::InvalidEdgeLength(self.edges.len()));
         }
-        let index = self.edges.len();
-        let name = edge.name.clone().unwrap_or_else(|| format!("e{index}"));
         self.edges.push(edge);
-        self.edge_names.push(name);
-        Ok(index)
+        Ok(self.edges.len() - 1)
     }
 
     /// Number of stations.
@@ -378,9 +369,9 @@ impl CorridorNetwork {
         &self.edges[index]
     }
 
-    /// The edge name at `index` (explicit or the generated `e<index>`).
-    pub fn edge_name(&self, index: usize) -> &str {
-        &self.edge_names[index]
+    /// The edge name at `index`: `e<index>`.
+    pub fn edge_name(&self, index: usize) -> String {
+        format!("e{index}")
     }
 
     /// The edges, in insertion order.
@@ -460,8 +451,7 @@ impl CorridorNetwork {
             .train_length_m(edge.train_length_m)
             .lp_spacing_m(self.lp_spacing_m)
             .conventional_isd_m(self.conventional_isd_m)
-            .hp_mast(*self.profile.hp())
-            .lp_node(*self.profile.lp())
+            // the builder's equipment is the paper power profile's
             .build()
     }
 
@@ -482,7 +472,7 @@ impl CorridorNetwork {
             index,
             params,
             self.location.clone(),
-            self.profile.name().to_owned(),
+            PowerProfile::paper().name().to_owned(),
             // mirror the grid's default deployment labels; the search
             // space, not the cell, decides what actually deploys
             10,

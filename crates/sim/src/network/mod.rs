@@ -33,15 +33,13 @@ pub use schedule::SleepDecision;
 
 use corridor_core::margin::MarginModel;
 
-use std::sync::Arc;
-
 use corridor_core::sink::{RowEmitter, RowFormat, RowSink, StringSink};
 use corridor_core::ScenarioError;
 use corridor_deploy::CoverageCache;
 
 use crate::optimize::{
-    render_optimize_row, shared_cache, CoverageCaches, FrontierPoint, OptimizeCellResult,
-    SearchJob, SearchSpace, OPTIMIZE_CSV_HEADER,
+    render_optimize_row, FrontierPoint, OptimizeCellResult, SearchJob, SearchSpace,
+    OPTIMIZE_CSV_HEADER,
 };
 use crate::report::{csv_field, push_fixed, push_plain, push_uint};
 use crate::stream::{self, StreamSummary};
@@ -166,7 +164,7 @@ impl NetworkOptimizer {
         &self,
         net: &CorridorNetwork,
         space: &SearchSpace,
-        coverage: &CoverageCaches,
+        coverage: &CoverageCache,
         results: Vec<OptimizeCellResult>,
     ) -> Result<NetworkReport, NetworkError> {
         let picks: Vec<Option<FrontierPoint>> = results
@@ -185,16 +183,12 @@ impl NetworkOptimizer {
         let (plan, margins) = match self.margin_floor_db {
             Some(floor_db) => {
                 // the representative day the interior prices come from,
-                // plus each edge's coverage cache from the search
+                // plus the coverage cache of the search
                 let day = day::build_day_context(net, &picks, MARGIN_DAY_SEED);
-                let caches: Vec<Arc<CoverageCache>> = results
-                    .iter()
-                    .map(|r| shared_cache(coverage, r.cell(), space))
-                    .collect();
                 let trading = schedule::MarginTrading {
                     floor_db,
                     model: MarginModel::new(space.snr_threshold_value()),
-                    caches: &caches,
+                    coverage,
                     day: &day,
                 };
                 schedule::schedule_sleep(net, &picks, self.capacity_tph, Some(&trading))
@@ -358,7 +352,7 @@ impl NetworkReport {
 pub(crate) fn render_schedule_row(out: &mut String, net: &CorridorNetwork, d: &SleepDecision) {
     push_uint(out, d.edge as u64);
     out.push(',');
-    csv_field(out, net.edge_name(d.edge));
+    csv_field(out, &net.edge_name(d.edge));
     out.push(',');
     push_uint(out, d.station as u64);
     out.push(',');
@@ -366,7 +360,7 @@ pub(crate) fn render_schedule_row(out: &mut String, net: &CorridorNetwork, d: &S
     out.push(',');
     push_uint(out, d.absorber_edge as u64);
     out.push(',');
-    csv_field(out, net.edge_name(d.absorber_edge));
+    csv_field(out, &net.edge_name(d.absorber_edge));
     for v in [d.slept_wh_day, d.absorber_delta_wh_day, d.net_wh_day] {
         out.push(',');
         push_fixed(out, v, 3);

@@ -39,8 +39,6 @@
 //! is empty by construction and the schedule degenerates to the
 //! boundary-only search, byte-for-byte.
 
-use std::sync::Arc;
-
 use corridor_core::margin::{MarginLedger, MarginModel};
 use corridor_core::ScenarioError;
 use corridor_deploy::{CoverageCache, PlacementPolicy};
@@ -82,12 +80,12 @@ pub struct SleepDecision {
 }
 
 /// The margin-trading configuration of the scheduler: the floor, the
-/// shared margin model, the per-edge coverage caches of the deployment
-/// search and the simulated day the interior prices come from.
+/// shared margin model, the coverage cache of the deployment search and
+/// the simulated day the interior prices come from.
 pub(crate) struct MarginTrading<'a> {
     pub(crate) floor_db: f64,
     pub(crate) model: MarginModel,
-    pub(crate) caches: &'a [Arc<CoverageCache>],
+    pub(crate) coverage: &'a CoverageCache,
     pub(crate) day: &'a DayContext,
 }
 
@@ -198,7 +196,7 @@ fn interior_edges(
             edge: e,
             n,
             isd: pick.isd,
-            placement: params.placement().clone(),
+            placement: params.placement(),
             prices,
             state: vec![RepState::Free; n],
             slept: Vec::new(),
@@ -386,7 +384,7 @@ pub(crate) fn schedule_sleep(
                     let mut slept = interior.slept.clone();
                     slept.push(k);
                     let Some(margin_after) = trading.model.margin_without(
-                        &trading.caches[e],
+                        trading.coverage,
                         interior.n,
                         interior.isd,
                         &interior.placement,

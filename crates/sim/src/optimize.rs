@@ -8,8 +8,8 @@
 //! describes the candidate configurations, the [`DeploymentOptimizer`]
 //! evaluates every candidate of every [`ScenarioGrid`] cell on the
 //! worker threads — coverage through a shared
-//! [`CoverageCache`](corridor_deploy::CoverageCache) (each
-//! `(layout, budget)` pair profiled once across the whole search),
+//! [`CoverageCache`](corridor_deploy::CoverageCache) (each layout
+//! profiled once across the whole search),
 //! energy through the [`SegmentEvaluator`](corridor_core::SegmentEvaluator)
 //! backends, PV sizing through the Table IV methodology — and keeps the
 //! Pareto-non-dominated set per cell over three objectives:
@@ -22,8 +22,6 @@
 //!
 //! Results land in an [`OptimizeReport`] whose CSV/JSON renderings are
 //! byte-identical no matter how many workers produced them.
-
-use std::sync::{Arc, Mutex, PoisonError};
 
 use corridor_core::margin::MarginModel;
 use corridor_core::sink::{RowEmitter, RowFormat, RowSink, SinkResult, StringSink};
@@ -309,10 +307,10 @@ impl OptimizeCellResult {
 /// worker threads.
 ///
 /// Cells evaluate independently and in parallel; they share one
-/// [`CoverageCache`](corridor_deploy::CoverageCache) per distinct link
-/// budget, so the coverage question for a given `(n, isd, placement)`
-/// is profiled once across the whole search instead of once per cell ×
-/// policy × probe (the hot path of the naive per-step sweep). Results
+/// [`CoverageCache`](corridor_deploy::CoverageCache) per search, so the
+/// coverage question for a given `(n, isd, placement)` is profiled once
+/// across the whole search instead of once per cell × policy × probe
+/// (the hot path of the naive per-step sweep). Results
 /// fold in grid order, so reports are byte-identical across worker
 /// counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -349,18 +347,11 @@ impl DeploymentOptimizer {
         let context = EvalContext::new();
         let search = grid_search(grid, space, &context);
         let results = stream::collect(&search, self.workers)?;
-        let caches = search
-            .coverage
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
         Ok(OptimizeReport {
             results,
             isd_search: space.isd_search.label(),
-            lookups: caches.iter().map(|(_, cache)| cache.lookups()).sum(),
-            profile_evaluations: caches
-                .iter()
-                .map(|(_, cache)| cache.profile_evaluations())
-                .sum(),
+            lookups: search.coverage.lookups(),
+            profile_evaluations: search.coverage.profile_evaluations(),
         })
     }
 
@@ -385,7 +376,9 @@ impl DeploymentOptimizer {
 
     /// [`DeploymentOptimizer::stream`] with an optional [`ResultCache`]
     /// keyed by the scenario hash and the whole search space (counts,
-    /// ISD mode, policies, threshold, sampling step, link budget).
+    /// ISD mode, policies, threshold, sampling step; the paper link
+    /// budget's values too, so keys stay those of the stores written
+    /// while each scenario carried a budget).
     ///
     /// # Errors
     ///
@@ -405,8 +398,8 @@ impl DeploymentOptimizer {
 
     /// Streams the raw per-cell chunks of a cell range to `emit`,
     /// without header or framing, through a fresh [`EvalContext`].
-    /// Workers share one lazily built [`CoverageCache`] per distinct
-    /// link budget, exactly like [`DeploymentOptimizer::run`].
+    /// Workers share one [`CoverageCache`], exactly like
+    /// [`DeploymentOptimizer::run`].
     ///
     /// # Panics
     ///
@@ -438,33 +431,6 @@ impl Default for DeploymentOptimizer {
     }
 }
 
-/// One shared coverage cache per distinct link budget, created lazily
-/// by whichever worker first needs it.
-pub(crate) type CoverageCaches = Mutex<Vec<(LinkBudget, Arc<CoverageCache>)>>;
-
-/// Finds or lazily creates the shared coverage cache for a cell's link
-/// budget, so every cell searched against the same budget shares SNR
-/// profiles.
-pub(crate) fn shared_cache(
-    caches: &CoverageCaches,
-    cell: &ScenarioCell,
-    space: &SearchSpace,
-) -> Arc<CoverageCache> {
-    let mut caches = caches.lock().unwrap_or_else(PoisonError::into_inner);
-    let budget = cell.params().budget();
-    match caches.iter().find(|(b, _)| b == budget) {
-        Some((_, shared)) => Arc::clone(shared),
-        None => {
-            let shared = Arc::new(CoverageCache::with_sample_step(
-                budget.clone(),
-                space.sample_step,
-            ));
-            caches.push((budget.clone(), Arc::clone(&shared)));
-            shared
-        }
-    }
-}
-
 /// The deployment search's per-cell work over any cell source: grid
 /// cells for the [`DeploymentOptimizer`], edge cells for the
 /// [`NetworkOptimizer`](crate::NetworkOptimizer).
@@ -472,8 +438,8 @@ pub(crate) struct SearchJob<'a, F> {
     cells: usize,
     cell_at: F,
     space: &'a SearchSpace,
-    /// The coverage caches the search has built so far.
-    pub(crate) coverage: CoverageCaches,
+    /// The coverage cache every cell of the search shares.
+    pub(crate) coverage: CoverageCache,
     /// PV sizing through the search's context.
     sizing: &'a SizingMemo,
 }
@@ -491,7 +457,7 @@ impl<'a, F> SearchJob<'a, F> {
             cells,
             cell_at,
             space,
-            coverage: Mutex::new(Vec::new()),
+            coverage: CoverageCache::with_sample_step(space.sample_step),
             sizing: context.sizing(),
         }
     }
@@ -518,8 +484,7 @@ where
     }
 
     fn evaluate(&self, cell: ScenarioCell) -> OptimizeCellResult {
-        let coverage = shared_cache(&self.coverage, &cell, self.space);
-        evaluate_cell(&cell, &coverage, self.sizing, self.space)
+        evaluate_cell(&cell, &self.coverage, self.sizing, self.space)
     }
 
     fn render(&self, result: &OptimizeCellResult, format: RowFormat) -> String {
@@ -537,10 +502,11 @@ pub(crate) fn grid_search<'a>(
 }
 
 /// The scenario hash of one cell under a whole search space. Beyond the
-/// common cell fingerprint this folds in every search axis and the link
-/// budget's coverage-relevant parameters — perturbing the SNR threshold
-/// or a wake policy dirties every cell, while perturbing one grid axis
-/// dirties exactly the cells on it.
+/// common cell fingerprint this folds in every search axis and the paper
+/// link budget's coverage-relevant parameters (which no cell varies, but
+/// which keep the keys of stores written while each scenario carried a
+/// budget) — perturbing the SNR threshold or a wake policy dirties every
+/// cell, while perturbing one grid axis dirties exactly the cells on it.
 fn cache_key(cell: &ScenarioCell, space: &SearchSpace) -> String {
     let mut key = KeyBuilder::new("optimize");
     // each list's count goes first, so no list can run into the field
@@ -562,7 +528,7 @@ fn cache_key(cell: &ScenarioCell, space: &SearchSpace) -> String {
     key.int(u64::from(space.pv_sizing))
         .f64(space.snr_threshold.value())
         .f64(space.sample_step.value());
-    let budget = cell.params().budget();
+    let budget = LinkBudget::paper_default();
     key.f64(budget.frequency().value())
         .f64(budget.hp_eirp().value())
         .f64(budget.lp_eirp().value())
@@ -585,7 +551,7 @@ fn evaluate_cell(
     space: &SearchSpace,
 ) -> OptimizeCellResult {
     let params = cell.params();
-    let placement = params.placement();
+    let placement = &params.placement();
     let passes = params.timetable().passes();
     // per-policy conventional baselines, computed lazily on the first
     // feasible candidate and shared across the count loop: the baseline
@@ -986,6 +952,28 @@ mod tests {
         assert_ne!(key, cache_key(&cell, &longer));
         let fewer = space.wake_policies(policies[..1].to_vec());
         assert_ne!(key, cache_key(&cell, &fewer));
+    }
+
+    #[test]
+    fn cache_keys_are_those_of_the_budget_field_era() {
+        // smoke-3 under `serve`'s optimize search space, as stored by a
+        // cache that `serve` filled while every scenario carried a link
+        // budget: the paper budget's six values still go into each key,
+        // in the same order
+        let grid = ScenarioGrid::smoke_3();
+        let space = SearchSpace::new().node_counts((0..=6).collect());
+        let mut keys: Vec<String> = (0..grid.len())
+            .map(|i| cache_key(&grid.cell_at(i).unwrap(), &space))
+            .collect();
+        keys.sort();
+        assert_eq!(
+            keys,
+            [
+                "d10b48f9e606d9182181bc481e0a42c49943e10a0a120ffd0c2e9e26b8c45cba",
+                "d6874e1311152bcd37f9e5e3ebd2bcc2a28a0830a85ddeb30d35882452f160a4",
+                "df669c5fadcd4c31fe3a26ea59acc05852a79baffce6e369e74f44636e472b0d",
+            ]
+        );
     }
 
     fn quick_space() -> SearchSpace {

@@ -1063,7 +1063,7 @@ mod oracle {
                         out,
                         "{},{},{},{},{},{:.0},{},{:.3},{:.3},{:.2},{:.2}",
                         s.edge,
-                        csv_field(net.edge_name(s.edge)),
+                        csv_field(&net.edge_name(s.edge)),
                         s.demand_tph,
                         s.routes,
                         s.nodes,
@@ -1084,7 +1084,7 @@ mod oracle {
                          \"nodes\": {}, \"isd_m\": {:.0}, \"reps\": {}, \"mean_wh_day\": {:.3}, \
                          \"ci95_wh_day\": {:.3}, \"mean_passes\": {:.2}, \"mean_wakes\": {:.2}}}",
                         s.edge,
-                        json_string(net.edge_name(s.edge)),
+                        json_string(&net.edge_name(s.edge)),
                         s.demand_tph,
                         s.routes,
                         s.nodes,
@@ -1106,11 +1106,11 @@ mod oracle {
                 out,
                 "{},{},{},{},{},{},{:.3},{:.3},{:.3},{}",
                 d.edge,
-                csv_field(net.edge_name(d.edge)),
+                csv_field(&net.edge_name(d.edge)),
                 d.station,
                 csv_field(net.station_name(d.station)),
                 d.absorber_edge,
-                csv_field(net.edge_name(d.absorber_edge)),
+                csv_field(&net.edge_name(d.absorber_edge)),
                 d.slept_wh_day,
                 d.absorber_delta_wh_day,
                 d.net_wh_day,

@@ -6,7 +6,6 @@ use corridor_units::WattHours;
 
 /// The outcome of one simulation step of a [`Battery`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatteryStep {
     /// Load energy that could not be served (battery at cutoff).
     pub unmet: WattHours,
@@ -36,16 +35,16 @@ pub struct BatteryStep {
 /// assert!(battery.state_of_charge() < WattHours::new(720.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Battery {
     capacity: WattHours,
-    cutoff_fraction: f64,
-    charge_efficiency: f64,
-    discharge_efficiency: f64,
     soc: WattHours,
 }
 
 impl Battery {
+    const CUTOFF_FRACTION: f64 = 0.4;
+    const CHARGE_EFFICIENCY: f64 = 0.95;
+    const DISCHARGE_EFFICIENCY: f64 = 0.95;
+
     /// The paper's storage: 720 Wh, 40 % discharge cutoff.
     pub fn paper_default() -> Self {
         Battery::with_capacity(WattHours::new(720.0))
@@ -61,9 +60,6 @@ impl Battery {
         assert!(capacity.value() > 0.0, "capacity must be positive");
         Battery {
             capacity,
-            cutoff_fraction: 0.4,
-            charge_efficiency: 0.95,
-            discharge_efficiency: 0.95,
             soc: capacity,
         }
     }
@@ -73,14 +69,9 @@ impl Battery {
         self.capacity
     }
 
-    /// Discharge cutoff fraction.
-    pub fn cutoff_fraction(&self) -> f64 {
-        self.cutoff_fraction
-    }
-
     /// The state of charge floor implied by the cutoff.
     pub fn min_soc(&self) -> WattHours {
-        self.capacity * self.cutoff_fraction
+        self.capacity * Self::CUTOFF_FRACTION
     }
 
     /// Current state of charge.
@@ -111,20 +102,20 @@ impl Battery {
         let mut result = BatteryStep::default();
         let net = generation - load;
         if net.value() >= 0.0 {
-            let storable = net * self.charge_efficiency;
+            let storable = net * Self::CHARGE_EFFICIENCY;
             let headroom = self.capacity - self.soc;
             let stored = storable.min(headroom);
             self.soc += stored;
-            result.curtailed = (storable - stored) / self.charge_efficiency;
+            result.curtailed = (storable - stored) / Self::CHARGE_EFFICIENCY;
         } else {
             let deficit = WattHours::new(-net.value());
-            let draw_needed = deficit / self.discharge_efficiency;
+            let draw_needed = deficit / Self::DISCHARGE_EFFICIENCY;
             let available = self.soc - self.min_soc();
             if draw_needed <= available {
                 self.soc -= draw_needed;
             } else {
                 self.soc = self.min_soc();
-                result.unmet = (draw_needed - available) * self.discharge_efficiency;
+                result.unmet = (draw_needed - available) * Self::DISCHARGE_EFFICIENCY;
             }
         }
         result.full_after = self.is_full();
@@ -138,7 +129,7 @@ impl fmt::Display for Battery {
             f,
             "battery {} (cutoff {:.0} %, SoC {:.1} %)",
             self.capacity,
-            self.cutoff_fraction * 100.0,
+            Self::CUTOFF_FRACTION * 100.0,
             self.soc_fraction() * 100.0
         )
     }
@@ -229,7 +220,6 @@ mod tests {
         b.reset_full();
         assert!(b.is_full());
         assert!((b.soc_fraction() - 1.0).abs() < 1e-12);
-        assert_eq!(b.cutoff_fraction(), 0.4);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use core::fmt;
 /// assert!(madrid.monthly_ghi_kwh_m2_day()[11] > 2.5 * berlin.monthly_ghi_kwh_m2_day()[11]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Location {
     name: &'static str,
     latitude_deg: f64,

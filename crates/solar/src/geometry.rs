@@ -18,7 +18,6 @@
 /// assert!((elev - 73.0).abs() < 0.6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SolarGeometry {
     latitude_deg: f64,
 }

@@ -19,7 +19,6 @@ use corridor_units::{WattHours, Watts};
 /// assert!((load.daily_energy().value() - 124.1).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DailyLoadProfile {
     hourly: [Watts; 24],
 }

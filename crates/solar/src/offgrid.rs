@@ -11,7 +11,6 @@ use crate::{
 /// Summary statistics of one simulated year, mirroring the PVGIS off-grid
 /// report used in the paper's Table IV.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct YearStats {
     days: u32,
     full_battery_days: u32,

@@ -18,14 +18,16 @@ use corridor_units::Watts;
 /// assert!((m.dc_power_w(1000.0, 25.0 - 31.25) - 180.0).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PvModule {
     peak: Watts,
-    temp_coeff_per_k: f64,
-    noct_c: f64,
 }
 
 impl PvModule {
+    /// Power temperature coefficient, per kelvin above 25 °C.
+    const TEMP_COEFF_PER_K: f64 = -0.004;
+    /// Nominal operating cell temperature, °C.
+    const NOCT_C: f64 = 45.0;
+
     /// The paper's standard module: 180 Wp, −0.4 %/K, NOCT 45 °C.
     pub fn standard_180wp() -> Self {
         PvModule::with_peak(Watts::new(180.0))
@@ -38,11 +40,7 @@ impl PvModule {
     /// Panics if `peak` is not strictly positive.
     pub fn with_peak(peak: Watts) -> Self {
         assert!(peak.value() > 0.0, "peak power must be positive");
-        PvModule {
-            peak,
-            temp_coeff_per_k: -0.004,
-            noct_c: 45.0,
-        }
+        PvModule { peak }
     }
 
     /// Rated (STC) power.
@@ -53,7 +51,7 @@ impl PvModule {
     /// Cell temperature (°C) under `poa_w_m2` at ambient `ambient_c`,
     /// using the NOCT model.
     pub fn cell_temperature_c(&self, poa_w_m2: f64, ambient_c: f64) -> f64 {
-        ambient_c + (self.noct_c - 20.0) / 800.0 * poa_w_m2
+        ambient_c + (Self::NOCT_C - 20.0) / 800.0 * poa_w_m2
     }
 
     /// DC output power (watts) under `poa_w_m2` at ambient `ambient_c`.
@@ -62,7 +60,7 @@ impl PvModule {
             return 0.0;
         }
         let t_cell = self.cell_temperature_c(poa_w_m2, ambient_c);
-        let derate = 1.0 + self.temp_coeff_per_k * (t_cell - 25.0);
+        let derate = 1.0 + Self::TEMP_COEFF_PER_K * (t_cell - 25.0);
         (self.peak.value() * poa_w_m2 / 1000.0 * derate).max(0.0)
     }
 }
@@ -85,17 +83,15 @@ impl Default for PvModule {
 /// assert_eq!(array.peak().value(), 540.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PvArray {
     module: PvModule,
     count: u32,
-    system_efficiency: f64,
 }
 
 impl PvArray {
-    /// Default balance-of-system efficiency (wiring, charge controller,
+    /// Balance-of-system efficiency (wiring, charge controller,
     /// soiling): 86 %, matching PVGIS' default 14 % system loss.
-    pub const DEFAULT_SYSTEM_EFFICIENCY: f64 = 0.86;
+    const SYSTEM_EFFICIENCY: f64 = 0.86;
 
     /// `count` standard 180 Wp modules.
     ///
@@ -113,11 +109,7 @@ impl PvArray {
     /// Panics if `count` is zero.
     pub fn new(module: PvModule, count: u32) -> Self {
         assert!(count > 0, "array needs at least one module");
-        PvArray {
-            module,
-            count,
-            system_efficiency: Self::DEFAULT_SYSTEM_EFFICIENCY,
-        }
+        PvArray { module, count }
     }
 
     /// The module type.
@@ -138,7 +130,9 @@ impl PvArray {
     /// AC-side output power (watts) under `poa_w_m2` at ambient
     /// `ambient_c`, including system losses.
     pub fn output_power_w(&self, poa_w_m2: f64, ambient_c: f64) -> f64 {
-        self.module.dc_power_w(poa_w_m2, ambient_c) * f64::from(self.count) * self.system_efficiency
+        self.module.dc_power_w(poa_w_m2, ambient_c)
+            * f64::from(self.count)
+            * Self::SYSTEM_EFFICIENCY
     }
 }
 

@@ -21,7 +21,6 @@ use crate::SolarGeometry;
 /// assert!(poa > 10.0 && poa < 200.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transposition {
     geometry: SolarGeometry,
     tilt_deg: f64,

@@ -23,7 +23,6 @@ use crate::{TrackSection, TrainPass, WakeController};
 /// assert!((activity.total_active_hours().value() - 0.456).abs() < 0.001);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ActivityTimeline {
     intervals: Vec<(Seconds, Seconds)>,
 }

@@ -10,9 +10,9 @@
 //! * [`Timetable`] — the paper's deterministic service pattern (8 trains/h
 //!   for 19 h, 5 h night pause) and a Poisson alternative
 //!   ([`PoissonTimetable`]) for sensitivity studies;
-//! * [`TrafficModel`] and friends ([`DelayModel`], [`MixedTimetable`],
-//!   [`DoubleTrack`]) — seeded stochastic and irregular traffic sources
-//!   for the event-driven corridor simulator;
+//! * [`TrafficModel`] and friends ([`DelayModel`], [`MixedTimetable`]) —
+//!   seeded stochastic and irregular traffic sources for the event-driven
+//!   corridor simulator;
 //! * [`SeedSequence`] — SplitMix64 seed-splitting that gives every
 //!   `(cell, replication)` work item of a Monte-Carlo sweep its own
 //!   decorrelated RNG stream;
@@ -51,6 +51,6 @@ pub use activity::ActivityTimeline;
 pub use schedule::{PoissonTimetable, Timetable};
 pub use section::TrackSection;
 pub use seed::SeedSequence;
-pub use stochastic::{DelayModel, DoubleTrack, MixedTimetable, TrafficModel};
+pub use stochastic::{DelayModel, MixedTimetable, TrafficModel};
 pub use train::{Train, TrainPass};
 pub use wake::WakeController;

@@ -17,7 +17,6 @@ use crate::{Train, TrainPass};
 /// assert_eq!(t.passes().len(), 152); // 8 trains/h × 19 h
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Timetable {
     trains_per_hour: f64,
     service_window: Hours,
@@ -120,7 +119,6 @@ impl Default for Timetable {
 /// assert!(passes.len() > 100 && passes.len() < 210);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PoissonTimetable {
     rate_per_hour: f64,
     service_window: Hours,

@@ -27,7 +27,6 @@ use crate::TrainPass;
 /// assert!((exit - enter).value() - 10.8 < 0.01); // (200 + 400 m) / 55.6 m/s
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrackSection {
     start: Meters,
     end: Meters,

@@ -36,7 +36,6 @@ use crate::{PoissonTimetable, Timetable, Train, TrainPass};
 /// assert_eq!(disturbed.len(), 152); // delays shift passes, never drop them
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DelayModel {
     delay_probability: f64,
     max_delay: Seconds,
@@ -126,7 +125,6 @@ impl DelayModel {
 /// assert_eq!(mixed.passes().len(), 152);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MixedTimetable {
     services: Vec<Timetable>,
 }
@@ -199,7 +197,7 @@ impl MixedTimetable {
 /// use rand::SeedableRng;
 ///
 /// let det = TrafficModel::Deterministic(Timetable::paper_default());
-/// assert!(!det.is_stochastic());
+/// assert_eq!(det.label(), "deterministic");
 ///
 /// let poisson = TrafficModel::Poisson(PoissonTimetable::paper_rate());
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -207,7 +205,6 @@ impl MixedTimetable {
 /// assert!(!day.is_empty());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TrafficModel {
     /// The paper's evenly spaced timetable.
     Deterministic(Timetable),
@@ -236,14 +233,6 @@ impl TrafficModel {
         }
     }
 
-    /// True if sampled days differ (the model consumes randomness).
-    pub fn is_stochastic(&self) -> bool {
-        matches!(
-            self,
-            TrafficModel::Poisson(_) | TrafficModel::Jittered { .. }
-        )
-    }
-
     /// A short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -255,66 +244,9 @@ impl TrafficModel {
     }
 }
 
-/// Traffic on a bidirectional double-track corridor: one source per
-/// direction.
-///
-/// Down-direction trains run the corridor mirrored (their head crosses
-/// the *far* end at their origin time); the event-driven simulator
-/// mirrors the coverage sections accordingly when computing occupancy.
-///
-/// # Examples
-///
-/// ```
-/// use corridor_traffic::{DoubleTrack, Timetable, TrafficModel};
-/// use rand::SeedableRng;
-///
-/// let line = DoubleTrack::new(
-///     TrafficModel::Deterministic(Timetable::paper_default()),
-///     TrafficModel::Deterministic(Timetable::paper_default()),
-/// );
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let (up, down) = line.sample(&mut rng);
-/// assert_eq!(up.len() + down.len(), 304);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct DoubleTrack {
-    up: TrafficModel,
-    down: TrafficModel,
-}
-
-impl DoubleTrack {
-    /// A double-track line with the given per-direction sources.
-    pub fn new(up: TrafficModel, down: TrafficModel) -> Self {
-        DoubleTrack { up, down }
-    }
-
-    /// The up-direction source.
-    pub fn up(&self) -> &TrafficModel {
-        &self.up
-    }
-
-    /// The down-direction source.
-    pub fn down(&self) -> &TrafficModel {
-        &self.down
-    }
-
-    /// True if either direction consumes randomness.
-    pub fn is_stochastic(&self) -> bool {
-        self.up.is_stochastic() || self.down.is_stochastic()
-    }
-
-    /// Samples one day per direction: `(up_passes, down_passes)`. The up
-    /// direction draws first, so a seeded RNG reproduces both streams.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (Vec<TrainPass>, Vec<TrainPass>) {
-        (self.up.passes(rng), self.down.passes(rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corridor_units::Hours;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -404,12 +336,10 @@ mod tests {
     #[test]
     fn traffic_model_dispatch() {
         let det = TrafficModel::Deterministic(Timetable::paper_default());
-        assert!(!det.is_stochastic());
         assert_eq!(det.label(), "deterministic");
         assert_eq!(det.passes(&mut rng(0)), Timetable::paper_default().passes());
 
         let poisson = TrafficModel::Poisson(PoissonTimetable::paper_rate());
-        assert!(poisson.is_stochastic());
         assert_eq!(poisson.label(), "poisson");
         assert_eq!(poisson.passes(&mut rng(5)), poisson.passes(&mut rng(5)));
 
@@ -417,32 +347,9 @@ mod tests {
             base: Timetable::paper_default(),
             delays: DelayModel::typical(),
         };
-        assert!(jittered.is_stochastic());
         assert_eq!(jittered.label(), "jittered");
 
         let mixed = TrafficModel::Mixed(MixedTimetable::paper_mixed());
-        assert!(!mixed.is_stochastic());
         assert_eq!(mixed.label(), "mixed");
-    }
-
-    #[test]
-    fn double_track_samples_both_directions() {
-        let line = DoubleTrack::new(
-            TrafficModel::Deterministic(Timetable::paper_default()),
-            TrafficModel::Poisson(PoissonTimetable::new(
-                4.0,
-                Hours::new(19.0),
-                Hours::new(5.0).seconds(),
-                Train::paper_default(),
-            )),
-        );
-        assert!(line.is_stochastic());
-        assert!(!line.up().is_stochastic());
-        assert!(line.down().is_stochastic());
-        let (up_a, down_a) = line.sample(&mut rng(11));
-        let (up_b, down_b) = line.sample(&mut rng(11));
-        assert_eq!(up_a.len(), 152);
-        assert_eq!(up_a, up_b);
-        assert_eq!(down_a, down_b);
     }
 }

@@ -15,7 +15,6 @@ use corridor_units::{KilometersPerHour, Meters, MetersPerSecond, Seconds};
 /// assert!((train.speed().value() - 55.56).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Train {
     length: Meters,
     speed: MetersPerSecond,
@@ -83,7 +82,6 @@ impl fmt::Display for Train {
 /// assert!((arrival.value() - 3610.0).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainPass {
     train: Train,
     origin_time: Seconds,

@@ -34,7 +34,6 @@ use corridor_units::Seconds;
 /// assert_eq!(tight.uncovered_time(), Seconds::new(0.3));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WakeController {
     lead: Seconds,
     wake_delay: Seconds,

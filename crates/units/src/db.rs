@@ -20,7 +20,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// assert!((Db::from_linear(100.0).value() - 20.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Db(f64);
 
 impl Db {
@@ -157,7 +156,6 @@ impl Sum for Db {
 /// assert!((both.value() - (-76.99)).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dbm(f64);
 
 impl Dbm {

@@ -17,7 +17,6 @@ use crate::{Hours, Seconds};
 /// assert!((energy.value() - 113.28).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Watts(f64);
 
 impl Watts {
@@ -155,7 +154,6 @@ impl Sum for Watts {
 /// assert!((avg.value() - 30.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WattHours(f64);
 
 impl WattHours {

@@ -19,7 +19,6 @@ pub const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
 /// assert!((carrier.wavelength().value() - 0.08102).abs() < 1e-4);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hertz(f64);
 
 impl Hertz {
@@ -27,12 +26,6 @@ impl Hertz {
     #[inline]
     pub const fn new(value: f64) -> Self {
         Hertz(value)
-    }
-
-    /// Creates a frequency from kilohertz.
-    #[inline]
-    pub const fn from_khz(khz: f64) -> Self {
-        Hertz(khz * 1e3)
     }
 
     /// Creates a frequency from megahertz.
@@ -137,8 +130,7 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(Hertz::from_ghz(3.5), Hertz::from_mhz(3500.0));
-        assert_eq!(Hertz::from_mhz(1.0), Hertz::from_khz(1000.0));
-        assert_eq!(Hertz::from_khz(1.0), Hertz::new(1000.0));
+        assert_eq!(Hertz::from_mhz(1.0), Hertz::new(1e6));
     }
 
     #[test]
@@ -161,7 +153,7 @@ mod tests {
     fn display_picks_scale() {
         assert_eq!(Hertz::from_ghz(3.7).to_string(), "3.700 GHz");
         assert_eq!(Hertz::from_mhz(100.0).to_string(), "100.000 MHz");
-        assert_eq!(Hertz::from_khz(30.0).to_string(), "30.000 kHz");
+        assert_eq!(Hertz::new(30_000.0).to_string(), "30.000 kHz");
         assert_eq!(Hertz::new(50.0).to_string(), "50.0 Hz");
     }
 

@@ -18,7 +18,6 @@ use crate::{MetersPerSecond, Seconds};
 /// assert!((pass_time.value() - 7.2).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Meters(f64);
 
 impl Meters {
@@ -189,7 +188,6 @@ impl From<Kilometers> for Meters {
 /// assert_eq!(m, Meters::new(1000.0));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Kilometers(f64);
 
 impl Kilometers {

@@ -19,7 +19,6 @@ use core::fmt;
 /// # Ok::<(), corridor_units::LoadFractionError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoadFraction(f64);
 
 impl LoadFraction {

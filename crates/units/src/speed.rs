@@ -17,7 +17,6 @@ use crate::{Meters, Seconds};
 /// assert!((travelled.value() - 600.0).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetersPerSecond(f64);
 
 impl MetersPerSecond {
@@ -96,7 +95,6 @@ impl From<KilometersPerHour> for MetersPerSecond {
 /// assert!((v.meters_per_second().value() - 55.56).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KilometersPerHour(f64);
 
 impl KilometersPerHour {

@@ -19,7 +19,6 @@ pub const HOURS_PER_DAY: f64 = 24.0;
 /// assert!((pass.hours().value() - 0.0045).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Seconds(f64);
 
 impl Seconds {
@@ -152,7 +151,6 @@ impl From<Hours> for Seconds {
 /// assert_eq!(s, Seconds::new(18_000.0));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hours(f64);
 
 impl Hours {

@@ -21,7 +21,7 @@ fn run(out: &mut Stdout) -> io::Result<ExitCode> {
 
     // sweep the achievable ISD per node count with the calibrated model
     let optimizer =
-        IsdOptimizer::new(params.budget().clone()).with_placement(params.placement().clone());
+        IsdOptimizer::new(LinkBudget::paper_default()).with_placement(params.placement());
     let table = optimizer.sweep(10);
     writeln!(out, "achievable inter-site distances (computed):\n{table}")?;
 
@@ -92,8 +92,8 @@ fn run(out: &mut Stdout) -> io::Result<ExitCode> {
 
     // verify the selected plan really keeps peak throughput
     let layout =
-        CorridorLayout::with_policy(isd, n, params.placement()).expect("plan is placeable");
-    let profile = layout.coverage_profile(params.budget(), Meters::new(5.0));
+        CorridorLayout::with_policy(isd, n, &params.placement()).expect("plan is placeable");
+    let profile = layout.coverage_profile(&LinkBudget::paper_default(), Meters::new(5.0));
     writeln!(
         out,
         "  coverage check:  min SNR {:.1} dB (peak requires ≥ 29 dB)",

@@ -18,7 +18,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`units`] | unit-safe quantities (dB, dBm, W, Wh, m, Hz, s) |
-//! | [`propagation`] | calibrated Friis, free-space, log-distance, two-ray, penetration loss |
+//! | [`propagation`] | calibrated Friis, free-space, penetration loss |
 //! | [`link`] | NR carrier, RSRP/SNR (paper eq. 2), TR 36.942 throughput, coverage profiles |
 //! | [`power`] | EARTH power model (eq. 3), Table I/II equipment, duty cycles |
 //! | [`traffic`] | timetables, train kinematics, section occupancy, wake control |

@@ -2,7 +2,6 @@
 //! single crate's unit tests cover.
 
 use railway_corridor::prelude::*;
-use railway_corridor::propagation::{LogDistance, TwoRayGround};
 
 /// The traffic-derived duty cycle feeds the power model consistently:
 /// computing the repeater's daily energy through the full pipeline equals
@@ -55,8 +54,8 @@ fn traffic_to_solar_pipeline() {
     assert_eq!(system.simulate_year(2).downtime_days(), 0);
 }
 
-/// Swapping the path-loss family changes the achievable ISD in the
-/// physically expected direction.
+/// A harsher link budget shortens the achievable ISD, the physically
+/// expected direction.
 #[test]
 fn pathloss_families_order_the_isd() {
     let base = IsdOptimizer::new(LinkBudget::paper_default()).with_sample_step(Meters::new(10.0));
@@ -67,14 +66,6 @@ fn pathloss_families_order_the_isd() {
     let harsh = IsdOptimizer::new(harsh_budget).with_sample_step(Meters::new(10.0));
     let harsh_isd = harsh.max_isd(2).unwrap();
     assert!(harsh_isd < friis_isd);
-
-    // sanity on the alternative models themselves
-    let d = Meters::new(1000.0);
-    let friis = CalibratedFriis::new(Hertz::from_ghz(3.5), Db::new(0.0));
-    let log35 = LogDistance::new(Hertz::from_ghz(3.5), 3.5);
-    let two_ray = TwoRayGround::new(Hertz::from_ghz(3.5), Meters::new(15.0), Meters::new(3.0));
-    assert!(log35.attenuation(d) > friis.attenuation(d));
-    assert_eq!(two_ray.attenuation(d), friis.attenuation(d)); // below crossover
 }
 
 /// The donor-node rule changes the energy by the expected small amount:
@@ -141,8 +132,7 @@ fn eirp_chain_matches_paper() {
     assert_eq!(thr.spectral_efficiency(snr), 5.84);
 }
 
-/// Serde round-trip across crates (feature-gated types compile and the
-/// default feature set builds without serde).
+/// The public types are `Debug`, `Clone` and thread-safe across crates.
 #[test]
 fn public_types_have_debug_and_clone() {
     fn assert_traits<T: std::fmt::Debug + Clone + Send + Sync>() {}

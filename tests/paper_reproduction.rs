@@ -103,8 +103,9 @@ fn fig3_scenario_full_coverage() {
     let layout =
         CorridorLayout::with_policy(Meters::new(2400.0), 8, &PlacementPolicy::paper_default())
             .unwrap();
-    let profile = layout.coverage_profile(p.budget(), Meters::new(5.0));
-    assert_eq!(profile.fraction_at_peak(p.budget().throughput()), 1.0);
+    let budget = LinkBudget::paper_default();
+    let profile = layout.coverage_profile(&budget, Meters::new(5.0));
+    assert_eq!(profile.fraction_at_peak(budget.throughput()), 1.0);
 }
 
 /// Paper Fig. 3 text: "a mobile terminal inside that train would see the
