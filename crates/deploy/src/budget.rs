@@ -15,7 +15,7 @@ use corridor_units::{Db, Dbm, Hertz};
 /// | HP calibration | 33 dB |
 /// | LP calibration | 20 dB |
 /// | noise floor | −132 dBm/subcarrier |
-/// | terminal NF | 5 dB |
+/// | terminal NF | 5 dB (`SnrModel::PAPER_TERMINAL_NF`) |
 /// | repeater NF | 8 dB |
 ///
 /// The carrier frequency is not stated in the paper ("sub-6 GHz");
@@ -47,7 +47,6 @@ impl LinkBudget {
     const LP_EIRP: Dbm = Dbm::new(40.0);
     const HP_CALIBRATION: Db = Db::new(33.0);
     const LP_CALIBRATION: Db = Db::new(20.0);
-    const TERMINAL_NOISE_FIGURE: Db = Db::new(5.0);
     const REPEATER_NOISE_FIGURE: Db = Db::new(8.0);
     const THROUGHPUT: ThroughputModel = ThroughputModel::nr_default();
 
@@ -98,11 +97,6 @@ impl LinkBudget {
     /// Per-subcarrier noise floor `N_RSRP`.
     pub fn noise_floor(&self) -> Dbm {
         self.noise_floor
-    }
-
-    /// Terminal noise figure `NF_MT`.
-    pub fn terminal_noise_figure(&self) -> Db {
-        Self::TERMINAL_NOISE_FIGURE
     }
 
     /// Throughput model.

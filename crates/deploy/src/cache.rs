@@ -109,11 +109,6 @@ impl CoverageCache {
         }
     }
 
-    /// The profile sampling step.
-    pub fn sample_step(&self) -> Meters {
-        self.sample_step
-    }
-
     /// Minimum SNR along a segment of `isd` with `n` repeaters placed by
     /// `placement`, or `None` if the placement is infeasible (cluster
     /// wider than the segment). Cached per `(n, isd, placement)`.

@@ -65,7 +65,6 @@ impl CorridorLayout {
         let lp = budget.lp_path_loss();
         let mut model = SnrModel::new(*budget.carrier())
             .with_noise_floor(budget.noise_floor())
-            .with_terminal_noise_figure(budget.terminal_noise_figure())
             .with_source(SignalSource::new(Meters::ZERO, budget.hp_rstp(), hp))
             .with_source(SignalSource::new(self.isd, budget.hp_rstp(), hp));
         for &pos in &self.repeaters {

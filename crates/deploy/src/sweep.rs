@@ -67,16 +67,6 @@ impl IsdOptimizer {
         self
     }
 
-    /// The link budget in use.
-    pub fn budget(&self) -> &LinkBudget {
-        &self.budget
-    }
-
-    /// The placement policy in use.
-    pub fn placement(&self) -> &PlacementPolicy {
-        &self.placement
-    }
-
     /// One uncached grid-point probe, in the shared skeleton's
     /// vocabulary.
     fn probe(&self, n: usize, isd: Meters) -> crate::search::Probe {
@@ -193,12 +183,5 @@ mod tests {
         let opt = IsdOptimizer::new(LinkBudget::paper_default().with_noise_floor(Dbm::new(-250.0)))
             .with_sample_step(Meters::new(10.0));
         assert_eq!(opt.max_isd(1), Some(Meters::new(4000.0)));
-    }
-
-    #[test]
-    fn accessors() {
-        let opt = optimizer();
-        assert_eq!(opt.placement(), &PlacementPolicy::paper_default());
-        assert_eq!(opt.budget(), &LinkBudget::paper_default());
     }
 }

@@ -13,8 +13,10 @@ use crate::{segment_nodes, CorridorSimulator, EventDrivenEvaluator, SimReport, W
 /// population on every call — fine for a one-off day, wasteful for a
 /// Monte-Carlo sweep replaying hundreds of seeded days through the same
 /// geometry. A replicator builds the nodes and configures the simulator
-/// once; each [`SegmentReplicator::simulate_day`] then only runs the
-/// event loop, so the per-day cost is exactly the simulation itself.
+/// once; each [`SegmentReplicator::simulate_day`] then only simulates the
+/// day (the interval sweep under [`WakePolicy::instant`], the event loop
+/// under any other policy), so the per-day cost is exactly the
+/// simulation itself.
 ///
 /// # Examples
 ///

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use corridor_traffic::{TrackSection, TrainPass};
+use corridor_traffic::{TrackSection, Train, TrainPass};
 use corridor_units::{Hours, Meters, Seconds};
 
 use crate::{NodeReport, NodeSpec, NodeState, SimReport, StateTrace, WakePolicy};
@@ -51,6 +51,64 @@ impl Event {
 
 /// One occupancy interval of a node's section: `(enter, exit)`.
 type Span = (Seconds, Seconds);
+
+/// One direction of a day's traffic: its passes, and the corridor length
+/// a node's section is mirrored over for them (`None` when they sweep the
+/// sections as given).
+type Direction<'a> = (&'a [TrainPass], Option<Meters>);
+
+/// A section's occupancy intervals, pass by pass, with the two divisions
+/// of [`TrackSection::occupancy`] done once per train instead of once
+/// per pass.
+///
+/// A pass enters at `origin + start / speed` and leaves at
+/// `origin + (end + length) / speed`; both quotients depend on the train
+/// alone, so they are kept for the last train seen (keyed on the bits of
+/// its length and speed) and recomputed when the train changes. The
+/// quotients and sums are the same operations on the same operands as
+/// `occupancy`'s, so every interval keeps its bits.
+struct PassOffsets {
+    section: TrackSection,
+    /// Bits of the length and speed the offsets were computed for.
+    train: Option<[u64; 2]>,
+    /// `start / speed`.
+    head: Seconds,
+    /// `(end + length) / speed`.
+    tail: Seconds,
+}
+
+impl PassOffsets {
+    fn new(section: TrackSection) -> Self {
+        PassOffsets {
+            section,
+            train: None,
+            head: Seconds::ZERO,
+            tail: Seconds::ZERO,
+        }
+    }
+
+    /// `self.section.occupancy(pass)`, bit for bit.
+    fn occupancy(&mut self, pass: &TrainPass) -> Span {
+        let train = pass.train();
+        let key = [train.length().value(), train.speed().value()].map(f64::to_bits);
+        if self.train != Some(key) {
+            self.divide(key, train);
+        }
+        let origin = pass.origin_time();
+        (origin + self.head, origin + self.tail)
+    }
+
+    /// Recomputes the offsets for a new train. Out of line and cold, so
+    /// the pass loop branches around the divisions instead of computing
+    /// them for every pass and selecting the kept ones.
+    #[cold]
+    #[inline(never)]
+    fn divide(&mut self, key: [u64; 2], train: Train) {
+        self.train = Some(key);
+        self.head = self.section.start() / train.speed();
+        self.tail = (self.section.end() + train.length()) / train.speed();
+    }
+}
 
 /// Sorts `items` stably into the order `precedes` defines. A day's
 /// passes usually arrive sorted by origin, leaving only the local
@@ -191,9 +249,10 @@ impl NodeRuntime {
 /// over the union of its occupancy intervals, one wake per connected
 /// stretch, so the simulator skips the events: it sorts the node's
 /// `(enter, exit)` intervals, merges those that overlap or touch, and
-/// bills each merged stretch through the same four state transitions,
-/// at the same clocks and in the same order, as the event loop would.
-/// The traces and event counts are bit-identical to the loop's. Any
+/// bills each merged stretch as asleep time up to its clamped start and
+/// active time up to its clamped end, the only segments of the loop's
+/// four transitions that are not zero under that policy. The traces and
+/// event counts are bit-identical to the loop's. Any
 /// other policy runs the event loop. The energy
 /// numbers then come from the same duty-cycle arithmetic as the
 /// closed-form model, so with [`WakePolicy::instant`] the two backends
@@ -262,9 +321,7 @@ impl CorridorSimulator {
     /// Simulates single-track traffic: every pass sweeps the corridor in
     /// the positive direction.
     pub fn simulate(&self, nodes: &[NodeSpec], passes: &[TrainPass]) -> SimReport {
-        self.run(nodes, passes.len(), |section| {
-            passes.iter().map(move |pass| section.occupancy(pass))
-        })
+        self.run(nodes, &[(passes, None)])
     }
 
     /// Simulates bidirectional double-track traffic over a corridor of
@@ -284,43 +341,62 @@ impl CorridorSimulator {
         down: &[TrainPass],
         corridor_length: Meters,
     ) -> SimReport {
-        self.run(nodes, up.len() + down.len(), |s| {
+        for spec in nodes {
+            let s = spec.section();
             assert!(
                 s.start().value() >= 0.0 && s.end() <= corridor_length,
                 "section {s} extends beyond the corridor"
             );
-            let mirrored =
-                TrackSection::new(corridor_length - s.end(), corridor_length - s.start());
-            let up = up.iter().map(move |pass| s.occupancy(pass));
-            up.chain(down.iter().map(move |pass| mirrored.occupancy(pass)))
-        })
+        }
+        self.run(nodes, &[(up, None), (down, Some(corridor_length))])
     }
 
-    /// The core loop: for each distinct section in turn, `occupancies`
-    /// yields its `(enter, exit)` intervals in pass order, and the ones
-    /// that overlap the horizon make the node's day: merged into powered
-    /// stretches under the instant policy ([`CorridorSimulator::sweep`]),
-    /// staged as barrier/enter/exit events for the state machine under
-    /// any other ([`CorridorSimulator::replay`]). A node's trace and
-    /// event count depend on nothing but its section, so a node whose
-    /// section matches an earlier one's bit for bit (the mast and the
-    /// donor repeaters all watch `[0, isd]`) reuses them; `-0.0` and
-    /// `+0.0` starts do not match.
-    fn run<I>(
-        &self,
-        nodes: &[NodeSpec],
-        passes: usize,
-        mut occupancies: impl FnMut(TrackSection) -> I,
-    ) -> SimReport
-    where
-        I: Iterator<Item = Span>,
-    {
+    /// The core loop: each distinct section's day is made from its
+    /// occupancy intervals that overlap the horizon
+    /// ([`CorridorSimulator::for_each_live`]), merged into powered
+    /// stretches under the instant policy ([`CorridorSimulator::sweep`])
+    /// or staged as barrier/enter/exit events for the state machine under
+    /// any other ([`CorridorSimulator::replay`]).
+    fn run(&self, nodes: &[NodeSpec], directions: &[Direction<'_>]) -> SimReport {
+        let passes = directions.iter().map(|(passes, _)| passes.len()).sum();
         let instant = self.policy == WakePolicy::instant();
         let mut day = NodeDay::default();
         let mut spans: Vec<Span> = Vec::new();
         if instant {
             spans.reserve(passes);
         }
+        self.per_section(nodes, passes, |section| {
+            if instant {
+                spans.clear();
+                let mut sorted = true;
+                let mut last = Seconds::new(f64::NEG_INFINITY);
+                self.for_each_live(section, directions, |span| {
+                    sorted &= span.0 >= last;
+                    last = span.0;
+                    spans.push(span);
+                });
+                self.sweep(&mut spans, sorted)
+            } else {
+                day.clear();
+                self.for_each_live(section, directions, |span| self.stage(&mut day, span));
+                day.seal();
+                self.replay(&mut day)
+            }
+        })
+    }
+
+    /// Reports every node from the trace and event count `day_of` makes
+    /// for its section. A node's day depends on nothing but its section,
+    /// so `day_of` runs once per distinct section: a node whose section
+    /// matches an earlier one's bit for bit (the mast and the donor
+    /// repeaters all watch `[0, isd]`) reuses that day; `-0.0` and `+0.0`
+    /// starts do not match.
+    fn per_section(
+        &self,
+        nodes: &[NodeSpec],
+        passes: usize,
+        mut day_of: impl FnMut(TrackSection) -> (StateTrace, usize),
+    ) -> SimReport {
         let mut done: BTreeMap<[u64; 2], (StateTrace, usize)> = BTreeMap::new();
         let mut events = 0usize;
         let reports = nodes
@@ -328,24 +404,7 @@ impl CorridorSimulator {
             .map(|spec| {
                 let section = spec.section();
                 let key = [section.start(), section.end()].map(|m| m.value().to_bits());
-                let (trace, count) = *done.entry(key).or_insert_with(|| {
-                    // only intervals that overlap the horizon power the
-                    // node; every comparison with NaN is false, so NaN
-                    // intervals drop
-                    let live = occupancies(section).filter(|&(enter, exit)| {
-                        exit > enter && exit > Seconds::ZERO && enter < self.horizon
-                    });
-                    if instant {
-                        spans.clear();
-                        live.for_each(|span| spans.push(span));
-                        self.sweep(&mut spans)
-                    } else {
-                        day.clear();
-                        self.stage(&mut day, live);
-                        day.seal();
-                        self.replay(&mut day)
-                    }
-                });
+                let (trace, count) = *done.entry(key).or_insert_with(|| day_of(section));
                 events += count;
                 NodeReport::new(spec.kind(), section, trace)
             })
@@ -353,8 +412,37 @@ impl CorridorSimulator {
         SimReport::new(reports, self.horizon, events, passes)
     }
 
+    /// Calls `f` with each `(enter, exit)` interval of `section` that
+    /// overlaps the horizon, in pass order, direction by direction: only
+    /// those can power the node. Every comparison with NaN is false, so
+    /// NaN intervals drop.
+    fn for_each_live(
+        &self,
+        section: TrackSection,
+        directions: &[Direction<'_>],
+        mut f: impl FnMut(Span),
+    ) {
+        for &(passes, mirror) in directions {
+            let watched = match mirror {
+                None => section,
+                Some(length) => TrackSection::new(length - section.end(), length - section.start()),
+            };
+            let mut offsets = PassOffsets::new(watched);
+            for pass in passes {
+                let (enter, exit) = offsets.occupancy(pass);
+                if exit > enter && exit > Seconds::ZERO && enter < self.horizon {
+                    f((enter, exit));
+                }
+            }
+        }
+    }
+
     /// Runs one node's sealed day through the state machine, returning
     /// its trace and event count.
+    ///
+    /// Out of line, as `sweep` is: inlined into `run`, whose staging loop
+    /// both paths share, it made paper-policy days about 6 % slower.
+    #[inline(never)]
     fn replay(&self, day: &mut NodeDay) -> (StateTrace, usize) {
         let mut rt = NodeRuntime::asleep(self.horizon);
         let mut events = 0usize;
@@ -379,19 +467,54 @@ impl CorridorSimulator {
     /// powered over each stretch of intervals that overlap or touch,
     /// from its first entry to its last exit. Sorted by entry (stably,
     /// as the loop's barriers are), a stretch grows while the next entry
-    /// is `<=` its running maximum exit, and each is billed through the
-    /// four transitions the loop makes ([`CorridorSimulator::power`]).
-    /// The loop pops three staged events per interval and a wake
-    /// completion and a drain expiry per stretch.
+    /// is `<=` its running maximum exit. `sorted` says the intervals
+    /// arrived with entries that never decrease, which a stable sort
+    /// leaves as they are, so only other days are sorted. The loop pops
+    /// three staged events per interval and a wake completion and a
+    /// drain expiry per stretch.
+    ///
+    /// Each stretch `[start, end]` is billed with two clamps,
+    /// `on = clamp(start)` and `off = clamp(end)` into `[0, horizon]`:
+    /// asleep gets `on − since`, active gets `off − on`, one wake, and
+    /// the node sleeps from `off`. That is what the loop's four
+    /// transitions (asleep → waking at `start − lead`, → active at that
+    /// plus `wake_delay`, → drain at `end`, → asleep at `end + guard`)
+    /// add, bit for bit, when the policy equals
+    /// [`WakePolicy::instant`], where each of the three is a zero of
+    /// either sign (`WakePolicy::new` accepts `-0.0`):
+    ///
+    /// * `end > 0` (every live interval exits after `t = 0`), so
+    ///   `end + guard == end`, `off > 0`, and the drain segment is `+0.0`;
+    /// * `start − lead` and `start − lead + wake_delay` differ from
+    ///   `start` at most in the sign of a zero, so the waking segment is
+    ///   a zero, and `off − c == off − on` for either clamped clock `c`,
+    ///   because `off > 0`;
+    /// * a zero `start` can only open the first stretch (each later one
+    ///   starts after an earlier `end > 0`), whose asleep segment from
+    ///   `since = +0.0` is then a zero whatever its sign.
+    ///
+    /// Every accumulator starts at `+0.0` and only grows, so adding a
+    /// zero of either sign leaves its bits unchanged: dropping the two
+    /// zero segments changes nothing.
     ///
     /// Out of line: inlined next to the event loop in `simulate`, it
     /// made paper-policy days 6–7 % slower in process; out of line, they
     /// run as before and instant days slightly faster.
     #[inline(never)]
-    fn sweep(&self, spans: &mut [Span]) -> (StateTrace, usize) {
-        sort_nearly_sorted(spans, |a, b| a.0 < b.0);
-        let mut rt = NodeRuntime::asleep(self.horizon);
-        let mut stretches = 0usize;
+    fn sweep(&self, spans: &mut [Span], sorted: bool) -> (StateTrace, usize) {
+        if !sorted {
+            sort_nearly_sorted(spans, |a, b| a.0 < b.0);
+        }
+        let mut trace = StateTrace::new(self.horizon);
+        let mut since = Seconds::ZERO;
+        let mut bill = |start: Seconds, end: Seconds| {
+            let on = start.max(Seconds::ZERO).min(self.horizon);
+            let off = end.max(Seconds::ZERO).min(self.horizon);
+            trace.add(NodeState::Asleep, on - since);
+            trace.add(NodeState::Active, off - on);
+            trace.count_wake();
+            since = off;
+        };
         let mut rest = spans.iter();
         if let Some(&(mut start, mut end)) = rest.next() {
             for &(enter, exit) in rest {
@@ -400,27 +523,14 @@ impl CorridorSimulator {
                         end = exit;
                     }
                 } else {
-                    self.power(&mut rt, start, end);
-                    stretches += 1;
+                    bill(start, end);
                     (start, end) = (enter, exit);
                 }
             }
-            self.power(&mut rt, start, end);
-            stretches += 1;
+            bill(start, end);
         }
-        (self.close(rt), 3 * spans.len() + 2 * stretches)
-    }
-
-    /// Bills one powered stretch from a first entry `start` to a last
-    /// exit `end` with the transitions and clocks of the event loop: the
-    /// barrier trip, its wake completion, the last exit and its drain
-    /// expiry.
-    fn power(&self, rt: &mut NodeRuntime, start: Seconds, end: Seconds) {
-        let trip = start - self.policy.lead();
-        self.transition(rt, trip, NodeState::Waking);
-        self.transition(rt, trip + self.policy.wake_delay(), NodeState::Active);
-        self.transition(rt, end, NodeState::Drain);
-        self.transition(rt, end + self.policy.guard(), NodeState::Asleep);
+        trace.add(NodeState::Asleep, self.horizon - since);
+        (trace, 3 * spans.len() + 2 * trace.wakes())
     }
 
     /// Closes the node's final state segment at the horizon.
@@ -430,25 +540,23 @@ impl CorridorSimulator {
         rt.trace
     }
 
-    /// Stages a barrier trip, entry and exit per occupancy interval into
-    /// `day`, in pass order.
-    fn stage(&self, day: &mut NodeDay, occupancies: impl Iterator<Item = Span>) {
-        occupancies.for_each(|(enter, exit)| {
-            day.run.extend([
-                Event {
-                    time: enter - self.policy.lead(),
-                    kind: EventKind::BarrierTrip,
-                },
-                Event {
-                    time: enter,
-                    kind: EventKind::TrainEnter,
-                },
-                Event {
-                    time: exit,
-                    kind: EventKind::TrainExit,
-                },
-            ]);
-        });
+    /// Stages the barrier trip, entry and exit of one occupancy interval
+    /// into `day`.
+    fn stage(&self, day: &mut NodeDay, (enter, exit): Span) {
+        day.run.extend([
+            Event {
+                time: enter - self.policy.lead(),
+                kind: EventKind::BarrierTrip,
+            },
+            Event {
+                time: enter,
+                kind: EventKind::TrainEnter,
+            },
+            Event {
+                time: exit,
+                kind: EventKind::TrainExit,
+            },
+        ]);
     }
 
     /// Transitions `rt` to `next` at clock `t`, billing the elapsed
@@ -727,9 +835,10 @@ mod tests {
         let twin = TrackSection::new(Meters::new(-0.0), nodes[0].section().end());
         nodes.push(NodeSpec::new(NodeKind::DonorRepeater, twin));
         let mut staged = Vec::new();
-        let report = CorridorSimulator::new().run(&nodes, 0, |section| {
+        let sim = CorridorSimulator::new();
+        let report = sim.per_section(&nodes, 0, |section| {
             staged.push(section);
-            std::iter::empty()
+            (StateTrace::new(sim.horizon()), 0)
         });
         assert_eq!(report.nodes().len(), 14);
         assert_eq!(staged.len(), 12);

@@ -9,7 +9,8 @@
 //! was once checked against, both kept verbatim (modulo names). Property
 //! tests drive the simulator and the oracle through the same days —
 //! overlapping passes, equal timestamps, negative barrier times, `±0.0`
-//! origins, passes straddling the horizon, single and double track,
+//! origins, passes straddling the horizon, one-train days as Monte-Carlo
+//! samples them and trains changing mid-day, single and double track,
 //! instant/paper/custom policies, nodes repeating an earlier node's
 //! section (whose run the simulator reuses) or its `±0.0` start twin,
 //! drains cancelled by the next train — and require every node's state
@@ -913,6 +914,147 @@ fn equal_entries_with_different_exits_merge_to_the_latest_exit() {
     assert_eq!(trace.wakes(), 2);
     assert_eq!(trace.powered(), Seconds::new(27.5 + 27.5));
     assert_eq!(report.events_processed(), 3 * 6 + 2 * 2);
+}
+
+// ---------------------------------------------------------------------
+// One-train instant days, as every Monte-Carlo and network day is: the
+// simulator divides once per section and train, not once per pass, and
+// bills each stretch from two clamped clocks
+// ---------------------------------------------------------------------
+
+/// A sorted day of 50–250 passes of one train, as a Poisson day is.
+fn one_train_passes_strategy() -> impl Strategy<Value = Vec<TrainPass>> {
+    (prop::collection::vec(origin_strategy(), 50..251), 0u8..=2).prop_map(|(mut origins, train)| {
+        origins.sort_by(f64::total_cmp);
+        origins
+            .into_iter()
+            .map(|t| TrainPass::new(train_of(train), Seconds::new(t)))
+            .collect()
+    })
+}
+
+proptest! {
+    /// One train per day, single and double track, at a 24 h or a
+    /// one-hour horizon.
+    #[test]
+    fn one_train_instant_days_match_the_global_loop(
+        short in 0u8..=1,
+        nodes in nodes_strategy(),
+        up in one_train_passes_strategy(),
+        down in one_train_passes_strategy(),
+    ) {
+        let sim = CorridorSimulator::new();
+        let sim = if short == 1 { sim.with_horizon(Seconds::new(3_600.0)) } else { sim };
+        let oracle = Oracle::of(&sim);
+        prop_assert_eq!(DayBits::of(&sim.simulate(&nodes, &up)), oracle.simulate(&nodes, &up));
+        let length = Meters::new(CORRIDOR);
+        prop_assert_eq!(
+            DayBits::of(&sim.simulate_double_track(&nodes, &up, &down, length)),
+            oracle.simulate_double_track(&nodes, &up, &down, length)
+        );
+    }
+}
+
+/// Instant days of `passes` on a segment with `-0.0` and `+0.0` start
+/// twins, single and double track, at both horizons, under
+/// `WakePolicy::instant()` and under its `-0.0` twin (equal, so it runs
+/// the interval sweep too).
+fn assert_instant_days_match(passes: &[TrainPass]) {
+    let nodes: Vec<NodeSpec> = paper_segment()
+        .into_iter()
+        .chain(
+            [-0.0, 0.0, -0.0]
+                .map(|start| TrackSection::new(Meters::new(start), Meters::new(700.0)))
+                .map(|s| NodeSpec::new(NodeKind::ServiceRepeater, s)),
+        )
+        .collect();
+    let zero = Seconds::new(-0.0);
+    let policies = [WakePolicy::instant(), WakePolicy::new(zero, zero, zero)];
+    let length = Meters::new(CORRIDOR);
+    for policy in policies {
+        assert_eq!(policy, WakePolicy::instant());
+        for horizon in [86_400.0, 3_600.0] {
+            let sim = CorridorSimulator::new()
+                .with_policy(policy)
+                .with_horizon(Seconds::new(horizon));
+            let oracle = Oracle::of(&sim);
+            assert_eq!(
+                DayBits::of(&sim.simulate(&nodes, passes)),
+                oracle.simulate(&nodes, passes),
+                "{policy:?}, horizon {horizon}"
+            );
+            let mut down = passes.to_vec();
+            down.reverse();
+            assert_eq!(
+                DayBits::of(&sim.simulate_double_track(&nodes, passes, &down, length)),
+                oracle.simulate_double_track(&nodes, passes, &down, length),
+                "double track, {policy:?}, horizon {horizon}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_train_change_mid_day_recomputes_the_pass_offsets() {
+    // runs of one train broken by the two others, and back: each change
+    // must divide afresh, and a return to an earlier train too, as the
+    // offsets are kept for the last train only
+    let trains = [0, 0, 0, 1, 1, 0, 2, 2, 2, 0, 1, 0];
+    let passes: Vec<TrainPass> = trains
+        .into_iter()
+        .zip(0u32..)
+        .map(|(train, k)| TrainPass::new(train_of(train), Seconds::new(300.0 * f64::from(k))))
+        .collect();
+    assert_instant_days_match(&passes);
+    // and a day whose trains differ in length only, at one speed
+    let speed = MetersPerSecond::new(50.0);
+    let passes: Vec<TrainPass> = (0..12)
+        .map(|k| {
+            let length = Meters::new(if k % 3 == 0 { 400.0 } else { 200.0 });
+            TrainPass::new(Train::new(length, speed), Seconds::new(90.0 * f64::from(k)))
+        })
+        .collect();
+    assert_instant_days_match(&passes);
+}
+
+#[test]
+fn signed_zero_origins_and_starts_of_one_train_match_the_global_loop() {
+    // `-0.0` origins on `-0.0`/`+0.0` starts give entries of either
+    // zero sign at t = 0, where the first stretch's clamped start is
+    // billed; the double-track day mirrors them to the corridor's end
+    let train = Train::paper_default();
+    let passes: Vec<TrainPass> = [-0.0, 0.0, -0.0, 5.0, 600.0]
+        .into_iter()
+        .map(|t| TrainPass::new(train, Seconds::new(t)))
+        .collect();
+    assert_instant_days_match(&passes);
+}
+
+#[test]
+fn stretches_clipped_at_both_horizon_edges_match_the_global_loop() {
+    // a burst straddling t = 0 (entries before it, exits after it), one
+    // straddling the one-hour horizon and one straddling the day's end:
+    // the first stretch's start and the last stretch's end are clamped
+    let train = Train::paper_default();
+    let passes: Vec<TrainPass> = [-20.0, -10.0, -3.0, 1_000.0]
+        .into_iter()
+        .chain([3_590.0, 3_595.0, 3_598.0])
+        .chain([86_385.0, 86_390.0, 86_399.0])
+        .map(|t| TrainPass::new(train, Seconds::new(t)))
+        .collect();
+    assert_instant_days_match(&passes);
+    for horizon in [86_400.0, 3_600.0] {
+        let horizon = Seconds::new(horizon);
+        let report = CorridorSimulator::new()
+            .with_horizon(horizon)
+            .simulate(&one_node(500.0), &passes);
+        let trace = report.nodes()[0].trace();
+        assert!(((trace.asleep() + trace.powered()).value() - horizon.value()).abs() < 1e-9);
+        assert_eq!(
+            (trace.waking(), trace.drain()),
+            (Seconds::ZERO, Seconds::ZERO)
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

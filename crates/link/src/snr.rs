@@ -42,7 +42,6 @@ use crate::{NrCarrier, SignalSource};
 pub struct SnrModel<M> {
     carrier: NrCarrier,
     noise_floor: Dbm,
-    terminal_noise_figure: Db,
     sources: Vec<SignalSource<M>>,
 }
 
@@ -58,7 +57,6 @@ impl<M: PathLoss> SnrModel<M> {
         SnrModel {
             carrier,
             noise_floor: Self::PAPER_NOISE_FLOOR,
-            terminal_noise_figure: Self::PAPER_TERMINAL_NF,
             sources: Vec::new(),
         }
     }
@@ -67,13 +65,6 @@ impl<M: PathLoss> SnrModel<M> {
     #[must_use]
     pub fn with_noise_floor(mut self, noise_floor: Dbm) -> Self {
         self.noise_floor = noise_floor;
-        self
-    }
-
-    /// Overrides the mobile-terminal noise figure `NF_MT`.
-    #[must_use]
-    pub fn with_terminal_noise_figure(mut self, nf: Db) -> Self {
-        self.terminal_noise_figure = nf;
         self
     }
 
@@ -99,11 +90,6 @@ impl<M: PathLoss> SnrModel<M> {
         self.noise_floor
     }
 
-    /// The configured terminal noise figure.
-    pub fn terminal_noise_figure(&self) -> Db {
-        self.terminal_noise_figure
-    }
-
     /// All signal sources.
     pub fn sources(&self) -> &[SignalSource<M>] {
         &self.sources
@@ -111,7 +97,7 @@ impl<M: PathLoss> SnrModel<M> {
 
     /// The terminal's own noise: `N_RSRP · NF_MT`, independent of position.
     pub fn terminal_noise(&self) -> Dbm {
-        self.noise_floor + self.terminal_noise_figure
+        self.noise_floor + Self::PAPER_TERMINAL_NF
     }
 
     /// Per-source RSRP at track position `at`.
@@ -225,11 +211,8 @@ mod tests {
 
     #[test]
     fn builder_accessors() {
-        let m = hp_pair(500.0)
-            .with_noise_floor(Dbm::new(-129.2))
-            .with_terminal_noise_figure(Db::new(7.0));
+        let m = hp_pair(500.0).with_noise_floor(Dbm::new(-129.2));
         assert_eq!(m.noise_floor(), Dbm::new(-129.2));
-        assert_eq!(m.terminal_noise_figure(), Db::new(7.0));
         assert_eq!(m.sources().len(), 2);
         assert_eq!(m.rsrp_per_source(Meters::new(100.0)).len(), 2);
         let mut m2 = m.clone();
