@@ -1,4 +1,6 @@
-# Offline mirror of .github/workflows/ci.yml — `make ci` runs the same gate.
+# The CI commands, in one place: every step of .github/workflows/ci.yml
+# runs one target below (`run: make <target>`), and `make ci` runs them
+# all, offline.
 
 RUSTDOCFLAGS_STRICT := -D missing_docs -D warnings
 

@@ -84,14 +84,14 @@ fn run(f: &mut Fields, out: &mut Stdout) -> Result<ExitCode, Stop> {
     let isd = IsdTable::paper()
         .isd_for(nodes)
         .expect("nodes validated to 0-10");
-    let evaluator = EventDrivenEvaluator::with_policy(policy);
+    let replicator = EventDrivenEvaluator::with_policy(policy).replicator(&params, nodes, isd);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 
     let started = Instant::now();
     let mut reports = Vec::with_capacity(days);
     for _ in 0..days {
         let passes = model.passes(&mut rng);
-        reports.push(evaluator.simulate_segment(&params, nodes, isd, &passes));
+        reports.push(replicator.simulate_day(&passes));
     }
     let elapsed = started.elapsed();
 

@@ -57,7 +57,9 @@ pub fn poisson_service_day(seed: u64) -> PoissonDay {
     let isd = IsdTable::paper().isd_for(10).expect("paper table has 10");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let passes = PoissonTimetable::paper_rate().sample_passes(&mut rng);
-    let report = EventDrivenEvaluator::new().simulate_segment(&params, 10, isd, &passes);
+    let report = EventDrivenEvaluator::new()
+        .replicator(&params, 10, isd)
+        .simulate_day(&passes);
     let service: Vec<_> = report.nodes_of(NodeKind::ServiceRepeater).collect();
     let count = service.len() as f64;
     PoissonDay {

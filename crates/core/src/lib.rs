@@ -97,7 +97,6 @@ pub mod prelude {
     };
     pub use corridor_traffic::{
         ActivityTimeline, PoissonTimetable, Timetable, TrackSection, Train, TrainPass,
-        WakeController,
     };
     pub use corridor_units::prelude::*;
 }

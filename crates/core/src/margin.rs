@@ -120,11 +120,6 @@ impl MarginLedger {
         MarginLedger { floor_db, margins }
     }
 
-    /// The floor no edge may drop below.
-    pub fn floor_db(&self) -> f64 {
-        self.floor_db
-    }
-
     /// The residual margin of `edge` (`None` for undeployed edges).
     pub fn margin(&self, edge: usize) -> Option<f64> {
         self.margins.get(edge).copied().flatten()

@@ -311,11 +311,6 @@ impl<'a> RowEmitter<'a> {
         Ok(())
     }
 
-    /// Rows emitted so far.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
     /// Writes the postamble, flushes the sink and returns the row count.
     ///
     /// # Errors
@@ -347,7 +342,6 @@ mod tests {
         let mut rows = RowEmitter::begin(&mut sink, RowFormat::Csv, "h1,h2").unwrap();
         rows.row("1,2\n").unwrap();
         rows.row("3,4\n").unwrap();
-        assert_eq!(rows.rows(), 2);
         assert_eq!(rows.finish().unwrap(), 2);
         assert_eq!(sink.as_str(), "h1,h2\n1,2\n3,4\n");
     }

@@ -117,11 +117,12 @@ mod tests {
             CorridorLayout::with_policy(Meters::new(1250.0), 1, &PlacementPolicy::paper_default())
                 .unwrap();
         let model = l.snr_model(&LinkBudget::paper_default());
+        let at = Meters::new(600.0);
         let repeater = &model.sources()[2];
-        assert!(repeater.emitted_noise().is_some());
+        assert!(repeater.received_noise_at(at).is_some());
         // masts carry no re-emitted noise
-        assert!(model.sources()[0].emitted_noise().is_none());
-        assert!(model.sources()[1].emitted_noise().is_none());
+        assert!(model.sources()[0].received_noise_at(at).is_none());
+        assert!(model.sources()[1].received_noise_at(at).is_none());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 use corridor_core::energy::SegmentEnergy;
 use corridor_core::{EnergyStrategy, ScenarioParams, SegmentEvaluator};
 use corridor_deploy::SegmentInventory;
-use corridor_traffic::TrainPass;
 use corridor_units::{Meters, Watts};
 
-use crate::{segment_nodes, CorridorSimulator, NodeKind, SimReport, WakePolicy};
+use crate::{NodeKind, SimReport, WakePolicy};
 
 /// Computes the corridor energy split by replaying train passes through
 /// the discrete-event simulator instead of the closed-form duty-cycle
@@ -17,9 +16,10 @@ use crate::{segment_nodes, CorridorSimulator, NodeKind, SimReport, WakePolicy};
 /// analytic numbers to float precision on deterministic timetables (the
 /// differential suite enforces < 0.1 %); with a realistic policy it
 /// quantifies what the closed form leaves out (wake latency, guard
-/// intervals), and [`EventDrivenEvaluator::power_from_passes`] accepts
-/// arbitrary pass lists — Poisson days, jittered schedules, mixed
-/// services — that the closed form cannot express at all.
+/// intervals). Its [`replicator`](EventDrivenEvaluator::replicator)
+/// replays arbitrary pass lists — Poisson days, jittered schedules,
+/// mixed services — that the closed form cannot express at all, and
+/// [`EventDrivenEvaluator::power_from_report`] prices each simulated day.
 ///
 /// # Examples
 ///
@@ -58,36 +58,6 @@ impl EventDrivenEvaluator {
     /// The wake policy in effect.
     pub fn policy(&self) -> WakePolicy {
         self.policy
-    }
-
-    /// Simulates one day of `passes` over a segment with `n` repeaters
-    /// at `isd` and returns the raw per-node report.
-    pub fn simulate_segment(
-        &self,
-        params: &ScenarioParams,
-        n: usize,
-        isd: Meters,
-        passes: &[TrainPass],
-    ) -> SimReport {
-        let nodes = segment_nodes(n, isd, params.lp_spacing());
-        CorridorSimulator::new()
-            .with_policy(self.policy)
-            .simulate(&nodes, passes)
-    }
-
-    /// The per-kilometre energy split for an arbitrary day of passes —
-    /// the entry point for stochastic timetables, where the caller
-    /// samples the day (seeded) and hands the passes in.
-    pub fn power_from_passes(
-        &self,
-        params: &ScenarioParams,
-        n: usize,
-        isd: Meters,
-        strategy: EnergyStrategy,
-        passes: &[TrainPass],
-    ) -> SegmentEnergy {
-        let report = self.simulate_segment(params, n, isd, passes);
-        Self::power_from_report(params, n, isd, strategy, &report)
     }
 
     /// Derives the per-kilometre energy split of one strategy from an
@@ -145,7 +115,10 @@ impl SegmentEvaluator for EventDrivenEvaluator {
         isd: Meters,
         strategy: EnergyStrategy,
     ) -> SegmentEnergy {
-        self.power_from_passes(params, n, isd, strategy, &params.timetable().passes())
+        let report = self
+            .replicator(params, n, isd)
+            .simulate_day(&params.timetable().passes());
+        Self::power_from_report(params, n, isd, strategy, &report)
     }
 }
 

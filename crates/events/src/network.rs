@@ -112,11 +112,6 @@ impl TrainItinerary {
         self.train
     }
 
-    /// The departure clock of the first leg.
-    pub fn departure(&self) -> Seconds {
-        self.departure
-    }
-
     /// The legs, in traversal order.
     pub fn legs(&self) -> &[Leg] {
         &self.legs

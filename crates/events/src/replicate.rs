@@ -7,16 +7,15 @@ use corridor_units::Meters;
 
 use crate::{segment_nodes, CorridorSimulator, EventDrivenEvaluator, SimReport, WakePolicy};
 
-/// A segment simulation prepared for many replications.
+/// A segment simulation prepared for many replications: the one way to
+/// simulate a segment day.
 ///
-/// [`EventDrivenEvaluator::simulate_segment`] rebuilds the node
-/// population on every call — fine for a one-off day, wasteful for a
-/// Monte-Carlo sweep replaying hundreds of seeded days through the same
-/// geometry. A replicator builds the nodes and configures the simulator
+/// A replicator builds the node population and configures the simulator
 /// once; each [`SegmentReplicator::simulate_day`] then only simulates the
 /// day (the interval sweep under [`WakePolicy::instant`], the event loop
-/// under any other policy), so the per-day cost is exactly the
-/// simulation itself.
+/// under any other policy), so a Monte-Carlo sweep replaying hundreds of
+/// seeded days through one geometry pays for the nodes once and a
+/// one-off day costs the same as through a bare [`CorridorSimulator`].
 ///
 /// # Examples
 ///
@@ -86,7 +85,8 @@ mod tests {
         let passes = Timetable::paper_default().passes();
         let evaluator = EventDrivenEvaluator::new();
         let replicator = evaluator.replicator(&params, 10, isd);
-        let one_shot = evaluator.simulate_segment(&params, 10, isd, &passes);
+        let one_shot = CorridorSimulator::new()
+            .simulate(&segment_nodes(10, isd, params.lp_spacing()), &passes);
         assert_eq!(replicator.simulate_day(&passes), one_shot);
         // and again: the prepared state is not consumed
         assert_eq!(replicator.simulate_day(&passes), one_shot);

@@ -1,7 +1,6 @@
 //! Simulation results: per-node traces and aggregate statistics.
 
 use corridor_traffic::TrackSection;
-use corridor_units::Seconds;
 
 use crate::{NodeKind, StateTrace};
 
@@ -58,22 +57,15 @@ impl NodeReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     nodes: Vec<NodeReport>,
-    horizon: Seconds,
     events: usize,
     passes: usize,
 }
 
 impl SimReport {
     /// Wraps finished node reports (used by the simulator).
-    pub(crate) fn new(
-        nodes: Vec<NodeReport>,
-        horizon: Seconds,
-        events: usize,
-        passes: usize,
-    ) -> Self {
+    pub(crate) fn new(nodes: Vec<NodeReport>, events: usize, passes: usize) -> Self {
         SimReport {
             nodes,
-            horizon,
             events,
             passes,
         }
@@ -87,11 +79,6 @@ impl SimReport {
     /// The nodes of one role.
     pub fn nodes_of(&self, kind: NodeKind) -> impl Iterator<Item = &NodeReport> {
         self.nodes.iter().filter(move |node| node.kind() == kind)
-    }
-
-    /// The integration horizon of the run.
-    pub fn horizon(&self) -> Seconds {
-        self.horizon
     }
 
     /// Number of events processed, summed over the nodes (the
@@ -132,7 +119,6 @@ mod tests {
         assert_eq!(report.nodes_of(NodeKind::ServiceRepeater).count(), 3);
         assert_eq!(report.nodes_of(NodeKind::DonorRepeater).count(), 2);
         assert_eq!(report.passes(), 152);
-        assert_eq!(report.horizon(), Seconds::new(86_400.0));
         let hp = &report.nodes()[0];
         assert_eq!(hp.kind(), NodeKind::HighPowerMast);
         assert_eq!(hp.section().end(), Meters::new(1600.0));

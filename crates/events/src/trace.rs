@@ -67,22 +67,19 @@ impl StateTrace {
         self.uncovered += duration.max(Seconds::ZERO);
     }
 
-    /// The simulation horizon this trace covers.
-    pub fn horizon(&self) -> Seconds {
-        self.horizon
-    }
-
     /// Time asleep.
     pub fn asleep(&self) -> Seconds {
         self.asleep
     }
 
     /// Time in the wake transition.
+    // corridor-lint: allow(unused-pub, reason = "crates/events/tests/sim_differential.rs (DayBits::of, report_digest) compares each node's waking time with the global-loop oracle and the heap-era digests bit for bit; production bills it through powered()")
     pub fn waking(&self) -> Seconds {
         self.waking
     }
 
     /// Time fully operational.
+    // corridor-lint: allow(unused-pub, reason = "crates/events/tests/sim_differential.rs (DayBits::of, report_digest) compares each node's active time with the global-loop oracle and the heap-era digests bit for bit; production bills it through powered()")
     pub fn active(&self) -> Seconds {
         self.active
     }

@@ -45,10 +45,12 @@ impl fmt::Display for NodeState {
 
 /// The timing parameters of the sleep/wake state machine.
 ///
-/// Extends the analytic [`WakeController`](corridor_traffic::WakeController) (barrier lead + wake delay)
-/// with a *guard* interval: how long a node stays powered after the last
-/// train clears its section before dropping back to sleep, absorbing
-/// sensor debounce and closely following trains.
+/// The photoelectric barrier's *lead* (how early it trips before a
+/// train enters the section), the node's *wake delay* (how long it takes
+/// to become operational; a delay beyond the lead leaves the train
+/// uncovered for the difference) and a *guard* interval: how long a node
+/// stays powered after the last train clears its section before dropping
+/// back to sleep, absorbing sensor debounce and closely following trains.
 ///
 /// # Examples
 ///

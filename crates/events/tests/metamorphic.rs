@@ -80,8 +80,9 @@ proptest! {
         let at = busier.partition_point(|p| p.origin_time().value() < origin);
         busier.insert(at, TrainPass::new(train, Seconds::new(origin)));
 
-        let before = evaluator.simulate_segment(&params, n, isd, &day);
-        let after = evaluator.simulate_segment(&params, n, isd, &busier);
+        let replicator = evaluator.replicator(&params, n, isd);
+        let before = replicator.simulate_day(&day);
+        let after = replicator.simulate_day(&busier);
         for (b, a) in before.nodes().iter().zip(after.nodes()) {
             let (b, a) = (b.trace().powered().value(), a.trace().powered().value());
             prop_assert!(a >= b - ROUNDING_S, "n = {n}: powered {b} s, then {a} s");
@@ -101,7 +102,8 @@ proptest! {
         let params = ScenarioParams::paper_default();
         let (n, isd) = segment(n);
         let report = EventDrivenEvaluator::with_policy(policy)
-            .simulate_segment(&params, n, isd, &poisson_day(rate, seed));
+            .replicator(&params, n, isd)
+            .simulate_day(&poisson_day(rate, seed));
         let energy = |strategy| EventDrivenEvaluator::power_from_report(&params, n, isd, strategy, &report);
         let sleep = energy(EnergyStrategy::SleepModeRepeaters);
         let continuous = energy(EnergyStrategy::ContinuousRepeaters);

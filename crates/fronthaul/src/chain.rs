@@ -83,12 +83,6 @@ impl FronthaulChain {
         FronthaulChain { hops }
     }
 
-    /// The hops, in feeding order (left donor outward, then right donor
-    /// outward for the daisy topology).
-    pub fn hops(&self) -> &[FronthaulHop] {
-        &self.hops
-    }
-
     /// Evaluates every hop.
     pub fn evaluate(&self) -> ChainReport {
         let margins: Vec<f64> = self
@@ -165,14 +159,24 @@ mod tests {
 
     #[test]
     fn daisy_hop_lengths_are_gaps() {
-        let chain = FronthaulChain::for_segment(&fig3_positions(), Meters::new(2400.0));
-        let lengths: Vec<f64> = chain.hops().iter().map(|h| h.distance().value()).collect();
+        let report = FronthaulChain::for_segment(&fig3_positions(), Meters::new(2400.0)).evaluate();
         // left donor: 500 m to the first node, then 200 m gaps; mirrored
         // on the right side
+        let hops: Vec<FronthaulHop> = [500.0, 200.0, 200.0, 200.0, 500.0, 200.0, 200.0, 200.0]
+            .into_iter()
+            .map(|d| FronthaulHop::paper_default(Meters::new(d)))
+            .collect();
+        assert_eq!(report.hop_count, hops.len());
         assert_eq!(
-            lengths,
-            vec![500.0, 200.0, 200.0, 200.0, 500.0, 200.0, 200.0, 200.0]
+            report.worst_margin_db,
+            hops[0].clear_sky_margin().value(),
+            "the 500 m donor hops are the longest"
         );
+        let availability = hops
+            .iter()
+            .map(FronthaulHop::rain_availability)
+            .fold(1.0, |acc, a| acc * a);
+        assert_eq!(report.availability.to_bits(), availability.to_bits());
     }
 
     #[test]
@@ -186,9 +190,11 @@ mod tests {
     #[test]
     fn single_node_daisy() {
         let chain = FronthaulChain::for_segment(&[Meters::new(625.0)], Meters::new(1250.0));
-        assert_eq!(chain.hops().len(), 1);
-        assert_eq!(chain.hops()[0].distance(), Meters::new(625.0));
-        assert!(chain.evaluate().to_string().contains("1 hop(s)"));
+        let report = chain.evaluate();
+        assert_eq!(report.hop_count, 1);
+        let hop = FronthaulHop::paper_default(Meters::new(625.0));
+        assert_eq!(report.worst_margin_db, hop.clear_sky_margin().value());
+        assert!(report.to_string().contains("1 hop(s)"));
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl FronthaulHop {
         FronthaulHop { distance }
     }
 
-    /// Hop length.
-    pub fn distance(&self) -> Meters {
-        self.distance
-    }
-
     /// Thermal noise over the hop bandwidth including the receiver noise
     /// figure.
     pub fn noise_power(&self) -> Dbm {
@@ -155,7 +150,6 @@ mod tests {
     #[test]
     fn accessors() {
         let hop = FronthaulHop::paper_default(Meters::new(200.0));
-        assert_eq!(hop.distance(), Meters::new(200.0));
         assert_eq!(hop.clear_sky_margin(), hop.snr(0.0) - Db::new(32.0));
     }
 

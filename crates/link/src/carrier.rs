@@ -53,16 +53,6 @@ impl NrCarrier {
         }
     }
 
-    /// Occupied bandwidth.
-    pub fn bandwidth(&self) -> Hertz {
-        self.bandwidth
-    }
-
-    /// Number of subcarriers.
-    pub fn subcarriers(&self) -> u32 {
-        self.subcarriers
-    }
-
     /// The dB factor `10·log10(N_sc)` between total power and
     /// per-subcarrier power.
     pub fn subcarrier_division(&self) -> Db {
@@ -99,8 +89,7 @@ mod tests {
     #[test]
     fn paper_carrier_values() {
         let c = NrCarrier::paper_100mhz();
-        assert_eq!(c.subcarriers(), 3300);
-        assert_eq!(c.bandwidth(), Hertz::from_mhz(100.0));
+        assert_eq!(c, NrCarrier::new(Hertz::from_mhz(100.0), 3300));
         // 10 log10(3300) = 35.19 dB
         assert!((c.subcarrier_division().value() - 35.185).abs() < 1e-3);
     }

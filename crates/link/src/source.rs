@@ -65,21 +65,6 @@ impl<M: PathLoss> SignalSource<M> {
         self.position
     }
 
-    /// Per-subcarrier reference signal transmit power.
-    pub fn rstp(&self) -> Dbm {
-        self.rstp
-    }
-
-    /// The source's path-loss model.
-    pub fn path_loss(&self) -> &M {
-        &self.path_loss
-    }
-
-    /// Noise re-emitted at the transmit port, if any.
-    pub fn emitted_noise(&self) -> Option<Dbm> {
-        self.emitted_noise
-    }
-
     /// Port-to-port attenuation from this source to track position `at`.
     pub fn attenuation_to(&self, at: Meters) -> Db {
         self.path_loss.attenuation(self.position.distance_to(at))
@@ -102,16 +87,21 @@ mod tests {
     use corridor_propagation::CalibratedFriis;
     use corridor_units::Hertz;
 
+    const LP_RSTP: Dbm = Dbm::new(4.81);
+
+    fn lp_model() -> CalibratedFriis {
+        CalibratedFriis::new(Hertz::from_ghz(3.7), Db::new(20.0))
+    }
+
     fn lp_source() -> SignalSource<CalibratedFriis> {
-        let model = CalibratedFriis::new(Hertz::from_ghz(3.7), Db::new(20.0));
-        SignalSource::new(Meters::new(600.0), Dbm::new(4.81), model)
+        SignalSource::new(Meters::new(600.0), LP_RSTP, lp_model())
     }
 
     #[test]
     fn rsrp_is_rstp_minus_attenuation() {
         let s = lp_source();
         let at = Meters::new(700.0);
-        let expected = s.rstp() - s.path_loss().attenuation(Meters::new(100.0));
+        let expected = LP_RSTP - lp_model().attenuation(Meters::new(100.0));
         assert_eq!(s.rsrp_at(at), expected);
     }
 
@@ -124,7 +114,6 @@ mod tests {
     #[test]
     fn no_noise_by_default() {
         let s = lp_source();
-        assert_eq!(s.emitted_noise(), None);
         assert_eq!(s.received_noise_at(Meters::new(700.0)), None);
     }
 
@@ -143,7 +132,7 @@ mod tests {
         // at the near-field guard distance the loss is the 1 m loss
         let s = lp_source();
         let at_mast = s.rsrp_at(Meters::new(600.0));
-        let expected = s.rstp() - s.path_loss().attenuation(Meters::new(1.0));
+        let expected = LP_RSTP - lp_model().attenuation(Meters::new(1.0));
         assert_eq!(at_mast, expected);
     }
 }

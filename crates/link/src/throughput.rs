@@ -64,21 +64,6 @@ impl ThroughputModel {
         }
     }
 
-    /// The attenuation factor α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The spectral-efficiency cap `Thr_MAX` in bps/Hz.
-    pub fn max_spectral_efficiency(&self) -> f64 {
-        self.max_spectral_efficiency
-    }
-
-    /// The SNR below which throughput is zero.
-    pub fn snr_min(&self) -> Db {
-        self.snr_min
-    }
-
     /// Spectral efficiency in bps/Hz at `snr`.
     pub fn spectral_efficiency(&self, snr: Db) -> f64 {
         if snr < self.snr_min {

@@ -25,13 +25,12 @@ pub mod rules;
 pub mod sanitize;
 pub mod waiver;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use rules::Scope;
+use rules::{Counts, Scope};
 
 /// One reported violation.
 #[derive(Debug, Clone)]
@@ -148,16 +147,17 @@ pub fn check_source(file: &str, source: &str, scope: Scope) -> FileFindings {
 
 /// The engine [`check_source`] and [`check_tree`] share: the hits of
 /// [`rules::scan`] resolved against the file's waivers, plus waiver
-/// hygiene. `names` is the workspace name index `unused-pub` needs.
+/// hygiene. `index` holds the workspace name and call-site indexes
+/// `unused-pub` needs.
 fn check_sanitized(
     file: &str,
     source: &str,
     sanitized: &sanitize::Sanitized,
     scope: Scope,
-    names: Option<&BTreeMap<&str, usize>>,
+    index: Option<(&Counts, &Counts)>,
 ) -> FileFindings {
     let mut waivers = waiver::parse_waivers(&sanitized.comments);
-    let hits = rules::scan(sanitized, scope, names);
+    let hits = rules::scan(sanitized, scope, index);
 
     let mut used = vec![false; waivers.len()];
     let mut diagnostics = Vec::new();
@@ -244,9 +244,9 @@ pub fn check_tree(files: &[(&str, &str)]) -> FileFindings {
         .filter(|(rel, _)| scope_for(rel).is_some() || rel.starts_with("perfbench/src/"))
         .map(|&(rel, source)| (rel, source, sanitize::sanitize(source)))
         .collect();
-    let mut names = BTreeMap::new();
+    let (mut names, mut calls) = (Counts::new(), Counts::new());
     for (_, _, sanitized) in &indexed {
-        rules::index_names(&sanitized.masked, &mut names);
+        rules::index_names(&sanitized.masked, &mut names, &mut calls);
     }
 
     let mut out = FileFindings::default();
@@ -254,7 +254,7 @@ pub fn check_tree(files: &[(&str, &str)]) -> FileFindings {
         let Some(scope) = scope_for(rel) else {
             continue;
         };
-        let findings = check_sanitized(rel, source, sanitized, scope, Some(&names));
+        let findings = check_sanitized(rel, source, sanitized, scope, Some((&names, &calls)));
         out.diagnostics.extend(findings.diagnostics);
         out.waivers.extend(findings.waivers);
     }

@@ -156,18 +156,16 @@ pub struct Hit {
 
 /// Runs every rule enforced in `scope` over the sanitized file and
 /// returns the raw hits in (line, rule) order. `unused-pub` needs the
-/// workspace name index (see [`index_names`]); without one it does not
-/// fire.
-pub fn scan(
-    sanitized: &Sanitized,
-    scope: Scope,
-    names: Option<&BTreeMap<&str, usize>>,
-) -> Vec<Hit> {
+/// workspace's name and call-site indexes (see [`index_names`]);
+/// without them it does not fire.
+pub fn scan(sanitized: &Sanitized, scope: Scope, index: Option<(&Counts, &Counts)>) -> Vec<Hit> {
     let masked = &sanitized.masked;
     let test_spans = test_line_spans(masked);
     let key_spans = sort_key_line_spans(masked);
     let state_lines = stateful_static_lines(masked);
-    let unused_lines = names.map_or_else(Vec::new, |names| unused_pub_lines(masked, names));
+    let unused_lines = index.map_or_else(Vec::new, |(names, calls)| {
+        unused_pub_lines(masked, names, calls)
+    });
     let mut hits = Vec::new();
 
     for (idx, line) in masked.lines().enumerate() {
@@ -207,11 +205,15 @@ pub fn scan(
     hits
 }
 
-/// Counts every identifier of the masked text into `index`, skipping
-/// `#[cfg(test)]` items, `use` declarations (an import names an item
-/// without using it) and a type's name inside its own `impl` blocks (a
-/// type its own impls alone name is not used).
-pub fn index_names<'a>(masked: &'a str, index: &mut BTreeMap<&'a str, usize>) {
+/// How many times each name occurs, by name.
+pub(crate) type Counts<'a> = BTreeMap<&'a str, usize>;
+
+/// Counts every identifier of the masked text into `names`, and each
+/// call-shaped one (`.name(`, `.name::<`, `::name`) into `calls` as
+/// well, skipping `#[cfg(test)]` items, `use` declarations (an import
+/// names an item without using it) and a type's name inside its own
+/// `impl` blocks (a type its own impls alone name is not used).
+pub fn index_names<'a>(masked: &'a str, names: &mut Counts<'a>, calls: &mut Counts<'a>) {
     let test_spans = test_line_spans(masked);
     let imports = use_spans(masked);
     let impls = impl_spans(masked);
@@ -224,9 +226,27 @@ pub fn index_names<'a>(masked: &'a str, index: &mut BTreeMap<&'a str, usize>) {
             .iter()
             .any(|&(a, b, own)| own == name && at >= a && at <= b);
         if !in_import && !in_own_impl && !in_spans(&test_spans, line) {
-            *index.entry(name).or_insert(0) += 1;
+            *names.entry(name).or_insert(0) += 1;
+            if call_shaped(masked, at, name.len()) {
+                *calls.entry(name).or_insert(0) += 1;
+            }
         }
     }
+}
+
+/// True when the identifier at `at` (`len` bytes) is a method call
+/// (`.name(`, `.name::<`) or a path segment (`::name`, which also
+/// covers `Type::name` passed as a function). A bare `name` — a field,
+/// a local, a declaration — is not.
+fn call_shaped(masked: &str, at: usize, len: usize) -> bool {
+    let before = masked[..at].trim_end();
+    if before.ends_with("::") {
+        return true;
+    }
+    let after = masked[at + len..].trim_start();
+    before.ends_with('.')
+        && !before.ends_with("..")
+        && (after.starts_with('(') || after.starts_with("::<"))
 }
 
 /// Inclusive byte spans of `impl` items (the `impl` keyword through the
@@ -295,42 +315,54 @@ fn angle_end(text: &str) -> Option<usize> {
     None
 }
 
-/// Lines of the masked text that open a `pub` item whose name `names`
-/// counts no more than once (the declaration itself).
-fn unused_pub_lines(masked: &str, names: &BTreeMap<&str, usize>) -> Vec<usize> {
+/// Lines of the masked text that open a `pub` item nothing else uses:
+/// a `pub fn` inside an `impl` block whose name `calls` never counts,
+/// or any other item whose name `names` counts no more than once (the
+/// declaration itself).
+fn unused_pub_lines(masked: &str, names: &Counts, calls: &Counts) -> Vec<usize> {
+    let impls = impl_spans(masked);
     word_offsets(masked, "pub")
         .filter(|&at| {
-            pub_item_name(&masked[at + "pub".len()..])
-                .is_some_and(|name| names.get(name).copied().unwrap_or(0) < 2)
+            pub_item_name(&masked[at + "pub".len()..]).is_some_and(|(keyword, name)| {
+                let method = keyword == "fn" && impls.iter().any(|&(a, b, _)| at > a && at < b);
+                if method {
+                    !calls.contains_key(name)
+                } else {
+                    names.get(name).copied().unwrap_or(0) < 2
+                }
+            })
         })
         .map(|at| line_of(masked, at))
         .collect()
 }
 
-/// The name an unrestricted `pub` declares when it opens a `fn`,
-/// `const`, `static`, `struct`, `enum`, `trait` or `type` item (after
-/// any `const`/`unsafe`/`async`/`extern` qualifiers). `None` for
-/// `pub(crate)`, fields, modules, re-exports and macro metavariables.
-fn pub_item_name(rest: &str) -> Option<&str> {
+/// The item keyword and name an unrestricted `pub` declares when it
+/// opens a `fn`, `const`, `static`, `struct`, `enum`, `trait` or `type`
+/// item (after any `const`/`unsafe`/`async`/`extern` qualifiers). `None`
+/// for `pub(crate)`, fields, modules, re-exports and macro
+/// metavariables.
+fn pub_item_name(rest: &str) -> Option<(&str, &str)> {
     let mut rest = rest;
-    loop {
+    let keyword = loop {
         let word = leading_ident(rest)?;
         rest = &rest.trim_start()[word.len()..];
         match word {
             // `pub const NAME`, but `pub const fn name` is a function
-            "const" if !matches!(leading_ident(rest), Some("fn" | "unsafe")) => break,
+            "const" if !matches!(leading_ident(rest), Some("fn" | "unsafe")) => break word,
             "const" | "unsafe" | "async" | "extern" => {}
             "static" => {
                 if leading_ident(rest) == Some("mut") {
                     rest = &rest.trim_start()["mut".len()..];
                 }
-                break;
+                break word;
             }
-            "fn" | "struct" | "enum" | "trait" | "type" => break,
+            "fn" | "struct" | "enum" | "trait" | "type" => break word,
             _ => return None,
         }
-    }
-    leading_ident(rest).filter(|name| *name != "_")
+    };
+    leading_ident(rest)
+        .filter(|name| *name != "_")
+        .map(|name| (keyword, name))
 }
 
 /// The identifier that `text` starts with (leading whitespace skipped).
@@ -756,17 +788,45 @@ mod tests {
 
     #[test]
     fn pub_item_names_follow_qualifiers_and_skip_everything_else() {
-        assert_eq!(pub_item_name(" fn f()"), Some("f"));
-        assert_eq!(pub_item_name(" const fn g()"), Some("g"));
-        assert_eq!(pub_item_name(" const LIMIT: u32 = 1;"), Some("LIMIT"));
-        assert_eq!(pub_item_name(" static mut S: u8 = 0;"), Some("S"));
-        assert_eq!(pub_item_name(" unsafe extern   fn h()"), Some("h"));
+        assert_eq!(pub_item_name(" fn f()"), Some(("fn", "f")));
+        assert_eq!(pub_item_name(" const fn g()"), Some(("fn", "g")));
+        assert_eq!(
+            pub_item_name(" const LIMIT: u32 = 1;"),
+            Some(("const", "LIMIT"))
+        );
+        assert_eq!(
+            pub_item_name(" static mut S: u8 = 0;"),
+            Some(("static", "S"))
+        );
+        assert_eq!(pub_item_name(" unsafe extern   fn h()"), Some(("fn", "h")));
+        assert_eq!(
+            pub_item_name(" struct Budget {"),
+            Some(("struct", "Budget"))
+        );
         assert_eq!(pub_item_name("(crate) fn f()"), None);
         assert_eq!(pub_item_name(" limit: u32,"), None);
         assert_eq!(pub_item_name(" mod inner;"), None);
         assert_eq!(pub_item_name(" use inner::f;"), None);
         assert_eq!(pub_item_name(" fn $name()"), None);
         assert_eq!(pub_item_name(" const _: () = ();"), None);
+    }
+
+    #[test]
+    fn call_shapes_are_method_calls_turbofish_and_path_segments() {
+        let shaped = |src: &str, name: &str| {
+            let at = word_offsets(src, name).next().expect("the name occurs");
+            call_shaped(src, at, name.len())
+        };
+        assert!(shaped("x.len()", "len"));
+        assert!(shaped("x\n    .len ()", "len"));
+        assert!(shaped("x.parse::<u8>()", "parse"));
+        assert!(shaped("Budget::new()", "new"));
+        assert!(shaped("v.iter().map(Budget::limit)", "limit"));
+        // a field, a local, a declaration and a range are not calls
+        assert!(!shaped("x.limit + 1", "limit"));
+        assert!(!shaped("let limit = 3;", "limit"));
+        assert!(!shaped("fn limit(&self)", "limit"));
+        assert!(!shaped("0..limit(3)", "limit"));
     }
 
     #[test]

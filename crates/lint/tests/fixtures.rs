@@ -241,6 +241,24 @@ fn unused_pub_counts_a_trait_impl_for_another_type_and_a_type_named_outside_its_
 }
 
 #[test]
+fn unused_pub_counts_a_method_only_where_it_is_called() {
+    let trigger = include_str!("fixtures/unused_pub_method_trigger.rs");
+    let consumer = "fn main() {\n    let budget = demo::Budget::with_limit(3);\n    let _ = demo::doubled(&budget);\n}\n";
+    let found = tree_hits(&[(LIB, trigger), ("crates/bench/src/bin/demo.rs", consumer)]);
+    // the field read `budget.limit` and the local `limit` share the
+    // getter's name, but neither calls it; the test's call does not count
+    assert_eq!(found, vec![(LIB.to_string(), 15, "unused-pub")]);
+}
+
+#[test]
+fn unused_pub_counts_a_method_call_and_a_method_passed_by_path() {
+    let clean = include_str!("fixtures/unused_pub_method_clean.rs");
+    let consumer = "fn main() {\n    let _ = demo::headroom(&[demo::Budget::new(4)]);\n}\n";
+    let found = tree_hits(&[(LIB, clean), ("crates/bench/src/bin/demo.rs", consumer)]);
+    assert!(found.is_empty(), "{found:?}");
+}
+
+#[test]
 fn a_name_used_only_by_the_benchmark_helper_counts_as_used() {
     let lib = "pub fn probe() -> u64 {\n    0\n}\n";
     let caller = "fn main() {\n    let _ = demo::probe();\n}\n";

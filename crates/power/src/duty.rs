@@ -93,19 +93,9 @@ impl DutyCycle {
         }
     }
 
-    /// Hours at full load per period.
-    pub fn active(&self) -> Hours {
-        self.active
-    }
-
     /// Hours awake but idle per period.
     pub fn idle(&self) -> Hours {
         self.idle
-    }
-
-    /// The accounting period.
-    pub fn period(&self) -> Hours {
-        self.period
     }
 
     /// Hours in the fallback (sleep or idle) state per period.
@@ -166,9 +156,9 @@ mod tests {
     fn paper_hp_duty_fractions() {
         // ISD 500 m: 2.85 % full load; ISD 2650 m: 9.66 %.
         let short = DutyCycle::over_day(Hours::new(0.684), Hours::ZERO);
-        assert!((short.active() / short.period() - 0.0285).abs() < 0.0001);
+        assert!((1.0 - short.remainder() / Hours::DAY - 0.0285).abs() < 0.0001);
         let long = DutyCycle::over_day(Hours::new(2.318), Hours::ZERO);
-        assert!((long.active() / long.period() - 0.0966).abs() < 0.0001);
+        assert!((1.0 - long.remainder() / Hours::DAY - 0.0966).abs() < 0.0001);
     }
 
     #[test]
@@ -183,9 +173,7 @@ mod tests {
     #[test]
     fn remainder_and_accessors() {
         let duty = DutyCycle::over_day(Hours::new(2.0), Hours::new(3.0));
-        assert_eq!(duty.active(), Hours::new(2.0));
         assert_eq!(duty.idle(), Hours::new(3.0));
-        assert_eq!(duty.period(), Hours::DAY);
         assert_eq!(duty.remainder(), Hours::new(19.0));
     }
 

@@ -108,11 +108,6 @@ impl CalibratedFriis {
     pub fn frequency(&self) -> Hertz {
         self.free_space.frequency()
     }
-
-    /// The calibration factor `L_calib`.
-    pub fn calibration(&self) -> Db {
-        self.calibration
-    }
 }
 
 impl PathLoss for CalibratedFriis {
@@ -210,7 +205,6 @@ mod tests {
     fn accessors() {
         let hp = CalibratedFriis::new(Hertz::from_ghz(3.7), Db::new(33.0));
         assert_eq!(hp.frequency(), Hertz::from_ghz(3.7));
-        assert_eq!(hp.calibration(), Db::new(33.0));
         assert_eq!(fs35().frequency(), Hertz::from_ghz(3.5));
     }
 }

@@ -77,11 +77,6 @@ impl PenetrationLoss {
         PenetrationLoss { treatment }
     }
 
-    /// The wagon's window treatment.
-    pub fn treatment(&self) -> WindowTreatment {
-        self.treatment
-    }
-
     /// Base loss at the 3.5 GHz reference frequency.
     pub fn base_loss(&self) -> Db {
         match self.treatment {
@@ -142,11 +137,5 @@ mod tests {
         assert_eq!(WindowTreatment::CoatedLowE.to_string(), "coated Low-E");
         assert_eq!(WindowTreatment::Uncoated.to_string(), "uncoated");
         assert_eq!(WindowTreatment::FssTreated.to_string(), "FSS-treated");
-    }
-
-    #[test]
-    fn accessor() {
-        let m = PenetrationLoss::new(WindowTreatment::FssTreated);
-        assert_eq!(m.treatment(), WindowTreatment::FssTreated);
     }
 }

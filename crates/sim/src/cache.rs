@@ -94,11 +94,6 @@ impl ResultCache {
         })
     }
 
-    /// The cache's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn entry_path(&self, key: &str) -> PathBuf {
         self.root.join(&key[..2]).join(format!("{key}.entry"))
     }
@@ -275,7 +270,7 @@ mod tests {
         assert_eq!(loads(&cache, &key), (None, None));
         cache.store(&key, CSV, JSON);
         assert_eq!(loads(&cache, &key), stored(CSV, JSON));
-        let _ = fs::remove_dir_all(cache.root());
+        let _ = fs::remove_dir_all(&cache.root);
     }
 
     #[test]
@@ -304,7 +299,7 @@ mod tests {
         // a fresh store heals the slot
         cache.store(&key, CSV, JSON);
         assert_eq!(loads(&cache, &key), stored(CSV, JSON));
-        let _ = fs::remove_dir_all(cache.root());
+        let _ = fs::remove_dir_all(&cache.root);
     }
 
     /// An entry in the `v1` layout: one checksum over both renderings
@@ -332,7 +327,7 @@ mod tests {
             .unwrap()
             .starts_with(b"corridor-result-cache v2\n"));
         assert_eq!(loads(&cache, &key), stored(CSV, JSON));
-        let _ = fs::remove_dir_all(cache.root());
+        let _ = fs::remove_dir_all(&cache.root);
     }
 
     #[test]
@@ -344,7 +339,7 @@ mod tests {
         let (csv, json) = ("a,b\nc,d\ne,f\n", "  {\"x\": [1,\n2]}");
         cache.store(&key, csv, json);
         assert_eq!(loads(&cache, &key), stored(csv, json));
-        let _ = fs::remove_dir_all(cache.root());
+        let _ = fs::remove_dir_all(&cache.root);
     }
 
     #[test]

@@ -137,7 +137,6 @@ pub enum PvOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     cell: ScenarioCell,
-    evaluator: &'static str,
     baseline: SegmentEnergy,
     continuous: SegmentEnergy,
     sleep: SegmentEnergy,
@@ -149,7 +148,6 @@ impl CellResult {
     /// Creates a result (used by the engine).
     pub(crate) fn new(
         cell: ScenarioCell,
-        evaluator: &'static str,
         baseline: SegmentEnergy,
         continuous: SegmentEnergy,
         sleep: SegmentEnergy,
@@ -158,7 +156,6 @@ impl CellResult {
     ) -> Self {
         CellResult {
             cell,
-            evaluator,
             baseline,
             continuous,
             sleep,
@@ -170,11 +167,6 @@ impl CellResult {
     /// The cell this result belongs to.
     pub fn cell(&self) -> &ScenarioCell {
         &self.cell
-    }
-
-    /// The label of the energy backend that produced this result.
-    pub fn evaluator(&self) -> &'static str {
-        self.evaluator
     }
 
     /// The conventional baseline of this cell (masts at the cell's
@@ -246,7 +238,6 @@ mod tests {
     fn result_savings_and_splits() {
         let result = CellResult::new(
             cell(),
-            "analytic",
             split(400.0, 0.0, 0.0),
             split(100.0, 80.0, 20.0),
             split(100.0, 30.0, 10.0),
@@ -261,7 +252,6 @@ mod tests {
         assert!((result.savings(EnergyStrategy::SolarPoweredRepeaters) - 0.75).abs() < 1e-12);
         assert_eq!(result.pv(), PvOutcome::Skipped);
         assert_eq!(result.cell().index(), 3);
-        assert_eq!(result.evaluator(), "analytic");
         assert_eq!(result.baseline().total(), Watts::new(400.0));
     }
 }

@@ -1,13 +1,11 @@
-//! Sweep execution over pluggable energy backends.
+//! Sweep execution: the closed-form energy split and PV sizing of every
+//! grid cell.
 
 use core::ops::Range;
 
 use corridor_core::energy::{self, SegmentEnergy};
 use corridor_core::sink::{RowFormat, RowSink};
-use corridor_core::{
-    AnalyticEvaluator, EnergyStrategy, ScenarioError, ScenarioParams, SegmentEvaluator,
-};
-use corridor_events::{EventDrivenEvaluator, WakePolicy};
+use corridor_core::{EnergyStrategy, ScenarioError, ScenarioParams};
 use corridor_traffic::TrackSection;
 use corridor_units::{Hours, Meters};
 
@@ -17,146 +15,92 @@ use crate::sizing::{repeater_load, SizingMemo};
 use crate::stream::{self, CellJob, StreamError, StreamSummary};
 use crate::{CellResult, EvalContext, PvOutcome, ScenarioCell, ScenarioGrid, SweepReport};
 
-/// Which energy backend evaluates the cells.
-///
-/// Both backends agree to < 0.1 % on deterministic timetables (enforced
-/// by the differential suite); the event-driven one additionally models
-/// wake latency and guard intervals through its [`WakePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Evaluator {
-    /// Closed-form duty-cycle math (the published model; fastest).
-    #[default]
-    Analytic,
-    /// Discrete-event simulation of every node under the given wake
-    /// policy.
-    EventDriven(WakePolicy),
-}
-
-impl Evaluator {
-    /// A short stable label for report columns.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Evaluator::Analytic => AnalyticEvaluator.name(),
-            Evaluator::EventDriven(policy) => EventDrivenEvaluator::with_policy(*policy).name(),
-        }
-    }
-
-    /// Evaluates one cell's baseline and the three strategy splits.
-    ///
-    /// Returned in `[baseline, continuous, sleep, solar]` order. The
-    /// event-driven backend simulates each geometry once (the state
-    /// trace is strategy-independent), so a cell costs two simulated
-    /// days — deployment and conventional baseline — not four. The
-    /// analytic backend likewise looks up each geometry's activity
-    /// hours once, and takes the deployment's service hours from
-    /// `service_active`.
-    fn splits(&self, cell: &ScenarioCell, service_active: Hours) -> [SegmentEnergy; 4] {
-        let params = cell.params();
-        let baseline_isd = params.conventional_isd();
-        match self {
-            Evaluator::Analytic => {
-                let hp_active =
-                    |isd| energy::active_hours(params, TrackSection::new(Meters::ZERO, isd));
-                let baseline_hp = hp_active(baseline_isd);
-                let baseline_service =
-                    energy::active_hours(params, service_section(params, baseline_isd));
-                let deployment_hp = hp_active(cell.isd());
-                let at = |strategy| {
-                    energy::split_from_active_hours(
-                        params,
-                        cell.nodes(),
-                        cell.isd(),
-                        strategy,
-                        deployment_hp,
-                        service_active,
-                    )
-                };
-                [
-                    energy::split_from_active_hours(
-                        params,
-                        0,
-                        baseline_isd,
-                        EnergyStrategy::SleepModeRepeaters,
-                        baseline_hp,
-                        baseline_service,
-                    ),
-                    at(EnergyStrategy::ContinuousRepeaters),
-                    at(EnergyStrategy::SleepModeRepeaters),
-                    at(EnergyStrategy::SolarPoweredRepeaters),
-                ]
-            }
-            Evaluator::EventDriven(policy) => {
-                let backend = EventDrivenEvaluator::with_policy(*policy);
-                let passes = params.timetable().passes();
-                let baseline_report = backend.simulate_segment(params, 0, baseline_isd, &passes);
-                let report = backend.simulate_segment(params, cell.nodes(), cell.isd(), &passes);
-                let at = |strategy| {
-                    EventDrivenEvaluator::power_from_report(
-                        params,
-                        cell.nodes(),
-                        cell.isd(),
-                        strategy,
-                        &report,
-                    )
-                };
-                [
-                    EventDrivenEvaluator::power_from_report(
-                        params,
-                        0,
-                        baseline_isd,
-                        EnergyStrategy::SleepModeRepeaters,
-                        &baseline_report,
-                    ),
-                    at(EnergyStrategy::ContinuousRepeaters),
-                    at(EnergyStrategy::SleepModeRepeaters),
-                    at(EnergyStrategy::SolarPoweredRepeaters),
-                ]
-            }
-        }
-    }
+/// Evaluates one cell's baseline and the three strategy splits through
+/// the closed-form model, in `[baseline, continuous, sleep, solar]`
+/// order. Each geometry's activity hours are looked up once, and the
+/// deployment's service hours come from `service_active`.
+fn splits(cell: &ScenarioCell, service_active: Hours) -> [SegmentEnergy; 4] {
+    let params = cell.params();
+    let baseline_isd = params.conventional_isd();
+    let hp_active = |isd| energy::active_hours(params, TrackSection::new(Meters::ZERO, isd));
+    let baseline_hp = hp_active(baseline_isd);
+    let baseline_service = energy::active_hours(params, service_section(params, baseline_isd));
+    let deployment_hp = hp_active(cell.isd());
+    let at = |strategy| {
+        energy::split_from_active_hours(
+            params,
+            cell.nodes(),
+            cell.isd(),
+            strategy,
+            deployment_hp,
+            service_active,
+        )
+    };
+    [
+        energy::split_from_active_hours(
+            params,
+            0,
+            baseline_isd,
+            EnergyStrategy::SleepModeRepeaters,
+            baseline_hp,
+            baseline_service,
+        ),
+        at(EnergyStrategy::ContinuousRepeaters),
+        at(EnergyStrategy::SleepModeRepeaters),
+        at(EnergyStrategy::SolarPoweredRepeaters),
+    ]
 }
 
 /// Executes a [`ScenarioGrid`], cell by cell, on one or more worker
 /// threads.
 ///
 /// Each cell is evaluated independently (energy split for the three
-/// strategies through the selected [`Evaluator`], savings versus the
-/// cell's conventional baseline, and — unless disabled — the off-grid PV
-/// sizing for the cell's climate), so every worker count produces
-/// identical results, in the same deterministic grid order.
+/// strategies through the paper's closed-form duty-cycle model, savings
+/// versus the cell's conventional baseline, and — unless disabled — the
+/// off-grid PV sizing for the cell's climate), so every worker count
+/// produces identical results, in the same deterministic grid order.
+/// The event-driven backend
+/// ([`EventDrivenEvaluator`](corridor_events::EventDrivenEvaluator))
+/// agrees with every cell to < 0.1 %, which the differential suite
+/// checks cell by cell.
 ///
 /// # Examples
 ///
 /// ```
-/// use corridor_core::EnergyStrategy;
-/// use corridor_sim::{Evaluator, ScenarioGrid, SweepEngine, WakePolicy};
+/// use corridor_core::{EnergyStrategy, ScenarioParams, SegmentEvaluator};
+/// use corridor_events::EventDrivenEvaluator;
+/// use corridor_sim::{ScenarioGrid, SweepEngine};
 ///
 /// let engine = SweepEngine::new().workers(2).pv_sizing(false);
 /// let report = engine.run(&ScenarioGrid::new()).unwrap();
 /// // the paper's 74 % sleep-mode saving, via the sweep path
-/// let saving = report.results()[0].savings(EnergyStrategy::SleepModeRepeaters);
+/// let cell = &report.results()[0];
+/// let saving = cell.savings(EnergyStrategy::SleepModeRepeaters);
 /// assert!((saving - 0.74).abs() < 0.01);
 ///
-/// // the same grid through the event-driven backend
-/// let simulated = engine.evaluator(Evaluator::EventDriven(WakePolicy::instant())).run(&ScenarioGrid::new()).unwrap();
-/// let sim_saving = simulated.results()[0].savings(EnergyStrategy::SleepModeRepeaters);
-/// assert!((sim_saving - saving).abs() < 1e-3);
+/// // the event-driven backend simulates the same cell's day
+/// let params = ScenarioParams::paper_default();
+/// let simulated = EventDrivenEvaluator::new().average_power_per_km(
+///     &params,
+///     cell.cell().nodes(),
+///     cell.cell().isd(),
+///     EnergyStrategy::SleepModeRepeaters,
+/// );
+/// let sleep = cell.split(EnergyStrategy::SleepModeRepeaters).total();
+/// assert!((simulated.total().value() / sleep.value() - 1.0).abs() < 1e-3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepEngine {
     workers: Option<usize>,
     pv_sizing: bool,
-    evaluator: Evaluator,
 }
 
 impl SweepEngine {
-    /// An engine with automatic worker count, PV sizing enabled and the
-    /// analytic backend.
+    /// An engine with automatic worker count and PV sizing enabled.
     pub fn new() -> Self {
         SweepEngine {
             workers: None,
             pv_sizing: true,
-            evaluator: Evaluator::Analytic,
         }
     }
 
@@ -178,13 +122,6 @@ impl SweepEngine {
     #[must_use]
     pub fn pv_sizing(mut self, enabled: bool) -> Self {
         self.pv_sizing = enabled;
-        self
-    }
-
-    /// Selects the energy backend evaluating every cell.
-    #[must_use]
-    pub fn evaluator(mut self, evaluator: Evaluator) -> Self {
-        self.evaluator = evaluator;
         self
     }
 
@@ -289,20 +226,17 @@ impl SweepEngine {
     /// The scenario hash of one cell under this engine's configuration.
     fn cache_key(&self, cell: &ScenarioCell) -> String {
         let mut key = KeyBuilder::new("sweep");
-        key.text(self.evaluator.name());
-        if let Evaluator::EventDriven(policy) = self.evaluator {
-            key.f64(policy.lead().value())
-                .f64(policy.wake_delay().value())
-                .f64(policy.guard().value());
-        }
+        // the backend label every stored sweep key starts with, kept so
+        // caches filled while the sweep could select a backend still hit
+        key.text("analytic");
         key.int(u64::from(self.pv_sizing));
         key.cell(cell);
         key.finish()
     }
 
-    /// Evaluates one cell: the energy splits through the selected
-    /// backend and, unless disabled, the PV sizing of one service
-    /// repeater at the cell's deployment ISD.
+    /// Evaluates one cell: the closed-form energy splits and, unless
+    /// disabled, the PV sizing of one service repeater at the cell's
+    /// deployment ISD.
     pub fn evaluate(&self, cell: &ScenarioCell) -> CellResult {
         self.evaluate_with(cell, EvalContext::new().sizing())
     }
@@ -313,7 +247,7 @@ impl SweepEngine {
         // the deployment's service-node hours drive both the analytic
         // split and the PV load: one memo lookup serves the two
         let service_active = energy::active_hours(params, service_section(params, cell.isd()));
-        let [baseline, continuous, sleep, solar] = self.evaluator.splits(cell, service_active);
+        let [baseline, continuous, sleep, solar] = splits(cell, service_active);
         let pv = if self.pv_sizing {
             sizing.size(
                 cell.location(),
@@ -322,15 +256,7 @@ impl SweepEngine {
         } else {
             PvOutcome::Skipped
         };
-        CellResult::new(
-            cell.clone(),
-            self.evaluator.name(),
-            baseline,
-            continuous,
-            sleep,
-            solar,
-            pv,
-        )
+        CellResult::new(cell.clone(), baseline, continuous, sleep, solar, pv)
     }
 }
 
@@ -409,7 +335,6 @@ mod tests {
         assert!(
             (r.savings(EnergyStrategy::SolarPoweredRepeaters) - h.savings_solar_10).abs() < 1e-12
         );
-        assert_eq!(r.evaluator(), "analytic");
     }
 
     #[test]
@@ -498,25 +423,6 @@ mod tests {
             .pv_sizing(false)
             .run(&ScenarioGrid::new())
             .is_ok());
-    }
-
-    #[test]
-    fn event_driven_backend_matches_analytic_on_the_paper_cell() {
-        let grid = ScenarioGrid::new();
-        let engine = SweepEngine::new().workers(1).pv_sizing(false);
-        let analytic = engine.run(&grid).unwrap();
-        let simulated = engine
-            .evaluator(Evaluator::EventDriven(WakePolicy::instant()))
-            .run(&grid)
-            .unwrap();
-        let a = &analytic.results()[0];
-        let s = &simulated.results()[0];
-        assert_eq!(s.evaluator(), "event-driven");
-        for strategy in EnergyStrategy::ALL {
-            let rel = (s.split(strategy).total().value() - a.split(strategy).total().value()).abs()
-                / a.split(strategy).total().value();
-            assert!(rel < 1e-3, "{strategy}: {rel}");
-        }
     }
 
     /// Every field of a result, with the PV percentage compared as bits.
@@ -620,12 +526,21 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_labels() {
-        assert_eq!(Evaluator::Analytic.name(), "analytic");
+    fn cache_keys_are_those_of_the_evaluator_field_era() {
+        // smoke-3 with PV sizing, as stored by a cache that `serve`
+        // filled while the sweep carried a backend switch
+        let grid = ScenarioGrid::smoke_3();
+        let mut keys: Vec<String> = (0..grid.len())
+            .map(|i| SweepEngine::new().cache_key(&grid.cell_at(i).unwrap()))
+            .collect();
+        keys.sort();
         assert_eq!(
-            Evaluator::EventDriven(WakePolicy::instant()).name(),
-            "event-driven"
+            keys,
+            [
+                "0a817a390db388ce49586ecd8e6a4b3008502973c0ccd7d59e0a19f0ad55d17d",
+                "7b3f1138c28f75fd2e2fe4bb3a5d326d0a0216dd6e63c8c7160ca0aca6bdbb6f",
+                "a0f404cb287c229149f519c6d088a5d470033314aad76e0e032461d9e7e49cd7",
+            ]
         );
-        assert_eq!(Evaluator::default(), Evaluator::Analytic);
     }
 }

@@ -40,6 +40,7 @@ impl PowerProfile {
     }
 
     /// A custom profile under the given name.
+    // corridor-lint: allow(unused-pub, reason = "crates/sim/tests/properties.rs and memory_ceiling.rs sweep an earth-fit equipment axis, and report::tests::csv_escapes_awkward_axis_names a quoted profile name, through the row code every served cell runs")
     pub fn custom(name: &str, hp: LoadDependentPower, lp: LoadDependentPower) -> Self {
         PowerProfile {
             name: name.to_owned(),
@@ -184,6 +185,7 @@ impl ScenarioGrid {
     ///
     /// Panics if `values` is empty.
     #[must_use]
+    // corridor-lint: allow(unused-pub, reason = "crates/sim/tests/properties.rs (grid strategy) and memory_ceiling.rs vary the train-length axis that every served grid's cell decoding walks")
     pub fn train_lengths_m(mut self, values: Vec<f64>) -> Self {
         Self::set_axis(&mut self.train_lengths_m, values, "train length");
         self
@@ -195,6 +197,7 @@ impl ScenarioGrid {
     ///
     /// Panics if `values` is empty.
     #[must_use]
+    // corridor-lint: allow(unused-pub, reason = "crates/sim/tests/properties.rs, memory_ceiling.rs and determinism.rs vary the repeater-spacing axis, and the mc and optimize zero-spacing tests propagate ScenarioError::NonPositiveSpacing, through the cell decoding every served grid runs")
     pub fn lp_spacings_m(mut self, values: Vec<f64>) -> Self {
         Self::set_axis(&mut self.lp_spacings_m, values, "LP spacing");
         self
@@ -217,6 +220,7 @@ impl ScenarioGrid {
     ///
     /// Panics if `values` is empty.
     #[must_use]
+    // corridor-lint: allow(unused-pub, reason = "crates/sim/tests/properties.rs and memory_ceiling.rs sweep an equipment axis, and engine::tests::heavy_load_profile_is_unsolvable the unsolvable PV row, through the cell path every served grid runs")
     pub fn power_profiles(mut self, values: Vec<PowerProfile>) -> Self {
         Self::set_axis(&mut self.power_profiles, values, "power profile");
         self

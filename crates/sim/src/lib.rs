@@ -16,11 +16,11 @@
 //! builder, and a [`SweepEngine`] evaluates every [`ScenarioCell`] —
 //! energy split per strategy, savings versus the cell's conventional
 //! baseline, and off-grid PV sizing — on one or more worker threads,
-//! through either energy backend ([`Evaluator::Analytic`]
-//! closed-form math or [`Evaluator::EventDriven`] discrete-event
-//! simulation). Results land in a typed [`SweepReport`] whose CSV/JSON
-//! renderings are byte-identical no matter how many workers produced
-//! them.
+//! through the paper's closed-form duty-cycle model (the differential
+//! suite holds every cell to the event-driven backend,
+//! [`corridor_events::EventDrivenEvaluator`], within 0.1 %). Results
+//! land in a typed [`SweepReport`] whose CSV/JSON renderings are
+//! byte-identical no matter how many workers produced them.
 //!
 //! On top of the sweep sits the deployment optimizer: a [`SearchSpace`]
 //! (repeater counts × ISD resolution × wake policies, optional PV
@@ -82,7 +82,7 @@ mod stream;
 pub use cache::ResultCache;
 pub use cell::{CellResult, PvOutcome, ScenarioCell};
 pub use context::EvalContext;
-pub use engine::{Evaluator, SweepEngine};
+pub use engine::SweepEngine;
 pub use grid::{PowerProfile, ScenarioGrid};
 pub use mc::{
     McCellResult, McEngine, McMetric, McReport, ReplicationPlan, TrafficSpec, MC_CSV_HEADER,

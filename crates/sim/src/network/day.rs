@@ -54,11 +54,6 @@ impl TrainRoute {
         &self.legs
     }
 
-    /// The demand the route carries, trains per hour.
-    pub fn rate_tph(&self) -> f64 {
-        self.rate_tph
-    }
-
     /// The rolling stock (taken from the route's first edge).
     pub fn train(&self) -> Train {
         self.train
@@ -655,7 +650,7 @@ mod tests {
                 let routed: f64 = routes
                     .iter()
                     .filter(|r| r.traverses(e))
-                    .map(|r| r.rate_tph())
+                    .map(|r| r.rate_tph)
                     .sum();
                 assert!(
                     (routed - net.edge(e).demand_tph()).abs() < 1e-9,

@@ -159,14 +159,6 @@ impl CorridorEdge {
         self
     }
 
-    /// Sets the edge's physical corridor length in km (scales the
-    /// per-km frontier energy into the network total).
-    #[must_use]
-    pub fn length_km(mut self, km: f64) -> Self {
-        self.length_km = km;
-        self
-    }
-
     /// Marks the edge as double track: two parallel tracks sharing the
     /// trackside deployment, so twice the per-track demand flows through
     /// the edge and its stations.
@@ -184,11 +176,6 @@ impl CorridorEdge {
     /// The station at the second endpoint.
     pub fn b(&self) -> usize {
         self.b
-    }
-
-    /// The per-track timetable density.
-    pub fn tph(&self) -> f64 {
-        self.trains_per_hour
     }
 
     /// The train speed in km/h.
@@ -592,15 +579,21 @@ mod tests {
         for km in [0.0, -3.5, f64::NAN, f64::INFINITY] {
             assert!(
                 matches!(
-                    net.add_edge(CorridorEdge::between(a, b).length_km(km)),
+                    net.add_edge(CorridorEdge {
+                        length_km: km,
+                        ..CorridorEdge::between(a, b)
+                    }),
                     Err(NetworkError::InvalidEdgeLength(0))
                 ),
                 "length {km} must be rejected"
             );
         }
         assert_eq!(net.edge_count(), 0, "rejected edges must not be kept");
-        net.add_edge(CorridorEdge::between(a, b).length_km(0.5))
-            .unwrap();
+        net.add_edge(CorridorEdge {
+            length_km: 0.5,
+            ..CorridorEdge::between(a, b)
+        })
+        .unwrap();
     }
 
     #[test]

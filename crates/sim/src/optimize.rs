@@ -284,11 +284,6 @@ impl OptimizeCellResult {
         self.evaluated
     }
 
-    /// The searched outcome.
-    pub fn outcome(&self) -> &CellOutcome {
-        &self.outcome
-    }
-
     /// The frontier points (empty for an unsolvable cell).
     pub fn frontier(&self) -> &[FrontierPoint] {
         match &self.outcome {
@@ -564,8 +559,9 @@ fn evaluate_cell(
         if *policy == WakePolicy::instant() {
             AnalyticEvaluator.conventional_baseline(params)
         } else {
-            let backend = EventDrivenEvaluator::with_policy(*policy);
-            let report = backend.simulate_segment(params, 0, params.conventional_isd(), &passes);
+            let report = EventDrivenEvaluator::with_policy(*policy)
+                .replicator(params, 0, params.conventional_isd())
+                .simulate_day(&passes);
             EventDrivenEvaluator::power_from_report(
                 params,
                 0,
@@ -635,7 +631,7 @@ fn evaluate_cell(
                 (backend.name(), sleep, repeater_wh_day, pv)
             } else {
                 let backend = EventDrivenEvaluator::with_policy(*policy);
-                let report = backend.simulate_segment(params, n, isd, &passes);
+                let report = backend.replicator(params, n, isd).simulate_day(&passes);
                 let sleep = EventDrivenEvaluator::power_from_report(
                     params,
                     n,

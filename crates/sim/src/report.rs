@@ -194,8 +194,7 @@ const SWEEP_JSON_KEYS: [&str; 10] = [
 fn sweep_csv_row(r: &CellResult) -> String {
     let mut out = String::with_capacity(160);
     cell_csv(&mut out, r.cell(), true);
-    out.push(',');
-    out.push_str(r.evaluator());
+    out.push_str(",analytic");
     for (v, decimals) in sweep_numbers(r) {
         out.push(',');
         push_fixed(&mut out, v, decimals);
@@ -210,8 +209,7 @@ fn sweep_json_row(r: &CellResult) -> String {
     let mut out = String::with_capacity(640);
     out.push_str("  {");
     cell_json(&mut out, r.cell(), true);
-    out.push_str(", \"evaluator\": ");
-    json_string(&mut out, r.evaluator());
+    out.push_str(", \"evaluator\": \"analytic\"");
     for (key, (v, decimals)) in SWEEP_JSON_KEYS.into_iter().zip(sweep_numbers(r)) {
         out.push_str(key);
         push_fixed(&mut out, v, decimals);
@@ -567,7 +565,7 @@ mod tests {
             // finite positive baseline: savings = 1 - deployed/400, so a
             // NaN/inf deployed energy flows straight into the savings
             // (the pre-PR-4 reachability via custom PowerProfiles)
-            CellResult::new(cell, "analytic", split(400.0), e, e, e, PvOutcome::Skipped)
+            CellResult::new(cell, split(400.0), e, e, e, PvOutcome::Skipped)
         };
         let report = SweepReport::new(vec![
             cell_with(0, f64::NAN),          // savings NaN
@@ -747,8 +745,7 @@ mod oracle {
             cell_csv(&mut out, r.cell(), true);
             let _ = write!(
                 out,
-                ",{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.2},{:.2},{:.2},",
-                r.evaluator(),
+                ",analytic,{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.2},{:.2},{:.2},",
                 r.baseline().total().value(),
                 r.split(EnergyStrategy::ContinuousRepeaters).total().value(),
                 sleep.total().value(),
@@ -779,7 +776,7 @@ mod oracle {
                  \"sleep_wh_km\": {:.3}, \"solar_wh_km\": {:.3}, \
                  \"sleep_split_wh_km\": {{\"hp\": {:.3}, \"service\": {:.3}, \"donor\": {:.3}}}, \
                  \"saving_pct\": {{\"continuous\": {:.2}, \"sleep\": {:.2}, \"solar\": {:.2}}}, ",
-                json_string(r.evaluator()),
+                json_string("analytic"),
                 r.baseline().total().value(),
                 r.split(EnergyStrategy::ContinuousRepeaters).total().value(),
                 sleep.total().value(),
@@ -1280,7 +1277,6 @@ mod oracle {
         let pv = sized(next);
         assert_sweep_rows(&CellResult::new(
             cell.clone(),
-            "analytic",
             baseline,
             continuous,
             sleep,
@@ -1401,7 +1397,6 @@ mod oracle {
         for pv in [PvOutcome::Skipped, PvOutcome::Unsolvable] {
             assert_sweep_rows(&CellResult::new(
                 cell.clone(),
-                "event-driven",
                 split,
                 split,
                 split,

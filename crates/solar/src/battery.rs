@@ -64,11 +64,6 @@ impl Battery {
         }
     }
 
-    /// Nominal capacity.
-    pub fn capacity(&self) -> WattHours {
-        self.capacity
-    }
-
     /// The state of charge floor implied by the cutoff.
     pub fn min_soc(&self) -> WattHours {
         self.capacity * Self::CUTOFF_FRACTION
@@ -146,7 +141,7 @@ mod tests {
     #[test]
     fn paper_battery_parameters() {
         let b = Battery::paper_default();
-        assert_eq!(b.capacity(), wh(720.0));
+        assert_eq!(b.capacity, wh(720.0));
         assert_eq!(b.min_soc(), wh(288.0));
         assert!(b.is_full());
     }

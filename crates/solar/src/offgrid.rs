@@ -24,11 +24,13 @@ pub struct YearStats {
 
 impl YearStats {
     /// Number of simulated days.
+    // corridor-lint: allow(unused-pub, reason = "crates/solar/tests/sizing_oracle.rs (stat_bits) compares every YearStats field of the early-exit winner with the full search bit for bit")
     pub fn days(&self) -> u32 {
         self.days
     }
 
     /// Days on which the battery reached full charge.
+    // corridor-lint: allow(unused-pub, reason = "crates/solar/tests/sizing_oracle.rs (stat_bits) compares every YearStats field of the early-exit winner with the full search bit for bit")
     pub fn full_battery_days(&self) -> u32 {
         self.full_battery_days
     }
@@ -44,21 +46,25 @@ impl YearStats {
     }
 
     /// Total unserved load energy.
+    // corridor-lint: allow(unused-pub, reason = "crates/solar/tests/sizing_oracle.rs (stat_bits) compares every YearStats field of the early-exit winner with the full search bit for bit")
     pub fn unmet_energy(&self) -> WattHours {
         self.unmet_energy
     }
 
     /// Generation that could not be stored or used.
+    // corridor-lint: allow(unused-pub, reason = "crates/solar/tests/sizing_oracle.rs (stat_bits) compares every YearStats field of the early-exit winner with the full search bit for bit")
     pub fn curtailed_energy(&self) -> WattHours {
         self.curtailed_energy
     }
 
     /// Total PV generation.
+    // corridor-lint: allow(unused-pub, reason = "crates/solar/tests/sizing_oracle.rs (stat_bits) compares every YearStats field of the early-exit winner with the full search bit for bit")
     pub fn generation(&self) -> WattHours {
         self.generation
     }
 
     /// Total load.
+    // corridor-lint: allow(unused-pub, reason = "crates/solar/tests/sizing_oracle.rs (stat_bits) compares every YearStats field of the early-exit winner with the full search bit for bit")
     pub fn consumption(&self) -> WattHours {
         self.consumption
     }
@@ -159,11 +165,6 @@ impl OffGridSystem {
     /// The PV array.
     pub fn pv(&self) -> &PvArray {
         &self.pv
-    }
-
-    /// The battery (template state; simulations start from full).
-    pub fn battery(&self) -> &Battery {
-        &self.battery
     }
 
     /// The load profile.

@@ -112,11 +112,6 @@ impl PvArray {
         PvArray { module, count }
     }
 
-    /// The module type.
-    pub fn module(&self) -> &PvModule {
-        &self.module
-    }
-
     /// Number of modules.
     pub fn count(&self) -> u32 {
         self.count

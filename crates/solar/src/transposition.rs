@@ -1,6 +1,5 @@
 //! Transposition of horizontal irradiance onto a tilted plane.
 
-use crate::clearsky::ClearSky;
 use crate::geometry::SunDay;
 use crate::SolarGeometry;
 
@@ -16,9 +15,10 @@ use crate::SolarGeometry;
 /// ```
 /// use corridor_solar::{SolarGeometry, Transposition};
 /// let plane = Transposition::vertical_south(SolarGeometry::at_latitude(52.5));
-/// // overcast winter noon in Berlin: mostly diffuse, some POA remains
-/// let poa = plane.poa_w_m2(355, 12.0, 0.15);
-/// assert!(poa > 10.0 && poa < 200.0);
+/// assert_eq!(plane.tilt_deg(), 90.0);
+/// // an overcast sky is almost all diffuse light, which a vertical
+/// // plane still sees half of
+/// assert!(Transposition::diffuse_fraction(0.15) > 0.95);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transposition {
@@ -90,19 +90,6 @@ impl Transposition {
         }
     }
 
-    /// Plane-of-array irradiance (W/m²) at day `doy`, local solar time
-    /// `hour`, and daily clearness index `kt`.
-    pub fn poa_w_m2(&self, doy: u32, hour: f64, kt: f64) -> f64 {
-        let day = self.geometry.sun_day(doy);
-        let elev = day.elevation_deg(hour);
-        let ghi = ClearSky::ghi_at_elevation(elev) * kt.clamp(0.0, 1.0);
-        if ghi <= 0.0 {
-            return 0.0;
-        }
-        let rb = self.beam_ratio(&day, hour, elev);
-        self.project(ghi, Self::diffuse_fraction(kt), rb, self.view_factors())
-    }
-
     /// Ratio of beam irradiance on the plane to beam on the horizontal at
     /// `hour` of `day`, whose solar elevation is `elev` degrees.
     pub(crate) fn beam_ratio(&self, day: &SunDay, hour: f64, elev: f64) -> f64 {
@@ -131,12 +118,31 @@ impl Transposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clearsky::ClearSky;
+    use proptest::prelude::*;
+
+    /// Plane-of-array irradiance (W/m²) at day `doy`, local solar time
+    /// `hour` and daily clearness `kt`, through the steps a sky-table
+    /// year takes for each hour.
+    fn poa(plane: &Transposition, doy: u32, hour: f64, kt: f64) -> f64 {
+        let day = plane.geometry.sun_day(doy);
+        let elev = day.elevation_deg(hour);
+        let ghi = ClearSky::ghi_at_elevation(elev) * kt.clamp(0.0, 1.0);
+        if ghi <= 0.0 {
+            return 0.0;
+        }
+        let rb = plane.beam_ratio(&day, hour, elev);
+        plane.project(
+            ghi,
+            Transposition::diffuse_fraction(kt),
+            rb,
+            plane.view_factors(),
+        )
+    }
 
     /// Daily plane-of-array irradiation (Wh/m²) at clearness `kt`.
     fn daily_poa(plane: &Transposition, doy: u32, kt: f64) -> f64 {
-        (0..24)
-            .map(|h| plane.poa_w_m2(doy, h as f64 + 0.5, kt))
-            .sum()
+        (0..24).map(|h| poa(plane, doy, h as f64 + 0.5, kt)).sum()
     }
 
     fn vertical(lat: f64) -> Transposition {
@@ -158,9 +164,9 @@ mod tests {
     #[test]
     fn zero_at_night_and_nonnegative() {
         let plane = vertical(48.2);
-        assert_eq!(plane.poa_w_m2(172, 1.0, 0.5), 0.0);
+        assert_eq!(poa(&plane, 172, 1.0, 0.5), 0.0);
         for h in 0..24 {
-            assert!(plane.poa_w_m2(15, h as f64 + 0.5, 0.3) >= 0.0);
+            assert!(poa(&plane, 15, h as f64 + 0.5, 0.3) >= 0.0);
         }
     }
 
@@ -187,7 +193,7 @@ mod tests {
     fn albedo_adds_ground_reflection() {
         let base = vertical(48.2);
         let snowy = vertical(48.2).with_ground_albedo(0.7);
-        assert!(snowy.poa_w_m2(20, 12.0, 0.4) > base.poa_w_m2(20, 12.0, 0.4));
+        assert!(poa(&snowy, 20, 12.0, 0.4) > poa(&base, 20, 12.0, 0.4));
     }
 
     #[test]
@@ -215,5 +221,28 @@ mod tests {
     #[should_panic(expected = "tilt out of range")]
     fn bad_tilt_rejected() {
         let _ = Transposition::new(SolarGeometry::at_latitude(0.0), 120.0, 0.0);
+    }
+
+    proptest! {
+        /// POA is non-negative everywhere; on a *horizontal* plane it is
+        /// monotone in the clearness index. (On a vertical plane
+        /// monotonicity can fail when the sun is behind the plane: clearer
+        /// skies move energy from diffuse, which the plane sees, into
+        /// beam, which it does not.)
+        #[test]
+        fn poa_monotone_in_clearness(lat in -65.0..65.0f64, d in 1u32..=365, hour in 6.0..18.0f64,
+                                     k1 in 0.05..0.8f64, k2 in 0.05..0.8f64) {
+            let vertical = Transposition::vertical_south(SolarGeometry::at_latitude(lat));
+            let horizontal = Transposition::new(SolarGeometry::at_latitude(lat), 0.0, 0.0);
+            let (lo, hi) = if k1 <= k2 { (k1, k2) } else { (k2, k1) };
+            prop_assert!(poa(&vertical, d, hour, lo) >= 0.0);
+            prop_assert!(poa(&vertical, d, hour, hi) >= 0.0);
+            // monotonicity holds away from the near-horizon clamp (elev > 5°)
+            if SolarGeometry::at_latitude(lat).elevation_deg(d, hour) > 5.0 {
+                let p_lo = poa(&horizontal, d, hour, lo);
+                let p_hi = poa(&horizontal, d, hour, hi);
+                prop_assert!(p_hi >= p_lo - 1e-9);
+            }
+        }
     }
 }

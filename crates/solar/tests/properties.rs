@@ -2,7 +2,7 @@
 
 use corridor_solar::{
     climate, Battery, DailyLoadProfile, Location, OffGridSystem, PvArray, SolarGeometry,
-    Transposition, WeatherGenerator,
+    WeatherGenerator,
 };
 use corridor_units::{WattHours, Watts};
 use proptest::prelude::*;
@@ -22,27 +22,6 @@ proptest! {
         let geo = SolarGeometry::at_latitude(lat);
         let e = geo.elevation_deg(d, hour);
         prop_assert!((-90.0..=90.0).contains(&e));
-    }
-
-    /// POA is non-negative everywhere; on a *horizontal* plane it is
-    /// monotone in the clearness index. (On a vertical plane monotonicity
-    /// can fail when the sun is behind the plane: clearer skies move
-    /// energy from diffuse, which the plane sees, into beam, which it
-    /// does not.)
-    #[test]
-    fn poa_monotone_in_clearness(lat in latitude(), d in doy(), hour in 6.0..18.0f64,
-                                 k1 in 0.05..0.8f64, k2 in 0.05..0.8f64) {
-        let vertical = Transposition::vertical_south(SolarGeometry::at_latitude(lat));
-        let horizontal = Transposition::new(SolarGeometry::at_latitude(lat), 0.0, 0.0);
-        let (lo, hi) = if k1 <= k2 { (k1, k2) } else { (k2, k1) };
-        prop_assert!(vertical.poa_w_m2(d, hour, lo) >= 0.0);
-        prop_assert!(vertical.poa_w_m2(d, hour, hi) >= 0.0);
-        // monotonicity holds away from the near-horizon clamp (elev > 5°)
-        if SolarGeometry::at_latitude(lat).elevation_deg(d, hour) > 5.0 {
-            let p_lo = horizontal.poa_w_m2(d, hour, lo);
-            let p_hi = horizontal.poa_w_m2(d, hour, hi);
-            prop_assert!(p_hi >= p_lo - 1e-9);
-        }
     }
 
     /// PV output is monotone in irradiance at fixed temperature.
@@ -67,7 +46,7 @@ proptest! {
             prop_assert!(result.curtailed.value() >= 0.0);
             let soc = battery.state_of_charge();
             prop_assert!(soc >= battery.min_soc() - WattHours::new(1e-9));
-            prop_assert!(soc <= battery.capacity() + WattHours::new(1e-9));
+            prop_assert!(soc <= WattHours::new(capacity) + WattHours::new(1e-9));
         }
     }
 

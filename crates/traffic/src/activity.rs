@@ -2,7 +2,7 @@
 
 use corridor_units::{Hours, Seconds};
 
-use crate::{TrackSection, TrainPass, WakeController};
+use crate::{TrackSection, TrainPass};
 
 /// The intervals during which a node is at full load over one day.
 ///
@@ -34,20 +34,6 @@ impl ActivityTimeline {
         Self::from_intervals(passes.iter().map(|p| section.occupancy(p)))
     }
 
-    /// Builds the timeline with a sleep controller's wake lead and delay
-    /// applied to every occupancy interval.
-    pub fn for_section_with_wake(
-        section: &TrackSection,
-        passes: &[TrainPass],
-        wake: &WakeController,
-    ) -> Self {
-        Self::from_intervals(
-            passes
-                .iter()
-                .map(|p| wake.powered_interval(section.occupancy(p))),
-        )
-    }
-
     /// Builds a timeline from raw `(start, end)` intervals; inverted
     /// intervals are discarded, the rest sorted and merged.
     pub fn from_intervals<I: IntoIterator<Item = (Seconds, Seconds)>>(intervals: I) -> Self {
@@ -64,11 +50,6 @@ impl ActivityTimeline {
             }
         }
         ActivityTimeline { intervals: merged }
-    }
-
-    /// The merged busy intervals, sorted by start time.
-    pub fn intervals(&self) -> &[(Seconds, Seconds)] {
-        &self.intervals
     }
 
     /// Number of distinct busy intervals.
@@ -114,8 +95,10 @@ impl ActivityTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Timetable, Train};
+    use crate::{PoissonTimetable, Timetable, Train};
     use corridor_units::Meters;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
 
     fn sec(v: f64) -> Seconds {
         Seconds::new(v)
@@ -152,8 +135,8 @@ mod tests {
         ]);
         assert_eq!(t.len(), 2);
         assert_eq!(t.total_active(), sec(35.0));
-        assert_eq!(t.intervals()[0], (sec(0.0), sec(20.0)));
-        assert_eq!(t.intervals()[1], (sec(30.0), sec(45.0)));
+        assert_eq!(t.intervals[0], (sec(0.0), sec(20.0)));
+        assert_eq!(t.intervals[1], (sec(30.0), sec(45.0)));
     }
 
     #[test]
@@ -171,8 +154,8 @@ mod tests {
             (sec(50.0), sec(60.0)),
         ]);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.intervals()[0].0, sec(0.0));
-        assert_eq!(t.intervals()[2].0, sec(100.0));
+        assert_eq!(t.intervals[0].0, sec(0.0));
+        assert_eq!(t.intervals[2].0, sec(100.0));
     }
 
     #[test]
@@ -228,7 +211,24 @@ mod tests {
             (sec(f64::NAN), sec(f64::NAN)),
             (sec(2.0), sec(4.0)),
         ]);
-        assert_eq!(activity.intervals(), &[(sec(2.0), sec(4.0))]);
+        assert_eq!(activity.intervals, [(sec(2.0), sec(4.0))]);
         assert_eq!(activity.total_active(), sec(2.0));
+    }
+
+    proptest! {
+        /// Intervals of a timeline are sorted, disjoint and well-formed.
+        #[test]
+        fn intervals_sorted_disjoint(seed in 0u64..500) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let passes = PoissonTimetable::paper_rate().sample_passes(&mut rng);
+            let section = TrackSection::new(Meters::ZERO, Meters::new(2400.0));
+            let activity = ActivityTimeline::for_section(&section, &passes);
+            for w in activity.intervals.windows(2) {
+                prop_assert!(w[0].1 < w[1].0, "intervals overlap after merge");
+            }
+            for (s, e) in &activity.intervals {
+                prop_assert!(e > s);
+            }
+        }
     }
 }

@@ -19,8 +19,10 @@
 //! * [`TrackSection`] — a coverage section with entry/exit occupancy
 //!   computation;
 //! * [`ActivityTimeline`] — merged busy intervals for a node over a day,
-//!   convertible to full-load hours, including wake-latency effects of the
-//!   barrier-triggered sleep controller ([`WakeController`]).
+//!   convertible to full-load hours.
+//!
+//! Wake latency, barrier lead and guard intervals belong to the
+//! event-driven simulator (`corridor_events::WakePolicy`).
 //!
 //! # Examples
 //!
@@ -45,7 +47,6 @@ mod section;
 mod seed;
 mod stochastic;
 mod train;
-mod wake;
 
 pub use activity::ActivityTimeline;
 pub use schedule::{PoissonTimetable, Timetable};
@@ -53,4 +54,3 @@ pub use section::TrackSection;
 pub use seed::SeedSequence;
 pub use stochastic::{DelayModel, MixedTimetable, TrafficModel};
 pub use train::{Train, TrainPass};
-pub use wake::WakeController;

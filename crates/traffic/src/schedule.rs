@@ -161,11 +161,6 @@ impl PoissonTimetable {
         }
     }
 
-    /// Mean arrivals per hour.
-    pub fn rate_per_hour(&self) -> f64 {
-        self.rate_per_hour
-    }
-
     /// Length of the daily service window.
     pub fn service_window(&self) -> Hours {
         self.service_window

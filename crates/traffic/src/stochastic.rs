@@ -165,11 +165,6 @@ impl MixedTimetable {
         MixedTimetable::new(vec![fast, slow])
     }
 
-    /// The service classes.
-    pub fn services(&self) -> &[Timetable] {
-        &self.services
-    }
-
     /// Total trains per day across all classes.
     pub fn trains_per_day(&self) -> usize {
         self.services.iter().map(Timetable::trains_per_day).sum()
@@ -312,7 +307,7 @@ mod tests {
     #[test]
     fn mixed_timetable_merges_sorted() {
         let mixed = MixedTimetable::paper_mixed();
-        assert_eq!(mixed.services().len(), 2);
+        assert_eq!(mixed.services.len(), 2);
         assert_eq!(mixed.trains_per_day(), 152);
         let passes = mixed.passes();
         assert_eq!(passes.len(), 152);

@@ -1,7 +1,7 @@
 //! Property-based tests for traffic and occupancy invariants.
 
 use corridor_traffic::{
-    ActivityTimeline, PoissonTimetable, Timetable, TrackSection, Train, TrainPass, WakeController,
+    ActivityTimeline, PoissonTimetable, Timetable, TrackSection, Train, TrainPass,
 };
 use corridor_units::{Hours, KilometersPerHour, Meters, Seconds};
 use proptest::prelude::*;
@@ -52,23 +52,6 @@ proptest! {
         }
     }
 
-    /// Intervals of a timeline are sorted, disjoint and well-formed.
-    #[test]
-    fn intervals_sorted_disjoint(seed in 0u64..500) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let timetable = PoissonTimetable::paper_rate();
-        let passes = timetable.sample_passes(&mut rng);
-        let section = TrackSection::new(Meters::ZERO, Meters::new(2400.0));
-        let activity = ActivityTimeline::for_section(&section, &passes);
-        let intervals = activity.intervals();
-        for w in intervals.windows(2) {
-            prop_assert!(w[0].1 < w[1].0, "intervals overlap after merge");
-        }
-        for (s, e) in intervals {
-            prop_assert!(e > s);
-        }
-    }
-
     /// active_within partitions: summing over any partition of the day
     /// equals the total.
     #[test]
@@ -86,35 +69,5 @@ proptest! {
                 .value();
         }
         prop_assert!((sum - activity.total_active().value()).abs() < 1e-6);
-    }
-
-    /// Wake lead only ever extends the powered interval at the front.
-    #[test]
-    fn wake_extends_front(lead in 0.0..5.0f64, delay in 0.0..2.0f64, enter in 0.0..1000.0f64, dur in 1.0..100.0f64) {
-        let ctl = WakeController::new(Seconds::new(lead), Seconds::new(delay));
-        let occ = (Seconds::new(enter), Seconds::new(enter + dur));
-        let (on, off) = ctl.powered_interval(occ);
-        prop_assert!(on <= occ.0);
-        prop_assert_eq!(off, occ.1);
-        prop_assert!(((occ.0 - on).value() - lead).abs() < 1e-12);
-    }
-
-    /// The uncovered time is the wake delay beyond the barrier lead.
-    #[test]
-    fn uncovered_is_the_delay_beyond_the_lead(lead in 0.0..5.0f64, delay in 0.0..5.0f64) {
-        let ctl = WakeController::new(Seconds::new(lead), Seconds::new(delay));
-        let u = ctl.uncovered_time().value();
-        prop_assert!((u - (delay - lead).max(0.0)).abs() < 1e-12);
-    }
-
-    /// A timeline with wake control is a superset in time of the plain one.
-    #[test]
-    fn wake_timeline_never_shorter(lead in 0.0..10.0f64) {
-        let ctl = WakeController::new(Seconds::new(lead), Seconds::new(0.3));
-        let passes = Timetable::paper_default().passes();
-        let section = TrackSection::around(Meters::new(600.0), Meters::new(200.0));
-        let plain = ActivityTimeline::for_section(&section, &passes);
-        let waked = ActivityTimeline::for_section_with_wake(&section, &passes, &ctl);
-        prop_assert!(waked.total_active() >= plain.total_active());
     }
 }

@@ -77,20 +77,21 @@ fn run(out: &mut Stdout) -> io::Result<ExitCode> {
     //    much track the train covers while the node wakes.
     writeln!(out, "\nwake-latency study (train at 200 km/h):")?;
     let v = Train::paper_default().speed();
+    let passes = Timetable::paper_default().passes();
     for delay_ms in [100.0, 300.0, 500.0, 1000.0] {
-        let ctl = WakeController::new(Seconds::ZERO, Seconds::new(delay_ms / 1000.0));
-        let uncovered = ctl.uncovered_time();
+        let delay = Seconds::new(delay_ms / 1000.0);
+        // a barrier at the section edge has no lead: the node is still
+        // waking for the part of the delay beyond the lead
+        let lead = Seconds::ZERO;
+        let uncovered = (delay - lead).max(Seconds::ZERO);
         let distance = v * uncovered;
-        let with_wake = ActivityTimeline::for_section_with_wake(
-            &section_lp,
-            &Timetable::paper_default().passes(),
-            &WakeController::new(
-                Seconds::new(delay_ms / 1000.0),
-                Seconds::new(delay_ms / 1000.0),
-            ),
-        );
+        // a barrier `delay` up-track powers the node that much earlier
+        let with_wake = ActivityTimeline::from_intervals(passes.iter().map(|pass| {
+            let (enter, exit) = section_lp.occupancy(pass);
+            (enter - delay, exit)
+        }));
         let extra = with_wake.total_active_hours().value()
-            - ActivityTimeline::for_section(&section_lp, &Timetable::paper_default().passes())
+            - ActivityTimeline::for_section(&section_lp, &passes)
                 .total_active_hours()
                 .value();
         writeln!(

@@ -1,6 +1,7 @@
 //! Integration tests exercising interactions between crates that no
 //! single crate's unit tests cover.
 
+use corridor_events::{CorridorSimulator, NodeKind, NodeSpec, WakePolicy};
 use railway_corridor::prelude::*;
 
 /// The traffic-derived duty cycle feeds the power model consistently:
@@ -86,23 +87,33 @@ fn donor_share_is_small() {
     );
 }
 
-/// The wake controller integrates with the energy model: a 1 s barrier
-/// lead on every pass adds well under 1 % to the repeater's daily energy.
+/// The wake policy integrates with the energy model: the paper's 300 ms
+/// wake delay ("a few hundred ms is negligible"), covered by a 1 s
+/// barrier lead on every pass, adds well under 1 % to the repeater's
+/// daily energy (0.81 %). The paper does not model the simulator's
+/// 0.5 s guard, which would lift it to 1.21 %.
 #[test]
 fn wake_lead_energy_overhead_negligible() {
     let params = ScenarioParams::paper_default();
     let section = TrackSection::around(Meters::new(500.0), params.lp_spacing());
+    let nodes = [NodeSpec::new(NodeKind::ServiceRepeater, section)];
     let passes = params.timetable().passes();
-    let plain = ActivityTimeline::for_section(&section, &passes);
-    let ctl = WakeController::paper_default();
-    let waked = ActivityTimeline::for_section_with_wake(&section, &passes, &ctl);
-    let plain_e =
-        DutyCycle::over_day(plain.total_active_hours(), Hours::ZERO).daily_energy(params.lp_node());
-    let waked_e =
-        DutyCycle::over_day(waked.total_active_hours(), Hours::ZERO).daily_energy(params.lp_node());
+    let daily_energy = |policy| {
+        let report = CorridorSimulator::new()
+            .with_policy(policy)
+            .simulate(&nodes, &passes);
+        report.nodes()[0].trace().daily_energy(params.lp_node())
+    };
+    let paper = WakePolicy::paper_default();
+    let plain_e = daily_energy(WakePolicy::instant());
+    let waked_e = daily_energy(WakePolicy::new(
+        paper.lead(),
+        paper.wake_delay(),
+        Seconds::ZERO,
+    ));
     let overhead = (waked_e - plain_e) / plain_e;
     assert!(overhead < 0.01, "overhead {overhead}");
-    assert!(waked_e >= plain_e);
+    assert!(waked_e > plain_e);
 }
 
 /// Units flow through the whole stack without manual conversions: a

@@ -19,7 +19,7 @@ use corridor_core::{
     experiments, AnalyticEvaluator, EnergyStrategy, ScenarioParams, SegmentEvaluator,
 };
 use corridor_events::{EventDrivenEvaluator, WakePolicy};
-use corridor_sim::{Evaluator, ScenarioGrid, SweepEngine};
+use corridor_sim::{ScenarioGrid, SweepEngine};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -157,26 +157,12 @@ fn table3_variants_match() {
 #[test]
 fn table4_cells_match() {
     // Table IV evaluates the same 10-node segment under four climates;
-    // the climates only affect PV sizing, so the energy split must be
-    // identical across them and match the analytic backend in each
+    // the climates only affect PV sizing, so every climate's energy
+    // split must match the event-driven backend
     let grid =
         ScenarioGrid::new().locations(corridor_core::solar::climate::paper_regions().to_vec());
-    let engine = SweepEngine::new().workers(1).pv_sizing(false);
-    let analytic = engine.run(&grid).unwrap();
-    let simulated = engine
-        .evaluator(Evaluator::EventDriven(WakePolicy::instant()))
-        .run(&grid)
-        .unwrap();
-    assert_eq!(analytic.len(), 4);
-    for (a, s) in analytic.results().iter().zip(simulated.results()) {
-        for strategy in EnergyStrategy::ALL {
-            let rel = relative_diff(
-                s.split(strategy).total().value(),
-                a.split(strategy).total().value(),
-            );
-            assert!(rel < BOUND, "{}: {strategy} {rel}", a.cell());
-        }
-    }
+    assert_eq!(grid.len(), 4);
+    assert_sweep_matches_event_driven(&grid);
 }
 
 // ---------------------------------------------------------------------------
@@ -191,35 +177,27 @@ fn mixed_grid() -> ScenarioGrid {
         .conventional_isds_m(vec![450.0, 550.0])
 }
 
-#[test]
-fn sweep_backends_agree_under_1_and_8_workers() {
-    let grid = mixed_grid();
+/// Holds every cell of the analytic sweep, under 1 and 8 workers, to
+/// the event-driven backend within [`BOUND`]: each strategy's split and
+/// its savings versus the cell's conventional baseline.
+fn assert_sweep_matches_event_driven(grid: &ScenarioGrid) {
+    let simulated = EventDrivenEvaluator::new();
     for workers in [1usize, 8] {
         let engine = SweepEngine::new().workers(workers).pv_sizing(false);
-        let analytic = engine.run(&grid).unwrap();
-        let simulated = engine
-            .evaluator(Evaluator::EventDriven(WakePolicy::instant()))
-            .run(&grid)
-            .unwrap();
-        assert_eq!(analytic.len(), simulated.len());
-        for (a, s) in analytic.results().iter().zip(simulated.results()) {
-            assert_eq!(a.evaluator(), "analytic");
-            assert_eq!(s.evaluator(), "event-driven");
+        let report = engine.run(grid).unwrap();
+        assert_eq!(report.len(), grid.len());
+        for a in report.results() {
+            let cell = a.cell();
+            let params = cell.params();
+            let baseline = simulated.conventional_baseline(params);
             for strategy in EnergyStrategy::ALL {
-                let rel = relative_diff(
-                    s.split(strategy).total().value(),
-                    a.split(strategy).total().value(),
-                );
-                assert!(
-                    rel < BOUND,
-                    "workers={workers} {}: {strategy} {rel}",
-                    a.cell()
-                );
-                let savings_gap = (s.savings(strategy) - a.savings(strategy)).abs();
+                let s = simulated.average_power_per_km(params, cell.nodes(), cell.isd(), strategy);
+                let rel = relative_diff(s.total().value(), a.split(strategy).total().value());
+                assert!(rel < BOUND, "workers={workers} {cell}: {strategy} {rel}");
+                let savings_gap = (s.savings_vs(&baseline) - a.savings(strategy)).abs();
                 assert!(
                     savings_gap < BOUND,
-                    "workers={workers} {}: {strategy} savings gap {savings_gap}",
-                    a.cell()
+                    "workers={workers} {cell}: {strategy} savings gap {savings_gap}"
                 );
             }
         }
@@ -227,15 +205,8 @@ fn sweep_backends_agree_under_1_and_8_workers() {
 }
 
 #[test]
-fn event_driven_sweep_is_deterministic_across_worker_counts() {
-    let grid = mixed_grid();
-    let engine = SweepEngine::new()
-        .pv_sizing(false)
-        .evaluator(Evaluator::EventDriven(WakePolicy::instant()));
-    let reference = engine.workers(1).run(&grid).unwrap();
-    let eight = engine.workers(8).run(&grid).unwrap();
-    assert_eq!(reference.results(), eight.results());
-    assert_eq!(reference.to_csv(), eight.to_csv());
+fn sweep_backends_agree_under_1_and_8_workers() {
+    assert_sweep_matches_event_driven(&mixed_grid());
 }
 
 // ---------------------------------------------------------------------------
@@ -348,9 +319,9 @@ fn jittered_timetables_cost_no_less_than_the_deterministic_day() {
         base: Timetable::paper_default(),
         delays: corridor_core::traffic::DelayModel::typical(),
     };
-    let evaluator = EventDrivenEvaluator::new();
-    let deterministic = evaluator
-        .simulate_segment(&params, 10, isd, &Timetable::paper_default().passes())
+    let replicator = EventDrivenEvaluator::new().replicator(&params, 10, isd);
+    let deterministic = replicator
+        .simulate_day(&Timetable::paper_default().passes())
         .nodes()[0]
         .trace()
         .powered()
@@ -358,9 +329,7 @@ fn jittered_timetables_cost_no_less_than_the_deterministic_day() {
     for seed in 0..5u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let passes = model.passes(&mut rng);
-        let jittered = evaluator
-            .simulate_segment(&params, 10, isd, &passes)
-            .nodes()[0]
+        let jittered = replicator.simulate_day(&passes).nodes()[0]
             .trace()
             .powered()
             .value();
@@ -379,7 +348,9 @@ fn mixed_services_match_the_analytic_superposition() {
     let params = ScenarioParams::paper_default();
     let isd = IsdTable::paper().isd_for(10).unwrap();
     let passes = MixedTimetable::paper_mixed().passes();
-    let report = EventDrivenEvaluator::new().simulate_segment(&params, 10, isd, &passes);
+    let report = EventDrivenEvaluator::new()
+        .replicator(&params, 10, isd)
+        .simulate_day(&passes);
     let analytic = ActivityTimeline::for_section(&TrackSection::new(Meters::ZERO, isd), &passes)
         .total_active()
         .value();
