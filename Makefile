@@ -34,12 +34,15 @@ golden:
 differential:
 	cargo test -q --test differential
 
-# Per-node event loop and instant-policy interval sweep vs the global
+# Per-node event loop and instant-policy interval merge vs the global
 # heap-queue loop they replaced (proptest oracle, heap-era digests, node
-# independence, non-finite passes), in release so arithmetic runs as it
-# does in the served binaries.
+# independence, non-finite passes), then the simulator's unit tests
+# (among them the check that sends in-order one-train days down the
+# single walk, and both instant routes agreeing), in release so
+# arithmetic runs as it does in the served binaries.
 sim-differential:
 	cargo test --release -p corridor_events --test sim_differential
+	cargo test --release -p corridor_events --lib sim
 
 # Early-exit Table IV search vs a copy of the full search it replaced
 # (proptest oracle over random loads, sites, ladders and seeds: same

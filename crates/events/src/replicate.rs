@@ -12,10 +12,15 @@ use crate::{segment_nodes, CorridorSimulator, EventDrivenEvaluator, SimReport, W
 ///
 /// A replicator builds the node population and configures the simulator
 /// once; each [`SegmentReplicator::simulate_day`] then only simulates the
-/// day (the interval sweep under [`WakePolicy::instant`], the event loop
-/// under any other policy), so a Monte-Carlo sweep replaying hundreds of
-/// seeded days through one geometry pays for the nodes once and a
-/// one-off day costs the same as through a bare [`CorridorSimulator`].
+/// day, so a Monte-Carlo sweep replaying hundreds of seeded days through
+/// one geometry pays for the nodes once and a one-off day costs the same
+/// as through a bare [`CorridorSimulator`]. Under [`WakePolicy::instant`]
+/// each node's occupancy intervals are merged into powered stretches; a
+/// day that runs one train with origins that never fall (every sampled
+/// Poisson day) passes the simulator's once-per-day order check and is
+/// merged for all nodes in one walk over its passes, and any other day
+/// is staged and sorted node by node. Any other policy runs the event
+/// loop.
 ///
 /// # Examples
 ///

@@ -57,16 +57,31 @@ type Span = (Seconds, Seconds);
 /// sections as given).
 type Direction<'a> = (&'a [TrainPass], Option<Meters>);
 
+/// The bits of a train's length and speed: two passes run the same train
+/// when these are equal.
+fn train_key(train: Train) -> [u64; 2] {
+    [train.length().value(), train.speed().value()].map(f64::to_bits)
+}
+
+/// The head and tail offsets of `section` for `train`: a pass enters at
+/// `origin + start / speed` and leaves at `origin + (end + length) /
+/// speed`, the operations of [`TrackSection::occupancy`] on the same
+/// operands.
+fn offsets(section: TrackSection, train: Train) -> Span {
+    (
+        section.start() / train.speed(),
+        (section.end() + train.length()) / train.speed(),
+    )
+}
+
 /// A section's occupancy intervals, pass by pass, with the two divisions
 /// of [`TrackSection::occupancy`] done once per train instead of once
 /// per pass.
 ///
-/// A pass enters at `origin + start / speed` and leaves at
-/// `origin + (end + length) / speed`; both quotients depend on the train
-/// alone, so they are kept for the last train seen (keyed on the bits of
-/// its length and speed) and recomputed when the train changes. The
-/// quotients and sums are the same operations on the same operands as
-/// `occupancy`'s, so every interval keeps its bits.
+/// Both quotients ([`offsets`]) depend on the train alone, so they are
+/// kept for the last train seen (keyed on the bits of its length and
+/// speed) and recomputed when the train changes, and every interval
+/// keeps the bits `occupancy` gives it.
 struct PassOffsets {
     section: TrackSection,
     /// Bits of the length and speed the offsets were computed for.
@@ -90,7 +105,7 @@ impl PassOffsets {
     /// `self.section.occupancy(pass)`, bit for bit.
     fn occupancy(&mut self, pass: &TrainPass) -> Span {
         let train = pass.train();
-        let key = [train.length().value(), train.speed().value()].map(f64::to_bits);
+        let key = train_key(train);
         if self.train != Some(key) {
             self.divide(key, train);
         }
@@ -105,9 +120,38 @@ impl PassOffsets {
     #[inline(never)]
     fn divide(&mut self, key: [u64; 2], train: Train) {
         self.train = Some(key);
-        self.head = self.section.start() / train.speed();
-        self.tail = (self.section.end() + train.length()) / train.speed();
+        (self.head, self.tail) = offsets(self.section, train);
     }
+}
+
+/// The passes of a day whose instant-policy intervals arrive in order
+/// for every section: one direction swept as given, every pass of one
+/// train (by the bits of its length and speed, as [`PassOffsets`] keys
+/// it) and origins that never fall (each `origin >= last`). Rounding is
+/// monotone, so for each section's head offset `origin + head` never
+/// falls either, and neither do the entries of the live intervals. A NaN
+/// origin fails `origin >= last`, so its day is not taken; `-0.0` after
+/// `+0.0` does not fall. Poisson and timetable days pass the check; a
+/// double-track day (two directions), a network edge's concatenated
+/// routes (a falling origin) and a day that changes trains do not.
+fn in_order_day<'a>(directions: &[Direction<'a>]) -> Option<&'a [TrainPass]> {
+    let &[(passes, None)] = directions else {
+        return None;
+    };
+    let Some(first) = passes.first() else {
+        return Some(passes);
+    };
+    let train = train_key(first.train());
+    let mut last = f64::NEG_INFINITY;
+    for pass in passes {
+        let origin = pass.origin_time().value();
+        if train_key(pass.train()) == train && origin >= last {
+            last = origin;
+        } else {
+            return None;
+        }
+    }
+    Some(passes)
 }
 
 /// Sorts `items` stably into the order `precedes` defines. A day's
@@ -236,6 +280,108 @@ impl NodeRuntime {
     }
 }
 
+/// One section's instant-policy day, merged interval by interval into
+/// powered stretches and billed as it goes.
+///
+/// Intervals must arrive with entries that never decrease (sorted
+/// stably, as the loop's barriers are). With lead, wake delay and guard
+/// all zero, the loop's wake completion at a barrier's time fires after
+/// every barrier at that time and before every entry (ranks 1 and 2), so
+/// no time goes uncovered; a drain scheduled at an exit time fires
+/// before any later event, as nothing of a lower rank is left at that
+/// time, so none is cancelled; and a barrier sorts before an exit at the
+/// same time, so intervals that touch share one wake. The node is thus
+/// powered over each stretch of intervals that overlap or touch, from
+/// its first entry to its last exit: a stretch grows while the next
+/// entry is `<=` its running maximum exit. The loop pops three staged
+/// events per interval and a wake completion and a drain expiry per
+/// stretch.
+///
+/// Each stretch `[start, end]` is billed with two clamps,
+/// `on = clamp(start)` and `off = clamp(end)` into `[0, horizon]`:
+/// asleep gets `on − since`, active gets `off − on`, one wake, and the
+/// node sleeps from `off`. That is what the loop's four transitions
+/// (asleep → waking at `start − lead`, → active at that plus
+/// `wake_delay`, → drain at `end`, → asleep at `end + guard`) add, bit
+/// for bit, when the policy equals [`WakePolicy::instant`], where each
+/// of the three is a zero of either sign (`WakePolicy::new` accepts
+/// `-0.0`):
+///
+/// * `end > 0` (every live interval exits after `t = 0`), so
+///   `end + guard == end`, `off > 0`, and the drain segment is `+0.0`;
+/// * `start − lead` and `start − lead + wake_delay` differ from `start`
+///   at most in the sign of a zero, so the waking segment is a zero, and
+///   `off − c == off − on` for either clamped clock `c`, because
+///   `off > 0`;
+/// * a zero `start` can only open the first stretch (each later one
+///   starts after an earlier `end > 0`), whose asleep segment from
+///   `since = +0.0` is then a zero whatever its sign.
+///
+/// Every accumulator starts at `+0.0` and only grows, so adding a zero
+/// of either sign leaves its bits unchanged: dropping the two zero
+/// segments changes nothing.
+struct Stretches {
+    horizon: Seconds,
+    trace: StateTrace,
+    /// Where the node fell asleep last: the clamped end of the last
+    /// billed stretch.
+    since: Seconds,
+    /// The stretch being grown: its start and its running maximum end.
+    open: Option<Span>,
+    /// Intervals merged so far.
+    spans: usize,
+}
+
+impl Stretches {
+    fn new(horizon: Seconds) -> Self {
+        Stretches {
+            horizon,
+            trace: StateTrace::new(horizon),
+            since: Seconds::ZERO,
+            open: None,
+            spans: 0,
+        }
+    }
+
+    /// Merges the next live interval.
+    #[inline(always)]
+    fn push(&mut self, (enter, exit): Span) {
+        self.spans += 1;
+        match self.open {
+            Some((start, end)) if enter <= end => {
+                if exit > end {
+                    self.open = Some((start, exit));
+                }
+            }
+            Some((start, end)) => {
+                self.bill(start, end);
+                self.open = Some((enter, exit));
+            }
+            None => self.open = Some((enter, exit)),
+        }
+    }
+
+    /// Bills one finished stretch.
+    fn bill(&mut self, start: Seconds, end: Seconds) {
+        let on = start.max(Seconds::ZERO).min(self.horizon);
+        let off = end.max(Seconds::ZERO).min(self.horizon);
+        self.trace.add(NodeState::Asleep, on - self.since);
+        self.trace.add(NodeState::Active, off - on);
+        self.trace.count_wake();
+        self.since = off;
+    }
+
+    /// Bills the open stretch and the sleep after it, returning the trace
+    /// and the event count [`CorridorSimulator::replay`] would return.
+    fn finish(mut self) -> (StateTrace, usize) {
+        if let Some((start, end)) = self.open {
+            self.bill(start, end);
+        }
+        self.trace.add(NodeState::Asleep, self.horizon - self.since);
+        (self.trace, 3 * self.spans + 2 * self.trace.wakes())
+    }
+}
+
 /// Replays a day of train passes through per-node wake state machines.
 ///
 /// Each node watches its [`TrackSection`]; the simulator stages the
@@ -247,16 +393,23 @@ impl NodeRuntime {
 ///
 /// Under [`WakePolicy::instant`] that machine can only power the node
 /// over the union of its occupancy intervals, one wake per connected
-/// stretch, so the simulator skips the events: it sorts the node's
-/// `(enter, exit)` intervals, merges those that overlap or touch, and
-/// bills each merged stretch as asleep time up to its clamped start and
-/// active time up to its clamped end, the only segments of the loop's
-/// four transitions that are not zero under that policy. The traces and
-/// event counts are bit-identical to the loop's. Any
-/// other policy runs the event loop. The energy
-/// numbers then come from the same duty-cycle arithmetic as the
-/// closed-form model, so with [`WakePolicy::instant`] the two backends
-/// agree to float precision on deterministic timetables.
+/// stretch, so the simulator skips the events: it merges each node's
+/// `(enter, exit)` intervals, in entry order, into stretches of those
+/// that overlap or touch, and bills each stretch as asleep time up to
+/// its clamped start and active time up to its clamped end, the only
+/// segments of the loop's four transitions that are not zero under that
+/// policy. The traces and event counts are bit-identical to the loop's.
+/// Instant days take one of two routes, chosen once per call by checking
+/// that the day runs one direction and one train with origins that
+/// never fall: such a day (every Poisson and timetable day) has every
+/// node's entries in order already and is merged for all sections in
+/// one walk over its passes; any other day (double track, a train
+/// change, a falling origin) is staged and sorted section by section.
+/// Both routes feed the same merger. Any other policy runs the event
+/// loop. The energy numbers then come from the same duty-cycle
+/// arithmetic as the closed-form model, so with [`WakePolicy::instant`]
+/// the two backends agree to float precision on deterministic
+/// timetables.
 ///
 /// # Examples
 ///
@@ -352,71 +505,92 @@ impl CorridorSimulator {
         self.run(nodes, &[(up, None), (down, Some(corridor_length))])
     }
 
-    /// The core loop: each distinct section's day is made from its
-    /// occupancy intervals that overlap the horizon
-    /// ([`CorridorSimulator::for_each_live`]), merged into powered
-    /// stretches under the instant policy ([`CorridorSimulator::sweep`])
-    /// or staged as barrier/enter/exit events for the state machine under
-    /// any other ([`CorridorSimulator::replay`]).
+    /// The core loop: each distinct section's day
+    /// ([`CorridorSimulator::per_section`]) comes from its occupancy
+    /// intervals that overlap the horizon.
+    ///
+    /// Under the instant policy they are merged into powered stretches
+    /// ([`Stretches`]) on one of two routes, chosen once per call by
+    /// [`in_order_day`]. A day of one direction and one train whose
+    /// origins never fall (every Poisson and timetable day) has every
+    /// section's entries in order already, so one walk over its passes
+    /// merges all sections at once ([`CorridorSimulator::merge_in_order`]);
+    /// any other day is staged and, where an entry fell, sorted section by
+    /// section ([`CorridorSimulator::merge_staged`]). Under any other
+    /// policy each section's intervals are staged as barrier/enter/exit
+    /// events for the state machine ([`CorridorSimulator::replay`]).
     fn run(&self, nodes: &[NodeSpec], directions: &[Direction<'_>]) -> SimReport {
         let passes = directions.iter().map(|(passes, _)| passes.len()).sum();
-        let instant = self.policy == WakePolicy::instant();
-        let mut day = NodeDay::default();
-        let mut spans: Vec<Span> = Vec::new();
-        if instant {
-            spans.reserve(passes);
-        }
-        self.per_section(nodes, passes, |section| {
-            if instant {
-                spans.clear();
-                let mut sorted = true;
-                let mut last = Seconds::new(f64::NEG_INFINITY);
-                self.for_each_live(section, directions, |span| {
-                    sorted &= span.0 >= last;
-                    last = span.0;
-                    spans.push(span);
-                });
-                self.sweep(&mut spans, sorted)
+        self.per_section(nodes, passes, |sections| {
+            if self.policy != WakePolicy::instant() {
+                let mut day = NodeDay::default();
+                sections
+                    .iter()
+                    .map(|&section| {
+                        day.clear();
+                        self.for_each_live(section, directions, |span| self.stage(&mut day, span));
+                        day.seal();
+                        self.replay(&mut day)
+                    })
+                    .collect()
+            } else if let Some(passes) = in_order_day(directions) {
+                self.merge_in_order(sections, passes)
             } else {
-                day.clear();
-                self.for_each_live(section, directions, |span| self.stage(&mut day, span));
-                day.seal();
-                self.replay(&mut day)
+                self.merge_staged(sections, directions, passes)
             }
         })
     }
 
-    /// Reports every node from the trace and event count `day_of` makes
+    /// Reports every node from the trace and event count `days_of` makes
     /// for its section. A node's day depends on nothing but its section,
-    /// so `day_of` runs once per distinct section: a node whose section
-    /// matches an earlier one's bit for bit (the mast and the donor
-    /// repeaters all watch `[0, isd]`) reuses that day; `-0.0` and `+0.0`
-    /// starts do not match.
+    /// so `days_of` gets each distinct section once, in the order the
+    /// nodes first name it, and returns their days in that order: a node
+    /// whose section matches an earlier one's bit for bit (the mast and
+    /// the donor repeaters all watch `[0, isd]`) reuses that day; `-0.0`
+    /// and `+0.0` starts do not match.
     fn per_section(
         &self,
         nodes: &[NodeSpec],
         passes: usize,
-        mut day_of: impl FnMut(TrackSection) -> (StateTrace, usize),
+        days_of: impl FnOnce(&[TrackSection]) -> Vec<(StateTrace, usize)>,
     ) -> SimReport {
-        let mut done: BTreeMap<[u64; 2], (StateTrace, usize)> = BTreeMap::new();
-        let mut events = 0usize;
-        let reports = nodes
+        let mut index: BTreeMap<[u64; 2], usize> = BTreeMap::new();
+        let mut sections = Vec::new();
+        let slots: Vec<usize> = nodes
             .iter()
             .map(|spec| {
                 let section = spec.section();
                 let key = [section.start(), section.end()].map(|m| m.value().to_bits());
-                let (trace, count) = *done.entry(key).or_insert_with(|| day_of(section));
+                *index.entry(key).or_insert_with(|| {
+                    sections.push(section);
+                    sections.len() - 1
+                })
+            })
+            .collect();
+        let days = days_of(&sections);
+        let mut events = 0usize;
+        let reports = nodes
+            .iter()
+            .zip(slots)
+            .map(|(spec, slot)| {
+                let (trace, count) = days[slot];
                 events += count;
-                NodeReport::new(spec.kind(), section, trace)
+                NodeReport::new(spec.kind(), spec.section(), trace)
             })
             .collect();
         SimReport::new(reports, events, passes)
     }
 
-    /// Calls `f` with each `(enter, exit)` interval of `section` that
-    /// overlaps the horizon, in pass order, direction by direction: only
-    /// those can power the node. Every comparison with NaN is false, so
-    /// NaN intervals drop.
+    /// True if an occupancy interval overlaps the horizon: only those can
+    /// power a node. Every comparison with NaN is false, so NaN intervals
+    /// drop.
+    #[inline(always)]
+    fn live(&self, (enter, exit): Span) -> bool {
+        exit > enter && exit > Seconds::ZERO && enter < self.horizon
+    }
+
+    /// Calls `f` with each live interval of `section`, in pass order,
+    /// direction by direction.
     fn for_each_live(
         &self,
         section: TrackSection,
@@ -430,19 +604,102 @@ impl CorridorSimulator {
             };
             let mut offsets = PassOffsets::new(watched);
             for pass in passes {
-                let (enter, exit) = offsets.occupancy(pass);
-                if exit > enter && exit > Seconds::ZERO && enter < self.horizon {
-                    f((enter, exit));
+                let span = offsets.occupancy(pass);
+                if self.live(span) {
+                    f(span);
                 }
             }
         }
     }
 
+    /// The instant days of `sections` in one walk over the passes of an
+    /// [`in_order_day`]: each section's offsets are divided once, and each
+    /// pass feeds each section's live interval straight into that
+    /// section's [`Stretches`]. Each section sees the intervals
+    /// [`CorridorSimulator::merge_staged`] would merge, in the same order,
+    /// as that route skips the sort on a day whose entries never fall.
+    ///
+    /// The order is checked once per day, on the origins: checking it per
+    /// interval inside this loop cost about half of what the single walk
+    /// saves (see `docs/performance.md`). Out of line, as `replay` is:
+    /// inlined into `run`, the two instant routes made paper-policy days
+    /// 2–4 % slower.
+    #[inline(never)]
+    fn merge_in_order(
+        &self,
+        sections: &[TrackSection],
+        passes: &[TrainPass],
+    ) -> Vec<(StateTrace, usize)> {
+        let Some(first) = passes.first() else {
+            return sections
+                .iter()
+                .map(|_| Stretches::new(self.horizon).finish())
+                .collect();
+        };
+        let mut lanes: Vec<(Span, Stretches)> = sections
+            .iter()
+            .map(|&section| {
+                (
+                    offsets(section, first.train()),
+                    Stretches::new(self.horizon),
+                )
+            })
+            .collect();
+        for pass in passes {
+            let origin = pass.origin_time();
+            for ((head, tail), day) in &mut lanes {
+                let span = (origin + *head, origin + *tail);
+                if self.live(span) {
+                    day.push(span);
+                }
+            }
+        }
+        lanes.into_iter().map(|(_, day)| day.finish()).collect()
+    }
+
+    /// The instant days of `sections`, one section at a time, for a day
+    /// [`in_order_day`] does not take (two directions, a train change or
+    /// a falling origin): each section's live intervals are staged, sorted
+    /// stably by entry when one fell ([`sort_nearly_sorted`]), and merged
+    /// into [`Stretches`]. Out of line, as
+    /// [`CorridorSimulator::merge_in_order`] is.
+    #[inline(never)]
+    fn merge_staged(
+        &self,
+        sections: &[TrackSection],
+        directions: &[Direction<'_>],
+        passes: usize,
+    ) -> Vec<(StateTrace, usize)> {
+        let mut spans: Vec<Span> = Vec::with_capacity(passes);
+        sections
+            .iter()
+            .map(|&section| {
+                spans.clear();
+                let mut sorted = true;
+                let mut last = Seconds::new(f64::NEG_INFINITY);
+                self.for_each_live(section, directions, |span| {
+                    sorted &= span.0 >= last;
+                    last = span.0;
+                    spans.push(span);
+                });
+                if !sorted {
+                    sort_nearly_sorted(&mut spans, |a, b| a.0 < b.0);
+                }
+                let mut day = Stretches::new(self.horizon);
+                for &span in &spans {
+                    day.push(span);
+                }
+                day.finish()
+            })
+            .collect()
+    }
+
     /// Runs one node's sealed day through the state machine, returning
     /// its trace and event count.
     ///
-    /// Out of line, as `sweep` is: inlined into `run`, whose staging loop
-    /// both paths share, it made paper-policy days about 6 % slower.
+    /// Out of line: inlined into `run`, whose staging loop it shares with
+    /// the staged instant route, it made paper-policy days about 6 %
+    /// slower.
     #[inline(never)]
     fn replay(&self, day: &mut NodeDay) -> (StateTrace, usize) {
         let mut rt = NodeRuntime::asleep(self.horizon);
@@ -452,86 +709,6 @@ impl CorridorSimulator {
             self.handle(&mut rt, event, day);
         }
         (self.close(rt), events + day.stale)
-    }
-
-    /// Runs one node's instant-policy day from its occupancy intervals,
-    /// returning the trace and event count [`CorridorSimulator::replay`]
-    /// would return for the same day.
-    ///
-    /// With lead, wake delay and guard all zero, the loop's wake
-    /// completion at a barrier's time fires after every barrier at that
-    /// time and before every entry (ranks 1 and 2), so no time goes
-    /// uncovered; a drain scheduled at an exit time fires before any
-    /// later event, as nothing of a lower rank is left at that time, so
-    /// none is cancelled; and a barrier sorts before an exit at the same
-    /// time, so intervals that touch share one wake. The node is thus
-    /// powered over each stretch of intervals that overlap or touch,
-    /// from its first entry to its last exit. Sorted by entry (stably,
-    /// as the loop's barriers are), a stretch grows while the next entry
-    /// is `<=` its running maximum exit. `sorted` says the intervals
-    /// arrived with entries that never decrease, which a stable sort
-    /// leaves as they are, so only other days are sorted. The loop pops
-    /// three staged events per interval and a wake completion and a
-    /// drain expiry per stretch.
-    ///
-    /// Each stretch `[start, end]` is billed with two clamps,
-    /// `on = clamp(start)` and `off = clamp(end)` into `[0, horizon]`:
-    /// asleep gets `on − since`, active gets `off − on`, one wake, and
-    /// the node sleeps from `off`. That is what the loop's four
-    /// transitions (asleep → waking at `start − lead`, → active at that
-    /// plus `wake_delay`, → drain at `end`, → asleep at `end + guard`)
-    /// add, bit for bit, when the policy equals
-    /// [`WakePolicy::instant`], where each of the three is a zero of
-    /// either sign (`WakePolicy::new` accepts `-0.0`):
-    ///
-    /// * `end > 0` (every live interval exits after `t = 0`), so
-    ///   `end + guard == end`, `off > 0`, and the drain segment is `+0.0`;
-    /// * `start − lead` and `start − lead + wake_delay` differ from
-    ///   `start` at most in the sign of a zero, so the waking segment is
-    ///   a zero, and `off − c == off − on` for either clamped clock `c`,
-    ///   because `off > 0`;
-    /// * a zero `start` can only open the first stretch (each later one
-    ///   starts after an earlier `end > 0`), whose asleep segment from
-    ///   `since = +0.0` is then a zero whatever its sign.
-    ///
-    /// Every accumulator starts at `+0.0` and only grows, so adding a
-    /// zero of either sign leaves its bits unchanged: dropping the two
-    /// zero segments changes nothing.
-    ///
-    /// Out of line: inlined next to the event loop in `simulate`, it
-    /// made paper-policy days 6–7 % slower in process; out of line, they
-    /// run as before and instant days slightly faster.
-    #[inline(never)]
-    fn sweep(&self, spans: &mut [Span], sorted: bool) -> (StateTrace, usize) {
-        if !sorted {
-            sort_nearly_sorted(spans, |a, b| a.0 < b.0);
-        }
-        let mut trace = StateTrace::new(self.horizon);
-        let mut since = Seconds::ZERO;
-        let mut bill = |start: Seconds, end: Seconds| {
-            let on = start.max(Seconds::ZERO).min(self.horizon);
-            let off = end.max(Seconds::ZERO).min(self.horizon);
-            trace.add(NodeState::Asleep, on - since);
-            trace.add(NodeState::Active, off - on);
-            trace.count_wake();
-            since = off;
-        };
-        let mut rest = spans.iter();
-        if let Some(&(mut start, mut end)) = rest.next() {
-            for &(enter, exit) in rest {
-                if enter <= end {
-                    if exit > end {
-                        end = exit;
-                    }
-                } else {
-                    bill(start, end);
-                    (start, end) = (enter, exit);
-                }
-            }
-            bill(start, end);
-        }
-        trace.add(NodeState::Asleep, self.horizon - since);
-        (trace, 3 * spans.len() + 2 * trace.wakes())
     }
 
     /// Closes the node's final state segment at the horizon.
@@ -666,7 +843,10 @@ impl Default for CorridorSimulator {
 mod tests {
     use super::*;
     use crate::{segment_nodes, NodeKind};
-    use corridor_traffic::{ActivityTimeline, Timetable, Train};
+    use corridor_traffic::{ActivityTimeline, PoissonTimetable, Timetable, Train};
+    use corridor_units::MetersPerSecond;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn paper_passes() -> Vec<TrainPass> {
         Timetable::paper_default().passes()
@@ -836,14 +1016,66 @@ mod tests {
         nodes.push(NodeSpec::new(NodeKind::DonorRepeater, twin));
         let mut staged = Vec::new();
         let sim = CorridorSimulator::new();
-        let report = sim.per_section(&nodes, 0, |section| {
-            staged.push(section);
-            (StateTrace::new(sim.horizon()), 0)
+        let report = sim.per_section(&nodes, 0, |sections| {
+            staged = sections.to_vec();
+            sections
+                .iter()
+                .map(|_| (StateTrace::new(sim.horizon()), 0))
+                .collect()
         });
         assert_eq!(report.nodes().len(), 14);
         assert_eq!(staged.len(), 12);
         assert_eq!(staged[0].start().value().to_bits(), 0.0f64.to_bits());
         assert_eq!(staged[11].start().value().to_bits(), (-0.0f64).to_bits());
+    }
+
+    /// Passes of the paper train at each origin, in the order given.
+    fn paper_train_at(origins: &[f64]) -> Vec<TrainPass> {
+        origins
+            .iter()
+            .map(|&t| TrainPass::new(Train::paper_default(), Seconds::new(t)))
+            .collect()
+    }
+
+    #[test]
+    fn one_train_in_origin_order_takes_the_single_walk() {
+        let taken = |passes: &[TrainPass]| in_order_day(&[(passes, None)]).is_some();
+        let poisson = PoissonTimetable::paper_rate().sample_passes(&mut StdRng::seed_from_u64(7));
+        assert!(taken(&poisson));
+        assert!(taken(&paper_passes()));
+        assert!(taken(&[]));
+        assert!(taken(&paper_train_at(&[10.0, 10.0, 10.0, 20.0])));
+        assert!(taken(&paper_train_at(&[0.0, -0.0, 0.0, -0.0, 5.0])));
+        assert!(taken(&paper_train_at(&[
+            f64::NEG_INFINITY,
+            0.0,
+            f64::INFINITY
+        ])));
+
+        // a train change mid-day, by speed or by length alone
+        let mut changed = paper_train_at(&[0.0, 10.0, 20.0]);
+        changed[1] = TrainPass::new(
+            Train::new(Meters::new(50.0), MetersPerSecond::new(20.0)),
+            Seconds::new(10.0),
+        );
+        assert!(!taken(&changed));
+        let paper = Train::paper_default();
+        changed[1] = TrainPass::new(
+            Train::new(paper.length() + Meters::new(1.0), paper.speed()),
+            Seconds::new(10.0),
+        );
+        assert!(!taken(&changed));
+        // one falling origin, and NaN, which fails `origin >= last`
+        assert!(!taken(&paper_train_at(&[0.0, 20.0, 10.0, 30.0])));
+        assert!(!taken(&paper_train_at(&[0.0, f64::NAN, 10.0])));
+        assert!(!taken(&paper_train_at(&[f64::NAN])));
+
+        // double track has two directions, the second one mirrored: it
+        // stays on the staged route whatever its passes
+        let length = Some(Meters::new(2650.0));
+        assert!(in_order_day(&[(&poisson, None), (&[], length)]).is_none());
+        assert!(in_order_day(&[(&[], None), (&poisson, length)]).is_none());
+        assert!(in_order_day(&[(&poisson, length)]).is_none());
     }
 
     #[test]

@@ -919,7 +919,9 @@ fn equal_entries_with_different_exits_merge_to_the_latest_exit() {
 // ---------------------------------------------------------------------
 // One-train instant days, as every Monte-Carlo and network day is: the
 // simulator divides once per section and train, not once per pass, and
-// bills each stretch from two clamped clocks
+// bills each stretch from two clamped clocks. A single-track day of one
+// train in origin order is merged for every section in one walk over
+// its passes; its double-track twin and any other day are staged
 // ---------------------------------------------------------------------
 
 /// A sorted day of 50–250 passes of one train, as a Poisson day is.
@@ -935,7 +937,8 @@ fn one_train_passes_strategy() -> impl Strategy<Value = Vec<TrainPass>> {
 
 proptest! {
     /// One train per day, single and double track, at a 24 h or a
-    /// one-hour horizon.
+    /// one-hour horizon. The up day also runs rotated, which leaves one
+    /// falling origin, so the single walk must not take it.
     #[test]
     fn one_train_instant_days_match_the_global_loop(
         short in 0u8..=1,
@@ -947,6 +950,12 @@ proptest! {
         let sim = if short == 1 { sim.with_horizon(Seconds::new(3_600.0)) } else { sim };
         let oracle = Oracle::of(&sim);
         prop_assert_eq!(DayBits::of(&sim.simulate(&nodes, &up)), oracle.simulate(&nodes, &up));
+        let mut rotated = up.clone();
+        rotated.rotate_left(up.len() / 3);
+        prop_assert_eq!(
+            DayBits::of(&sim.simulate(&nodes, &rotated)),
+            oracle.simulate(&nodes, &rotated)
+        );
         let length = Meters::new(CORRIDOR);
         prop_assert_eq!(
             DayBits::of(&sim.simulate_double_track(&nodes, &up, &down, length)),
@@ -1054,6 +1063,38 @@ fn stretches_clipped_at_both_horizon_edges_match_the_global_loop() {
             (trace.waking(), trace.drain()),
             (Seconds::ZERO, Seconds::ZERO)
         );
+    }
+}
+
+#[test]
+fn in_order_days_at_the_single_walks_edges_match_the_global_loop() {
+    // days the single walk takes: no pass, one pass, tied origins, ±∞
+    // origins, passes entering before t = 0, and passes wholly past the
+    // one-hour horizon or the day's end; each train of the generators
+    let days: [&[f64]; 9] = [
+        &[],
+        &[1_000.0],
+        &[500.0, 500.0, 500.0, 900.0, 900.0],
+        &[f64::NEG_INFINITY, 10.0, 20.0, f64::INFINITY],
+        &[
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::INFINITY,
+        ],
+        &[-400.0, -100.0, -30.0, -5.0, 40.0],
+        &[-30.0, 1_000.0, 3_700.0, 4_000.0],
+        &[3_700.0, 4_000.0, 86_500.0, 90_000.0],
+        &[86_400.0, 86_401.0, 100_000.0],
+    ];
+    for train in 0..=2 {
+        for origins in days {
+            let passes: Vec<TrainPass> = origins
+                .iter()
+                .map(|&t| TrainPass::new(train_of(train), Seconds::new(t)))
+                .collect();
+            assert_instant_days_match(&passes);
+        }
     }
 }
 

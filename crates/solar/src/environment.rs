@@ -210,8 +210,7 @@ fn cache() -> &'static Mutex<Cache> {
 }
 
 /// Returns the shared sky table at `location`'s latitude for `plane`,
-/// computing it on first use. `plane` must be built over that latitude,
-/// as [`OffGridSystem`]'s always is.
+/// computing it on first use.
 fn cached_sky(location: &Location, plane: &Transposition) -> Arc<SkyTable> {
     let key = SkyKey::new(location.latitude_deg(), plane);
     let slot = {
@@ -379,10 +378,6 @@ mod tests {
     use crate::climate;
     use proptest::prelude::*;
 
-    fn vertical(location: &Location) -> Transposition {
-        Transposition::vertical_south(SolarGeometry::at_latitude(location.latitude_deg()))
-    }
-
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
     }
@@ -425,9 +420,7 @@ mod tests {
         ) {
             let (tilt, azimuth, albedo) = mounting;
             let (variability, persistence, seed) = weather;
-            let latitude = location.latitude_deg();
-            let plane = Transposition::new(SolarGeometry::at_latitude(latitude), tilt, azimuth)
-                .with_ground_albedo(albedo);
+            let plane = Transposition::new(tilt, azimuth).with_ground_albedo(albedo);
             assert_matches_reference(&location, &plane, variability, persistence, seed);
         }
     }
@@ -442,7 +435,7 @@ mod tests {
                 *base.monthly_ghi_kwh_m2_day(),
                 *base.monthly_temp_c(),
             );
-            let plane = vertical(&location);
+            let plane = Transposition::vertical_south();
             assert_matches_reference(&location, &plane, 0.95, 0.84, 7);
             assert_matches_reference(&location, &plane, 0.0, 0.0, 7);
         }
@@ -451,7 +444,7 @@ mod tests {
     #[test]
     fn cached_year_is_bit_identical_to_the_reference() {
         let location = climate::berlin();
-        let plane = vertical(&location);
+        let plane = Transposition::vertical_south();
         let cached = cached_year(&location, &plane, 0.95, 0.84, 7);
         let fresh = reference::compute_year(&location, &plane, 0.95, 0.84, 7);
         assert_eq!(cached.ambient.len(), 365);
@@ -463,13 +456,13 @@ mod tests {
     #[test]
     fn seeds_at_one_site_share_one_sky_table() {
         let location = climate::vienna();
-        let plane = vertical(&location).with_ground_albedo(0.35);
+        let plane = Transposition::vertical_south().with_ground_albedo(0.35);
         let sky = cached_sky(&location, &plane);
         let a = cached_year(&location, &plane, 0.95, 0.84, 46);
         let b = cached_year(&location, &plane, 0.95, 0.84, 59);
         assert!(Arc::ptr_eq(&sky, &cached_sky(&location, &plane)));
         // albedo is a year input, not a sky input
-        let snowy = vertical(&location).with_ground_albedo(0.8);
+        let snowy = Transposition::vertical_south().with_ground_albedo(0.8);
         assert!(Arc::ptr_eq(&sky, &cached_sky(&location, &snowy)));
         assert_eq!(*a, sky.year(&location, &plane, 0.95, 0.84, 46));
         assert_eq!(*b, sky.year(&location, &plane, 0.95, 0.84, 59));
@@ -480,7 +473,7 @@ mod tests {
     #[test]
     fn same_inputs_share_one_computation() {
         let location = climate::madrid();
-        let plane = vertical(&location);
+        let plane = Transposition::vertical_south();
         let first = cached_year(&location, &plane, 0.95, 0.60, 46);
         let second = cached_year(&location, &plane, 0.95, 0.60, 46);
         assert!(Arc::ptr_eq(&first, &second));
@@ -490,30 +483,25 @@ mod tests {
     fn distinct_seeds_and_sites_get_distinct_environments() {
         let madrid = climate::madrid();
         let berlin = climate::berlin();
-        let plane_m = vertical(&madrid);
-        let plane_b = vertical(&berlin);
-        let a = cached_year(&madrid, &plane_m, 0.95, 0.60, 7);
-        let b = cached_year(&madrid, &plane_m, 0.95, 0.60, 8);
-        let c = cached_year(&berlin, &plane_b, 0.95, 0.84, 7);
+        let plane = Transposition::vertical_south();
+        let a = cached_year(&madrid, &plane, 0.95, 0.60, 7);
+        let b = cached_year(&madrid, &plane, 0.95, 0.60, 8);
+        let c = cached_year(&berlin, &plane, 0.95, 0.84, 7);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_ne!(a.poa, b.poa);
         assert_ne!(a.poa, c.poa);
         assert!(!Arc::ptr_eq(
-            &cached_sky(&madrid, &plane_m),
-            &cached_sky(&berlin, &plane_b)
+            &cached_sky(&madrid, &plane),
+            &cached_sky(&berlin, &plane)
         ));
     }
 
     #[test]
     fn mounting_and_albedo_are_part_of_the_key() {
         let location = climate::lyon();
-        let vertical_plane = vertical(&location);
-        let tilted = Transposition::new(
-            SolarGeometry::at_latitude(location.latitude_deg()),
-            35.0,
-            0.0,
-        );
-        let snowy = vertical(&location).with_ground_albedo(0.7);
+        let vertical_plane = Transposition::vertical_south();
+        let tilted = Transposition::new(35.0, 0.0);
+        let snowy = Transposition::vertical_south().with_ground_albedo(0.7);
         let a = cached_year(&location, &vertical_plane, 0.95, 0.65, 7);
         let b = cached_year(&location, &tilted, 0.95, 0.65, 7);
         let c = cached_year(&location, &snowy, 0.95, 0.65, 7);

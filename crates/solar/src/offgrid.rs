@@ -4,9 +4,7 @@ use core::fmt;
 
 use corridor_units::WattHours;
 
-use crate::{
-    Battery, DailyLoadProfile, Location, PvArray, SolarGeometry, Transposition, WeatherGenerator,
-};
+use crate::{Battery, DailyLoadProfile, Location, PvArray, Transposition, WeatherGenerator};
 
 /// Summary statistics of one simulated year, mirroring the PVGIS off-grid
 /// report used in the paper's Table IV.
@@ -125,14 +123,13 @@ impl OffGridSystem {
     /// A system with the paper's mounting (vertical, south-facing) and the
     /// default weather variability.
     pub fn new(location: Location, pv: PvArray, battery: Battery, load: DailyLoadProfile) -> Self {
-        let geometry = SolarGeometry::at_latitude(location.latitude_deg());
         let persistence = location.overcast_persistence();
         OffGridSystem {
             location,
             pv,
             battery,
             load,
-            transposition: Transposition::vertical_south(geometry),
+            transposition: Transposition::vertical_south(),
             variability: WeatherGenerator::DEFAULT_VARIABILITY,
             persistence,
         }

@@ -1,7 +1,6 @@
 //! Transposition of horizontal irradiance onto a tilted plane.
 
 use crate::geometry::SunDay;
-use crate::SolarGeometry;
 
 /// Converts global horizontal irradiance to plane-of-array irradiance on a
 /// tilted module: Erbs beam/diffuse decomposition followed by an
@@ -10,11 +9,14 @@ use crate::SolarGeometry;
 /// The paper's repeater modules hang *vertically* (tilt 90°) on catenary
 /// masts facing south (azimuth 0°) — [`Transposition::vertical_south`].
 ///
+/// A plane holds no latitude: the sun's path comes from the site's
+/// [`SolarGeometry`](crate::SolarGeometry) wherever a year is projected.
+///
 /// # Examples
 ///
 /// ```
-/// use corridor_solar::{SolarGeometry, Transposition};
-/// let plane = Transposition::vertical_south(SolarGeometry::at_latitude(52.5));
+/// use corridor_solar::Transposition;
+/// let plane = Transposition::vertical_south();
 /// assert_eq!(plane.tilt_deg(), 90.0);
 /// // an overcast sky is almost all diffuse light, which a vertical
 /// // plane still sees half of
@@ -22,7 +24,6 @@ use crate::SolarGeometry;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transposition {
-    geometry: SolarGeometry,
     tilt_deg: f64,
     plane_azimuth_deg: f64,
     ground_albedo: f64,
@@ -35,10 +36,9 @@ impl Transposition {
     /// # Panics
     ///
     /// Panics if `tilt_deg` is outside `[0, 90]`.
-    pub fn new(geometry: SolarGeometry, tilt_deg: f64, plane_azimuth_deg: f64) -> Self {
+    pub fn new(tilt_deg: f64, plane_azimuth_deg: f64) -> Self {
         assert!((0.0..=90.0).contains(&tilt_deg), "tilt out of range");
         Transposition {
-            geometry,
             tilt_deg,
             plane_azimuth_deg,
             ground_albedo: 0.2,
@@ -46,8 +46,8 @@ impl Transposition {
     }
 
     /// The paper's mounting: vertical (90°) south-facing (0°).
-    pub fn vertical_south(geometry: SolarGeometry) -> Self {
-        Transposition::new(geometry, 90.0, 0.0)
+    pub fn vertical_south() -> Self {
+        Transposition::new(90.0, 0.0)
     }
 
     /// Overrides the ground albedo.
@@ -119,13 +119,15 @@ impl Transposition {
 mod tests {
     use super::*;
     use crate::clearsky::ClearSky;
+    use crate::SolarGeometry;
     use proptest::prelude::*;
 
-    /// Plane-of-array irradiance (W/m²) at day `doy`, local solar time
-    /// `hour` and daily clearness `kt`, through the steps a sky-table
-    /// year takes for each hour.
-    fn poa(plane: &Transposition, doy: u32, hour: f64, kt: f64) -> f64 {
-        let day = plane.geometry.sun_day(doy);
+    /// Plane-of-array irradiance (W/m²) of `plane` under the sun of
+    /// `geometry` at day `doy`, local solar time `hour` and daily
+    /// clearness `kt`, through the steps a sky-table year takes for each
+    /// hour.
+    fn poa(plane: &Transposition, geometry: SolarGeometry, doy: u32, hour: f64, kt: f64) -> f64 {
+        let day = geometry.sun_day(doy);
         let elev = day.elevation_deg(hour);
         let ghi = ClearSky::ghi_at_elevation(elev) * kt.clamp(0.0, 1.0);
         if ghi <= 0.0 {
@@ -141,12 +143,14 @@ mod tests {
     }
 
     /// Daily plane-of-array irradiation (Wh/m²) at clearness `kt`.
-    fn daily_poa(plane: &Transposition, doy: u32, kt: f64) -> f64 {
-        (0..24).map(|h| poa(plane, doy, h as f64 + 0.5, kt)).sum()
+    fn daily_poa(plane: &Transposition, geometry: SolarGeometry, doy: u32, kt: f64) -> f64 {
+        (0..24)
+            .map(|h| poa(plane, geometry, doy, h as f64 + 0.5, kt))
+            .sum()
     }
 
-    fn vertical(lat: f64) -> Transposition {
-        Transposition::vertical_south(SolarGeometry::at_latitude(lat))
+    fn sun(lat: f64) -> SolarGeometry {
+        SolarGeometry::at_latitude(lat)
     }
 
     #[test]
@@ -163,10 +167,10 @@ mod tests {
 
     #[test]
     fn zero_at_night_and_nonnegative() {
-        let plane = vertical(48.2);
-        assert_eq!(poa(&plane, 172, 1.0, 0.5), 0.0);
+        let plane = Transposition::vertical_south();
+        assert_eq!(poa(&plane, sun(48.2), 172, 1.0, 0.5), 0.0);
         for h in 0..24 {
-            assert!(poa(&plane, 15, h as f64 + 0.5, 0.3) >= 0.0);
+            assert!(poa(&plane, sun(48.2), 15, h as f64 + 0.5, 0.3) >= 0.0);
         }
     }
 
@@ -174,34 +178,34 @@ mod tests {
     fn vertical_plane_favors_winter_relative_to_horizontal() {
         // the classic reason for vertical mounting at high latitude: the
         // POA/GHI ratio is far higher in winter than in summer
-        let plane = vertical(52.5);
+        let plane = Transposition::vertical_south();
         let daily_ghi = |doy: u32| crate::clearsky::tests::daily_ghi(52.5, doy);
-        let ratio = |doy: u32| daily_poa(&plane, doy, 0.6) / (daily_ghi(doy) * 0.6);
+        let ratio = |doy: u32| daily_poa(&plane, sun(52.5), doy, 0.6) / (daily_ghi(doy) * 0.6);
         assert!(ratio(355) > 1.2, "winter ratio {}", ratio(355));
         assert!(ratio(172) < 0.6, "summer ratio {}", ratio(172));
     }
 
     #[test]
     fn clearer_days_yield_more_energy() {
-        let plane = vertical(45.8);
-        let dim = daily_poa(&plane, 100, 0.2);
-        let bright = daily_poa(&plane, 100, 0.6);
+        let plane = Transposition::vertical_south();
+        let dim = daily_poa(&plane, sun(45.8), 100, 0.2);
+        let bright = daily_poa(&plane, sun(45.8), 100, 0.6);
         assert!(bright > dim);
     }
 
     #[test]
     fn albedo_adds_ground_reflection() {
-        let base = vertical(48.2);
-        let snowy = vertical(48.2).with_ground_albedo(0.7);
-        assert!(poa(&snowy, 20, 12.0, 0.4) > poa(&base, 20, 12.0, 0.4));
+        let base = Transposition::vertical_south();
+        let snowy = base.with_ground_albedo(0.7);
+        assert!(poa(&snowy, sun(48.2), 20, 12.0, 0.4) > poa(&base, sun(48.2), 20, 12.0, 0.4));
     }
 
     #[test]
     fn madrid_winter_poa_supports_repeater() {
         // sanity for Table IV: one clear Madrid December day on 1 m² of
         // vertical module produces far more than the repeater's 124 Wh/day
-        let plane = vertical(40.4);
-        let wh_m2 = daily_poa(&plane, 355, 0.50);
+        let plane = Transposition::vertical_south();
+        let wh_m2 = daily_poa(&plane, sun(40.4), 355, 0.50);
         // a 540 Wp array converts this to roughly wh_m2 × 0.54 × 0.86 Wh,
         // several times the repeater's 124 Wh/day
         assert!(wh_m2 > 1200.0, "got {wh_m2}");
@@ -210,7 +214,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let plane = vertical(40.4);
+        let plane = Transposition::vertical_south();
         assert_eq!(plane.tilt_deg(), 90.0);
         assert_eq!(plane.plane_azimuth_deg(), 0.0);
         assert_eq!(plane.ground_albedo(), 0.2);
@@ -220,7 +224,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tilt out of range")]
     fn bad_tilt_rejected() {
-        let _ = Transposition::new(SolarGeometry::at_latitude(0.0), 120.0, 0.0);
+        let _ = Transposition::new(120.0, 0.0);
     }
 
     proptest! {
@@ -232,15 +236,15 @@ mod tests {
         #[test]
         fn poa_monotone_in_clearness(lat in -65.0..65.0f64, d in 1u32..=365, hour in 6.0..18.0f64,
                                      k1 in 0.05..0.8f64, k2 in 0.05..0.8f64) {
-            let vertical = Transposition::vertical_south(SolarGeometry::at_latitude(lat));
-            let horizontal = Transposition::new(SolarGeometry::at_latitude(lat), 0.0, 0.0);
+            let vertical = Transposition::vertical_south();
+            let horizontal = Transposition::new(0.0, 0.0);
             let (lo, hi) = if k1 <= k2 { (k1, k2) } else { (k2, k1) };
-            prop_assert!(poa(&vertical, d, hour, lo) >= 0.0);
-            prop_assert!(poa(&vertical, d, hour, hi) >= 0.0);
+            prop_assert!(poa(&vertical, sun(lat), d, hour, lo) >= 0.0);
+            prop_assert!(poa(&vertical, sun(lat), d, hour, hi) >= 0.0);
             // monotonicity holds away from the near-horizon clamp (elev > 5°)
-            if SolarGeometry::at_latitude(lat).elevation_deg(d, hour) > 5.0 {
-                let p_lo = poa(&horizontal, d, hour, lo);
-                let p_hi = poa(&horizontal, d, hour, hi);
+            if sun(lat).elevation_deg(d, hour) > 5.0 {
+                let p_lo = poa(&horizontal, sun(lat), d, hour, lo);
+                let p_hi = poa(&horizontal, sun(lat), d, hour, hi);
                 prop_assert!(p_hi >= p_lo - 1e-9);
             }
         }
