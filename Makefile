@@ -38,8 +38,8 @@ differential:
 # heap-queue loop they replaced (proptest oracle, heap-era digests, node
 # independence, non-finite passes), then the simulator's unit tests
 # (among them the check that sends in-order one-train days down the
-# single walk, and both instant routes agreeing), in release so
-# arithmetic runs as it does in the served binaries.
+# in-order walk, and replicated days agreeing with one-shot ones), in
+# release so arithmetic runs as it does in the served binaries.
 sim-differential:
 	cargo test --release -p corridor_events --test sim_differential
 	cargo test --release -p corridor_events --lib sim

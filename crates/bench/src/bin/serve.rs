@@ -78,16 +78,16 @@
 //! death respawns one: EOF or a truncated frame mid-chunk, a `done`
 //! trailer whose row count or sum does not match the frames, any other
 //! line outside the protocol, or a failed write to an idle worker that
-//! died. The dead child is reaped and the chunk re-dispatched, up to
-//! [`MAX_ATTEMPTS`] attempts (the rows are deterministic, so a retry
-//! reproduces them exactly); no worker is spawned after the last one
-//! fails. Two
-//! fault-injection hooks, which the serve tests and `make serve-smoke`
-//! use, fire on the *first* attempt at the chunk holding a cell, in
-//! every request: `CORRIDOR_SERVE_CRASH_CELL=<index>` kills its worker
-//! mid-shard, and `CORRIDOR_SERVE_FLIP_CELL=<index>` makes the worker
-//! flip one byte of that cell's frame after summing it, so the chunk
-//! check fails.
+//! died. A frame header announcing more than [`MAX_FRAME`] bytes is a
+//! death too, and nothing is allocated for it. The dead child is reaped
+//! and the chunk re-dispatched, up to [`MAX_ATTEMPTS`] attempts (the
+//! rows are deterministic, so a retry reproduces them exactly); no
+//! worker is spawned after the last one fails. Two fault-injection
+//! hooks, which the serve tests and `make serve-smoke` use, fire on the
+//! *first* attempt at the chunk holding a cell, in every request:
+//! `CORRIDOR_SERVE_CRASH_CELL=<index>` kills its worker mid-shard, and
+//! `CORRIDOR_SERVE_FLIP_CELL=<index>` makes the worker flip one byte of
+//! that cell's frame after summing it, so the chunk check fails.
 //!
 //! # Exit status
 //!
@@ -122,6 +122,11 @@ const MAX_ATTEMPTS: u32 = 3;
 /// Longest request line read, its newline excluded: a bound on what one
 /// client line can make the coordinator hold, not a setting.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Longest row frame a worker may announce, its newline excluded: the
+/// longest row any engine renders is about 2 KB, so a longer `row <len>`
+/// is a garbled header, and the coordinator allocates nothing for it.
+const MAX_FRAME: usize = 64 * 1024;
 
 const USAGE: &str = "\
 usage: serve [--worker]
@@ -625,6 +630,11 @@ fn read_chunk(reader: &mut impl BufRead) -> Result<ChunkResult, ChunkFailure> {
             let length: usize = length
                 .parse()
                 .map_err(|e| Death(format!("bad frame: {e}")))?;
+            if length > MAX_FRAME {
+                return Err(Death(format!(
+                    "frame of {length} bytes exceeds {MAX_FRAME}"
+                )));
+            }
             let mut bytes = vec![0u8; length + 1];
             reader
                 .read_exact(&mut bytes)
@@ -840,6 +850,20 @@ mod tests {
     fn a_non_numeric_frame_length_is_a_death() {
         death("row three\nabc\n", "bad frame");
         death("row -1\n", "bad frame");
+    }
+
+    #[test]
+    fn an_oversized_frame_length_is_a_death_not_an_allocation() {
+        death("row 1099511627776\n", "exceeds");
+        death(&format!("row {}\nabc\n", usize::MAX), "exceeds");
+        death(&format!("row {}\n", MAX_FRAME + 1), "exceeds");
+        // a frame of exactly the bound is still read
+        let row = "x".repeat(MAX_FRAME);
+        let answer = format!(
+            "row {MAX_FRAME}\n{row}\ndone rows=1 cache_hits=0 cache_misses=0 sum={}\n",
+            sum(&[&row])
+        );
+        assert_eq!(read(&answer).expect("a frame at the bound").rows.len(), 1);
     }
 
     #[test]

@@ -5,22 +5,24 @@ use corridor_core::ScenarioParams;
 use corridor_traffic::TrainPass;
 use corridor_units::Meters;
 
+use crate::sim::SectionTable;
 use crate::{segment_nodes, CorridorSimulator, EventDrivenEvaluator, SimReport, WakePolicy};
 
 /// A segment simulation prepared for many replications: the one way to
 /// simulate a segment day.
 ///
-/// A replicator builds the node population and configures the simulator
-/// once; each [`SegmentReplicator::simulate_day`] then only simulates the
-/// day, so a Monte-Carlo sweep replaying hundreds of seeded days through
-/// one geometry pays for the nodes once and a one-off day costs the same
-/// as through a bare [`CorridorSimulator`]. Under [`WakePolicy::instant`]
-/// each node's occupancy intervals are merged into powered stretches; a
-/// day that runs one train with origins that never fall (every sampled
-/// Poisson day) passes the simulator's once-per-day order check and is
-/// merged for all nodes in one walk over its passes, and any other day
-/// is staged and sorted node by node. Any other policy runs the event
-/// loop.
+/// A replicator builds the node population, the table of its distinct
+/// sections and the simulator once; each
+/// [`SegmentReplicator::simulate_day`] then only simulates the day, so a
+/// Monte-Carlo sweep replaying hundreds of seeded days through one
+/// geometry pays for the nodes and their sections once, and its days are
+/// bit for bit those of [`CorridorSimulator::simulate`] on the same
+/// nodes. Under [`WakePolicy::instant`] each section's occupancy
+/// intervals are merged into powered stretches, one section at a time: on
+/// a day that runs one train with origins that never fall (every sampled
+/// Poisson day, checked once per day) each section walks the passes
+/// itself, and any other day is staged section by section and sorted
+/// where an entry fell. Any other policy runs the event loop.
 ///
 /// # Examples
 ///
@@ -44,7 +46,7 @@ use crate::{segment_nodes, CorridorSimulator, EventDrivenEvaluator, SimReport, W
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentReplicator {
     simulator: CorridorSimulator,
-    nodes: Vec<crate::NodeSpec>,
+    table: SectionTable,
 }
 
 impl SegmentReplicator {
@@ -59,13 +61,13 @@ impl SegmentReplicator {
     pub fn new(policy: WakePolicy, n: usize, isd: Meters, spacing: Meters) -> Self {
         SegmentReplicator {
             simulator: CorridorSimulator::new().with_policy(policy),
-            nodes: segment_nodes(n, isd, spacing),
+            table: SectionTable::new(&segment_nodes(n, isd, spacing)),
         }
     }
 
     /// Replays one day of `passes` through the prepared segment.
     pub fn simulate_day(&self, passes: &[TrainPass]) -> SimReport {
-        self.simulator.simulate(&self.nodes, passes)
+        self.simulator.simulate_table(&self.table, passes)
     }
 }
 
@@ -81,19 +83,63 @@ impl EventDrivenEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corridor_traffic::Timetable;
+    use crate::StateTrace;
+    use corridor_traffic::{PoissonTimetable, Timetable, Train};
+    use corridor_units::{MetersPerSecond, Seconds};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Days of every shape the simulator routes differently: in order
+    /// (Poisson, timetable, empty) and out of order (a falling origin, a
+    /// train change mid-day).
+    fn days() -> Vec<(&'static str, Vec<TrainPass>)> {
+        let timetable = Timetable::paper_default().passes();
+        let poisson = PoissonTimetable::paper_rate().sample_passes(&mut StdRng::seed_from_u64(7));
+        let mut falling = timetable.clone();
+        falling.swap(10, 11);
+        let mut changed = poisson.clone();
+        let half = changed.len() / 2;
+        for pass in &mut changed[half..] {
+            let train = Train::new(Meters::new(200.0), MetersPerSecond::new(40.0));
+            *pass = TrainPass::new(train, pass.origin_time() + Seconds::new(3.0));
+        }
+        vec![
+            ("poisson", poisson),
+            ("timetable", timetable),
+            ("empty", Vec::new()),
+            ("falling origin", falling),
+            ("train change", changed),
+        ]
+    }
 
     #[test]
     fn replicated_day_matches_one_shot_simulation() {
         let params = ScenarioParams::paper_default();
         let isd = Meters::new(2650.0);
-        let passes = Timetable::paper_default().passes();
-        let evaluator = EventDrivenEvaluator::new();
-        let replicator = evaluator.replicator(&params, 10, isd);
-        let one_shot = CorridorSimulator::new()
-            .simulate(&segment_nodes(10, isd, params.lp_spacing()), &passes);
-        assert_eq!(replicator.simulate_day(&passes), one_shot);
-        // and again: the prepared state is not consumed
-        assert_eq!(replicator.simulate_day(&passes), one_shot);
+        let days = days();
+        // `SimReport`'s `==` compares times by value, where `-0.0 == +0.0`,
+        // so each node's times are compared by their bits too
+        let bits = |t: &StateTrace| {
+            [t.asleep(), t.waking(), t.active(), t.drain(), t.uncovered()]
+                .map(|s| s.value().to_bits())
+        };
+        for policy in [WakePolicy::instant(), WakePolicy::paper_default()] {
+            let evaluator = EventDrivenEvaluator::with_policy(policy);
+            for n in [0, 1, 10] {
+                let replicator = evaluator.replicator(&params, n, isd);
+                let simulator = CorridorSimulator::new().with_policy(policy);
+                let nodes = segment_nodes(n, isd, params.lp_spacing());
+                for (name, passes) in &days {
+                    let one_shot = simulator.simulate(&nodes, passes);
+                    let replicated = replicator.simulate_day(passes);
+                    assert_eq!(replicated, one_shot, "{policy:?}, n = {n}, {name}");
+                    for (r, o) in replicated.nodes().iter().zip(one_shot.nodes()) {
+                        assert_eq!(bits(r.trace()), bits(o.trace()), "n = {n}, {name}");
+                    }
+                    // and again: the prepared state is not consumed
+                    assert_eq!(replicator.simulate_day(passes), one_shot, "{name}");
+                }
+            }
+        }
     }
 }

@@ -382,6 +382,62 @@ impl Stretches {
     }
 }
 
+/// The distinct sections a node list watches, and each node's slot among
+/// them.
+///
+/// A node's day depends on nothing but its section, so each distinct
+/// section is simulated once, in the order the nodes first name it: a
+/// node whose section matches an earlier one's bit for bit (the mast and
+/// the donor repeaters all watch `[0, isd]`) reuses that day; `-0.0` and
+/// `+0.0` starts do not match. [`SegmentReplicator`](crate::SegmentReplicator)
+/// builds its table once, as its nodes never change;
+/// [`CorridorSimulator::simulate`] and
+/// [`CorridorSimulator::simulate_double_track`] build one per call.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SectionTable {
+    /// Every node, with the index of its section in `sections`.
+    nodes: Vec<(NodeSpec, usize)>,
+    /// The distinct sections, in the order the nodes first name them.
+    sections: Vec<TrackSection>,
+}
+
+impl SectionTable {
+    /// The table of `nodes`.
+    pub(crate) fn new(nodes: &[NodeSpec]) -> Self {
+        let mut index: BTreeMap<[u64; 2], usize> = BTreeMap::new();
+        let mut sections = Vec::new();
+        let nodes = nodes
+            .iter()
+            .map(|&spec| {
+                let section = spec.section();
+                let key = [section.start(), section.end()].map(|m| m.value().to_bits());
+                let slot = *index.entry(key).or_insert_with(|| {
+                    sections.push(section);
+                    sections.len() - 1
+                });
+                (spec, slot)
+            })
+            .collect();
+        SectionTable { nodes, sections }
+    }
+
+    /// Reports every node from the trace and event count of its section,
+    /// `days` holding one day per distinct section, in table order.
+    fn report(&self, days: &[(StateTrace, usize)], passes: usize) -> SimReport {
+        let mut events = 0usize;
+        let reports = self
+            .nodes
+            .iter()
+            .map(|&(spec, slot)| {
+                let (trace, count) = days[slot];
+                events += count;
+                NodeReport::new(spec.kind(), spec.section(), trace)
+            })
+            .collect();
+        SimReport::new(reports, events, passes)
+    }
+}
+
 /// Replays a day of train passes through per-node wake state machines.
 ///
 /// Each node watches its [`TrackSection`]; the simulator stages the
@@ -399,17 +455,16 @@ impl Stretches {
 /// its clamped start and active time up to its clamped end, the only
 /// segments of the loop's four transitions that are not zero under that
 /// policy. The traces and event counts are bit-identical to the loop's.
-/// Instant days take one of two routes, chosen once per call by checking
-/// that the day runs one direction and one train with origins that
-/// never fall: such a day (every Poisson and timetable day) has every
-/// node's entries in order already and is merged for all sections in
-/// one walk over its passes; any other day (double track, a train
-/// change, a falling origin) is staged and sorted section by section.
-/// Both routes feed the same merger. Any other policy runs the event
-/// loop. The energy numbers then come from the same duty-cycle
-/// arithmetic as the closed-form model, so with [`WakePolicy::instant`]
-/// the two backends agree to float precision on deterministic
-/// timetables.
+/// Instant days are merged one section at a time. A day that runs one
+/// direction and one train with origins that never fall (every Poisson
+/// and timetable day, checked once per call) has every section's entries
+/// in order already, so each section walks the passes itself; any other
+/// day (double track, a train change, a falling origin) is staged and
+/// sorted where an entry fell. Both sources feed the same merger. Any
+/// other policy runs the event loop. The energy numbers then come from
+/// the same duty-cycle arithmetic as the closed-form model, so with
+/// [`WakePolicy::instant`] the two backends agree to float precision on
+/// deterministic timetables.
 ///
 /// # Examples
 ///
@@ -475,7 +530,14 @@ impl CorridorSimulator {
     /// Simulates single-track traffic: every pass sweeps the corridor in
     /// the positive direction.
     pub fn simulate(&self, nodes: &[NodeSpec], passes: &[TrainPass]) -> SimReport {
-        self.run(nodes, &[(passes, None)])
+        self.simulate_table(&SectionTable::new(nodes), passes)
+    }
+
+    /// [`CorridorSimulator::simulate`] over the nodes of a section table
+    /// built beforehand, so a caller replaying many days through the same
+    /// nodes builds it once.
+    pub(crate) fn simulate_table(&self, table: &SectionTable, passes: &[TrainPass]) -> SimReport {
+        self.run(table, &[(passes, None)])
     }
 
     /// Simulates bidirectional double-track traffic over a corridor of
@@ -502,83 +564,39 @@ impl CorridorSimulator {
                 "section {s} extends beyond the corridor"
             );
         }
-        self.run(nodes, &[(up, None), (down, Some(corridor_length))])
+        self.run(
+            &SectionTable::new(nodes),
+            &[(up, None), (down, Some(corridor_length))],
+        )
     }
 
-    /// The core loop: each distinct section's day
-    /// ([`CorridorSimulator::per_section`]) comes from its occupancy
-    /// intervals that overlap the horizon.
+    /// The core loop: each distinct section of `table` gets its day from
+    /// its occupancy intervals that overlap the horizon, and
+    /// [`SectionTable::report`] hands each node its section's day.
     ///
-    /// Under the instant policy they are merged into powered stretches
-    /// ([`Stretches`]) on one of two routes, chosen once per call by
-    /// [`in_order_day`]. A day of one direction and one train whose
-    /// origins never fall (every Poisson and timetable day) has every
-    /// section's entries in order already, so one walk over its passes
-    /// merges all sections at once ([`CorridorSimulator::merge_in_order`]);
-    /// any other day is staged and, where an entry fell, sorted section by
-    /// section ([`CorridorSimulator::merge_staged`]). Under any other
-    /// policy each section's intervals are staged as barrier/enter/exit
-    /// events for the state machine ([`CorridorSimulator::replay`]).
-    fn run(&self, nodes: &[NodeSpec], directions: &[Direction<'_>]) -> SimReport {
+    /// Under the instant policy the intervals are merged into powered
+    /// stretches, one section at a time ([`CorridorSimulator::merge`]).
+    /// Under any other policy each section's intervals are staged as
+    /// barrier/enter/exit events for the state machine
+    /// ([`CorridorSimulator::replay`]).
+    fn run(&self, table: &SectionTable, directions: &[Direction<'_>]) -> SimReport {
         let passes = directions.iter().map(|(passes, _)| passes.len()).sum();
-        self.per_section(nodes, passes, |sections| {
-            if self.policy != WakePolicy::instant() {
-                let mut day = NodeDay::default();
-                sections
-                    .iter()
-                    .map(|&section| {
-                        day.clear();
-                        self.for_each_live(section, directions, |span| self.stage(&mut day, span));
-                        day.seal();
-                        self.replay(&mut day)
-                    })
-                    .collect()
-            } else if let Some(passes) = in_order_day(directions) {
-                self.merge_in_order(sections, passes)
-            } else {
-                self.merge_staged(sections, directions, passes)
-            }
-        })
-    }
-
-    /// Reports every node from the trace and event count `days_of` makes
-    /// for its section. A node's day depends on nothing but its section,
-    /// so `days_of` gets each distinct section once, in the order the
-    /// nodes first name it, and returns their days in that order: a node
-    /// whose section matches an earlier one's bit for bit (the mast and
-    /// the donor repeaters all watch `[0, isd]`) reuses that day; `-0.0`
-    /// and `+0.0` starts do not match.
-    fn per_section(
-        &self,
-        nodes: &[NodeSpec],
-        passes: usize,
-        days_of: impl FnOnce(&[TrackSection]) -> Vec<(StateTrace, usize)>,
-    ) -> SimReport {
-        let mut index: BTreeMap<[u64; 2], usize> = BTreeMap::new();
-        let mut sections = Vec::new();
-        let slots: Vec<usize> = nodes
-            .iter()
-            .map(|spec| {
-                let section = spec.section();
-                let key = [section.start(), section.end()].map(|m| m.value().to_bits());
-                *index.entry(key).or_insert_with(|| {
-                    sections.push(section);
-                    sections.len() - 1
+        let days: Vec<(StateTrace, usize)> = if self.policy != WakePolicy::instant() {
+            let mut day = NodeDay::default();
+            table
+                .sections
+                .iter()
+                .map(|&section| {
+                    day.clear();
+                    self.for_each_live(section, directions, |span| self.stage(&mut day, span));
+                    day.seal();
+                    self.replay(&mut day)
                 })
-            })
-            .collect();
-        let days = days_of(&sections);
-        let mut events = 0usize;
-        let reports = nodes
-            .iter()
-            .zip(slots)
-            .map(|(spec, slot)| {
-                let (trace, count) = days[slot];
-                events += count;
-                NodeReport::new(spec.kind(), spec.section(), trace)
-            })
-            .collect();
-        SimReport::new(reports, events, passes)
+                .collect()
+        } else {
+            self.merge(&table.sections, directions, passes)
+        };
+        table.report(&days, passes)
     }
 
     /// True if an occupancy interval overlaps the horizon: only those can
@@ -612,82 +630,67 @@ impl CorridorSimulator {
         }
     }
 
-    /// The instant days of `sections` in one walk over the passes of an
-    /// [`in_order_day`]: each section's offsets are divided once, and each
-    /// pass feeds each section's live interval straight into that
-    /// section's [`Stretches`]. Each section sees the intervals
-    /// [`CorridorSimulator::merge_staged`] would merge, in the same order,
-    /// as that route skips the sort on a day whose entries never fall.
+    /// The instant days of `sections`, one section at a time, each
+    /// merged into its own [`Stretches`] from one of two interval
+    /// sources, chosen once per call by [`in_order_day`]:
     ///
-    /// The order is checked once per day, on the origins: checking it per
-    /// interval inside this loop cost about half of what the single walk
-    /// saves (see `docs/performance.md`). Out of line, as `replay` is:
-    /// inlined into `run`, the two instant routes made paper-policy days
-    /// 2–4 % slower.
+    /// * a day of one direction and one train whose origins never fall
+    ///   (every Poisson and timetable day): the section divides its
+    ///   offsets once ([`offsets`]) and walks the passes, feeding each live
+    ///   interval straight to its merger, as the entries never fall;
+    /// * any other day (two directions, a train change or a falling
+    ///   origin): the section's live intervals are staged, sorted stably by
+    ///   entry when one fell ([`sort_nearly_sorted`]), and fed from the
+    ///   buffer.
+    ///
+    /// Either way each section sees the same intervals in the same order.
+    /// Section by section, the merge state stays in locals for the whole
+    /// walk over the passes, where one walk updating every section on each
+    /// pass loads and stores it per pass. The order is checked once per
+    /// day, on the origins: checking it per interval inside the walk cost
+    /// about half of what skipping the sort saves (see
+    /// `docs/performance.md`). Out of line, as `replay` is: inlined into
+    /// `run`, the instant routes made paper-policy days 2–4 % slower.
     #[inline(never)]
-    fn merge_in_order(
-        &self,
-        sections: &[TrackSection],
-        passes: &[TrainPass],
-    ) -> Vec<(StateTrace, usize)> {
-        let Some(first) = passes.first() else {
-            return sections
-                .iter()
-                .map(|_| Stretches::new(self.horizon).finish())
-                .collect();
-        };
-        let mut lanes: Vec<(Span, Stretches)> = sections
-            .iter()
-            .map(|&section| {
-                (
-                    offsets(section, first.train()),
-                    Stretches::new(self.horizon),
-                )
-            })
-            .collect();
-        for pass in passes {
-            let origin = pass.origin_time();
-            for ((head, tail), day) in &mut lanes {
-                let span = (origin + *head, origin + *tail);
-                if self.live(span) {
-                    day.push(span);
-                }
-            }
-        }
-        lanes.into_iter().map(|(_, day)| day.finish()).collect()
-    }
-
-    /// The instant days of `sections`, one section at a time, for a day
-    /// [`in_order_day`] does not take (two directions, a train change or
-    /// a falling origin): each section's live intervals are staged, sorted
-    /// stably by entry when one fell ([`sort_nearly_sorted`]), and merged
-    /// into [`Stretches`]. Out of line, as
-    /// [`CorridorSimulator::merge_in_order`] is.
-    #[inline(never)]
-    fn merge_staged(
+    fn merge(
         &self,
         sections: &[TrackSection],
         directions: &[Direction<'_>],
         passes: usize,
     ) -> Vec<(StateTrace, usize)> {
-        let mut spans: Vec<Span> = Vec::with_capacity(passes);
+        let in_order = in_order_day(directions);
+        let mut spans: Vec<Span> = Vec::new();
         sections
             .iter()
             .map(|&section| {
-                spans.clear();
-                let mut sorted = true;
-                let mut last = Seconds::new(f64::NEG_INFINITY);
-                self.for_each_live(section, directions, |span| {
-                    sorted &= span.0 >= last;
-                    last = span.0;
-                    spans.push(span);
-                });
-                if !sorted {
-                    sort_nearly_sorted(&mut spans, |a, b| a.0 < b.0);
-                }
                 let mut day = Stretches::new(self.horizon);
-                for &span in &spans {
-                    day.push(span);
+                if let Some(passes) = in_order {
+                    if let Some(first) = passes.first() {
+                        let (head, tail) = offsets(section, first.train());
+                        for pass in passes {
+                            let origin = pass.origin_time();
+                            let span = (origin + head, origin + tail);
+                            if self.live(span) {
+                                day.push(span);
+                            }
+                        }
+                    }
+                } else {
+                    spans.clear();
+                    spans.reserve(passes);
+                    let mut sorted = true;
+                    let mut last = Seconds::new(f64::NEG_INFINITY);
+                    self.for_each_live(section, directions, |span| {
+                        sorted &= span.0 >= last;
+                        last = span.0;
+                        spans.push(span);
+                    });
+                    if !sorted {
+                        sort_nearly_sorted(&mut spans, |a, b| a.0 < b.0);
+                    }
+                    for &span in &spans {
+                        day.push(span);
+                    }
                 }
                 day.finish()
             })
@@ -1010,23 +1013,62 @@ mod tests {
     #[test]
     fn each_distinct_section_is_staged_once() {
         // the mast and both donors share [0, isd]; a -0.0 start is
-        // equal to +0.0 but not the same bits, so it is staged again
+        // equal to +0.0 but not the same bits, so it is staged again, and
+        // so is a section that shares only the start
         let mut nodes = segment_nodes(10, Meters::new(2650.0), Meters::new(200.0));
-        let twin = TrackSection::new(Meters::new(-0.0), nodes[0].section().end());
+        let end = nodes[0].section().end();
+        let twin = TrackSection::new(Meters::new(-0.0), end);
         nodes.push(NodeSpec::new(NodeKind::DonorRepeater, twin));
-        let mut staged = Vec::new();
-        let sim = CorridorSimulator::new();
-        let report = sim.per_section(&nodes, 0, |sections| {
-            staged = sections.to_vec();
-            sections
-                .iter()
-                .map(|_| (StateTrace::new(sim.horizon()), 0))
-                .collect()
-        });
-        assert_eq!(report.nodes().len(), 14);
-        assert_eq!(staged.len(), 12);
-        assert_eq!(staged[0].start().value().to_bits(), 0.0f64.to_bits());
-        assert_eq!(staged[11].start().value().to_bits(), (-0.0f64).to_bits());
+        let longer = TrackSection::new(Meters::ZERO, end + Meters::new(1.0));
+        nodes.push(NodeSpec::new(NodeKind::DonorRepeater, longer));
+        let table = SectionTable::new(&nodes);
+        assert_eq!(table.sections.len(), 13);
+        assert_eq!(
+            table.sections[0].start().value().to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(
+            table.sections[11].start().value().to_bits(),
+            (-0.0f64).to_bits()
+        );
+        // every node keeps its order and finds its own section in its slot
+        assert_eq!(table.nodes.len(), 15);
+        for (&(spec, slot), node) in table.nodes.iter().zip(&nodes) {
+            assert_eq!(spec, *node);
+            let (staged, watched) = (table.sections[slot], node.section());
+            assert_eq!(
+                staged.start().value().to_bits(),
+                watched.start().value().to_bits()
+            );
+            assert_eq!(
+                staged.end().value().to_bits(),
+                watched.end().value().to_bits()
+            );
+        }
+        // the report hands each node its section's day, in node order
+        let days: Vec<(StateTrace, usize)> = (0..13)
+            .map(|slot| {
+                let mut trace = StateTrace::new(Hours::DAY.seconds());
+                trace.add(NodeState::Asleep, Seconds::new(slot as f64));
+                (trace, slot)
+            })
+            .collect();
+        let report = table.report(&days, 0);
+        assert_eq!(report.nodes().len(), 15);
+        let slots: Vec<f64> = report
+            .nodes()
+            .iter()
+            .map(|node| node.trace().asleep().value())
+            .collect();
+        let expected = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 11, 12];
+        assert_eq!(slots, expected.map(f64::from));
+        assert_eq!(
+            report.events_processed(),
+            expected.iter().sum::<u32>() as usize
+        );
+        for (reported, node) in report.nodes().iter().zip(&nodes) {
+            assert_eq!(reported.kind(), node.kind());
+        }
     }
 
     /// Passes of the paper train at each origin, in the order given.

@@ -938,7 +938,7 @@ fn one_train_passes_strategy() -> impl Strategy<Value = Vec<TrainPass>> {
 proptest! {
     /// One train per day, single and double track, at a 24 h or a
     /// one-hour horizon. The up day also runs rotated, which leaves one
-    /// falling origin, so the single walk must not take it.
+    /// falling origin, so the in-order walk must not take it.
     #[test]
     fn one_train_instant_days_match_the_global_loop(
         short in 0u8..=1,
@@ -1068,7 +1068,7 @@ fn stretches_clipped_at_both_horizon_edges_match_the_global_loop() {
 
 #[test]
 fn in_order_days_at_the_single_walks_edges_match_the_global_loop() {
-    // days the single walk takes: no pass, one pass, tied origins, ±∞
+    // days the in-order walk takes: no pass, one pass, tied origins, ±∞
     // origins, passes entering before t = 0, and passes wholly past the
     // one-hour horizon or the day's end; each train of the generators
     let days: [&[f64]; 9] = [

@@ -38,9 +38,6 @@ pub enum NetworkError {
     /// second occurrence. Duplicate ids would make schedule rows and
     /// demand routing ambiguous.
     DuplicateStation(usize),
-    /// An edge's physical length is zero, negative or not finite; the
-    /// payload is the index the edge would have taken.
-    InvalidEdgeLength(usize),
     /// The graph is not connected; the payload is a station unreachable
     /// from station 0.
     Disconnected(usize),
@@ -62,9 +59,6 @@ impl fmt::Display for NetworkError {
             }
             NetworkError::DuplicateStation(i) => {
                 write!(f, "station {i} duplicates an earlier station id")
-            }
-            NetworkError::InvalidEdgeLength(i) => {
-                write!(f, "edge {i} has a non-positive or non-finite length")
             }
             NetworkError::Disconnected(i) => {
                 write!(f, "network is disconnected: station {i} is unreachable")
@@ -117,9 +111,11 @@ pub struct CorridorEdge {
     trains_per_hour: f64,
     train_speed_kmh: f64,
     train_length_m: f64,
-    length_km: f64,
     double_track: bool,
 }
+
+/// The physical length of every edge, in km.
+const EDGE_LENGTH_KM: f64 = 10.0;
 
 impl CorridorEdge {
     /// A single-track edge between stations `a` and `b` at the paper's
@@ -132,7 +128,6 @@ impl CorridorEdge {
             trains_per_hour: 8.0,
             train_speed_kmh: 200.0,
             train_length_m: 400.0,
-            length_km: 10.0,
             double_track: false,
         }
     }
@@ -188,9 +183,9 @@ impl CorridorEdge {
         self.train_length_m
     }
 
-    /// The physical corridor length in km.
+    /// The physical corridor length in km: 10 km for every edge.
     pub fn length_km_value(&self) -> f64 {
-        self.length_km
+        EDGE_LENGTH_KM
     }
 
     /// The aggregate demand the edge's deployment serves: the per-track
@@ -317,9 +312,8 @@ impl CorridorNetwork {
     /// # Errors
     ///
     /// Returns [`NetworkError::UnknownStation`] if either endpoint does
-    /// not exist, [`NetworkError::SelfLoop`] if both endpoints are the
-    /// same station, or [`NetworkError::InvalidEdgeLength`] if the
-    /// edge's physical length is zero, negative or not finite.
+    /// not exist, or [`NetworkError::SelfLoop`] if both endpoints are the
+    /// same station.
     pub fn add_edge(&mut self, edge: CorridorEdge) -> Result<usize, NetworkError> {
         for end in [edge.a, edge.b] {
             if end >= self.stations.len() {
@@ -328,9 +322,6 @@ impl CorridorNetwork {
         }
         if edge.a == edge.b {
             return Err(NetworkError::SelfLoop(edge.a));
-        }
-        if !(edge.length_km.is_finite() && edge.length_km > 0.0) {
-            return Err(NetworkError::InvalidEdgeLength(self.edges.len()));
         }
         self.edges.push(edge);
         Ok(self.edges.len() - 1)
@@ -572,31 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn add_edge_rejects_degenerate_lengths() {
-        let mut net = CorridorNetwork::new();
-        let a = net.add_station("a");
-        let b = net.add_station("b");
-        for km in [0.0, -3.5, f64::NAN, f64::INFINITY] {
-            assert!(
-                matches!(
-                    net.add_edge(CorridorEdge {
-                        length_km: km,
-                        ..CorridorEdge::between(a, b)
-                    }),
-                    Err(NetworkError::InvalidEdgeLength(0))
-                ),
-                "length {km} must be rejected"
-            );
-        }
-        assert_eq!(net.edge_count(), 0, "rejected edges must not be kept");
-        net.add_edge(CorridorEdge {
-            length_km: 0.5,
-            ..CorridorEdge::between(a, b)
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn validate_rejects_duplicate_station_ids() {
         let mut net = CorridorNetwork::new();
         let a = net.add_station("hub");
@@ -693,9 +659,6 @@ mod tests {
         assert!(NetworkError::DuplicateStation(4)
             .to_string()
             .contains("duplicates"));
-        assert!(NetworkError::InvalidEdgeLength(1)
-            .to_string()
-            .contains("length"));
         let wrapped: NetworkError = ScenarioError::InvalidServiceWindow.into();
         assert!(wrapped.to_string().contains("service window"));
         assert!(std::error::Error::source(&wrapped).is_some());
