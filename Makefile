@@ -118,13 +118,17 @@ serve-smoke:
 
 # Cache determinism: the streamed bytes equal the in-memory writers'
 # (sha256-pinned) and a warm re-run is byte-identical at a 100 % hit
-# rate — engine suites plus an end-to-end cold/warm diff of the sweep
-# binary's --csv --cache rows on stdout, then a --json run on the same
-# cache (every cell a hit: the CSV run stored both renderings) diffed
-# against an uncached --json run.
+# rate — engine suites, the cache module's own tests in release like
+# the served binaries (the verified-entry memo: each unchanged entry
+# hashed once per cache and format, bounded, and hostile entries, read
+# cold and after verified loads, never served), plus an end-to-end
+# cold/warm diff of the sweep binary's --csv --cache rows on stdout,
+# then a --json run on the same cache (every cell a hit: the CSV run
+# stored both renderings) diffed against an uncached --json run.
 cache-determinism:
 	cargo test -q -p corridor_sim --test streaming_equivalence
 	cargo test -q -p corridor_sim --test result_cache
+	cargo test --release -p corridor_sim --lib cache
 	rm -rf target/tmp-cache-determinism
 	mkdir -p target/tmp-cache-determinism
 	cargo run -q --release -p corridor_bench --bin sweep -- --demo \

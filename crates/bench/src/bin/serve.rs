@@ -61,7 +61,11 @@
 //! request warm. Each worker keeps one [`EvalContext`] for its whole
 //! session and runs every task through it, so it never repeats a PV
 //! sizing (Table IV) search it has made; the context holds at most
-//! [`EvalContext::SIZING_CAPACITY`] outcomes. The process-wide memos
+//! [`EvalContext::SIZING_CAPACITY`] outcomes. It keeps the
+//! [`ResultCache`] it opened the same way, for as long as its tasks name
+//! one `cache` directory, so it creates that directory once, and a hit
+//! on an entry whose bytes the cache has already verified in that format
+//! serves them without hashing them again. The process-wide memos
 //! (`active_hours`, the solar sky tables and seed years) stay warm the
 //! same way. The pool stays bounded without a setting: after each
 //! request, before its trailer is written, idle workers beyond
@@ -687,11 +691,14 @@ fn parse_done(trailer: &str) -> Result<(u64, u64, u64, String), String> {
 
 /// Child-process mode: evaluates task lines from the coordinator,
 /// streaming each chunk's rows back as length-prefixed frames. Every
-/// task runs through one [`EvalContext`], kept until stdin EOF. A
-/// failed task is answered with an `error` line; a failed write to
-/// stdout (the coordinator is gone) ends the worker.
+/// task runs through one [`EvalContext`], kept until stdin EOF, and
+/// every task naming the same cache directory as the one before it
+/// through the same [`ResultCache`]. A failed task is answered with an
+/// `error` line; a failed write to stdout (the coordinator is gone)
+/// ends the worker.
 fn worker_main(out: &mut Stdout) -> Result<ExitCode, Stop> {
     let context = EvalContext::new();
+    let mut cache = None;
     let stdin = io::stdin();
     for line in stdin.lock().lines() {
         let line = match line {
@@ -702,7 +709,7 @@ fn worker_main(out: &mut Stdout) -> Result<ExitCode, Stop> {
         if trimmed.is_empty() {
             continue;
         }
-        match run_task(trimmed, &context, out) {
+        match run_task(trimmed, &context, &mut cache, out) {
             Err(Failure::Request(error)) => {
                 writeln!(out, "error {error}")?;
                 out.flush()?;
@@ -714,7 +721,16 @@ fn worker_main(out: &mut Stdout) -> Result<ExitCode, Stop> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn run_task(line: &str, context: &EvalContext, out: &mut Stdout) -> Result<(), Failure> {
+/// Runs one task line. `held` is the session's open cache and the
+/// directory it was opened for: a task naming another directory opens
+/// that one in its place, so a worker keeps the checksums its cache has
+/// verified for as long as its tasks name one directory.
+fn run_task(
+    line: &str,
+    context: &EvalContext,
+    held: &mut Option<(String, ResultCache)>,
+    out: &mut Stdout,
+) -> Result<(), Failure> {
     let rest = line
         .strip_prefix("task ")
         .ok_or_else(|| format!("unexpected line {line:?}"))?;
@@ -736,7 +752,13 @@ fn run_task(line: &str, context: &EvalContext, out: &mut Stdout) -> Result<(), F
         .into());
     }
     let cache = match &request.cache {
-        Some(dir) => Some(ResultCache::open(dir).map_err(|e| format!("cache {dir}: {e}"))?),
+        Some(dir) => {
+            if !matches!(held, Some((open, _)) if open == dir) {
+                let cache = ResultCache::open(dir).map_err(|e| format!("cache {dir}: {e}"))?;
+                *held = Some((dir.clone(), cache));
+            }
+            held.as_ref().map(|(_, cache)| cache)
+        }
         None => None,
     };
 
@@ -771,7 +793,7 @@ fn run_task(line: &str, context: &EvalContext, out: &mut Stdout) -> Result<(), F
         &request.plan,
         range.clone(),
         request.format,
-        cache.as_ref(),
+        cache,
         &mut emit,
     ) {
         Ok(summary) => summary,

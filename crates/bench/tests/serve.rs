@@ -396,7 +396,7 @@ mod session {
     use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
     use std::thread::JoinHandle;
 
-    use super::parse_response;
+    use super::{find_entry, parse_response, trailer_field};
     use corridor_core::hash::sha256_hex;
     use corridor_core::sink::{RowFormat, StringSink};
     use corridor_sim::{
@@ -642,6 +642,67 @@ mod session {
             assert!(!status.success(), "a failed request must fail the run");
             assert_eq!(retries(&stderr), 0, "{stderr}");
         }
+    }
+
+    /// `(cache_hits, cache_misses)` from a response's END trailer.
+    fn cache_counts(response: &str) -> (u64, u64) {
+        let (_, _, end) = parse_response(response);
+        (
+            trailer_field(&end, "cache_hits"),
+            trailer_field(&end, "cache_misses"),
+        )
+    }
+
+    #[test]
+    fn a_rendering_corrupted_mid_session_misses_on_the_warm_worker() {
+        let dir = std::env::temp_dir().join(format!(
+            "corridor-serve-session-cache-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let request = format!(
+            "optimize grid=smoke-3 format=json shards=1 cache={}",
+            dir.display()
+        );
+        let mut session = Session::start(&[]);
+        let cold = session.request(&request);
+        assert_eq!(cache_counts(&cold), (0, 3));
+        let workers = session.workers();
+        let warm = session.request(&request);
+        assert_eq!(cache_counts(&warm), (3, 0));
+        assert_eq!(payload(&warm), payload(&cold));
+
+        // flip one byte of one stored JSON rendering in place: its length
+        // is unchanged, so only its checksum can catch it
+        let entry = find_entry(&dir);
+        let mut bytes = std::fs::read(&entry).unwrap();
+        let mut lines = bytes.splitn(3, |&b| b == b'\n');
+        let (magic, header) = (lines.next().unwrap(), lines.next().unwrap());
+        let payload_at = magic.len() + header.len() + 2;
+        let lens: Vec<usize> = std::str::from_utf8(header)
+            .unwrap()
+            .split(' ')
+            .take(2)
+            .map(|len| len.parse().unwrap())
+            .collect();
+        bytes[payload_at + lens[0] + lens[1] / 2] ^= 0x01;
+        std::fs::write(&entry, &bytes).unwrap();
+
+        let healed = session.request(&request);
+        assert_eq!(cache_counts(&healed), (2, 1));
+        assert_eq!(payload(&healed), payload(&cold));
+        let again = session.request(&request);
+        assert_eq!(cache_counts(&again), (3, 0));
+        assert_eq!(payload(&again), payload(&cold));
+        assert_eq!(
+            session.workers(),
+            workers,
+            "the session respawned its worker"
+        );
+        let (status, stderr) = session.finish();
+        assert!(status.success(), "{stderr}");
+        assert_eq!(retries(&stderr), 0, "{stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -25,18 +25,27 @@
 //!
 //! The payload carries the cell's row in *both* formats, so one
 //! evaluation warms the CSV and JSON streams alike. Entries are written
-//! to a temporary file and renamed into place (atomic on POSIX). A hit
-//! checks that the two lengths add up to the payload exactly, then
-//! hashes only the rendering it serves against that rendering's stored
-//! SHA-256: every byte served is verified, and no byte that is not
+//! to a temporary file and renamed into place (atomic on POSIX); a
+//! failed write or rename removes its temporary file. A hit checks that
+//! the two lengths add up to the payload exactly, then checks the
+//! rendering it serves against that rendering's stored SHA-256, hashing
+//! it at most once per `ResultCache`: each cache remembers the exact
+//! bytes of up to 1024 entry files whose checks passed, with the formats
+//! that passed, and serves a rendering unhashed only when the file it
+//! reads now equals, byte for byte, bytes that passed that format's
+//! check. A store remembers the bytes it wrote, whose checksums it has
+//! just computed. Every byte served is verified, and no byte that is not
 //! served is hashed. A corrupt, truncated or foreign entry (entries of
 //! the older `v1` layout included) is a miss, recomputed and rewritten,
 //! never served.
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use corridor_core::hash::sha256_hex;
 use corridor_core::sink::RowFormat;
@@ -49,6 +58,35 @@ use crate::ScenarioCell;
 const CACHE_SALT: &str = concat!("corridor-sim-", env!("CARGO_PKG_VERSION"), "-rows-v1");
 
 const ENTRY_MAGIC: &str = "corridor-result-cache v2";
+
+/// Verified entry files a cache remembers. An optimize entry, the
+/// longest a served engine writes, is about 2.7 KB, so a full memo holds
+/// about 3 MB; no entry longer than `VERIFIED_ENTRY_MAX` is remembered,
+/// so it never holds more than 16 MiB of entry bytes.
+const VERIFIED_CAPACITY: usize = 1024;
+
+/// Longest entry file a cache remembers as verified: a row renders in
+/// at most about 2 KB, so an entry holding both renderings stays far
+/// below it. A longer one is still served, hashed on every hit.
+const VERIFIED_ENTRY_MAX: usize = 16 * 1024;
+
+/// The exact bytes of one entry file and the formats whose SHA-256
+/// check those bytes passed, as a mask of [`format_bit`]s.
+struct Verified {
+    entry: Vec<u8>,
+    formats: u8,
+}
+
+/// A format's bit in [`Verified::formats`].
+fn format_bit(format: RowFormat) -> u8 {
+    match format {
+        RowFormat::Csv => 1,
+        RowFormat::Json => 2,
+    }
+}
+
+/// Both formats' bits: a store computed both checksums itself.
+const BOTH_FORMATS: u8 = 3;
 
 /// A directory of persisted result rows, shared by the streaming
 /// engines.
@@ -73,10 +111,23 @@ const ENTRY_MAGIC: &str = "corridor-result-cache v2";
 /// assert_eq!(summary.cache_hits, 2); // the warm run computed nothing
 /// # let _ = std::fs::remove_dir_all(&dir);
 /// ```
-#[derive(Debug)]
 pub struct ResultCache {
     root: PathBuf,
     temp_seq: AtomicU64,
+    /// Entry files whose checks passed, by key, at most
+    /// `VERIFIED_CAPACITY` of them; a new key beyond that evicts the
+    /// smallest key.
+    verified: Mutex<BTreeMap<String, Verified>>,
+    /// Renderings `load` has hashed.
+    hashed: AtomicU64,
+}
+
+impl fmt::Debug for ResultCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ResultCache")
+            .field("root", &self.root)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ResultCache {
@@ -91,6 +142,8 @@ impl ResultCache {
         Ok(ResultCache {
             root,
             temp_seq: AtomicU64::new(0),
+            verified: Mutex::default(),
+            hashed: AtomicU64::new(0),
         })
     }
 
@@ -101,30 +154,54 @@ impl ResultCache {
     /// Loads the `format` rendering stored under `key`, or `None` on a
     /// miss — a missing file, a foreign or truncated entry, or a
     /// rendering whose checksum no longer matches (silent corruption
-    /// must recompute, never propagate).
+    /// must recompute, never propagate). The rendering is hashed unless
+    /// the file's bytes equal bytes that passed this format's check
+    /// before.
     pub(crate) fn load(&self, key: &str, format: RowFormat) -> Option<String> {
         let bytes = fs::read(self.entry_path(key)).ok()?;
-        let (magic, rest) = split_line(&bytes)?;
-        if magic != ENTRY_MAGIC.as_bytes() {
-            return None;
+        let (row, checksum) = rendering(&bytes, format)?;
+        let known = self.verified_before(key, &bytes, format);
+        if !known {
+            self.hashed.fetch_add(1, Ordering::Relaxed);
+            if sha256_hex(row) != checksum {
+                return None;
+            }
         }
-        let (header, payload) = split_line(rest)?;
-        let mut fields = core::str::from_utf8(header).ok()?.split(' ');
-        let csv_len: usize = fields.next()?.parse().ok()?;
-        let json_len: usize = fields.next()?.parse().ok()?;
-        let (csv_sum, json_sum) = (fields.next()?, fields.next()?);
-        if fields.next().is_some() || csv_len.checked_add(json_len)? != payload.len() {
-            return None;
+        let served = String::from_utf8(row.to_vec()).ok()?;
+        if !known {
+            self.remember(key, bytes, format_bit(format));
         }
-        let (csv, json) = payload.split_at(csv_len);
-        let (row, checksum) = match format {
-            RowFormat::Csv => (csv, csv_sum),
-            RowFormat::Json => (json, json_sum),
-        };
-        if sha256_hex(row) != checksum {
-            return None;
+        Some(served)
+    }
+
+    /// Whether `entry` equals, byte for byte, the remembered bytes of
+    /// `key` whose `format` check passed.
+    fn verified_before(&self, key: &str, entry: &[u8], format: RowFormat) -> bool {
+        self.verified
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .is_some_and(|known| known.formats & format_bit(format) != 0 && known.entry == entry)
+    }
+
+    /// Records that `entry`, the bytes of `key`'s file, passed the
+    /// checks of `formats`: added to what those same bytes passed
+    /// before, or replacing the key's other bytes.
+    fn remember(&self, key: &str, entry: Vec<u8>, formats: u8) {
+        if entry.len() > VERIFIED_ENTRY_MAX {
+            return;
         }
-        String::from_utf8(row.to_vec()).ok()
+        let mut verified = self.verified.lock().unwrap_or_else(PoisonError::into_inner);
+        match verified.get_mut(key) {
+            Some(known) if known.entry == entry => known.formats |= formats,
+            Some(known) => *known = Verified { entry, formats },
+            None => {
+                if verified.len() >= VERIFIED_CAPACITY {
+                    verified.pop_first();
+                }
+                verified.insert(key.to_owned(), Verified { entry, formats });
+            }
+        }
     }
 
     /// Persists a cell's `csv` and `json` renderings under `key`,
@@ -158,9 +235,37 @@ impl ResultCache {
             std::process::id(),
             self.temp_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&temp, &entry)?;
-        fs::rename(&temp, &path)
+        let written = fs::write(&temp, &entry).and_then(|()| fs::rename(&temp, &path));
+        if written.is_err() {
+            let _ = fs::remove_file(&temp);
+        }
+        written?;
+        self.remember(key, entry, BOTH_FORMATS);
+        Ok(())
     }
+}
+
+/// The `format` rendering of the entry file `bytes` and its stored
+/// checksum, if the entry is well-formed: the magic line, then a header
+/// whose two lengths add up to the payload exactly.
+fn rendering(bytes: &[u8], format: RowFormat) -> Option<(&[u8], &str)> {
+    let (magic, rest) = split_line(bytes)?;
+    if magic != ENTRY_MAGIC.as_bytes() {
+        return None;
+    }
+    let (header, payload) = split_line(rest)?;
+    let mut fields = core::str::from_utf8(header).ok()?.split(' ');
+    let csv_len: usize = fields.next()?.parse().ok()?;
+    let json_len: usize = fields.next()?.parse().ok()?;
+    let (csv_sum, json_sum) = (fields.next()?, fields.next()?);
+    if fields.next().is_some() || csv_len.checked_add(json_len)? != payload.len() {
+        return None;
+    }
+    let (csv, json) = payload.split_at(csv_len);
+    Some(match format {
+        RowFormat::Csv => (csv, csv_sum),
+        RowFormat::Json => (json, json_sum),
+    })
 }
 
 fn split_line(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
@@ -343,6 +448,101 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_store_leaves_no_temp_file() {
+        let cache = temp_cache("squat");
+        let key = sha256_hex(b"squat");
+        let path = cache.entry_path(&key);
+        // a directory squatting on the entry path fails the rename
+        fs::create_dir_all(&path).unwrap();
+        cache.store(&key, CSV, JSON);
+        let shard = path.parent().unwrap();
+        let left: Vec<_> = fs::read_dir(shard)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        assert_eq!(left, vec![path], "the store left files behind");
+        assert_eq!(loads(&cache, &key), (None, None));
+        let _ = fs::remove_dir_all(&cache.root);
+    }
+
+    fn hashed(cache: &ResultCache) -> u64 {
+        cache.hashed.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn unchanged_bytes_are_hashed_once_per_cache_and_format() {
+        let writer = temp_cache("hashed");
+        let key = sha256_hex(b"hashed");
+        writer.store(&key, CSV, JSON);
+        // the store computed both checksums itself
+        assert_eq!(loads(&writer, &key), stored(CSV, JSON));
+        assert_eq!(hashed(&writer), 0);
+
+        let reader = ResultCache::open(&writer.root).unwrap();
+        let csv = || reader.load(&key, RowFormat::Csv);
+        let json = || reader.load(&key, RowFormat::Json);
+        assert_eq!(csv().as_deref(), Some(CSV));
+        assert_eq!(hashed(&reader), 1);
+        assert_eq!(csv().as_deref(), Some(CSV));
+        assert_eq!(hashed(&reader), 1, "an unchanged entry was hashed again");
+        assert_eq!(json().as_deref(), Some(JSON));
+        assert_eq!(hashed(&reader), 2, "the other format was not hashed");
+        assert_eq!(loads(&reader, &key), stored(CSV, JSON));
+        assert_eq!(hashed(&reader), 2);
+
+        // a changed stored checksum, the renderings intact, is hashed
+        // again and misses
+        let path = writer.entry_path(&key);
+        let intact = fs::read(&path).unwrap();
+        let mut bytes = intact.clone();
+        let sum = sha256_hex(CSV.as_bytes());
+        let at = bytes
+            .windows(sum.len())
+            .position(|w| w == sum.as_bytes())
+            .unwrap();
+        bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(loads(&reader, &key), (None, Some(JSON.to_owned())));
+        assert_eq!(hashed(&reader), 4);
+
+        // and a rendering that never passed misses every time, however
+        // often its file is read
+        let mut bytes = intact;
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(csv().as_deref(), Some(CSV));
+        assert_eq!(hashed(&reader), 5);
+        assert_eq!(json(), None);
+        assert_eq!(json(), None);
+        assert_eq!(hashed(&reader), 7);
+        assert_eq!(csv().as_deref(), Some(CSV));
+        assert_eq!(hashed(&reader), 7);
+        let _ = fs::remove_dir_all(&writer.root);
+    }
+
+    #[test]
+    fn the_memo_never_holds_more_than_its_capacity() {
+        let cache = temp_cache("capacity");
+        let keys: Vec<String> = (0..VERIFIED_CAPACITY + 8)
+            .map(|i| sha256_hex(&i.to_le_bytes()))
+            .collect();
+        let held = || cache.verified.lock().unwrap().len();
+        for key in &keys {
+            cache.store(key, CSV, JSON);
+            assert!(held() <= VERIFIED_CAPACITY);
+        }
+        assert_eq!(held(), VERIFIED_CAPACITY);
+        // evicted keys are hashed and served again, still bounded
+        for key in &keys {
+            assert_eq!(loads(&cache, key), stored(CSV, JSON));
+            assert!(held() <= VERIFIED_CAPACITY);
+        }
+        assert!(hashed(&cache) >= 16, "no key was evicted");
+        let _ = fs::remove_dir_all(&cache.root);
+    }
+
+    #[test]
     fn key_builder_separates_fields_and_bits() {
         let base = KeyBuilder::new("sweep").finish();
         assert_ne!(base, KeyBuilder::new("mc").finish());
@@ -458,39 +658,85 @@ mod tests {
                 let (c, j) = sums();
                 out = with_header(format!("{} {} {c} {j} 0", csv.len(), json.len()));
             }
+            // one digit of the CSV or the JSON checksum changed, the
+            // renderings intact
+            10 | 11 => {
+                let (mut c, mut j) = sums();
+                let sum = if kind == 10 { &mut c } else { &mut j };
+                let at = pick(0, sum.len());
+                let digit = if sum.as_bytes()[at] == b'0' { "1" } else { "0" };
+                sum.replace_range(at..=at, digit);
+                out = with_header(format!("{} {} {c} {j}", csv.len(), json.len()));
+            }
             // the v1 layout
             _ => out = v1_entry(csv, json),
         }
         out
     }
 
+    /// Stores `csv` and `json`, lets `warm` load the intact entry, writes
+    /// mutation `kind` over it and loads both renderings again through a
+    /// cache whose only remembered bytes are the ones `warm` verified.
+    /// Whatever the bytes, `load` never panics and serves either nothing
+    /// or exactly the rendering stored.
+    fn serves_only_what_was_stored(
+        tag: &str,
+        warm: &[RowFormat],
+        csv: String,
+        json: String,
+        kind: u8,
+        noise: &[u8],
+    ) {
+        let writer = temp_cache(tag);
+        let key = sha256_hex(b"hostile");
+        writer.store(&key, &csv, &json);
+        let path = writer.entry_path(&key);
+        let entry = fs::read(&path).unwrap();
+        let cache = ResultCache::open(&writer.root).unwrap();
+        for &format in warm {
+            assert!(cache.load(&key, format).is_some());
+        }
+        fs::write(&path, mutate(&entry, &csv, &json, kind, noise)).unwrap();
+
+        let (got_csv, got_json) = loads(&cache, &key);
+        assert!(got_csv.is_none() || got_csv.as_deref() == Some(csv.as_str()));
+        assert!(got_json.is_none() || got_json.as_deref() == Some(json.as_str()));
+        match kind {
+            // a flipped rendering or checksum misses; the other
+            // rendering is still served
+            3 if !csv.is_empty() => assert_eq!((got_csv, got_json), (None, Some(json))),
+            4 if !json.is_empty() => assert_eq!((got_csv, got_json), (Some(csv), None)),
+            10 => assert_eq!((got_csv, got_json), (None, Some(json))),
+            11 => assert_eq!((got_csv, got_json), (Some(csv), None)),
+            6..=9 | 12 => assert_eq!((got_csv, got_json), (None, None)),
+            _ => {}
+        }
+    }
+
     proptest! {
-        /// Whatever bytes sit at a key's entry path, `load` never panics
-        /// and serves either nothing or exactly the rendering stored.
+        /// Hostile bytes read by a cache that has verified nothing.
         #[test]
         fn hostile_entries_miss_or_serve_the_stored_rendering(
             csv in row_text(),
             json in row_text(),
-            kind in 0u8..=10,
+            kind in 0u8..=12,
             noise in prop::collection::vec(0u8..=u8::MAX, 0..96),
         ) {
-            let cache = temp_cache("hostile");
-            let key = sha256_hex(b"hostile");
-            cache.store(&key, &csv, &json);
-            let path = cache.entry_path(&key);
-            let entry = fs::read(&path).unwrap();
-            fs::write(&path, mutate(&entry, &csv, &json, kind, &noise)).unwrap();
+            serves_only_what_was_stored("hostile", &[], csv, json, kind, &noise);
+        }
 
-            let (got_csv, got_json) = loads(&cache, &key);
-            prop_assert!(got_csv.is_none() || got_csv.as_deref() == Some(csv.as_str()));
-            prop_assert!(got_json.is_none() || got_json.as_deref() == Some(json.as_str()));
-            match kind {
-                // a flipped rendering misses; the other is still served
-                3 if !csv.is_empty() => prop_assert_eq!((got_csv, got_json), (None, Some(json))),
-                4 if !json.is_empty() => prop_assert_eq!((got_csv, got_json), (Some(csv), None)),
-                6..=10 => prop_assert_eq!((got_csv, got_json), (None, None)),
-                _ => {}
-            }
+        /// Hostile bytes read by a cache that has verified the intact
+        /// entry in both formats: the memo changes which checks run,
+        /// never what is served.
+        #[test]
+        fn hostile_entries_miss_or_serve_the_stored_rendering_after_verified_loads(
+            csv in row_text(),
+            json in row_text(),
+            kind in 0u8..=12,
+            noise in prop::collection::vec(0u8..=u8::MAX, 0..96),
+        ) {
+            let warm = [RowFormat::Csv, RowFormat::Json];
+            serves_only_what_was_stored("hostile-warm", &warm, csv, json, kind, &noise);
         }
     }
 }
