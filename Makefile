@@ -98,18 +98,29 @@ network-differential:
 # fault-injection and session suite. The session runs three times: clean,
 # with a worker crash at cell 5 and with a flipped frame byte at cell 3.
 # Both faults fail their chunk's first attempt, and the retries must not
-# change a byte. A fourth run sends one 100 KiB line (longer than the
+# change a byte; stderr must report exactly one retry of that chunk per
+# mixed-8 request (smoke-3 has no cell 3 or 5), and none in the clean
+# run, so a fault that never fired fails the target. A fourth run sends one 100 KiB line (longer than the
 # 64 KiB request-line cap) before the session: it must be answered with
 # one ERROR line, and the session after it with the golden bytes.
 SERVE_SESSION = sweep grid=mixed-8 format=csv shards=2\nmc grid=smoke-3 format=csv shards=2 reps=3 seed=9\noptimize grid=smoke-3 format=json shards=2\nsweep grid=mixed-8 format=json shards=2\n
 
+# One session under the fault hook $(1): stdout must be the golden, and
+# stderr must hold $(2) retry lines, each naming the chunk $(3).
+define serve_smoke_run
+	printf '$(SERVE_SESSION)' \
+		| env $(1) cargo run -q --release -p corridor_bench --bin serve 2> target/serve_smoke.stderr \
+		| diff - docs/results/serve_smoke.txt
+	test "$$(grep -c 'respawning worker and retrying' target/serve_smoke.stderr)" = $(2) \
+		&& test "$$(grep -c -F '$(3) attempt 1 failed' target/serve_smoke.stderr)" = $(2) \
+		|| { cat target/serve_smoke.stderr; exit 1; }
+endef
+
 serve-smoke:
-	for fault in "" CORRIDOR_SERVE_CRASH_CELL=5 CORRIDOR_SERVE_FLIP_CELL=3; do \
-		printf '$(SERVE_SESSION)' \
-			| env $$fault cargo run -q --release -p corridor_bench --bin serve \
-			| diff - docs/results/serve_smoke.txt || exit 1; \
-	done
 	mkdir -p target
+	$(call serve_smoke_run,,0,chunk)
+	$(call serve_smoke_run,CORRIDOR_SERVE_CRASH_CELL=5,2,chunk 1 (cells 4..8))
+	$(call serve_smoke_run,CORRIDOR_SERVE_FLIP_CELL=3,2,chunk 0 (cells 0..4))
 	{ echo 'ERROR bad request: line too long'; cat docs/results/serve_smoke.txt; } > target/serve_smoke_long_line.txt
 	{ head -c 102400 /dev/zero | tr '\0' x; echo; printf '$(SERVE_SESSION)'; } \
 		| cargo run -q --release -p corridor_bench --bin serve \

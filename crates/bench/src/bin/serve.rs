@@ -91,12 +91,14 @@
 //! *first* attempt at the chunk holding a cell, in every request:
 //! `CORRIDOR_SERVE_CRASH_CELL=<index>` kills its worker mid-shard, and
 //! `CORRIDOR_SERVE_FLIP_CELL=<index>` makes the worker flip one byte of
-//! that cell's frame after summing it, so the chunk check fails.
+//! that cell's frame after summing it, so the chunk check fails. A hook
+//! set to anything but a cell index stops `serve` before it reads a
+//! request, with one line on stderr and exit status 1.
 //!
 //! # Exit status
 //!
 //! `0` when every request ended with `END`; `1` when one ended with
-//! `ERROR`, or stdin failed; [`args::STDOUT_CLOSED`] (`2`) when a write to
+//! `ERROR`, stdin failed, or a fault hook is not a cell index; [`args::STDOUT_CLOSED`] (`2`) when a write to
 //! stdout failed, a client that stopped reading, say. After that
 //! failure `serve` writes nothing more to stdout: it reaps every worker,
 //! prints one line on stderr and exits.
@@ -227,12 +229,22 @@ struct Faults {
 }
 
 impl Faults {
-    fn from_env() -> Faults {
-        let cell = |name| std::env::var(name).ok().and_then(|v| v.parse().ok());
-        Faults {
-            crash: cell("CORRIDOR_SERVE_CRASH_CELL"),
-            flip: cell("CORRIDOR_SERVE_FLIP_CELL"),
-        }
+    /// Reads the hooks from the environment. A hook that is set but is
+    /// not a cell index is an error, so a mistyped hook cannot silently
+    /// turn fault injection off.
+    fn from_env() -> Result<Faults, String> {
+        let cell = |name: &str| match std::env::var_os(name) {
+            None => Ok(None),
+            Some(value) => value
+                .to_str()
+                .and_then(|v| v.parse().ok())
+                .map(Some)
+                .ok_or_else(|| format!("{name}={value:?} is not a cell index")),
+        };
+        Ok(Faults {
+            crash: cell("CORRIDOR_SERVE_CRASH_CELL")?,
+            flip: cell("CORRIDOR_SERVE_FLIP_CELL")?,
+        })
     }
 
     /// The hooks that fire on this attempt at the chunk `range`: on the
@@ -301,8 +313,14 @@ impl From<SinkError> for Failure {
 }
 
 fn coordinator_main(out: &mut Stdout) -> Result<ExitCode, Stop> {
+    let faults = match Faults::from_env() {
+        Ok(faults) => faults,
+        Err(error) => {
+            eprintln!("serve: {error}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
     let pool = WorkerPool::new();
-    let faults = Faults::from_env();
     let mut out = io::BufWriter::new(out);
     let mut failed = false;
     let mut stdin = io::stdin().lock();

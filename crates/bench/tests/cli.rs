@@ -7,8 +7,17 @@
 
 use std::process::{Command, Output};
 
+use corridor_core::sink::{RowFormat, StringSink};
 use corridor_sim::SweepEngine;
 use corridor_sim::{DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace};
+
+/// Renders an in-memory report in `format` through its `stream_into`
+/// (each report type has its own).
+macro_rules! render {
+    ($report:expr, $format:expr) => {
+        StringSink::render(0, |s| $report.stream_into($format, s))
+    };
+}
 
 const BINARIES: [&str; 6] = ["sweep", "mc", "optimize", "network", "simulate", "serve"];
 
@@ -211,8 +220,16 @@ fn row_output_is_the_library_writers_bytes() {
         .run(&smoke, &SearchSpace::new())
         .expect("optimize");
     for (name, args, expected) in [
-        ("sweep", &["--demo", "--no-pv", "--csv"][..], sweep.to_csv()),
-        ("sweep", &["--demo", "--no-pv", "--json"], sweep.to_json()),
+        (
+            "sweep",
+            &["--demo", "--no-pv", "--csv"][..],
+            render!(sweep, RowFormat::Csv),
+        ),
+        (
+            "sweep",
+            &["--demo", "--no-pv", "--json"],
+            render!(sweep, RowFormat::Json),
+        ),
         (
             "mc",
             &["--grid", "smoke-3", "--reps", "3", "--csv"],
@@ -226,7 +243,7 @@ fn row_output_is_the_library_writers_bytes() {
         (
             "optimize",
             &["--grid", "smoke-3", "--json"],
-            optimize.to_json(),
+            render!(optimize, RowFormat::Json),
         ),
     ] {
         let (stdout, stderr) = ran(name, args);

@@ -16,6 +16,14 @@ use corridor_sim::{
     DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, SweepEngine,
 };
 
+/// Renders an in-memory report in `format` through its `stream_into`
+/// (each report type has its own).
+macro_rules! render {
+    ($report:expr, $format:expr) => {
+        StringSink::render(0, |s| $report.stream_into($format, s))
+    };
+}
+
 /// Runs the serve coordinator with `requests` on stdin (plus any extra
 /// environment), returning `(stdout, stderr)`.
 fn serve(requests: &str, envs: &[(&str, &str)]) -> (String, String) {
@@ -98,7 +106,10 @@ fn trailer_field(end: &str, name: &str) -> u64 {
 fn sweep_stream_matches_in_memory_writers() {
     let grid = ScenarioGrid::by_name("mixed-8").unwrap();
     let report = SweepEngine::new().workers(2).run(&grid).unwrap();
-    for (format, expected) in [("csv", report.to_csv()), ("json", report.to_json())] {
+    for (format, expected) in [
+        ("csv", render!(report, RowFormat::Csv)),
+        ("json", render!(report, RowFormat::Json)),
+    ] {
         let (stdout, _) = serve(
             &format!("sweep grid=mixed-8 format={format} shards=2\n"),
             &[],
@@ -131,7 +142,7 @@ fn mc_and_optimize_streams_match_in_memory_writers() {
         .unwrap();
     let (stdout, _) = serve("optimize grid=smoke-3 format=json shards=2\n", &[]);
     let (_, payload, end) = parse_response(&stdout);
-    assert_eq!(payload, optimize.to_json());
+    assert_eq!(payload, render!(optimize, RowFormat::Json));
     assert_eq!(trailer_field(&end, "rows"), 3);
 }
 
@@ -151,15 +162,49 @@ fn killed_worker_is_retried_and_the_stream_is_byte_identical() {
 }
 
 #[test]
+fn a_fault_hook_that_is_not_a_cell_index_stops_serve_at_startup() {
+    for hook in ["CORRIDOR_SERVE_CRASH_CELL", "CORRIDOR_SERVE_FLIP_CELL"] {
+        for value in ["five", "-1", "", "3 "] {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+                .env(hook, value)
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn serve");
+            // serve may exit before it reads this; a failed write is fine
+            let _ = child
+                .stdin
+                .take()
+                .expect("piped stdin")
+                .write_all(b"sweep grid=smoke-3 format=csv\n");
+            let output = child.wait_with_output().expect("serve exits");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{hook}={value:?}: {stderr}");
+            assert!(
+                output.stdout.is_empty(),
+                "{hook}={value:?} answered a request"
+            );
+            assert_eq!(stderr.lines().count(), 1, "{hook}={value:?}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("serve: {hook}="))
+                    && stderr.contains("not a cell index"),
+                "{hook}={value:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_flipped_frame_byte_fails_the_chunk_check_and_is_retried_once() {
     let grid = ScenarioGrid::by_name("mixed-8").unwrap();
     for format in [RowFormat::Csv, RowFormat::Json] {
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         SweepEngine::new()
             .workers(1)
             .stream(&grid, format, &mut sink)
             .unwrap();
-        let expected = sha256_hex(sink.as_str().as_bytes());
+        let expected = sha256_hex(sink.into_string().as_bytes());
         for shards in [1, 2] {
             let request = format!(
                 "sweep grid=mixed-8 format={} shards={shards}\n",
@@ -568,14 +613,20 @@ mod session {
 
         let mut session = Session::start(&[]);
         for (line, expected) in [
-            ("sweep grid=mixed-8 format=csv shards=2", sweep.to_csv()),
+            (
+                "sweep grid=mixed-8 format=csv shards=2",
+                render!(sweep, RowFormat::Csv),
+            ),
             ("mc grid=smoke-3 format=csv shards=2 reps=3 seed=9", mc(9)),
             ("mc grid=smoke-3 format=csv shards=2 reps=3 seed=10", mc(10)),
             (
                 "optimize grid=smoke-3 format=json shards=2",
-                optimize.to_json(),
+                render!(optimize, RowFormat::Json),
             ),
-            ("sweep grid=mixed-8 format=json shards=2", sweep.to_json()),
+            (
+                "sweep grid=mixed-8 format=json shards=2",
+                render!(sweep, RowFormat::Json),
+            ),
         ] {
             assert_eq!(payload(&session.request(line)), expected, "{line}");
         }
@@ -598,20 +649,20 @@ mod session {
         let screening = ScenarioGrid::screening_200();
         let smoke = ScenarioGrid::by_name("smoke-3").unwrap();
         let sweep = |format| {
-            let mut sink = StringSink::new();
+            let mut sink = StringSink::default();
             SweepEngine::new()
                 .workers(2)
                 .stream(&screening, format, &mut sink)
                 .unwrap();
-            sha256_hex(sink.as_str().as_bytes())
+            sha256_hex(sink.into_string().as_bytes())
         };
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         let space = SearchSpace::new().node_counts((0..=6).collect());
         DeploymentOptimizer::new()
             .workers(2)
             .stream(&smoke, &space, RowFormat::Csv, &mut sink)
             .unwrap();
-        let optimize = sha256_hex(sink.as_str().as_bytes());
+        let optimize = sha256_hex(sink.into_string().as_bytes());
         let (csv, json) = (sweep(RowFormat::Csv), sweep(RowFormat::Json));
 
         for shards in [1, 2] {
@@ -752,7 +803,7 @@ mod session {
         // cell 5 is in the mixed-8 request only: its chunk's worker dies once
         let mut session = Session::start(&[("CORRIDOR_SERVE_CRASH_CELL", "5")]);
         let first = session.request("sweep grid=mixed-8 format=json shards=2");
-        assert_eq!(payload(&first), sweep.to_json());
+        assert_eq!(payload(&first), render!(sweep, RowFormat::Json));
         let second = session.request("mc grid=smoke-3 format=csv shards=2 reps=3 seed=9");
         assert_eq!(payload(&second), mc.to_csv());
         let (status, stderr) = session.finish();
@@ -858,7 +909,7 @@ mod session {
 
     /// The END digest of a fresh in-process stream of the paper grid as CSV.
     fn paper_csv_digest() -> String {
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         SweepEngine::new()
             .workers(1)
             .stream(
@@ -867,7 +918,7 @@ mod session {
                 &mut sink,
             )
             .unwrap();
-        sha256_hex(sink.as_str().as_bytes())
+        sha256_hex(sink.into_string().as_bytes())
     }
 
     #[test]

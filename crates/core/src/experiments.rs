@@ -389,7 +389,7 @@ mod tests {
         let p = params();
         for (n, isd) in IsdTable::paper().iter().filter(|(n, _)| *n >= 1) {
             let report = fronthaul_check(&p, isd, n);
-            assert!(report.is_feasible(), "n={n}: {report}");
+            assert!(report.is_feasible(), "n={n}: {report:?}");
         }
     }
 

@@ -24,7 +24,7 @@ use corridor_units::{Db, Meters};
 /// use corridor_core::margin::MarginModel;
 /// use corridor_units::Db;
 ///
-/// let model = MarginModel::paper_default();
+/// let model = MarginModel::new(Db::new(29.0)); // the paper's threshold
 /// assert_eq!(model.margin_db(Db::new(32.0)), 3.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,11 +36,6 @@ impl MarginModel {
     /// A model at an explicit SNR threshold.
     pub fn new(threshold: Db) -> Self {
         MarginModel { threshold }
-    }
-
-    /// The paper's 29 dB repeater-coverage threshold.
-    pub fn paper_default() -> Self {
-        MarginModel::new(Db::new(29.0))
     }
 
     /// The SNR threshold the margin is measured against.
@@ -171,7 +166,7 @@ mod tests {
     #[test]
     fn removing_a_repeater_never_raises_the_margin() {
         let cache = CoverageCache::with_sample_step(Meters::new(10.0));
-        let model = MarginModel::paper_default();
+        let model = MarginModel::new(Db::new(29.0));
         let placement = PlacementPolicy::paper_default();
         let (n, isd) = (10, Meters::new(2650.0));
         let full = model.margin_of(&cache, n, isd, &placement).unwrap();

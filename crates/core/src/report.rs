@@ -48,16 +48,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table holds no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with right-aligned columns and a separator line.
     pub fn render(&self) -> String {
         let columns = self.header.len();
@@ -102,15 +92,6 @@ mod tests {
         assert_eq!(lines[0], "  a  bbbb");
         assert_eq!(lines[2], "100     2");
         assert!(lines[1].chars().all(|c| c == '-'));
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut t = TextTable::new(vec!["x".into()]);
-        assert!(t.is_empty());
-        t.add_row(vec!["1".into()]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

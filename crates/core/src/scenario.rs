@@ -62,13 +62,7 @@ impl ScenarioParams {
 
     /// The paper's scenario (see the type-level table).
     pub fn paper_default() -> Self {
-        ScenarioParams {
-            timetable: Timetable::paper_default(),
-            lp_spacing: Meters::new(200.0),
-            conventional_isd: Meters::new(500.0),
-            hp_mast: catalog::high_power_mast(),
-            lp_node: catalog::low_power_repeater_measured(),
-        }
+        ScenarioParamsBuilder::new().assemble()
     }
 
     /// Overrides the timetable.
@@ -112,13 +106,6 @@ impl ScenarioParams {
     /// scenario's [`lp_spacing`](ScenarioParams::lp_spacing).
     pub fn placement(&self) -> PlacementPolicy {
         PlacementPolicy::FixedSpacing(self.lp_spacing)
-    }
-}
-
-impl Default for ScenarioParams {
-    /// Returns [`ScenarioParams::paper_default`].
-    fn default() -> Self {
-        ScenarioParams::paper_default()
     }
 }
 
@@ -337,6 +324,13 @@ impl ScenarioParamsBuilder {
         if self.train_length.value() < 0.0 || self.train_length.value().is_nan() {
             return Err(ScenarioError::NegativeTrainLength);
         }
+        Ok(self.assemble())
+    }
+
+    /// Builds the scenario without validating; the builder's defaults
+    /// are the paper's, so [`ScenarioParams::paper_default`] is this on
+    /// a fresh builder.
+    fn assemble(self) -> ScenarioParams {
         let train = Train::new(
             self.train_length,
             KilometersPerHour::new(self.train_speed_kmh).meters_per_second(),
@@ -347,13 +341,13 @@ impl ScenarioParamsBuilder {
             self.service_start,
             train,
         );
-        Ok(ScenarioParams {
+        ScenarioParams {
             timetable,
             lp_spacing: self.lp_spacing,
             conventional_isd: self.conventional_isd,
             hp_mast: self.hp_mast,
             lp_node: self.lp_node,
-        })
+        }
     }
 }
 
@@ -377,7 +371,7 @@ mod tests {
         assert_eq!(p.conventional_isd(), Meters::new(500.0));
         assert_eq!(p.hp_mast().full_load_power(), Watts::new(560.0));
         assert!((p.lp_node().full_load_power().value() - 28.38).abs() < 1e-9);
-        assert_eq!(ScenarioParams::default(), p);
+        assert_eq!(ScenarioParams::builder().build().unwrap(), p);
     }
 
     #[test]

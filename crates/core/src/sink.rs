@@ -24,12 +24,12 @@
 //! ```
 //! use corridor_core::sink::{RowEmitter, RowFormat, RowSink, StringSink};
 //!
-//! let mut sink = StringSink::new();
+//! let mut sink = StringSink::default();
 //! let mut rows = RowEmitter::begin(&mut sink, RowFormat::Csv, "a,b").unwrap();
 //! rows.row("1,2\n").unwrap();
 //! rows.row("3,4\n").unwrap();
 //! assert_eq!(rows.finish().unwrap(), 2);
-//! assert_eq!(sink.as_str(), "a,b\n1,2\n3,4\n");
+//! assert_eq!(sink.into_string(), "a,b\n1,2\n3,4\n");
 //! ```
 
 use core::fmt;
@@ -105,12 +105,6 @@ impl RowFormat {
     }
 }
 
-impl fmt::Display for RowFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// A destination for rendered report bytes, fed in grid order.
 ///
 /// Implementations must write chunks verbatim and in call order — the
@@ -142,21 +136,11 @@ pub struct StringSink {
 }
 
 impl StringSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        StringSink::default()
-    }
-
     /// An empty sink with pre-allocated capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         StringSink {
             out: String::with_capacity(capacity),
         }
-    }
-
-    /// The accumulated output so far.
-    pub fn as_str(&self) -> &str {
-        &self.out
     }
 
     /// Consumes the sink, returning the accumulated output.
@@ -338,28 +322,28 @@ mod tests {
 
     #[test]
     fn csv_framing_matches_writeln_style() {
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         let mut rows = RowEmitter::begin(&mut sink, RowFormat::Csv, "h1,h2").unwrap();
         rows.row("1,2\n").unwrap();
         rows.row("3,4\n").unwrap();
         assert_eq!(rows.finish().unwrap(), 2);
-        assert_eq!(sink.as_str(), "h1,h2\n1,2\n3,4\n");
+        assert_eq!(sink.out.as_str(), "h1,h2\n1,2\n3,4\n");
     }
 
     #[test]
     fn json_framing_inserts_separators() {
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         let mut rows = RowEmitter::begin(&mut sink, RowFormat::Json, "ignored").unwrap();
         rows.row("  {\"a\": 1}").unwrap();
         rows.row("  {\"a\": 2}").unwrap();
         assert_eq!(rows.finish().unwrap(), 2);
-        assert_eq!(sink.as_str(), "[\n  {\"a\": 1},\n  {\"a\": 2}\n]\n");
+        assert_eq!(sink.out.as_str(), "[\n  {\"a\": 1},\n  {\"a\": 2}\n]\n");
     }
 
     #[test]
     fn empty_reports_frame_like_the_in_memory_writers() {
         // CSV: header only; JSON: "[\n]\n" with no blank line
-        let mut csv = StringSink::new();
+        let mut csv = StringSink::default();
         assert_eq!(
             RowEmitter::begin(&mut csv, RowFormat::Csv, "h")
                 .unwrap()
@@ -367,26 +351,26 @@ mod tests {
                 .unwrap(),
             0
         );
-        assert_eq!(csv.as_str(), "h\n");
-        let mut json = StringSink::new();
+        assert_eq!(csv.out.as_str(), "h\n");
+        let mut json = StringSink::default();
         RowEmitter::begin(&mut json, RowFormat::Json, "h")
             .unwrap()
             .finish()
             .unwrap();
-        assert_eq!(json.as_str(), "[\n]\n");
+        assert_eq!(json.out.as_str(), "[\n]\n");
     }
 
     #[test]
     fn digest_sink_matches_string_sink() {
-        let mut s = StringSink::new();
+        let mut s = StringSink::default();
         let mut d = DigestSink::new();
         for sink in [&mut s as &mut dyn RowSink, &mut d as &mut dyn RowSink] {
             let mut rows = RowEmitter::begin(sink, RowFormat::Csv, "a,b").unwrap();
             rows.row("1,2\n").unwrap();
             rows.finish().unwrap();
         }
-        assert_eq!(d.bytes(), s.as_str().len() as u64);
-        assert_eq!(d.hex(), sha256_hex(s.as_str().as_bytes()));
+        assert_eq!(d.bytes(), s.out.as_str().len() as u64);
+        assert_eq!(d.hex(), sha256_hex(s.out.as_bytes()));
     }
 
     #[test]
@@ -402,7 +386,6 @@ mod tests {
     fn format_labels_roundtrip() {
         for format in [RowFormat::Csv, RowFormat::Json] {
             assert_eq!(RowFormat::from_label(format.label()), Some(format));
-            assert_eq!(format.to_string(), format.label());
         }
         assert_eq!(RowFormat::from_label("xml"), None);
         assert_eq!(RowFormat::default(), RowFormat::Csv);

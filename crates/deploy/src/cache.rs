@@ -143,15 +143,6 @@ impl CoverageCache {
         self.profiles.load(Ordering::Relaxed)
     }
 
-    /// Fraction of lookups served from the cache (`0.0` while empty).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            return 0.0;
-        }
-        1.0 - self.profile_evaluations() as f64 / lookups as f64
-    }
-
     /// The largest grid ISD (stepping by `isd_step` from `min_isd` up to
     /// and including `max_isd`) for which `n` repeaters keep the minimum
     /// SNR at or above `threshold`, or `None` if no grid point does.
@@ -204,7 +195,6 @@ mod tests {
         }
         assert_eq!(c.lookups(), 5);
         assert_eq!(c.profile_evaluations(), 1);
-        assert!((c.hit_rate() - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Node inventory per corridor segment and per kilometre.
 
-use core::fmt;
-
 use corridor_units::{Kilometers, Meters};
 
 /// The equipment deployed per corridor segment (one inter-site distance).
@@ -77,24 +75,9 @@ impl SegmentInventory {
         1
     }
 
-    /// Segment length.
-    pub fn isd(&self) -> Meters {
-        self.isd
-    }
-
     /// Segments per kilometre of corridor.
     pub fn segments_per_km(&self) -> f64 {
         Kilometers::new(1.0).meters() / self.isd
-    }
-}
-
-impl fmt::Display for SegmentInventory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} segment: 1 mast, {} service + {} donor repeater(s)",
-            self.isd, self.service_nodes, self.donor_nodes
-        )
     }
 }
 
@@ -126,15 +109,6 @@ mod tests {
         assert_eq!(seg.donor_nodes(), 2);
         assert_eq!(seg.total_repeaters(), 12);
         assert!((seg.segments_per_km() - 0.3774).abs() < 1e-3);
-    }
-
-    #[test]
-    fn display() {
-        let seg = SegmentInventory::for_nodes(1, Meters::new(1250.0));
-        assert_eq!(
-            seg.to_string(),
-            "1250.0 m segment: 1 mast, 1 service + 1 donor repeater(s)"
-        );
     }
 
     #[test]

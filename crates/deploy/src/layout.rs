@@ -1,7 +1,5 @@
 //! One inter-site segment of the corridor.
 
-use core::fmt;
-
 use corridor_link::{CoverageProfile, SignalSource, SnrModel};
 use corridor_propagation::CalibratedFriis;
 use corridor_units::Meters;
@@ -47,11 +45,6 @@ impl CorridorLayout {
         Ok(CorridorLayout { isd, repeaters })
     }
 
-    /// The inter-site distance.
-    pub fn isd(&self) -> Meters {
-        self.isd
-    }
-
     /// Repeater positions, sorted along the track.
     pub fn repeater_positions(&self) -> &[Meters] {
         &self.repeaters
@@ -82,17 +75,6 @@ impl CorridorLayout {
     }
 }
 
-impl fmt::Display for CorridorLayout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "segment of {} with {} repeater(s)",
-            self.isd,
-            self.repeaters.len()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +87,7 @@ mod tests {
     #[test]
     fn conventional_layout() {
         let l = conventional(500.0);
-        assert_eq!(l.isd(), Meters::new(500.0));
+        assert_eq!(l.isd, Meters::new(500.0));
         assert!(l.repeater_positions().is_empty());
         let model = l.snr_model(&LinkBudget::paper_default());
         assert_eq!(model.sources().len(), 2);
@@ -143,7 +125,7 @@ mod tests {
         for s in p.samples() {
             assert!(
                 s.signal.value() > -100.0,
-                "signal {} at {}",
+                "signal {:?} at {}",
                 s.signal,
                 s.position
             );
@@ -161,11 +143,5 @@ mod tests {
         assert!(with_nodes.min_snr().unwrap() > bare.min_snr().unwrap());
         assert!(bare.min_snr().unwrap().value() < 29.0);
         assert!(with_nodes.min_snr().unwrap().value() > 29.0);
-    }
-
-    #[test]
-    fn display() {
-        let l = conventional(500.0);
-        assert_eq!(l.to_string(), "segment of 500.0 m with 0 repeater(s)");
     }
 }

@@ -87,13 +87,6 @@ impl PlacementPolicy {
     }
 }
 
-impl Default for PlacementPolicy {
-    /// Returns [`PlacementPolicy::paper_default`].
-    fn default() -> Self {
-        PlacementPolicy::paper_default()
-    }
-}
-
 /// Error computing repeater positions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlacementError {

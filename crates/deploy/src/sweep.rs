@@ -169,6 +169,21 @@ mod tests {
         assert!(noisy.max_isd(2).unwrap() < opt.max_isd(2).unwrap());
     }
 
+    proptest::proptest! {
+        /// At noise floors within ±2 dB of the paper's, a second node
+        /// never shortens the supported ISD.
+        #[test]
+        fn more_nodes_never_worse(offset in -2.0..2.0f64) {
+            let budget = LinkBudget::paper_default().with_noise_floor(Dbm::new(-132.0 + offset));
+            let opt = IsdOptimizer::new(budget).with_sample_step(Meters::new(20.0));
+            match (opt.max_isd(1), opt.max_isd(2)) {
+                (Some(a), Some(b)) => proptest::prop_assert!(b >= a),
+                (Some(_), None) => proptest::prop_assert!(false, "two nodes unsolvable but one solvable"),
+                _ => {}
+            }
+        }
+    }
+
     #[test]
     fn unreachable_criterion_returns_none() {
         let opt = IsdOptimizer::new(LinkBudget::paper_default().with_noise_floor(Dbm::new(-60.0)))

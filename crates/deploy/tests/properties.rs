@@ -1,9 +1,7 @@
 //! Property-based tests for deployment and optimization invariants.
 
-use corridor_deploy::{
-    CorridorLayout, IsdOptimizer, LinkBudget, PlacementPolicy, SegmentInventory,
-};
-use corridor_units::{Db, Dbm, Meters};
+use corridor_deploy::{CorridorLayout, LinkBudget, PlacementPolicy, SegmentInventory};
+use corridor_units::{Db, Meters};
 use proptest::prelude::*;
 
 proptest! {
@@ -52,21 +50,6 @@ proptest! {
         prop_assert!(snr_large <= snr_small + Db::new(0.05),
             "min SNR rose from {} to {} when stretching {} -> {}",
             snr_small, snr_large, base, base + delta);
-    }
-
-    /// More repeaters never shrink the achievable ISD, at any noise
-    /// floor within ±2 dB of the paper's.
-    #[test]
-    fn more_nodes_never_worse(offset in -2.0..2.0f64) {
-        let budget = LinkBudget::paper_default().with_noise_floor(Dbm::new(-132.0 + offset));
-        let opt = IsdOptimizer::new(budget).with_sample_step(Meters::new(20.0));
-        let a = opt.max_isd(1);
-        let b = opt.max_isd(2);
-        match (a, b) {
-            (Some(a), Some(b)) => prop_assert!(b >= a),
-            (Some(_), None) => prop_assert!(false, "two nodes unsolvable but one solvable"),
-            _ => {}
-        }
     }
 
     /// Inventory per-km figures scale linearly with segment density.

@@ -48,7 +48,6 @@ use corridor_units::{Hours, Meters, Seconds};
 use crate::node::{segment_nodes, NodeKind, NodeSpec};
 use crate::report::SimReport;
 use crate::sim::CorridorSimulator;
-use crate::wake::WakePolicy;
 
 /// One traversal of one edge within an itinerary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,11 +111,6 @@ impl TrainItinerary {
         self.train
     }
 
-    /// The legs, in traversal order.
-    pub fn legs(&self) -> &[Leg] {
-        &self.legs
-    }
-
     /// Total junction crossings in a day's itineraries: every
     /// leg-to-leg transition crosses a station.
     pub fn crossings(itineraries: &[TrainItinerary]) -> usize {
@@ -154,13 +148,6 @@ impl NetworkDaySimulator {
         }
     }
 
-    /// Replaces the wake policy (applies to every edge).
-    #[must_use]
-    pub fn with_policy(mut self, policy: WakePolicy) -> Self {
-        self.simulator = self.simulator.with_policy(policy);
-        self
-    }
-
     /// Adds an edge with `n` service repeaters at `isd`/`spacing` (the
     /// [`segment_nodes`] geometry) and physical `length`, returning its
     /// index. The representative segment sits at the edge's `a`-end;
@@ -174,11 +161,6 @@ impl NetworkDaySimulator {
             length,
         });
         self.edges.len() - 1
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// The node population of `edge`'s representative segment.

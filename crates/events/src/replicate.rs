@@ -85,7 +85,7 @@ mod tests {
     use super::*;
     use crate::StateTrace;
     use corridor_traffic::{PoissonTimetable, Timetable, Train};
-    use corridor_units::{MetersPerSecond, Seconds};
+    use corridor_units::{KilometersPerHour, Seconds};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -100,7 +100,10 @@ mod tests {
         let mut changed = poisson.clone();
         let half = changed.len() / 2;
         for pass in &mut changed[half..] {
-            let train = Train::new(Meters::new(200.0), MetersPerSecond::new(40.0));
+            let train = Train::new(
+                Meters::new(200.0),
+                KilometersPerHour::new(144.0).meters_per_second(),
+            );
             *pass = TrainPass::new(train, pass.origin_time() + Seconds::new(3.0));
         }
         vec![

@@ -847,7 +847,7 @@ mod tests {
     use super::*;
     use crate::{segment_nodes, NodeKind};
     use corridor_traffic::{ActivityTimeline, PoissonTimetable, Timetable, Train};
-    use corridor_units::MetersPerSecond;
+    use corridor_units::KilometersPerHour;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1097,7 +1097,10 @@ mod tests {
         // a train change mid-day, by speed or by length alone
         let mut changed = paper_train_at(&[0.0, 10.0, 20.0]);
         changed[1] = TrainPass::new(
-            Train::new(Meters::new(50.0), MetersPerSecond::new(20.0)),
+            Train::new(
+                Meters::new(50.0),
+                KilometersPerHour::new(72.0).meters_per_second(),
+            ),
             Seconds::new(10.0),
         );
         assert!(!taken(&changed));

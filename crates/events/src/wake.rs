@@ -1,7 +1,5 @@
 //! Wake policies and the per-node operating state machine.
 
-use core::fmt;
-
 use corridor_units::Seconds;
 
 /// The state of a node's sleep controller in the time-domain simulation.
@@ -31,17 +29,6 @@ pub enum NodeState {
 }
 
 impl NodeState {}
-
-impl fmt::Display for NodeState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            NodeState::Asleep => "asleep",
-            NodeState::Waking => "waking",
-            NodeState::Active => "active",
-            NodeState::Drain => "drain",
-        })
-    }
-}
 
 /// The timing parameters of the sleep/wake state machine.
 ///
@@ -140,10 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn state_helpers_and_display() {
+    fn default_state_is_asleep() {
         assert_eq!(NodeState::default(), NodeState::Asleep);
-        assert_eq!(NodeState::Asleep.to_string(), "asleep");
-        assert_eq!(NodeState::Drain.to_string(), "drain");
     }
 
     #[test]

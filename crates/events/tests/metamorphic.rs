@@ -8,7 +8,7 @@
 
 use corridor_core::deploy::IsdTable;
 use corridor_core::traffic::{PoissonTimetable, Train, TrainPass};
-use corridor_core::units::{Hours, Meters, MetersPerSecond, Seconds, Watts};
+use corridor_core::units::{Hours, KilometersPerHour, Meters, Seconds, Watts};
 use corridor_core::{EnergyStrategy, ScenarioParams};
 use corridor_events::{EventDrivenEvaluator, WakePolicy};
 use proptest::prelude::*;
@@ -72,7 +72,7 @@ proptest! {
         let evaluator = EventDrivenEvaluator::with_policy(policy);
         let day = poisson_day(rate, seed);
         let train = if fast == 1 {
-            Train::new(Meters::new(400.0), MetersPerSecond::new(80.0))
+            Train::new(Meters::new(400.0), KilometersPerHour::new(288.0).meters_per_second())
         } else {
             Train::paper_default()
         };

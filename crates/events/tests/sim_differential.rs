@@ -27,7 +27,7 @@ use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 
 use corridor_core::traffic::{PoissonTimetable, Timetable, TrackSection, Train, TrainPass};
-use corridor_core::units::{Meters, MetersPerSecond, Seconds};
+use corridor_core::units::{KilometersPerHour, Meters, Seconds};
 use corridor_events::{
     segment_nodes, CorridorSimulator, NodeKind, NodeSpec, NodeState, SimReport, WakePolicy,
 };
@@ -479,8 +479,14 @@ fn origin_strategy() -> impl Strategy<Value = f64> {
 fn train_of(selector: u8) -> Train {
     match selector % 3 {
         0 => Train::paper_default(),
-        1 => Train::new(Meters::new(50.0), MetersPerSecond::new(20.0)),
-        _ => Train::new(Meters::new(400.0), MetersPerSecond::new(80.0)),
+        1 => Train::new(
+            Meters::new(50.0),
+            KilometersPerHour::new(72.0).meters_per_second(),
+        ),
+        _ => Train::new(
+            Meters::new(400.0),
+            KilometersPerHour::new(288.0).meters_per_second(),
+        ),
     }
 }
 
@@ -520,7 +526,7 @@ fn nodes_strategy() -> impl Strategy<Value = Vec<NodeSpec>> {
                 2 if k > 0 => {
                     let s = sections[earlier % k];
                     let start = if s.start().value() == 0.0 {
-                        -s.start()
+                        Meters::new(-s.start().value())
                     } else {
                         s.start()
                     };
@@ -1016,7 +1022,7 @@ fn a_train_change_mid_day_recomputes_the_pass_offsets() {
         .collect();
     assert_instant_days_match(&passes);
     // and a day whose trains differ in length only, at one speed
-    let speed = MetersPerSecond::new(50.0);
+    let speed = KilometersPerHour::new(180.0).meters_per_second();
     let passes: Vec<TrainPass> = (0..12)
         .map(|k| {
             let length = Meters::new(if k % 3 == 0 { 400.0 } else { 200.0 });

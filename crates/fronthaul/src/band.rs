@@ -1,7 +1,5 @@
 //! mmWave band presets.
 
-use core::fmt;
-
 use corridor_units::{Db, Dbm, Hertz};
 
 /// A millimetre-wave band usable for the donor fronthaul.
@@ -37,11 +35,6 @@ impl MmWaveBand {
         }
     }
 
-    /// Band name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Carrier frequency.
     pub fn frequency(&self) -> Hertz {
         self.frequency
@@ -58,12 +51,6 @@ impl MmWaveBand {
     }
 }
 
-impl fmt::Display for MmWaveBand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,10 +61,5 @@ mod tests {
         assert_eq!(v.frequency(), Hertz::from_ghz(60.0));
         assert_eq!(v.max_eirp(), Dbm::new(40.0));
         assert_eq!(v.oxygen_db_per_km(), Db::new(15.0));
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(MmWaveBand::v_band_60ghz().to_string(), "V-band 60 GHz");
     }
 }

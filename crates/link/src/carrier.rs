@@ -1,7 +1,5 @@
 //! 5G NR carrier and subcarrier accounting.
 
-use core::fmt;
-
 use corridor_units::{Db, Dbm, Hertz};
 
 /// A 5G NR carrier: occupied bandwidth and number of subcarriers.
@@ -39,20 +37,6 @@ impl NrCarrier {
         }
     }
 
-    /// Creates a carrier with an explicit subcarrier count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subcarriers` is zero or `bandwidth` is not positive.
-    pub fn new(bandwidth: Hertz, subcarriers: u32) -> Self {
-        assert!(subcarriers > 0, "carrier needs at least one subcarrier");
-        assert!(bandwidth.value() > 0.0, "bandwidth must be positive");
-        NrCarrier {
-            bandwidth,
-            subcarriers,
-        }
-    }
-
     /// The dB factor `10·log10(N_sc)` between total power and
     /// per-subcarrier power.
     pub fn subcarrier_division(&self) -> Db {
@@ -65,23 +49,6 @@ impl NrCarrier {
     }
 }
 
-impl Default for NrCarrier {
-    /// Returns [`NrCarrier::paper_100mhz`].
-    fn default() -> Self {
-        NrCarrier::paper_100mhz()
-    }
-}
-
-impl fmt::Display for NrCarrier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} NR carrier, {} subcarriers",
-            self.bandwidth, self.subcarriers
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +56,6 @@ mod tests {
     #[test]
     fn paper_carrier_values() {
         let c = NrCarrier::paper_100mhz();
-        assert_eq!(c, NrCarrier::new(Hertz::from_mhz(100.0), 3300));
         // 10 log10(3300) = 35.19 dB
         assert!((c.subcarrier_division().value() - 35.185).abs() < 1e-3);
     }
@@ -103,22 +69,5 @@ mod tests {
         // LP: 40 dBm EIRP -> 4.8 dBm RSTP
         let lp = c.per_subcarrier(Dbm::new(40.0));
         assert!((lp.value() - 4.81).abs() < 0.01);
-    }
-
-    #[test]
-    fn default_is_paper() {
-        assert_eq!(NrCarrier::default(), NrCarrier::paper_100mhz());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one subcarrier")]
-    fn zero_subcarriers_rejected() {
-        let _ = NrCarrier::new(Hertz::from_mhz(100.0), 0);
-    }
-
-    #[test]
-    fn display() {
-        let c = NrCarrier::paper_100mhz();
-        assert_eq!(c.to_string(), "100.000 MHz NR carrier, 3300 subcarriers");
     }
 }

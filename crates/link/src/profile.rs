@@ -95,11 +95,6 @@ impl CoverageProfile {
         &self.samples
     }
 
-    /// The sampling step.
-    pub fn step(&self) -> Meters {
-        self.step
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -167,7 +162,6 @@ mod tests {
         assert!(!p.is_empty());
         assert_eq!(p.samples()[0].position, Meters::ZERO);
         assert_eq!(p.samples()[500].position, Meters::new(500.0));
-        assert_eq!(p.step(), Meters::new(1.0));
     }
 
     #[test]

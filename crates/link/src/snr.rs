@@ -80,16 +80,6 @@ impl<M: PathLoss> SnrModel<M> {
         self.sources.push(source);
     }
 
-    /// The carrier configuration.
-    pub fn carrier(&self) -> &NrCarrier {
-        &self.carrier
-    }
-
-    /// The configured noise floor.
-    pub fn noise_floor(&self) -> Dbm {
-        self.noise_floor
-    }
-
     /// All signal sources.
     pub fn sources(&self) -> &[SignalSource<M>] {
         &self.sources
@@ -212,7 +202,6 @@ mod tests {
     #[test]
     fn builder_accessors() {
         let m = hp_pair(500.0).with_noise_floor(Dbm::new(-129.2));
-        assert_eq!(m.noise_floor(), Dbm::new(-129.2));
         assert_eq!(m.sources().len(), 2);
         assert_eq!(m.rsrp_per_source(Meters::new(100.0)).len(), 2);
         let mut m2 = m.clone();

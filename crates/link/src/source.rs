@@ -60,11 +60,6 @@ impl<M: PathLoss> SignalSource<M> {
         self
     }
 
-    /// Track position of the transmitter.
-    pub fn position(&self) -> Meters {
-        self.position
-    }
-
     /// Port-to-port attenuation from this source to track position `at`.
     pub fn attenuation_to(&self, at: Meters) -> Db {
         self.path_loss.attenuation(self.position.distance_to(at))

@@ -45,25 +45,6 @@ impl ThroughputModel {
         }
     }
 
-    /// Creates a custom calibrated Shannon model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` or `max_spectral_efficiency` is not strictly
-    /// positive.
-    pub fn new(alpha: f64, max_spectral_efficiency: f64, snr_min: Db) -> Self {
-        assert!(alpha > 0.0, "alpha must be positive");
-        assert!(
-            max_spectral_efficiency > 0.0,
-            "max spectral efficiency must be positive"
-        );
-        ThroughputModel {
-            alpha,
-            max_spectral_efficiency,
-            snr_min,
-        }
-    }
-
     /// Spectral efficiency in bps/Hz at `snr`.
     pub fn spectral_efficiency(&self, snr: Db) -> f64 {
         if snr < self.snr_min {
@@ -82,13 +63,6 @@ impl ThroughputModel {
     /// True if `snr` delivers the full peak rate.
     pub fn is_peak(&self, snr: Db) -> bool {
         snr >= self.peak_snr()
-    }
-}
-
-impl Default for ThroughputModel {
-    /// Returns [`ThroughputModel::nr_default`].
-    fn default() -> Self {
-        ThroughputModel::nr_default()
     }
 }
 
@@ -136,16 +110,5 @@ mod tests {
             assert!(se >= last);
             last = se;
         }
-    }
-
-    #[test]
-    fn default_is_nr() {
-        assert_eq!(ThroughputModel::default(), ThroughputModel::nr_default());
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be positive")]
-    fn invalid_alpha_rejected() {
-        let _ = ThroughputModel::new(0.0, 5.84, Db::new(-10.0));
     }
 }

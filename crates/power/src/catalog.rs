@@ -86,7 +86,7 @@ mod tests {
         // the paper's "5 % of the energy of a regular cell site" claim
         let repeater = low_power_repeater_measured().full_load_power();
         let mast = high_power_mast().full_load_power();
-        let fraction = repeater / mast;
+        let fraction = repeater.value() / mast.value();
         assert!(fraction < 0.06, "repeater/mast = {fraction}");
     }
 }

@@ -93,11 +93,6 @@ impl DutyCycle {
         }
     }
 
-    /// Hours awake but idle per period.
-    pub fn idle(&self) -> Hours {
-        self.idle
-    }
-
     /// Hours in the fallback (sleep or idle) state per period.
     pub fn remainder(&self) -> Hours {
         self.period - self.active - self.idle
@@ -171,9 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn remainder_and_accessors() {
+    fn remainder_is_the_rest_of_the_day() {
         let duty = DutyCycle::over_day(Hours::new(2.0), Hours::new(3.0));
-        assert_eq!(duty.idle(), Hours::new(3.0));
         assert_eq!(duty.remainder(), Hours::new(19.0));
     }
 

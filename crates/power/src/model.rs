@@ -1,7 +1,5 @@
 //! The EARTH load-dependent power model (paper eq. (3)).
 
-use core::fmt;
-
 use corridor_units::{LoadFraction, Watts};
 
 /// The operating state of a radio node.
@@ -31,16 +29,6 @@ impl OperatingState {
     /// Active at full load (χ = 1).
     pub fn full_load() -> Self {
         OperatingState::Active(LoadFraction::FULL)
-    }
-}
-
-impl fmt::Display for OperatingState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OperatingState::Sleep => f.write_str("sleep"),
-            OperatingState::Idle => f.write_str("idle"),
-            OperatingState::Active(load) => write!(f, "active at {load}"),
-        }
     }
 }
 
@@ -139,16 +127,6 @@ impl LoadDependentPower {
     }
 }
 
-impl fmt::Display for LoadDependentPower {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "EARTH model {{ Pmax: {}, P0: {}, Δp: {}, Psleep: {} }}",
-            self.p_max, self.p0, self.delta_p, self.p_sleep
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,17 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn power_linear_in_load() {
-        let m = rrh();
-        let half = m.input_power(OperatingState::Active(LoadFraction::new(0.5).unwrap()));
-        assert_eq!(half, Watts::new(168.0 + 2.8 * 40.0 * 0.5));
-        // midpoint property
-        let full = m.full_load_power();
-        let idle = m.input_power(OperatingState::Idle);
-        assert!((half.value() - (full.value() + idle.value()) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn mast_scaling_matches_paper() {
         // two RRHs per mast: 560 W full, 336 W idle, 224 W sleep
         let mast = rrh().scaled(2.0);
@@ -201,14 +168,6 @@ mod tests {
             OperatingState::Active(LoadFraction::FULL)
         );
         assert_eq!(OperatingState::default(), OperatingState::Idle);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(OperatingState::Sleep.to_string(), "sleep");
-        assert_eq!(OperatingState::Idle.to_string(), "idle");
-        assert_eq!(OperatingState::full_load().to_string(), "active at 100.0 %");
-        assert!(rrh().to_string().contains("Pmax: 40.00 W"));
     }
 
     #[test]

@@ -20,28 +20,12 @@ use crate::PathLoss;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreeSpace {
     frequency: Hertz,
-    min_distance: Meters,
 }
 
 impl FreeSpace {
     /// Creates a free-space model at `frequency` with a 1 m near-field guard.
     pub fn new(frequency: Hertz) -> Self {
-        FreeSpace {
-            frequency,
-            min_distance: Meters::new(1.0),
-        }
-    }
-
-    /// Overrides the near-field guard distance.
-    #[must_use]
-    pub fn with_min_distance(mut self, min_distance: Meters) -> Self {
-        self.min_distance = min_distance;
-        self
-    }
-
-    /// The carrier frequency.
-    pub fn frequency(&self) -> Hertz {
-        self.frequency
+        FreeSpace { frequency }
     }
 
     /// `20·log10(4π/λ)`: the frequency-dependent constant of the model.
@@ -53,12 +37,12 @@ impl FreeSpace {
 
 impl PathLoss for FreeSpace {
     fn attenuation(&self, distance: Meters) -> Db {
-        let d = distance.abs().max(self.min_distance).value();
+        let d = distance.abs().max(self.min_distance()).value();
         Db::new(20.0 * d.log10()) + self.frequency_constant_db()
     }
 
     fn min_distance(&self) -> Meters {
-        self.min_distance
+        Meters::new(1.0)
     }
 }
 
@@ -95,18 +79,6 @@ impl CalibratedFriis {
             free_space: FreeSpace::new(frequency),
             calibration,
         }
-    }
-
-    /// Overrides the near-field guard distance.
-    #[must_use]
-    pub fn with_min_distance(mut self, min_distance: Meters) -> Self {
-        self.free_space = self.free_space.with_min_distance(min_distance);
-        self
-    }
-
-    /// The carrier frequency.
-    pub fn frequency(&self) -> Hertz {
-        self.free_space.frequency()
     }
 }
 
@@ -165,11 +137,6 @@ mod tests {
             model.attenuation(Meters::new(0.5)),
             model.attenuation(Meters::new(1.0))
         );
-        let guarded = fs35().with_min_distance(Meters::new(10.0));
-        assert_eq!(
-            guarded.attenuation(Meters::new(3.0)),
-            guarded.attenuation(Meters::new(10.0))
-        );
     }
 
     #[test]
@@ -199,12 +166,5 @@ mod tests {
         let hp = CalibratedFriis::new(Hertz::from_ghz(3.7), Db::new(33.0));
         let l = hp.attenuation(Meters::new(250.0)).value();
         assert!((l - 124.76).abs() < 0.1, "got {l}");
-    }
-
-    #[test]
-    fn accessors() {
-        let hp = CalibratedFriis::new(Hertz::from_ghz(3.7), Db::new(33.0));
-        assert_eq!(hp.frequency(), Hertz::from_ghz(3.7));
-        assert_eq!(fs35().frequency(), Hertz::from_ghz(3.5));
     }
 }

@@ -30,24 +30,6 @@ pub trait PathLoss {
     }
 }
 
-impl<T: PathLoss + ?Sized> PathLoss for &T {
-    fn attenuation(&self, distance: Meters) -> Db {
-        (**self).attenuation(distance)
-    }
-    fn min_distance(&self) -> Meters {
-        (**self).min_distance()
-    }
-}
-
-impl<T: PathLoss + ?Sized> PathLoss for Box<T> {
-    fn attenuation(&self, distance: Meters) -> Db {
-        (**self).attenuation(distance)
-    }
-    fn min_distance(&self) -> Meters {
-        (**self).min_distance()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

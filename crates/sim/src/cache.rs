@@ -50,6 +50,7 @@ use std::sync::{Mutex, PoisonError};
 use corridor_core::hash::sha256_hex;
 use corridor_core::sink::RowFormat;
 
+use crate::cell::POWER_PROFILE;
 use crate::ScenarioCell;
 
 /// Code-version salt baked into every key: bump the suffix whenever row
@@ -102,12 +103,12 @@ const BOTH_FORMATS: u8 = 3;
 /// let engine = SweepEngine::new().workers(1).pv_sizing(false);
 /// let grid = ScenarioGrid::new().trains_per_hour(vec![4.0, 8.0]);
 ///
-/// let mut cold = StringSink::new();
+/// let mut cold = StringSink::default();
 /// engine.stream_with(&grid, RowFormat::Csv, &mut cold, Some(&cache)).unwrap();
 ///
-/// let mut warm = StringSink::new();
+/// let mut warm = StringSink::default();
 /// let summary = engine.stream_with(&grid, RowFormat::Csv, &mut warm, Some(&cache)).unwrap();
-/// assert_eq!(warm.as_str(), cold.as_str());
+/// assert_eq!(warm.into_string(), cold.into_string());
 /// assert_eq!(summary.cache_hits, 2); // the warm run computed nothing
 /// # let _ = std::fs::remove_dir_all(&dir);
 /// ```
@@ -322,7 +323,7 @@ impl KeyBuilder {
             .f64(cell.train_length_m())
             .f64(cell.lp_spacing_m())
             .f64(cell.conventional_isd_m())
-            .text(cell.profile_name())
+            .text(POWER_PROFILE)
             .f64(lp.p_max().value())
             .f64(lp.delta_p())
             .f64(lp.p_sleep().value())
@@ -567,7 +568,6 @@ mod tests {
                 0,
                 ScenarioParams::paper_default(),
                 climate::berlin(),
-                "paper".to_owned(),
                 10,
                 Meters::new(isd),
             )

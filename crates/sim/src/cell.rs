@@ -6,6 +6,11 @@ use corridor_core::{energy::SegmentEnergy, EnergyStrategy, ScenarioParams};
 use corridor_solar::Location;
 use corridor_units::Meters;
 
+/// The equipment label in every row and cache key: the paper's pairing
+/// of a two-RRH mast and the measured repeater, which every cell runs
+/// (the [`ScenarioParams::builder`] default).
+pub(crate) const POWER_PROFILE: &str = "paper";
+
 /// One point of an expanded [`ScenarioGrid`](crate::ScenarioGrid): a fully
 /// built scenario plus the axis labels that produced it.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,7 +18,6 @@ pub struct ScenarioCell {
     index: usize,
     params: ScenarioParams,
     location: Location,
-    profile_name: String,
     nodes: usize,
     isd: Meters,
 }
@@ -24,7 +28,6 @@ impl ScenarioCell {
         index: usize,
         params: ScenarioParams,
         location: Location,
-        profile_name: String,
         nodes: usize,
         isd: Meters,
     ) -> Self {
@@ -32,10 +35,16 @@ impl ScenarioCell {
             index,
             params,
             location,
-            profile_name,
             nodes,
             isd,
         }
+    }
+
+    /// The same cell under another index (a network numbers its edge
+    /// cells by edge).
+    pub(crate) fn numbered(mut self, index: usize) -> Self {
+        self.index = index;
+        self
     }
 
     /// The cell's position in the grid's deterministic expansion order.
@@ -51,11 +60,6 @@ impl ScenarioCell {
     /// The cell's solar climate.
     pub fn location(&self) -> &Location {
         &self.location
-    }
-
-    /// The name of the cell's power profile.
-    pub fn profile_name(&self) -> &str {
-        &self.profile_name
     }
 
     /// The deployment's repeater count.
@@ -206,7 +210,6 @@ mod tests {
             3,
             ScenarioParams::paper_default(),
             climate::madrid(),
-            "paper".to_owned(),
             10,
             Meters::new(2650.0),
         )
@@ -230,7 +233,6 @@ mod tests {
         assert_eq!(c.train_length_m(), 400.0);
         assert_eq!(c.lp_spacing_m(), 200.0);
         assert_eq!(c.conventional_isd_m(), 500.0);
-        assert_eq!(c.profile_name(), "paper");
         assert!(c.to_string().contains("Madrid"));
     }
 

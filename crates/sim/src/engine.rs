@@ -143,8 +143,7 @@ impl SweepEngine {
     /// Streams the whole grid into `sink` in grid order without ever
     /// materializing the report: memory stays flat however many cells
     /// the grid spans, and the emitted bytes are identical to
-    /// [`SweepEngine::run`] + [`SweepReport::to_csv`] /
-    /// [`SweepReport::to_json`].
+    /// [`SweepEngine::run`] + [`SweepReport::stream_into`].
     ///
     /// # Errors
     ///
@@ -320,7 +319,6 @@ mod tests {
     use corridor_core::sink::StringSink;
     use corridor_core::{experiments, ScenarioParams};
     use corridor_solar::climate;
-    use corridor_units::Watts;
 
     #[test]
     fn paper_cell_reproduces_headline_savings() {
@@ -359,19 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn heavy_load_profile_is_unsolvable() {
-        // a flat 650 W onboard-relay "repeater" cannot be solar-sized
-        let onboard_relay = corridor_power::LoadDependentPower::new(
-            Watts::ZERO,
-            Watts::new(650.0),
-            0.0,
-            Watts::new(650.0),
-        );
-        let grid = ScenarioGrid::new().power_profiles(vec![crate::PowerProfile::custom(
-            "flat-650w",
-            corridor_power::catalog::high_power_mast(),
-            onboard_relay,
-        )]);
+    fn a_sunless_site_is_unsolvable() {
+        // no ladder candidate carries the repeater through a polar year
+        let polar = corridor_solar::Location::new("polar", 70.0, [0.01; 12], [-10.0; 12]);
+        let grid = ScenarioGrid::new().locations(vec![polar]);
         let report = SweepEngine::new().workers(1).run(&grid).unwrap();
         assert_eq!(report.results()[0].pv(), PvOutcome::Unsolvable);
     }
@@ -410,7 +399,7 @@ mod tests {
         let err = engine.run(&ScenarioGrid::new()).unwrap_err();
         assert_eq!(err, ScenarioError::ZeroWorkers);
         // the streaming path rejects the same misconfiguration
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         let err = engine
             .stream(&ScenarioGrid::new(), RowFormat::Csv, &mut sink)
             .unwrap_err();

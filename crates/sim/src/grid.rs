@@ -1,75 +1,11 @@
 //! Cartesian scenario grids: the sweep engine's input.
 
-use core::fmt;
-
 use corridor_core::{ScenarioError, ScenarioParams};
 use corridor_deploy::IsdTable;
-use corridor_power::{catalog, LoadDependentPower};
 use corridor_solar::{climate, Location};
 use corridor_units::Meters;
 
 use crate::cell::ScenarioCell;
-
-/// A named pairing of high-power-mast and low-power-repeater power models
-/// — one point of the grid's equipment axis.
-///
-/// # Examples
-///
-/// ```
-/// use corridor_sim::PowerProfile;
-/// let paper = PowerProfile::paper();
-/// assert_eq!(paper.name(), "paper");
-/// assert_eq!(paper.hp().full_load_power().value(), 560.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerProfile {
-    name: String,
-    hp: LoadDependentPower,
-    lp: LoadDependentPower,
-}
-
-impl PowerProfile {
-    /// The paper's equipment: a two-RRH mast (560 W full load) and the
-    /// prototype repeater with its measured 28.38 W full-load draw.
-    pub fn paper() -> Self {
-        PowerProfile {
-            name: "paper".to_owned(),
-            hp: catalog::high_power_mast(),
-            lp: catalog::low_power_repeater_measured(),
-        }
-    }
-
-    /// A custom profile under the given name.
-    // corridor-lint: allow(unused-pub, reason = "crates/sim/tests/properties.rs and memory_ceiling.rs sweep an earth-fit equipment axis, and report::tests::csv_escapes_awkward_axis_names a quoted profile name, through the row code every served cell runs")
-    pub fn custom(name: &str, hp: LoadDependentPower, lp: LoadDependentPower) -> Self {
-        PowerProfile {
-            name: name.to_owned(),
-            hp,
-            lp,
-        }
-    }
-
-    /// The profile's name (the grid axis label).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The high-power mast model.
-    pub fn hp(&self) -> &LoadDependentPower {
-        &self.hp
-    }
-
-    /// The low-power repeater model.
-    pub fn lp(&self) -> &LoadDependentPower {
-        &self.lp
-    }
-}
-
-impl fmt::Display for PowerProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)
-    }
-}
 
 /// A Cartesian sweep over scenario parameters.
 ///
@@ -77,9 +13,11 @@ impl fmt::Display for PowerProfile {
 /// expands to exactly one cell — [`ScenarioParams::paper_default`] under
 /// the Berlin climate. Setting an axis replaces its values; the expansion
 /// is the Cartesian product of all axes in a fixed, documented order
-/// (timetable density outermost, then train speed, train length, LP
-/// spacing, conventional ISD, power profile, and climate innermost), so
-/// cell indices are stable across runs.
+/// (timetable density outermost, then train speed, conventional ISD, and
+/// climate innermost), so cell indices are stable across runs. Every
+/// other parameter (service window, train length, repeater spacing and
+/// the paper's equipment) is the [`ScenarioParams::builder`] default in
+/// every cell.
 ///
 /// # Examples
 ///
@@ -97,12 +35,8 @@ impl fmt::Display for PowerProfile {
 pub struct ScenarioGrid {
     trains_per_hour: Vec<f64>,
     train_speeds_kmh: Vec<f64>,
-    train_lengths_m: Vec<f64>,
-    lp_spacings_m: Vec<f64>,
     conventional_isds_m: Vec<f64>,
-    power_profiles: Vec<PowerProfile>,
     locations: Vec<Location>,
-    service_window_h: f64,
     nodes: usize,
     /// The paper-table ISD for `nodes`, resolved when `nodes` is set —
     /// carrying the looked-up value around (instead of re-deriving it
@@ -124,12 +58,8 @@ impl ScenarioGrid {
         ScenarioGrid {
             trains_per_hour: vec![8.0],
             train_speeds_kmh: vec![200.0],
-            train_lengths_m: vec![400.0],
-            lp_spacings_m: vec![200.0],
             conventional_isds_m: vec![500.0],
-            power_profiles: vec![PowerProfile::paper()],
             locations: vec![climate::berlin()],
-            service_window_h: 19.0,
             nodes: 10,
             isd: Meters::new(Self::PAPER_DEFAULT_ISD_M),
         }
@@ -152,96 +82,78 @@ impl ScenarioGrid {
             .locations(vec![climate::madrid(), climate::berlin()])
     }
 
-    fn set_axis<T>(axis: &mut Vec<T>, values: Vec<T>, name: &str) {
+    /// Replaces one axis, keeping the grid's invariants: no axis is
+    /// empty, and the product of the axis lengths fits in a `usize`.
+    fn set_axis<T>(
+        mut self,
+        axis: fn(&mut Self) -> &mut Vec<T>,
+        values: Vec<T>,
+        name: &str,
+    ) -> Self {
         assert!(!values.is_empty(), "{name} axis must not be empty");
-        *axis = values;
+        *axis(&mut self) = values;
+        assert!(
+            self.axis_lens()
+                .into_iter()
+                .try_fold(1usize, usize::checked_mul)
+                .is_some(),
+            "{name} axis overflows the grid's cell count"
+        );
+        self
+    }
+
+    /// The axis lengths, in expansion order.
+    fn axis_lens(&self) -> [usize; 4] {
+        [
+            self.trains_per_hour.len(),
+            self.train_speeds_kmh.len(),
+            self.conventional_isds_m.len(),
+            self.locations.len(),
+        ]
     }
 
     /// Sets the timetable-density axis (trains per service hour).
     ///
     /// # Panics
     ///
-    /// Panics if `values` is empty.
+    /// Panics if `values` is empty, or if the grid would have more cells
+    /// than a `usize` counts.
     #[must_use]
-    pub fn trains_per_hour(mut self, values: Vec<f64>) -> Self {
-        Self::set_axis(&mut self.trains_per_hour, values, "trains per hour");
-        self
+    pub fn trains_per_hour(self, values: Vec<f64>) -> Self {
+        self.set_axis(|g| &mut g.trains_per_hour, values, "trains per hour")
     }
 
     /// Sets the train-speed axis in km/h.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is empty.
+    /// Panics if `values` is empty, or if the grid would have more cells
+    /// than a `usize` counts.
     #[must_use]
-    pub fn train_speeds_kmh(mut self, values: Vec<f64>) -> Self {
-        Self::set_axis(&mut self.train_speeds_kmh, values, "train speed");
-        self
-    }
-
-    /// Sets the train-length axis in metres.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    #[must_use]
-    // corridor-lint: allow(unused-pub, reason = "crates/sim/tests/properties.rs (grid strategy) and memory_ceiling.rs vary the train-length axis that every served grid's cell decoding walks")
-    pub fn train_lengths_m(mut self, values: Vec<f64>) -> Self {
-        Self::set_axis(&mut self.train_lengths_m, values, "train length");
-        self
-    }
-
-    /// Sets the repeater-spacing axis in metres.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    #[must_use]
-    // corridor-lint: allow(unused-pub, reason = "crates/sim/tests/properties.rs, memory_ceiling.rs and determinism.rs vary the repeater-spacing axis, and the mc and optimize zero-spacing tests propagate ScenarioError::NonPositiveSpacing, through the cell decoding every served grid runs")
-    pub fn lp_spacings_m(mut self, values: Vec<f64>) -> Self {
-        Self::set_axis(&mut self.lp_spacings_m, values, "LP spacing");
-        self
+    pub fn train_speeds_kmh(self, values: Vec<f64>) -> Self {
+        self.set_axis(|g| &mut g.train_speeds_kmh, values, "train speed")
     }
 
     /// Sets the conventional-reference-ISD axis in metres.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is empty.
+    /// Panics if `values` is empty, or if the grid would have more cells
+    /// than a `usize` counts.
     #[must_use]
-    pub fn conventional_isds_m(mut self, values: Vec<f64>) -> Self {
-        Self::set_axis(&mut self.conventional_isds_m, values, "conventional ISD");
-        self
-    }
-
-    /// Sets the equipment axis (HP/LP power-model pairings).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    #[must_use]
-    // corridor-lint: allow(unused-pub, reason = "crates/sim/tests/properties.rs and memory_ceiling.rs sweep an equipment axis, and engine::tests::heavy_load_profile_is_unsolvable the unsolvable PV row, through the cell path every served grid runs")
-    pub fn power_profiles(mut self, values: Vec<PowerProfile>) -> Self {
-        Self::set_axis(&mut self.power_profiles, values, "power profile");
-        self
+    pub fn conventional_isds_m(self, values: Vec<f64>) -> Self {
+        self.set_axis(|g| &mut g.conventional_isds_m, values, "conventional ISD")
     }
 
     /// Sets the solar-climate axis.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is empty.
+    /// Panics if `values` is empty, or if the grid would have more cells
+    /// than a `usize` counts.
     #[must_use]
-    pub fn locations(mut self, values: Vec<Location>) -> Self {
-        Self::set_axis(&mut self.locations, values, "location");
-        self
-    }
-
-    /// Sets the daily service-window length (a single value, not an axis).
-    #[must_use]
-    pub fn service_window_h(mut self, hours: f64) -> Self {
-        self.service_window_h = hours;
-        self
+    pub fn locations(self, values: Vec<Location>) -> Self {
+        self.set_axis(|g| &mut g.locations, values, "location")
     }
 
     /// Sets the deployment evaluated in every cell: `nodes` low-power
@@ -260,16 +172,10 @@ impl ScenarioGrid {
     }
 
     /// Number of cells the grid expands to: the product of all axis
-    /// lengths.
+    /// lengths, which the axis setters keep within `usize`.
     #[allow(clippy::len_without_is_empty)] // axes are never empty
     pub fn len(&self) -> usize {
-        self.trains_per_hour.len()
-            * self.train_speeds_kmh.len()
-            * self.train_lengths_m.len()
-            * self.lp_spacings_m.len()
-            * self.conventional_isds_m.len()
-            * self.power_profiles.len()
-            * self.locations.len()
+        self.axis_lens().into_iter().product()
     }
 
     /// The deployment's repeater count.
@@ -289,8 +195,8 @@ impl ScenarioGrid {
     /// # Errors
     ///
     /// Returns the [`ScenarioError`] of the cell whose parameters fail
-    /// validation (e.g. a zero spacing or an empty timetable on some
-    /// axis).
+    /// validation (e.g. a non-positive train speed or an empty timetable on
+    /// some axis).
     ///
     /// # Panics
     ///
@@ -310,27 +216,18 @@ impl ScenarioGrid {
             at
         };
         let location = &self.locations[take(self.locations.len())];
-        let profile = &self.power_profiles[take(self.power_profiles.len())];
         let conv_isd = self.conventional_isds_m[take(self.conventional_isds_m.len())];
-        let spacing = self.lp_spacings_m[take(self.lp_spacings_m.len())];
-        let length = self.train_lengths_m[take(self.train_lengths_m.len())];
         let speed = self.train_speeds_kmh[take(self.train_speeds_kmh.len())];
         let tph = self.trains_per_hour[rest];
         let params = ScenarioParams::builder()
             .trains_per_hour(tph)
-            .service_window_h(self.service_window_h)
             .train_speed_kmh(speed)
-            .train_length_m(length)
-            .lp_spacing_m(spacing)
             .conventional_isd_m(conv_isd)
-            .hp_mast(*profile.hp())
-            .lp_node(*profile.lp())
             .build()?;
         Ok(ScenarioCell::new(
             index,
             params,
             location.clone(),
-            profile.name().to_owned(),
             self.nodes,
             self.isd,
         ))
@@ -341,8 +238,8 @@ impl ScenarioGrid {
     /// # Errors
     ///
     /// Returns the [`ScenarioError`] of the first cell whose parameters
-    /// fail validation (e.g. a zero spacing or an empty timetable on some
-    /// axis).
+    /// fail validation (e.g. a non-positive train speed or an empty timetable on
+    /// some axis).
     pub fn expand(&self) -> Result<Vec<ScenarioCell>, ScenarioError> {
         (0..self.len()).map(|index| self.cell_at(index)).collect()
     }
@@ -381,16 +278,6 @@ impl Default for ScenarioGrid {
 mod tests {
     use super::*;
     use corridor_core::ScenarioError;
-    use corridor_units::Watts;
-
-    /// The Table II EARTH-fit repeater behind the measured-bill mast.
-    fn earth_fit() -> PowerProfile {
-        PowerProfile::custom(
-            "earth-fit",
-            catalog::high_power_mast(),
-            catalog::low_power_repeater(),
-        )
-    }
 
     #[test]
     fn default_grid_is_one_paper_cell() {
@@ -438,13 +325,15 @@ mod tests {
 
     #[test]
     fn invalid_axis_value_propagates_scenario_error() {
-        let grid = ScenarioGrid::new().lp_spacings_m(vec![200.0, 0.0]);
-        assert_eq!(
-            grid.expand().unwrap_err(),
-            ScenarioError::NonPositiveSpacing
-        );
+        let grid = ScenarioGrid::new().conventional_isds_m(vec![500.0, 0.0]);
+        assert_eq!(grid.expand().unwrap_err(), ScenarioError::NonPositiveIsd);
         let grid = ScenarioGrid::new().trains_per_hour(vec![-1.0]);
         assert_eq!(grid.expand().unwrap_err(), ScenarioError::EmptyTimetable);
+        let grid = ScenarioGrid::new().train_speeds_kmh(vec![200.0, 0.0]);
+        assert_eq!(
+            grid.cell_at(1).unwrap_err(),
+            ScenarioError::NonPositiveTrainSpeed
+        );
     }
 
     #[test]
@@ -472,43 +361,35 @@ mod tests {
     }
 
     #[test]
-    fn invalid_service_window_rejected_at_expand() {
-        for hours in [0.0, -5.0, 25.0, f64::NAN, f64::INFINITY] {
-            let grid = ScenarioGrid::new().service_window_h(hours);
-            assert_eq!(
-                grid.expand().unwrap_err(),
-                ScenarioError::InvalidServiceWindow,
-                "hours={hours}"
-            );
-        }
-        // the boundary itself is legal: a 24 h service window expands
-        assert!(ScenarioGrid::new().service_window_h(24.0).expand().is_ok());
-    }
-
-    #[test]
-    fn power_profiles_named() {
-        assert_eq!(PowerProfile::paper().to_string(), "paper");
-        let flat = LoadDependentPower::new(Watts::ZERO, Watts::new(650.0), 0.0, Watts::new(650.0));
-        let custom = PowerProfile::custom("flat", catalog::high_power_mast(), flat);
-        assert_eq!(custom.name(), "flat");
-        assert_eq!(custom.lp().p0().value(), 650.0);
-    }
-
-    #[test]
     fn cell_at_agrees_with_expand_on_an_uneven_grid() {
         // deliberately unequal axis lengths so a radix mix-up cannot
         // cancel out
         let grid = ScenarioGrid::new()
             .trains_per_hour(vec![2.0, 6.0, 10.0])
             .train_speeds_kmh(vec![160.0, 250.0])
-            .lp_spacings_m(vec![150.0, 200.0, 300.0, 350.0])
-            .power_profiles(vec![PowerProfile::paper(), earth_fit()])
+            .conventional_isds_m(vec![400.0, 450.0, 500.0, 550.0])
             .locations(vec![climate::madrid(), climate::berlin(), climate::lyon()]);
         let cells = grid.expand().unwrap();
         assert_eq!(cells.len(), grid.len());
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(&grid.cell_at(i).unwrap(), cell, "index {i}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the grid's cell count")]
+    fn an_axis_that_overflows_the_cell_count_is_rejected() {
+        // 2^17 · 2^17 · 2^17 · 2^13 = 2^64 cells, one more than a usize
+        // counts (about 5 MB of axis values)
+        let axis = vec![1.0; 1 << 17];
+        let grid = ScenarioGrid::new()
+            .trains_per_hour(axis.clone())
+            .train_speeds_kmh(axis.clone())
+            .conventional_isds_m(axis)
+            .locations(vec![climate::berlin(); 1 << 13]);
+        // unreachable once the setter checks; on an unchecked grid the
+        // product wraps (release) or panics with another message (debug)
+        let _ = grid.len();
     }
 
     #[test]

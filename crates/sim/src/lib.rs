@@ -5,15 +5,14 @@
 //! over
 //!
 //! * timetable density (trains per hour),
-//! * train speed and length,
-//! * low-power repeater spacing,
+//! * train speed,
 //! * the conventional reference ISD,
-//! * HP/LP equipment pairings ([`PowerProfile`]),
 //! * and solar climate ([`corridor_solar::Location`]),
 //!
 //! expands them into deterministic per-cell
 //! [`ScenarioParams`](corridor_core::ScenarioParams) via the validating
-//! builder, and a [`SweepEngine`] evaluates every [`ScenarioCell`] —
+//! builder (whose defaults give every cell the paper's service window,
+//! train length, repeater spacing and equipment), and a [`SweepEngine`] evaluates every [`ScenarioCell`] —
 //! energy split per strategy, savings versus the cell's conventional
 //! baseline, and off-grid PV sizing — on one or more worker threads,
 //! through the paper's closed-form duty-cycle model (the differential
@@ -83,7 +82,7 @@ pub use cache::ResultCache;
 pub use cell::{CellResult, PvOutcome, ScenarioCell};
 pub use context::EvalContext;
 pub use engine::SweepEngine;
-pub use grid::{PowerProfile, ScenarioGrid};
+pub use grid::ScenarioGrid;
 pub use mc::{
     McCellResult, McEngine, McMetric, McReport, ReplicationPlan, TrafficSpec, MC_CSV_HEADER,
 };

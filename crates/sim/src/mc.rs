@@ -344,7 +344,7 @@ impl McEngine {
 
     /// Streams the whole grid into `sink` in grid order without
     /// materializing the report; the emitted bytes are identical to
-    /// [`McEngine::run`] + [`McReport::to_csv`] / [`McReport::to_json`].
+    /// [`McEngine::run`] + [`McReport::stream_into`].
     ///
     /// # Errors
     ///
@@ -561,8 +561,8 @@ impl McReport {
     }
 
     /// Streams the report's rows into `sink` in grid order, returning
-    /// the row count; byte-identical to [`McReport::to_csv`] /
-    /// [`McReport::to_json`].
+    /// the row count. [`McReport::to_csv`] is this method pointed at a
+    /// [`StringSink`](corridor_core::sink::StringSink).
     ///
     /// # Errors
     ///
@@ -586,13 +586,6 @@ impl McReport {
     pub fn to_csv(&self) -> String {
         StringSink::render(64 + 400 * self.results.len(), |sink| {
             self.stream_into(RowFormat::Csv, sink)
-        })
-    }
-
-    /// Renders the report as a JSON array of cell objects.
-    pub fn to_json(&self) -> String {
-        StringSink::render(64 + 700 * self.results.len(), |sink| {
-            self.stream_into(RowFormat::Json, sink)
         })
     }
 }
@@ -721,20 +714,18 @@ mod tests {
     fn traffic_spec_instantiates_per_cell() {
         let timetable = Timetable::paper_default();
         assert_eq!(TrafficSpec::Deterministic.label(), "deterministic");
-        assert_eq!(
-            TrafficSpec::Deterministic.model_for(&timetable).label(),
-            "deterministic"
-        );
-        assert_eq!(
-            TrafficSpec::Poisson.model_for(&timetable).label(),
-            "poisson"
-        );
-        assert_eq!(
-            TrafficSpec::Jittered(DelayModel::typical())
-                .model_for(&timetable)
-                .label(),
-            "jittered"
-        );
+        assert!(matches!(
+            TrafficSpec::Deterministic.model_for(&timetable),
+            TrafficModel::Deterministic(t) if t == timetable
+        ));
+        assert!(matches!(
+            TrafficSpec::Poisson.model_for(&timetable),
+            TrafficModel::Poisson(_)
+        ));
+        assert!(matches!(
+            TrafficSpec::Jittered(DelayModel::typical()).model_for(&timetable),
+            TrafficModel::Jittered { base, .. } if base == timetable
+        ));
     }
 
     #[test]
@@ -746,12 +737,12 @@ mod tests {
 
     #[test]
     fn invalid_cell_propagates_scenario_error() {
-        let grid = ScenarioGrid::new().lp_spacings_m(vec![0.0]);
+        let grid = ScenarioGrid::new().conventional_isds_m(vec![0.0]);
         let err = McEngine::new()
             .workers(1)
             .run(&grid, &small_plan())
             .unwrap_err();
-        assert_eq!(err, ScenarioError::NonPositiveSpacing);
+        assert_eq!(err, ScenarioError::NonPositiveIsd);
     }
 
     #[test]
@@ -794,7 +785,7 @@ mod tests {
             "row/header column mismatch"
         );
 
-        let json = report.to_json();
+        let json = StringSink::render(0, |s| report.stream_into(RowFormat::Json, s));
         assert!(json.starts_with("[\n"));
         assert!(json.ends_with("]\n"));
         assert!(json.contains("\"traffic\": \"poisson\""));

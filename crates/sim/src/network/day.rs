@@ -16,12 +16,12 @@
 //! repeat until every edge's demand is carried. Per-edge rates sum back
 //! to the edge demands by construction.
 
-use corridor_core::sink::{RowFormat, RowSink, SinkResult, StringSink};
+use corridor_core::sink::{RowFormat, RowSink, SinkResult};
 use corridor_core::stats::Welford;
-use corridor_core::{EnergyStrategy, ScenarioError};
+use corridor_core::{EnergyStrategy, ScenarioError, ScenarioParams};
 use corridor_events::{EventDrivenEvaluator, Leg, NetworkDaySimulator, SimReport, TrainItinerary};
-use corridor_traffic::{PoissonTimetable, SeedSequence, Train};
-use corridor_units::{Hours, KilometersPerHour, Meters};
+use corridor_traffic::{PoissonTimetable, SeedSequence};
+use corridor_units::Meters;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,18 +45,12 @@ mean_wh_day,ci95_wh_day,mean_passes,mean_wakes";
 pub struct TrainRoute {
     legs: Vec<Leg>,
     rate_tph: f64,
-    train: Train,
 }
 
 impl TrainRoute {
     /// The legs, in traversal order.
     pub fn legs(&self) -> &[Leg] {
         &self.legs
-    }
-
-    /// The rolling stock (taken from the route's first edge).
-    pub fn train(&self) -> Train {
-        self.train
     }
 
     /// True if any leg traverses `edge`.
@@ -160,44 +154,43 @@ pub(crate) fn decompose_routes(net: &CorridorNetwork) -> Vec<TrainRoute> {
                 at = edge.a();
             }
         }
-        let first = net.edge(legs[0].edge());
-        let train = Train::new(
-            Meters::new(first.train_len_m()),
-            KilometersPerHour::new(first.speed_kmh()).meters_per_second(),
-        );
         routes.push(TrainRoute {
             legs,
             rate_tph: rate,
-            train,
         });
     }
     routes
 }
 
 /// Samples one replication of the network day: Poisson departures per
-/// route over the shared service window, each arrival alternating the
-/// route's direction, seeded by `SeedSequence(seed).derive(route, rep)`
-/// so every `(route, rep)` stream is independent and reproducible.
+/// route over the paper's service window (every edge cell's), each
+/// arrival alternating the route's direction, seeded by
+/// `SeedSequence(seed).derive(route, rep)` so every `(route, rep)`
+/// stream is independent and reproducible.
 pub(crate) fn sample_itineraries(
-    net: &CorridorNetwork,
     routes: &[TrainRoute],
     seed: u64,
     rep: u64,
 ) -> Vec<TrainItinerary> {
     let seq = SeedSequence::new(seed);
-    let start = PoissonTimetable::paper_rate().service_start();
-    let window = Hours::new(net.shared_window_h());
+    let paper = ScenarioParams::paper_default();
+    let service = paper.timetable();
+    let (window, start, train) = (
+        service.service_window(),
+        service.service_start(),
+        service.train(),
+    );
     let mut itineraries = Vec::new();
     for (r, route) in routes.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seq.derive(r as u64, rep));
-        let timetable = PoissonTimetable::new(route.rate_tph, window, start, route.train);
+        let timetable = PoissonTimetable::new(route.rate_tph, window, start, train);
         for (i, pass) in timetable.sample_passes(&mut rng).iter().enumerate() {
             let legs = if i % 2 == 0 {
                 route.legs.clone()
             } else {
                 route.reversed()
             };
-            itineraries.push(TrainItinerary::new(route.train, pass.origin_time(), legs));
+            itineraries.push(TrainItinerary::new(train, pass.origin_time(), legs));
         }
     }
     itineraries
@@ -210,16 +203,17 @@ pub(crate) fn build_day_simulator(
     net: &CorridorNetwork,
     picks: &[Option<FrontierPoint>],
 ) -> NetworkDaySimulator {
+    let paper = ScenarioParams::paper_default();
     let mut sim = NetworkDaySimulator::new();
     for (e, pick) in picks.iter().enumerate() {
         let (n, isd) = match pick {
             Some(p) => (p.nodes, p.isd),
-            None => (0, Meters::new(net.shared_conventional_isd_m())),
+            None => (0, paper.conventional_isd()),
         };
         sim.add_edge(
             n,
             isd,
-            Meters::new(net.shared_lp_spacing_m()),
+            paper.lp_spacing(),
             Meters::new(net.edge(e).length_km_value() * 1000.0),
         );
     }
@@ -243,7 +237,7 @@ pub(crate) fn build_day_context(
 ) -> DayContext {
     let routes = decompose_routes(net);
     let sim = build_day_simulator(net, picks);
-    let itineraries = sample_itineraries(net, &routes, seed, 0);
+    let itineraries = sample_itineraries(&routes, seed, 0);
     let reports = sim.simulate(&itineraries);
     DayContext {
         sim,
@@ -346,7 +340,7 @@ impl NetworkDayEngine {
         let per_edge = stream::collect(&job, self.workers)?;
         let mut crossings = Welford::new();
         for rep in 0..self.reps {
-            let itineraries = sample_itineraries(net, &job.routes, self.seed, rep as u64);
+            let itineraries = sample_itineraries(&job.routes, self.seed, rep as u64);
             crossings.push(TrainItinerary::crossings(&itineraries) as f64);
         }
         Ok(NetworkDayReport {
@@ -456,7 +450,7 @@ impl CellJob for DayJob<'_> {
         let mut passes = Welford::new();
         let mut wakes = Welford::new();
         for rep in 0..self.reps {
-            let itineraries = sample_itineraries(net, routes, self.seed, rep as u64);
+            let itineraries = sample_itineraries(routes, self.seed, rep as u64);
             let report = sim.simulate_edge(e, &itineraries);
             let split = EventDrivenEvaluator::power_from_report(
                 params,
@@ -621,16 +615,6 @@ impl NetworkDayReport {
         }
         rows.finish()
     }
-
-    /// Renders the day rows as CSV.
-    pub fn to_csv(&self) -> String {
-        StringSink::render(1024, |sink| self.stream_into(RowFormat::Csv, sink))
-    }
-
-    /// Renders the day rows as a JSON array.
-    pub fn to_json(&self) -> String {
-        StringSink::render(2048, |sink| self.stream_into(RowFormat::Json, sink))
-    }
 }
 
 #[cfg(test)]
@@ -682,12 +666,12 @@ mod tests {
     fn itinerary_sampling_is_deterministic_per_seed_and_rep() {
         let net = CorridorNetwork::by_name("wye3").unwrap();
         let routes = decompose_routes(&net);
-        let a = sample_itineraries(&net, &routes, 42, 0);
-        let b = sample_itineraries(&net, &routes, 42, 0);
+        let a = sample_itineraries(&routes, 42, 0);
+        let b = sample_itineraries(&routes, 42, 0);
         assert_eq!(a, b);
-        let c = sample_itineraries(&net, &routes, 42, 1);
+        let c = sample_itineraries(&routes, 42, 1);
         assert_ne!(a, c, "replications must draw distinct days");
-        let d = sample_itineraries(&net, &routes, 7, 0);
+        let d = sample_itineraries(&routes, 7, 0);
         assert_ne!(a, d, "seeds must draw distinct days");
     }
 
@@ -715,12 +699,15 @@ mod tests {
     #[test]
     fn zero_reps_names_the_replication_count() {
         let net = CorridorNetwork::line(&[8.0]);
-        let mut sink = StringSink::new();
+        let mut sink = corridor_core::sink::StringSink::default();
         let err = NetworkDayEngine::new()
             .reps(0)
             .stream(&net, &quick_space(), RowFormat::Csv, &mut sink)
             .unwrap_err();
         assert!(err.to_string().contains("replication count"), "{err}");
-        assert!(sink.as_str().is_empty(), "a rejected run writes nothing");
+        assert!(
+            sink.into_string().is_empty(),
+            "a rejected run writes nothing"
+        );
     }
 }

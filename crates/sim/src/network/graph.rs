@@ -2,23 +2,20 @@
 //!
 //! A [`CorridorNetwork`] is an undirected multigraph whose **stations**
 //! (nodes) are junctions or terminals and whose **edges** are linear
-//! corridor segments — each edge carries its own timetable demand,
-//! train parameters, physical length and an optional double-track flag
-//! that doubles the demand flowing through its stations. Network-wide
-//! parameters (service window, repeater spacing, conventional reference
-//! ISD, solar climate) and the paper's equipment profile are shared by
-//! every edge, so a degenerate single-path network expands to exactly
-//! the cells a linear [`ScenarioGrid`](crate::ScenarioGrid) sweep would
-//! produce — the invariant the differential tests pin byte-for-byte.
+//! corridor segments — each edge carries its own timetable demand and
+//! an optional double-track flag that doubles the demand flowing
+//! through its stations. Everything else (trains, service window,
+//! repeater spacing, conventional reference ISD, equipment, Berlin
+//! climate) is the default [`ScenarioGrid`]'s, so an edge's cell is
+//! exactly the grid cell at the edge's demand — the invariant the
+//! differential tests pin byte-for-byte.
 
 use core::fmt;
 
-use corridor_core::{ScenarioError, ScenarioParams};
-use corridor_solar::{climate, Location};
-use corridor_units::Meters;
+use corridor_core::ScenarioError;
 
 use crate::cell::ScenarioCell;
-use crate::grid::PowerProfile;
+use crate::ScenarioGrid;
 
 /// Why a network failed to build or validate.
 ///
@@ -85,15 +82,8 @@ impl From<ScenarioError> for NetworkError {
     }
 }
 
-impl From<crate::stream::StreamError> for NetworkError {
-    fn from(e: crate::stream::StreamError) -> Self {
-        NetworkError::Stream(e)
-    }
-}
-
 /// One corridor segment of the network: a linear stretch of track
-/// between two stations, with its own timetable demand and train
-/// parameters.
+/// between two stations, with its own timetable demand.
 ///
 /// # Examples
 ///
@@ -109,8 +99,6 @@ pub struct CorridorEdge {
     a: usize,
     b: usize,
     trains_per_hour: f64,
-    train_speed_kmh: f64,
-    train_length_m: f64,
     double_track: bool,
 }
 
@@ -118,16 +106,13 @@ pub struct CorridorEdge {
 const EDGE_LENGTH_KM: f64 = 10.0;
 
 impl CorridorEdge {
-    /// A single-track edge between stations `a` and `b` at the paper's
-    /// timetable defaults (8 trains/h, 200 km/h, 400 m trains, 10 km
-    /// long).
+    /// A single-track edge, 10 km long, between stations `a` and `b` at
+    /// the paper's 8 trains/h.
     pub fn between(a: usize, b: usize) -> Self {
         CorridorEdge {
             a,
             b,
             trains_per_hour: 8.0,
-            train_speed_kmh: 200.0,
-            train_length_m: 400.0,
             double_track: false,
         }
     }
@@ -137,20 +122,6 @@ impl CorridorEdge {
     #[must_use]
     pub fn trains_per_hour(mut self, tph: f64) -> Self {
         self.trains_per_hour = tph;
-        self
-    }
-
-    /// Sets the edge's train speed in km/h.
-    #[must_use]
-    pub fn train_speed_kmh(mut self, kmh: f64) -> Self {
-        self.train_speed_kmh = kmh;
-        self
-    }
-
-    /// Sets the edge's train length in metres.
-    #[must_use]
-    pub fn train_length_m(mut self, m: f64) -> Self {
-        self.train_length_m = m;
         self
     }
 
@@ -171,16 +142,6 @@ impl CorridorEdge {
     /// The station at the second endpoint.
     pub fn b(&self) -> usize {
         self.b
-    }
-
-    /// The train speed in km/h.
-    pub fn speed_kmh(&self) -> f64 {
-        self.train_speed_kmh
-    }
-
-    /// The train length in metres.
-    pub fn train_len_m(&self) -> f64 {
-        self.train_length_m
     }
 
     /// The physical corridor length in km: 10 km for every edge.
@@ -216,8 +177,7 @@ impl CorridorEdge {
     }
 }
 
-/// A rail network: stations joined by [`CorridorEdge`]s, plus the
-/// network-wide scenario parameters every edge shares.
+/// A rail network: stations joined by [`CorridorEdge`]s.
 ///
 /// # Examples
 ///
@@ -236,69 +196,15 @@ impl CorridorEdge {
 pub struct CorridorNetwork {
     stations: Vec<String>,
     edges: Vec<CorridorEdge>,
-    service_window_h: f64,
-    lp_spacing_m: f64,
-    conventional_isd_m: f64,
-    location: Location,
 }
 
 impl CorridorNetwork {
-    /// An empty network at the paper's shared defaults (19 h window,
-    /// 200 m repeater spacing, 500 m conventional ISD, the paper power
-    /// profile, Berlin climate) — exactly the [`crate::ScenarioGrid`]
-    /// defaults, so degenerate paths reproduce grid cells.
+    /// An empty network.
     pub fn new() -> Self {
         CorridorNetwork {
             stations: Vec::new(),
             edges: Vec::new(),
-            service_window_h: 19.0,
-            lp_spacing_m: 200.0,
-            conventional_isd_m: 500.0,
-            location: climate::berlin(),
         }
-    }
-
-    /// Sets the network-wide daily service window in hours.
-    #[must_use]
-    pub fn service_window_h(mut self, hours: f64) -> Self {
-        self.service_window_h = hours;
-        self
-    }
-
-    /// Sets the network-wide repeater spacing in metres.
-    #[must_use]
-    pub fn lp_spacing_m(mut self, m: f64) -> Self {
-        self.lp_spacing_m = m;
-        self
-    }
-
-    /// Sets the network-wide conventional reference ISD in metres.
-    #[must_use]
-    pub fn conventional_isd_m(mut self, m: f64) -> Self {
-        self.conventional_isd_m = m;
-        self
-    }
-
-    /// Sets the network-wide solar climate.
-    #[must_use]
-    pub fn location(mut self, location: Location) -> Self {
-        self.location = location;
-        self
-    }
-
-    /// The network-wide daily service window in hours.
-    pub(crate) fn shared_window_h(&self) -> f64 {
-        self.service_window_h
-    }
-
-    /// The network-wide repeater spacing in metres.
-    pub(crate) fn shared_lp_spacing_m(&self) -> f64 {
-        self.lp_spacing_m
-    }
-
-    /// The network-wide conventional reference ISD in metres.
-    pub(crate) fn shared_conventional_isd_m(&self) -> f64 {
-        self.conventional_isd_m
     }
 
     /// Adds a station and returns its index.
@@ -409,53 +315,18 @@ impl CorridorNetwork {
         }
     }
 
-    /// Builds the scenario of edge `index` at an explicit demand — the
-    /// hook the sleep scheduler uses to price a boundary repeater under
-    /// its own demand versus own-plus-absorbed demand.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ScenarioError`] of the failing parameter.
-    pub(crate) fn edge_params_with_tph(
-        &self,
-        index: usize,
-        tph: f64,
-    ) -> Result<ScenarioParams, ScenarioError> {
-        let edge = &self.edges[index];
-        ScenarioParams::builder()
-            .trains_per_hour(tph)
-            .service_window_h(self.service_window_h)
-            .train_speed_kmh(edge.train_speed_kmh)
-            .train_length_m(edge.train_length_m)
-            .lp_spacing_m(self.lp_spacing_m)
-            .conventional_isd_m(self.conventional_isd_m)
-            // the builder's equipment is the paper power profile's
-            .build()
-    }
-
     /// Builds the [`ScenarioCell`] of edge `index`: the edge's aggregate
-    /// demand and train parameters under the network-wide shared
-    /// parameters, with the cell index equal to the edge index. For a
-    /// single-path network built from grid-default edges this is
-    /// *identical* to the corresponding [`crate::ScenarioGrid`] cell —
-    /// the foundation of the differential byte-equality tests.
+    /// demand with every other parameter at the default grid's, numbered
+    /// with the edge index. A single-path network's cells are therefore
+    /// *identical* to the corresponding [`ScenarioGrid`] cells — the
+    /// foundation of the differential byte-equality tests.
     ///
     /// # Errors
     ///
-    /// Returns the [`ScenarioError`] of the failing parameter.
+    /// Returns the [`ScenarioError`] of an edge demand the scenario
+    /// builder rejects.
     pub fn edge_cell(&self, index: usize) -> Result<ScenarioCell, ScenarioError> {
-        let edge = &self.edges[index];
-        let params = self.edge_params_with_tph(index, edge.demand_tph())?;
-        Ok(ScenarioCell::new(
-            index,
-            params,
-            self.location.clone(),
-            PowerProfile::paper().name().to_owned(),
-            // mirror the grid's default deployment labels; the search
-            // space, not the cell, decides what actually deploys
-            10,
-            Meters::new(2650.0),
-        ))
+        demand_cell(index, self.edges[index].demand_tph())
     }
 
     /// A linear path: `demands.len()` edges in a chain of
@@ -531,6 +402,15 @@ impl CorridorNetwork {
             _ => None,
         }
     }
+}
+
+/// The cell numbered `index` of an edge carrying `tph` trains per hour:
+/// the default grid's cell at that density. The sleep scheduler also
+/// prices a boundary repeater through it, under its own demand and under
+/// own-plus-absorbed demand.
+pub(crate) fn demand_cell(index: usize, tph: f64) -> Result<ScenarioCell, ScenarioError> {
+    let cell = ScenarioGrid::new().trains_per_hour(vec![tph]).cell_at(0)?;
+    Ok(cell.numbered(index))
 }
 
 impl Default for CorridorNetwork {
@@ -634,6 +514,20 @@ mod tests {
         for (i, grid_cell) in grid_cells.iter().enumerate() {
             assert_eq!(&net.edge_cell(i).unwrap(), grid_cell, "edge {i}");
         }
+        // every edge of every named topology is the default grid's cell
+        // at the edge's demand, wye3's doubled double-track leg included
+        for name in ["line1", "line3", "wye3", "star4", "cycle4"] {
+            let net = CorridorNetwork::by_name(name).unwrap();
+            for (e, edge) in net.edges().iter().enumerate() {
+                let demand = edge.demand_tph();
+                let grid = ScenarioGrid::new().trains_per_hour(vec![demand]);
+                let expected = grid.cell_at(0).unwrap().numbered(e);
+                assert_eq!(net.edge_cell(e).unwrap(), expected, "{name} edge {e}");
+                assert_eq!(expected.trains_per_hour(), demand, "{name} edge {e}");
+            }
+        }
+        let wye = CorridorNetwork::by_name("wye3").unwrap();
+        assert_eq!(wye.edge_cell(1).unwrap().trains_per_hour(), 16.0);
     }
 
     #[test]
@@ -665,11 +559,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_shared_window_propagates_through_edge_cell() {
-        let net = CorridorNetwork::line(&[8.0]).service_window_h(f64::NAN);
-        assert_eq!(
-            net.edge_cell(0).unwrap_err(),
-            ScenarioError::InvalidServiceWindow
-        );
+    fn invalid_edge_demand_propagates_through_edge_cell() {
+        let net = CorridorNetwork::line(&[8.0, -1.0]);
+        assert!(net.edge_cell(0).is_ok());
+        assert_eq!(net.edge_cell(1).unwrap_err(), ScenarioError::EmptyTimetable);
     }
 }

@@ -242,11 +242,6 @@ pub struct NetworkReport {
 }
 
 impl NetworkReport {
-    /// The per-edge search results, in edge order.
-    pub fn results(&self) -> &[OptimizeCellResult] {
-        &self.results
-    }
-
     /// Number of searched edges.
     pub fn len(&self) -> usize {
         self.results.len()
@@ -414,7 +409,7 @@ mod tests {
             .workers(4)
             .run(&net, &quick_space())
             .unwrap();
-        assert_eq!(serial.results(), parallel.results());
+        assert_eq!(serial.results, parallel.results);
         assert_eq!(serial.frontier_csv(), parallel.frontier_csv());
         assert_eq!(serial.schedule_csv(), parallel.schedule_csv());
     }
@@ -427,7 +422,7 @@ mod tests {
             .run(&net, &quick_space())
             .unwrap();
         let pick = report.picks()[0].as_ref().unwrap();
-        let frontier = report.results()[0].frontier();
+        let frontier = report.results[0].frontier();
         let min = frontier
             .iter()
             .map(|p| p.energy_wh_day_km)

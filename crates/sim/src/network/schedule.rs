@@ -49,7 +49,7 @@ use corridor_units::{Hours, Meters};
 use crate::optimize::FrontierPoint;
 
 use super::day::DayContext;
-use super::graph::CorridorNetwork;
+use super::graph::{demand_cell, CorridorNetwork};
 
 /// One committed sleep decision of the schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,15 +136,11 @@ struct InteriorPrice {
 /// Prices one boundary repeater of `edge` at `tph` demand: activity
 /// hours from the analytic occupancy model at the pick's geometry, then
 /// a zero-idle duty cycle over the repeater power model.
-fn boundary_wh_day(
-    net: &CorridorNetwork,
-    edge: usize,
-    tph: f64,
-    isd: Meters,
-) -> Result<f64, ScenarioError> {
-    let params = net.edge_params_with_tph(edge, tph)?;
+fn boundary_wh_day(edge: usize, tph: f64, isd: Meters) -> Result<f64, ScenarioError> {
+    let cell = demand_cell(edge, tph)?;
+    let params = cell.params();
     let section = TrackSection::around(isd / 2.0, params.lp_spacing());
-    let active = corridor_core::energy::active_hours(&params, section);
+    let active = corridor_core::energy::active_hours(params, section);
     Ok(DutyCycle::over_day(active, Hours::ZERO)
         .daily_energy(params.lp_node())
         .value())
@@ -345,8 +341,8 @@ pub(crate) fn schedule_sleep(
                         .ok_or(ScenarioError::Invariant(
                             "slot references an edge without a pick",
                         ))?;
-                let before = boundary_wh_day(net, absorber.edge, before_tph, absorber_pick.isd)?;
-                let after = boundary_wh_day(net, absorber.edge, after_tph, absorber_pick.isd)?;
+                let before = boundary_wh_day(absorber.edge, before_tph, absorber_pick.isd)?;
+                let after = boundary_wh_day(absorber.edge, after_tph, absorber_pick.isd)?;
                 let net_wh = slept_wh - (after - before);
                 if net_wh <= 1e-9 {
                     continue;

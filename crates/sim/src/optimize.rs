@@ -352,8 +352,7 @@ impl DeploymentOptimizer {
 
     /// Streams the whole grid into `sink` in grid order without
     /// materializing the report; the emitted bytes are identical to
-    /// [`DeploymentOptimizer::run`] + [`OptimizeReport::to_csv`] /
-    /// [`OptimizeReport::to_json`].
+    /// [`DeploymentOptimizer::run`] + [`OptimizeReport::stream_into`].
     ///
     /// # Errors
     ///
@@ -789,8 +788,8 @@ impl OptimizeReport {
     }
 
     /// Streams the report's per-cell chunks into `sink` in grid order,
-    /// returning the cell count; byte-identical to
-    /// [`OptimizeReport::to_csv`] / [`OptimizeReport::to_json`]. A CSV
+    /// returning the cell count. [`OptimizeReport::to_csv`] is this method
+    /// pointed at a [`StringSink`](corridor_core::sink::StringSink). A CSV
     /// "row" here is one cell's whole chunk — one line per frontier
     /// point, or a single `unsolvable` line.
     ///
@@ -810,14 +809,6 @@ impl OptimizeReport {
     pub fn to_csv(&self) -> String {
         StringSink::render(64 + 160 * self.frontier_points().max(1), |sink| {
             self.stream_into(RowFormat::Csv, sink)
-        })
-    }
-
-    /// Renders the report as a JSON array of cell objects, each with
-    /// its status and frontier.
-    pub fn to_json(&self) -> String {
-        StringSink::render(64 + 320 * self.frontier_points().max(1), |sink| {
-            self.stream_into(RowFormat::Json, sink)
         })
     }
 }
@@ -1029,12 +1020,12 @@ mod tests {
 
     #[test]
     fn invalid_cell_propagates_scenario_error() {
-        let grid = ScenarioGrid::new().lp_spacings_m(vec![0.0]);
+        let grid = ScenarioGrid::new().conventional_isds_m(vec![0.0]);
         let err = DeploymentOptimizer::new()
             .workers(1)
             .run(&grid, &quick_space())
             .unwrap_err();
-        assert_eq!(err, ScenarioError::NonPositiveSpacing);
+        assert_eq!(err, ScenarioError::NonPositiveIsd);
     }
 
     #[test]
@@ -1091,7 +1082,7 @@ mod tests {
                 "{line}"
             );
         }
-        let json = report.to_json();
+        let json = StringSink::render(0, |s| report.stream_into(RowFormat::Json, s));
         assert!(json.starts_with("[\n"));
         assert!(json.ends_with("]\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -6,9 +6,10 @@
 
 use core::fmt::Write as _;
 
-use corridor_core::sink::{RowEmitter, RowFormat, RowSink, SinkResult, StringSink};
+use corridor_core::sink::{RowEmitter, RowFormat, RowSink, SinkResult};
 use corridor_core::EnergyStrategy;
 
+use crate::cell::POWER_PROFILE;
 use crate::{CellResult, PvOutcome, ScenarioCell};
 
 /// The CSV names of the nine scenario-cell columns every sweep, mc and
@@ -22,7 +23,7 @@ macro_rules! cell_header {
 }
 pub(crate) use cell_header;
 
-/// The CSV header [`SweepReport::to_csv`] writes.
+/// The CSV header of [`SweepReport::stream_into`]'s CSV rows.
 pub const CSV_HEADER: &str = concat!(
     cell_header!(),
     "nodes,deployment_isd_m,evaluator,baseline_wh_km,continuous_wh_km,sleep_wh_km,solar_wh_km,\
@@ -41,10 +42,11 @@ pub const CSV_HEADER: &str = concat!(
 /// # Examples
 ///
 /// ```
+/// use corridor_core::sink::{RowFormat, StringSink};
 /// use corridor_sim::{ScenarioGrid, SweepEngine};
 ///
 /// let report = SweepEngine::new().pv_sizing(false).run(&ScenarioGrid::new()).unwrap();
-/// let csv = report.to_csv();
+/// let csv = StringSink::render(0, |sink| report.stream_into(RowFormat::Csv, sink));
 /// assert!(csv.starts_with("cell,trains_per_hour"));
 /// assert_eq!(csv.lines().count(), 2); // header + one cell
 /// ```
@@ -88,9 +90,8 @@ impl SweepReport {
 
     /// The cell with the highest savings under `strategy`, if any.
     ///
-    /// Non-finite savings (still producible by a custom
-    /// [`PowerProfile`](crate::PowerProfile) carrying NaN/∞ powers, which
-    /// sidestep the zero-baseline convention of
+    /// Non-finite savings (a NaN/∞ energy split sidesteps the
+    /// zero-baseline convention of
     /// [`SegmentEnergy::savings_vs`](corridor_core::energy::SegmentEnergy::savings_vs))
     /// rank below every finite value, so a poisoned cell can never be
     /// "best" and the comparison never panics. Ties keep the later grid
@@ -110,9 +111,9 @@ impl SweepReport {
     }
 
     /// Streams the report's rows into `sink` in grid order, returning
-    /// the row count. The output is byte-identical to
-    /// [`SweepReport::to_csv`] / [`SweepReport::to_json`] — those
-    /// writers are this method pointed at a [`StringSink`].
+    /// the row count; into a
+    /// [`StringSink`](corridor_core::sink::StringSink) it renders the
+    /// report in memory.
     ///
     /// # Errors
     ///
@@ -123,20 +124,6 @@ impl SweepReport {
             rows.row(&render_sweep_row(r, format))?;
         }
         rows.finish()
-    }
-
-    /// Renders the report as CSV ([`CSV_HEADER`] plus one line per cell).
-    pub fn to_csv(&self) -> String {
-        StringSink::render(64 + 160 * self.results.len(), |sink| {
-            self.stream_into(RowFormat::Csv, sink)
-        })
-    }
-
-    /// Renders the report as a JSON array of cell objects.
-    pub fn to_json(&self) -> String {
-        StringSink::render(64 + 320 * self.results.len(), |sink| {
-            self.stream_into(RowFormat::Json, sink)
-        })
     }
 }
 
@@ -238,7 +225,7 @@ pub(crate) fn cell_csv(out: &mut String, c: &ScenarioCell, deployment: bool) {
     out.push(',');
     push_plain(out, c.conventional_isd_m());
     out.push(',');
-    csv_field(out, c.profile_name());
+    csv_field(out, POWER_PROFILE);
     out.push(',');
     csv_field(out, c.location().name());
     if deployment {
@@ -267,7 +254,7 @@ pub(crate) fn cell_json(out: &mut String, c: &ScenarioCell, deployment: bool) {
     out.push_str(", \"conventional_isd_m\": ");
     push_plain(out, c.conventional_isd_m());
     out.push_str(", \"power_profile\": ");
-    json_string(out, c.profile_name());
+    json_string(out, POWER_PROFILE);
     out.push_str(", \"climate\": ");
     json_string(out, c.location().name());
     if deployment {
@@ -320,8 +307,8 @@ pub(crate) fn pv_json(out: &mut String, pv: PvOutcome) {
 }
 
 /// Writes a CSV field, quoted when it contains a delimiter, quote or
-/// newline (RFC 4180): names like `PowerProfile::custom("2x2,mimo", …)`
-/// must not shift the column layout.
+/// newline (RFC 4180): a climate name like `Location::new("Berlin, Mitte",
+/// …)` must not shift the column layout.
 pub(crate) fn csv_field(out: &mut String, s: &str) {
     if s.contains([',', '"', '\n', '\r']) {
         out.push('"');
@@ -479,7 +466,16 @@ pub(crate) fn push_uint(out: &mut String, mut n: u64) {
 mod tests {
     use super::*;
     use crate::{ScenarioGrid, SweepEngine};
+    use corridor_core::sink::StringSink;
     use corridor_solar::climate;
+
+    /// Renders an in-memory report in `format` through its `stream_into`
+    /// (each report type has its own).
+    macro_rules! render {
+        ($report:expr, $format:expr) => {
+            StringSink::render(0, |s| $report.stream_into($format, s))
+        };
+    }
 
     fn small_report() -> SweepReport {
         SweepEngine::new()
@@ -492,7 +488,7 @@ mod tests {
     #[test]
     fn csv_shape_and_header() {
         let report = small_report();
-        let csv = report.to_csv();
+        let csv = render!(report, RowFormat::Csv);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], CSV_HEADER);
@@ -508,7 +504,7 @@ mod tests {
     #[test]
     fn json_is_structurally_sound() {
         let report = small_report();
-        let json = report.to_json();
+        let json = render!(report, RowFormat::Json);
         assert!(json.starts_with("[\n"));
         assert!(json.ends_with("]\n"));
         assert_eq!(json.matches("\"cell\":").count(), 2);
@@ -557,14 +553,12 @@ mod tests {
                 index,
                 ScenarioParams::paper_default(),
                 climate::berlin(),
-                "nan-profile".to_owned(),
                 10,
                 Meters::new(2650.0),
             );
             let e = split(deployed_w);
             // finite positive baseline: savings = 1 - deployed/400, so a
             // NaN/inf deployed energy flows straight into the savings
-            // (the pre-PR-4 reachability via custom PowerProfiles)
             CellResult::new(cell, split(400.0), e, e, e, PvOutcome::Skipped)
         };
         let report = SweepReport::new(vec![
@@ -595,28 +589,30 @@ mod tests {
             .workers(1)
             .run(&ScenarioGrid::new().locations(vec![climate::madrid()]))
             .unwrap();
-        let csv = report.to_csv();
+        let csv = render!(report, RowFormat::Csv);
         assert!(csv.lines().nth(1).unwrap().contains(",540,720,"), "{csv}");
-        assert!(report.to_json().contains("\"pv_status\": \"sized\""));
+        assert!(render!(report, RowFormat::Json).contains("\"pv_status\": \"sized\""));
     }
 
     #[test]
     fn csv_escapes_awkward_axis_names() {
-        use crate::PowerProfile;
-        use corridor_power::catalog;
-        let grid = ScenarioGrid::new().power_profiles(vec![PowerProfile::custom(
-            "2x2,\"mimo\"",
-            catalog::high_power_mast(),
-            catalog::low_power_repeater_measured(),
-        )]);
+        // Berlin's climate under a name that needs quoting in both formats
+        let berlin = climate::berlin();
+        let awkward = corridor_solar::Location::new(
+            "Berlin, \"Mitte\"",
+            berlin.latitude_deg(),
+            *berlin.monthly_ghi_kwh_m2_day(),
+            *berlin.monthly_temp_c(),
+        );
+        let grid = ScenarioGrid::new().locations(vec![awkward]);
         let report = SweepEngine::new()
             .workers(1)
             .pv_sizing(false)
             .run(&grid)
             .unwrap();
-        let csv = report.to_csv();
+        let csv = render!(report, RowFormat::Csv);
         let row = csv.lines().nth(1).unwrap();
-        assert!(row.contains("\"2x2,\"\"mimo\"\"\""), "{row}");
+        assert!(row.contains(",\"Berlin, \"\"Mitte\"\"\","), "{row}");
         // the quoted field keeps the column count at 25 for a CSV parser
         // (naive comma splitting sees the extra comma inside the quotes)
         let field = |s: &str| {
@@ -637,11 +633,14 @@ mod tests {
             .map(|(at, _)| at + 1)
             .unwrap();
         let cells = &row[..ninth];
-        assert!(cells.ends_with(",Berlin,"), "{cells}");
-        let json = report.to_json();
+        assert!(cells.ends_with(",\"Berlin, \"\"Mitte\"\"\","), "{cells}");
+        let json = render!(report, RowFormat::Json);
         let members = json.lines().nth(1).unwrap();
         let members = &members[..members.find(", \"nodes\"").unwrap()];
-        assert!(members.ends_with("\"climate\": \"Berlin\""), "{members}");
+        assert!(
+            members.ends_with("\"climate\": \"Berlin, \\\"Mitte\\\"\""),
+            "{members}"
+        );
         let mc = crate::McEngine::new()
             .workers(1)
             .run(&grid, &crate::ReplicationPlan::new(2))
@@ -651,11 +650,15 @@ mod tests {
             .run(&grid, &crate::SearchSpace::new().node_counts(vec![8, 10]))
             .unwrap();
         for (header, csv, json) in [
-            (crate::MC_CSV_HEADER, mc.to_csv(), mc.to_json()),
+            (
+                crate::MC_CSV_HEADER,
+                mc.to_csv(),
+                render!(mc, RowFormat::Json),
+            ),
             (
                 crate::OPTIMIZE_CSV_HEADER,
                 optimize.to_csv(),
-                optimize.to_json(),
+                render!(optimize, RowFormat::Json),
             ),
         ] {
             assert!(header.starts_with(cell_header!()), "{header}");
@@ -712,8 +715,8 @@ mod oracle {
     use crate::optimize::render_optimize_row;
     use crate::{
         CellOutcome, CellResult, CorridorEdge, CorridorNetwork, DeploymentOptimizer, EdgeDayStats,
-        FrontierPoint, McCellResult, McEngine, OptimizeCellResult, PowerProfile, PvOutcome,
-        ReplicationPlan, ScenarioCell, ScenarioGrid, SearchSpace, SleepDecision, SweepEngine,
+        FrontierPoint, McCellResult, McEngine, OptimizeCellResult, PvOutcome, ReplicationPlan,
+        ScenarioCell, ScenarioGrid, SearchSpace, SleepDecision, SweepEngine,
     };
 
     /// The renderers as they were, verbatim apart from visibility; the
@@ -724,6 +727,7 @@ mod oracle {
         use corridor_core::sink::RowFormat;
         use corridor_core::EnergyStrategy;
 
+        use crate::cell::POWER_PROFILE;
         use crate::{
             CellResult, CorridorNetwork, EdgeDayStats, McCellResult, McMetric, OptimizeCellResult,
             PvOutcome, ScenarioCell, SleepDecision,
@@ -809,7 +813,7 @@ mod oracle {
                 c.train_length_m(),
                 c.lp_spacing_m(),
                 c.conventional_isd_m(),
-                csv_field(c.profile_name()),
+                csv_field(POWER_PROFILE),
                 csv_field(c.location().name()),
             );
             if deployment {
@@ -832,7 +836,7 @@ mod oracle {
                 c.train_length_m(),
                 c.lp_spacing_m(),
                 c.conventional_isd_m(),
-                json_string(c.profile_name()),
+                json_string(POWER_PROFILE),
                 json_string(c.location().name()),
             );
             if deployment {
@@ -882,8 +886,8 @@ mod oracle {
         }
 
         /// Quotes a CSV field when it contains a delimiter, quote or newline
-        /// (RFC 4180): names like `PowerProfile::custom("2x2,mimo", …)` must not
-        /// shift the column layout.
+        /// (RFC 4180): a climate name like `Location::new("Berlin, Mitte", …)`
+        /// must not shift the column layout.
         pub(crate) fn csv_field(s: &str) -> String {
             if s.contains([',', '"', '\n', '\r']) {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -1367,14 +1371,16 @@ mod oracle {
     fn hostile_rows_match_the_reference() {
         let net = network();
         // fractional axes (the `{}` columns off the integer path) and a
-        // profile name that needs quoting in both formats
+        // climate name that needs quoting in both formats
+        let berlin = corridor_solar::climate::berlin();
         let awkward = ScenarioGrid::new()
             .trains_per_hour(vec![2.5, 7.0 / 3.0])
             .train_speeds_kmh(vec![160.25, 99.95])
-            .power_profiles(vec![PowerProfile::custom(
-                "2x2,\"mimo\"\n\t",
-                corridor_power::catalog::high_power_mast(),
-                corridor_power::catalog::low_power_repeater_measured(),
+            .locations(vec![corridor_solar::Location::new(
+                "Berlin,\"Mitte\"\n\t",
+                berlin.latitude_deg(),
+                *berlin.monthly_ghi_kwh_m2_day(),
+                *berlin.monthly_temp_c(),
             )])
             .expand()
             .expect("a valid grid");
@@ -1386,7 +1392,6 @@ mod oracle {
                 cell.index() + start,
                 cell.params().clone(),
                 cell.location().clone(),
-                cell.profile_name().to_owned(),
                 cell.nodes(),
                 Meters::new(values[start]),
             );

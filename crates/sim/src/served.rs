@@ -130,7 +130,7 @@ mod tests {
         plan: &ReplicationPlan,
         format: RowFormat,
     ) -> String {
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         match engine {
             RowEngine::Sweep => SweepEngine::new().stream(grid, format, &mut sink),
             RowEngine::Mc => McEngine::new().stream(grid, plan, format, &mut sink),
@@ -152,7 +152,7 @@ mod tests {
         plan: &ReplicationPlan,
         format: RowFormat,
     ) -> String {
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         let mut rows = RowEmitter::begin(&mut sink, format, engine.csv_header()).unwrap();
         for range in [0..1, 1..grid.len()] {
             engine
@@ -174,14 +174,14 @@ mod tests {
             for format in [RowFormat::Csv, RowFormat::Json] {
                 let expected = fresh(engine, &grid, &plan, format);
                 let cold = split(engine, &context, &grid, &plan, format);
-                assert_eq!(cold, expected, "{} {format}", engine.label());
+                assert_eq!(cold, expected, "{} {format:?}", engine.label());
                 let searches = context.sizing_searches();
                 let warm = split(engine, &context, &grid, &plan, format);
-                assert_eq!(warm, expected, "{} {format}", engine.label());
+                assert_eq!(warm, expected, "{} {format:?}", engine.label());
                 assert_eq!(
                     context.sizing_searches(),
                     searches,
-                    "the second {} {format} pass searched",
+                    "the second {} {format:?} pass searched",
                     engine.label()
                 );
             }

@@ -5,11 +5,20 @@
 //! fails loudly with the digest that changed.
 
 use corridor_core::hash::sha256_hex;
+use corridor_core::sink::{RowFormat, StringSink};
 use corridor_sim::{
     DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, SweepEngine,
     TrafficSpec,
 };
 use corridor_solar::climate;
+
+/// Renders an in-memory report in `format` through its `stream_into`
+/// (each report type has its own).
+macro_rules! render {
+    ($report:expr, $format:expr) => {
+        StringSink::render(0, |s| $report.stream_into($format, s))
+    };
+}
 
 /// A small grid that exercises every axis (8 cells, PV sizing included —
 /// the only seeded-randomness consumer in the pipeline).
@@ -20,17 +29,19 @@ fn mixed_grid() -> ScenarioGrid {
         .locations(vec![climate::madrid(), climate::berlin()])
 }
 
+/// The sweep of `grid` on `workers` workers, rendered in memory.
+fn sweep(grid: &ScenarioGrid, workers: usize, format: RowFormat) -> String {
+    let report = SweepEngine::new().workers(workers).run(grid).unwrap();
+    render!(report, format)
+}
+
 #[test]
 fn csv_is_byte_identical_across_worker_counts() {
     let grid = mixed_grid();
-    let reference = SweepEngine::new().workers(1).run(&grid).unwrap().to_csv();
+    let reference = sweep(&grid, 1, RowFormat::Csv);
     assert!(reference.lines().count() == 9, "8 cells + header");
     for workers in [2, 8] {
-        let csv = SweepEngine::new()
-            .workers(workers)
-            .run(&grid)
-            .unwrap()
-            .to_csv();
+        let csv = sweep(&grid, workers, RowFormat::Csv);
         assert_eq!(csv, reference, "workers = {workers}");
     }
 }
@@ -38,13 +49,9 @@ fn csv_is_byte_identical_across_worker_counts() {
 #[test]
 fn json_is_byte_identical_across_worker_counts() {
     let grid = mixed_grid();
-    let reference = SweepEngine::new().workers(1).run(&grid).unwrap().to_json();
+    let reference = sweep(&grid, 1, RowFormat::Json);
     for workers in [2, 8] {
-        let json = SweepEngine::new()
-            .workers(workers)
-            .run(&grid)
-            .unwrap()
-            .to_json();
+        let json = sweep(&grid, workers, RowFormat::Json);
         assert_eq!(json, reference, "workers = {workers}");
     }
 }
@@ -71,12 +78,12 @@ fn sweep_renderings_are_sha256_pinned_across_worker_counts() {
             .run(&mixed_grid())
             .unwrap();
         assert_eq!(
-            sha256_hex(report.to_csv().as_bytes()),
+            sha256_hex(render!(report, RowFormat::Csv).as_bytes()),
             SWEEP_CSV_SHA256,
             "sweep CSV, workers = {workers}"
         );
         assert_eq!(
-            sha256_hex(report.to_json().as_bytes()),
+            sha256_hex(render!(report, RowFormat::Json).as_bytes()),
             SWEEP_JSON_SHA256,
             "sweep JSON, workers = {workers}"
         );
@@ -97,7 +104,7 @@ fn mc_renderings_are_sha256_pinned_across_worker_counts() {
             "mc CSV, workers = {workers}"
         );
         assert_eq!(
-            sha256_hex(report.to_json().as_bytes()),
+            sha256_hex(render!(report, RowFormat::Json).as_bytes()),
             MC_JSON_SHA256,
             "mc JSON, workers = {workers}"
         );
@@ -127,7 +134,7 @@ fn mc_screening_renderings_are_sha256_pinned_across_worker_counts() {
             "mc screening-200 CSV, workers = {workers}"
         );
         assert_eq!(
-            sha256_hex(report.to_json().as_bytes()),
+            sha256_hex(render!(report, RowFormat::Json).as_bytes()),
             MC_SCREENING_JSON_SHA256,
             "mc screening-200 JSON, workers = {workers}"
         );
@@ -149,7 +156,7 @@ fn optimizer_renderings_are_sha256_pinned_across_worker_counts() {
             "optimize CSV, workers = {workers}"
         );
         assert_eq!(
-            sha256_hex(report.to_json().as_bytes()),
+            sha256_hex(render!(report, RowFormat::Json).as_bytes()),
             OPTIMIZE_JSON_SHA256,
             "optimize JSON, workers = {workers}"
         );
@@ -162,14 +169,17 @@ fn wide_grid_without_pv_is_deterministic_too() {
     let grid = ScenarioGrid::new()
         .trains_per_hour(vec![2.0, 6.0, 10.0])
         .train_speeds_kmh(vec![120.0, 200.0, 280.0])
-        .lp_spacings_m(vec![150.0, 250.0])
-        .conventional_isds_m(vec![450.0, 550.0]);
+        .conventional_isds_m(vec![400.0, 450.0, 550.0, 600.0]);
     let engine = SweepEngine::new().pv_sizing(false);
     let reference = engine.workers(1).run(&grid).unwrap();
     for workers in [2, 8] {
         let report = engine.workers(workers).run(&grid).unwrap();
         assert_eq!(report.results(), reference.results(), "workers = {workers}");
-        assert_eq!(report.to_csv(), reference.to_csv(), "workers = {workers}");
+        assert_eq!(
+            render!(report, RowFormat::Csv),
+            render!(reference, RowFormat::Csv),
+            "workers = {workers}"
+        );
     }
 }
 

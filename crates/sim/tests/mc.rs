@@ -2,8 +2,14 @@
 //! across worker counts, and confidence intervals that shrink like 1/√N
 //! toward the analytic headline value.
 
+use corridor_core::sink::{RowFormat, StringSink};
 use corridor_core::{experiments, ScenarioParams};
 use corridor_sim::{McEngine, McMetric, McReport, ReplicationPlan, ScenarioGrid, TrafficSpec};
+
+/// Renders `report` in `format` through its `stream_into`.
+fn render(report: &McReport, format: RowFormat) -> String {
+    StringSink::render(0, |s| report.stream_into(format, s))
+}
 
 fn small_grid() -> ScenarioGrid {
     ScenarioGrid::new()
@@ -24,11 +30,15 @@ fn csv_is_byte_identical_across_worker_counts() {
     let plan = ReplicationPlan::new(6).master_seed(13);
     let serial = McEngine::new().workers(1).run(&grid, &plan).unwrap();
     let reference_csv = serial.to_csv();
-    let reference_json = serial.to_json();
+    let reference_json = render(&serial, RowFormat::Json);
     for workers in [1usize, 2, 8] {
         let parallel = McEngine::new().workers(workers).run(&grid, &plan).unwrap();
         assert_eq!(parallel.to_csv(), reference_csv, "{workers} workers");
-        assert_eq!(parallel.to_json(), reference_json, "{workers} workers");
+        assert_eq!(
+            render(&parallel, RowFormat::Json),
+            reference_json,
+            "{workers} workers"
+        );
         assert_eq!(parallel, serial, "{workers} workers");
     }
 }

@@ -10,8 +10,7 @@
 //! per-cell state — rows, results, an unbounded memo — the budget trips.
 
 use corridor_core::sink::{DigestSink, RowFormat};
-use corridor_power::catalog;
-use corridor_sim::{PowerProfile, ScenarioGrid, SweepEngine};
+use corridor_sim::{ScenarioGrid, SweepEngine};
 use corridor_solar::climate;
 
 /// Peak resident set size of this process, in bytes.
@@ -38,28 +37,18 @@ fn huge_grid_streams_within_a_flat_memory_budget() {
         return;
     };
 
-    // 32 × 4 × 3 × 8 × 5 × 2 × 4 = 122_880 cells in release; debug
-    // builds evaluate too slowly for that, so they pin a smaller grid
-    // (8 × 2 × 2 × 4 × 3 × 2 × 2 = 1_536 cells) through the same path.
-    let (n_tph, n_speed, n_len, n_spacing, n_isd) = if cfg!(debug_assertions) {
-        (8, 2, 2, 4, 3)
+    // 96 × 16 × 20 × 4 = 122_880 cells in release; debug builds
+    // evaluate too slowly for that, so they pin a smaller grid
+    // (24 × 4 × 4 × 4 = 1_536 cells) through the same path.
+    let (n_tph, n_speed, n_isd) = if cfg!(debug_assertions) {
+        (24, 4, 4)
     } else {
-        (32, 4, 3, 8, 5)
+        (96, 16, 20)
     };
     let grid = ScenarioGrid::new()
-        .trains_per_hour(axis(n_tph, 1.0, 1.0))
-        .train_speeds_kmh(axis(n_speed, 120.0, 40.0))
-        .train_lengths_m(axis(n_len, 200.0, 200.0))
-        .lp_spacings_m(axis(n_spacing, 150.0, 10.0))
-        .conventional_isds_m(axis(n_isd, 450.0, 25.0))
-        .power_profiles(vec![
-            PowerProfile::paper(),
-            PowerProfile::custom(
-                "earth-fit",
-                catalog::high_power_mast(),
-                catalog::low_power_repeater(),
-            ),
-        ])
+        .trains_per_hour(axis(n_tph, 1.0, 0.5))
+        .train_speeds_kmh(axis(n_speed, 120.0, 10.0))
+        .conventional_isds_m(axis(n_isd, 400.0, 10.0))
         .locations(vec![
             climate::madrid(),
             climate::berlin(),

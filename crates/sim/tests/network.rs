@@ -8,10 +8,15 @@ use corridor_core::hash::sha256_hex;
 use corridor_core::sink::{RowFormat, StringSink};
 use corridor_sim::{
     CorridorEdge, CorridorNetwork, DeploymentOptimizer, NetworkError, NetworkOptimizer,
-    NetworkReport, ScenarioGrid, SearchSpace, NETWORK_SCHEDULE_CSV_HEADER,
+    NetworkReport, OptimizeReport, ScenarioGrid, SearchSpace, NETWORK_SCHEDULE_CSV_HEADER,
 };
 use corridor_units::Meters;
 use proptest::prelude::*;
+
+/// Renders `report` in `format` through its `stream_into`.
+fn render(report: &OptimizeReport, format: RowFormat) -> String {
+    StringSink::render(0, |s| report.stream_into(format, s))
+}
 
 /// Coarse profile sampling, as in the optimize suite: boundary ISDs are
 /// insensitive to 5 m vs 10 m, and debug-mode tests stay quick.
@@ -51,7 +56,7 @@ fn degenerate_path_reproduces_the_linear_frontier_byte_for_byte() {
     let csv = report.frontier_csv();
     let json = frontier_json(&report);
     assert_eq!(csv, linear.to_csv());
-    assert_eq!(json, linear.to_json());
+    assert_eq!(json, render(&linear, RowFormat::Json));
     // pin the exact bytes so drift in either pipeline trips loudly
     assert_eq!(
         sha256_hex(csv.as_bytes()),
@@ -78,7 +83,7 @@ fn junction_frontiers_still_match_the_linear_search_per_edge() {
         .run(&grid, &quick_space())
         .unwrap();
     assert_eq!(report.frontier_csv(), linear.to_csv());
-    assert_eq!(frontier_json(&report), linear.to_json());
+    assert_eq!(frontier_json(&report), render(&linear, RowFormat::Json));
 }
 
 #[test]
@@ -227,9 +232,7 @@ proptest! {
         let space = quick_space().node_counts(vec![0, 10]);
         let serial = NetworkOptimizer::new().workers(1).run(&net, &space).unwrap();
         let parallel = NetworkOptimizer::new().workers(workers).run(&net, &space).unwrap();
-        prop_assert_eq!(serial.results(), parallel.results());
-        prop_assert_eq!(serial.plan(), parallel.plan());
-        prop_assert_eq!(serial.frontier_csv(), parallel.frontier_csv());
+        prop_assert_eq!(&serial, &parallel);
         prop_assert_eq!(serial.len(), net.edge_count());
         // sleep can only help, and each decision is a strict win
         prop_assert!(serial.network_wh_day() <= serial.corridor_wh_day() + 1e-9);

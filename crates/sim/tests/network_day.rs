@@ -8,11 +8,16 @@
 use corridor_core::hash::sha256_hex;
 use corridor_core::sink::{RowFormat, StringSink};
 use corridor_sim::{
-    CorridorNetwork, NetworkDayEngine, NetworkError, NetworkOptimizer, SearchSpace,
-    NETWORK_DAY_CSV_HEADER,
+    CorridorNetwork, NetworkDayEngine, NetworkDayReport, NetworkError, NetworkOptimizer,
+    SearchSpace, NETWORK_DAY_CSV_HEADER,
 };
 use corridor_units::Meters;
 use proptest::prelude::*;
+
+/// Renders `report` in `format` through its `stream_into`.
+fn render(report: &NetworkDayReport, format: RowFormat) -> String {
+    StringSink::render(0, |s| report.stream_into(format, s))
+}
 
 /// Coarse profile sampling, as in the network suite: boundary ISDs are
 /// insensitive to 5 m vs 10 m, and debug-mode tests stay quick.
@@ -68,7 +73,10 @@ fn day_stream_is_byte_identical_across_worker_counts() {
     let net = CorridorNetwork::by_name("wye3").unwrap();
     let engine = NetworkDayEngine::new().reps(3);
     let report = engine.workers(1).run(&net, &quick_space()).unwrap();
-    let reference = [report.to_csv(), report.to_json()];
+    let reference = [
+        render(&report, RowFormat::Csv),
+        render(&report, RowFormat::Json),
+    ];
     assert!(reference[0].starts_with(NETWORK_DAY_CSV_HEADER));
     for workers in [1usize, 2, 8] {
         for (format, want) in [RowFormat::Csv, RowFormat::Json].iter().zip(&reference) {

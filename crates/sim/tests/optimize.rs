@@ -4,11 +4,17 @@
 //! sha256-pinned like the Monte-Carlo suite.
 
 use corridor_core::hash::sha256_hex;
+use corridor_core::sink::{RowFormat, StringSink};
 use corridor_core::{experiments, ScenarioParams};
 use corridor_sim::{
     DeploymentOptimizer, IsdSearch, OptimizeReport, ScenarioGrid, SearchSpace, WakePolicy,
 };
 use corridor_units::{Db, Meters};
+
+/// Renders `report` in `format` through its `stream_into`.
+fn render(report: &OptimizeReport, format: RowFormat) -> String {
+    StringSink::render(0, |s| report.stream_into(format, s))
+}
 
 /// Coarse profile sampling: boundary ISDs are insensitive to 5 m vs
 /// 10 m at a 50 m grid, and debug-mode tests stay quick.
@@ -155,7 +161,12 @@ fn all_infeasible_cells_are_unsolvable_not_a_panic() {
     for line in csv.lines().skip(1) {
         assert!(line.contains(",unsolvable,"), "{line}");
     }
-    assert_eq!(report.to_json().matches("\"unsolvable\"").count(), 3);
+    assert_eq!(
+        render(&report, RowFormat::Json)
+            .matches("\"unsolvable\"")
+            .count(),
+        3
+    );
 }
 
 #[test]
@@ -194,11 +205,15 @@ fn reports_are_byte_identical_across_worker_counts() {
         )
         .unwrap();
     let reference_csv = serial.to_csv();
-    let reference_json = serial.to_json();
+    let reference_json = render(&serial, RowFormat::Json);
     for workers in [1usize, 2, 8] {
         let parallel = smoke_report(workers);
         assert_eq!(parallel.to_csv(), reference_csv, "{workers} workers");
-        assert_eq!(parallel.to_json(), reference_json, "{workers} workers");
+        assert_eq!(
+            render(&parallel, RowFormat::Json),
+            reference_json,
+            "{workers} workers"
+        );
         assert_eq!(parallel, serial, "{workers} workers");
         // the cache counters are deterministic too (locked compute:
         // every key is profiled exactly once, regardless of racing)

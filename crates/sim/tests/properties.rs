@@ -1,18 +1,21 @@
 //! Property-based tests for the scenario-sweep engine.
 
 use corridor_core::energy::{self, SegmentEnergy};
+use corridor_core::sink::{RowFormat, StringSink};
 use corridor_core::{experiments, EnergyStrategy, ScenarioParams};
-use corridor_power::catalog;
-use corridor_sim::{PowerProfile, ScenarioGrid, SweepEngine};
+use corridor_sim::{ScenarioGrid, SweepEngine, SweepReport};
 use corridor_solar::climate;
 use corridor_units::Watts;
 use proptest::prelude::*;
 
+/// Renders `report` in `format` through its `stream_into`.
+fn render(report: &SweepReport, format: RowFormat) -> String {
+    StringSink::render(0, |s| report.stream_into(format, s))
+}
+
 /// Candidate pools the random grids draw their axes from.
 const TPH: [f64; 4] = [2.0, 4.0, 8.0, 12.0];
 const SPEEDS: [f64; 4] = [120.0, 160.0, 200.0, 250.0];
-const LENGTHS: [f64; 3] = [200.0, 400.0, 600.0];
-const SPACINGS: [f64; 3] = [150.0, 200.0, 250.0];
 const ISDS: [f64; 3] = [400.0, 500.0, 600.0];
 
 fn take<const N: usize>(pool: [f64; N], count: usize) -> Vec<f64> {
@@ -26,28 +29,16 @@ proptest! {
     fn expansion_count_is_axis_product(
         n_tph in 1usize..=4,
         n_speed in 1usize..=4,
-        n_length in 1usize..=3,
-        n_spacing in 1usize..=3,
         n_isd in 1usize..=3,
-        n_profile in 1usize..=2,
         n_location in 1usize..=2,
     ) {
-        let earth_fit = PowerProfile::custom(
-            "earth-fit",
-            catalog::high_power_mast(),
-            catalog::low_power_repeater(),
-        );
-        let profiles = [PowerProfile::paper(), earth_fit];
         let locations = [climate::madrid(), climate::berlin()];
         let grid = ScenarioGrid::new()
             .trains_per_hour(take(TPH, n_tph))
             .train_speeds_kmh(take(SPEEDS, n_speed))
-            .train_lengths_m(take(LENGTHS, n_length))
-            .lp_spacings_m(take(SPACINGS, n_spacing))
             .conventional_isds_m(take(ISDS, n_isd))
-            .power_profiles(profiles[..n_profile].to_vec())
             .locations(locations[..n_location].to_vec());
-        let expected = n_tph * n_speed * n_length * n_spacing * n_isd * n_profile * n_location;
+        let expected = n_tph * n_speed * n_isd * n_location;
         prop_assert_eq!(grid.len(), expected);
         let cells = grid.expand().unwrap();
         prop_assert_eq!(cells.len(), expected);
@@ -75,7 +66,7 @@ proptest! {
         let serial = engine.workers(1).run(&grid).unwrap();
         let parallel = engine.workers(workers).run(&grid).unwrap();
         prop_assert_eq!(serial.results(), parallel.results());
-        prop_assert_eq!(serial.to_csv(), parallel.to_csv());
+        prop_assert_eq!(render(&serial, RowFormat::Csv), render(&parallel, RowFormat::Csv));
     }
 
     /// Savings fractions stay within the physically meaningful window on
@@ -110,14 +101,12 @@ proptest! {
         tph in 0.5..30.0f64,
         more in 0.0..10.0f64,
         speed in 60.0..320.0f64,
-        shape in (0usize..3, 0usize..3, 0usize..3, 1usize..=10),
+        shape in (0usize..3, 1usize..=10),
     ) {
-        let (length, spacing, isd, nodes) = shape;
+        let (isd, nodes) = shape;
         let grid = ScenarioGrid::new()
             .trains_per_hour(vec![tph, tph + more])
             .train_speeds_kmh(vec![speed])
-            .train_lengths_m(vec![LENGTHS[length]])
-            .lp_spacings_m(vec![SPACINGS[spacing]])
             .conventional_isds_m(vec![ISDS[isd]])
             .repeater_nodes(nodes)
             .unwrap();

@@ -42,7 +42,7 @@ fn streamed_sweep(
     format: RowFormat,
     cache: Option<&ResultCache>,
 ) -> (String, corridor_sim::StreamSummary) {
-    let mut sink = StringSink::new();
+    let mut sink = StringSink::default();
     let summary = engine.stream_with(grid, format, &mut sink, cache).unwrap();
     (sink.into_string(), summary)
 }
@@ -138,7 +138,7 @@ fn mc_seed_and_policy_changes_invalidate_everything() {
     let plan = ReplicationPlan::new(3).master_seed(7);
 
     let run = |engine: &McEngine, plan: &ReplicationPlan, cache: Option<&ResultCache>| {
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         let summary = engine
             .stream_with(&grid, plan, RowFormat::Csv, &mut sink, cache)
             .unwrap();
@@ -168,7 +168,7 @@ fn optimize_threshold_change_invalidates_everything() {
         .sample_step(Meters::new(10.0));
 
     let run = |space: &SearchSpace, cache: Option<&ResultCache>| {
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         let summary = DeploymentOptimizer::new()
             .workers(2)
             .stream_with(&grid, space, RowFormat::Json, &mut sink, cache)
@@ -290,7 +290,7 @@ proptest! {
                 .trains_per_hour(tph.to_vec())
                 .train_speeds_kmh(speeds.to_vec())
         };
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         engine
             .stream_with(&grid_of(&TPH, &SPEEDS), RowFormat::Csv, &mut sink, Some(&cache))
             .unwrap();
@@ -306,7 +306,7 @@ proptest! {
         }
         let dirty = grid_of(&tph, &speeds);
 
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         let summary = engine
             .stream_with(&dirty, RowFormat::Csv, &mut sink, Some(&cache))
             .unwrap();
@@ -317,7 +317,7 @@ proptest! {
         prop_assert_eq!(summary.cache_misses, expected_misses);
         prop_assert_eq!(summary.cache_hits, 9 - expected_misses);
 
-        let mut sink = StringSink::new();
+        let mut sink = StringSink::default();
         engine.stream_with(&dirty, RowFormat::Csv, &mut sink, None).unwrap();
         prop_assert_eq!(warm, sink.into_string());
 

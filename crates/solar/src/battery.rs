@@ -1,7 +1,5 @@
 //! Battery storage with a discharge cutoff.
 
-use core::fmt;
-
 use corridor_units::WattHours;
 
 /// The outcome of one simulation step of a [`Battery`].
@@ -118,18 +116,6 @@ impl Battery {
     }
 }
 
-impl fmt::Display for Battery {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "battery {} (cutoff {:.0} %, SoC {:.1} %)",
-            self.capacity,
-            Self::CUTOFF_FRACTION * 100.0,
-            self.soc_fraction() * 100.0
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,15 +201,6 @@ mod tests {
         b.reset_full();
         assert!(b.is_full());
         assert!((b.soc_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display() {
-        let b = Battery::paper_default();
-        assert_eq!(
-            b.to_string(),
-            "battery 720.00 Wh (cutoff 40 %, SoC 100.0 %)"
-        );
     }
 
     #[test]

@@ -33,7 +33,11 @@ pub(crate) mod tests {
 
     /// Clear-sky GHI (W/m²) at latitude `lat`, day `doy`, solar `hour`.
     fn ghi(lat: f64, doy: u32, hour: f64) -> f64 {
-        ClearSky::ghi_at_elevation(SolarGeometry::at_latitude(lat).elevation_deg(doy, hour))
+        ClearSky::ghi_at_elevation(
+            SolarGeometry::at_latitude(lat)
+                .sun_day(doy)
+                .elevation_deg(hour),
+        )
     }
 
     /// Daily clear-sky irradiation (Wh/m²) by hourly integration, as the
@@ -79,7 +83,7 @@ pub(crate) mod tests {
         fn bounded_and_zero_at_night(lat in -65.0..65.0f64, doy in 1u32..=365, hour in 0.0..24.0f64) {
             let g = ghi(lat, doy, hour);
             proptest::prop_assert!((0.0..1100.0).contains(&g));
-            if SolarGeometry::at_latitude(lat).elevation_deg(doy, hour) <= 0.0 {
+            if SolarGeometry::at_latitude(lat).sun_day(doy).elevation_deg(hour) <= 0.0 {
                 proptest::prop_assert_eq!(g, 0.0);
             }
         }

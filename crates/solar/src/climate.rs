@@ -8,8 +8,6 @@
 //! these normals preserve: Madrid's sunny winters vs. the overcast
 //! Vienna/Berlin November–January.
 
-use core::fmt;
-
 /// A railway-corridor site with its climate normals.
 ///
 /// # Examples
@@ -120,12 +118,6 @@ impl Location {
     pub fn month_of_doy(doy: u32) -> usize {
         const CUM: [u32; 12] = [31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365];
         CUM.iter().position(|&end| doy <= end).unwrap_or(11)
-    }
-}
-
-impl fmt::Display for Location {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({:.1}°N)", self.name, self.latitude_deg)
     }
 }
 
@@ -243,11 +235,6 @@ mod tests {
         assert_eq!(m.ghi_for_doy_wh_m2(15), 2100.0);
         assert_eq!(m.ghi_for_doy_wh_m2(200), 7600.0);
         assert_eq!(m.temp_for_doy(355), 6.0);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(madrid().to_string(), "Madrid (40.4°N)");
     }
 
     #[test]

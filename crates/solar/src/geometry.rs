@@ -12,10 +12,11 @@
 ///
 /// ```
 /// use corridor_solar::SolarGeometry;
-/// let geo = SolarGeometry::at_latitude(40.4); // Madrid
-/// // summer solstice noon: elevation ≈ 90 − 40.4 + 23.45 ≈ 73°
-/// let elev = geo.elevation_deg(172, 12.0);
-/// assert!((elev - 73.0).abs() < 0.6);
+/// // summer solstice: the sun stands 23.45° north of the equator
+/// let dec = SolarGeometry::declination_deg(172);
+/// assert!((dec - 23.45).abs() < 0.1);
+/// // three hours after solar noon
+/// assert_eq!(SolarGeometry::hour_angle_deg(15.0), 45.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolarGeometry {
@@ -36,11 +37,6 @@ impl SolarGeometry {
         SolarGeometry { latitude_deg }
     }
 
-    /// The site latitude in degrees.
-    pub fn latitude_deg(&self) -> f64 {
-        self.latitude_deg
-    }
-
     /// Solar declination (degrees) for day of year `doy` (1..=365),
     /// Cooper's formula.
     pub fn declination_deg(doy: u32) -> f64 {
@@ -51,34 +47,6 @@ impl SolarGeometry {
     /// 15° per hour from solar noon.
     pub fn hour_angle_deg(hour: f64) -> f64 {
         15.0 * (hour - 12.0)
-    }
-
-    /// Solar elevation above the horizon (degrees) at day `doy` and local
-    /// solar time `hour`; negative below the horizon.
-    pub fn elevation_deg(&self, doy: u32, hour: f64) -> f64 {
-        self.sun_day(doy).elevation_deg(hour)
-    }
-
-    /// Solar azimuth (degrees from south, west positive).
-    pub fn azimuth_deg(&self, doy: u32, hour: f64) -> f64 {
-        let day = self.sun_day(doy);
-        day.azimuth_deg(hour, day.elevation_deg(hour))
-    }
-
-    /// Cosine of the angle of incidence on a tilted plane.
-    ///
-    /// `tilt_deg` is the plane's inclination from horizontal (90° =
-    /// vertical); `plane_azimuth_deg` from south, west positive. Clamped at
-    /// zero (sun behind the plane).
-    pub fn incidence_cosine(
-        &self,
-        doy: u32,
-        hour: f64,
-        tilt_deg: f64,
-        plane_azimuth_deg: f64,
-    ) -> f64 {
-        let day = self.sun_day(doy);
-        day.incidence_cosine(hour, day.elevation_deg(hour), tilt_deg, plane_azimuth_deg)
     }
 
     /// The latitude and declination terms shared by every hour of day
@@ -160,6 +128,20 @@ mod tests {
     const MADRID: f64 = 40.4;
     const BERLIN: f64 = 52.5;
 
+    fn elevation(geo: &SolarGeometry, doy: u32, hour: f64) -> f64 {
+        geo.sun_day(doy).elevation_deg(hour)
+    }
+
+    fn azimuth(geo: &SolarGeometry, doy: u32, hour: f64) -> f64 {
+        let day = geo.sun_day(doy);
+        day.azimuth_deg(hour, day.elevation_deg(hour))
+    }
+
+    fn incidence(geo: &SolarGeometry, doy: u32, hour: f64, tilt: f64, plane_az: f64) -> f64 {
+        let day = geo.sun_day(doy);
+        day.incidence_cosine(hour, day.elevation_deg(hour), tilt, plane_az)
+    }
+
     #[test]
     fn declination_extremes() {
         // summer solstice ~ +23.45, winter ~ -23.45, equinox ~ 0
@@ -174,32 +156,32 @@ mod tests {
         // at solar noon: elevation = 90 - lat + declination
         for doy in [1u32, 100, 200, 300] {
             let expected = 90.0 - MADRID + SolarGeometry::declination_deg(doy);
-            assert!((geo.elevation_deg(doy, 12.0) - expected).abs() < 1e-6);
+            assert!((elevation(&geo, doy, 12.0) - expected).abs() < 1e-6);
         }
     }
 
     #[test]
     fn sun_below_horizon_at_midnight() {
         let geo = SolarGeometry::at_latitude(MADRID);
-        assert!(geo.elevation_deg(172, 0.0) < 0.0);
-        assert!(geo.elevation_deg(355, 0.0) < 0.0);
+        assert!(elevation(&geo, 172, 0.0) < 0.0);
+        assert!(elevation(&geo, 355, 0.0) < 0.0);
     }
 
     #[test]
     fn azimuth_sign_convention() {
         let geo = SolarGeometry::at_latitude(MADRID);
         // morning sun in the east (negative), afternoon in the west
-        assert!(geo.azimuth_deg(100, 9.0) < 0.0);
-        assert!(geo.azimuth_deg(100, 15.0) > 0.0);
-        assert!(geo.azimuth_deg(100, 12.0).abs() < 1.0);
+        assert!(azimuth(&geo, 100, 9.0) < 0.0);
+        assert!(azimuth(&geo, 100, 15.0) > 0.0);
+        assert!(azimuth(&geo, 100, 12.0).abs() < 1.0);
     }
 
     #[test]
     fn vertical_south_plane_sees_winter_sun_well() {
         let geo = SolarGeometry::at_latitude(BERLIN);
         // low winter sun hits a vertical south plane at near-normal incidence
-        let winter = geo.incidence_cosine(355, 12.0, 90.0, 0.0);
-        let summer = geo.incidence_cosine(172, 12.0, 90.0, 0.0);
+        let winter = incidence(&geo, 355, 12.0, 90.0, 0.0);
+        let summer = incidence(&geo, 172, 12.0, 90.0, 0.0);
         assert!(winter > 0.9, "winter cos(inc) = {winter}");
         assert!(summer < winter);
     }
@@ -207,9 +189,18 @@ mod tests {
     #[test]
     fn incidence_zero_when_sun_down_or_behind() {
         let geo = SolarGeometry::at_latitude(MADRID);
-        assert_eq!(geo.incidence_cosine(100, 0.0, 90.0, 0.0), 0.0);
+        assert_eq!(incidence(&geo, 100, 0.0, 90.0, 0.0), 0.0);
         // north-facing vertical plane at noon sees nothing
-        assert_eq!(geo.incidence_cosine(100, 12.0, 90.0, 180.0), 0.0);
+        assert_eq!(incidence(&geo, 100, 12.0, 90.0, 180.0), 0.0);
+    }
+
+    proptest::proptest! {
+        /// Solar elevation is within [-90, 90].
+        #[test]
+        fn elevation_bounded(lat in -65.0..65.0f64, doy in 1u32..=365, hour in 0.0..24.0f64) {
+            let e = elevation(&SolarGeometry::at_latitude(lat), doy, hour);
+            proptest::prop_assert!((-90.0..=90.0).contains(&e));
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Hourly load profiles for the off-grid simulation.
 
-use core::fmt;
-
 use corridor_units::{WattHours, Watts};
 
 /// A repeating 24-hour load profile (hourly mean powers).
@@ -83,17 +81,6 @@ impl DailyLoadProfile {
     }
 }
 
-impl fmt::Display for DailyLoadProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "daily load {} (avg {})",
-            self.daily_energy(),
-            self.average_power()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,12 +121,6 @@ mod tests {
         assert_eq!(load.energy_at_hour(12), WattHours::new(24.0));
         assert_eq!(load.energy_at_hour(0), WattHours::ZERO);
         assert_eq!(load.average_power(), Watts::new(1.0));
-    }
-
-    #[test]
-    fn display() {
-        let load = DailyLoadProfile::from_hourly([Watts::new(5.0); 24]);
-        assert_eq!(load.to_string(), "daily load 120.00 Wh (avg 5.00 W)");
     }
 
     #[test]

@@ -154,21 +154,6 @@ impl OffGridSystem {
         self
     }
 
-    /// The simulated site.
-    pub fn location(&self) -> &Location {
-        &self.location
-    }
-
-    /// The PV array.
-    pub fn pv(&self) -> &PvArray {
-        &self.pv
-    }
-
-    /// The load profile.
-    pub fn load(&self) -> &DailyLoadProfile {
-        &self.load
-    }
-
     /// Simulates one year (365 days, hourly) with weather seed `seed`.
     ///
     /// The battery starts full on January 1st; the seed fully determines

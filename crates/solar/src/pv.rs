@@ -1,7 +1,5 @@
 //! Photovoltaic module and array model.
 
-use core::fmt;
-
 use corridor_units::Watts;
 
 /// One PV module, rated at standard test conditions (1000 W/m², 25 °C).
@@ -65,13 +63,6 @@ impl PvModule {
     }
 }
 
-impl Default for PvModule {
-    /// Returns [`PvModule::standard_180wp`].
-    fn default() -> Self {
-        PvModule::standard_180wp()
-    }
-}
-
 /// A string of identical modules plus balance-of-system losses.
 ///
 /// # Examples
@@ -128,18 +119,6 @@ impl PvArray {
         self.module.dc_power_w(poa_w_m2, ambient_c)
             * f64::from(self.count)
             * Self::SYSTEM_EFFICIENCY
-    }
-}
-
-impl fmt::Display for PvArray {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}x {} module(s), {} peak",
-            self.count,
-            self.module.peak(),
-            self.peak()
-        )
     }
 }
 
@@ -203,12 +182,6 @@ mod tests {
         assert_eq!(PvArray::standard_modules(3).peak(), Watts::new(540.0));
         let berlin = PvArray::new(PvModule::with_peak(Watts::new(200.0)), 3);
         assert_eq!(berlin.peak(), Watts::new(600.0));
-    }
-
-    #[test]
-    fn display() {
-        let a = PvArray::standard_modules(3);
-        assert_eq!(a.to_string(), "3x 180.00 W module(s), 540.00 W peak");
     }
 
     #[test]

@@ -56,13 +56,6 @@ impl SizingOptions {
     }
 }
 
-impl Default for SizingOptions {
-    /// Returns [`SizingOptions::paper_default`].
-    fn default() -> Self {
-        SizingOptions::paper_default()
-    }
-}
-
 /// The result of a sizing search.
 #[derive(Debug, Clone)]
 pub struct PvSizing {

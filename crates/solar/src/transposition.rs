@@ -242,7 +242,7 @@ mod tests {
             prop_assert!(poa(&vertical, sun(lat), d, hour, lo) >= 0.0);
             prop_assert!(poa(&vertical, sun(lat), d, hour, hi) >= 0.0);
             // monotonicity holds away from the near-horizon clamp (elev > 5°)
-            if sun(lat).elevation_deg(d, hour) > 5.0 {
+            if sun(lat).sun_day(d).elevation_deg(hour) > 5.0 {
                 let p_lo = poa(&horizontal, sun(lat), d, hour, lo);
                 let p_hi = poa(&horizontal, sun(lat), d, hour, hi);
                 prop_assert!(p_hi >= p_lo - 1e-9);

@@ -28,7 +28,6 @@ use crate::Location;
 /// ```
 #[derive(Debug, Clone)]
 pub struct WeatherGenerator {
-    location: Location,
     variability: f64,
     persistence: f64,
     rng: rand::rngs::StdRng,
@@ -48,7 +47,6 @@ impl WeatherGenerator {
     pub fn new(location: Location, seed: u64) -> Self {
         let persistence = location.overcast_persistence();
         WeatherGenerator {
-            location,
             variability: Self::DEFAULT_VARIABILITY,
             persistence,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
@@ -92,11 +90,6 @@ impl WeatherGenerator {
             (0.0..1.0).contains(&persistence),
             "persistence must be in [0, 1)"
         );
-    }
-
-    /// The location whose normals are used.
-    pub fn location(&self) -> &Location {
-        &self.location
     }
 
     /// Draws a full year (365 days) of daily GHI multipliers; multiply by
@@ -166,12 +159,6 @@ mod tests {
         let num: f64 = year.windows(2).map(|p| (p[0] - mean) * (p[1] - mean)).sum();
         let den: f64 = year.iter().map(|m| (m - mean) * (m - mean)).sum();
         assert!(num / den > 0.3, "lag-1 autocorrelation {}", num / den);
-    }
-
-    #[test]
-    fn location_accessor() {
-        let w = WeatherGenerator::new(climate::vienna(), 0);
-        assert_eq!(w.location().name(), "Vienna");
     }
 
     #[test]

@@ -1,29 +1,12 @@
 //! Property-based tests for the solar substrate.
 
 use corridor_solar::{
-    climate, Battery, DailyLoadProfile, Location, OffGridSystem, PvArray, SolarGeometry,
-    WeatherGenerator,
+    climate, Battery, DailyLoadProfile, Location, OffGridSystem, PvArray, WeatherGenerator,
 };
 use corridor_units::{WattHours, Watts};
 use proptest::prelude::*;
 
-fn latitude() -> impl Strategy<Value = f64> {
-    -65.0..65.0f64
-}
-
-fn doy() -> impl Strategy<Value = u32> {
-    1u32..=365
-}
-
 proptest! {
-    /// Solar elevation is within [-90, 90].
-    #[test]
-    fn elevation_bounded(lat in latitude(), d in doy(), hour in 0.0..24.0f64) {
-        let geo = SolarGeometry::at_latitude(lat);
-        let e = geo.elevation_deg(d, hour);
-        prop_assert!((-90.0..=90.0).contains(&e));
-    }
-
     /// PV output is monotone in irradiance at fixed temperature.
     #[test]
     fn pv_monotone_in_irradiance(g1 in 0.0..1100.0f64, g2 in 0.0..1100.0f64, t in -20.0..45.0f64) {

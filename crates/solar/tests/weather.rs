@@ -88,12 +88,6 @@ fn variability_widens_the_spread() {
 }
 
 #[test]
-fn location_accessor_round_trips() {
-    let weather = WeatherGenerator::new(climate::berlin(), 0);
-    assert_eq!(weather.location().name(), "Berlin");
-}
-
-#[test]
 #[should_panic(expected = "variability must be non-negative")]
 fn negative_variability_rejected() {
     let _ = WeatherGenerator::new(climate::berlin(), 0).with_variability(-0.1);

@@ -18,7 +18,6 @@ use crate::{TrackSection, TrainPass};
 ///
 /// let section = TrackSection::around(Meters::new(600.0), Meters::new(200.0));
 /// let activity = ActivityTimeline::for_section(&section, &Timetable::paper_default().passes());
-/// assert_eq!(activity.len(), 152);
 /// // 152 trains × 10.8 s = 1641.6 s ≈ 0.456 h of full load per day
 /// assert!((activity.total_active_hours().value() - 0.456).abs() < 0.001);
 /// ```
@@ -50,16 +49,6 @@ impl ActivityTimeline {
             }
         }
         ActivityTimeline { intervals: merged }
-    }
-
-    /// Number of distinct busy intervals.
-    pub fn len(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// True if the node is never active.
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
     }
 
     /// Total full-load time.
@@ -133,7 +122,7 @@ mod tests {
             (sec(30.0), sec(40.0)),
             (sec(40.0), sec(45.0)), // touching intervals merge
         ]);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.intervals.len(), 2);
         assert_eq!(t.total_active(), sec(35.0));
         assert_eq!(t.intervals[0], (sec(0.0), sec(20.0)));
         assert_eq!(t.intervals[1], (sec(30.0), sec(45.0)));
@@ -142,7 +131,7 @@ mod tests {
     #[test]
     fn inverted_intervals_discarded() {
         let t = ActivityTimeline::from_intervals([(sec(10.0), sec(5.0)), (sec(0.0), sec(1.0))]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.intervals.len(), 1);
         assert_eq!(t.total_active(), sec(1.0));
     }
 
@@ -153,7 +142,7 @@ mod tests {
             (sec(0.0), sec(10.0)),
             (sec(50.0), sec(60.0)),
         ]);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.intervals.len(), 3);
         assert_eq!(t.intervals[0].0, sec(0.0));
         assert_eq!(t.intervals[2].0, sec(100.0));
     }
@@ -169,7 +158,7 @@ mod tests {
     #[test]
     fn empty_timeline() {
         let t = ActivityTimeline::default();
-        assert!(t.is_empty());
+        assert!(t.intervals.is_empty());
         assert_eq!(t.total_active(), Seconds::ZERO);
     }
 

@@ -96,13 +96,6 @@ impl Timetable {
     }
 }
 
-impl Default for Timetable {
-    /// Returns [`Timetable::paper_default`].
-    fn default() -> Self {
-        Timetable::paper_default()
-    }
-}
-
 /// A stochastic timetable: Poisson arrivals at a mean rate over the service
 /// window, for sensitivity analysis of the deterministic results.
 ///
@@ -159,16 +152,6 @@ impl PoissonTimetable {
             service_start,
             train,
         }
-    }
-
-    /// Length of the daily service window.
-    pub fn service_window(&self) -> Hours {
-        self.service_window
-    }
-
-    /// Time of day at which service begins.
-    pub fn service_start(&self) -> Seconds {
-        self.service_start
     }
 
     /// The rolling stock.
@@ -238,7 +221,6 @@ mod tests {
         assert_eq!(t.trains_per_hour(), 8.0);
         assert_eq!(t.service_window(), Hours::new(19.0));
         assert_eq!(t.train(), Train::paper_default());
-        assert_eq!(Timetable::default(), t);
     }
 
     #[test]

@@ -165,11 +165,6 @@ impl MixedTimetable {
         MixedTimetable::new(vec![fast, slow])
     }
 
-    /// Total trains per day across all classes.
-    pub fn trains_per_day(&self) -> usize {
-        self.services.iter().map(Timetable::trains_per_day).sum()
-    }
-
     /// The merged day of passes, sorted by origin time.
     pub fn passes(&self) -> Vec<TrainPass> {
         let mut out: Vec<TrainPass> = self
@@ -192,10 +187,10 @@ impl MixedTimetable {
 /// use rand::SeedableRng;
 ///
 /// let det = TrafficModel::Deterministic(Timetable::paper_default());
-/// assert_eq!(det.label(), "deterministic");
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// assert_eq!(det.passes(&mut rng).len(), 152);
 ///
 /// let poisson = TrafficModel::Poisson(PoissonTimetable::paper_rate());
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let day = poisson.passes(&mut rng);
 /// assert!(!day.is_empty());
 /// ```
@@ -225,16 +220,6 @@ impl TrafficModel {
             TrafficModel::Poisson(poisson) => poisson.sample_passes(rng),
             TrafficModel::Jittered { base, delays } => delays.apply(&base.passes(), rng),
             TrafficModel::Mixed(mixed) => mixed.passes(),
-        }
-    }
-
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TrafficModel::Deterministic(_) => "deterministic",
-            TrafficModel::Poisson(_) => "poisson",
-            TrafficModel::Jittered { .. } => "jittered",
-            TrafficModel::Mixed(_) => "mixed",
         }
     }
 }
@@ -308,7 +293,6 @@ mod tests {
     fn mixed_timetable_merges_sorted() {
         let mixed = MixedTimetable::paper_mixed();
         assert_eq!(mixed.services.len(), 2);
-        assert_eq!(mixed.trains_per_day(), 152);
         let passes = mixed.passes();
         assert_eq!(passes.len(), 152);
         for w in passes.windows(2) {
@@ -331,20 +315,9 @@ mod tests {
     #[test]
     fn traffic_model_dispatch() {
         let det = TrafficModel::Deterministic(Timetable::paper_default());
-        assert_eq!(det.label(), "deterministic");
         assert_eq!(det.passes(&mut rng(0)), Timetable::paper_default().passes());
 
         let poisson = TrafficModel::Poisson(PoissonTimetable::paper_rate());
-        assert_eq!(poisson.label(), "poisson");
         assert_eq!(poisson.passes(&mut rng(5)), poisson.passes(&mut rng(5)));
-
-        let jittered = TrafficModel::Jittered {
-            base: Timetable::paper_default(),
-            delays: DelayModel::typical(),
-        };
-        assert_eq!(jittered.label(), "jittered");
-
-        let mixed = TrafficModel::Mixed(MixedTimetable::paper_mixed());
-        assert_eq!(mixed.label(), "mixed");
     }
 }

@@ -1,7 +1,5 @@
 //! Train kinematics.
 
-use core::fmt;
-
 use corridor_units::{KilometersPerHour, Meters, MetersPerSecond, Seconds};
 
 /// A train: length and (constant) speed.
@@ -48,19 +46,6 @@ impl Train {
     /// Train speed.
     pub fn speed(&self) -> MetersPerSecond {
         self.speed
-    }
-}
-
-impl Default for Train {
-    /// Returns [`Train::paper_default`].
-    fn default() -> Self {
-        Train::paper_default()
-    }
-}
-
-impl fmt::Display for Train {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "train ({} at {})", self.length, self.speed)
     }
 }
 
@@ -123,7 +108,6 @@ mod tests {
         let t = Train::paper_default();
         assert_eq!(t.length(), Meters::new(400.0));
         assert!((t.speed().value() - 55.5556).abs() < 1e-3);
-        assert_eq!(Train::default(), t);
     }
 
     #[test]
@@ -151,17 +135,22 @@ mod tests {
     }
 
     #[test]
-    fn accessors_and_display() {
-        let train = Train::new(Meters::new(200.0), MetersPerSecond::new(40.0));
+    fn accessors() {
+        let train = Train::new(
+            Meters::new(200.0),
+            KilometersPerHour::new(144.0).meters_per_second(),
+        );
         let pass = TrainPass::new(train, Seconds::new(60.0));
         assert_eq!(pass.train(), train);
         assert_eq!(pass.origin_time(), Seconds::new(60.0));
-        assert!(train.to_string().contains("200.0 m"));
     }
 
     #[test]
     #[should_panic(expected = "speed must be positive")]
     fn zero_speed_rejected() {
-        let _ = Train::new(Meters::new(400.0), MetersPerSecond::new(0.0));
+        let _ = Train::new(
+            Meters::new(400.0),
+            KilometersPerHour::new(0.0).meters_per_second(),
+        );
     }
 }

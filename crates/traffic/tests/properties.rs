@@ -48,7 +48,6 @@ proptest! {
         let headway = 3600.0 / trains_per_hour;
         if headway > per_pass + 1.0 {
             prop_assert!((activity.total_active().value() - upper).abs() < 1e-6);
-            prop_assert_eq!(activity.len(), passes.len());
         }
     }
 

@@ -2,9 +2,9 @@
 
 use core::fmt;
 use core::iter::Sum;
-use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use crate::{Hours, Seconds};
+use crate::Hours;
 
 /// Electrical power in watts.
 ///
@@ -34,15 +34,6 @@ impl Watts {
     pub const fn value(self) -> f64 {
         self.0
     }
-
-    /// Total order over the raw value, as [`f64::total_cmp`]: NaN sorts
-    /// after `+inf`, so comparison-based searches order NaN last instead
-    /// of panicking or silently dropping elements.
-    #[inline]
-    #[must_use]
-    pub fn total_cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 impl fmt::Display for Watts {
@@ -59,36 +50,6 @@ impl Add for Watts {
     }
 }
 
-impl AddAssign for Watts {
-    #[inline]
-    fn add_assign(&mut self, rhs: Watts) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for Watts {
-    type Output = Watts;
-    #[inline]
-    fn sub(self, rhs: Watts) -> Watts {
-        Watts(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for Watts {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Watts) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl Neg for Watts {
-    type Output = Watts;
-    #[inline]
-    fn neg(self) -> Watts {
-        Watts(-self.0)
-    }
-}
-
 impl Mul<f64> for Watts {
     type Output = Watts;
     #[inline]
@@ -97,43 +58,11 @@ impl Mul<f64> for Watts {
     }
 }
 
-impl Mul<Watts> for f64 {
-    type Output = Watts;
-    #[inline]
-    fn mul(self, rhs: Watts) -> Watts {
-        Watts(self * rhs.0)
-    }
-}
-
-impl Div<f64> for Watts {
-    type Output = Watts;
-    #[inline]
-    fn div(self, rhs: f64) -> Watts {
-        Watts(self.0 / rhs)
-    }
-}
-
-impl Div for Watts {
-    type Output = f64;
-    #[inline]
-    fn div(self, rhs: Watts) -> f64 {
-        self.0 / rhs.0
-    }
-}
-
 impl Mul<Hours> for Watts {
     type Output = WattHours;
     #[inline]
     fn mul(self, rhs: Hours) -> WattHours {
         WattHours(self.0 * rhs.value())
-    }
-}
-
-impl Mul<Seconds> for Watts {
-    type Output = WattHours;
-    #[inline]
-    fn mul(self, rhs: Seconds) -> WattHours {
-        WattHours(self.0 * rhs.hours().value())
     }
 }
 
@@ -172,34 +101,11 @@ impl WattHours {
         self.0
     }
 
-    /// Total order over the raw value, as [`f64::total_cmp`]: NaN sorts
-    /// after `+inf`, so comparison-based searches order NaN last instead
-    /// of panicking or silently dropping elements.
-    #[inline]
-    #[must_use]
-    pub fn total_cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-
-    /// Clamps this energy into `[lo, hi]` (useful for battery state of charge).
-    #[inline]
-    #[must_use]
-    pub fn clamp(self, lo: WattHours, hi: WattHours) -> WattHours {
-        WattHours(self.0.clamp(lo.0, hi.0))
-    }
-
     /// The smaller of two energies.
     #[inline]
     #[must_use]
     pub fn min(self, other: WattHours) -> WattHours {
         WattHours(self.0.min(other.0))
-    }
-
-    /// The larger of two energies.
-    #[inline]
-    #[must_use]
-    pub fn max(self, other: WattHours) -> WattHours {
-        WattHours(self.0.max(other.0))
     }
 }
 
@@ -271,12 +177,6 @@ impl Div for WattHours {
     }
 }
 
-impl Sum for WattHours {
-    fn sum<I: Iterator<Item = WattHours>>(iter: I) -> WattHours {
-        iter.fold(WattHours::ZERO, Add::add)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,8 +185,6 @@ mod tests {
     fn power_times_time_is_energy() {
         let e = Watts::new(560.0) * Hours::new(2.0);
         assert_eq!(e, WattHours::new(1120.0));
-        let e2 = Watts::new(3600.0) * Seconds::new(1.0);
-        assert!((e2.value() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -299,21 +197,15 @@ mod tests {
     fn arithmetic_and_sums() {
         let total: Watts = [Watts::new(1.5), Watts::new(2.5)].into_iter().sum();
         assert_eq!(total, Watts::new(4.0));
-        let total_e: WattHours = [WattHours::new(1.0), WattHours::new(2.0)].into_iter().sum();
-        assert_eq!(total_e, WattHours::new(3.0));
-        assert_eq!(Watts::new(10.0) / Watts::new(4.0), 2.5);
         assert_eq!(WattHours::new(10.0) / WattHours::new(4.0), 2.5);
     }
 
     #[test]
-    fn clamp_and_min_max() {
+    fn min_picks_the_smaller_energy() {
         let lo = WattHours::new(288.0); // 40 % of 720 Wh
         let hi = WattHours::new(720.0);
-        assert_eq!(WattHours::new(100.0).clamp(lo, hi), lo);
-        assert_eq!(WattHours::new(800.0).clamp(lo, hi), hi);
-        assert_eq!(WattHours::new(500.0).clamp(lo, hi), WattHours::new(500.0));
         assert_eq!(lo.min(hi), lo);
-        assert_eq!(lo.max(hi), hi);
+        assert_eq!(hi.min(lo), lo);
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! Frequency and wavelength.
 
-use core::fmt;
-use core::ops::{Div, Mul};
-
 use crate::Meters;
 
 /// Speed of light in vacuum, metres per second.
@@ -15,19 +12,13 @@ pub const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
 /// ```
 /// use corridor_units::Hertz;
 /// let carrier = Hertz::from_ghz(3.7);
-/// assert_eq!(carrier.megahertz(), 3700.0);
+/// assert!((carrier.gigahertz() - 3.7).abs() < 1e-12);
 /// assert!((carrier.wavelength().value() - 0.08102).abs() < 1e-4);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
 pub struct Hertz(f64);
 
 impl Hertz {
-    /// Creates a frequency of `value` hertz.
-    #[inline]
-    pub const fn new(value: f64) -> Self {
-        Hertz(value)
-    }
-
     /// Creates a frequency from megahertz.
     #[inline]
     pub const fn from_mhz(mhz: f64) -> Self {
@@ -44,27 +35,6 @@ impl Hertz {
     #[inline]
     pub const fn value(self) -> f64 {
         self.0
-    }
-
-    /// Total order over the raw value, as [`f64::total_cmp`]: NaN sorts
-    /// after `+inf`, so comparison-based searches order NaN last instead
-    /// of panicking or silently dropping elements.
-    #[inline]
-    #[must_use]
-    pub fn total_cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-
-    /// Returns the value in kilohertz.
-    #[inline]
-    pub fn kilohertz(self) -> f64 {
-        self.0 / 1e3
-    }
-
-    /// Returns the value in megahertz.
-    #[inline]
-    pub fn megahertz(self) -> f64 {
-        self.0 / 1e6
     }
 
     /// Returns the value in gigahertz.
@@ -85,44 +55,6 @@ impl Hertz {
     }
 }
 
-impl fmt::Display for Hertz {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1e9 {
-            write!(f, "{:.3} GHz", self.gigahertz())
-        } else if self.0 >= 1e6 {
-            write!(f, "{:.3} MHz", self.megahertz())
-        } else if self.0 >= 1e3 {
-            write!(f, "{:.3} kHz", self.kilohertz())
-        } else {
-            write!(f, "{:.1} Hz", self.0)
-        }
-    }
-}
-
-impl Mul<f64> for Hertz {
-    type Output = Hertz;
-    #[inline]
-    fn mul(self, rhs: f64) -> Hertz {
-        Hertz(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for Hertz {
-    type Output = Hertz;
-    #[inline]
-    fn div(self, rhs: f64) -> Hertz {
-        Hertz(self.0 / rhs)
-    }
-}
-
-impl Div for Hertz {
-    type Output = f64;
-    #[inline]
-    fn div(self, rhs: Hertz) -> f64 {
-        self.0 / rhs.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +62,6 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(Hertz::from_ghz(3.5), Hertz::from_mhz(3500.0));
-        assert_eq!(Hertz::from_mhz(1.0), Hertz::new(1e6));
     }
 
     #[test]
@@ -145,22 +76,5 @@ mod tests {
     fn accessors() {
         let f = Hertz::from_ghz(3.7);
         assert!((f.gigahertz() - 3.7).abs() < 1e-12);
-        assert!((f.megahertz() - 3700.0).abs() < 1e-9);
-        assert!((f.kilohertz() - 3_700_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn display_picks_scale() {
-        assert_eq!(Hertz::from_ghz(3.7).to_string(), "3.700 GHz");
-        assert_eq!(Hertz::from_mhz(100.0).to_string(), "100.000 MHz");
-        assert_eq!(Hertz::new(30_000.0).to_string(), "30.000 kHz");
-        assert_eq!(Hertz::new(50.0).to_string(), "50.0 Hz");
-    }
-
-    #[test]
-    fn scaling() {
-        assert_eq!(Hertz::from_mhz(100.0) / 2.0, Hertz::from_mhz(50.0));
-        assert_eq!(Hertz::from_mhz(100.0) * 2.0, Hertz::from_mhz(200.0));
-        assert!((Hertz::from_ghz(2.0) / Hertz::from_ghz(1.0) - 2.0).abs() < 1e-12);
     }
 }

@@ -1,8 +1,7 @@
 //! Length and distance quantities.
 
 use core::fmt;
-use core::iter::Sum;
-use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use core::ops::{Add, Div, Mul, Sub};
 
 use crate::{MetersPerSecond, Seconds};
 
@@ -11,9 +10,9 @@ use crate::{MetersPerSecond, Seconds};
 /// # Examples
 ///
 /// ```
-/// use corridor_units::{Meters, MetersPerSecond};
+/// use corridor_units::{KilometersPerHour, Meters};
 /// let train_length = Meters::new(400.0);
-/// let speed = MetersPerSecond::new(55.56);
+/// let speed = KilometersPerHour::new(200.0).meters_per_second();
 /// let pass_time = train_length / speed;
 /// assert!((pass_time.value() - 7.2).abs() < 0.01);
 /// ```
@@ -93,13 +92,6 @@ impl Add for Meters {
     }
 }
 
-impl AddAssign for Meters {
-    #[inline]
-    fn add_assign(&mut self, rhs: Meters) {
-        self.0 += rhs.0;
-    }
-}
-
 impl Sub for Meters {
     type Output = Meters;
     #[inline]
@@ -108,34 +100,11 @@ impl Sub for Meters {
     }
 }
 
-impl SubAssign for Meters {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Meters) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl Neg for Meters {
-    type Output = Meters;
-    #[inline]
-    fn neg(self) -> Meters {
-        Meters(-self.0)
-    }
-}
-
 impl Mul<f64> for Meters {
     type Output = Meters;
     #[inline]
     fn mul(self, rhs: f64) -> Meters {
         Meters(self.0 * rhs)
-    }
-}
-
-impl Mul<Meters> for f64 {
-    type Output = Meters;
-    #[inline]
-    fn mul(self, rhs: Meters) -> Meters {
-        Meters(self * rhs.0)
     }
 }
 
@@ -163,19 +132,6 @@ impl Div<MetersPerSecond> for Meters {
     }
 }
 
-impl Sum for Meters {
-    fn sum<I: Iterator<Item = Meters>>(iter: I) -> Meters {
-        iter.fold(Meters::ZERO, Add::add)
-    }
-}
-
-impl From<Kilometers> for Meters {
-    #[inline]
-    fn from(km: Kilometers) -> Meters {
-        Meters(km.0 * 1e3)
-    }
-}
-
 /// A length in kilometres (used for per-km energy normalization).
 ///
 /// # Examples
@@ -184,8 +140,7 @@ impl From<Kilometers> for Meters {
 /// use corridor_units::{Kilometers, Meters};
 /// let isd = Meters::new(2400.0);
 /// assert!((isd.kilometers().value() - 2.4).abs() < 1e-12);
-/// let m: Meters = Kilometers::new(1.0).into();
-/// assert_eq!(m, Meters::new(1000.0));
+/// assert_eq!(Kilometers::new(1.0).meters(), Meters::new(1000.0));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
 pub struct Kilometers(f64);
@@ -203,40 +158,10 @@ impl Kilometers {
         self.0
     }
 
-    /// Total order over the raw value, as [`f64::total_cmp`]: NaN sorts
-    /// after `+inf`, so comparison-based searches order NaN last instead
-    /// of panicking or silently dropping elements.
-    #[inline]
-    #[must_use]
-    pub fn total_cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-
     /// Converts to metres.
     #[inline]
     pub fn meters(self) -> Meters {
         Meters(self.0 * 1e3)
-    }
-}
-
-impl fmt::Display for Kilometers {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} km", self.0)
-    }
-}
-
-impl From<Meters> for Kilometers {
-    #[inline]
-    fn from(m: Meters) -> Kilometers {
-        m.kilometers()
-    }
-}
-
-impl Div for Kilometers {
-    type Output = f64;
-    #[inline]
-    fn div(self, rhs: Kilometers) -> f64 {
-        self.0 / rhs.0
     }
 }
 
@@ -247,7 +172,7 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         let m = Meters::new(2650.0);
-        assert_eq!(Meters::from(m.kilometers()), m);
+        assert_eq!(m.kilometers().meters(), m);
         assert_eq!(Kilometers::new(1.5).meters(), Meters::new(1500.0));
     }
 
@@ -264,17 +189,13 @@ mod tests {
         assert_eq!(Meters::new(1.0) + Meters::new(2.0), Meters::new(3.0));
         assert_eq!(Meters::new(5.0) - Meters::new(2.0), Meters::new(3.0));
         assert_eq!(Meters::new(2.0) * 3.0, Meters::new(6.0));
-        assert_eq!(3.0 * Meters::new(2.0), Meters::new(6.0));
         assert_eq!(Meters::new(6.0) / 3.0, Meters::new(2.0));
         assert_eq!(Meters::new(6.0) / Meters::new(3.0), 2.0);
-        assert_eq!(-Meters::new(6.0), Meters::new(-6.0));
-        let total: Meters = [Meters::new(1.0), Meters::new(2.0)].into_iter().sum();
-        assert_eq!(total, Meters::new(3.0));
     }
 
     #[test]
     fn distance_over_speed_is_time() {
-        let t = Meters::new(900.0) / MetersPerSecond::new(55.555_555);
+        let t = Meters::new(900.0) / crate::KilometersPerHour::new(200.0).meters_per_second();
         assert!((t.value() - 16.2).abs() < 0.01);
     }
 
@@ -288,6 +209,5 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Meters::new(500.0).to_string(), "500.0 m");
-        assert_eq!(Kilometers::new(2.4).to_string(), "2.400 km");
     }
 }

@@ -43,7 +43,7 @@ pub use db::{sum_power_dbm, Db, Dbm};
 pub use energy::{WattHours, Watts};
 pub use frequency::{Hertz, SPEED_OF_LIGHT_M_PER_S};
 pub use length::{Kilometers, Meters};
-pub use ratio::{LoadFraction, LoadFractionError};
+pub use ratio::LoadFraction;
 pub use speed::{KilometersPerHour, MetersPerSecond};
 pub use time::{Hours, Seconds, HOURS_PER_DAY, SECONDS_PER_HOUR};
 

@@ -2,7 +2,7 @@
 
 use core::fmt;
 use core::iter::Sum;
-use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use core::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// Seconds per hour.
 pub const SECONDS_PER_HOUR: f64 = 3600.0;
@@ -67,12 +67,6 @@ impl Seconds {
     }
 }
 
-impl fmt::Display for Seconds {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2} s", self.0)
-    }
-}
-
 impl Add for Seconds {
     type Output = Seconds;
     #[inline]
@@ -96,13 +90,6 @@ impl Sub for Seconds {
     }
 }
 
-impl SubAssign for Seconds {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Seconds) {
-        self.0 -= rhs.0;
-    }
-}
-
 impl Mul<f64> for Seconds {
     type Output = Seconds;
     #[inline]
@@ -111,32 +98,9 @@ impl Mul<f64> for Seconds {
     }
 }
 
-impl Div<f64> for Seconds {
-    type Output = Seconds;
-    #[inline]
-    fn div(self, rhs: f64) -> Seconds {
-        Seconds(self.0 / rhs)
-    }
-}
-
-impl Div for Seconds {
-    type Output = f64;
-    #[inline]
-    fn div(self, rhs: Seconds) -> f64 {
-        self.0 / rhs.0
-    }
-}
-
 impl Sum for Seconds {
     fn sum<I: Iterator<Item = Seconds>>(iter: I) -> Seconds {
         iter.fold(Seconds::ZERO, Add::add)
-    }
-}
-
-impl From<Hours> for Seconds {
-    #[inline]
-    fn from(h: Hours) -> Seconds {
-        Seconds(h.0 * SECONDS_PER_HOUR)
     }
 }
 
@@ -147,8 +111,7 @@ impl From<Hours> for Seconds {
 /// ```
 /// use corridor_units::{Hours, Seconds};
 /// let night = Hours::new(5.0);
-/// let s: Seconds = night.into();
-/// assert_eq!(s, Seconds::new(18_000.0));
+/// assert_eq!(night.seconds(), Seconds::new(18_000.0));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
 pub struct Hours(f64);
@@ -171,54 +134,16 @@ impl Hours {
         self.0
     }
 
-    /// Total order over the raw value, as [`f64::total_cmp`]: NaN sorts
-    /// after `+inf`, so comparison-based searches order NaN last instead
-    /// of panicking or silently dropping elements.
-    #[inline]
-    #[must_use]
-    pub fn total_cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-
     /// Converts to seconds.
     #[inline]
     pub fn seconds(self) -> Seconds {
         Seconds(self.0 * SECONDS_PER_HOUR)
-    }
-
-    /// The larger of two durations.
-    #[inline]
-    #[must_use]
-    pub fn max(self, other: Hours) -> Hours {
-        Hours(self.0.max(other.0))
-    }
-
-    /// The smaller of two durations.
-    #[inline]
-    #[must_use]
-    pub fn min(self, other: Hours) -> Hours {
-        Hours(self.0.min(other.0))
     }
 }
 
 impl fmt::Display for Hours {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3} h", self.0)
-    }
-}
-
-impl Add for Hours {
-    type Output = Hours;
-    #[inline]
-    fn add(self, rhs: Hours) -> Hours {
-        Hours(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Hours {
-    #[inline]
-    fn add_assign(&mut self, rhs: Hours) {
-        self.0 += rhs.0;
     }
 }
 
@@ -230,47 +155,11 @@ impl Sub for Hours {
     }
 }
 
-impl SubAssign for Hours {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Hours) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl Mul<f64> for Hours {
-    type Output = Hours;
-    #[inline]
-    fn mul(self, rhs: f64) -> Hours {
-        Hours(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for Hours {
-    type Output = Hours;
-    #[inline]
-    fn div(self, rhs: f64) -> Hours {
-        Hours(self.0 / rhs)
-    }
-}
-
 impl Div for Hours {
     type Output = f64;
     #[inline]
     fn div(self, rhs: Hours) -> f64 {
         self.0 / rhs.0
-    }
-}
-
-impl Sum for Hours {
-    fn sum<I: Iterator<Item = Hours>>(iter: I) -> Hours {
-        iter.fold(Hours::ZERO, Add::add)
-    }
-}
-
-impl From<Seconds> for Hours {
-    #[inline]
-    fn from(s: Seconds) -> Hours {
-        s.hours()
     }
 }
 
@@ -281,9 +170,9 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         let h = Hours::new(2.5);
-        assert_eq!(Hours::from(h.seconds()), h);
+        assert_eq!(h.seconds().hours(), h);
         let s = Seconds::new(5400.0);
-        assert_eq!(Seconds::from(s.hours()), s);
+        assert_eq!(s.hours().seconds(), s);
     }
 
     #[test]
@@ -294,24 +183,21 @@ mod tests {
 
     #[test]
     fn arithmetic() {
-        assert_eq!(Hours::new(19.0) + Hours::new(5.0), Hours::DAY);
         assert_eq!(Hours::DAY - Hours::new(5.0), Hours::new(19.0));
         assert_eq!(Seconds::new(10.0) * 2.0, Seconds::new(20.0));
-        assert_eq!(Seconds::new(10.0) / 2.0, Seconds::new(5.0));
         assert!((Hours::new(12.0) / Hours::DAY - 0.5).abs() < 1e-12);
         let t: Seconds = [Seconds::new(16.2); 8].into_iter().sum();
         assert!((t.value() - 129.6).abs() < 1e-9);
     }
 
     #[test]
-    fn min_max() {
+    fn max_picks_the_longer_time() {
         assert_eq!(Seconds::new(1.0).max(Seconds::new(2.0)), Seconds::new(2.0));
-        assert_eq!(Hours::new(1.0).min(Hours::new(2.0)), Hours::new(1.0));
+        assert_eq!(Seconds::new(2.0).max(Seconds::new(1.0)), Seconds::new(2.0));
     }
 
     #[test]
     fn display_formats() {
-        assert_eq!(Seconds::new(16.2).to_string(), "16.20 s");
         assert_eq!(Hours::new(5.0).to_string(), "5.000 h");
     }
 

@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn length_round_trip(m in -1e7..1e7f64) {
         let len = Meters::new(m);
-        prop_assert!((Meters::from(len.kilometers()).value() - m).abs() < 1e-6);
+        prop_assert!((len.kilometers().meters().value() - m).abs() < 1e-6);
     }
 
     /// distance_to is symmetric, non-negative, and satisfies identity.
@@ -95,15 +95,15 @@ proptest! {
     #[test]
     fn speed_round_trip(kmh in 0.0..1000.0f64) {
         let v = KilometersPerHour::new(kmh);
-        let back: KilometersPerHour = v.meters_per_second().into();
+        let back = v.meters_per_second().kilometers_per_hour();
         prop_assert!((back.value() - kmh).abs() < 1e-9);
     }
 
     /// time = distance / speed is consistent with distance = speed * time.
     #[test]
-    fn kinematics_consistent(d in 1.0..1e6f64, v in 1.0..200.0f64) {
+    fn kinematics_consistent(d in 1.0..1e6f64, v in 3.6..720.0f64) {
         let dist = Meters::new(d);
-        let speed = MetersPerSecond::new(v);
+        let speed = KilometersPerHour::new(v).meters_per_second();
         let t = dist / speed;
         let back = speed * t;
         prop_assert!(((back.value() - d) / d).abs() < 1e-9);
@@ -113,13 +113,6 @@ proptest! {
     #[test]
     fn time_round_trip(h in 0.0..1e5f64) {
         let hours = Hours::new(h);
-        prop_assert!((Hours::from(hours.seconds()).value() - h).abs() < 1e-9);
-    }
-
-    /// LoadFraction::new accepts exactly [0,1].
-    #[test]
-    fn load_fraction_validation(v in -2.0..3.0f64) {
-        let result = LoadFraction::new(v);
-        prop_assert_eq!(result.is_ok(), (0.0..=1.0).contains(&v));
+        prop_assert!((hours.seconds().hours().value() - h).abs() < 1e-9);
     }
 }

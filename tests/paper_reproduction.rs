@@ -15,7 +15,7 @@ fn params() -> ScenarioParams {
 fn repeater_is_five_percent_of_a_cell_site() {
     let site = Watts::new(3200.0);
     let repeater = catalog::low_power_repeater_measured().full_load_power();
-    let ratio = repeater / site;
+    let ratio = repeater.value() / site.value();
     assert!(ratio < 0.05, "repeater/site = {ratio}");
 }
 
