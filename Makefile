@@ -34,15 +34,18 @@ golden:
 differential:
 	cargo test -q --test differential
 
-# Per-node event loop and instant-policy interval merge vs the global
-# heap-queue loop they replaced (proptest oracle, heap-era digests, node
-# independence, non-finite passes), then the simulator's unit tests
-# (among them the check that sends in-order one-train days down the
-# in-order walk, and replicated days agreeing with one-shot ones), in
-# release so arithmetic runs as it does in the served binaries.
+# The per-section interval walk, under the instant and the paper wake
+# policy, vs the global heap-queue event loop it replaced (proptest
+# oracle, boundary cases, heap-era digests, node independence,
+# non-finite passes); then the walk's clipping cases and metamorphic
+# properties, and the simulator's and replicator's unit tests (among
+# them the check that sends in-order one-train days down the in-order
+# walk, and replicated days agreeing with one-shot ones), all in release
+# so arithmetic runs as it does in the served binaries.
 sim-differential:
 	cargo test --release -p corridor_events --test sim_differential
-	cargo test --release -p corridor_events --lib sim
+	cargo test --release -p corridor_events --test clipping --test metamorphic
+	cargo test --release -p corridor_events --lib -- sim:: replicate::
 
 # Early-exit Table IV search vs a copy of the full search it replaced
 # (proptest oracle over random loads, sites, ladders and seeds: same

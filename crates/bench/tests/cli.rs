@@ -11,8 +11,8 @@ use corridor_core::sink::{RowFormat, StringSink};
 use corridor_sim::SweepEngine;
 use corridor_sim::{DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace};
 
-/// Renders an in-memory report in `format` through its `stream_into`
-/// (each report type has its own).
+/// Renders an in-memory optimizer report in `format` through its
+/// `stream_into`.
 macro_rules! render {
     ($report:expr, $format:expr) => {
         StringSink::render(0, |s| $report.stream_into($format, s))
@@ -208,10 +208,14 @@ fn row_output_is_the_library_writers_bytes() {
     let demo = ScenarioGrid::by_name("mixed-8")
         .and_then(|grid| grid.repeater_nodes(10).ok())
         .expect("the demo grid");
-    let sweep = SweepEngine::new()
-        .pv_sizing(false)
-        .run(&demo)
-        .expect("sweep");
+    let sweep = |format| {
+        let mut sink = StringSink::default();
+        SweepEngine::new()
+            .pv_sizing(false)
+            .stream(&demo, format, &mut sink)
+            .expect("sweep");
+        sink.into_string()
+    };
     let smoke = ScenarioGrid::by_name("smoke-3").expect("smoke-3");
     let mc = McEngine::new()
         .run(&smoke, &ReplicationPlan::new(3))
@@ -223,12 +227,12 @@ fn row_output_is_the_library_writers_bytes() {
         (
             "sweep",
             &["--demo", "--no-pv", "--csv"][..],
-            render!(sweep, RowFormat::Csv),
+            sweep(RowFormat::Csv),
         ),
         (
             "sweep",
             &["--demo", "--no-pv", "--json"],
-            render!(sweep, RowFormat::Json),
+            sweep(RowFormat::Json),
         ),
         (
             "mc",

@@ -16,12 +16,22 @@ use corridor_sim::{
     DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, SweepEngine,
 };
 
-/// Renders an in-memory report in `format` through its `stream_into`
-/// (each report type has its own).
+/// Renders an in-memory optimizer report in `format` through its
+/// `stream_into`.
 macro_rules! render {
     ($report:expr, $format:expr) => {
         StringSink::render(0, |s| $report.stream_into($format, s))
     };
+}
+
+/// The sweep of `grid` on two workers, streamed into memory in `format`.
+fn sweep_rows(grid: &ScenarioGrid, format: RowFormat) -> String {
+    let mut sink = StringSink::default();
+    SweepEngine::new()
+        .workers(2)
+        .stream(grid, format, &mut sink)
+        .unwrap();
+    sink.into_string()
 }
 
 /// Runs the serve coordinator with `requests` on stdin (plus any extra
@@ -105,10 +115,9 @@ fn trailer_field(end: &str, name: &str) -> u64 {
 #[test]
 fn sweep_stream_matches_in_memory_writers() {
     let grid = ScenarioGrid::by_name("mixed-8").unwrap();
-    let report = SweepEngine::new().workers(2).run(&grid).unwrap();
     for (format, expected) in [
-        ("csv", render!(report, RowFormat::Csv)),
-        ("json", render!(report, RowFormat::Json)),
+        ("csv", sweep_rows(&grid, RowFormat::Csv)),
+        ("json", sweep_rows(&grid, RowFormat::Json)),
     ] {
         let (stdout, _) = serve(
             &format!("sweep grid=mixed-8 format={format} shards=2\n"),
@@ -441,7 +450,7 @@ mod session {
     use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
     use std::thread::JoinHandle;
 
-    use super::{find_entry, parse_response, trailer_field};
+    use super::{find_entry, parse_response, sweep_rows, trailer_field};
     use corridor_core::hash::sha256_hex;
     use corridor_core::sink::{RowFormat, StringSink};
     use corridor_sim::{
@@ -596,7 +605,6 @@ mod session {
     fn a_mixed_session_matches_the_in_memory_writers() {
         let mixed = ScenarioGrid::by_name("mixed-8").unwrap();
         let smoke = ScenarioGrid::by_name("smoke-3").unwrap();
-        let sweep = SweepEngine::new().workers(2).run(&mixed).unwrap();
         let mc = |seed| {
             let plan = ReplicationPlan::new(3).master_seed(seed);
             McEngine::new()
@@ -615,7 +623,7 @@ mod session {
         for (line, expected) in [
             (
                 "sweep grid=mixed-8 format=csv shards=2",
-                render!(sweep, RowFormat::Csv),
+                sweep_rows(&mixed, RowFormat::Csv),
             ),
             ("mc grid=smoke-3 format=csv shards=2 reps=3 seed=9", mc(9)),
             ("mc grid=smoke-3 format=csv shards=2 reps=3 seed=10", mc(10)),
@@ -625,7 +633,7 @@ mod session {
             ),
             (
                 "sweep grid=mixed-8 format=json shards=2",
-                render!(sweep, RowFormat::Json),
+                sweep_rows(&mixed, RowFormat::Json),
             ),
         ] {
             assert_eq!(payload(&session.request(line)), expected, "{line}");
@@ -795,7 +803,6 @@ mod session {
     #[test]
     fn a_crash_in_one_request_leaves_the_next_unaffected() {
         let mixed = ScenarioGrid::by_name("mixed-8").unwrap();
-        let sweep = SweepEngine::new().workers(2).run(&mixed).unwrap();
         let smoke = ScenarioGrid::by_name("smoke-3").unwrap();
         let plan = ReplicationPlan::new(3).master_seed(9);
         let mc = McEngine::new().workers(2).run(&smoke, &plan).unwrap();
@@ -803,7 +810,7 @@ mod session {
         // cell 5 is in the mixed-8 request only: its chunk's worker dies once
         let mut session = Session::start(&[("CORRIDOR_SERVE_CRASH_CELL", "5")]);
         let first = session.request("sweep grid=mixed-8 format=json shards=2");
-        assert_eq!(payload(&first), render!(sweep, RowFormat::Json));
+        assert_eq!(payload(&first), sweep_rows(&mixed, RowFormat::Json));
         let second = session.request("mc grid=smoke-3 format=csv shards=2 reps=3 seed=9");
         assert_eq!(payload(&second), mc.to_csv());
         let (status, stderr) = session.finish();

@@ -5,17 +5,15 @@
 //! deterministic timetables. This crate models the corridor in the time
 //! domain:
 //!
-//! * per-node event runs: each node's barrier trips, train entries and
-//!   exits on its [`TrackSection`](corridor_traffic::TrackSection),
-//!   sorted once and interleaved deterministically with the one wake
-//!   or drain timer the node may have pending (nodes never share state,
-//!   so each runs on its own, and nodes watching the same section share
-//!   one run); under [`WakePolicy::instant`] the node's occupancy
-//!   intervals are merged directly instead, with the same trace bits and
-//!   event count;
+//! * per-node days: each node's occupancy intervals on its
+//!   [`TrackSection`](corridor_traffic::TrackSection), walked in entry
+//!   order (nodes never share state, so each runs on its own, and nodes
+//!   watching the same section share one walk);
 //! * a per-node wake state machine ([`NodeState`]: asleep → waking →
-//!   active → drain) parameterized by a [`WakePolicy`] (barrier lead,
-//!   wake latency, guard interval);
+//!   active → drain) that the walk bills, under one of two
+//!   [`WakePolicy`] values: [`WakePolicy::instant`], or the paper's
+//!   barrier lead, wake latency and guard interval
+//!   ([`WakePolicy::paper_default`]);
 //! * an energy integrator ([`StateTrace`]) that accumulates per-state
 //!   time and converts it to Wh through the same
 //!   [`DutyCycle`](corridor_power::DutyCycle) arithmetic as the closed

@@ -17,12 +17,12 @@ use crate::{segment_nodes, CorridorSimulator, EventDrivenEvaluator, SimReport, W
 /// Monte-Carlo sweep replaying hundreds of seeded days through one
 /// geometry pays for the nodes and their sections once, and its days are
 /// bit for bit those of [`CorridorSimulator::simulate`] on the same
-/// nodes. Under [`WakePolicy::instant`] each section's occupancy
-/// intervals are merged into powered stretches, one section at a time: on
-/// a day that runs one train with origins that never fall (every sampled
-/// Poisson day, checked once per day) each section walks the passes
-/// itself, and any other day is staged section by section and sorted
-/// where an entry fell. Any other policy runs the event loop.
+/// nodes. Under either wake policy each section's occupancy intervals
+/// are walked in entry order, one section at a time: on a day that runs
+/// one train with origins that never fall (every sampled Poisson day,
+/// checked once per day) each section walks the passes itself, and any
+/// other day is staged section by section and sorted where an entry
+/// fell.
 ///
 /// # Examples
 ///

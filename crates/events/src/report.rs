@@ -82,16 +82,17 @@ impl SimReport {
     }
 
     /// Number of events processed, summed over the nodes (the
-    /// numerator of the events/s throughput metric). A drain cancelled
-    /// by a new train still counts once, as the no-op expiry a queue
-    /// without removal would pop, and a node whose section repeats an
-    /// earlier node's counts that node's events again. Under
-    /// [`WakePolicy::instant`](crate::WakePolicy::instant) no event is
-    /// popped (the simulator merges occupancy intervals instead), and a
-    /// node counts `3 · intervals + 2 · wakes`: its barrier trips,
-    /// entries and exits plus one wake completion and one drain expiry
-    /// per wake, exactly what the event loop pops on that day, so counts
-    /// stay comparable across policies.
+    /// numerator of the events/s throughput metric): what an event loop
+    /// over the node's barrier trips, entries, exits and timers would pop
+    /// on that day, though the simulator walks occupancy intervals
+    /// instead. A node counts `3 · intervals + wakes + drains`: its
+    /// barrier trips, entries and exits, one wake completion per wake,
+    /// and one drain expiry per drain entered — a drain cancelled by a
+    /// new train still counts once, as the no-op expiry a queue without
+    /// removal would pop. Under
+    /// [`WakePolicy::instant`](crate::WakePolicy::instant) no drain is
+    /// cancelled, so that is `3 · intervals + 2 · wakes`. A node whose
+    /// section repeats an earlier node's counts that node's events again.
     pub fn events_processed(&self) -> usize {
         self.events
     }

@@ -8,47 +8,6 @@ use corridor_units::{Hours, Meters, Seconds};
 
 use crate::{NodeReport, NodeSpec, NodeState, SimReport, StateTrace, WakePolicy};
 
-/// What fires (or is scheduled to fire) at a node.
-///
-/// At equal timestamps events process in a fixed priority order —
-/// barrier trips before wake completions before train entries before
-/// train exits before drain expiries — so zero-latency policies (an
-/// instant wake at the very second a train enters) resolve
-/// deterministically. The variants are declared in that order, so the
-/// discriminant is the priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// The photoelectric barrier up-track of the node tripped.
-    BarrierTrip,
-    /// A wake transition completed.
-    WakeComplete,
-    /// A train head entered the node's coverage section.
-    TrainEnter,
-    /// A train tail cleared the node's coverage section.
-    TrainExit,
-    /// The guard interval after the last train expired.
-    DrainExpire,
-}
-
-/// One event at one node.
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    /// When the event fires (may lie outside the horizon; the energy
-    /// integrator clamps).
-    time: Seconds,
-    kind: EventKind,
-}
-
-impl Event {
-    /// True if `self` fires strictly before `other`: by time, then kind
-    /// priority. `-0.0` and `+0.0` tie, as under `==`; staging drops NaN
-    /// times.
-    fn precedes(&self, other: &Event) -> bool {
-        self.time < other.time
-            || (self.time == other.time && (self.kind as u8) < (other.kind as u8))
-    }
-}
-
 /// One occupancy interval of a node's section: `(enter, exit)`.
 type Span = (Seconds, Seconds);
 
@@ -124,8 +83,8 @@ impl PassOffsets {
     }
 }
 
-/// The passes of a day whose instant-policy intervals arrive in order
-/// for every section: one direction swept as given, every pass of one
+/// The passes of a day whose intervals arrive in entry order for every
+/// section: one direction swept as given, every pass of one
 /// train (by the bits of its length and speed, as [`PassOffsets`] keys
 /// it) and origins that never fall (each `origin >= last`). Rounding is
 /// monotone, so for each section's head offset `origin + head` never
@@ -154,23 +113,23 @@ fn in_order_day<'a>(directions: &[Direction<'a>]) -> Option<&'a [TrainPass]> {
     Some(passes)
 }
 
-/// Sorts `items` stably into the order `precedes` defines. A day's
-/// passes usually arrive sorted by origin, leaving only the local
-/// disorder of overlapping trains, which an insertion pass fixes with a
-/// move or two per pass. Once the moves outnumber the items (passes out
-/// of order, routes concatenated on a network edge, a double-track
-/// day's second direction), the stable `sort_by` takes over, so no
-/// input costs more than O(n log n).
-fn sort_nearly_sorted<T>(items: &mut [T], precedes: impl Fn(&T, &T) -> bool) {
-    let mut budget = items.len();
-    for i in 1..items.len() {
+/// Sorts staged intervals stably by entry. A day's passes usually
+/// arrive sorted by origin, leaving only the local disorder of
+/// overlapping trains, which an insertion pass fixes with a move or two
+/// per interval. Once the moves outnumber the intervals (passes out of
+/// order, routes concatenated on a network edge, a double-track day's
+/// second direction), the stable `sort_by` takes over, so no input costs
+/// more than O(n log n). Staged intervals are live, so no entry is NaN.
+fn sort_nearly_sorted(spans: &mut [Span]) {
+    let mut budget = spans.len();
+    for i in 1..spans.len() {
         let mut j = i;
-        while j > 0 && precedes(&items[j], &items[j - 1]) {
+        while j > 0 && spans[j].0 < spans[j - 1].0 {
             if budget == 0 {
-                items.sort_by(|a, b| {
-                    if precedes(a, b) {
+                spans.sort_by(|a, b| {
+                    if a.0 < b.0 {
                         Ordering::Less
-                    } else if precedes(b, a) {
+                    } else if b.0 < a.0 {
                         Ordering::Greater
                     } else {
                         Ordering::Equal
@@ -179,133 +138,52 @@ fn sort_nearly_sorted<T>(items: &mut [T], precedes: impl Fn(&T, &T) -> bool) {
                 return;
             }
             budget -= 1;
-            items.swap(j - 1, j);
+            spans.swap(j - 1, j);
             j -= 1;
         }
     }
 }
 
-/// One node's day: its staged barrier/enter/exit events sorted into
-/// firing order, merged at pop time with the one wake or drain timer
-/// the state machine may have pending.
-///
-/// Nodes never touch each other's state, so each one runs on its own:
-/// the firing order within a node is what one global (time, kind
-/// priority, node, push order) queue would produce for that node.
-/// Staged events have ranks 0/2/3 and timers 1/4, so the two never tie,
-/// and staged events are sorted stably, so their ties keep push order.
-///
-/// At most one timer is live at a time: a wake is only scheduled from
-/// asleep and only its own completion leaves waking, so a wake
-/// completion is never stale; a drain is only scheduled on entering
-/// drain, and leaving drain either fires it or cancels it
-/// ([`NodeDay::cancel`]).
-#[derive(Default)]
-struct NodeDay {
-    /// Staged events, sorted; `cursor` is the next one to fire.
-    run: Vec<Event>,
-    cursor: usize,
-    /// The pending wake or drain timer.
-    timer: Option<Event>,
-    /// Drains cancelled so far. A queue that cannot remove an event pops
-    /// each of them at its expiry and ignores it; the event count keeps
-    /// counting those no-op pops.
-    stale: usize,
-}
-
-impl NodeDay {
-    fn clear(&mut self) {
-        self.run.clear();
-        self.cursor = 0;
-        self.timer = None;
-        self.stale = 0;
-    }
-
-    /// Sorts the staged events into firing order, stably.
-    fn seal(&mut self) {
-        sort_nearly_sorted(&mut self.run, Event::precedes);
-    }
-
-    /// Schedules a wake or drain timer into the empty slot.
-    fn schedule(&mut self, time: Seconds, kind: EventKind) {
-        debug_assert!(self.timer.is_none(), "one timer per node at a time");
-        self.timer = Some(Event { time, kind });
-    }
-
-    /// Cancels the pending drain.
-    fn cancel(&mut self) {
-        debug_assert!(matches!(self.timer, Some(t) if t.kind == EventKind::DrainExpire));
-        self.timer = None;
-        self.stale += 1;
-    }
-
-    /// Removes and returns the next event to fire, if any.
-    fn pop(&mut self) -> Option<Event> {
-        match (self.run.get(self.cursor), self.timer) {
-            (Some(s), Some(t)) if t.precedes(s) => self.timer.take(),
-            (Some(&s), _) => {
-                self.cursor += 1;
-                Some(s)
-            }
-            (None, _) => self.timer.take(),
-        }
-    }
-}
-
-/// Per-node runtime state of the event loop.
-struct NodeRuntime {
-    state: NodeState,
-    /// Clock of the last state transition, clamped into the horizon.
-    state_since: Seconds,
-    /// Trains currently inside the section.
-    occupancy: u32,
-    /// Barrier trips whose matching exit has not fired yet.
-    expected: u32,
-    /// When occupancy last went from zero to positive.
-    occupied_since: Seconds,
-    trace: StateTrace,
-}
-
-impl NodeRuntime {
-    /// A node asleep at `t = 0` with an empty trace over `horizon`.
-    fn asleep(horizon: Seconds) -> Self {
-        NodeRuntime {
-            state: NodeState::Asleep,
-            state_since: Seconds::ZERO,
-            occupancy: 0,
-            expected: 0,
-            occupied_since: Seconds::ZERO,
-            trace: StateTrace::new(horizon),
-        }
-    }
-}
-
-/// One section's instant-policy day, merged interval by interval into
-/// powered stretches and billed as it goes.
+/// One section's day, merged interval by interval and billed as it goes:
+/// the node's wake state machine (asleep → waking → active → drain, see
+/// [`NodeState`]) walked over the section's live intervals in entry
+/// order. `PADDED` is false for [`WakePolicy::instant`] and true for
+/// [`WakePolicy::paper_default`]; each instance bills the transitions
+/// that policy's machine makes, with the same clamps and in the same
+/// order, so the traces and event counts are those of the event loop the
+/// walk replaced (kept as the oracle of `tests/sim_differential.rs`) bit
+/// for bit.
 ///
 /// Intervals must arrive with entries that never decrease (sorted
-/// stably, as the loop's barriers are). With lead, wake delay and guard
-/// all zero, the loop's wake completion at a barrier's time fires after
-/// every barrier at that time and before every entry (ranks 1 and 2), so
-/// no time goes uncovered; a drain scheduled at an exit time fires
-/// before any later event, as nothing of a lower rank is left at that
-/// time, so none is cancelled; and a barrier sorts before an exit at the
-/// same time, so intervals that touch share one wake. The node is thus
-/// powered over each stretch of intervals that overlap or touch, from
-/// its first entry to its last exit: a stretch grows while the next
-/// entry is `<=` its running maximum exit. The loop pops three staged
-/// events per interval and a wake completion and a drain expiry per
-/// stretch.
+/// stably, as the loop's barriers were). Each one's barrier trips at
+/// `trip = enter − lead` (`enter` itself when instant), so the trips
+/// never decrease either. Both policies finish every wake no later than
+/// the entry that triggered it, `(enter − lead) + wake_delay <= enter`,
+/// so the node is active before any train is in its section, and no
+/// train is ever uncovered. The node then stays active while the next
+/// trip is `<=` the running maximum exit of the intervals so far (a
+/// barrier fires before an exit at the same time), and drains at that
+/// exit: within such a stretch some interval whose barrier has tripped
+/// is still inside or approaching, and past its end none is.
 ///
-/// Each stretch `[start, end]` is billed with two clamps,
-/// `on = clamp(start)` and `off = clamp(end)` into `[0, horizon]`:
-/// asleep gets `on − since`, active gets `off − on`, one wake, and the
-/// node sleeps from `off`. That is what the loop's four transitions
-/// (asleep → waking at `start − lead`, → active at that plus
-/// `wake_delay`, → drain at `end`, → asleep at `end + guard`) add, bit
-/// for bit, when the policy equals [`WakePolicy::instant`], where each
-/// of the three is a zero of either sign (`WakePolicy::new` accepts
-/// `-0.0`):
+/// **Padded** (`PADDED = true`): the first trip of a wake bills asleep up
+/// to `clamp(trip)` and counts a wake, then waking up to `clamp(trip +
+/// wake_delay)`. A stretch ending at `end` bills active up to
+/// `clamp(end)` and enters drain. If the next trip is `<=` `end + guard`
+/// (a barrier fires before a drain expiry at the same time), it cancels
+/// the drain: drain up to `clamp(trip)`, and active again. Otherwise the
+/// drain expires: drain up to `clamp(end + guard)`, and the next trip
+/// wakes the node afresh. The count is what the loop popped: three
+/// staged events per interval, one wake completion per wake, and one
+/// expiry per drain entered, as a cancelled drain was still popped as a
+/// no-op.
+///
+/// **Instant** (`PADDED = false`): lead, wake delay and guard are `+0.0`,
+/// so each stretch is a wake, from its first entry `start` to its end,
+/// and no drain is cancelled (the entry after a stretch comes after
+/// `end == end + guard`). Of the loop's four transitions only two
+/// segments are not zero: asleep up to `on = clamp(start)`, and active
+/// from `on` up to `off = clamp(end)`:
 ///
 /// * `end > 0` (every live interval exits after `t = 0`), so
 ///   `end + guard == end`, `off > 0`, and the drain segment is `+0.0`;
@@ -319,27 +197,32 @@ impl NodeRuntime {
 ///
 /// Every accumulator starts at `+0.0` and only grows, so adding a zero
 /// of either sign leaves its bits unchanged: dropping the two zero
-/// segments changes nothing.
-struct Stretches {
+/// segments changes nothing. The count is three staged events per
+/// interval plus a wake completion and a drain expiry per stretch.
+struct Walk<const PADDED: bool> {
     horizon: Seconds,
+    policy: WakePolicy,
     trace: StateTrace,
-    /// Where the node fell asleep last: the clamped end of the last
-    /// billed stretch.
+    /// The clamped clock of the last billed transition.
     since: Seconds,
-    /// The stretch being grown: its start and its running maximum end.
-    open: Option<Span>,
+    /// The running maximum exit of the open stretch.
+    end: Option<Seconds>,
     /// Intervals merged so far.
     spans: usize,
+    /// Drains entered so far, fired or cancelled (padded only).
+    drains: usize,
 }
 
-impl Stretches {
-    fn new(horizon: Seconds) -> Self {
-        Stretches {
+impl<const PADDED: bool> Walk<PADDED> {
+    fn new(horizon: Seconds, policy: WakePolicy) -> Self {
+        Walk {
             horizon,
+            policy,
             trace: StateTrace::new(horizon),
             since: Seconds::ZERO,
-            open: None,
+            end: None,
             spans: 0,
+            drains: 0,
         }
     }
 
@@ -347,38 +230,81 @@ impl Stretches {
     #[inline(always)]
     fn push(&mut self, (enter, exit): Span) {
         self.spans += 1;
-        match self.open {
-            Some((start, end)) if enter <= end => {
+        let trip = if PADDED {
+            enter - self.policy.lead()
+        } else {
+            enter
+        };
+        match self.end {
+            Some(end) if trip <= end => {
                 if exit > end {
-                    self.open = Some((start, exit));
+                    self.end = Some(exit);
                 }
             }
-            Some((start, end)) => {
-                self.bill(start, end);
-                self.open = Some((enter, exit));
+            Some(end) => {
+                if !self.end_stretch(end, Some(trip)) {
+                    self.wake(trip, enter);
+                }
+                self.end = Some(exit);
             }
-            None => self.open = Some((enter, exit)),
+            None => {
+                self.wake(trip, enter);
+                self.end = Some(exit);
+            }
         }
     }
 
-    /// Bills one finished stretch.
-    fn bill(&mut self, start: Seconds, end: Seconds) {
-        let on = start.max(Seconds::ZERO).min(self.horizon);
-        let off = end.max(Seconds::ZERO).min(self.horizon);
-        self.trace.add(NodeState::Asleep, on - self.since);
-        self.trace.add(NodeState::Active, off - on);
-        self.trace.count_wake();
-        self.since = off;
+    /// Bills the segment of `state` up to the clamped clock `t`.
+    fn bill(&mut self, state: NodeState, t: Seconds) {
+        let clock = t.max(Seconds::ZERO).min(self.horizon);
+        self.trace.add(state, clock - self.since);
+        self.since = clock;
     }
 
-    /// Bills the open stretch and the sleep after it, returning the trace
-    /// and the event count [`CorridorSimulator::replay`] would return.
+    /// Wakes the asleep node at the barrier trip `trip` of the interval
+    /// entering at `enter`.
+    fn wake(&mut self, trip: Seconds, enter: Seconds) {
+        self.bill(NodeState::Asleep, trip);
+        self.trace.count_wake();
+        if PADDED {
+            let ready = trip + self.policy.wake_delay();
+            debug_assert!(ready <= enter, "a wake must end by its entry");
+            self.bill(NodeState::Waking, ready);
+        }
+    }
+
+    /// Ends the stretch at `end`, before the next barrier trip `next` if
+    /// any, returning true if that trip cancelled the drain (the node is
+    /// active again) and false if the node fell asleep.
+    fn end_stretch(&mut self, end: Seconds, next: Option<Seconds>) -> bool {
+        self.bill(NodeState::Active, end);
+        if PADDED {
+            self.drains += 1;
+            let expiry = end + self.policy.guard();
+            match next {
+                Some(trip) if trip <= expiry => {
+                    self.bill(NodeState::Drain, trip);
+                    return true;
+                }
+                _ => self.bill(NodeState::Drain, expiry),
+            }
+        }
+        false
+    }
+
+    /// Ends the open stretch and sleeps to the horizon, returning the
+    /// trace and the event count.
     fn finish(mut self) -> (StateTrace, usize) {
-        if let Some((start, end)) = self.open {
-            self.bill(start, end);
+        if let Some(end) = self.end {
+            self.end_stretch(end, None);
         }
         self.trace.add(NodeState::Asleep, self.horizon - self.since);
-        (self.trace, 3 * self.spans + 2 * self.trace.wakes())
+        let timers = if PADDED {
+            self.trace.wakes() + self.drains
+        } else {
+            2 * self.trace.wakes()
+        };
+        (self.trace, 3 * self.spans + timers)
     }
 }
 
@@ -440,31 +366,26 @@ impl SectionTable {
 
 /// Replays a day of train passes through per-node wake state machines.
 ///
-/// Each node watches its [`TrackSection`]; the simulator stages the
-/// node's barrier trips, train entries and exits in firing order, runs
-/// the asleep → waking → active → drain machine under a [`WakePolicy`]
-/// over them, and integrates per-state time into a [`StateTrace`]. No
-/// node's state depends on another's, so each node runs on its own, and
-/// nodes watching bit-identical sections share one run.
+/// Each node watches its [`TrackSection`]; the simulator walks the
+/// node's `(enter, exit)` occupancy intervals in entry order through the
+/// asleep → waking → active → drain machine of its [`WakePolicy`],
+/// billing per-state time into a [`StateTrace`] as it goes.
+/// Under either policy the machine powers the node from the first
+/// barrier trip of a run of intervals whose trips each come before the
+/// running maximum exit, or within the guard after it, to that run's
+/// last exit plus the guard. No node's state depends on another's, so
+/// each section is walked on its own, and nodes watching bit-identical
+/// sections share one walk.
 ///
-/// Under [`WakePolicy::instant`] that machine can only power the node
-/// over the union of its occupancy intervals, one wake per connected
-/// stretch, so the simulator skips the events: it merges each node's
-/// `(enter, exit)` intervals, in entry order, into stretches of those
-/// that overlap or touch, and bills each stretch as asleep time up to
-/// its clamped start and active time up to its clamped end, the only
-/// segments of the loop's four transitions that are not zero under that
-/// policy. The traces and event counts are bit-identical to the loop's.
-/// Instant days are merged one section at a time. A day that runs one
-/// direction and one train with origins that never fall (every Poisson
-/// and timetable day, checked once per call) has every section's entries
-/// in order already, so each section walks the passes itself; any other
-/// day (double track, a train change, a falling origin) is staged and
-/// sorted where an entry fell. Both sources feed the same merger. Any
-/// other policy runs the event loop. The energy numbers then come from
-/// the same duty-cycle arithmetic as the closed-form model, so with
-/// [`WakePolicy::instant`] the two backends agree to float precision on
-/// deterministic timetables.
+/// A day that runs one direction and one train with origins that never
+/// fall (every Poisson and timetable day, checked once per call) has
+/// every section's entries in order already, so each section walks the
+/// passes itself; any other day (double track, a train change, a falling
+/// origin) is staged and sorted where an entry fell. Both sources feed
+/// the same walk. The energy numbers then come from the same duty-cycle
+/// arithmetic as the closed-form model, so with [`WakePolicy::instant`]
+/// the two backends agree to float precision on deterministic
+/// timetables.
 ///
 /// # Examples
 ///
@@ -571,30 +492,16 @@ impl CorridorSimulator {
     }
 
     /// The core loop: each distinct section of `table` gets its day from
-    /// its occupancy intervals that overlap the horizon, and
-    /// [`SectionTable::report`] hands each node its section's day.
-    ///
-    /// Under the instant policy the intervals are merged into powered
-    /// stretches, one section at a time ([`CorridorSimulator::merge`]).
-    /// Under any other policy each section's intervals are staged as
-    /// barrier/enter/exit events for the state machine
-    /// ([`CorridorSimulator::replay`]).
+    /// its occupancy intervals that overlap the horizon, walked in entry
+    /// order ([`CorridorSimulator::merge`]) by the instance of [`Walk`]
+    /// for the policy, and [`SectionTable::report`] hands each node its
+    /// section's day.
     fn run(&self, table: &SectionTable, directions: &[Direction<'_>]) -> SimReport {
         let passes = directions.iter().map(|(passes, _)| passes.len()).sum();
-        let days: Vec<(StateTrace, usize)> = if self.policy != WakePolicy::instant() {
-            let mut day = NodeDay::default();
-            table
-                .sections
-                .iter()
-                .map(|&section| {
-                    day.clear();
-                    self.for_each_live(section, directions, |span| self.stage(&mut day, span));
-                    day.seal();
-                    self.replay(&mut day)
-                })
-                .collect()
+        let days = if self.policy == WakePolicy::instant() {
+            self.merge::<false>(&table.sections, directions, passes)
         } else {
-            self.merge(&table.sections, directions, passes)
+            self.merge::<true>(&table.sections, directions, passes)
         };
         table.report(&days, passes)
     }
@@ -607,52 +514,30 @@ impl CorridorSimulator {
         exit > enter && exit > Seconds::ZERO && enter < self.horizon
     }
 
-    /// Calls `f` with each live interval of `section`, in pass order,
-    /// direction by direction.
-    fn for_each_live(
-        &self,
-        section: TrackSection,
-        directions: &[Direction<'_>],
-        mut f: impl FnMut(Span),
-    ) {
-        for &(passes, mirror) in directions {
-            let watched = match mirror {
-                None => section,
-                Some(length) => TrackSection::new(length - section.end(), length - section.start()),
-            };
-            let mut offsets = PassOffsets::new(watched);
-            for pass in passes {
-                let span = offsets.occupancy(pass);
-                if self.live(span) {
-                    f(span);
-                }
-            }
-        }
-    }
-
-    /// The instant days of `sections`, one section at a time, each
-    /// merged into its own [`Stretches`] from one of two interval
-    /// sources, chosen once per call by [`in_order_day`]:
+    /// The days of `sections` under the policy of the `PADDED` instance
+    /// of [`Walk`], one section at a time, each walked from one of two
+    /// interval sources, chosen once per call by [`in_order_day`]:
     ///
     /// * a day of one direction and one train whose origins never fall
     ///   (every Poisson and timetable day): the section divides its
     ///   offsets once ([`offsets`]) and walks the passes, feeding each live
-    ///   interval straight to its merger, as the entries never fall;
+    ///   interval straight to its walk, as the entries never fall;
     /// * any other day (two directions, a train change or a falling
-    ///   origin): the section's live intervals are staged, sorted stably by
-    ///   entry when one fell ([`sort_nearly_sorted`]), and fed from the
-    ///   buffer.
+    ///   origin): the section's live intervals are staged direction by
+    ///   direction, in pass order, with the offsets kept per train
+    ///   ([`PassOffsets`]); sorted stably by entry when one fell
+    ///   ([`sort_nearly_sorted`]), and fed from the buffer.
     ///
     /// Either way each section sees the same intervals in the same order.
-    /// Section by section, the merge state stays in locals for the whole
-    /// walk over the passes, where one walk updating every section on each
+    /// Section by section, the walk's state stays in locals for the whole
+    /// pass over the passes, where one pass updating every section on each
     /// pass loads and stores it per pass. The order is checked once per
     /// day, on the origins: checking it per interval inside the walk cost
     /// about half of what skipping the sort saves (see
-    /// `docs/performance.md`). Out of line, as `replay` is: inlined into
-    /// `run`, the instant routes made paper-policy days 2–4 % slower.
+    /// `docs/performance.md`). Out of line: inlined into `run`, an
+    /// instant route made the other policy's days 2–4 % slower.
     #[inline(never)]
-    fn merge(
+    fn merge<const PADDED: bool>(
         &self,
         sections: &[TrackSection],
         directions: &[Direction<'_>],
@@ -663,7 +548,7 @@ impl CorridorSimulator {
         sections
             .iter()
             .map(|&section| {
-                let mut day = Stretches::new(self.horizon);
+                let mut day = Walk::<PADDED>::new(self.horizon, self.policy);
                 if let Some(passes) = in_order {
                     if let Some(first) = passes.first() {
                         let (head, tail) = offsets(section, first.train());
@@ -680,13 +565,25 @@ impl CorridorSimulator {
                     spans.reserve(passes);
                     let mut sorted = true;
                     let mut last = Seconds::new(f64::NEG_INFINITY);
-                    self.for_each_live(section, directions, |span| {
-                        sorted &= span.0 >= last;
-                        last = span.0;
-                        spans.push(span);
-                    });
+                    for &(passes, mirror) in directions {
+                        let watched = match mirror {
+                            None => section,
+                            Some(length) => {
+                                TrackSection::new(length - section.end(), length - section.start())
+                            }
+                        };
+                        let mut offsets = PassOffsets::new(watched);
+                        for pass in passes {
+                            let span = offsets.occupancy(pass);
+                            if self.live(span) {
+                                sorted &= span.0 >= last;
+                                last = span.0;
+                                spans.push(span);
+                            }
+                        }
+                    }
                     if !sorted {
-                        sort_nearly_sorted(&mut spans, |a, b| a.0 < b.0);
+                        sort_nearly_sorted(&mut spans);
                     }
                     for &span in &spans {
                         day.push(span);
@@ -695,143 +592,6 @@ impl CorridorSimulator {
                 day.finish()
             })
             .collect()
-    }
-
-    /// Runs one node's sealed day through the state machine, returning
-    /// its trace and event count.
-    ///
-    /// Out of line: inlined into `run`, whose staging loop it shares with
-    /// the staged instant route, it made paper-policy days about 6 %
-    /// slower.
-    #[inline(never)]
-    fn replay(&self, day: &mut NodeDay) -> (StateTrace, usize) {
-        let mut rt = NodeRuntime::asleep(self.horizon);
-        let mut events = 0usize;
-        while let Some(event) = day.pop() {
-            events += 1;
-            self.handle(&mut rt, event, day);
-        }
-        (self.close(rt), events + day.stale)
-    }
-
-    /// Closes the node's final state segment at the horizon.
-    fn close(&self, mut rt: NodeRuntime) -> StateTrace {
-        let remaining = self.horizon - rt.state_since;
-        rt.trace.add(rt.state, remaining);
-        rt.trace
-    }
-
-    /// Stages the barrier trip, entry and exit of one occupancy interval
-    /// into `day`.
-    fn stage(&self, day: &mut NodeDay, (enter, exit): Span) {
-        day.run.extend([
-            Event {
-                time: enter - self.policy.lead(),
-                kind: EventKind::BarrierTrip,
-            },
-            Event {
-                time: enter,
-                kind: EventKind::TrainEnter,
-            },
-            Event {
-                time: exit,
-                kind: EventKind::TrainExit,
-            },
-        ]);
-    }
-
-    /// Transitions `rt` to `next` at clock `t`, billing the elapsed
-    /// segment to the outgoing state.
-    fn transition(&self, rt: &mut NodeRuntime, t: Seconds, next: NodeState) {
-        let clock = t.max(Seconds::ZERO).min(self.horizon);
-        rt.trace.add(rt.state, clock - rt.state_since);
-        if rt.state == NodeState::Asleep && next == NodeState::Waking {
-            rt.trace.count_wake();
-        }
-        rt.state = next;
-        rt.state_since = clock;
-    }
-
-    /// Handles one event at one node. Inlined into the per-node loop:
-    /// measured about 1.5× faster on Poisson days than a call per event.
-    #[inline(always)]
-    fn handle(&self, rt: &mut NodeRuntime, event: Event, day: &mut NodeDay) {
-        let t = event.time;
-        match event.kind {
-            EventKind::BarrierTrip => {
-                rt.expected += 1;
-                match rt.state {
-                    NodeState::Asleep => {
-                        self.transition(rt, t, NodeState::Waking);
-                        day.schedule(t + self.policy.wake_delay(), EventKind::WakeComplete);
-                    }
-                    NodeState::Drain => {
-                        // a new train is approaching: cancel the drain
-                        day.cancel();
-                        self.transition(rt, t, NodeState::Active);
-                    }
-                    NodeState::Waking | NodeState::Active => {}
-                }
-            }
-            EventKind::WakeComplete => {
-                debug_assert_eq!(rt.state, NodeState::Waking);
-                if rt.occupancy > 0 {
-                    // the train spent the wake transition uncovered
-                    rt.trace
-                        .add_uncovered(t.min(self.horizon) - rt.occupied_since);
-                    self.transition(rt, t, NodeState::Active);
-                } else if rt.expected > 0 {
-                    // powered early (barrier lead): await the train
-                    self.transition(rt, t, NodeState::Active);
-                } else {
-                    // the train came and went while we were waking
-                    self.transition(rt, t, NodeState::Drain);
-                    day.schedule(t + self.policy.guard(), EventKind::DrainExpire);
-                }
-            }
-            EventKind::TrainEnter => {
-                if rt.occupancy == 0 {
-                    rt.occupied_since = t.max(Seconds::ZERO).min(self.horizon);
-                }
-                rt.occupancy += 1;
-                match rt.state {
-                    NodeState::Drain => {
-                        day.cancel();
-                        self.transition(rt, t, NodeState::Active);
-                    }
-                    NodeState::Asleep => {
-                        // defensive: a barrier always trips first (lead ≥ 0),
-                        // but an unsensed train must still wake the node
-                        self.transition(rt, t, NodeState::Waking);
-                        day.schedule(t + self.policy.wake_delay(), EventKind::WakeComplete);
-                    }
-                    NodeState::Waking | NodeState::Active => {}
-                }
-            }
-            EventKind::TrainExit => {
-                rt.occupancy = rt.occupancy.saturating_sub(1);
-                rt.expected = rt.expected.saturating_sub(1);
-                if rt.occupancy == 0 {
-                    match rt.state {
-                        NodeState::Waking => {
-                            // the whole pass fell inside the wake transition
-                            rt.trace
-                                .add_uncovered(t.min(self.horizon) - rt.occupied_since);
-                        }
-                        NodeState::Active if rt.expected == 0 => {
-                            self.transition(rt, t, NodeState::Drain);
-                            day.schedule(t + self.policy.guard(), EventKind::DrainExpire);
-                        }
-                        // a tripped train is still approaching: stay powered
-                        _ => {}
-                    }
-                }
-            }
-            EventKind::DrainExpire => {
-                debug_assert_eq!(rt.state, NodeState::Drain);
-                self.transition(rt, t, NodeState::Asleep);
-            }
-        }
     }
 }
 
@@ -872,40 +632,6 @@ mod tests {
             assert_eq!(node.trace().wakes(), 152);
             assert_eq!(node.trace().uncovered(), Seconds::ZERO);
         }
-    }
-
-    #[test]
-    fn lead_and_guard_extend_powered_time() {
-        let nodes = segment_nodes(1, Meters::new(1250.0), Meters::new(200.0));
-        let instant = CorridorSimulator::new().simulate(&nodes, &paper_passes());
-        let padded = CorridorSimulator::new()
-            .with_policy(WakePolicy::new(
-                Seconds::new(2.0),
-                Seconds::ZERO,
-                Seconds::new(3.0),
-            ))
-            .simulate(&nodes, &paper_passes());
-        // 152 passes × (2 s lead + 3 s guard) of extra powered time
-        let extra = padded.nodes()[1].trace().powered().value()
-            - instant.nodes()[1].trace().powered().value();
-        assert!((extra - 152.0 * 5.0).abs() < 1e-6, "extra {extra}");
-        assert_eq!(padded.nodes()[1].trace().uncovered(), Seconds::ZERO);
-    }
-
-    #[test]
-    fn wake_delay_without_lead_leaves_uncovered_time() {
-        let nodes = segment_nodes(1, Meters::new(1250.0), Meters::new(200.0));
-        let report = CorridorSimulator::new()
-            .with_policy(WakePolicy::new(
-                Seconds::ZERO,
-                Seconds::new(0.3),
-                Seconds::ZERO,
-            ))
-            .simulate(&nodes, &paper_passes());
-        let service = &report.nodes()[1];
-        // 152 passes × 0.3 s of waking while the train is in the section
-        assert!((service.trace().uncovered().value() - 152.0 * 0.3).abs() < 1e-6);
-        assert!((service.trace().waking().value() - 152.0 * 0.3).abs() < 1e-6);
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub struct StateTrace {
     active: Seconds,
     drain: Seconds,
     wakes: usize,
-    uncovered: Seconds,
 }
 
 impl StateTrace {
@@ -40,7 +39,6 @@ impl StateTrace {
             active: Seconds::ZERO,
             drain: Seconds::ZERO,
             wakes: 0,
-            uncovered: Seconds::ZERO,
         }
     }
 
@@ -61,13 +59,8 @@ impl StateTrace {
         self.wakes += 1;
     }
 
-    /// Adds time during which a train was in the section while the node
-    /// was still waking.
-    pub(crate) fn add_uncovered(&mut self, duration: Seconds) {
-        self.uncovered += duration.max(Seconds::ZERO);
-    }
-
     /// Time asleep.
+    // corridor-lint: allow(unused-pub, reason = "crates/events/tests/sim_differential.rs (DayBits::of, report_digest) compares each node's asleep time with the global-loop oracle and the heap-era digests bit for bit; production bills the horizon's remainder through duty_cycle()")
     pub fn asleep(&self) -> Seconds {
         self.asleep
     }
@@ -100,9 +93,12 @@ impl StateTrace {
     }
 
     /// Total time a train was in the section while the node was not yet
-    /// operational (the wake-latency coverage gap).
+    /// operational (the wake-latency coverage gap): always zero, as both
+    /// wake policies ([`WakePolicy::instant`](crate::WakePolicy::instant)
+    /// and [`WakePolicy::paper_default`](crate::WakePolicy::paper_default))
+    /// finish every wake no later than the entry that triggered it.
     pub fn uncovered(&self) -> Seconds {
-        self.uncovered
+        Seconds::ZERO
     }
 
     /// The equivalent duty cycle over the horizon: powered time at full
@@ -185,15 +181,6 @@ mod tests {
         t.add(NodeState::Active, sec(3600.0));
         let model = catalog::low_power_repeater_measured();
         assert!(t.average_power_idle_fallback(&model) > t.average_power(&model));
-    }
-
-    #[test]
-    fn uncovered_accumulates() {
-        let mut t = StateTrace::new(Seconds::new(1000.0));
-        t.add_uncovered(sec(0.3));
-        t.add_uncovered(sec(0.2));
-        t.add_uncovered(sec(-1.0));
-        assert!((t.uncovered().value() - 0.5).abs() < 1e-12);
     }
 
     #[test]

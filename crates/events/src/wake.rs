@@ -4,7 +4,8 @@ use corridor_units::Seconds;
 
 /// The state of a node's sleep controller in the time-domain simulation.
 ///
-/// Transitions (driven by the event loop):
+/// Transitions (billed as the simulator walks a node's occupancy
+/// intervals in entry order):
 ///
 /// ```text
 /// Asleep --barrier trip--> Waking --wake delay elapsed--> Active
@@ -34,10 +35,14 @@ impl NodeState {}
 ///
 /// The photoelectric barrier's *lead* (how early it trips before a
 /// train enters the section), the node's *wake delay* (how long it takes
-/// to become operational; a delay beyond the lead leaves the train
-/// uncovered for the difference) and a *guard* interval: how long a node
-/// stays powered after the last train clears its section before dropping
-/// back to sleep, absorbing sensor debounce and closely following trains.
+/// to become operational) and a *guard* interval: how long a node stays
+/// powered after the last train clears its section before dropping back
+/// to sleep, absorbing sensor debounce and closely following trains.
+///
+/// There are two policies, [`WakePolicy::instant`] and
+/// [`WakePolicy::paper_default`]. Each finishes every wake no later than
+/// the entry that triggered it, `(enter − lead) + wake_delay <= enter`,
+/// so no train is ever in a section whose node is still waking.
 ///
 /// # Examples
 ///
@@ -60,23 +65,6 @@ pub struct WakePolicy {
 }
 
 impl WakePolicy {
-    /// A policy with the given barrier lead, wake delay and guard
-    /// interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any duration is negative.
-    pub fn new(lead: Seconds, wake_delay: Seconds, guard: Seconds) -> Self {
-        assert!(lead.value() >= 0.0, "lead must be non-negative");
-        assert!(wake_delay.value() >= 0.0, "wake delay must be non-negative");
-        assert!(guard.value() >= 0.0, "guard must be non-negative");
-        WakePolicy {
-            lead,
-            wake_delay,
-            guard,
-        }
-    }
-
     /// Idealized instant transitions: the node is powered exactly while a
     /// train overlaps its section — the policy under which the
     /// event-driven backend reproduces the closed-form numbers.
@@ -87,7 +75,11 @@ impl WakePolicy {
     /// The paper's nominal design: barrier trips 1 s early, the node
     /// wakes in 300 ms, and a 500 ms guard absorbs sensor debounce.
     pub fn paper_default() -> Self {
-        WakePolicy::new(Seconds::new(1.0), Seconds::new(0.3), Seconds::new(0.5))
+        WakePolicy {
+            lead: Seconds::new(1.0),
+            wake_delay: Seconds::new(0.3),
+            guard: Seconds::new(0.5),
+        }
     }
 
     /// Barrier lead time (the node is triggered this early).
@@ -132,8 +124,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "guard must be non-negative")]
-    fn negative_guard_rejected() {
-        let _ = WakePolicy::new(Seconds::ZERO, Seconds::ZERO, Seconds::new(-1.0));
+    fn every_wake_ends_by_its_entry() {
+        // the premise of the simulator's walk, over hostile entries: a
+        // barrier tripping `lead` before the entry wakes the node by then
+        let big = 2f64.powi(53).to_bits();
+        let subnormal = f64::from_bits(1);
+        let mut entries = vec![0.0, subnormal, f64::MIN_POSITIVE / 2.0, 1.0];
+        entries.extend([big - 1, big, big + 1].map(f64::from_bits));
+        entries.extend([f64::MAX, f64::INFINITY]);
+        for entry in entries.clone() {
+            entries.push(-entry);
+        }
+        for policy in [WakePolicy::instant(), WakePolicy::paper_default()] {
+            for &entry in &entries {
+                let enter = Seconds::new(entry);
+                let ready = (enter - policy.lead()) + policy.wake_delay();
+                assert!(
+                    ready <= enter,
+                    "{policy:?}: entry {entry} ready at {ready:?}"
+                );
+            }
+        }
     }
 }

@@ -67,19 +67,19 @@ fn pass_straddling_the_horizon_start_is_clipped_too() {
 fn back_to_back_passes_inside_one_guard_interval_stay_powered() {
     let train = Train::paper_default();
     let nodes = hp_node(500.0);
-    // second pass enters 2 s after the first exits — inside the 10 s
+    // under the paper policy the second pass's barrier trips 1 s before
+    // it enters, 1.2 s after the first exits: 0.2 s into the 0.5 s
     // guard, so the node must ride through on one wake
     let (first_enter, first_exit) = nodes[0]
         .section()
         .occupancy(&TrainPass::new(train, Seconds::new(1000.0)));
-    let gap = 2.0;
+    let gap = 1.2;
     let second_origin = Seconds::new(1000.0) + (first_exit - first_enter) + Seconds::new(gap);
     let passes = vec![
         TrainPass::new(train, Seconds::new(1000.0)),
         TrainPass::new(train, second_origin),
     ];
-    let guard = 10.0;
-    let policy = WakePolicy::new(Seconds::ZERO, Seconds::ZERO, Seconds::new(guard));
+    let policy = WakePolicy::paper_default();
     let report = CorridorSimulator::new()
         .with_policy(policy)
         .simulate(&nodes, &passes);
@@ -90,10 +90,11 @@ fn back_to_back_passes_inside_one_guard_interval_stay_powered() {
     assert_eq!(trace.uncovered(), Seconds::ZERO);
 
     // powered time = the analytic occupancy union (two disjoint
-    // occupancies), plus the inter-pass gap the guard bridged, plus one
-    // trailing guard after the last exit
+    // occupancies), plus the inter-pass gap the guard bridged, plus the
+    // barrier lead before the first entry and one trailing guard after
+    // the last exit
     let analytic = analytic_powered(&nodes[0].section(), &passes);
-    let expected = analytic + gap + guard;
+    let expected = analytic + gap + policy.lead().value() + policy.guard().value();
     let simulated = trace.powered().value();
     assert!(
         (simulated - expected).abs() < 1e-9,

@@ -1,6 +1,6 @@
 //! Metamorphic properties of the event-driven backend on Poisson days:
 //! relations between two runs that must hold whatever the exact figures
-//! are, under the instant, paper and custom wake policies.
+//! are, under the instant and the paper wake policy.
 //!
 //! - Adding a pass to a day never lowers any node's powered time.
 //! - Sleep-mode repeaters never draw more than continuous repeaters on
@@ -20,16 +20,12 @@ use rand::SeedableRng;
 /// sum down by a few ulps of the day.
 const ROUNDING_S: f64 = 1e-9;
 
-/// Instant, paper, or a custom policy with lead/delay/guard up to 10 s.
+/// The instant or the paper policy.
 fn policy_strategy() -> impl Strategy<Value = WakePolicy> {
-    (0u8..=3, (0u8..=4, 0u8..=4, 0u8..=4)).prop_map(|(which, (lead, delay, guard))| match which {
-        0 => WakePolicy::instant(),
-        1 => WakePolicy::paper_default(),
-        _ => {
-            let s = |k: u8| Seconds::new(f64::from(k) * 2.5);
-            WakePolicy::new(s(lead), s(delay), s(guard))
-        }
-    })
+    prop_oneof![
+        Just(WakePolicy::instant()),
+        Just(WakePolicy::paper_default())
+    ]
 }
 
 /// One seeded Poisson day at 2, 8 or 20 trains/h over the paper's

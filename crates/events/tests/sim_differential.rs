@@ -1,26 +1,30 @@
-//! Differential suite: the per-node event loop of [`CorridorSimulator`],
-//! and the interval sweep it runs instead under the instant wake policy,
-//! against the global event loop they replaced.
+//! Differential suite: the interval walk of [`CorridorSimulator`], under
+//! the instant and the paper wake policy, against the global event loop
+//! it replaced.
 //!
 //! The simulator used to push every node's events into one global
 //! queue ordered by (time, kind priority, node, insertion sequence) and
 //! pop them back out one at a time. That loop lives on here as
 //! [`Oracle`], over the binary-heap [`ReferenceQueue`] the queue itself
-//! was once checked against, both kept verbatim (modulo names). Property
-//! tests drive the simulator and the oracle through the same days —
-//! overlapping passes, equal timestamps, negative barrier times, `±0.0`
-//! origins, passes straddling the horizon, one-train days as Monte-Carlo
-//! samples them and trains changing mid-day, single and double track,
-//! instant/paper/custom policies, nodes repeating an earlier node's
-//! section (whose run the simulator reuses) or its `±0.0` start twin,
-//! drains cancelled by the next train — and require every node's state
-//! times, wakes and uncovered time bit for bit, plus the event count.
+//! was once checked against, both kept verbatim (modulo names): it is
+//! the spec of both policies. Property tests drive the simulator and the
+//! oracle through the same days — overlapping passes, equal timestamps,
+//! negative barrier times, `±0.0` origins, passes straddling the
+//! horizon, one-train days as Monte-Carlo samples them and trains
+//! changing mid-day, single and double track, instant and paper
+//! policies, nodes repeating an earlier node's section (whose walk the
+//! simulator reuses) or its `±0.0` start twin — and boundary cases pin
+//! the paper policy's rules: a barrier at the running maximum exit, at
+//! the drain expiry and one ulp after it, drains cancelled by the next
+//! train, barriers before `t = 0`, drains past the horizon and equal
+//! entries across the two directions. Every node's state times, wakes
+//! and uncovered time must match bit for bit, plus the event count.
 //!
 //! On top of the oracle, the smoke outputs (paper policy, instant
 //! policy, Poisson day, double track) stay pinned to digests captured
 //! from the heap-era implementation, and two properties pin the premise
-//! the per-node loop rests on: a node's day does not depend on the other
-//! nodes, and non-finite passes never reach a node.
+//! the per-section walk rests on: a node's day does not depend on the
+//! other nodes, and non-finite passes never reach a node.
 
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -553,28 +557,22 @@ fn nodes_strategy() -> impl Strategy<Value = Vec<NodeSpec>> {
     })
 }
 
-/// Instant, paper, or a custom policy with lead/delay/guard drawn from
-/// values that tie with pass timestamps.
+/// The instant or the paper policy, at a 24 h or a one-hour horizon.
 fn simulator_strategy() -> impl Strategy<Value = CorridorSimulator> {
-    (0u8..=3, (0u8..=3, 0u8..=3, 0u8..=3), 0u8..=1).prop_map(
-        |(which, (lead, delay, guard), short)| {
-            let policy = match which {
-                0 => WakePolicy::instant(),
-                1 => WakePolicy::paper_default(),
-                _ => {
-                    let s = |k: u8| Seconds::new(f64::from(k) * 2.5);
-                    WakePolicy::new(s(lead), s(delay), s(guard))
-                }
-            };
-            let sim = CorridorSimulator::new().with_policy(policy);
-            if short == 1 {
-                // a one-hour horizon: the 3 600 s origins straddle it
-                sim.with_horizon(Seconds::new(3_600.0))
-            } else {
-                sim
-            }
-        },
-    )
+    (0u8..=1, 0u8..=1).prop_map(|(paper, short)| {
+        let policy = if paper == 1 {
+            WakePolicy::paper_default()
+        } else {
+            WakePolicy::instant()
+        };
+        let sim = CorridorSimulator::new().with_policy(policy);
+        if short == 1 {
+            // a one-hour horizon: the 3 600 s origins straddle it
+            sim.with_horizon(Seconds::new(3_600.0))
+        } else {
+            sim
+        }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -611,7 +609,7 @@ proptest! {
         );
     }
 
-    /// The premise of the per-node loop: node k's trace is the same
+    /// The premise of the per-section walk: node k's trace is the same
     /// whether it runs with the other nodes or alone, and the per-node
     /// event counts add up to the day's.
     #[test]
@@ -702,9 +700,9 @@ fn days_not_sorted_by_origin_match_the_global_loop() {
     // a network edge appends one sorted Poisson day per route, so its
     // passes form two sorted runs end to end; a reversed day is the
     // worst case for an insertion pass. Both reach the sort fallback,
-    // under the event loop (paper policy) and the interval sweep
-    // (instant), on single track and on double track, whose down
-    // direction is one more sorted run after the up direction.
+    // under the paper and the instant policy, on single track and on
+    // double track, whose down direction is one more sorted run after
+    // the up direction.
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let mut routes = PoissonTimetable::paper_rate().sample_passes(&mut rng);
     routes.extend(PoissonTimetable::paper_rate().sample_passes(&mut rng));
@@ -796,22 +794,24 @@ fn signed_zero_start_twins_match_the_global_loop() {
 
 #[test]
 fn cancelled_drains_match_the_global_loop() {
-    // a 30 s guard and trains every 30 s: each barrier trip after the
-    // first lands inside the previous train's drain and cancels it, and
-    // the next exit schedules a fresh one. A second burst after a quiet
-    // hour wakes the node again.
+    // under the paper policy a barrier trips 1 s before its entry and a
+    // drain lasts 0.5 s, so a pass entering 1.25 s after the last exit
+    // trips inside the drain and cancels it, and one entering 3 s after
+    // it finds the node asleep. A burst of ten passes 1.25 s apart, then
+    // after a quiet hour five passes alternating 1.25 s and 3 s gaps.
     let train = Train::paper_default();
-    let passes: Vec<TrainPass> = (0..10)
-        .map(|k| 1_000.0 + 30.0 * f64::from(k))
-        .chain((0..5).map(|k| 5_000.0 + 40.0 * f64::from(k)))
-        .map(|t| TrainPass::new(train, Seconds::new(t)))
-        .collect();
-    let nodes = [NodeSpec::new(
-        NodeKind::HighPowerMast,
-        TrackSection::new(Meters::ZERO, Meters::new(500.0)),
-    )];
-    let policy = WakePolicy::new(Seconds::new(5.0), Seconds::new(1.0), Seconds::new(30.0));
-    let sim = CorridorSimulator::new().with_policy(policy);
+    let section = TrackSection::new(Meters::ZERO, Meters::new(500.0));
+    let gaps = [1.25; 9]
+        .into_iter()
+        .chain([3_600.0])
+        .chain([1.25, 3.0, 1.25, 3.0]);
+    let mut passes = vec![TrainPass::new(train, Seconds::new(1_000.0))];
+    for gap in gaps {
+        let (_, exit) = section.occupancy(&passes[passes.len() - 1]);
+        passes.push(TrainPass::new(train, exit + Seconds::new(gap)));
+    }
+    let nodes = [NodeSpec::new(NodeKind::HighPowerMast, section)];
+    let sim = CorridorSimulator::new().with_policy(WakePolicy::paper_default());
     let report = sim.simulate(&nodes, &passes);
     let oracle = Oracle::of(&sim);
     assert_eq!(DayBits::of(&report), oracle.simulate(&nodes, &passes));
@@ -820,7 +820,7 @@ fn cancelled_drains_match_the_global_loop() {
     // rest are the cancelled drains, still counted at their expiry
     let wakes = report.nodes()[0].trace().wakes();
     let cancelled = report.events_processed() - 3 * passes.len() - 2 * wakes;
-    assert_eq!((wakes, cancelled), (2, 9 + 4));
+    assert_eq!((wakes, cancelled), (4, 9 + 2));
 
     let length = Meters::new(CORRIDOR);
     let nodes = paper_segment();
@@ -830,9 +830,118 @@ fn cancelled_drains_match_the_global_loop() {
     );
 }
 
+/// A paper-policy day of `passes` through `nodes`, checked against the
+/// global loop at a 24 h and a one-hour horizon; returns the day's
+/// report.
+fn paper_day(nodes: &[NodeSpec], passes: &[TrainPass]) -> SimReport {
+    let reports = [3_600.0, 86_400.0].map(|horizon| {
+        let sim = CorridorSimulator::new()
+            .with_policy(WakePolicy::paper_default())
+            .with_horizon(Seconds::new(horizon));
+        let report = sim.simulate(nodes, passes);
+        assert_eq!(
+            DayBits::of(&report),
+            Oracle::of(&sim).simulate(nodes, passes),
+            "horizon {horizon}"
+        );
+        report
+    });
+    let [_, day] = reports;
+    day
+}
+
+#[test]
+fn a_barrier_at_the_running_maximum_exit_keeps_the_node_active() {
+    // a 50 m train at 20 m/s occupies [0, 150] for exactly 10 s and a
+    // 400 m train at 80 m/s for 6.875 s: the second pass exits before
+    // the first, and the third trips exactly at the first's exit, the
+    // running maximum, where a barrier fires before the exit
+    let passes = passes_at(&[(100.0, 1), (101.0, 2), (111.0, 1)]);
+    let report = paper_day(&one_node(150.0), &passes);
+    let trace = report.nodes()[0].trace();
+    assert_eq!(trace.wakes(), 1);
+    // one drain, after the last exit: 3 · 3 + 1 wake + 1 drain
+    assert_eq!(report.events_processed(), 11);
+    assert_eq!(trace.drain(), Seconds::new(0.5));
+}
+
+#[test]
+fn a_barrier_at_the_drain_expiry_cancels_the_drain() {
+    // the first pass exits at 110 and drains until 110.5; a barrier at
+    // exactly 110.5 fires before the expiry and cancels it, one ulp
+    // later the expiry fires first and the node wakes afresh
+    let at_expiry = passes_at(&[(100.0, 1), (111.5, 1)]);
+    let report = paper_day(&one_node(150.0), &at_expiry);
+    let trace = report.nodes()[0].trace();
+    assert_eq!(trace.wakes(), 1);
+    // 3 · 2 + 1 wake + 2 drains (the first cancelled)
+    assert_eq!(report.events_processed(), 9);
+    assert_eq!(trace.drain(), Seconds::new(0.5 + 0.5));
+
+    let later = f64::from_bits(111.5f64.to_bits() + 1);
+    let one_ulp_later = passes_at(&[(100.0, 1), (later, 1)]);
+    let report = paper_day(&one_node(150.0), &one_ulp_later);
+    assert_eq!(report.nodes()[0].trace().wakes(), 2);
+    assert_eq!(report.events_processed(), 10);
+}
+
+#[test]
+fn barriers_before_midnight_and_drains_past_the_horizon_match_the_global_loop() {
+    // entries after t = 0 whose barrier trips before it: the wake ends
+    // before t = 0 (entry 0.2 s) or after it (entry 0.8 s); and drains
+    // that run past the day's or the hour's end
+    for origins in [
+        &[0.2][..],
+        &[0.8],
+        &[0.2, 20.8],
+        &[3_589.8, 86_389.8],
+        &[3_579.6, 3_599.8],
+    ] {
+        let passes: Vec<TrainPass> = origins
+            .iter()
+            .map(|&t| TrainPass::new(train_of(1), Seconds::new(t)))
+            .collect();
+        let report = paper_day(&one_node(150.0), &passes);
+        assert_eq!(
+            report.nodes()[0].trace().wakes(),
+            passes.len(),
+            "{origins:?}"
+        );
+    }
+}
+
+#[test]
+fn equal_entries_across_the_two_directions_match_the_global_loop() {
+    // a section centred on the corridor mirrors onto itself, so up and
+    // down passes at the same origins enter it together; their trains
+    // differ, so the exits do not
+    let length = Meters::new(CORRIDOR);
+    let nodes = [
+        TrackSection::new(Meters::new(1_400.0), Meters::new(1_600.0)),
+        TrackSection::new(Meters::new(1_000.0), Meters::new(2_000.0)),
+    ]
+    .map(|s| NodeSpec::new(NodeKind::ServiceRepeater, s));
+    let up = passes_at(&[(100.0, 0), (500.0, 1), (900.0, 2), (901.0, 0)]);
+    let down = passes_at(&[(100.0, 2), (500.0, 0), (900.0, 1), (901.0, 1)]);
+    for policy in [WakePolicy::paper_default(), WakePolicy::instant()] {
+        let sim = CorridorSimulator::new().with_policy(policy);
+        let oracle = Oracle::of(&sim);
+        assert_eq!(
+            DayBits::of(&sim.simulate_double_track(&nodes, &up, &down, length)),
+            oracle.simulate_double_track(&nodes, &up, &down, length),
+            "{policy:?}"
+        );
+        assert_eq!(
+            DayBits::of(&sim.simulate_double_track(&nodes, &down, &up, length)),
+            oracle.simulate_double_track(&nodes, &down, &up, length),
+            "{policy:?}, directions swapped"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
-// Instant-policy days: the simulator merges occupancy intervals instead
-// of running the event loop, and must still match it bit for bit
+// Instant-policy days: the walk bills two segments per stretch where the
+// event loop made four transitions, and must still match it bit for bit
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -971,9 +1080,7 @@ proptest! {
 }
 
 /// Instant days of `passes` on a segment with `-0.0` and `+0.0` start
-/// twins, single and double track, at both horizons, under
-/// `WakePolicy::instant()` and under its `-0.0` twin (equal, so it runs
-/// the interval sweep too).
+/// twins, single and double track, at both horizons.
 fn assert_instant_days_match(passes: &[TrainPass]) {
     let nodes: Vec<NodeSpec> = paper_segment()
         .into_iter()
@@ -983,29 +1090,22 @@ fn assert_instant_days_match(passes: &[TrainPass]) {
                 .map(|s| NodeSpec::new(NodeKind::ServiceRepeater, s)),
         )
         .collect();
-    let zero = Seconds::new(-0.0);
-    let policies = [WakePolicy::instant(), WakePolicy::new(zero, zero, zero)];
     let length = Meters::new(CORRIDOR);
-    for policy in policies {
-        assert_eq!(policy, WakePolicy::instant());
-        for horizon in [86_400.0, 3_600.0] {
-            let sim = CorridorSimulator::new()
-                .with_policy(policy)
-                .with_horizon(Seconds::new(horizon));
-            let oracle = Oracle::of(&sim);
-            assert_eq!(
-                DayBits::of(&sim.simulate(&nodes, passes)),
-                oracle.simulate(&nodes, passes),
-                "{policy:?}, horizon {horizon}"
-            );
-            let mut down = passes.to_vec();
-            down.reverse();
-            assert_eq!(
-                DayBits::of(&sim.simulate_double_track(&nodes, passes, &down, length)),
-                oracle.simulate_double_track(&nodes, passes, &down, length),
-                "double track, {policy:?}, horizon {horizon}"
-            );
-        }
+    for horizon in [86_400.0, 3_600.0] {
+        let sim = CorridorSimulator::new().with_horizon(Seconds::new(horizon));
+        let oracle = Oracle::of(&sim);
+        assert_eq!(
+            DayBits::of(&sim.simulate(&nodes, passes)),
+            oracle.simulate(&nodes, passes),
+            "horizon {horizon}"
+        );
+        let mut down = passes.to_vec();
+        down.reverse();
+        assert_eq!(
+            DayBits::of(&sim.simulate_double_track(&nodes, passes, &down, length)),
+            oracle.simulate_double_track(&nodes, passes, &down, length),
+            "double track, horizon {horizon}"
+        );
     }
 }
 

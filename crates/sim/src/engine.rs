@@ -142,8 +142,10 @@ impl SweepEngine {
 
     /// Streams the whole grid into `sink` in grid order without ever
     /// materializing the report: memory stays flat however many cells
-    /// the grid spans, and the emitted bytes are identical to
-    /// [`SweepEngine::run`] + [`SweepReport::stream_into`].
+    /// the grid spans, and the emitted bytes are the same on any worker
+    /// count. This is the one renderer of sweep rows; into a
+    /// [`StringSink`](corridor_core::sink::StringSink) it renders the
+    /// sweep in memory.
     ///
     /// # Errors
     ///

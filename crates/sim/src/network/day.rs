@@ -16,7 +16,7 @@
 //! repeat until every edge's demand is carried. Per-edge rates sum back
 //! to the edge demands by construction.
 
-use corridor_core::sink::{RowFormat, RowSink, SinkResult};
+use corridor_core::sink::{RowFormat, RowSink};
 use corridor_core::stats::Welford;
 use corridor_core::{EnergyStrategy, ScenarioError, ScenarioParams};
 use corridor_events::{EventDrivenEvaluator, Leg, NetworkDaySimulator, SimReport, TrainItinerary};
@@ -33,7 +33,6 @@ use crate::ScenarioCell;
 use super::graph::{CorridorNetwork, NetworkError};
 use super::NetworkOptimizer;
 use crate::optimize::SearchSpace;
-use corridor_core::sink::RowEmitter;
 
 /// The CSV header of the streamed network-day rows.
 pub const NETWORK_DAY_CSV_HEADER: &str = "edge,edge_name,demand_tph,routes,nodes,isd_m,reps,\
@@ -600,20 +599,6 @@ impl NetworkDayReport {
     /// means.
     pub fn network_mean_wh_day(&self) -> f64 {
         self.per_edge.iter().map(|s| s.mean_wh_day).sum()
-    }
-
-    /// Streams the per-edge day rows into `sink`; byte-identical to
-    /// [`NetworkDayEngine::stream`] on the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's [`SinkError`](corridor_core::sink::SinkError).
-    pub fn stream_into(&self, format: RowFormat, sink: &mut dyn RowSink) -> SinkResult<u64> {
-        let mut rows = RowEmitter::begin(sink, format, NETWORK_DAY_CSV_HEADER)?;
-        for s in &self.per_edge {
-            rows.row(&render_day_row(&self.network, s, self.reps, format))?;
-        }
-        rows.finish()
     }
 }
 

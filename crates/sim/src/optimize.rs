@@ -206,19 +206,13 @@ impl Default for SearchSpace {
     }
 }
 
-/// A short stable label for a wake policy in report columns.
+/// A short stable label for a wake policy in report columns: one of the
+/// two policies there are.
 fn policy_label(policy: &WakePolicy) -> String {
     if *policy == WakePolicy::instant() {
         "instant".to_owned()
-    } else if *policy == WakePolicy::paper_default() {
-        "paper".to_owned()
     } else {
-        format!(
-            "lead{:.1}s-wake{:.1}s-guard{:.1}s",
-            policy.lead().value(),
-            policy.wake_delay().value(),
-            policy.guard().value()
-        )
+        "paper".to_owned()
     }
 }
 
@@ -229,7 +223,7 @@ pub struct FrontierPoint {
     pub nodes: usize,
     /// Deployment inter-site distance.
     pub isd: Meters,
-    /// Wake-policy label (`instant`, `paper`, or the timing triple).
+    /// Wake-policy label (`instant` or `paper`).
     pub policy: String,
     /// Energy backend that produced the numbers (`analytic` for the
     /// instant policy, `event-driven` otherwise).
@@ -921,15 +915,11 @@ const FRONTIER_JSON_KEYS: [&str; 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corridor_units::Seconds;
 
     #[test]
     fn search_spaces_differing_only_in_list_lengths_get_different_keys() {
         let cell = ScenarioGrid::new().cell_at(0).unwrap();
-        let policies = vec![
-            WakePolicy::instant(),
-            WakePolicy::new(Seconds::new(40.0), Seconds::new(1.0), Seconds::new(12.0)),
-        ];
+        let policies = vec![WakePolicy::instant(), WakePolicy::paper_default()];
         let space = SearchSpace::new()
             .node_counts((0..=5).collect())
             .wake_policies(policies.clone());
@@ -1001,12 +991,6 @@ mod tests {
     fn policy_labels() {
         assert_eq!(policy_label(&WakePolicy::instant()), "instant");
         assert_eq!(policy_label(&WakePolicy::paper_default()), "paper");
-        let custom = WakePolicy::new(
-            corridor_units::Seconds::new(2.0),
-            corridor_units::Seconds::new(0.5),
-            corridor_units::Seconds::new(1.0),
-        );
-        assert_eq!(policy_label(&custom), "lead2.0s-wake0.5s-guard1.0s");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use core::fmt::Write as _;
 
-use corridor_core::sink::{RowEmitter, RowFormat, RowSink, SinkResult};
+use corridor_core::sink::RowFormat;
 use corridor_core::EnergyStrategy;
 
 use crate::cell::POWER_PROFILE;
@@ -23,7 +23,8 @@ macro_rules! cell_header {
 }
 pub(crate) use cell_header;
 
-/// The CSV header of [`SweepReport::stream_into`]'s CSV rows.
+/// The CSV header of [`SweepEngine::stream`](crate::SweepEngine::stream)'s
+/// CSV rows.
 pub const CSV_HEADER: &str = concat!(
     cell_header!(),
     "nodes,deployment_isd_m,evaluator,baseline_wh_km,continuous_wh_km,sleep_wh_km,solar_wh_km,\
@@ -33,20 +34,26 @@ pub const CSV_HEADER: &str = concat!(
 
 /// The evaluated results of a sweep, in grid order.
 ///
-/// The writers print each number at a fixed precision through one
-/// exact fixed-point writer (the bytes of `format!("{v:.N}")`, written
-/// with integer arithmetic), so a report's CSV/JSON rendering is
-/// byte-identical for identical results — the property the determinism
-/// tests pin across worker counts.
+/// Its rows are rendered only as the engine streams them
+/// ([`SweepEngine::stream`](crate::SweepEngine::stream)): each number at
+/// a fixed precision through one exact fixed-point writer (the bytes of
+/// `format!("{v:.N}")`, written with integer arithmetic), so the CSV/JSON
+/// rendering is byte-identical for identical results — the property the
+/// determinism tests pin across worker counts.
 ///
 /// # Examples
 ///
 /// ```
 /// use corridor_core::sink::{RowFormat, StringSink};
+/// use corridor_core::EnergyStrategy;
 /// use corridor_sim::{ScenarioGrid, SweepEngine};
 ///
-/// let report = SweepEngine::new().pv_sizing(false).run(&ScenarioGrid::new()).unwrap();
-/// let csv = StringSink::render(0, |sink| report.stream_into(RowFormat::Csv, sink));
+/// let engine = SweepEngine::new().pv_sizing(false);
+/// let report = engine.run(&ScenarioGrid::new()).unwrap();
+/// assert!(report.best_cell(EnergyStrategy::SleepModeRepeaters).is_some());
+/// let mut sink = StringSink::default();
+/// engine.stream(&ScenarioGrid::new(), RowFormat::Csv, &mut sink).unwrap();
+/// let csv = sink.into_string();
 /// assert!(csv.starts_with("cell,trains_per_hour"));
 /// assert_eq!(csv.lines().count(), 2); // header + one cell
 /// ```
@@ -108,22 +115,6 @@ impl SweepReport {
             }
         };
         self.results.iter().max_by(|a, b| key(a).total_cmp(&key(b)))
-    }
-
-    /// Streams the report's rows into `sink` in grid order, returning
-    /// the row count; into a
-    /// [`StringSink`](corridor_core::sink::StringSink) it renders the
-    /// report in memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's [`SinkError`](corridor_core::sink::SinkError).
-    pub fn stream_into(&self, format: RowFormat, sink: &mut dyn RowSink) -> SinkResult<u64> {
-        let mut rows = RowEmitter::begin(sink, format, CSV_HEADER)?;
-        for r in &self.results {
-            rows.row(&render_sweep_row(r, format))?;
-        }
-        rows.finish()
     }
 }
 
@@ -469,26 +460,40 @@ mod tests {
     use corridor_core::sink::StringSink;
     use corridor_solar::climate;
 
-    /// Renders an in-memory report in `format` through its `stream_into`
-    /// (each report type has its own).
+    /// Renders an in-memory Monte-Carlo or optimizer report in `format`
+    /// through its `stream_into` (each report type has its own).
     macro_rules! render {
         ($report:expr, $format:expr) => {
             StringSink::render(0, |s| $report.stream_into($format, s))
         };
     }
 
+    /// The sweep of `grid` on one worker, streamed into memory.
+    fn sweep(engine: SweepEngine, grid: &ScenarioGrid, format: RowFormat) -> String {
+        let mut sink = StringSink::default();
+        engine.workers(1).stream(grid, format, &mut sink).unwrap();
+        sink.into_string()
+    }
+
+    fn small_grid() -> ScenarioGrid {
+        ScenarioGrid::new().trains_per_hour(vec![4.0, 8.0])
+    }
+
     fn small_report() -> SweepReport {
         SweepEngine::new()
             .workers(1)
             .pv_sizing(false)
-            .run(&ScenarioGrid::new().trains_per_hour(vec![4.0, 8.0]))
+            .run(&small_grid())
             .unwrap()
     }
 
     #[test]
     fn csv_shape_and_header() {
-        let report = small_report();
-        let csv = render!(report, RowFormat::Csv);
+        let csv = sweep(
+            SweepEngine::new().pv_sizing(false),
+            &small_grid(),
+            RowFormat::Csv,
+        );
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], CSV_HEADER);
@@ -503,8 +508,11 @@ mod tests {
 
     #[test]
     fn json_is_structurally_sound() {
-        let report = small_report();
-        let json = render!(report, RowFormat::Json);
+        let json = sweep(
+            SweepEngine::new().pv_sizing(false),
+            &small_grid(),
+            RowFormat::Json,
+        );
         assert!(json.starts_with("[\n"));
         assert!(json.ends_with("]\n"));
         assert_eq!(json.matches("\"cell\":").count(), 2);
@@ -585,13 +593,11 @@ mod tests {
 
     #[test]
     fn sized_pv_lands_in_both_writers() {
-        let report = SweepEngine::new()
-            .workers(1)
-            .run(&ScenarioGrid::new().locations(vec![climate::madrid()]))
-            .unwrap();
-        let csv = render!(report, RowFormat::Csv);
+        let grid = ScenarioGrid::new().locations(vec![climate::madrid()]);
+        let csv = sweep(SweepEngine::new(), &grid, RowFormat::Csv);
         assert!(csv.lines().nth(1).unwrap().contains(",540,720,"), "{csv}");
-        assert!(render!(report, RowFormat::Json).contains("\"pv_status\": \"sized\""));
+        let json = sweep(SweepEngine::new(), &grid, RowFormat::Json);
+        assert!(json.contains("\"pv_status\": \"sized\""));
     }
 
     #[test]
@@ -605,12 +611,8 @@ mod tests {
             *berlin.monthly_temp_c(),
         );
         let grid = ScenarioGrid::new().locations(vec![awkward]);
-        let report = SweepEngine::new()
-            .workers(1)
-            .pv_sizing(false)
-            .run(&grid)
-            .unwrap();
-        let csv = render!(report, RowFormat::Csv);
+        let engine = SweepEngine::new().pv_sizing(false);
+        let csv = sweep(engine, &grid, RowFormat::Csv);
         let row = csv.lines().nth(1).unwrap();
         assert!(row.contains(",\"Berlin, \"\"Mitte\"\"\","), "{row}");
         // the quoted field keeps the column count at 25 for a CSV parser
@@ -634,7 +636,7 @@ mod tests {
             .unwrap();
         let cells = &row[..ninth];
         assert!(cells.ends_with(",\"Berlin, \"\"Mitte\"\"\","), "{cells}");
-        let json = render!(report, RowFormat::Json);
+        let json = sweep(engine, &grid, RowFormat::Json);
         let members = json.lines().nth(1).unwrap();
         let members = &members[..members.find(", \"nodes\"").unwrap()];
         assert!(

@@ -12,8 +12,8 @@ use corridor_sim::{
 };
 use corridor_solar::climate;
 
-/// Renders an in-memory report in `format` through its `stream_into`
-/// (each report type has its own).
+/// Renders an in-memory Monte-Carlo or optimizer report in `format`
+/// through its `stream_into` (each report type has its own).
 macro_rules! render {
     ($report:expr, $format:expr) => {
         StringSink::render(0, |s| $report.stream_into($format, s))
@@ -29,10 +29,16 @@ fn mixed_grid() -> ScenarioGrid {
         .locations(vec![climate::madrid(), climate::berlin()])
 }
 
-/// The sweep of `grid` on `workers` workers, rendered in memory.
+/// The sweep of `grid` by `engine`, streamed into memory.
+fn stream(engine: SweepEngine, grid: &ScenarioGrid, format: RowFormat) -> String {
+    let mut sink = StringSink::default();
+    engine.stream(grid, format, &mut sink).unwrap();
+    sink.into_string()
+}
+
+/// The sweep of `grid` on `workers` workers, streamed into memory.
 fn sweep(grid: &ScenarioGrid, workers: usize, format: RowFormat) -> String {
-    let report = SweepEngine::new().workers(workers).run(grid).unwrap();
-    render!(report, format)
+    stream(SweepEngine::new().workers(workers), grid, format)
 }
 
 #[test]
@@ -73,17 +79,13 @@ const OPTIMIZE_JSON_SHA256: &str =
 #[test]
 fn sweep_renderings_are_sha256_pinned_across_worker_counts() {
     for workers in [1usize, 2, 8] {
-        let report = SweepEngine::new()
-            .workers(workers)
-            .run(&mixed_grid())
-            .unwrap();
         assert_eq!(
-            sha256_hex(render!(report, RowFormat::Csv).as_bytes()),
+            sha256_hex(sweep(&mixed_grid(), workers, RowFormat::Csv).as_bytes()),
             SWEEP_CSV_SHA256,
             "sweep CSV, workers = {workers}"
         );
         assert_eq!(
-            sha256_hex(render!(report, RowFormat::Json).as_bytes()),
+            sha256_hex(sweep(&mixed_grid(), workers, RowFormat::Json).as_bytes()),
             SWEEP_JSON_SHA256,
             "sweep JSON, workers = {workers}"
         );
@@ -172,12 +174,13 @@ fn wide_grid_without_pv_is_deterministic_too() {
         .conventional_isds_m(vec![400.0, 450.0, 550.0, 600.0]);
     let engine = SweepEngine::new().pv_sizing(false);
     let reference = engine.workers(1).run(&grid).unwrap();
+    let reference_csv = stream(engine.workers(1), &grid, RowFormat::Csv);
     for workers in [2, 8] {
         let report = engine.workers(workers).run(&grid).unwrap();
         assert_eq!(report.results(), reference.results(), "workers = {workers}");
         assert_eq!(
-            render!(report, RowFormat::Csv),
-            render!(reference, RowFormat::Csv),
+            stream(engine.workers(workers), &grid, RowFormat::Csv),
+            reference_csv,
             "workers = {workers}"
         );
     }

@@ -8,16 +8,11 @@
 use corridor_core::hash::sha256_hex;
 use corridor_core::sink::{RowFormat, StringSink};
 use corridor_sim::{
-    CorridorNetwork, NetworkDayEngine, NetworkDayReport, NetworkError, NetworkOptimizer,
-    SearchSpace, NETWORK_DAY_CSV_HEADER,
+    CorridorNetwork, NetworkDayEngine, NetworkError, NetworkOptimizer, SearchSpace,
+    NETWORK_DAY_CSV_HEADER,
 };
 use corridor_units::Meters;
 use proptest::prelude::*;
-
-/// Renders `report` in `format` through its `stream_into`.
-fn render(report: &NetworkDayReport, format: RowFormat) -> String {
-    StringSink::render(0, |s| report.stream_into(format, s))
-}
 
 /// Coarse profile sampling, as in the network suite: boundary ISDs are
 /// insensitive to 5 m vs 10 m, and debug-mode tests stay quick.
@@ -72,21 +67,24 @@ fn wye3_day_runs_end_to_end_with_correlated_crossings() {
 fn day_stream_is_byte_identical_across_worker_counts() {
     let net = CorridorNetwork::by_name("wye3").unwrap();
     let engine = NetworkDayEngine::new().reps(3);
-    let report = engine.workers(1).run(&net, &quick_space()).unwrap();
-    let reference = [
-        render(&report, RowFormat::Csv),
-        render(&report, RowFormat::Json),
-    ];
+    let stream = |workers: usize, format: RowFormat| {
+        let mut sink = StringSink::with_capacity(2048);
+        let summary = engine
+            .workers(workers)
+            .stream(&net, &quick_space(), format, &mut sink)
+            .unwrap();
+        assert_eq!(summary.cells, net.edge_count() as u64);
+        sink.into_string()
+    };
+    let reference = [RowFormat::Csv, RowFormat::Json].map(|format| stream(1, format));
     assert!(reference[0].starts_with(NETWORK_DAY_CSV_HEADER));
-    for workers in [1usize, 2, 8] {
+    for workers in [2usize, 8] {
         for (format, want) in [RowFormat::Csv, RowFormat::Json].iter().zip(&reference) {
-            let mut sink = StringSink::with_capacity(2048);
-            let summary = engine
-                .workers(workers)
-                .stream(&net, &quick_space(), *format, &mut sink)
-                .unwrap();
-            assert_eq!(summary.cells, net.edge_count() as u64);
-            assert_eq!(&sink.into_string(), want, "{format:?}, workers = {workers}");
+            assert_eq!(
+                &stream(workers, *format),
+                want,
+                "{format:?}, workers = {workers}"
+            );
         }
     }
 }

@@ -3,14 +3,16 @@
 use corridor_core::energy::{self, SegmentEnergy};
 use corridor_core::sink::{RowFormat, StringSink};
 use corridor_core::{experiments, EnergyStrategy, ScenarioParams};
-use corridor_sim::{ScenarioGrid, SweepEngine, SweepReport};
+use corridor_sim::{ScenarioGrid, SweepEngine};
 use corridor_solar::climate;
 use corridor_units::Watts;
 use proptest::prelude::*;
 
-/// Renders `report` in `format` through its `stream_into`.
-fn render(report: &SweepReport, format: RowFormat) -> String {
-    StringSink::render(0, |s| report.stream_into(format, s))
+/// The sweep of `grid` by `engine`, streamed into memory in `format`.
+fn render(engine: SweepEngine, grid: &ScenarioGrid, format: RowFormat) -> String {
+    let mut sink = StringSink::default();
+    engine.stream(grid, format, &mut sink).unwrap();
+    sink.into_string()
 }
 
 /// Candidate pools the random grids draw their axes from.
@@ -66,7 +68,10 @@ proptest! {
         let serial = engine.workers(1).run(&grid).unwrap();
         let parallel = engine.workers(workers).run(&grid).unwrap();
         prop_assert_eq!(serial.results(), parallel.results());
-        prop_assert_eq!(render(&serial, RowFormat::Csv), render(&parallel, RowFormat::Csv));
+        prop_assert_eq!(
+            render(engine.workers(1), &grid, RowFormat::Csv),
+            render(engine.workers(workers), &grid, RowFormat::Csv)
+        );
     }
 
     /// Savings fractions stay within the physically meaningful window on

@@ -1,9 +1,11 @@
-//! Streaming ↔ in-memory equivalence: every engine's `stream` path must
-//! produce the *same bytes* as building the full report and rendering it
-//! — for CSV and JSON, on 1, 2 and 8 workers — pinned by the same
-//! SHA-256 digests the determinism suite uses. A drift in either path
-//! (chunking, reorder window, cache short-circuit, emitter separators)
-//! breaks the comparison or the pin, never silently.
+//! Streaming ↔ in-memory equivalence: the Monte-Carlo and optimizer
+//! `stream` paths must produce the *same bytes* as building the full
+//! report and rendering it, and the sweep stream (which has no in-memory
+//! rendering) the pinned bytes — for CSV and JSON, on 1, 2 and 8
+//! workers — pinned by the same SHA-256 digests the determinism suite
+//! uses. A drift in either path (chunking, reorder window, cache
+//! short-circuit, emitter separators) breaks the comparison or the pin,
+//! never silently.
 
 use corridor_core::hash::sha256_hex;
 use corridor_core::sink::{DigestSink, RowFormat, StringSink};
@@ -13,8 +15,8 @@ use corridor_sim::{
 };
 use corridor_solar::climate;
 
-/// Renders an in-memory report in `format` through its `stream_into`
-/// (each report type has its own).
+/// Renders an in-memory Monte-Carlo or optimizer report in `format`
+/// through its `stream_into` (each report type has its own).
 macro_rules! render {
     ($report:expr, $format:expr) => {
         StringSink::render(0, |s| $report.stream_into($format, s))
@@ -50,28 +52,22 @@ fn optimize_grid() -> ScenarioGrid {
 }
 
 #[test]
-fn sweep_stream_is_byte_identical_to_in_memory() {
+fn sweep_stream_is_pinned_on_every_worker_count() {
     let grid = mixed_grid();
     for workers in [1usize, 2, 8] {
         let engine = SweepEngine::new().workers(workers);
-        let report = engine.run(&grid).unwrap();
-        for (format, in_memory, pin) in [
-            (
-                RowFormat::Csv,
-                render!(report, RowFormat::Csv),
-                SWEEP_CSV_SHA256,
-            ),
-            (
-                RowFormat::Json,
-                render!(report, RowFormat::Json),
-                SWEEP_JSON_SHA256,
-            ),
+        for (format, pin) in [
+            (RowFormat::Csv, SWEEP_CSV_SHA256),
+            (RowFormat::Json, SWEEP_JSON_SHA256),
         ] {
             let mut sink = StringSink::default();
             let summary = engine.stream(&grid, format, &mut sink).unwrap();
             let streamed = sink.into_string();
-            assert_eq!(streamed, in_memory, "{format:?}, workers = {workers}");
-            assert_eq!(sha256_hex(streamed.as_bytes()), pin);
+            assert_eq!(
+                sha256_hex(streamed.as_bytes()),
+                pin,
+                "{format:?}, workers = {workers}"
+            );
             assert_eq!(summary.cells, grid.len() as u64);
             assert_eq!((summary.cache_hits, summary.cache_misses), (0, 0));
         }
@@ -143,18 +139,6 @@ fn digest_sink_matches_rendered_digests() {
         engine.stream(&grid, format, &mut sink).unwrap();
         assert!(sink.bytes() > 0);
         assert_eq!(sink.hex(), pin, "{format:?}");
-    }
-}
-
-/// `stream_into` on an already-built report reports one row per cell
-/// (its bytes are pinned above, through `render!`).
-#[test]
-fn report_stream_into_counts_one_row_per_cell() {
-    let report = SweepEngine::new().workers(2).run(&mixed_grid()).unwrap();
-    for format in [RowFormat::Csv, RowFormat::Json] {
-        let mut sink = StringSink::default();
-        let rows = report.stream_into(format, &mut sink).unwrap();
-        assert_eq!(rows, report.len() as u64, "{format:?}");
     }
 }
 
